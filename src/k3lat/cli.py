@@ -40,6 +40,12 @@ from .roots import enumerate_norm, root_system
 from .suites import Report, run_suites
 
 
+# Largest index of an ADE atom: the rank of a Niemeier lattice, above every
+# root system in the reference tables; larger indices are rejected before a
+# Cartan matrix is allocated.
+MAX_ADE_INDEX = 24
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
@@ -77,7 +83,11 @@ class _Parser:
         if self.pos == start or self.text[start:self.pos] == "-":
             self.pos = start
             raise self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # longer than the interpreter's int-conversion limit
+            self.pos = start
+            raise self.error("integer literal too long")
 
     def int_list(self) -> List[int]:
         out = [self.integer()]
@@ -131,26 +141,21 @@ class _Parser:
         if ch == "U":
             self.pos += 1
             return hyperbolic()
-        if ch in "ADE":
-            sym = ch
+        if ch and ch in "ADE":
             self.pos += 1
             if self.peek() == "(":
-                save = self.pos
                 self.take("(")
                 n = self.integer()
                 self.take(")")
-                # distinguish A(2) from a rescale suffix on a bare letter:
-                # a bare letter is not a lattice, so this must be the index
             else:
                 self.skip_ws()
-                start = self.pos
-                while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                    self.pos += 1
-                if self.pos == start:
-                    raise self.error(f"{sym} needs an index")
-                n = int(self.text[start:self.pos])
+                if not self.text[self.pos : self.pos + 1].isdigit():
+                    raise self.error(f"{ch} needs an index")
+                n = self.integer()
+            if n > MAX_ADE_INDEX:
+                raise self.error(f"{ch}{n} exceeds the largest ADE index {MAX_ADE_INDEX}")
             try:
-                lat = root_lattice(sym, n)
+                lat = root_lattice(ch, n)
             except LatticeError as exc:
                 raise self.error(str(exc))
             return rescale(lat, -1)

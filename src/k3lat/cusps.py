@@ -54,8 +54,8 @@ from .roots import (
     EMPTY_TYPE,
     RootSystemType,
     enumerate_norm,
+    root_decomposition,
     root_system,
-    _type_of_root_subset,
 )
 from .eisenstein import (
     RhoLattice,
@@ -360,7 +360,7 @@ def _outcome_from_leaf(
     for i in flat:
         comp_mask &= cs.masks[i][0 + 2]
     comp_roots = [cs.roots[i] for i in _bits(comp_mask)]
-    ctype = _type_of_root_subset(comp_roots, cs.lattice)
+    ctype, _ = root_decomposition(comp_roots, cs.lattice.gram)
     if flat:
         rows = IntMatrix([list(cs.roots[i]) for i in flat], cols=rk)
         from .exactla import kernel_basis

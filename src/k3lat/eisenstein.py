@@ -28,6 +28,7 @@ from typing import List, Sequence, Tuple
 from .exactla import (
     IntMatrix,
     det,
+    in_rational_span,
     int_mat_inv,
     kernel_basis,
     rat,
@@ -207,7 +208,7 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
     spanned = IntMatrix([], cols=n)
     for i in range(n):
         v = tuple(1 if j == i else 0 for j in range(n))
-        if not _in_span(v, spanned):
+        if not in_rational_span(v, spanned):
             chosen.append(v)
             rows = [list(c) for c in chosen]
             for c in chosen:
@@ -233,18 +234,6 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
                 raise IsometryError("Hermitian value is not an Eisenstein integer")
     basis = IntMatrix([list(c) for c in chosen], cols=n)
     return basis, tuple(gram)
-
-
-def _in_span(v: Tuple[int, ...], basis: IntMatrix) -> bool:
-    if basis.rows == 0:
-        return not any(v)
-    from .exactla import ExactLAError, rat_express
-
-    try:
-        rat_express(rat(IntMatrix([list(v)], cols=basis.cols)), rat(basis))
-        return True
-    except ExactLAError:
-        return False
 
 
 def _hermitian_value(lattice: Lattice, iso: Isometry, x, y) -> Eis:

@@ -433,6 +433,16 @@ def rat_express(targets: RatMatrix, basis: RatMatrix) -> RatMatrix:
     return tuple(out)
 
 
+def in_rational_span(v: Sequence[int], basis: IntMatrix) -> bool:
+    """Whether the integer row ``v`` lies in the rational span of the
+    independent rows of ``basis``."""
+    try:
+        rat_express(rat(IntMatrix([list(v)], cols=basis.cols)), rat(basis))
+    except ExactLAError:
+        return False
+    return True
+
+
 def int_express(targets: IntMatrix, basis: IntMatrix) -> IntMatrix:
     """Integer coefficients expressing ``targets`` in ``basis`` rows."""
     c = rat_express(rat(targets), rat(basis))

@@ -28,6 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import (
+    ExactLAError,
     IntMatrix,
     det,
     hnf,
@@ -447,7 +448,7 @@ def _starred_model(
         images = rat_mul(basis, rat(rho_base.rho.matrix))
         try:
             coeff = rat_express(images, basis)
-        except Exception:
+        except ExactLAError:
             continue
         if any(x.denominator != 1 for row in coeff for x in row):
             continue
@@ -532,7 +533,7 @@ def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
         try:
             int_express(images, fj)
             invariant = True
-        except Exception:
+        except ExactLAError:
             invariant = False
         sub = Sublattice(model, fj)
         fj_disc = disc_group(sub.lattice()).elementary_divisors if sub.rank else ()
@@ -603,7 +604,7 @@ def order4_suite() -> List[Tuple[str, bool, str]]:
     try:
         int_express(images, j.basis)
         inv_flag = True
-    except Exception:
+    except ExactLAError:
         inv_flag = False
     q, lift = quotient_by_isotropic(j)
     rtype, _ = root_system(q)
@@ -664,7 +665,7 @@ def order4_suite() -> List[Tuple[str, bool, str]]:
     try:
         int_express(imgs, a1_rows)
         inv2 = True
-    except Exception:
+    except ExactLAError:
         inv2 = False
     fp_q = quotient_model_fingerprint(q)
     fp_b = quotient_model_fingerprint(block)

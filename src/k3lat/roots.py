@@ -1,14 +1,21 @@
 """Short-vector enumeration in definite lattices and ADE root systems.
 
-Enumeration is exact: a rational LDL decomposition of the Gram matrix
-(definite, so all pivots nonzero and of one sign) feeds a
-Fincke--Pohst traversal whose interval bounds are computed with exact
-integer square-root comparisons.  A brute-force coefficient-box
-enumerator is kept alongside as an independent oracle; the two are
-cross-checked in the test suite on every standard root lattice.
+Everything runs on Python integers.  Enumeration is a fraction-free
+Fincke--Pohst traversal (Fincke--Pohst, Math. Comp. 1985): Bareiss
+elimination of the size-reduced Gram matrix gives leading minors ``d_k``
+and integer numerators, and scaling the norm by ``lcm(d_k d_{k-1})``
+turns every level's interval into an integer square root and an integer
+subtraction.  A brute-force coefficient-box enumerator is kept alongside
+as an independent oracle; the two are cross-checked in the test suite.
 
 Vectors are returned closed under negation, sorted lexicographically on
 their coefficient tuples, so output order is deterministic.
+
+Root systems are decomposed through simple roots: the lexicographically
+positive roots are a positive system, its simple roots are found by one
+ascending scan, and the components are those of the Dynkin graph of the
+simple roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
+The root span is the Hermite form of the simple roots.
 """
 
 from __future__ import annotations
@@ -16,10 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, hnf, index_in, rat
+from .exactla import IntMatrix, hnf, in_rational_span, index_in
 from .lattice import Lattice, LatticeError, Sublattice, definite_sign
 
 Vector = Tuple[int, ...]
@@ -30,50 +36,37 @@ class EnumerationError(LatticeError):
 
 
 def _positive_gram(l: Lattice) -> IntMatrix:
-    sign = definite_sign(l)  # raises on indefinite input
-    return l.gram if sign > 0 else l.gram.scale(-1)
+    """The Gram matrix of ``l`` or of ``l(-1)``, whichever is positive
+    definite, which the Bareiss pivots decide (all leading minors > 0)."""
+    g = l.gram.scale(-1) if l.rank and l.gram.entries[0][0] < 0 else l.gram
+    try:
+        _bareiss(g)
+    except EnumerationError:
+        definite_sign(l)  # raises on indefinite or degenerate input, naming why
+        raise
+    return g
 
 
-def _ldl(gram: IntMatrix) -> List[List[Fraction]]:
-    """Fincke-Pohst coefficients q with Q(x) = sum_k q[k][k](x_k + sum_{l>k} q[k][l] x_l)^2."""
+def _bareiss(gram: IntMatrix) -> List[List[int]]:
+    """Fraction-free (Bareiss) elimination of a positive definite Gram matrix.
+
+    Returns ``m`` with ``d_k = m[k][k]`` the leading principal minor of
+    order ``k + 1`` and integer numerators ``B_kl = m[k][l]`` (``l > k``),
+    so that, with ``d_{-1} = 1``,
+
+        Q(x) = sum_k (d_k x_k + sum_{l>k} B_kl x_l)^2 / (d_k d_{k-1}).
+    """
     n = gram.rows
-    q = [[Fraction(x) for x in row] for row in gram.entries]
-    for i in range(n):
-        if q[i][i] <= 0:
+    m = [list(row) for row in gram.entries]
+    prev = 1
+    for k in range(n):
+        if m[k][k] <= 0:
             raise EnumerationError("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    return q
-
-
-def _coeff_range(u: Fraction, c: Fraction) -> Tuple[int, int]:
-    """Integers x with (x + u)^2 <= c, as an inclusive range (lo, hi)."""
-    if c < 0:
-        return 1, 0
-    # hi = floor(-u + sqrt(c)), lo = ceil(-u - sqrt(c))
-    num, den = c.numerator, c.denominator
-    # sqrt(c) = isqrt(num*den)/den up to rounding; refine exactly
-    s = math.isqrt(num * den)
-
-    def ok_hi(t: int) -> bool:
-        v = Fraction(t) + u
-        return v <= 0 or v * v <= c
-
-    def ok_lo(t: int) -> bool:
-        v = Fraction(t) + u
-        return v >= 0 or v * v <= c
-
-    hi = math.floor(-u + Fraction(s + 1, den))
-    while not ok_hi(hi):
-        hi -= 1
-    lo = math.ceil(-u - Fraction(s + 1, den))
-    while not ok_lo(lo):
-        lo += 1
-    return lo, hi
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return m
 
 
 def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
@@ -132,38 +125,44 @@ def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
         return []
     gram_pos = _positive_gram(l)
     gram_red, v = _size_reduce(gram_pos)
-    q = _ldl(gram_red)
+    b = _bareiss(gram_red)
     n = gram_red.rows
+    d = [b[k][k] for k in range(n)]
+    # scaling by L = lcm(d_k d_{k-1}) makes every level's weight an integer
+    dd = [d[k] * (d[k - 1] if k else 1) for k in range(n)]
+    scale = math.lcm(*dd)
+    w = [scale // x for x in dd]
     found: List[Vector] = []
     x = [0] * n
 
-    def descend(k: int, budget: Fraction, us: List[Fraction]) -> None:
-        # us[j] = sum_{l>k} q[k][l] x_l accumulated lazily per level
-        u = us[k]
-        lo, hi = _coeff_range(u, budget / q[k][k])
-        for t in range(lo, hi + 1):
+    def descend(k: int, budget: int, top: bool) -> None:
+        # |y| <= s with y = d_k x_k + c bounds x_k to an integer interval;
+        # while x_{k+1..n-1} are all zero (top), x_k >= 0 keeps one of +-x
+        c = sum(b[k][l] * x[l] for l in range(k + 1, n))
+        s = math.isqrt(budget // w[k])
+        dk, wk = d[k], w[k]
+        for t in range(0 if top else -((s + c) // dk), (s - c) // dk + 1):
             x[k] = t
-            used = q[k][k] * (t + u) ** 2
+            y = dk * t + c
+            rest = budget - wk * y * y
             if k == 0:
-                if budget - used == 0 and any(x):
+                if rest == 0:
                     found.append(tuple(x))
             else:
-                nus = list(us)
-                for j in range(k):
-                    nus[j] += q[j][k] * t
-                descend(k - 1, budget - used, nus)
+                descend(k - 1, rest, top and t == 0)
         x[k] = 0
 
-    descend(n - 1, Fraction(m), [Fraction(0)] * n)
+    descend(n - 1, scale * m, True)
     # map back through the size-reduction transform: rows enumerated in the
     # reduced basis correspond to x*V in the original coordinates
-    out = set()
+    out: List[Vector] = []
     for vec in found:
-        orig = tuple(
-            sum(vec[i] * v.entries[i][j] for i in range(n)) for j in range(n)
-        )
-        out.add(orig)
-        out.add(tuple(-c for c in orig))
+        orig = [0] * n
+        for c, row in zip(vec, v.entries):
+            if c:
+                orig = [o + c * r for o, r in zip(orig, row)]
+        out.append(tuple(orig))
+        out.append(tuple(-o for o in orig))
     return sorted(out)
 
 
@@ -309,40 +308,75 @@ def _identify_component(rank: int, count: int) -> Tuple[str, int]:
     return t
 
 
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def root_decomposition(
+    roots: Sequence[Vector], gram: IntMatrix
+) -> Tuple[RootSystemType, List[Vector]]:
+    """ADE type and simple roots of the roots ``roots`` (norm +-2 under
+    ``gram``, closed under negation and under their own reflections).
+
+    The lexicographically positive roots form a positive system.  Scanned
+    in ascending order, a positive root is simple unless subtracting an
+    earlier simple root leaves a positive root (Humphreys, *Reflection
+    Groups*, 1.3-1.6).  The components are those of the Dynkin graph of
+    the simple roots; every root lies in the component of the first
+    simple root it pairs nonzero with, and a component's rank is its
+    number of simple roots.
+    """
+    zero = (0,) * gram.rows
+    positive = sorted(r for r in roots if r > zero)
+    is_positive = set(positive)
+    simple: List[Vector] = []
+    for beta in positive:
+        if not any(
+            tuple(b - a for b, a in zip(beta, alpha)) in is_positive for alpha in simple
+        ):
+            simple.append(beta)
+    g_simple = (IntMatrix(simple, cols=gram.rows) * gram).entries
+
+    def pairs(v: Vector, i: int) -> bool:
+        return _dot(v, g_simple[i]) != 0
+
+    comp = [-1] * len(simple)
+    for i in range(len(simple)):
+        if comp[i] < 0:
+            comp[i] = i
+            stack = [i]
+            while stack:
+                a = stack.pop()
+                for j in range(len(simple)):
+                    if comp[j] < 0 and pairs(simple[j], a):
+                        comp[j] = i
+                        stack.append(j)
+    counts: Dict[int, int] = {}
+    for beta in positive:
+        c = comp[next(i for i in range(len(simple)) if pairs(beta, i))]
+        counts[c] = counts.get(c, 0) + 2
+    return (
+        RootSystemType.of([_identify_component(comp.count(c), k) for c, k in counts.items()]),
+        simple,
+    )
+
+
+def _hermite_basis(rows: Sequence[Vector], n: int) -> IntMatrix:
+    """Nonzero rows of the Hermite form of ``rows``: a canonical basis of their Z-span."""
+    if not rows:
+        return IntMatrix([], cols=n)
+    h, _ = hnf(IntMatrix(rows, cols=n))
+    return IntMatrix([row for row in h.entries if any(row)], cols=n)
+
+
 def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:
-    """Root-system type of a definite lattice and the sublattice its roots span."""
-    roots = enumerate_norm(l, 2)
-    if not roots:
-        return EMPTY_TYPE, Sublattice(l, IntMatrix([], cols=l.rank))
-    sign = definite_sign(l)
-    gram = l.gram if sign > 0 else l.gram.scale(-1)
-    glat = Lattice(gram)
-    # connected components of the graph "pairing is nonzero"
-    parent = list(range(len(roots)))
+    """Root-system type of a definite lattice and the sublattice its roots span.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if glat.pair(roots[i], roots[j]) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: Dict[int, List[Vector]] = {}
-    for i, r in enumerate(roots):
-        groups.setdefault(find(i), []).append(r)
-    comps = []
-    for vecs in groups.values():
-        h, _ = hnf(IntMatrix(vecs, cols=l.rank))
-        rk = sum(1 for row in h.entries if any(row))
-        comps.append(_identify_component(rk, len(vecs)))
-    span_h, _ = hnf(IntMatrix(roots, cols=l.rank))
-    span_rows = [r for r in span_h.entries if any(r)]
-    return RootSystemType.of(comps), Sublattice(l, IntMatrix(span_rows, cols=l.rank))
+    The span basis is the Hermite form of the simple roots, which is the
+    Hermite form of all roots: both sets have the same Z-span.
+    """
+    rtype, simple = root_decomposition(enumerate_norm(l, 2), l.gram)
+    return rtype, Sublattice(l, _hermite_basis(simple, l.rank))
 
 
 def root_span_index(l: Lattice) -> int:
@@ -358,57 +392,10 @@ def complement_root_type(s: Sublattice, ambient: Lattice | None = None) -> RootS
     r = s.ambient if ambient is None else ambient
     all_roots = enumerate_norm(r, 2)
     # the sublattice must be spanned by roots of the ambient lattice
-    in_span = [v for v in all_roots if _in_rational_span(v, s.basis)]
-    if in_span:
-        h, _ = hnf(IntMatrix(in_span, cols=r.rank))
-        span_rows = IntMatrix([row for row in h.entries if any(row)], cols=r.rank)
-    else:
-        span_rows = IntMatrix([], cols=r.rank)
-    sh, _ = hnf(s.basis)
-    if span_rows != IntMatrix([row for row in sh.entries if any(row)], cols=r.rank):
+    in_span = [v for v in all_roots if in_rational_span(v, s.basis)]
+    _, simple = root_decomposition(in_span, r.gram)
+    if _hermite_basis(simple, r.rank) != _hermite_basis(s.basis.entries, r.rank):
         raise LatticeError("sublattice is not spanned by roots of the ambient lattice")
-    comp_roots = [
-        v for v in all_roots if all(r.pair(v, b) == 0 for b in s.basis.entries)
-    ]
-    return _type_of_root_subset(comp_roots, r)
-
-
-def _in_rational_span(v: Vector, basis: IntMatrix) -> bool:
-    if basis.rows == 0:
-        return not any(v)
-    from .exactla import rat_express, ExactLAError
-
-    try:
-        rat_express(rat(IntMatrix([list(v)], cols=basis.cols)), rat(basis))
-        return True
-    except ExactLAError:
-        return False
-
-
-def _type_of_root_subset(roots: List[Vector], ambient: Lattice) -> RootSystemType:
-    """Type of a set of roots, using ambient pairings (set must be closed under -)."""
-    if not roots:
-        return EMPTY_TYPE
-    parent = list(range(len(roots)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if ambient.pair(roots[i], roots[j]) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: Dict[int, List[Vector]] = {}
-    for i, r in enumerate(roots):
-        groups.setdefault(find(i), []).append(r)
-    comps = []
-    for vecs in groups.values():
-        h, _ = hnf(IntMatrix(vecs, cols=ambient.rank))
-        rk = sum(1 for row in h.entries if any(row))
-        comps.append(_identify_component(rk, len(vecs)))
-    return RootSystemType.of(comps)
+    g_basis = (s.basis * r.gram).entries
+    comp_roots = [v for v in all_roots if not any(_dot(v, gb) for gb in g_basis)]
+    return root_decomposition(comp_roots, r.gram)[0]

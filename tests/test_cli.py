@@ -1,0 +1,59 @@
+from click.testing import CliRunner
+
+from k3lat.cli import MAX_ADE_INDEX, main
+
+
+def run(*args):
+    return CliRunner().invoke(main, list(args))
+
+
+def test_info_e8():
+    res = run("info", "E8")
+    assert res.exit_code == 0
+    assert res.output.splitlines() == [
+        "rank       8",
+        "signature  (0,8)",
+        "parity     even",
+        "det        1",
+        "disc       0",
+        "roots      E8",
+    ]
+
+
+def test_info_e6_a2():
+    res = run("info", "E6 + A2")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[3:] == ["det        9", "disc       Z/3+Z/3", "roots      E6+A2"]
+
+
+def test_info_rejects_missing_atom_at_end_of_input():
+    res = run("info", "U + ")
+    assert res.exit_code == 1
+    assert "expected a lattice atom" in res.output
+    assert "needs an index" not in res.output
+
+
+def test_info_rejects_bare_ade_letter():
+    res = run("info", "A")
+    assert res.exit_code == 1
+    assert "A needs an index" in res.output
+
+
+def test_roots_accepts_largest_ade_index():
+    res = run("roots", f"A{MAX_ADE_INDEX}")
+    assert res.exit_code == 0
+    assert f"type       A{MAX_ADE_INDEX}" in res.output
+
+
+def test_info_rejects_ade_index_above_cap():
+    # rejected by the parser, before any Cartan matrix is allocated
+    for expr in (f"A{MAX_ADE_INDEX + 1}", "A99999999999", "D(99999999999)", "E" + "9" * 5000):
+        res = run("info", expr)
+        assert res.exit_code == 1
+        assert "rank" not in res.output
+
+
+def test_verify_order4_passes():
+    res = run("verify", "--suite", "order4")
+    assert res.exit_code == 0
+    assert res.output.startswith("suite order4")

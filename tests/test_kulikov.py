@@ -153,3 +153,15 @@ def test_order4_suite_all_pass():
     assert len(results) == 5
     for cid, ok, detail in results:
         assert ok, f"{cid}: {detail}"
+
+
+def test_unexpected_error_is_not_read_as_not_invariant(monkeypatch):
+    # only ExactLAError means "outside the span"; anything else propagates
+    import k3lat.kulikov as kulikov
+
+    def broken(targets, basis):
+        raise TypeError("broken int_express")
+
+    monkeypatch.setattr(kulikov, "int_express", broken)
+    with pytest.raises(TypeError, match="broken int_express"):
+        order4_suite()

@@ -1,6 +1,9 @@
-import pytest
+import math
 
-from k3lat.exactla import IntMatrix
+import pytest
+from hypothesis import given, strategies as st
+
+from k3lat.exactla import IntMatrix, hnf, int_mat_inv, rank as int_rank
 from k3lat.lattice import (
     Lattice,
     Sublattice,
@@ -166,3 +169,151 @@ def test_type_rank_and_counts():
     t = T("E8+E6+A2")
     assert t.rank == 16
     assert t.root_count() == 240 + 72 + 6
+
+
+# -- properties: random changes of basis of ADE sums -------------------
+#
+# A lattice is drawn as an orthogonal sum of atoms: ADE root lattices and
+# odd unimodular I_k (whose roots +-e_i +- e_j form D_k, spanning an
+# index-2 sublattice, so the root span is not always the whole lattice).
+# Its Gram matrix is then conjugated by a random unimodular U built from
+# elementary row operations; row x of the new basis is x*U in the old one.
+
+SMALL_ATOMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("I", 1), ("I", 2), ("I", 3)]
+ROOT_ATOMS = SMALL_ATOMS + [("A", 5), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("I", 4), ("I", 5)]
+
+
+def atom_lattice(atom):
+    sym, n = atom
+    return diag_lattice([1] * n) if sym == "I" else root_lattice(sym, n)
+
+
+def expected_type(parts):
+    """Root type of a sum of atoms, from the classification rather than a
+    computation; the I_k summands merge into one I_n."""
+    comps = [a for a in parts if a[0] != "I"]
+    n = sum(k for sym, k in parts if sym == "I")
+    comps += {0: [], 1: [], 2: [("A", 1)] * 2, 3: [("A", 3)]}.get(n, [("D", n)])
+    return RootSystemType.of(comps)
+
+
+def unimodular(n, ops):
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        if i % n != j % n:
+            u[i % n] = [a + c * b for a, b in zip(u[i % n], u[j % n])]
+    return IntMatrix(u)
+
+
+def conjugate(l, u):
+    """``l`` in the basis whose row x is x*U in the old basis."""
+    return Lattice(u * l.gram * u.transpose())
+
+
+@st.composite
+def changed_basis(draw, atoms, max_rank, max_ops):
+    parts = draw(
+        st.lists(st.sampled_from(atoms), min_size=1, max_size=3).filter(
+            lambda p: sum(n for _, n in p) <= max_rank
+        )
+    )
+    l = direct_sum(*[atom_lattice(a) for a in parts])
+    ops = draw(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([-1, 1])),
+            max_size=max_ops,
+        )
+    )
+    u = unimodular(l.rank, ops)
+    return parts, l, u, conjugate(l, u)
+
+
+def coefficient_bound(l, m):
+    """max_i |x_i| over vectors of norm m: x_i^2 <= m (G^-1)_ii (Cauchy-Schwarz)."""
+    ginv = int_mat_inv(l.gram)
+    return max(math.isqrt(math.floor(abs(m * ginv[i][i]))) for i in range(l.rank))
+
+
+def check_enumeration(found, oracle):
+    assert found == oracle, f"{len(found)} vectors against {len(oracle)} from the oracle"
+
+
+@given(changed_basis(SMALL_ATOMS, 5, 4), st.sampled_from([2, 4]), st.sampled_from([1, -1]))
+def test_enumerate_norm_matches_box_oracle(data, m, sign):
+    l = rescale(data[3], sign)
+    check_enumeration(enumerate_norm(l, m), enumerate_norm_box(l, m, coefficient_bound(l, m)))
+
+
+def test_enumeration_check_rejects_wrong_oracle():
+    l = conjugate(root_lattice("D", 4), unimodular(4, [(0, 1, 1), (2, 3, -1)]))
+    found = enumerate_norm(l, 4)
+    box = enumerate_norm_box(l, 4, coefficient_bound(l, 4))
+    check_enumeration(found, box)
+    with pytest.raises(AssertionError):
+        check_enumeration(found, box[1:])
+
+
+def pairwise_root_type(roots, gram):
+    """Oracle: components of the graph 'pairing is nonzero' over all pairs
+    of roots (union-find), each identified by its rank and root count."""
+    lat = Lattice(gram)
+    parent = list(range(len(roots)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(roots)):
+        for j in range(i + 1, len(roots)):
+            if lat.pair(roots[i], roots[j]) != 0:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i, r in enumerate(roots):
+        groups.setdefault(find(i), []).append(r)
+    comps = []
+    for vecs in groups.values():
+        k, count = int_rank(IntMatrix(vecs)), len(vecs)
+        if count == k * (k + 1):
+            comps.append(("A", k))
+        elif count == 2 * k * (k - 1):
+            comps.append(("D", k))
+        else:
+            comps.append(("E", k))
+    return RootSystemType.of(comps)
+
+
+def check_root_system(rtype, span_rows, want_type, want_rows):
+    """Type equal, and the two row sets span one lattice (equal HNF)."""
+    assert rtype == want_type, f"{rtype} against {want_type}"
+    h, _ = hnf(span_rows)
+    w, _ = hnf(want_rows)
+    assert [r for r in h.entries if any(r)] == [r for r in w.entries if any(r)]
+
+
+@given(changed_basis(ROOT_ATOMS, 10, 6), st.sampled_from([1, -1]))
+def test_root_system_invariant_under_change_of_basis(data, sign):
+    parts, l, u, lu = data
+    rtype, span = root_system(rescale(lu, sign))
+    # the new span, carried back to the old coordinates, is the old span
+    check_root_system(rtype, span.basis * u, expected_type(parts), root_system(l)[1].basis)
+
+
+@given(changed_basis(ROOT_ATOMS, 10, 6), st.sampled_from([1, -1]))
+def test_root_system_matches_pairwise_oracle(data, sign):
+    lu = rescale(data[3], sign)
+    roots = enumerate_norm(lu, 2)
+    rtype, span = root_system(lu)
+    check_root_system(rtype, span.basis, pairwise_root_type(roots, lu.gram), IntMatrix(roots, cols=lu.rank))
+
+
+def test_root_system_check_rejects_wrong_oracle():
+    u = unimodular(9, [(0, 6, 1), (7, 2, -1), (8, 7, 1)])
+    lu = conjugate(direct_sum(root_lattice("E", 6), diag_lattice([1, 1, 1])), u)
+    rtype, span = root_system(lu)
+    want_rows = IntMatrix(enumerate_norm(lu, 2), cols=9)
+    check_root_system(rtype, span.basis, T("E6+A3"), want_rows)
+    with pytest.raises(AssertionError):
+        check_root_system(rtype, span.basis, T("E6+A1^3"), want_rows)
+    with pytest.raises(AssertionError):
+        check_root_system(rtype, span.basis, T("E6+A3"), span.basis.scale(2))
