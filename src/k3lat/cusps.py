@@ -27,12 +27,13 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactla import (
     IntMatrix,
+    det,
     hnf,
     index_in,
     int_express,
     int_mat_inv,
     rat,
-    rat_mul,
+    rat_express,
     saturate,
 )
 from .lattice import (
@@ -319,37 +320,13 @@ def _component_dual_order(cs: ComponentSystem, chosen: Sequence[int]) -> int:
     dual_side = kernel_basis(rows)  # y with y . rows^T = 0; x = y G^-1
     if comp.rows == 0:
         return 1
-    ginv = int_mat_inv(cs.lattice.gram)
-    dual_rows = rat_mul(rat(dual_side), ginv)
-    from .exactla import rat_express
-
-    coeff = rat_express(rat(comp), dual_rows)
-    d = 1
-    # index = |det| of the coefficient matrix expressing the sublattice in
-    # the superlattice basis
-    n = len(coeff)
-    mat = [[x for x in row] for row in coeff]
-    # fraction-free determinant of a small rational matrix
-    from fractions import Fraction as F
-
-    detv = F(1)
-    m = [row[:] for row in mat]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            raise CuspError("degenerate dual complement")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            detv = -detv
-        detv *= m[col][col]
-        inv = 1 / m[col][col]
-        for i in range(col + 1, n):
-            f = m[i][col] * inv
-            if f:
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    if detv.denominator != 1:
+    # comp = C * (dual_side * G^-1) exactly when comp * G = C * dual_side
+    coeff = rat_express(rat(comp * cs.lattice.gram), rat(dual_side))
+    if any(x.denominator != 1 for row in coeff for x in row):
         raise CuspError("dual complement index is not integral")
-    return abs(detv.numerator)
+    # the index is |det| of the matrix expressing the sublattice in the
+    # superlattice basis
+    return abs(det(IntMatrix([[x.numerator for x in row] for row in coeff], cols=dual_side.rows)))
 
 
 def _outcome_from_leaf(
@@ -470,8 +447,8 @@ def _e6_dual_class_min() -> Fraction:
     ginv = int_mat_inv(l.gram)
     # dual lattice rescaled by 3 is integral: gram 3 * G^-1
     entries = []
-    for row in rat_mul(ginv, rat(IntMatrix.identity(6).scale(3))):
-        entries.append([x.numerator if x.denominator == 1 else None for x in row])
+    for row in ginv:
+        entries.append([(3 * x).numerator if (3 * x).denominator == 1 else None for x in row])
     if any(x is None for r in entries for x in r):
         raise CuspError("rescaled dual of E6 is not integral")
     dual3 = Lattice(IntMatrix(entries))
@@ -902,7 +879,7 @@ def cusp_of_plane(r: RhoLattice, j: Sublattice) -> RootSystemType:
     rtype, span = root_system(q)
     if rtype.rank != q.rank:
         raise CuspError("quotient roots do not span rationally")
-    idx = index_in(span.basis, IntMatrix.identity(q.rank))
+    idx = abs(det(span.basis))  # the index of the root span in Z^rank
     if idx not in (1, 3):
         raise CuspError(f"root-span index {idx} outside {{1,3}}")
     return rtype.with_star(idx == 3)

@@ -26,13 +26,12 @@ from math import lcm
 from typing import List, Sequence, Tuple
 
 from .exactla import (
+    ExactLAError,
     IntMatrix,
     det,
     in_rational_span,
-    int_mat_inv,
+    int_express,
     kernel_basis,
-    rat,
-    rat_mul,
 )
 from .lattice import Lattice, LatticeError, Sublattice, cartan_gram, root_lattice
 
@@ -272,10 +271,19 @@ def hermitian_normal_2x2(gram: Tuple[Tuple[Eis, ...], ...]) -> Tuple[Tuple[Eis, 
 
 
 def _dual_shift_integral(r: RhoLattice, operator: IntMatrix) -> bool:
-    """True when ``operator`` maps the dual lattice into the lattice."""
-    ginv = int_mat_inv(r.lattice.gram)
-    shifted = rat_mul(ginv, rat(operator))
-    return all(x.denominator == 1 for row in shifted for x in row)
+    """True when ``operator`` maps the dual lattice into the lattice.
+
+    That is, ``G^-1 M`` is integral; as ``G`` is symmetric, this holds
+    exactly when the rows of ``M^T`` have integral coordinates in the
+    rows of ``G``.
+    """
+    try:
+        int_express(operator.transpose(), r.lattice.gram)
+    except ExactLAError:
+        if r.lattice.is_nondegenerate:
+            return False
+        raise
+    return True
 
 
 def is_estar(r: RhoLattice) -> bool:
@@ -433,15 +441,12 @@ def rho4_d4() -> RhoLattice:
             [0, 0, -1, 0],
         ]
     )
-    binv = int_mat_inv(basis)
-    conj_rat = rat_mul(rat_mul(rat(basis), rat(z4)), binv)
-    rows = []
-    for row in conj_rat:
-        if any(x.denominator != 1 for x in row):
-            raise IsometryError("double rotation does not preserve the D4 sublattice")
-        rows.append([x.numerator for x in row])
+    try:
+        conj = int_express(basis * z4, basis)  # B * Z4 * B^-1
+    except ExactLAError:
+        raise IsometryError("double rotation does not preserve the D4 sublattice") from None
     neg = rescale(lat, -1)
-    return rho_lattice(neg, IntMatrix(rows, cols=4))
+    return rho_lattice(neg, conj)
 
 
 def rho4_a1a1() -> RhoLattice:

@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra kernel.
 
-Everything here runs on arbitrary-precision Python integers (and
-``fractions.Fraction`` for the rational helpers); there is no floating
-point anywhere and no machine-word fast path.  Conventions used by the
-whole package:
+Everything here runs on arbitrary-precision Python integers;
+``fractions.Fraction`` appears only at the boundary of the rational
+helpers, whose inputs are scaled to integers and whose results are
+built from integer numerators.  There is no floating point anywhere and
+no machine-word fast path.  Conventions used by the whole package:
 
 * matrices are row-major; lattice elements are ROW vectors,
 * a transform ``U`` returned together with a normal form acts on the
@@ -12,14 +13,18 @@ whole package:
 
 The normal forms are computed by fraction-free row elimination with
 explicit transform accumulation: the Hermite form by gcd-driven row
-reduction, the Smith form by alternating row and column Hermite passes
-followed by divisibility fix-ups.  This is slow compared to modular
-methods but provably correct, and the matrices appearing in this
-package have rank at most 28.
+reduction, the Smith form by alternating row and column Hermite passes,
+applied in place to both transforms, followed by divisibility fix-ups.
+Linear systems (``rat_express``, ``int_express``, ``rat_inv``) are
+solved by one Bareiss elimination with a single common denominator
+(Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2).  This is slow
+compared to modular methods but provably correct, and the matrices
+appearing in this package have rank at most 28.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple
 
@@ -161,9 +166,17 @@ def hnf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     Pivots are positive, entries above each pivot are reduced into
     ``[0, pivot)``, zero rows sink to the bottom.
     """
-    m, n = a.rows, a.cols
     h = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    u = [[1 if i == j else 0 for j in range(a.rows)] for i in range(a.rows)]
+    _hermite(h, u)
+    return IntMatrix(h, cols=a.cols), IntMatrix(u, cols=a.rows)
+
+
+def _hermite(h: List[List[int]], u: List[List[int]]) -> None:
+    """Reduce the rows of ``h`` to Hermite form in place, applying every
+    row operation to the rows of ``u`` as well."""
+    m = len(h)
+    n = len(h[0]) if h else 0
 
     def row_sub(i: int, j: int, q: int) -> None:
         # row_i -= q * row_j, mirrored on the transform
@@ -171,7 +184,7 @@ def hnf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
         for k in range(n):
             hi[k] -= q * hj[k]
         ui, uj = u[i], u[j]
-        for k in range(m):
+        for k in range(len(ui)):
             ui[k] -= q * uj[k]
 
     def row_swap(i: int, j: int) -> None:
@@ -211,7 +224,10 @@ def hnf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
                 if q:
                     row_sub(i, r, q)
             r += 1
-    return IntMatrix(h, cols=n), IntMatrix(u, cols=m)
+
+
+def _transpose(x: List[List[int]], cols: int) -> List[List[int]]:
+    return [list(c) for c in zip(*x)] or [[] for _ in range(cols)]
 
 
 class SnfResult:
@@ -229,65 +245,54 @@ def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form with both unimodular transforms.
 
     Alternates row and column Hermite passes until the matrix is
-    diagonal, then repairs the divisibility chain; all transforms are
-    accumulated and the factorization is re-verified before returning.
+    diagonal, then repairs the divisibility chain.  Each row operation
+    of a row pass is applied to ``left`` and each of a column pass to
+    the rows of ``right^T``, in place; the factorization is re-verified
+    before returning.
     """
     m, n = a.rows, a.cols
-    s = a
-    left = IntMatrix.identity(m)
-    right = IntMatrix.identity(n)
+    s = [list(row) for row in a.entries]
+    left = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    right_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def is_diagonal(x: IntMatrix) -> bool:
-        return all(
-            x.entries[i][j] == 0
-            for i in range(x.rows)
-            for j in range(x.cols)
-            if i != j
-        )
+    def is_diagonal(x: List[List[int]]) -> bool:
+        return all(v == 0 for i, row in enumerate(x) for j, v in enumerate(row) if i != j)
 
     for _ in range(200):
-        h, u = hnf(s)
-        s, left = h, u * left
-        if is_diagonal(s):
-            ht, ut = hnf(s.transpose())
-            s, right = ht.transpose(), right * ut.transpose()
-            if is_diagonal(s):
-                k = min(m, n)
-                diag = [s.entries[i][i] for i in range(k)]
-                # enforce d_i | d_{i+1} among the nonzero entries
-                bad = next(
-                    (
-                        i
-                        for i in range(k - 1)
-                        if diag[i] != 0 and diag[i + 1] % diag[i] != 0
-                    ),
-                    None,
-                )
-                if bad is None:
-                    break
-                # fold column bad+1 into column bad and restart reduction
-                cols = [list(row) for row in s.entries]
-                for i in range(m):
-                    cols[i][bad] += cols[i][bad + 1]
-                r = [list(row) for row in right.entries]
-                for i in range(n):
-                    r[i][bad] += r[i][bad + 1]
-                s = IntMatrix(cols, cols=n)
-                right = IntMatrix(r, cols=n)
-        else:
-            ht, ut = hnf(s.transpose())
-            s, right = ht.transpose(), right * ut.transpose()
+        _hermite(s, left)
+        row_diagonal = is_diagonal(s)
+        s_t = _transpose(s, n)
+        _hermite(s_t, right_t)
+        s = _transpose(s_t, m)
+        if row_diagonal and is_diagonal(s):
+            k = min(m, n)
+            diag = [s[i][i] for i in range(k)]
+            # enforce d_i | d_{i+1} among the nonzero entries
+            bad = next(
+                (
+                    i
+                    for i in range(k - 1)
+                    if diag[i] != 0 and diag[i + 1] % diag[i] != 0
+                ),
+                None,
+            )
+            if bad is None:
+                break
+            # fold column bad+1 into column bad and restart reduction
+            for row in s:
+                row[bad] += row[bad + 1]
+            right_t[bad] = [x + y for x, y in zip(right_t[bad], right_t[bad + 1])]
     else:
         raise ExactLAError("smith reduction did not converge")
 
     k = min(m, n)
-    d = tuple(abs(s.entries[i][i]) for i in range(k))
+    d = tuple(abs(s[i][i]) for i in range(k))
     # normalize signs through the left transform
-    lrows = [list(r) for r in left.entries]
     for i in range(k):
-        if s.entries[i][i] < 0:
-            lrows[i] = [-x for x in lrows[i]]
-    left = IntMatrix(lrows, cols=m)
+        if s[i][i] < 0:
+            left[i] = [-x for x in left[i]]
+    left = IntMatrix(left, cols=m)
+    right = IntMatrix(_transpose(right_t, n), cols=n)
 
     check = left * a * right
     for i in range(m):
@@ -361,83 +366,99 @@ def rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 
 def rat_inv(a: RatMatrix) -> RatMatrix:
-    """Inverse by Gauss-Jordan elimination; raises on singular input."""
+    """Inverse as the solution of ``C * A = I``; raises on singular input."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ExactLAError("inverse of a non-square matrix")
-    m = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if piv is None:
-            raise ExactLAError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return tuple(tuple(row[n:]) for row in m)
+    try:
+        return rat_express(rat(IntMatrix.identity(n)) if n else (), a)
+    except ExactLAError:
+        raise ExactLAError("singular matrix") from None
 
 
 def int_mat_inv(a: IntMatrix) -> RatMatrix:
     return rat_inv(rat(a))
 
 
-def rat_express(targets: RatMatrix, basis: RatMatrix) -> RatMatrix:
-    """Coefficients ``C`` with ``C * basis = targets``.
+def _solve(
+    targets: Sequence[Sequence[int]], basis: Sequence[Sequence[int]]
+) -> Tuple[List[List[int]], int]:
+    """Integer numerators ``N`` and one denominator ``D > 0`` with
+    ``N * basis = D * targets``.
 
-    ``basis`` rows must be independent; raises if a target is outside
-    their rational span.  Solved through the pivot-column minor of the
-    basis, with full reconstruction checks on every target.
+    Bareiss elimination of ``[basis^T | targets^T]``: a basis column
+    without a pivot means dependent rows, a zero row of ``basis^T`` with
+    a nonzero right-hand side a target outside the span.  ``D`` is the
+    last pivot, the determinant of the pivot minor, so by Cramer's rule
+    the back-substitution divides exactly.  The solution is checked in
+    full against every target.
     """
     k = len(basis)
     if k == 0:
         if any(any(x != 0 for x in t) for t in targets):
             raise ExactLAError("target outside span of empty basis")
-        return tuple(tuple() for _ in targets)
+        return [[] for _ in targets], 1
     n = len(basis[0])
-    red = [list(row) for row in basis]
-    pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, k) if red[i][c] != 0), None)
+    if any(len(t) != n for t in targets):
+        raise ExactLAError("target outside rational span of basis")
+    a = [[b[i] for b in basis] + [t[i] for t in targets] for i in range(n)]
+    prev = 1
+    for c in range(k):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
         if piv is None:
-            continue
-        red[r], red[piv] = red[piv], red[r]
-        inv = 1 / red[r][c]
-        red[r] = [x * inv for x in red[r]]
-        for i in range(k):
-            if i != r and red[i][c] != 0:
-                f = red[i][c]
-                red[i] = [x - f * y for x, y in zip(red[i], red[r])]
-        pivots.append(c)
-        r += 1
-        if r == k:
-            break
-    if r < k:
-        raise ExactLAError("basis rows are dependent")
-    minor = tuple(tuple(basis[i][c] for c in pivots) for i in range(k))
-    inv_minor = rat_inv(minor)
-    out = []
-    for t in targets:
-        proj = [t[c] for c in pivots]
-        vec = [sum(proj[j] * inv_minor[j][i] for j in range(k)) for i in range(k)]
-        recon = [Fraction(0)] * n
-        for ci, row in zip(vec, basis):
-            for j in range(n):
-                recon[j] += ci * row[j]
-        if list(t) != recon:
+            raise ExactLAError("basis rows are dependent")
+        a[c], a[piv] = a[piv], a[c]
+        rc = a[c]
+        p = rc[c]
+        for i in range(c + 1, n):
+            ri = a[i]
+            f = ri[c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rc)]
+        prev = p
+    if any(x != 0 for row in a[k:] for x in row[k:]):
+        raise ExactLAError("target outside rational span of basis")
+    sign = 1 if prev > 0 else -1
+    nums = []
+    for j in range(k, len(a[0])):
+        x = [0] * k
+        for i in range(k - 1, -1, -1):
+            row = a[i]
+            acc = prev * row[j] - sum(row[l] * x[l] for l in range(i + 1, k))
+            x[i] = acc // row[i]
+        nums.append([sign * v for v in x])
+    d = abs(prev)
+    cols = list(zip(*basis))
+    for t, x in zip(targets, nums):
+        recon = [sum(c * b for c, b in zip(x, col)) for col in cols]
+        if recon != [d * v for v in t]:
             raise ExactLAError("target outside rational span of basis")
-        out.append(tuple(vec))
-    return tuple(out)
+    return nums, d
+
+
+def _scaled(rows: RatMatrix) -> Tuple[List[List[int]], int]:
+    """Integer rows ``D * rows`` for the least common denominator ``D``."""
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in rows], d
+
+
+def rat_express(targets: RatMatrix, basis: RatMatrix) -> RatMatrix:
+    """Coefficients ``C`` with ``C * basis = targets``.
+
+    ``basis`` rows must be independent; raises if a target is outside
+    their rational span.  Both sides are scaled to integers and solved
+    fraction-free; Fractions are built only for the coefficients.
+    """
+    t, dt = _scaled(targets)
+    b, db = _scaled(basis)
+    nums, d = _solve(t, b)
+    return tuple(tuple(Fraction(x * db, d * dt) for x in row) for row in nums)
 
 
 def in_rational_span(v: Sequence[int], basis: IntMatrix) -> bool:
     """Whether the integer row ``v`` lies in the rational span of the
     independent rows of ``basis``."""
     try:
-        rat_express(rat(IntMatrix([list(v)], cols=basis.cols)), rat(basis))
+        _solve([v], basis.entries)
     except ExactLAError:
         return False
     return True
@@ -445,16 +466,10 @@ def in_rational_span(v: Sequence[int], basis: IntMatrix) -> bool:
 
 def int_express(targets: IntMatrix, basis: IntMatrix) -> IntMatrix:
     """Integer coefficients expressing ``targets`` in ``basis`` rows."""
-    c = rat_express(rat(targets), rat(basis))
-    rows = []
-    for row in c:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise ExactLAError("coefficients are not integral")
-            ints.append(x.numerator)
-        rows.append(ints)
-    return IntMatrix(rows, cols=basis.rows)
+    nums, d = _solve(targets.entries, basis.entries)
+    if any(x % d for row in nums for x in row):
+        raise ExactLAError("coefficients are not integral")
+    return IntMatrix([[x // d for x in row] for row in nums], cols=basis.rows)
 
 
 def index_in(sub: IntMatrix, sup: IntMatrix) -> int:

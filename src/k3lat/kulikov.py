@@ -301,11 +301,8 @@ def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
     res = snf(xi_coeff)
     if res.d != (1,):
         raise KulikovError("radical generator is not primitive in the kernel")
-    r_inv = int_mat_inv(res.right)
-    lift_coeff = IntMatrix(
-        [[x.numerator for x in row] for row in r_inv[1:]], cols=tilde.rows
-    )
-    lift = lift_coeff * tilde
+    r_inv = int_express(IntMatrix.identity(res.right.rows), res.right)
+    lift = r_inv.submatrix(range(1, r_inv.rows)) * tilde
     gram = lift * amb.gram * lift.transpose()
     lam = Lattice(gram)
     if lam.rank != 18 or abs(lam.det()) != 1 or not lam.is_even:

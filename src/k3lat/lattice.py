@@ -7,7 +7,7 @@ matrix; elements are row vectors and the form evaluates as
 obtained by ``rescale(L, -1)`` when a lattice is used inside an
 indefinite ambient.
 
-Signatures are computed by exact rational symmetric diagonalization
+Signatures are computed by fraction-free symmetric elimination
 (Sylvester's law), never by floating point.  Discriminant groups come
 from Smith normal forms of the Gram matrix.
 """
@@ -27,10 +27,6 @@ from .exactla import (
     index_in,
     int_express,
     kernel_basis,
-    rat,
-    rat_express,
-    rat_mat,
-    rat_mul,
     saturate,
     snf,
 )
@@ -197,13 +193,18 @@ def d4_z4_model() -> Tuple[Lattice, IntMatrix]:
 
 
 def signature_with_radical(l: Lattice) -> Tuple[int, int, int]:
-    """(positive, negative, radical) inertia by rational diagonalization."""
+    """(positive, negative, radical) inertia by symmetric Bareiss elimination.
+
+    Each step replaces the remaining block ``A`` by ``(d*A - a*a^T)/prev``
+    for the pivot ``d`` and its column ``a``, an exact division; the
+    rational diagonal entry of the step is ``d/prev``.
+    """
     if l._sig is not None:
         return l._sig
-    n = l.rank
-    m = [[Fraction(x) for x in row] for row in l.gram.entries]
+    m = [list(row) for row in l.gram.entries]
     pos = neg = 0
-    alive = list(range(n))
+    prev = 1
+    alive = list(range(l.rank))
     while alive:
         piv = next((i for i in alive if m[i][i] != 0), None)
         if piv is None:
@@ -215,26 +216,25 @@ def signature_with_radical(l: Lattice) -> Tuple[int, int, int]:
                 break  # what remains is the radical
             i, j = pair
             # push the off-diagonal entry onto the diagonal: x_i -> x_i + x_j
-            for k in range(n):
+            for k in alive:
                 m[i][k] += m[j][k]
-            for k in range(n):
+            for k in alive:
                 m[k][i] += m[k][j]
             piv = i
         d = m[piv][piv]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
         alive.remove(piv)
+        rp = m[piv]
         for i in alive:
-            if m[i][piv] != 0:
-                f = m[i][piv] / d
-                for k in range(n):
-                    m[i][k] -= f * m[piv][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][piv]
-    rad = n - pos - neg
-    l._sig = (pos, neg, rad)
+            ri = m[i]
+            f = ri[piv]
+            for k in alive:
+                ri[k] = (d * ri[k] - f * rp[k]) // prev
+        prev = d
+    l._sig = (pos, neg, len(alive))
     return l._sig
 
 
@@ -428,14 +428,9 @@ def quotient_by_isotropic(j: Sublattice) -> Tuple[Lattice, IntMatrix]:
     res = snf(coeff)
     if any(d != 1 for d in res.d):
         raise LatticeError("isotropic sublattice is not saturated in its complement")
-    from .exactla import int_mat_inv
-
-    q_inv = int_mat_inv(res.right)
+    q_inv = int_express(IntMatrix.identity(res.right.rows), res.right)
     # rows of right^-1 beyond rank(J) lift a basis of the quotient
-    lift_coeffs = [
-        [x.numerator for x in row] for row in q_inv[j.rank:]
-    ]
-    lift = IntMatrix(lift_coeffs, cols=bperp.rows) * bperp
+    lift = q_inv.submatrix(range(j.rank, q_inv.rows)) * bperp
     lat = Lattice(lift * j.ambient.gram * lift.transpose())
     return lat, lift
 
@@ -454,51 +449,50 @@ def glue_overlattice(l: Lattice, glue: Sequence[Sequence[Fraction]]) -> Overlatt
     Every glue vector must lie in the dual lattice, pair integrally with
     the other glue vectors, and have even integer norm; otherwise the
     resulting form would not be an even integral lattice and the glue is
-    rejected.
+    rejected.  The work is done on the glue scaled by its common
+    denominator ``d``: a vector ``s/d`` is dual when ``G s = 0 mod d``,
+    and pairings ``s.G.t`` are tested mod ``d^2``.
     """
     n = l.rank
-    g = rat(l.gram)
+    g = l.gram.entries
     glue_rows = [tuple(Fraction(x) for x in row) for row in glue]
-    for v in glue_rows:
-        pair_with_l = rat_mul((v,), g)[0]
-        if any(x.denominator != 1 for x in pair_with_l):
-            raise LatticeError("glue vector is not in the dual lattice")
-    for v in glue_rows:
-        for w in glue_rows:
-            val = sum(rat_mul((v,), g)[0][i] * w[i] for i in range(n))
-            if val.denominator != 1:
+    d = math.lcm(*(x.denominator for v in glue_rows for x in v))
+    scaled = [[x.numerator * (d // x.denominator) for x in v] for v in glue_rows]
+    g_scaled = [[sum(a * b for a, b in zip(row, s)) for row in g] for s in scaled]
+    if any(x % d for gs in g_scaled for x in gs):
+        raise LatticeError("glue vector is not in the dual lattice")
+    dd = d * d
+    for s, gs in zip(scaled, g_scaled):
+        for t in scaled:
+            val = sum(a * b for a, b in zip(gs, t))
+            if val % dd:
                 raise LatticeError("glue vectors do not pair integrally")
-            if v == w and val.numerator % 2 != 0:
+            if s == t and (val // dd) % 2 != 0:
                 raise LatticeError("glue vector has odd norm; overlattice not even")
-    denom = 1
-    for v in glue_rows:
-        for x in v:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    scaled = [[x * denom for x in row] for row in IntMatrix.identity(n).entries]
-    scaled += [[int(x * denom) for x in v] for v in glue_rows]
-    h, _ = hnf(IntMatrix(scaled, cols=n))
+    h, _ = hnf(IntMatrix.identity(n).scale(d).stack(IntMatrix(scaled, cols=n)))
     rows = [r for r in h.entries if any(x != 0 for x in r)]
     if len(rows) != n:
         raise LatticeError("glue vectors do not preserve the rank")
-    basis = tuple(tuple(Fraction(x, denom) for x in row) for row in rows)
-    new_gram_rat = rat_mul(rat_mul(basis, g), tuple(zip(*basis)))
+    hm = IntMatrix(rows, cols=n)
     entries = []
-    for row in new_gram_rat:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise LatticeError("overlattice form is not integral: invalid glue")
-            out_row.append(x.numerator)
-        entries.append(out_row)
+    for row in (hm * l.gram * hm.transpose()).entries:
+        if any(x % dd for x in row):
+            raise LatticeError("overlattice form is not integral: invalid glue")
+        entries.append([x // dd for x in row])
     lat = Lattice(IntMatrix(entries, cols=n))
     if not lat.is_even:
         raise LatticeError("overlattice form is not even: invalid glue")
-    old_coeff = rat_express(rat(IntMatrix.identity(n)), basis)
-    rows_int = []
-    for row in old_coeff:
-        if any(x.denominator != 1 for x in row):
-            raise LatticeError("original basis not contained in the overlattice")
-        rows_int.append([x.numerator for x in row])
-    old_in_new = IntMatrix(rows_int, cols=n)
-    index = abs(det(old_in_new))
-    return Overlattice(lat, basis, old_in_new, index)
+    # solve C * H = d * I column by column: H is upper triangular with
+    # positive pivots, being the Hermite form of a full-rank square matrix
+    old_coeff = []
+    for r in range(n):
+        c = [0] * n
+        for j in range(r, n):
+            rhs = (d if j == r else 0) - sum(c[i] * rows[i][j] for i in range(r, j))
+            c[j], rem = divmod(rhs, rows[j][j])
+            if rem:
+                raise LatticeError("original basis not contained in the overlattice")
+        old_coeff.append(c)
+    old_in_new = IntMatrix(old_coeff, cols=n)
+    basis = tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+    return Overlattice(lat, basis, old_in_new, abs(det(old_in_new)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, hnf, in_rational_span, index_in
+from .exactla import IntMatrix, det, hnf, in_rational_span
 from .lattice import Lattice, LatticeError, Sublattice, definite_sign
 
 Vector = Tuple[int, ...]
@@ -384,7 +384,7 @@ def root_span_index(l: Lattice) -> int:
     rtype, span = root_system(l)
     if rtype.rank != l.rank:
         raise EnumerationError("roots do not span the lattice rationally")
-    return index_in(span.basis, IntMatrix.identity(l.rank))
+    return abs(det(span.basis))  # the span is square: its index in Z^rank
 
 
 def complement_root_type(s: Sublattice, ambient: Lattice | None = None) -> RootSystemType:

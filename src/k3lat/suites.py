@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 from . import __version__
-from .exactla import IntMatrix, index_in
+from .exactla import ExactLAError, IntMatrix, det
 from .lattice import (
     Sublattice,
     direct_sum,
@@ -384,7 +384,9 @@ def suite_glue() -> Report:
             prim_lat = k.prim.lattice()
             rtype, span = root_system(prim_lat)
             r.add(f"{pid}-root-type", expected, str(rtype), expected, "paper")
-            idx = index_in(span.basis, IntMatrix.identity(prim_lat.rank))
+            if span.rank != prim_lat.rank:
+                raise ExactLAError("bases of different ranks have infinite index")
+            idx = abs(det(span.basis))
             r.add(
                 f"{pid}-star-index",
                 "index of the root span",

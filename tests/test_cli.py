@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from click.testing import CliRunner
 
 from k3lat.cli import MAX_ADE_INDEX, main
@@ -57,3 +59,12 @@ def test_verify_order4_passes():
     res = run("verify", "--suite", "order4")
     assert res.exit_code == 0
     assert res.output.startswith("suite order4")
+
+
+def test_verify_all_text_is_byte_stable():
+    # the golden file is the text output of `k3lat verify --suite all`
+    # before the exact linear algebra became fraction-free; any later
+    # change to the text output shows here
+    res = run("verify", "--suite", "all")
+    assert res.exit_code == 0
+    assert res.stdout_bytes == (Path(__file__).parent / "golden" / "verify_all.txt").read_bytes()

@@ -1,6 +1,9 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from k3lat.exactla import (
     ExactLAError,
@@ -14,10 +17,12 @@ from k3lat.exactla import (
     rank,
     rat,
     rat_express,
+    rat_inv,
     rat_mul,
     saturate,
     snf,
 )
+from support import gauss_jordan_express, gauss_jordan_inv
 
 
 def test_hnf_identity():
@@ -172,3 +177,209 @@ def test_kernel_rows_annihilate_and_are_saturated():
     k = kernel_basis(a)
     assert (k * a.transpose()).is_zero()
     assert saturate(k) == k
+
+
+# -- properties against oracles -----------------------------------------
+
+
+def outcome(fn, *args):
+    """The result of ``fn``, or the message of the ExactLAError it raised."""
+    try:
+        return fn(*args)
+    except ExactLAError as e:
+        return str(e)
+
+
+small = st.integers(-4, 4)
+ratio = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 6]))
+
+
+@st.composite
+def linear_systems(draw, kind, entries=ratio):
+    """A basis with targets: combinations of its rows (``inside``), plus
+    one free target (``outside``, mostly outside the span), or with an
+    extra row dependent on the first two (``dependent``)."""
+    n = draw(st.integers(2 if kind == "dependent" else 1, 5))
+    k = draw(st.integers({"inside": 0, "outside": 1, "dependent": 2}[kind], n))
+    basis = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    if kind == "dependent":
+        c = draw(entries)
+        basis.append([x + c * y for x, y in zip(basis[0], basis[1])])
+    targets = []
+    for _ in range(draw(st.integers(1, 3)) if basis else 1):
+        coeffs = [draw(entries) for _ in basis]
+        targets.append([sum(c * row[j] for c, row in zip(coeffs, basis)) for j in range(n)])
+    if kind == "outside":
+        targets.insert(draw(st.integers(0, len(targets))), [draw(entries) for _ in range(n)])
+    return tuple(map(tuple, targets)), tuple(map(tuple, basis))
+
+
+def check_express(found, targets, basis, oracle):
+    """Same coefficients (or error message) as the oracle, and the
+    coefficients reproduce every target."""
+    assert found == oracle, f"{found} against {oracle}"
+    if not isinstance(found, str):
+        for c, t in zip(found, targets):
+            assert tuple(sum(x * row[j] for x, row in zip(c, basis)) for j in range(len(t))) == t
+
+
+KINDS = ["inside", "outside", "dependent"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_rat_express_matches_gauss_jordan(kind, data):
+    targets, basis = data.draw(linear_systems(kind))
+    found = outcome(rat_express, targets, basis)
+    check_express(found, targets, basis, outcome(gauss_jordan_express, targets, basis))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_int_express_matches_gauss_jordan(kind, data):
+    targets, basis = data.draw(linear_systems(kind, small | ratio))
+    scale = math.lcm(*(Fraction(x).denominator for row in targets + basis for x in row))
+    n = len(targets[0])
+    t = IntMatrix([[int(scale * x) for x in row] for row in targets], cols=n)
+    b = IntMatrix([[int(scale * x) for x in row] for row in basis], cols=n)
+    oracle = outcome(gauss_jordan_express, t.entries, b.entries)
+    if not isinstance(oracle, str) and any(x.denominator != 1 for row in oracle for x in row):
+        oracle = "coefficients are not integral"
+    found = outcome(int_express, t, b)
+    if not isinstance(found, str):
+        found = tuple(tuple(Fraction(x) for x in row) for row in found.entries)
+    check_express(found, t.entries, b.entries, oracle)
+
+
+square = st.integers(0, 4).flatmap(
+    lambda n: st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(square)
+def test_rat_inv_matches_gauss_jordan(rows):
+    a = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    assert outcome(rat_inv, a) == outcome(gauss_jordan_inv, a)
+
+
+def test_express_check_rejects_wrong_oracle():
+    basis = ((Fraction(1), Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2), Fraction(1)))
+    targets = ((Fraction(1), Fraction(5, 2), Fraction(1)),)
+    found = rat_express(targets, basis)
+    check_express(found, targets, basis, gauss_jordan_express(targets, basis))
+    with pytest.raises(AssertionError):
+        check_express(found, targets, basis, ((Fraction(1), Fraction(2)),))
+    with pytest.raises(AssertionError):
+        check_express(found, targets, basis, "target outside rational span of basis")
+    # coefficients that agree with a wrong oracle still fail the reconstruction
+    with pytest.raises(AssertionError):
+        check_express(((Fraction(1), Fraction(2)),), targets, basis, ((Fraction(1), Fraction(2)),))
+
+
+def test_express_messages():
+    e1, e2 = rat(IntMatrix.identity(2))
+    assert outcome(rat_express, (e1,), (e1, e1)) == "basis rows are dependent"
+    assert outcome(rat_express, (e2,), (e1,)) == "target outside rational span of basis"
+    assert outcome(rat_express, (e1,), ()) == "target outside span of empty basis"
+    assert outcome(rat_inv, rat(IntMatrix([[1, 2], [2, 4]]))) == "singular matrix"
+    not_integral = outcome(int_express, IntMatrix([[1, 0]]), IntMatrix([[2, 0]]))
+    assert not_integral == "coefficients are not integral"
+
+
+int_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda mn: st.lists(
+        st.lists(st.integers(-9, 9) | st.just(0), min_size=mn[1], max_size=mn[1]),
+        min_size=mn[0],
+        max_size=mn[0],
+    )
+)
+
+
+def is_hermite(h):
+    """Pivots positive and strictly to the right row by row, entries above
+    a pivot reduced into [0, pivot), zero rows at the bottom."""
+    last = -1
+    seen_zero = False
+    for i, row in enumerate(h.entries):
+        nz = [j for j, x in enumerate(row) if x]
+        if not nz:
+            seen_zero = True
+            continue
+        c = nz[0]
+        if seen_zero or c <= last or row[c] <= 0:
+            return False
+        if any(not 0 <= h.entries[r][c] < row[c] for r in range(i)):
+            return False
+        last = c
+    return True
+
+
+def check_hnf(a, h, u, oracle_rows):
+    """U*A = H with U unimodular, H in Hermite form, and H spans the same
+    lattice as the oracle's generators (whose Hermite form is H)."""
+    assert u * a == h
+    assert abs(det(u)) == 1
+    assert is_hermite(h)
+    want = hnf(IntMatrix(oracle_rows, cols=a.cols))[0]
+    assert [r for r in want.entries if any(r)] == [r for r in h.entries if any(r)]
+
+
+def sympy_row_lattice(a):
+    """Generators of the row lattice of ``a``: the columns of sympy's
+    Hermite form of ``a^T``."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    hs = hermite_normal_form(sympy.Matrix(a.transpose().entries))
+    return [list(map(int, hs.col(j))) for j in range(hs.cols)]
+
+
+@given(int_matrices)
+def test_hnf_contract_and_sympy_oracle(rows):
+    a = IntMatrix(rows)
+    h, u = hnf(a)
+    check_hnf(a, h, u, sympy_row_lattice(a) if any(map(any, rows)) else [])
+
+
+def check_snf(a, res, oracle_d):
+    """left*A*right = diag(d), both transforms unimodular, d_i | d_(i+1)
+    with zeros last, and d equal to the oracle's invariant factors."""
+    m, n = a.rows, a.cols
+    prod = res.left * a * res.right
+    assert all(
+        prod.entries[i][j] == (res.d[i] if i == j else 0) for i in range(m) for j in range(n)
+    )
+    assert abs(det(res.left)) == 1 and abs(det(res.right)) == 1
+    for x, y in zip(res.d, res.d[1:]):
+        assert (y % x == 0) if x else y == 0
+    assert res.d == tuple(oracle_d)
+
+
+def sympy_invariant_factors(a):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    from sympy.polys.domains import ZZ
+
+    s = smith_normal_form(sympy.Matrix(a.entries), domain=ZZ)
+    return [abs(int(s[i, i])) for i in range(min(a.rows, a.cols))]
+
+
+@given(int_matrices)
+def test_snf_contract_and_sympy_oracle(rows):
+    a = IntMatrix(rows)
+    check_snf(a, snf(a), sympy_invariant_factors(a))
+
+
+def test_normal_form_checks_reject_wrong_oracle():
+    a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    res = snf(a)
+    check_snf(a, res, sympy_invariant_factors(a))
+    assert res.d == (2, 6, 12)
+    with pytest.raises(AssertionError):
+        check_snf(a, res, [2, 2, 36])
+    h, u = hnf(a)
+    check_hnf(a, h, u, sympy_row_lattice(a))
+    with pytest.raises(AssertionError):
+        check_hnf(a, h, u, [[2 * x for x in row] for row in sympy_row_lattice(a)])
+    assert not is_hermite(IntMatrix([[1, 3], [0, 2]]))
+    assert not is_hermite(IntMatrix([[0, 0], [0, 2]]))

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from k3lat.exactla import IntMatrix, index_in, saturate
 from k3lat.lattice import (
     DegenerateFormError,
+    DiscGroup,
     LatticeError,
     Lattice,
     Sublattice,
@@ -22,6 +24,15 @@ from k3lat.lattice import (
     rescale,
     root_lattice,
     signature,
+    signature_with_radical,
+)
+from support import (
+    ROOT_ATOMS,
+    atom_inertia,
+    changed_basis,
+    fraction_glue_overlattice,
+    fraction_signature,
+    gauss_jordan_inv,
 )
 
 
@@ -219,3 +230,155 @@ def test_invalid_symbols_rejected():
         root_lattice("E", 9)
     with pytest.raises(LatticeError):
         root_lattice("D", 3)
+
+
+# -- properties against oracles -----------------------------------------
+
+FORM_ATOMS = ROOT_ATOMS + [("U", 1), ("U", 3), ("O", 1)]
+
+
+def expected_inertia(parts, sign):
+    pos, neg, rad = (sum(x) for x in zip(*map(atom_inertia, parts)))
+    return (pos, neg, rad) if sign > 0 else (neg, pos, rad)
+
+
+def check_signature(found, want, oracle):
+    """Equal to the inertia read off the atoms and to the Fraction
+    diagonalization of the same Gram matrix."""
+    assert found == want, f"{found} against {want} from the atoms"
+    assert found == oracle, f"{found} against {oracle} from the oracle"
+
+
+@given(changed_basis(FORM_ATOMS, 10, 6), st.sampled_from([1, -1]))
+def test_signature_invariant_under_change_of_basis(data, sign):
+    parts, _, _, lu = data
+    lu = rescale(lu, sign)
+    want = expected_inertia(parts, sign)
+    check_signature(signature_with_radical(lu), want, fraction_signature(lu.gram))
+
+
+def check_disc(found, before, oracle_divisors):
+    """The same group before and after the change of basis, with the
+    invariant factors of the oracle's Smith form."""
+    assert found == before
+    assert found.elementary_divisors == tuple(d for d in oracle_divisors if d > 1)
+
+
+@given(changed_basis(FORM_ATOMS, 10, 6), st.sampled_from([1, -1]))
+def test_disc_group_invariant_under_change_of_basis(data, sign):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    from sympy.polys.domains import ZZ
+
+    parts, l, _, lu = data
+    l, lu = rescale(l, sign), rescale(lu, sign)
+    rad = expected_inertia(parts, sign)[2]
+    if rad:
+        with pytest.raises(DegenerateFormError) as err:
+            disc_group(lu)
+        assert err.value.radical_rank == rad
+        return
+    s = smith_normal_form(sympy.Matrix(lu.gram.entries), domain=ZZ)
+    check_disc(disc_group(lu), disc_group(l), [abs(int(s[i, i])) for i in range(lu.rank)])
+
+
+def test_form_checks_reject_wrong_oracle():
+    l = direct_sum(hyperbolic(3), neg("E", 6))
+    check_signature(signature_with_radical(l), (1, 7, 0), fraction_signature(l.gram))
+    with pytest.raises(AssertionError):
+        check_signature(signature_with_radical(l), (2, 6, 0), fraction_signature(l.gram))
+    with pytest.raises(AssertionError):
+        check_signature(signature_with_radical(l), (1, 7, 0), (1, 6, 1))
+    check_disc(disc_group(l), disc_group(l), [1] * 5 + [3, 3, 3])
+    with pytest.raises(AssertionError):
+        check_disc(disc_group(l), DiscGroup((3, 9), {3: 2}), [1] * 5 + [3, 3, 3])
+    with pytest.raises(AssertionError):
+        check_disc(disc_group(l), disc_group(l), [1] * 6 + [3, 9])
+
+
+def dual_generator(sym, n):
+    """A row of G^-1 generating the discriminant group of A1, A2 or E6."""
+    return gauss_jordan_inv(cartan_gram(sym, n).entries)[0]
+
+
+# slot sums whose all-ones class word has even norm (2, 4 and 2): A2^3 in
+# E6, E6^3 in E8^3's relative, E6+A2 in E8
+EVEN_WORD_SLOTS = [[("A", 2)] * 3, [("E", 6)] * 3, [("E", 6), ("A", 2)]]
+
+
+@st.composite
+def glue_data(draw):
+    """A sum of A1/A2/E6 slots, possibly negated, with one or two glue
+    vectors: a class word times the dual generators plus a lattice vector.
+    Half the draws use a constant word on slots where it is valid glue,
+    the others a random word on one to three random slots, A1 among
+    them for odd norms (mostly invalid); a quarter of the vectors get one coordinate moved by 1/2 or
+    1/3, which usually takes them off the dual lattice."""
+    even = draw(st.booleans())
+    if even:
+        slots = draw(st.sampled_from(EVEN_WORD_SLOTS))
+    else:
+        slot = st.sampled_from([("A", 1), ("A", 2), ("E", 6)])
+        slots = draw(st.lists(slot, min_size=1, max_size=3))
+    sign = draw(st.sampled_from([1, -1]))
+    l = direct_sum(*[rescale(root_lattice(*s), sign) for s in slots])
+    glue = []
+    for _ in range(draw(st.integers(1, 2))):
+        if even:
+            word = [draw(st.integers(0, 2))] * len(slots)
+        else:
+            word = [draw(st.integers(0, 2)) for _ in slots]
+        v = []
+        for c, s in zip(word, slots):
+            v.extend(c * x + draw(st.integers(-1, 1)) for x in dual_generator(*s))
+        if draw(st.integers(0, 3)) == 3:
+            i = draw(st.integers(0, l.rank - 1))
+            v[i] += Fraction(1, draw(st.sampled_from([2, 3])))
+        glue.append(v)
+    return l, glue
+
+
+def glue_outcome(l, glue):
+    try:
+        o = glue_overlattice(l, glue)
+    except LatticeError as e:
+        return str(e)
+    gram = [list(r) for r in o.lattice.gram.entries]
+    return gram, o.basis, [list(r) for r in o.old_in_new.entries], o.index
+
+
+def check_glue(found, oracle):
+    assert found == oracle, f"{found} against {oracle}"
+
+
+def a2_tetracode_glue():
+    """A2^4 with the glue words (0,1,1,1), (1,0,1,2): E8 at index 9."""
+    gen = dual_generator("A", 2)
+    words = [(0, 1, 1, 1), (1, 0, 1, 2)]
+    return direct_sum(*[root_lattice("A", 2)] * 4), [[c * x for c in w for x in gen] for w in words]
+
+
+@given(glue_data())
+@example((direct_sum(root_lattice("A", 1), root_lattice("A", 1)), [[Fraction(1, 2)] * 2]))
+@example(a2_tetracode_glue())
+def test_glue_overlattice_matches_fraction_construction(data):
+    l, glue = data
+    check_glue(glue_outcome(l, glue), fraction_glue_overlattice(l, glue))
+
+
+def test_glue_check_rejects_wrong_oracle():
+    a2 = direct_sum(*[neg("A", 2)] * 3)
+    gen = dual_generator("A", 2)
+    glue = [list(gen) * 3]
+    found = glue_outcome(a2, glue)
+    assert found[3] == 3
+    check_glue(found, fraction_glue_overlattice(a2, glue))
+    gram, basis, old, index = fraction_glue_overlattice(a2, glue)
+    with pytest.raises(AssertionError):
+        check_glue(found, (gram, basis, old, 9))
+    with pytest.raises(AssertionError):
+        check_glue(found, (gram, basis, [[2 * x for x in r] for r in old], index))
+    found = glue_outcome(a2, [list(gen) + [0] * 4])
+    check_glue(found, "glue vectors do not pair integrally")
+    with pytest.raises(AssertionError):
+        check_glue(found, "glue vector is not in the dual lattice")

@@ -23,6 +23,7 @@ from k3lat.roots import (
     root_span_index,
     root_system,
 )
+from support import ROOT_ATOMS, SMALL_ATOMS, changed_basis, conjugate, unimodular
 
 T = RootSystemType.parse
 
@@ -173,19 +174,10 @@ def test_type_rank_and_counts():
 
 # -- properties: random changes of basis of ADE sums -------------------
 #
-# A lattice is drawn as an orthogonal sum of atoms: ADE root lattices and
-# odd unimodular I_k (whose roots +-e_i +- e_j form D_k, spanning an
-# index-2 sublattice, so the root span is not always the whole lattice).
-# Its Gram matrix is then conjugated by a random unimodular U built from
-# elementary row operations; row x of the new basis is x*U in the old one.
-
-SMALL_ATOMS = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("D", 4), ("I", 1), ("I", 2), ("I", 3)]
-ROOT_ATOMS = SMALL_ATOMS + [("A", 5), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("I", 4), ("I", 5)]
-
-
-def atom_lattice(atom):
-    sym, n = atom
-    return diag_lattice([1] * n) if sym == "I" else root_lattice(sym, n)
+# The lattices are orthogonal sums of ADE root lattices and odd
+# unimodular I_k (whose roots +-e_i +- e_j form D_k, spanning an index-2
+# sublattice, so the root span is not always the whole lattice), in a
+# random basis (``support.changed_basis``).
 
 
 def expected_type(parts):
@@ -195,37 +187,6 @@ def expected_type(parts):
     n = sum(k for sym, k in parts if sym == "I")
     comps += {0: [], 1: [], 2: [("A", 1)] * 2, 3: [("A", 3)]}.get(n, [("D", n)])
     return RootSystemType.of(comps)
-
-
-def unimodular(n, ops):
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i, j, c in ops:
-        if i % n != j % n:
-            u[i % n] = [a + c * b for a, b in zip(u[i % n], u[j % n])]
-    return IntMatrix(u)
-
-
-def conjugate(l, u):
-    """``l`` in the basis whose row x is x*U in the old basis."""
-    return Lattice(u * l.gram * u.transpose())
-
-
-@st.composite
-def changed_basis(draw, atoms, max_rank, max_ops):
-    parts = draw(
-        st.lists(st.sampled_from(atoms), min_size=1, max_size=3).filter(
-            lambda p: sum(n for _, n in p) <= max_rank
-        )
-    )
-    l = direct_sum(*[atom_lattice(a) for a in parts])
-    ops = draw(
-        st.lists(
-            st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([-1, 1])),
-            max_size=max_ops,
-        )
-    )
-    u = unimodular(l.rank, ops)
-    return parts, l, u, conjugate(l, u)
 
 
 def coefficient_bound(l, m):
