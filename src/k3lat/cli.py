@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import click
 
@@ -33,7 +33,6 @@ from .lattice import (
     hyperbolic,
     rescale,
     root_lattice,
-    signature,
     signature_with_radical,
 )
 from .roots import enumerate_norm, root_system

@@ -20,18 +20,20 @@ redundancy of the raw search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactla import (
     IntMatrix,
     det,
-    hnf,
+    hermite_basis,
     index_in,
     int_express,
     int_mat_inv,
+    kernel_basis,
     rat,
     rat_express,
     saturate,
@@ -42,7 +44,7 @@ from .lattice import (
     Overlattice,
     Sublattice,
     direct_sum,
-    disc_group,
+    dual_generator,
     glue_overlattice,
     hyperbolic,
     is_p_elementary,
@@ -70,6 +72,7 @@ from .eisenstein import (
 )
 
 Symbol = Tuple[str, int]
+Vector = Tuple[int, ...]
 
 
 class CuspError(LatticeError):
@@ -119,7 +122,7 @@ class FamilyId:
         return f"({self.n},{self.k})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyData:
     family: FamilyId
     s: Lattice
@@ -140,6 +143,7 @@ def _sum_from_symbols(symbols, negative_roots=True) -> Lattice:
     return direct_sum(*parts)
 
 
+@cache
 def family_data(n: int, k: int) -> FamilyData:
     fam = FamilyId(n, k)
     s = _sum_from_symbols(_FAMILY_S[(n, k)])
@@ -260,14 +264,9 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
-_COMPONENTS: Dict[Symbol, ComponentSystem] = {}
-
-
+@cache
 def component_system(sym: str, n: int) -> ComponentSystem:
-    key = (sym, n)
-    if key not in _COMPONENTS:
-        _COMPONENTS[key] = ComponentSystem(sym, n)
-    return _COMPONENTS[key]
+    return ComponentSystem(sym, n)
 
 
 _FACTOR_ORDERS = {
@@ -305,6 +304,7 @@ class ComponentOutcome:
     dual_image_order: int  # [P-perp taken in the dual : P-perp in the component]
     witness: Tuple[Tuple[int, ...], ...]  # root indices per factor
     complement_mask: int
+    complement_simple: Tuple[Vector, ...]  # simple roots of the complement
 
 
 def _component_dual_order(cs: ComponentSystem, chosen: Sequence[int]) -> int:
@@ -313,8 +313,6 @@ def _component_dual_order(cs: ComponentSystem, chosen: Sequence[int]) -> int:
     if not chosen:
         return abs(cs.lattice.det())
     rows = IntMatrix([list(cs.roots[i]) for i in chosen], cols=rk)
-    from .exactla import kernel_basis
-
     pairing = cs.lattice.gram * rows.transpose()
     comp = kernel_basis(pairing.transpose())  # complement inside the lattice
     dual_side = kernel_basis(rows)  # y with y . rows^T = 0; x = y G^-1
@@ -337,11 +335,9 @@ def _outcome_from_leaf(
     for i in flat:
         comp_mask &= cs.masks[i][0 + 2]
     comp_roots = [cs.roots[i] for i in _bits(comp_mask)]
-    ctype, _ = root_decomposition(comp_roots, cs.lattice.gram)
+    ctype, simple = root_decomposition(comp_roots, cs.lattice.gram)
     if flat:
         rows = IntMatrix([list(cs.roots[i]) for i in flat], cols=rk)
-        from .exactla import kernel_basis
-
         pairing = cs.lattice.gram * rows.transpose()
         comp_basis = kernel_basis(pairing.transpose())
     else:
@@ -349,12 +345,8 @@ def _outcome_from_leaf(
     crank = comp_basis.rows
     if ctype.rank != crank:
         raise CuspError("complement is not rationally spanned by its roots")
-    if comp_roots:
-        h, _ = hnf(IntMatrix([list(v) for v in comp_roots], cols=rk))
-        span = IntMatrix([r for r in h.entries if any(r)], cols=rk)
-        rootspan_index = index_in(span, comp_basis)
-    else:
-        rootspan_index = 1
+    # the simple roots span the same lattice as all complement roots
+    rootspan_index = index_in(hermite_basis(simple, rk), comp_basis) if simple else 1
     dual_order = _component_dual_order(cs, flat)
     witness = []
     pos = 0
@@ -362,24 +354,25 @@ def _outcome_from_leaf(
         witness.append(tuple(flat[pos : pos + s]))
         pos += s
     return ComponentOutcome(
-        factors, ctype, crank, rootspan_index, dual_order, tuple(witness), comp_mask
+        factors, ctype, crank, rootspan_index, dual_order, tuple(witness), comp_mask, tuple(simple)
     )
 
 
-_EMBED_CACHE: Dict[Tuple[Symbol, Tuple[Symbol, ...]], Tuple[ComponentOutcome, ...]] = {}
+def _factor_key(s: Symbol) -> Tuple[int, str]:
+    return (-s[1], s[0])
 
 
 def embed_multiset(comp: Symbol, factors: Sequence[Symbol]) -> Tuple[ComponentOutcome, ...]:
     """All distinct ways to embed a multiset of ADE factors orthogonally
     into one component, up to the data that determines the quotients."""
-    factors = tuple(sorted(factors, key=lambda s: (-s[1], s[0])))
-    key = (comp, factors)
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
+    return _embed_sorted(comp, tuple(sorted(factors, key=_factor_key)))
+
+
+@cache
+def _embed_sorted(comp: Symbol, factors: Tuple[Symbol, ...]) -> Tuple[ComponentOutcome, ...]:
     cs = component_system(*comp)
     total_rank = sum(n for _, n in factors)
     if total_rank > cs.lattice.rank:
-        _EMBED_CACHE[key] = ()
         return ()
     # flatten requirement lists: within factors Cartan pairings, across
     # factors orthogonality
@@ -416,9 +409,7 @@ def embed_multiset(comp: Symbol, factors: Sequence[Symbol]) -> Tuple[ComponentOu
             chosen.pop()
 
     search(0, [], cs.all_mask)
-    result = tuple(sorted(outcomes.values(), key=lambda o: str(o.complement_type)))
-    _EMBED_CACHE[key] = result
-    return result
+    return tuple(sorted(outcomes.values(), key=lambda o: str(o.complement_type)))
 
 
 # -- rank-24 unimodular models ------------------------------------------
@@ -468,39 +459,25 @@ def _e6_dual_class_min() -> Fraction:
     return min(best.values())
 
 
-_E6_CLASS_ROW: List[int] | None = None
+@cache
+def _e6_class_row() -> Tuple[int, ...]:
+    """Class of each E6 dual basis row i: the multiple t_i of the
+    generator with row_i - t_i*generator integral."""
+    gen = dual_generator("E", 6)
+    ts = []
+    for row in int_mat_inv(root_lattice("E", 6).gram):
+        for t in range(3):
+            if all((a - t * b).denominator == 1 for a, b in zip(row, gen)):
+                ts.append(t)
+                break
+        else:
+            raise CuspError("dual row is not a multiple of the generator class")
+    return tuple(ts)
 
 
 def _e6_class_of_dual_coords(v: Sequence[int]) -> int:
     """Class in A = Z/3 of an E6-dual vector given in dual-basis coordinates."""
-    global _E6_CLASS_ROW
-    if _E6_CLASS_ROW is None:
-        l = root_lattice("E", 6)
-        ginv = int_mat_inv(l.gram)
-        # class of dual basis row i: the multiple t_i of the generator
-        # (row 0) with row_i - t_i*row_0 integral
-        gen = ginv[0]
-        ts = []
-        for i in range(6):
-            for t in range(3):
-                diff = [a - t * b for a, b in zip(ginv[i], gen)]
-                if all(x.denominator == 1 for x in diff):
-                    ts.append(t)
-                    break
-            else:
-                raise CuspError("dual row is not a multiple of the generator class")
-        _E6_CLASS_ROW = ts
-    return sum(c * t for c, t in zip(v, _E6_CLASS_ROW)) % 3
-
-
-def _e6_dual_generator() -> Tuple[Fraction, ...]:
-    """A dual vector of E6 generating the discriminant group."""
-    l = root_lattice("E", 6)
-    ginv = int_mat_inv(l.gram)
-    row = ginv[0]
-    if all(x.denominator == 1 for x in row):
-        raise CuspError("chosen dual row lies in the lattice")
-    return row
+    return sum(c * t for c, t in zip(v, _e6_class_row())) % 3
 
 
 def _subspaces_f3_4() -> List[Tuple[Tuple[int, ...], ...]]:
@@ -557,13 +534,9 @@ def _code_perm_group(code: FrozenSet[Tuple[int, ...]], ncomp: int) -> Tuple[Tupl
     return tuple(perms)
 
 
-_NIEMEIER_CACHE: Dict[str, NiemeierModel] = {}
-
-
+@cache
 def build_niemeier(kind: str) -> NiemeierModel:
     """The two rank-24 even unimodular lattices used by the classifier."""
-    if kind in _NIEMEIER_CACHE:
-        return _NIEMEIER_CACHE[kind]
     if kind == "E8^3":
         comp = ("E", 8)
         r = direct_sum(*[root_lattice("E", 8) for _ in range(3)])
@@ -574,7 +547,7 @@ def build_niemeier(kind: str) -> NiemeierModel:
     elif kind == "E6^4":
         comp = ("E", 6)
         r = direct_sum(*[root_lattice("E", 6) for _ in range(4)])
-        gen = _e6_dual_generator()
+        gen = dual_generator("E", 6)
         zero = tuple(Fraction(0) for _ in range(6))
 
         def glue_vector(word: Tuple[int, ...]) -> Tuple[Fraction, ...]:
@@ -635,8 +608,7 @@ def build_niemeier(kind: str) -> NiemeierModel:
         )
     else:
         raise CuspError(f"unknown model kind {kind!r}")
-    _NIEMEIER_CACHE[kind] = model
-    return _NIEMEIER_CACHE[kind]
+    return model
 
 
 # -- embeddings of P ----------------------------------------------------
@@ -672,12 +644,12 @@ def _assignments(factors: Sequence[Symbol], ncomp: int) -> List[Tuple[Tuple[Symb
         f, rest = rem[0], rem[1:]
         for c in range(ncomp):
             new = tuple(
-                tuple(sorted(acc[i] + ((f,) if i == c else ()), key=lambda s: (-s[1], s[0])))
+                tuple(sorted(acc[i] + ((f,) if i == c else ()), key=_factor_key))
                 for i in range(ncomp)
             )
             place(rest, new)
 
-    place(tuple(sorted(factors, key=lambda s: (-s[1], s[0]))), tuple(() for _ in range(ncomp)))
+    place(tuple(sorted(factors, key=_factor_key)), tuple(() for _ in range(ncomp)))
     return sorted(out)
 
 
@@ -752,23 +724,36 @@ def enumerate_embeddings(
     return records
 
 
+def _model_rows(model: NiemeierModel, per_component: Sequence[Sequence[Vector]]) -> IntMatrix:
+    """Vectors given in root coordinates of each component of R, as rows
+    in N coordinates."""
+    rank_r = model.r.rank
+    rows: List[List[int]] = []
+    for c, vectors in enumerate(per_component):
+        off = model.component_offset(c)
+        for v in vectors:
+            vec = [0] * rank_r
+            vec[off : off + len(v)] = v
+            rows.append(vec)
+    m = IntMatrix(rows, cols=rank_r)
+    return m if model.overlattice is None else m * model.overlattice.old_in_new
+
+
 def embedded_p_rows(record: EmbeddingRecord, model: NiemeierModel) -> IntMatrix:
     """The embedded copy of P as rows in N coordinates."""
-    rows: List[List[int]] = []
-    rank_r = model.r.rank
-    for c, oc in enumerate(record.outcomes):
-        cs = component_system(*model.comp)
-        off = model.component_offset(c)
-        for witness in oc.witness:
-            for i in witness:
-                vec = [0] * rank_r
-                for j, x in enumerate(cs.roots[i]):
-                    vec[off + j] = x
-                rows.append(vec)
-    m = IntMatrix(rows, cols=rank_r) if rows else IntMatrix([], cols=rank_r)
-    if model.overlattice is None:
-        return m
-    return m * model.overlattice.old_in_new
+    roots = component_system(*model.comp).roots
+    return _model_rows(
+        model, [[roots[i] for w in oc.witness for i in w] for oc in record.outcomes]
+    )
+
+
+def complement_root_span(record: EmbeddingRecord, model: NiemeierModel) -> IntMatrix:
+    """Hermite basis of the span of the roots of N orthogonal to the
+    embedded P.  Those roots are the complement roots of the components,
+    and the simple roots of each component's complement span the same
+    lattice as all of its roots (Humphreys, *Reflection Groups*, 1.5)."""
+    rows = _model_rows(model, [oc.complement_simple for oc in record.outcomes])
+    return hermite_basis(rows.entries, model.n.rank)
 
 
 def star_of(record: EmbeddingRecord, model: NiemeierModel) -> bool:
@@ -783,23 +768,7 @@ def star_of(record: EmbeddingRecord, model: NiemeierModel) -> bool:
     sat = Sublattice(n, p_rows).orth_complement() if p_rows.rows else Sublattice(
         n, IntMatrix.identity(n.rank)
     )
-    # roots of N orthogonal to P: all components' complement roots
-    root_rows: List[List[int]] = []
-    rank_r = model.r.rank
-    for c, oc in enumerate(record.outcomes):
-        cs = component_system(*model.comp)
-        off = model.component_offset(c)
-        for i in _bits(oc.complement_mask):
-            vec = [0] * rank_r
-            for j, x in enumerate(cs.roots[i]):
-                vec[off + j] = x
-            root_rows.append(vec)
-    if model.overlattice is not None and root_rows:
-        root_mat = IntMatrix(root_rows, cols=rank_r) * model.overlattice.old_in_new
-    else:
-        root_mat = IntMatrix(root_rows, cols=rank_r) if root_rows else IntMatrix([], cols=rank_r)
-    h, _ = hnf(root_mat)
-    span = IntMatrix([r for r in h.entries if any(r)], cols=n.rank)
+    span = complement_root_span(record, model)
     if span.rows != sat.rank:
         raise CuspError("complement is not rationally spanned by its roots")
     idx = index_in(span, sat.basis)
@@ -822,14 +791,15 @@ def cusp_quotient_lattice(record: EmbeddingRecord, model: NiemeierModel) -> Latt
     return sat.lattice()
 
 
-@dataclass
+@dataclass(frozen=True)
 class CuspRecord:
     family: FamilyId
     jperp_root: RootSystemType  # star flag included
     witnesses: Tuple[EmbeddingRecord, ...]
 
 
-def classify_cusps(n: int, k: int) -> List[CuspRecord]:
+@cache
+def classify_cusps(n: int, k: int) -> Tuple[CuspRecord, ...]:
     """All 1-cusp quotient types of the family, from both unimodular models."""
     fam = family_data(n, k)
     by_type: Dict[str, List[EmbeddingRecord]] = {}
@@ -838,13 +808,10 @@ def classify_cusps(n: int, k: int) -> List[CuspRecord]:
         for rec in enumerate_embeddings(fam.p_factors, model):
             star_of(rec, model)  # concrete verification of the star flag
             by_type.setdefault(str(rec.total_complement), []).append(rec)
-    out = []
-    for key in sorted(by_type):
-        recs = by_type[key]
-        out.append(
-            CuspRecord(fam.family, recs[0].total_complement, tuple(recs))
-        )
-    return out
+    return tuple(
+        CuspRecord(fam.family, by_type[key][0].total_complement, tuple(by_type[key]))
+        for key in sorted(by_type)
+    )
 
 
 # -- direct route: isotropic planes -------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index, mul
 from typing import Iterable, List, Sequence, Tuple
 
 Row = Tuple[int, ...]
@@ -36,12 +37,16 @@ class ExactLAError(ValueError):
 
 
 class IntMatrix:
-    """Immutable integer matrix with arbitrary-precision entries."""
+    """Immutable integer matrix with arbitrary-precision entries.
+
+    Entries are converted with ``operator.index``, so a Fraction or a
+    float raises ``TypeError`` instead of being truncated.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Iterable[int]], cols: int | None = None):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(index, row)) for row in entries)
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -55,6 +60,13 @@ class IntMatrix:
         self.cols = ncols
 
     # -- constructors ------------------------------------------------
+
+    @classmethod
+    def _of(cls, rows: Tuple[Row, ...], cols: int) -> "IntMatrix":
+        """Wrap rows that are already tuples of ints, without conversion."""
+        m = object.__new__(cls)
+        m.entries, m.rows, m.cols = rows, len(rows), cols
+        return m
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -84,9 +96,9 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ExactLAError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         bt = other.transpose().entries
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self.entries],
-            cols=other.cols,
+        return IntMatrix._of(
+            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.entries),
+            other.cols,
         )
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
@@ -104,10 +116,7 @@ class IntMatrix:
         return IntMatrix([[c * x for x in row] for row in self.entries], cols=self.cols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return IntMatrix._of(tuple(zip(*self.entries)) or ((),) * self.cols, self.rows)
 
     def row(self, i: int) -> Row:
         return self.entries[i]
@@ -305,9 +314,16 @@ def snf(a: IntMatrix) -> SnfResult:
     return SnfResult(d, left, right)
 
 
+def hermite_basis(rows: Sequence[Sequence[int]], n: int) -> IntMatrix:
+    """Nonzero rows of the Hermite form of ``rows``: a canonical basis of their Z-span."""
+    if not rows:
+        return IntMatrix([], cols=n)
+    h, _ = hnf(IntMatrix(rows, cols=n))
+    return IntMatrix._of(tuple(row for row in h.entries if any(row)), n)
+
+
 def rank(a: IntMatrix) -> int:
-    h, _ = hnf(a)
-    return sum(1 for row in h.entries if any(x != 0 for x in row))
+    return hermite_basis(a.entries, a.cols).rows
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -318,11 +334,8 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     primitive subgroup.
     """
     h, u = hnf(a.transpose())
-    ker = [u.entries[i] for i in range(h.rows) if all(x == 0 for x in h.entries[i])]
-    out = IntMatrix(ker, cols=a.cols) if ker else IntMatrix([], cols=a.cols)
-    canon, _ = hnf(out)
-    nz = [r for r in canon.entries if any(x != 0 for x in r)]
-    return IntMatrix(nz, cols=a.cols)
+    ker = [u.entries[i] for i in range(h.rows) if not any(h.entries[i])]
+    return hermite_basis(ker, a.cols)
 
 
 def saturate(rows: IntMatrix, ambient_rank: int | None = None) -> IntMatrix:

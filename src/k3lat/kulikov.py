@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import (
@@ -32,7 +33,6 @@ from .exactla import (
     IntMatrix,
     det,
     hnf,
-    index_in,
     int_express,
     int_mat_inv,
     kernel_basis,
@@ -50,6 +50,7 @@ from .lattice import (
     diag_lattice,
     direct_sum,
     disc_group,
+    dual_generator,
     glue_overlattice,
     hyperbolic,
     nikulin_2elem,
@@ -60,12 +61,10 @@ from .lattice import (
 )
 from .roots import EMPTY_TYPE, RootSystemType, root_system
 from .eisenstein import (
-    Isometry,
     RhoLattice,
     assemble,
     fixed_sublattice,
     fpf_order3,
-    isometry_order,
     primitive_part,
     rho4_a1a1,
     rho4_d4,
@@ -183,14 +182,9 @@ def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix, Sublatti
     raise KulikovError("order-3 action does not extend integrally to the Picard lattice")
 
 
-_COMPONENT_CACHE: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], "ComponentModel"] = {}
-
-
+@cache
 def build_component(spec: ComponentSpec) -> ComponentModel:
     """Picard lattice with order-3 action for one triple-cover component."""
-    cache_key = (spec.m, spec.parts)
-    if cache_key in _COMPONENT_CACHE:
-        return _COMPONENT_CACHE[cache_key]
     degree, cycles, fixed = _ROW_RECIPE[(spec.m, spec.parts)]
     lat, m, core = _terminal_model(degree)
     orbits: List[Tuple[str, Tuple[int, ...]]] = []
@@ -238,7 +232,7 @@ def build_component(spec: ComponentSpec) -> ComponentModel:
         [list(r) + [0] * (10 - core.basis.cols) for r in core.basis.entries],
         cols=10,
     )
-    model = ComponentModel(
+    return ComponentModel(
         spec,
         picard,
         rho,
@@ -246,8 +240,6 @@ def build_component(spec: ComponentSpec) -> ComponentModel:
         Sublattice(picard, core_rows) if core_rows.rows else Sublattice(picard, IntMatrix([], cols=10)),
         tuple(orbits),
     )
-    _COMPONENT_CACHE[cache_key] = model
-    return model
 
 
 def primitive_picard(c: ComponentModel) -> Tuple[Sublattice, RootSystemType]:
@@ -378,29 +370,12 @@ class SemifanRecord:
     fj_basis: IntMatrix
 
 
-_A2_DUAL_GEN_CACHE: Dict[Symbol, Tuple[Fraction, ...]] = {}
-
-
-def _slot_dual_generator(sym: str, n: int) -> Tuple[Fraction, ...]:
-    key = (sym, n)
-    if key not in _A2_DUAL_GEN_CACHE:
-        l = root_lattice(sym, n)
-        ginv = int_mat_inv(l.gram)
-        row = ginv[0]
-        if all(x.denominator == 1 for x in row):
-            raise KulikovError("dual generator lies in the lattice")
-        _A2_DUAL_GEN_CACHE[key] = row
-    return _A2_DUAL_GEN_CACHE[key]
-
-
 def _starred_model(
     factors: Sequence[Symbol],
 ) -> Tuple[Lattice, IntMatrix, "object", Tuple[int, ...]]:
     """Index-3 even overlattice of the negative definite factor sum whose
     nonzero glue cosets contain no roots, together with the descended
     order-3 action.  Returns (lattice, action, overlattice, glue word)."""
-    from .lattice import Overlattice
-
     lats = [rescale(root_lattice(sym, n), -1) for sym, n in factors]
     base = direct_sum(*lats)
     offsets = []
@@ -430,7 +405,7 @@ def _starred_model(
             continue
         glue_row = []
         for c, (sym, n) in zip(word, factors):
-            gen = _slot_dual_generator(sym, n)
+            gen = dual_generator(sym, n)
             glue_row.extend(x * c for x in gen)
         if coset_min(word) <= 2:
             continue

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 from .exactla import (
@@ -26,6 +27,7 @@ from .exactla import (
     hnf,
     index_in,
     int_express,
+    int_mat_inv,
     kernel_basis,
     saturate,
     snf,
@@ -141,6 +143,17 @@ def cartan_gram(symbol: str, n: int) -> IntMatrix:
 
 def root_lattice(symbol: str, n: int) -> Lattice:
     return Lattice(cartan_gram(symbol, n), label=f"{symbol}{n}")
+
+
+@cache
+def dual_generator(symbol: str, n: int) -> Tuple[Fraction, ...]:
+    """Row 0 of the inverse Gram matrix of the root lattice: a dual vector
+    checked to lie outside the lattice (a generator of the discriminant
+    group Z/3 for A2 and E6)."""
+    row = int_mat_inv(root_lattice(symbol, n).gram)[0]
+    if all(x.denominator == 1 for x in row):
+        raise LatticeError(f"dual generator of {symbol}{n} lies in the lattice")
+    return row
 
 
 def diag_lattice(entries: Sequence[int], label: str | None = None) -> Lattice:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, det, hnf, in_rational_span
+from .exactla import IntMatrix, det, hermite_basis, in_rational_span
 from .lattice import Lattice, LatticeError, Sublattice, definite_sign
 
 Vector = Tuple[int, ...]
@@ -361,14 +361,6 @@ def root_decomposition(
     )
 
 
-def _hermite_basis(rows: Sequence[Vector], n: int) -> IntMatrix:
-    """Nonzero rows of the Hermite form of ``rows``: a canonical basis of their Z-span."""
-    if not rows:
-        return IntMatrix([], cols=n)
-    h, _ = hnf(IntMatrix(rows, cols=n))
-    return IntMatrix([row for row in h.entries if any(row)], cols=n)
-
-
 def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:
     """Root-system type of a definite lattice and the sublattice its roots span.
 
@@ -376,7 +368,7 @@ def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:
     Hermite form of all roots: both sets have the same Z-span.
     """
     rtype, simple = root_decomposition(enumerate_norm(l, 2), l.gram)
-    return rtype, Sublattice(l, _hermite_basis(simple, l.rank))
+    return rtype, Sublattice(l, hermite_basis(simple, l.rank))
 
 
 def root_span_index(l: Lattice) -> int:
@@ -394,7 +386,7 @@ def complement_root_type(s: Sublattice, ambient: Lattice | None = None) -> RootS
     # the sublattice must be spanned by roots of the ambient lattice
     in_span = [v for v in all_roots if in_rational_span(v, s.basis)]
     _, simple = root_decomposition(in_span, r.gram)
-    if _hermite_basis(simple, r.rank) != _hermite_basis(s.basis.entries, r.rank):
+    if hermite_basis(simple, r.rank) != hermite_basis(s.basis.entries, r.rank):
         raise LatticeError("sublattice is not spanned by roots of the ambient lattice")
     g_basis = (s.basis * r.gram).entries
     comp_roots = [v for v in all_roots if not any(_dot(v, gb) for gb in g_basis)]

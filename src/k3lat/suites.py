@@ -16,24 +16,14 @@ from . import __version__
 from .exactla import ExactLAError, IntMatrix, det
 from .lattice import (
     Sublattice,
-    direct_sum,
     disc_group,
-    hyperbolic,
     is_p_elementary,
     rescale,
     root_lattice,
     signature,
 )
-from .roots import (
-    RootSystemType,
-    complement_root_type,
-    enumerate_norm,
-    enumerate_norm_box,
-    restrict_to_box,
-    root_system,
-)
+from .roots import complement_root_type, root_system
 from .eisenstein import (
-    eis,
     eisenstein_gram,
     fixed_sublattice,
     fpf_order3,

@@ -5,7 +5,9 @@ fraction-free kernels of k3lat replaced: Gauss-Jordan elimination over
 ``Fraction`` for linear systems, rational symmetric diagonalization for
 signatures, and the ``Fraction`` construction of a glued overlattice.
 They are slow, and independent of the code under test apart from
-``hnf``, which the glue construction defines its basis by.
+``hnf``, which the glue construction defines its basis by.  The star
+test's all-roots route spans every complement root of an embedding
+record, where the library spans only their simple roots.
 """
 
 import math
@@ -13,6 +15,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from k3lat.cusps import component_system
 from k3lat.exactla import ExactLAError, IntMatrix, hnf
 from k3lat.lattice import (
     Lattice,
@@ -235,3 +238,27 @@ def _det(rows):
             m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return int(out)
 
+
+# -- the all-roots span of an embedding's complement -------------------
+
+
+def all_complement_root_span(record, model):
+    """Nonzero Hermite rows of every root of N orthogonal to the embedded
+    P: each component's complement roots (its ``complement_mask``) placed
+    at the component's offset and mapped into N by the glue transform."""
+    cs = component_system(*model.comp)
+    rank_r = model.r.rank
+    rows = []
+    for c, oc in enumerate(record.outcomes):
+        off = model.component_offset(c)
+        for i in range(cs.nroots):
+            if oc.complement_mask >> i & 1:
+                vec = [0] * rank_r
+                vec[off : off + len(cs.roots[i])] = cs.roots[i]
+                rows.append(vec)
+    if rows and model.overlattice is not None:
+        rows = _mul(rows, model.overlattice.old_in_new.entries)
+    if not rows:
+        return IntMatrix([], cols=model.n.rank)
+    h, _ = hnf(IntMatrix(rows, cols=model.n.rank))
+    return IntMatrix([r for r in h.entries if any(r)], cols=model.n.rank)

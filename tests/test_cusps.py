@@ -1,10 +1,14 @@
+import dataclasses
+
 import pytest
 
+from k3lat import goldens
 from k3lat.cusps import (
     CuspError,
     FamilyId,
     build_niemeier,
     classify_cusps,
+    complement_root_span,
     component_system,
     cusp_of_plane,
     embed_multiset,
@@ -16,7 +20,18 @@ from k3lat.cusps import (
 from k3lat.lattice import is_p_elementary, signature
 from k3lat.roots import RootSystemType
 
+from support import all_complement_root_span
+
 T = RootSystemType.parse
+
+
+def all_records():
+    """Every embedding record of the four families in both models."""
+    for fam in goldens.FAMILIES:
+        for kind in ("E8^3", "E6^4"):
+            model = build_niemeier(kind)
+            for rec in enumerate_embeddings(family_data(*fam).p_factors, model):
+                yield rec, model
 
 
 def test_family_id_validation():
@@ -135,6 +150,44 @@ def test_e8_model_never_starred():
         for rec in enumerate_embeddings(p, m):
             assert not rec.starred
             assert star_of(rec, m) is False
+
+
+def test_simple_root_span_equals_all_root_span():
+    records = list(all_records())
+    assert len(records) == sum(goldens.EMBEDDING_COUNTS.values())
+    for rec, model in records:
+        assert complement_root_span(rec, model) == all_complement_root_span(rec, model)
+
+
+def test_all_root_span_rejects_a_missing_simple_root():
+    rec, model = next((r, m) for r, m in all_records() if r.outcomes[0].complement_simple)
+    oc = rec.outcomes[0]
+    short = dataclasses.replace(oc, complement_simple=oc.complement_simple[:-1])
+    cut = dataclasses.replace(rec, outcomes=(short,) + rec.outcomes[1:])
+    assert complement_root_span(cut, model) != all_complement_root_span(rec, model)
+
+
+def test_star_of_rejects_flipped_bookkeeping():
+    for rec, model in all_records():
+        assert star_of(rec, model) is rec.starred
+        flipped = dataclasses.replace(rec, starred=not rec.starred, sat_index=4 - rec.sat_index)
+        with pytest.raises(CuspError, match="bookkeeping disagrees"):
+            star_of(flipped, model)
+
+
+def test_classify_cusps_is_computed_once():
+    recs = classify_cusps(1, 1)
+    assert isinstance(recs, tuple)
+    assert classify_cusps(1, 1) is recs
+    assert family_data(1, 1) is family_data(1, 1)
+
+
+def test_unknown_family_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(CuspError, match="unknown family"):
+            classify_cusps(3, 3)
+        with pytest.raises(CuspError, match="unknown family"):
+            family_data(3, 3)
 
 
 def test_classify_table(n_k_expected=None):

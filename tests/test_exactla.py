@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from k3lat.exactla import (
     ExactLAError,
@@ -383,3 +383,69 @@ def test_normal_form_checks_reject_wrong_oracle():
         check_hnf(a, h, u, [[2 * x for x in row] for row in sympy_row_lattice(a)])
     assert not is_hermite(IntMatrix([[1, 3], [0, 2]]))
     assert not is_hermite(IntMatrix([[0, 0], [0, 2]]))
+
+
+# -- IntMatrix entries, product and transpose --------------------------
+
+
+def test_intmatrix_rejects_non_integer_entries():
+    with pytest.raises(TypeError):
+        IntMatrix([[Fraction(3, 2), 2]])
+    with pytest.raises(TypeError):
+        IntMatrix([[1, 2.9]])
+    with pytest.raises(TypeError):
+        IntMatrix([[2.0]])
+    m = IntMatrix([[True, 2], [False, -1]])
+    assert m.entries == ((1, 2), (0, -1))
+    assert all(type(x) is int for row in m.entries for x in row)
+
+
+def triple_loop_product(a, b):
+    out = [[0] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] += a.entries[i][k] * b.entries[k][j]
+    return tuple(tuple(row) for row in out)
+
+
+@st.composite
+def product_pairs(draw):
+    m, n, p = (draw(st.integers(0, 4)) for _ in range(3))
+    entry = st.integers(-(10**20), 10**20)
+
+    def matrix(rows, cols):
+        row = st.lists(entry, min_size=cols, max_size=cols)
+        return IntMatrix(draw(st.lists(row, min_size=rows, max_size=rows)), cols=cols)
+
+    return matrix(m, n), matrix(n, p)
+
+
+def check_product_and_transpose(a, b, product):
+    c = a * b
+    assert (c.rows, c.cols) == (a.rows, b.cols)
+    assert c.entries == product
+    assert c == IntMatrix(product, cols=b.cols)
+    assert all(type(x) is int for row in c.entries for x in row)
+    t = a.transpose()
+    assert (t.rows, t.cols) == (a.cols, a.rows)
+    assert t.entries == tuple(tuple(a.entries[i][j] for i in range(a.rows)) for j in range(a.cols))
+    assert t.transpose() == a
+
+
+@given(product_pairs())
+@example((IntMatrix([], cols=3), IntMatrix([[1, 2], [3, 4], [5, 6]])))
+@example((IntMatrix([[], []]), IntMatrix([], cols=3)))
+@example((IntMatrix([[1, 2], [3, 4], [5, 6]]), IntMatrix([[], []])))
+def test_product_and_transpose_match_triple_loop(pair):
+    a, b = pair
+    check_product_and_transpose(a, b, triple_loop_product(a, b))
+
+
+def test_product_check_rejects_wrong_oracle():
+    a, b = IntMatrix([[1, 2], [3, 4]]), IntMatrix([[0, 1], [1, 0]])
+    check_product_and_transpose(a, b, ((2, 1), (4, 3)))
+    with pytest.raises(AssertionError):
+        check_product_and_transpose(a, b, ((1, 2), (3, 4)))
+    with pytest.raises(AssertionError):
+        check_product_and_transpose(a, b, ((2, 1),))

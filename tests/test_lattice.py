@@ -16,6 +16,7 @@ from k3lat.lattice import (
     direct_sum,
     disc_group,
     divisibility,
+    dual_generator as library_dual_generator,
     glue_overlattice,
     hyperbolic,
     is_p_elementary,
@@ -382,3 +383,13 @@ def test_glue_check_rejects_wrong_oracle():
     check_glue(found, "glue vectors do not pair integrally")
     with pytest.raises(AssertionError):
         check_glue(found, "glue vector is not in the dual lattice")
+
+
+def test_library_dual_generator_matches_gauss_jordan():
+    for sym, n in [("A", 2), ("E", 6)]:
+        gen = library_dual_generator(sym, n)
+        assert library_dual_generator(sym, n) is gen
+        assert gen == dual_generator(sym, n)
+        assert any(x.denominator != 1 for x in gen)
+    with pytest.raises(LatticeError, match="lies in the lattice"):
+        library_dual_generator("E", 8)
