@@ -36,7 +36,7 @@ from .lattice import (
     signature_with_radical,
 )
 from .roots import enumerate_norm, root_system
-from .suites import Report, run_suites
+from .suites import SUITE_ORDER, Report, run_suites
 
 
 # Largest index of an ADE atom: the rank of a Niemeier lattice, above every
@@ -330,9 +330,7 @@ def cusps(family: str, fmt: str) -> None:
 @click.option(
     "--suite",
     required=True,
-    type=click.Choice(
-        ["tab3", "tab4", "expl", "eis", "order4", "tschirnhausen", "glue", "semifan", "all"]
-    ),
+    type=click.Choice([*SUITE_ORDER, "all"]),
 )
 @click.option(
     "--format",

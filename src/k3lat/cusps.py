@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactla import (
@@ -192,42 +192,31 @@ class ComponentSystem:
         self.lattice = root_lattice(sym, n)
         self.roots: List[Tuple[int, ...]] = enumerate_norm(self.lattice, 2)
         self.nroots = len(self.roots)
-        self.index = {v: i for i, v in enumerate(self.roots)}
-        g = self.lattice.gram.entries
-        rk = n
-        gv = [
-            [sum(g[i][j] * v[j] for j in range(rk)) for i in range(rk)]
-            for v in self.roots
-        ]
-        self.pair = [
-            [sum(v[i] * gw[i] for i in range(rk)) for gw in gv] for v in self.roots
-        ]
+        index = {v: i for i, v in enumerate(self.roots)}
+        neg = [index[tuple(-c for c in v)] for v in self.roots]
+        r = IntMatrix._of(tuple(self.roots), n)
+        self.pair = (r * self.lattice.gram * r.transpose()).entries
         # masks[i][v+2] = bitmask of roots pairing v with root i
-        self.masks = [
-            [0] * 5 for _ in range(self.nroots)
-        ]
-        for i in range(self.nroots):
-            row = self.pair[i]
-            masks_i = self.masks[i]
-            for j in range(self.nroots):
-                masks_i[row[j] + 2] |= 1 << j
-        # reflection permutations: s_i(r_j) = r_j - <r_j, r_i> r_i
-        self.refl: List[Tuple[int, ...]] = []
-        for i in range(self.nroots):
-            ri = self.roots[i]
-            perm = []
-            for j in range(self.nroots):
-                c = self.pair[j][i]
-                v = tuple(a - c * b for a, b in zip(self.roots[j], ri))
-                perm.append(self.index[v])
-            self.refl.append(tuple(perm))
+        self.masks = []
+        for row in self.pair:
+            masks_i = [0] * 5
+            for j, v in enumerate(row):
+                masks_i[v + 2] |= 1 << j
+            self.masks.append(masks_i)
         # canonical representative per +- pair: first index wins
-        self.pos_reps = [
-            i for i, v in enumerate(self.roots) if self.index[tuple(-c for c in v)] > i
-        ]
+        self.pos_reps = [i for i in range(self.nroots) if neg[i] > i]
+        # reflection permutations s_i(r_j) = r_j - <r_j, r_i> r_i of the
+        # pos_reps, the only reflections orbit_reps applies; a pairing of
+        # 0 fixes r_j and one of +-2 (r_j = +-r_i) negates it
+        self.refl: Dict[int, Tuple[int, ...]] = {}
+        for i in self.pos_reps:
+            ri = self.roots[i]
+            self.refl[i] = tuple(
+                j if c == 0 else neg[j] if c in (2, -2)
+                else index[tuple(a - c * b for a, b in zip(self.roots[j], ri))]
+                for j, c in enumerate(self.pair[i])
+            )
         self.all_mask = (1 << self.nroots) - 1
-        # dual class data: order of each class of L*/L and minimal norms
-        self._dual = None
 
     def orbit_reps(self, cand_mask: int, refl_mask: int) -> List[int]:
         """One representative per orbit of the candidate set under the
@@ -482,30 +471,29 @@ def _e6_class_of_dual_coords(v: Sequence[int]) -> int:
 
 def _subspaces_f3_4() -> List[Tuple[Tuple[int, ...], ...]]:
     """All 2-dimensional subspaces of F_3^4, each as its tuple of nonzero
-    vectors sorted lexicographically."""
-    vectors = [
-        (a, b, c, d)
-        for a in range(3)
-        for b in range(3)
-        for c in range(3)
-        for d in range(3)
-    ][1:]
-    seen = set()
+    vectors sorted lexicographically.
+
+    Each plane is spanned by its reduced row-echelon basis v, w: pivots
+    p < q holding 1, zeros before each pivot and in the other row's pivot
+    column, any entries elsewhere; 130 bases in all.
+    """
     out = []
-    for i, v in enumerate(vectors):
-        for w in vectors[i + 1 :]:
-            # independent iff w is not a multiple of v
-            if w == tuple((2 * x) % 3 for x in v):
-                continue
-            span = set()
-            for s in range(3):
-                for t in range(3):
-                    span.add(tuple((s * x + t * y) % 3 for x, y in zip(v, w)))
-            span.discard((0, 0, 0, 0))
-            key = tuple(sorted(span))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
+    for p, q in combinations(range(4), 2):
+        free_v = [j for j in range(p + 1, 4) if j != q]
+        for fv in product(range(3), repeat=len(free_v)):
+            for fw in product(range(3), repeat=3 - q):
+                v, w = [0] * 4, [0] * 4
+                v[p] = w[q] = 1
+                for j, x in zip(free_v, fv):
+                    v[j] = x
+                w[q + 1 :] = fw
+                span = {
+                    tuple((s * x + t * y) % 3 for x, y in zip(v, w))
+                    for s in range(3)
+                    for t in range(3)
+                    if s or t
+                }
+                out.append(tuple(sorted(span)))
     return sorted(out)
 
 
@@ -519,10 +507,8 @@ def _code_perm_group(code: FrozenSet[Tuple[int, ...]], ncomp: int) -> Tuple[Tupl
     isometry of the overlattice.  Assignments of factors to components
     are deduplicated by the permutation images of these.
     """
-    from itertools import product as _product
-
     perms = []
-    signs = [tuple(s) for s in _product((1, 2), repeat=ncomp)]
+    signs = [tuple(s) for s in product((1, 2), repeat=ncomp)]
     for p in permutations(range(ncomp)):
         for s in signs:
             image = {
@@ -562,7 +548,6 @@ def build_niemeier(kind: str) -> NiemeierModel:
         min_nontrivial = _e6_dual_class_min()
         chosen = None
         for span in _subspaces_f3_4():
-            gens = [v for v in span][:2]
             # pick two independent generators from the span list
             g1 = span[0]
             g2 = next(
@@ -674,16 +659,7 @@ def enumerate_embeddings(
         if any(not oc for oc in per_comp):
             continue
         # cartesian product over the (few) outcomes of each component
-        def combos(i: int, acc: List[ComponentOutcome]):
-            if i == len(per_comp):
-                yield tuple(acc)
-                return
-            for oc in per_comp[i]:
-                acc.append(oc)
-                yield from combos(i + 1, acc)
-                acc.pop()
-
-        for outcome_tuple in combos(0, []):
+        for outcome_tuple in product(*per_comp):
             total = EMPTY_TYPE
             for oc in outcome_tuple:
                 total = total + oc.complement_type

@@ -13,8 +13,9 @@ no machine-word fast path.  Conventions used by the whole package:
 
 The normal forms are computed by fraction-free row elimination with
 explicit transform accumulation: the Hermite form by gcd-driven row
-reduction, the Smith form by alternating row and column Hermite passes,
-applied in place to both transforms, followed by divisibility fix-ups.
+reduction, the Smith form by pivot elimination on the smallest entry
+(Cohen, GTM 138, Alg. 2.4.14, without the modulus), its row and column
+operations applied in place to both transforms.
 Linear systems (``rat_express``, ``int_express``, ``rat_inv``) are
 solved by one Bareiss elimination with a single common denominator
 (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2).  This is slow
@@ -70,7 +71,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     @staticmethod
     def zero(m: int, n: int) -> "IntMatrix":
@@ -235,10 +236,6 @@ def _hermite(h: List[List[int]], u: List[List[int]]) -> None:
             r += 1
 
 
-def _transpose(x: List[List[int]], cols: int) -> List[List[int]]:
-    return [list(c) for c in zip(*x)] or [[] for _ in range(cols)]
-
-
 class SnfResult:
     """Smith normal form data: ``left * A * right = diag(d)``."""
 
@@ -253,55 +250,64 @@ class SnfResult:
 def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form with both unimodular transforms.
 
-    Alternates row and column Hermite passes until the matrix is
-    diagonal, then repairs the divisibility chain.  Each row operation
-    of a row pass is applied to ``left`` and each of a column pass to
-    the rows of ``right^T``, in place; the factorization is re-verified
-    before returning.
+    Pivot elimination (Cohen, GTM 138, Alg. 2.4.14, without the
+    modulus): the smallest nonzero entry of the trailing block becomes
+    the pivot, row operations clear its column and column operations its
+    row, until both are zero.  If some entry of the block is not a
+    multiple of the pivot, its row is added to the pivot row and the
+    step repeats with a smaller pivot, so ``d_k | d_(k+1)``.  Row
+    operations are applied in place to ``left`` and column operations to
+    the rows of ``right^T``; the factorization is re-verified before
+    returning.
     """
     m, n = a.rows, a.cols
+    k = min(m, n)
     s = [list(row) for row in a.entries]
     left = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     right_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def is_diagonal(x: List[List[int]]) -> bool:
-        return all(v == 0 for i, row in enumerate(x) for j, v in enumerate(row) if i != j)
+    def combine(rows: List[List[int]], i: int, j: int, q: int) -> None:
+        # rows[i] -= q * rows[j]
+        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
 
-    for _ in range(200):
-        _hermite(s, left)
-        row_diagonal = is_diagonal(s)
-        s_t = _transpose(s, n)
-        _hermite(s_t, right_t)
-        s = _transpose(s_t, m)
-        if row_diagonal and is_diagonal(s):
-            k = min(m, n)
-            diag = [s[i][i] for i in range(k)]
-            # enforce d_i | d_{i+1} among the nonzero entries
-            bad = next(
-                (
-                    i
-                    for i in range(k - 1)
-                    if diag[i] != 0 and diag[i + 1] % diag[i] != 0
-                ),
-                None,
-            )
+    for t in range(k):
+        while True:
+            nz = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(s[i][t:], t) if x]
+            if not nz:
+                break
+            _, pi, pj = min(nz)
+            s[t], s[pi] = s[pi], s[t]
+            left[t], left[pi] = left[pi], left[t]
+            for row in s[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            right_t[t], right_t[pj] = right_t[pj], right_t[t]
+            p = s[t][t]
+            for i in range(t + 1, m):
+                q = s[i][t] // p
+                if q:
+                    combine(s, i, t, q)
+                    combine(left, i, t, q)
+            for j in range(t + 1, n):
+                q = s[t][j] // p
+                if q:
+                    for row in s[t:]:
+                        row[j] -= q * row[t]
+                    combine(right_t, j, t, q)
+            if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
+                continue  # a remainder smaller than the pivot is left
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :])), None)
             if bad is None:
                 break
-            # fold column bad+1 into column bad and restart reduction
-            for row in s:
-                row[bad] += row[bad + 1]
-            right_t[bad] = [x + y for x, y in zip(right_t[bad], right_t[bad + 1])]
-    else:
-        raise ExactLAError("smith reduction did not converge")
+            combine(s, t, bad, -1)
+            combine(left, t, bad, -1)
 
-    k = min(m, n)
     d = tuple(abs(s[i][i]) for i in range(k))
     # normalize signs through the left transform
     for i in range(k):
         if s[i][i] < 0:
             left[i] = [-x for x in left[i]]
     left = IntMatrix(left, cols=m)
-    right = IntMatrix(_transpose(right_t, n), cols=n)
+    right = IntMatrix(right_t, cols=n).transpose()
 
     check = left * a * right
     for i in range(m):
@@ -384,7 +390,7 @@ def rat_inv(a: RatMatrix) -> RatMatrix:
     if any(len(row) != n for row in a):
         raise ExactLAError("inverse of a non-square matrix")
     try:
-        return rat_express(rat(IntMatrix.identity(n)) if n else (), a)
+        return rat_express(rat(IntMatrix.identity(n)), a)
     except ExactLAError:
         raise ExactLAError("singular matrix") from None
 

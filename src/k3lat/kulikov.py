@@ -113,7 +113,7 @@ class ComponentSpec:
             raise KulikovError(f"unknown component ({self.m}, {self.parts})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentModel:
     spec: ComponentSpec
     picard: Lattice
@@ -242,6 +242,7 @@ def build_component(spec: ComponentSpec) -> ComponentModel:
     )
 
 
+@cache
 def primitive_picard(c: ComponentModel) -> Tuple[Sublattice, RootSystemType]:
     """Primitive part of the component action and its root type."""
     prim = primitive_part(c.rho)

@@ -340,10 +340,10 @@ def nikulin_2elem(l: Lattice) -> NikulinInvariants:
     """
     if not l.is_even:
         raise LatticeError("lattice is not even")
-    if not is_p_elementary(l, 2):
-        raise LatticeError("lattice is not 2-elementary")
     t_plus, t_minus = signature(l)
     res = snf(l.gram)
+    if any(d > 2 for d in res.d):
+        raise LatticeError("lattice is not 2-elementary")
     gens = [res.left.entries[i] for i, d in enumerate(res.d) if d == 2]
     a = len(gens)
     delta = 0

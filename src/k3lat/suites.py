@@ -454,16 +454,7 @@ SUITES: Dict[str, Callable[[], Report]] = {
     "semifan": suite_semifan,
 }
 
-SUITE_ORDER = [
-    "tab3",
-    "tab4",
-    "expl",
-    "eis",
-    "order4",
-    "tschirnhausen",
-    "glue",
-    "semifan",
-]
+SUITE_ORDER = tuple(SUITES)
 
 
 def run_suites(name: str) -> List[Report]:

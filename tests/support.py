@@ -7,7 +7,9 @@ signatures, and the ``Fraction`` construction of a glued overlattice.
 They are slow, and independent of the code under test apart from
 ``hnf``, which the glue construction defines its basis by.  The star
 test's all-roots route spans every complement root of an embedding
-record, where the library spans only their simple roots.
+record, where the library spans only their simple roots.  The Smith
+oracle is the alternating row and column Hermite passes that the pivot
+elimination of ``snf`` replaced.
 """
 
 import math
@@ -16,7 +18,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from k3lat.cusps import component_system
-from k3lat.exactla import ExactLAError, IntMatrix, hnf
+from k3lat.exactla import ExactLAError, IntMatrix, SnfResult, hnf
 from k3lat.lattice import (
     Lattice,
     diag_lattice,
@@ -237,6 +239,40 @@ def _det(rows):
             f = m[i][c] / m[c][c]
             m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return int(out)
+
+
+def hermite_snf(a):
+    """Smith form by alternating Hermite passes: ``hnf`` of the rows, then
+    of the columns, until the matrix is diagonal; a divisibility failure
+    ``d_i`` not dividing ``d_(i+1)`` folds column i+1 into column i and
+    reduces again.  Signs are normalized through ``left``."""
+    m, n = a.rows, a.cols
+    s, left, right = a, IntMatrix.identity(m), IntMatrix.identity(n)
+
+    def is_diagonal(x):
+        return all(v == 0 for i, row in enumerate(x.entries) for j, v in enumerate(row) if i != j)
+
+    for _ in range(200):
+        s, u = hnf(s)
+        left = u * left
+        row_diagonal = is_diagonal(s)
+        h, v = hnf(s.transpose())
+        s, right = h.transpose(), right * v.transpose()
+        if row_diagonal and is_diagonal(s):
+            diag = [s.entries[i][i] for i in range(min(m, n))]
+            bad = next((i for i in range(len(diag) - 1) if diag[i] and diag[i + 1] % diag[i]), None)
+            if bad is None:
+                break
+            # column bad+1 is added to column bad
+            fold = IntMatrix(
+                [[int(i == j or (i, j) == (bad + 1, bad)) for j in range(n)] for i in range(n)]
+            )
+            s, right = s * fold, right * fold
+    else:
+        raise ExactLAError("smith reduction did not converge")
+    signs = [-1 if i < min(m, n) and s.entries[i][i] < 0 else 1 for i in range(m)]
+    left = IntMatrix([[c * x for x in row] for c, row in zip(signs, left.entries)], cols=m)
+    return SnfResult(tuple(abs(s.entries[i][i]) for i in range(min(m, n))), left, right)
 
 
 # -- the all-roots span of an embedding's complement -------------------

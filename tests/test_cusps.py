@@ -1,10 +1,13 @@
 import dataclasses
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from k3lat import goldens
 from k3lat.cusps import (
     CuspError,
+    _subspaces_f3_4,
     FamilyId,
     build_niemeier,
     classify_cusps,
@@ -69,6 +72,83 @@ def test_component_weyl_transitivity():
         cs = component_system(sym, n)
         reps = cs.orbit_reps(cs.all_mask, cs.all_mask)
         assert len(reps) == 1
+
+
+def check_component_tables(cs):
+    """Pairings by ``Lattice.pair``, the masks they induce, the +- pair
+    representatives and s_i(r_j) = r_j - <r_j, r_i> r_i for each of them."""
+    lat, roots = cs.lattice, cs.roots
+    index = {v: i for i, v in enumerate(roots)}
+    assert len(index) == cs.nroots == len(roots)
+    pair = [[0] * len(roots) for _ in roots]
+    for i, ri in enumerate(roots):
+        for j in range(i + 1):
+            pair[i][j] = pair[j][i] = lat.pair(ri, roots[j])
+    for i, row in enumerate(pair):
+        assert list(cs.pair[i]) == row
+        masks = [sum(1 << j for j, c in enumerate(row) if c == v) for v in range(-2, 3)]
+        assert cs.masks[i] == masks
+    assert cs.pos_reps == [i for i, v in enumerate(roots) if index[tuple(-x for x in v)] > i]
+    assert sorted(cs.refl) == cs.pos_reps
+    for i in cs.pos_reps:
+        ri = roots[i]
+        assert cs.refl[i] == tuple(
+            index[tuple(a - c * b for a, b in zip(rj, ri))] for rj, c in zip(roots, pair[i])
+        )
+
+
+@pytest.mark.parametrize("n,nroots", [(6, 72), (8, 240)])
+def test_component_tables_match_brute_force(n, nroots):
+    cs = component_system("E", n)
+    assert cs.nroots == nroots
+    check_component_tables(cs)
+
+
+def test_component_table_check_rejects_mutants():
+    cs = component_system("E", 6)
+    fields = ("lattice", "roots", "nroots", "pair", "masks", "pos_reps", "refl")
+    first, second = cs.pos_reps[:2]
+    dropped = {i: perm for i, perm in cs.refl.items() if i != first}
+    swapped = {**cs.refl, first: cs.refl[second]}
+    pair = [list(row) for row in cs.pair]
+    pair[0][1] += 1
+    for change in ({"refl": dropped}, {"refl": swapped}, {"pair": pair}):
+        mutant = SimpleNamespace(**{**{f: getattr(cs, f) for f in fields}, **change})
+        with pytest.raises(AssertionError):
+            check_component_tables(mutant)
+
+
+def check_planes(planes):
+    """The planes of F_3^4 as spanned by every pair of independent vectors:
+    130 in all, sorted, each its 8 nonzero vectors, sorted and closed
+    under addition."""
+    vectors = list(product(range(3), repeat=4))[1:]
+    coeffs = list(product(range(3), repeat=2))
+    spans = set()
+    for v in vectors:
+        for w in vectors:
+            span = {tuple((s * x + t * y) % 3 for x, y in zip(v, w)) for s, t in coeffs}
+            if len(span) == 9:
+                spans.add(tuple(sorted(span - {(0, 0, 0, 0)})))
+    assert len(spans) == 130
+    assert planes == sorted(spans)
+    for plane in planes:
+        assert len(plane) == 8 and list(plane) == sorted(plane)
+        closed = {tuple((x + y) % 3 for x, y in zip(v, w)) for v in plane for w in plane}
+        assert closed == set(plane) | {(0, 0, 0, 0)}
+
+
+def test_planes_of_f3_4_match_brute_force_spans():
+    check_planes(_subspaces_f3_4())
+
+
+def test_plane_check_rejects_mutants():
+    planes = _subspaces_f3_4()
+    not_closed = list(planes)
+    not_closed[0] = planes[0][:7] + (planes[1][7],)
+    for mutant in (planes[:-1], planes + planes[:1], planes[::-1], not_closed):
+        with pytest.raises(AssertionError):
+            check_planes(mutant)
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,10 @@ from k3lat.exactla import (
     rat_inv,
     rat_mul,
     saturate,
+    SnfResult,
     snf,
 )
-from support import gauss_jordan_express, gauss_jordan_inv
+from support import gauss_jordan_express, gauss_jordan_inv, hermite_snf
 
 
 def test_hnf_identity():
@@ -383,6 +384,66 @@ def test_normal_form_checks_reject_wrong_oracle():
         check_hnf(a, h, u, [[2 * x for x in row] for row in sympy_row_lattice(a)])
     assert not is_hermite(IntMatrix([[1, 3], [0, 2]]))
     assert not is_hermite(IntMatrix([[0, 0], [0, 2]]))
+
+
+@given(int_matrices)
+@example([[2, 0], [0, 3]])
+@example([[-4, 0, 0], [0, -6, 0]])
+def test_snf_matches_hermite_oracle(rows):
+    a = IntMatrix(rows)
+    oracle = hermite_snf(a)
+    check_snf(a, oracle, sympy_invariant_factors(a))
+    check_snf(a, snf(a), oracle.d)
+
+
+# (matrix, invariant factors): the divisibility repair, empty shapes and
+# negative pivots
+PINNED_SNF = [
+    (IntMatrix([[2, 0], [0, 3]]), (1, 6)),
+    (IntMatrix([[3, 0], [0, 2]]), (1, 6)),
+    (IntMatrix([[4, 0, 0], [0, 6, 0], [0, 0, 10]]), (2, 2, 60)),
+    (IntMatrix([], cols=0), ()),
+    (IntMatrix([], cols=3), ()),
+    (IntMatrix([[], [], []]), ()),
+    (IntMatrix([[-3]]), (3,)),
+    (IntMatrix([[-2, 0], [0, -4]]), (2, 4)),
+    (IntMatrix([[0, -5], [-5, 0]]), (5, 5)),
+    (IntMatrix([[-6, -4], [-4, -6]]), (2, 10)),
+]
+
+
+@pytest.mark.parametrize("a,d", PINNED_SNF)
+def test_snf_pinned_cases(a, d):
+    res = snf(a)
+    check_snf(a, res, d)
+    assert hermite_snf(a).d == d
+    assert (res.left.rows, res.right.rows) == (a.rows, a.cols)
+
+
+def test_snf_pinned_lattices():
+    from k3lat.cusps import build_niemeier, family_data
+
+    # family T lattices: 3-elementary with a = 0, 2, 3, 4
+    for (n, k), a in {(0, 2): 0, (0, 1): 2, (1, 1): 3, (2, 1): 4}.items():
+        g = family_data(n, k).t.gram
+        check_snf(g, snf(g), (1,) * (g.rows - a) + (3,) * a)
+    model = build_niemeier("E6^4")
+    check_snf(model.n.gram, snf(model.n.gram), (1,) * 24)  # the glue is unimodular
+    check_snf(model.r.gram, snf(model.r.gram), (1,) * 20 + (3,) * 4)
+
+
+def test_snf_check_rejects_skipped_repair():
+    a = IntMatrix([[2, 0], [0, 3]])
+    # a diagonal certificate without the divisibility repair
+    unrepaired = SnfResult((2, 3), IntMatrix.identity(2), IntMatrix.identity(2))
+    with pytest.raises(AssertionError):
+        check_snf(a, unrepaired, (2, 3))
+    with pytest.raises(AssertionError):
+        check_snf(a, snf(a), (2, 3))
+    flipped = snf(a)
+    flipped = SnfResult(flipped.d, flipped.left.scale(-1), flipped.right)
+    with pytest.raises(AssertionError):
+        check_snf(a, flipped, (1, 6))
 
 
 # -- IntMatrix entries, product and transpose --------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from k3lat.exactla import IntMatrix, index_in
@@ -42,6 +44,14 @@ def test_component_primitive_types(row):
     assert c.rho.rho.apply(c.d) == c.d
     _, rtype = primitive_picard(c)
     assert str(rtype) == EXPECTED_PRIM[row]
+
+
+def test_primitive_picard_is_computed_once():
+    c = build_component(ComponentSpec(*COMPONENT_ROWS[0]))
+    assert build_component(ComponentSpec(*COMPONENT_ROWS[0])) is c
+    assert primitive_picard(c) is primitive_picard(c)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.d = ()
 
 
 def test_unknown_component_rejected():

@@ -130,6 +130,28 @@ def test_nikulin_u():
     assert nikulin_2elem(hyperbolic()).as_tuple() == (1, 1, 0, 0)
 
 
+def test_nikulin_delta_and_messages(monkeypatch):
+    assert nikulin_2elem(root_lattice("A", 1)).as_tuple() == (1, 0, 1, 1)
+    assert nikulin_2elem(hyperbolic(2)).as_tuple() == (1, 1, 2, 0)
+    assert nikulin_2elem(neg("E", 7)).as_tuple() == (0, 7, 1, 1)
+    with pytest.raises(LatticeError, match="lattice is not even"):
+        nikulin_2elem(diag_lattice([1, -1]))
+    with pytest.raises(LatticeError, match="lattice is not 2-elementary"):
+        nikulin_2elem(hyperbolic(4))
+    with pytest.raises(LatticeError, match="lattice is not 2-elementary"):
+        nikulin_2elem(root_lattice("A", 2))
+    with pytest.raises(DegenerateFormError):
+        nikulin_2elem(diag_lattice([0, 2]))
+    # one Smith form serves both the 2-elementary test and the generators
+    import k3lat.lattice as lattice_module
+
+    calls = []
+    real = lattice_module.snf
+    monkeypatch.setattr(lattice_module, "snf", lambda a: calls.append(a) or real(a))
+    assert nikulin_2elem(direct_sum(hyperbolic(2), neg("D", 8))).a == 4
+    assert len(calls) == 1
+
+
 def test_divisibility():
     u = hyperbolic()
     assert divisibility(u, (1, 0)) == 1
