@@ -80,7 +80,7 @@ class IntMatrix:
     @staticmethod
     def diagonal(diag: Sequence[int]) -> "IntMatrix":
         n = len(diag)
-        return IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        return IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
     # -- basic algebra ------------------------------------------------
 
@@ -373,10 +373,6 @@ def rat(a: IntMatrix) -> RatMatrix:
     return tuple(tuple(Fraction(x) for x in row) for row in a.entries)
 
 
-def rat_mat(entries: Iterable[Iterable[Fraction | int]]) -> RatMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in entries)
-
-
 def rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     bt = list(zip(*b)) if b else []
     return tuple(
@@ -442,13 +438,12 @@ def _solve(
         x = [0] * k
         for i in range(k - 1, -1, -1):
             row = a[i]
-            acc = prev * row[j] - sum(row[l] * x[l] for l in range(i + 1, k))
-            x[i] = acc // row[i]
+            x[i] = (prev * row[j] - sum(map(mul, row[i + 1 : k], x[i + 1 :]))) // row[i]
         nums.append([sign * v for v in x])
     d = abs(prev)
     cols = list(zip(*basis))
     for t, x in zip(targets, nums):
-        recon = [sum(c * b for c, b in zip(x, col)) for col in cols]
+        recon = [sum(map(mul, x, col)) for col in cols]
         if recon != [d * v for v in t]:
             raise ExactLAError("target outside rational span of basis")
     return nums, d

@@ -23,6 +23,7 @@ of the span of the A2 factors coming from the cycled classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -34,11 +35,7 @@ from .exactla import (
     det,
     hnf,
     int_express,
-    int_mat_inv,
     kernel_basis,
-    rat,
-    rat_express,
-    rat_mul,
     saturate,
     snf,
 )
@@ -159,7 +156,6 @@ def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix, Sublatti
         raise KulikovError("del Pezzo root core has the wrong Gram matrix")
     k_row = [[-3] + [1] * (dim - 1)]
     s = b.stack(IntMatrix(k_row, cols=dim))
-    s_inv = int_mat_inv(s)
     fpf = fpf_order3(sym, n)
     for candidate in (fpf.rho.matrix, fpf.rho.matrix * fpf.rho.matrix):
         block = [[0] * dim for _ in range(dim)]
@@ -167,18 +163,22 @@ def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix, Sublatti
             for j in range(n):
                 block[i][j] = candidate.entries[i][j]
         block[n][n] = 1
-        # acting on rows: x -> x * (S^-1 D S), coordinates taken in the
-        # (root basis, canonical class) frame
-        conj = rat_mul(rat_mul(s_inv, rat(IntMatrix(block, cols=dim))), rat(s))
-        if all(x.denominator == 1 for row in conj for x in row):
-            m = IntMatrix([[x.numerator for x in row] for row in conj], cols=dim)
-            r = rho_lattice(lat, m)
-            if r.order != 3:
-                continue
-            k_vec = k_row[0]
-            if r.rho.apply(k_vec) != tuple(k_vec):
-                raise KulikovError("extension does not fix the canonical class")
-            return lat, m, core
+        # acting on rows: x -> x * M with S * M = D * S, coordinates taken
+        # in the (root basis, canonical class) frame; solved transposed as
+        # M^T * S^T = (D * S)^T, and a non-integral M tries the next D
+        try:
+            m = int_express(
+                (IntMatrix(block, cols=dim) * s).transpose(), s.transpose()
+            ).transpose()
+        except ExactLAError:
+            continue
+        r = rho_lattice(lat, m)
+        if r.order != 3:
+            continue
+        k_vec = k_row[0]
+        if r.rho.apply(k_vec) != tuple(k_vec):
+            raise KulikovError("extension does not fix the canonical class")
+        return lat, m, core
     raise KulikovError("order-3 action does not extend integrally to the Picard lattice")
 
 
@@ -402,30 +402,26 @@ def _starred_model(
 
     found = None
     for word in product((0, 1, 2), repeat=n_slots):
-        if not any(word):
+        if not any(word) or coset_min(word) <= 2:
             continue
         glue_row = []
         for c, (sym, n) in zip(word, factors):
             gen = dual_generator(sym, n)
             glue_row.extend(x * c for x in gen)
-        if coset_min(word) <= 2:
-            continue
         try:
             over = glue_overlattice(base, [glue_row])
         except LatticeError:
             continue
         if over.index != 3:
             continue
-        # action must descend to the overlattice
-        basis = over.basis
-        images = rat_mul(basis, rat(rho_base.rho.matrix))
+        # action must descend to the overlattice: on the integer rows
+        # H = d * basis it is M with M * H = H * rho, M integral
+        d = math.lcm(*(x.denominator for row in over.basis for x in row))
+        h = IntMatrix([[x.numerator * (d // x.denominator) for x in row] for row in over.basis])
         try:
-            coeff = rat_express(images, basis)
+            m = int_express(h * rho_base.rho.matrix, h)
         except ExactLAError:
             continue
-        if any(x.denominator != 1 for row in coeff for x in row):
-            continue
-        m = IntMatrix([[x.numerator for x in row] for row in coeff], cols=base.rank)
         found = (over.lattice, m, over, word)
         break
     if found is None:
@@ -489,13 +485,7 @@ def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
         off += m
     if cusp.starred:
         # coordinates in the overlattice basis
-        conv = []
-        for v in slot_rows:
-            coeff = rat_express(rat(IntMatrix([v], cols=total)), over.basis)[0]
-            if any(x.denominator != 1 for x in coeff):
-                raise KulikovError("factor basis missing from the overlattice")
-            conv.append([x.numerator for x in coeff])
-        slot_rows = conv
+        slot_rows = (IntMatrix(slot_rows, cols=total) * over.old_in_new).entries
     if slot_rows:
         fj = saturate(IntMatrix(slot_rows, cols=total))
     else:

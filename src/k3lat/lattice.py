@@ -21,11 +21,9 @@ from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 from .exactla import (
-    ExactLAError,
     IntMatrix,
     det,
     hnf,
-    index_in,
     int_express,
     int_mat_inv,
     kernel_basis,
@@ -400,20 +398,10 @@ class Sublattice:
     def is_primitive(self) -> bool:
         return saturate(self.basis) == hnf(self.basis)[0]
 
-    def saturation_index(self) -> int:
-        return index_in(self.basis, saturate(self.basis))
-
     def orth_complement(self) -> "Sublattice":
         """Saturated orthogonal complement inside the ambient lattice."""
         pairing = self.ambient.gram * self.basis.transpose()
         return Sublattice(self.ambient, kernel_basis(pairing.transpose()))
-
-    def contains(self, v: Sequence[int]) -> bool:
-        try:
-            int_express(IntMatrix([list(v)], cols=self.ambient.rank), self.basis)
-            return True
-        except ExactLAError:
-            return False
 
     def is_isotropic(self) -> bool:
         return self.gram().is_zero()

@@ -16,13 +16,20 @@ positive roots are a positive system, its simple roots are found by one
 ascending scan, and the components are those of the Dynkin graph of the
 simple roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
 The root span is the Hermite form of the simple roots.
+
+The layer is integer-only: no ``Fraction`` is built, and the size
+reduction rounds quotients with ``divmod``.  ``root_system`` analyses
+each Gram matrix once per process (a ``functools.cache`` keyed on the
+Gram matrix); a lattice with a Gram matrix already seen gets the cached
+type and span basis, wrapped as a sublattice of that lattice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cache
+from operator import mul, sub
 from typing import Dict, List, Sequence, Tuple
 
 from .exactla import IntMatrix, det, hermite_basis, in_rational_span
@@ -69,14 +76,24 @@ def _bareiss(gram: IntMatrix) -> List[List[int]]:
     return m
 
 
+def _round_div(a: int, b: int) -> int:
+    """``a / b`` rounded to the nearest integer, ties to even: the value
+    of ``round(Fraction(a, b))``, without building the Fraction."""
+    if b < 0:
+        a, b = -a, -b
+    q, r = divmod(a, b)
+    twice = 2 * r
+    return q + 1 if twice > b or (twice == b and q % 2) else q
+
+
 def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     """Exact greedy basis reduction: returns (reduced gram, transform V)
     with ``V * G * V^T`` reduced.
 
     Alternates integer shear sweeps (subtracting the rounded projection
     coefficient) with norm-sorting swaps until stable.  All arithmetic
-    is integral or rational; this is only a preconditioner that keeps
-    the enumeration intervals short on skew bases coming from quotient
+    is integral; this is only a preconditioner that keeps the
+    enumeration intervals short on skew bases coming from quotient
     constructions, not a reduction algorithm with guarantees.
     """
     n = gram.rows
@@ -103,7 +120,7 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
             for j in range(n):
                 if i == j or g[j][j] == 0:
                     continue
-                r = round(Fraction(g[i][j], g[j][j]))
+                r = _round_div(g[i][j], g[j][j])
                 if r:
                     shear(i, j, r)
                     changed = True
@@ -132,13 +149,14 @@ def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
     dd = [d[k] * (d[k - 1] if k else 1) for k in range(n)]
     scale = math.lcm(*dd)
     w = [scale // x for x in dd]
+    tails = [b[k][k + 1 :] for k in range(n)]
     found: List[Vector] = []
     x = [0] * n
 
     def descend(k: int, budget: int, top: bool) -> None:
         # |y| <= s with y = d_k x_k + c bounds x_k to an integer interval;
         # while x_{k+1..n-1} are all zero (top), x_k >= 0 keeps one of +-x
-        c = sum(b[k][l] * x[l] for l in range(k + 1, n))
+        c = sum(map(mul, tails[k], x[k + 1 :]))
         s = math.isqrt(budget // w[k])
         dk, wk = d[k], w[k]
         for t in range(0 if top else -((s + c) // dk), (s - c) // dk + 1):
@@ -155,15 +173,8 @@ def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
     descend(n - 1, scale * m, True)
     # map back through the size-reduction transform: rows enumerated in the
     # reduced basis correspond to x*V in the original coordinates
-    out: List[Vector] = []
-    for vec in found:
-        orig = [0] * n
-        for c, row in zip(vec, v.entries):
-            if c:
-                orig = [o + c * r for o, r in zip(orig, row)]
-        out.append(tuple(orig))
-        out.append(tuple(-o for o in orig))
-    return sorted(out)
+    orig = (IntMatrix(found, cols=n) * v).entries
+    return sorted(orig + tuple(tuple(-o for o in x) for x in orig))
 
 
 def enumerate_norm_box(l: Lattice, m: int, bound: int) -> List[Vector]:
@@ -272,9 +283,6 @@ class RootSystemType:
                 total += {6: 72, 7: 126, 8: 240}[n]
         return total
 
-    def unstarred(self) -> "RootSystemType":
-        return RootSystemType(self.components, False)
-
     def with_star(self, starred: bool) -> "RootSystemType":
         return RootSystemType(self.components, starred)
 
@@ -308,10 +316,6 @@ def _identify_component(rank: int, count: int) -> Tuple[str, int]:
     return t
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def root_decomposition(
     roots: Sequence[Vector], gram: IntMatrix
 ) -> Tuple[RootSystemType, List[Vector]]:
@@ -322,23 +326,25 @@ def root_decomposition(
     in ascending order, a positive root is simple unless subtracting an
     earlier simple root leaves a positive root (Humphreys, *Reflection
     Groups*, 1.3-1.6).  The components are those of the Dynkin graph of
-    the simple roots; every root lies in the component of the first
-    simple root it pairs nonzero with, and a component's rank is its
-    number of simple roots.
+    the simple roots, read off their Cartan matrix; every root lies in
+    the component of the first simple root it pairs nonzero with, and a
+    component's rank is its number of simple roots.  Both pairing tables
+    are one ``IntMatrix`` product each.
     """
-    zero = (0,) * gram.rows
+    n = gram.rows
+    zero = (0,) * n
     positive = sorted(r for r in roots if r > zero)
     is_positive = set(positive)
     simple: List[Vector] = []
     for beta in positive:
         if not any(
-            tuple(b - a for b, a in zip(beta, alpha)) in is_positive for alpha in simple
+            tuple(map(sub, beta, alpha)) in is_positive for alpha in simple
         ):
             simple.append(beta)
-    g_simple = (IntMatrix(simple, cols=gram.rows) * gram).entries
-
-    def pairs(v: Vector, i: int) -> bool:
-        return _dot(v, g_simple[i]) != 0
+    s = IntMatrix(simple, cols=n)
+    g_simple_t = (s * gram).transpose()
+    cartan = (s * g_simple_t).entries
+    pairings = (IntMatrix(positive, cols=n) * g_simple_t).entries
 
     comp = [-1] * len(simple)
     for i in range(len(simple)):
@@ -346,14 +352,13 @@ def root_decomposition(
             comp[i] = i
             stack = [i]
             while stack:
-                a = stack.pop()
-                for j in range(len(simple)):
-                    if comp[j] < 0 and pairs(simple[j], a):
+                for j, c in enumerate(cartan[stack.pop()]):
+                    if c and comp[j] < 0:
                         comp[j] = i
                         stack.append(j)
     counts: Dict[int, int] = {}
-    for beta in positive:
-        c = comp[next(i for i in range(len(simple)) if pairs(beta, i))]
+    for row in pairings:
+        c = comp[next(i for i, x in enumerate(row) if x)]
         counts[c] = counts.get(c, 0) + 2
     return (
         RootSystemType.of([_identify_component(comp.count(c), k) for c, k in counts.items()]),
@@ -361,14 +366,24 @@ def root_decomposition(
     )
 
 
+@cache
+def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
+    """Root type and Hermite basis of the simple roots of the definite
+    form ``gram``, computed once per Gram matrix."""
+    rtype, simple = root_decomposition(enumerate_norm(Lattice(gram), 2), gram)
+    return rtype, hermite_basis(simple, gram.rows)
+
+
 def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:
     """Root-system type of a definite lattice and the sublattice its roots span.
 
     The span basis is the Hermite form of the simple roots, which is the
-    Hermite form of all roots: both sets have the same Z-span.
+    Hermite form of all roots: both sets have the same Z-span.  The
+    analysis is shared by every lattice with the same Gram matrix; the
+    returned sublattice lies in ``l`` itself.
     """
-    rtype, simple = root_decomposition(enumerate_norm(l, 2), l.gram)
-    return rtype, Sublattice(l, hermite_basis(simple, l.rank))
+    rtype, span = _root_analysis(l.gram)
+    return rtype, Sublattice(l, span)
 
 
 def root_span_index(l: Lattice) -> int:
@@ -388,6 +403,6 @@ def complement_root_type(s: Sublattice, ambient: Lattice | None = None) -> RootS
     _, simple = root_decomposition(in_span, r.gram)
     if hermite_basis(simple, r.rank) != hermite_basis(s.basis.entries, r.rank):
         raise LatticeError("sublattice is not spanned by roots of the ambient lattice")
-    g_basis = (s.basis * r.gram).entries
-    comp_roots = [v for v in all_roots if not any(_dot(v, gb) for gb in g_basis)]
+    pairings = (IntMatrix(all_roots, cols=r.rank) * (s.basis * r.gram).transpose()).entries
+    comp_roots = [v for v, p in zip(all_roots, pairings) if not any(p)]
     return root_decomposition(comp_roots, r.gram)[0]

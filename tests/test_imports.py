@@ -1,9 +1,16 @@
-"""Every name a k3lat module imports is used in that module.
+"""Every name a k3lat module imports is used in that module, and every
+function it defines is referenced somewhere.
 
 A stdlib-``ast`` stand-in for a linter's unused-import rule: it collects
 the names bound by each ``import`` and ``from ... import`` (at any
 depth, so function-local imports count too) and the names the module
 reads anywhere, and fails on an import that is never read.
+
+The dead-code rule: every non-dunder function or method defined in
+``src/k3lat`` must be referenced by name (read as a name or an
+attribute, or imported) in ``src/k3lat``, ``tests`` or ``bench``.  A
+function registered as a CLI subcommand by a ``*.command()`` decorator
+is referenced by that decorator.
 """
 
 from __future__ import annotations
@@ -13,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "k3lat"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "k3lat"
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +46,58 @@ def test_no_unused_imports(path):
 def test_check_flags_an_unused_import():
     source = "from typing import List, Tuple\nimport os\nx: List[int] = []\n"
     assert unused_imports(source) == [(1, "Tuple"), (2, "os")]
+
+
+def _is_command(decorator: ast.expr) -> bool:
+    return (
+        isinstance(decorator, ast.Call)
+        and isinstance(decorator.func, ast.Attribute)
+        and decorator.func.attr == "command"
+    )
+
+
+def unreferenced_definitions(defining: dict, others: list) -> list:
+    """(file, line, name) of each non-dunder function or method in the
+    ``defining`` sources (file name -> text) whose name no source, of
+    these or of ``others``, reads or imports."""
+    trees = {name: ast.parse(text) for name, text in defining.items()}
+    referenced = set()
+    for tree in list(trees.values()) + [ast.parse(text) for text in others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.split(".")[-1])
+    out = []
+    for file, tree in trees.items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and not any(_is_command(d) for d in node.decorator_list)
+                and node.name not in referenced
+            ):
+                out.append((file, node.lineno, node.name))
+    return sorted(out)
+
+
+def test_every_definition_is_referenced():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text() for d in ("tests", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    assert unreferenced_definitions(defining, others) == []
+
+
+def test_check_flags_an_unreferenced_definition():
+    source = (
+        "def used():\n    return 1\n\n"
+        "def unused():\n    return used()\n\n"
+        "class A:\n    def __init__(self): ...\n    def m(self): ...\n    def dead(self): ...\n\n"
+        "@main.command()\ndef verify(): ...\n"
+    )
+    assert unreferenced_definitions({"m.py": source}, ["A().m()"]) == [
+        ("m.py", 4, "unused"),
+        ("m.py", 10, "dead"),
+    ]
+    assert unreferenced_definitions({"m.py": source}, ["from m import unused", "A().m(); A.dead"]) == []

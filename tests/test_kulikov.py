@@ -175,3 +175,27 @@ def test_unexpected_error_is_not_read_as_not_invariant(monkeypatch):
     monkeypatch.setattr(kulikov, "int_express", broken)
     with pytest.raises(TypeError, match="broken int_express"):
         order4_suite()
+
+
+def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):
+    import k3lat.roots as roots
+
+    c0 = build_component(ComponentSpec(0, ((1, 3),)))
+    c1 = build_component(ComponentSpec(1, ((0, 3),)))
+    k = glue_lambda(c0, c1)
+    prim_lat = k.prim.lattice()
+    grams = []
+    enumerate_norm = roots.enumerate_norm
+
+    def counted(l, m):
+        grams.append(l.gram)
+        return enumerate_norm(l, m)
+
+    monkeypatch.setattr(roots, "enumerate_norm", counted)
+    roots._root_analysis.cache_clear()
+    primitive_picard.cache_clear()
+    rtype, _ = root_system(prim_lat)
+    assert root_split_check(k, c0, c1) == (True, 3)
+    # the glued primitive part and the two component primitive parts
+    assert len(grams) == len(set(grams)) == 3
+    assert prim_lat.gram in grams and str(rtype) == "E6+A2^4"

@@ -415,3 +415,9 @@ def test_library_dual_generator_matches_gauss_jordan():
         assert any(x.denominator != 1 for x in gen)
     with pytest.raises(LatticeError, match="lies in the lattice"):
         library_dual_generator("E", 8)
+
+
+def test_diag_lattice_of_no_entries_is_rank_0():
+    l = diag_lattice([])
+    assert l.rank == 0 and l.det() == 1
+    assert IntMatrix.diagonal([]) == IntMatrix.identity(0)

@@ -1,7 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from k3lat.exactla import IntMatrix, hnf, int_mat_inv, rank as int_rank
 from k3lat.lattice import (
@@ -16,10 +17,12 @@ from k3lat.lattice import (
 from k3lat.roots import (
     EnumerationError,
     RootSystemType,
+    _round_div,
     complement_root_type,
     enumerate_norm,
     enumerate_norm_box,
     restrict_to_box,
+    root_decomposition,
     root_span_index,
     root_system,
 )
@@ -278,3 +281,44 @@ def test_root_system_check_rejects_wrong_oracle():
         check_root_system(rtype, span.basis, T("E6+A1^3"), want_rows)
     with pytest.raises(AssertionError):
         check_root_system(rtype, span.basis, T("E6+A3"), span.basis.scale(2))
+
+
+@given(changed_basis(ROOT_ATOMS, 10, 6))
+def test_root_decomposition_matches_pairwise_oracle(data):
+    # on the whole root system and on the roots orthogonal to one simple
+    # root, which are again closed under negation and their reflections
+    lu = data[3]
+    roots = enumerate_norm(lu, 2)
+    rtype, simple = root_decomposition(roots, lu.gram)
+    assert rtype == pairwise_root_type(roots, lu.gram)
+    perp = [r for r in roots if lu.pair(r, simple[0]) == 0]
+    assert root_decomposition(perp, lu.gram)[0] == pairwise_root_type(perp, lu.gram)
+
+
+# -- one analysis per Gram matrix, integer rounding ----------------------
+
+
+@given(
+    st.integers(-(10**30), 10**30),
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.booleans(),
+)
+@example(0, 1, True)  # 1/2 -> 0
+@example(1, 1, True)  # 3/2 -> 2
+@example(-1, 1, True)  # -1/2 -> 0
+@example(3, -1, True)  # 7/-2 -> -4
+@example(-7, 3, False)  # -7/3 -> -2
+def test_round_div_is_fraction_round(a, b, tie):
+    if tie:  # a / b = a' + 1/2 exactly, for either sign of a' and b
+        a, b = (2 * a + 1) * b, 2 * b
+    assert _round_div(a, b) == round(Fraction(a, b))
+
+
+def test_root_system_is_shared_by_equal_gram_matrices():
+    gram = direct_sum(root_lattice("E", 6), root_lattice("A", 2)).gram
+    l1, l2 = Lattice(gram), Lattice(IntMatrix(gram.entries))
+    t1, s1 = root_system(l1)
+    t2, s2 = root_system(l2)
+    assert t1 == t2 == T("E6+A2")
+    assert s1.basis == s2.basis and s1.rank == 8
+    assert s1.ambient is l1 and s2.ambient is l2
