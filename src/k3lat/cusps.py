@@ -26,16 +26,13 @@ from functools import cache
 from itertools import combinations, permutations, product
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from . import goldens
 from .exactla import (
     IntMatrix,
-    det,
     hermite_basis,
     index_in,
     int_express,
-    int_mat_inv,
     kernel_basis,
-    rat,
-    rat_express,
     saturate,
 )
 from .lattice import (
@@ -56,19 +53,20 @@ from .lattice import (
 from .roots import (
     EMPTY_TYPE,
     RootSystemType,
+    dual_class_min,
     enumerate_norm,
     root_decomposition,
+    root_span_index,
     root_system,
 )
 from .eisenstein import (
     RhoLattice,
     assemble,
     fixed_sublattice,
-    fpf_order3,
     is_estar,
+    negative_fpf_order3,
     rho3_u_u,
     rho3_u_u3,
-    rho_lattice,
 )
 
 Symbol = Tuple[str, int]
@@ -80,29 +78,7 @@ class CuspError(LatticeError):
 
 
 # -- families ----------------------------------------------------------
-
-FAMILY_GENUS = {(0, 2): 5, (0, 1): 4, (1, 1): 3, (2, 1): 2}
-
-_FAMILY_S: Dict[Tuple[int, int], Tuple] = {
-    (0, 2): (("U", 1),),
-    (0, 1): (("U", 3),),
-    (1, 1): (("U", 3), ("A", 2)),
-    (2, 1): (("U", 3), ("A", 2), ("A", 2)),
-}
-
-_FAMILY_T: Dict[Tuple[int, int], Tuple] = {
-    (0, 2): (("U", 1), ("U", 1), ("E", 8), ("E", 8)),
-    (0, 1): (("U", 1), ("U", 3), ("E", 8), ("E", 8)),
-    (1, 1): (("U", 1), ("U", 3), ("E", 6), ("E", 8)),
-    (2, 1): (("U", 1), ("U", 3), ("E", 6), ("E", 6)),
-}
-
-_FAMILY_P: Dict[Tuple[int, int], Tuple[Symbol, ...]] = {
-    (0, 2): (("E", 8),),
-    (0, 1): (("E", 6), ("A", 2)),
-    (1, 1): (("E", 6), ("A", 2), ("A", 2)),
-    (2, 1): (("E", 6), ("A", 2), ("A", 2), ("A", 2)),
-}
+# The family summands and genera are the input tables of goldens.
 
 
 @dataclass(frozen=True)
@@ -111,12 +87,12 @@ class FamilyId:
     k: int
 
     def __post_init__(self):
-        if (self.n, self.k) not in FAMILY_GENUS:
+        if (self.n, self.k) not in goldens.GENUS:
             raise CuspError(f"unknown family ({self.n},{self.k})")
 
     @property
     def g(self) -> int:
-        return FAMILY_GENUS[(self.n, self.k)]
+        return goldens.GENUS[(self.n, self.k)]
 
     def __str__(self) -> str:
         return f"({self.n},{self.k})"
@@ -146,20 +122,10 @@ def _sum_from_symbols(symbols, negative_roots=True) -> Lattice:
 @cache
 def family_data(n: int, k: int) -> FamilyData:
     fam = FamilyId(n, k)
-    s = _sum_from_symbols(_FAMILY_S[(n, k)])
-    t = _sum_from_symbols(_FAMILY_T[(n, k)])
-    p = _sum_from_symbols(_FAMILY_P[(n, k)])
-
-    blocks: List[RhoLattice] = []
-    first_two = _FAMILY_T[(n, k)][:2]
-    if first_two == (("U", 1), ("U", 1)):
-        blocks.append(rho3_u_u())
-    else:
-        blocks.append(rho3_u_u3())
-    for sym, m in _FAMILY_T[(n, k)][2:]:
-        fpf = fpf_order3(sym, m)
-        blocks.append(rho_lattice(rescale(fpf.lattice, -1), fpf.rho.matrix))
-    rho_t = assemble(blocks)
+    row = goldens.LATTICE_TABLE[(n, k)]
+    s, t, p = (_sum_from_symbols(row[x]) for x in "STP")
+    u_block = rho3_u_u() if row["T"][:2] == (("U", 1), ("U", 1)) else rho3_u_u3()
+    rho_t = assemble([u_block] + [negative_fpf_order3(*f) for f in row["T"][2:]])
     if rho_t.lattice.gram != t.gram:
         raise CuspError("assembled action lives on the wrong lattice")
 
@@ -178,7 +144,7 @@ def family_data(n: int, k: int) -> FamilyData:
         raise CuspError("period action has fixed vectors")
     if not is_estar(rho_t):
         raise CuspError("period action is not trivial on the discriminant group")
-    return FamilyData(fam, s, t, p, _FAMILY_P[(n, k)], rho_t)
+    return FamilyData(fam, s, t, p, row["P"], rho_t)
 
 
 # -- root-system machinery per component -------------------------------
@@ -296,26 +262,6 @@ class ComponentOutcome:
     complement_simple: Tuple[Vector, ...]  # simple roots of the complement
 
 
-def _component_dual_order(cs: ComponentSystem, chosen: Sequence[int]) -> int:
-    """Order of the image of the dual-side complement in the discriminant group."""
-    rk = cs.lattice.rank
-    if not chosen:
-        return abs(cs.lattice.det())
-    rows = IntMatrix([list(cs.roots[i]) for i in chosen], cols=rk)
-    pairing = cs.lattice.gram * rows.transpose()
-    comp = kernel_basis(pairing.transpose())  # complement inside the lattice
-    dual_side = kernel_basis(rows)  # y with y . rows^T = 0; x = y G^-1
-    if comp.rows == 0:
-        return 1
-    # comp = C * (dual_side * G^-1) exactly when comp * G = C * dual_side
-    coeff = rat_express(rat(comp * cs.lattice.gram), rat(dual_side))
-    if any(x.denominator != 1 for row in coeff for x in row):
-        raise CuspError("dual complement index is not integral")
-    # the index is |det| of the matrix expressing the sublattice in the
-    # superlattice basis
-    return abs(det(IntMatrix([[x.numerator for x in row] for row in coeff], cols=dual_side.rows)))
-
-
 def _outcome_from_leaf(
     cs: ComponentSystem, factors: Tuple[Symbol, ...], flat: List[int], sizes: List[int]
 ) -> ComponentOutcome:
@@ -325,18 +271,16 @@ def _outcome_from_leaf(
         comp_mask &= cs.masks[i][0 + 2]
     comp_roots = [cs.roots[i] for i in _bits(comp_mask)]
     ctype, simple = root_decomposition(comp_roots, cs.lattice.gram)
-    if flat:
-        rows = IntMatrix([list(cs.roots[i]) for i in flat], cols=rk)
-        pairing = cs.lattice.gram * rows.transpose()
-        comp_basis = kernel_basis(pairing.transpose())
-    else:
-        comp_basis = IntMatrix.identity(rk)
+    rows = IntMatrix._of(tuple(cs.roots[i] for i in flat), rk)
+    comp_basis = kernel_basis(rows * cs.lattice.gram)  # complement in the lattice
     crank = comp_basis.rows
     if ctype.rank != crank:
         raise CuspError("complement is not rationally spanned by its roots")
     # the simple roots span the same lattice as all complement roots
     rootspan_index = index_in(hermite_basis(simple, rk), comp_basis) if simple else 1
-    dual_order = _component_dual_order(cs, flat)
+    # y with y . rows^T = 0 are the dual-side complement x = y G^-1, and
+    # comp = C * (dual_side * G^-1) exactly when comp * G = C * dual_side
+    dual_order = index_in(comp_basis * cs.lattice.gram, kernel_basis(rows))
     witness = []
     pos = 0
     for s in sizes:
@@ -420,55 +364,6 @@ class NiemeierModel:
         return c * self.comp[1]
 
 
-def _e6_dual_class_min() -> Fraction:
-    """Minimal norm of the nontrivial discriminant classes of E6 (both
-    classes have the same minimum by symmetry), derived by enumeration."""
-    l = root_lattice("E", 6)
-    ginv = int_mat_inv(l.gram)
-    # dual lattice rescaled by 3 is integral: gram 3 * G^-1
-    entries = []
-    for row in ginv:
-        entries.append([(3 * x).numerator if (3 * x).denominator == 1 else None for x in row])
-    if any(x is None for r in entries for x in r):
-        raise CuspError("rescaled dual of E6 is not integral")
-    dual3 = Lattice(IntMatrix(entries))
-    best: Dict[int, Fraction] = {}
-    # classes are detected through the pairing with a fixed generator
-    for m in range(1, 7):
-        for v in enumerate_norm(dual3, m):
-            # v has dual-basis coordinates; its class in Z/3 is the total
-            # pairing with the root basis mod 3 detected via G^-1 action
-            cls = _e6_class_of_dual_coords(v)
-            if cls != 0 and cls not in best:
-                best[cls] = Fraction(m, 3)
-        if len(best) == 2:
-            break
-    if set(best) != {1, 2}:
-        raise CuspError("failed to locate the nontrivial dual classes of E6")
-    return min(best.values())
-
-
-@cache
-def _e6_class_row() -> Tuple[int, ...]:
-    """Class of each E6 dual basis row i: the multiple t_i of the
-    generator with row_i - t_i*generator integral."""
-    gen = dual_generator("E", 6)
-    ts = []
-    for row in int_mat_inv(root_lattice("E", 6).gram):
-        for t in range(3):
-            if all((a - t * b).denominator == 1 for a, b in zip(row, gen)):
-                ts.append(t)
-                break
-        else:
-            raise CuspError("dual row is not a multiple of the generator class")
-    return tuple(ts)
-
-
-def _e6_class_of_dual_coords(v: Sequence[int]) -> int:
-    """Class in A = Z/3 of an E6-dual vector given in dual-basis coordinates."""
-    return sum(c * t for c, t in zip(v, _e6_class_row())) % 3
-
-
 def _subspaces_f3_4() -> List[Tuple[Tuple[int, ...], ...]]:
     """All 2-dimensional subspaces of F_3^4, each as its tuple of nonzero
     vectors sorted lexicographically.
@@ -545,7 +440,7 @@ def build_niemeier(kind: str) -> NiemeierModel:
                     parts.extend(x * c for x in gen)
             return tuple(parts)
 
-        min_nontrivial = _e6_dual_class_min()
+        min_nontrivial = dual_class_min("E", 6)
         chosen = None
         for span in _subspaces_f3_4():
             # pick two independent generators from the span list
@@ -559,7 +454,7 @@ def build_niemeier(kind: str) -> NiemeierModel:
                 over = glue_overlattice(r, [glue_vector(g1), glue_vector(g2)])
             except LatticeError:
                 continue
-            if over.index != 9 or abs(over.lattice.det()) != 1 or not over.lattice.is_even:
+            if over.index != 9 or not over.lattice.is_unimodular or not over.lattice.is_even:
                 continue
             # no new roots: each nonzero coset has minimal norm > 2
             ok = True
@@ -732,18 +627,20 @@ def complement_root_span(record: EmbeddingRecord, model: NiemeierModel) -> IntMa
     return hermite_basis(rows.entries, model.n.rank)
 
 
+def _p_complement(record: EmbeddingRecord, model: NiemeierModel) -> Sublattice:
+    """The orthogonal complement of the embedded P inside N, saturated
+    by construction."""
+    return Sublattice(model.n, embedded_p_rows(record, model)).orth_complement()
+
+
 def star_of(record: EmbeddingRecord, model: NiemeierModel) -> bool:
     """Concrete saturation test inside the unimodular model.
 
-    Computes the orthogonal complement of the embedded copy of P inside
-    N (saturated by construction), spans its roots, and compares; the
-    result must agree with the glue bookkeeping carried by the record.
+    Spans the roots of the saturated complement of the embedded copy of
+    P inside N and compares; the result must agree with the glue
+    bookkeeping carried by the record.
     """
-    p_rows = embedded_p_rows(record, model)
-    n = model.n
-    sat = Sublattice(n, p_rows).orth_complement() if p_rows.rows else Sublattice(
-        n, IntMatrix.identity(n.rank)
-    )
+    sat = _p_complement(record, model)
     span = complement_root_span(record, model)
     if span.rows != sat.rank:
         raise CuspError("complement is not rationally spanned by its roots")
@@ -759,12 +656,7 @@ def star_of(record: EmbeddingRecord, model: NiemeierModel) -> bool:
 def cusp_quotient_lattice(record: EmbeddingRecord, model: NiemeierModel) -> Lattice:
     """The saturated orthogonal complement of the embedded P inside N,
     which realizes the quotient lattice of the corresponding cusp."""
-    p_rows = embedded_p_rows(record, model)
-    if p_rows.rows:
-        sat = Sublattice(model.n, p_rows).orth_complement()
-    else:
-        sat = Sublattice(model.n, IntMatrix.identity(model.n.rank))
-    return sat.lattice()
+    return _p_complement(record, model).lattice()
 
 
 @dataclass(frozen=True)
@@ -819,10 +711,8 @@ def isotropic_plane(r: RhoLattice, e: Sequence[int]) -> Sublattice:
 def cusp_of_plane(r: RhoLattice, j: Sublattice) -> RootSystemType:
     """Root type (with star flag) of the quotient J-perp/J."""
     q, _ = quotient_by_isotropic(j)
-    rtype, span = root_system(q)
-    if rtype.rank != q.rank:
-        raise CuspError("quotient roots do not span rationally")
-    idx = abs(det(span.basis))  # the index of the root span in Z^rank
+    rtype, _ = root_system(q)
+    idx = root_span_index(q)
     if idx not in (1, 3):
         raise CuspError(f"root-span index {idx} outside {{1,3}}")
     return rtype.with_star(idx == 3)

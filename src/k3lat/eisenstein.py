@@ -28,12 +28,25 @@ from typing import List, Sequence, Tuple
 from .exactla import (
     ExactLAError,
     IntMatrix,
+    block_diagonal,
     det,
+    hermite_basis,
     in_rational_span,
     int_express,
     kernel_basis,
 )
-from .lattice import Lattice, LatticeError, Sublattice, cartan_gram, root_lattice
+from .lattice import (
+    Lattice,
+    LatticeError,
+    Sublattice,
+    cartan_gram,
+    d4_z4_model,
+    diag_lattice,
+    direct_sum,
+    hyperbolic,
+    rescale,
+    root_lattice,
+)
 
 
 class IsometryError(LatticeError):
@@ -57,12 +70,6 @@ class Isometry:
         m = self.matrix.entries
         n = self.matrix.rows
         return tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(n))
-
-    def power(self, k: int) -> IntMatrix:
-        out = IntMatrix.identity(self.matrix.rows)
-        for _ in range(k):
-            out = out * self.matrix
-        return out
 
 
 def verify_isometry(lattice: Lattice, m: IntMatrix) -> None:
@@ -202,23 +209,16 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
     if fixed_sublattice(r).rank != 0:
         raise IsometryError("action has a nonzero fixed vector")
     n = r.lattice.rank
-    m = r.rho.matrix
+    iso = r.rho
     chosen: List[Tuple[int, ...]] = []
     spanned = IntMatrix([], cols=n)
     for i in range(n):
         v = tuple(1 if j == i else 0 for j in range(n))
         if not in_rational_span(v, spanned):
             chosen.append(v)
-            rows = [list(c) for c in chosen]
-            for c in chosen:
-                rows.append(list(Isometry(m, r.lattice).apply(c)))
-            from .exactla import hnf
-
-            h, _ = hnf(IntMatrix(rows, cols=n))
-            spanned = IntMatrix([row for row in h.entries if any(row)], cols=n)
+            spanned = hermite_basis(chosen + [iso.apply(c) for c in chosen], n)
     if 2 * len(chosen) != n:
         raise IsometryError("failed to extract a module basis")
-    iso = Isometry(m, r.lattice)
     gram = []
     for x in chosen:
         row = []
@@ -351,22 +351,17 @@ def fpf_order3(sym: str, n: int) -> RhoLattice:
     raise IsometryError(f"verified construction failed for {sym}{n}")
 
 
+def negative_fpf_order3(sym: str, n: int) -> RhoLattice:
+    """The action of ``fpf_order3(sym, n)`` on the negative definite copy
+    of the root lattice, the summand of the period and quotient lattices."""
+    fpf = fpf_order3(sym, n)
+    return rho_lattice(rescale(fpf.lattice, -1), fpf.rho.matrix)
+
+
 def assemble(blocks: Sequence[RhoLattice]) -> RhoLattice:
     """Block-diagonal action on the direct sum of the given pairs."""
-    from .lattice import direct_sum
-
-    lats = [b.lattice for b in blocks]
-    total = direct_sum(*lats)
-    n = total.rank
-    m = [[0] * n for _ in range(n)]
-    off = 0
-    for b in blocks:
-        k = b.lattice.rank
-        for i in range(k):
-            for j in range(k):
-                m[off + i][off + j] = b.rho.matrix.entries[i][j]
-        off += k
-    out = rho_lattice(total, IntMatrix(m, cols=n))
+    total = direct_sum(*(b.lattice for b in blocks))
+    out = rho_lattice(total, block_diagonal(*(b.rho.matrix for b in blocks)))
     expected = lcm(*[b.order for b in blocks]) if blocks else 1
     if out.order != expected:
         raise IsometryError("assembled order differs from the lcm of the blocks")
@@ -381,8 +376,6 @@ def rho3_u_u() -> RhoLattice:
     which is forced by the pairing; it has no nonzero fixed vectors and
     is trivial on the (trivial) discriminant group.
     """
-    from .lattice import direct_sum, hyperbolic
-
     l = direct_sum(hyperbolic(), hyperbolic())
     # order (e1, f1, e2, f2)
     m = [
@@ -396,8 +389,6 @@ def rho3_u_u() -> RhoLattice:
 
 def rho3_u_u3() -> RhoLattice:
     """Order-3 action on U + U(3), basis (e1, f1, e2', f2')."""
-    from .lattice import direct_sum, hyperbolic
-
     l = direct_sum(hyperbolic(), hyperbolic(3))
     m = [
         [1, 0, -1, 0],  # e1 -> e1 - e2'
@@ -410,8 +401,6 @@ def rho3_u_u3() -> RhoLattice:
 
 def rho4_u_u2() -> RhoLattice:
     """Order-4 action on U + U(2), basis (e, f, e', f')."""
-    from .lattice import direct_sum, hyperbolic
-
     l = direct_sum(hyperbolic(), hyperbolic(2))
     m = [
         [-1, 0, 1, 0],  # e -> -e + e'
@@ -430,8 +419,6 @@ def rho4_d4() -> RhoLattice:
     even-coordinate-sum model gives an integral matrix on the Cartan
     basis squaring to -1.
     """
-    from .lattice import d4_z4_model, rescale
-
     lat, basis = d4_z4_model()
     z4 = IntMatrix(
         [
@@ -451,7 +438,5 @@ def rho4_d4() -> RhoLattice:
 
 def rho4_a1a1() -> RhoLattice:
     """Order-4 action h1 -> h2 -> -h1 on two orthogonal norm -2 classes."""
-    from .lattice import diag_lattice
-
     l = diag_lattice([-2, -2], label="A1+A1")
     return rho_lattice(l, [[0, 1], [-1, 0]])

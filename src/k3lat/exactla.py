@@ -119,9 +119,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(tuple(zip(*self.entries)) or ((),) * self.cols, self.rows)
 
-    def row(self, i: int) -> Row:
-        return self.entries[i]
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i] for i in range(self.rows) for j in range(i)
@@ -318,6 +315,19 @@ def snf(a: IntMatrix) -> SnfResult:
     if abs(det(left)) != 1 or abs(det(right)) != 1:
         raise ExactLAError("smith transforms are not unimodular")
     return SnfResult(d, left, right)
+
+
+def block_diagonal(*blocks: IntMatrix) -> IntMatrix:
+    """The matrix with the given blocks along its diagonal, in order, and
+    zeros elsewhere; a block without rows still shifts the later columns."""
+    n = sum(b.cols for b in blocks)
+    rows = []
+    off = 0
+    for b in blocks:
+        pad = (0,) * (n - off - b.cols)
+        rows.extend((0,) * off + row + pad for row in b.entries)
+        off += b.cols
+    return IntMatrix._of(tuple(rows), n)
 
 
 def hermite_basis(rows: Sequence[Sequence[int]], n: int) -> IntMatrix:

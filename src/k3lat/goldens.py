@@ -1,10 +1,13 @@
-"""Reference values checked by the verification suites.
+"""The paper's tables: the family definitions and the reference values.
 
-Everything here is reproduced independently by the library; the suites
-compare computed output against these tables entry by entry.  Embedding
-descriptors are stored per component in expanded form: one row per
-component, ``(assigned factors, complement type, dual quotient order)``,
-as a sorted tuple so comparisons are order-free.
+Two tables are inputs, which ``cusps`` reads to define the families:
+``GENUS`` and the S, T and P summands of ``LATTICE_TABLE``.  The rest,
+``a3`` of ``LATTICE_TABLE`` included, are expected values: only the
+suites read them, and they compare them entry by entry against values
+the library computes independently.
+Embedding descriptors are stored per component in expanded form: one
+row per component, ``(assigned factors, complement type, dual quotient
+order)``, as a sorted tuple so comparisons are order-free.
 """
 
 from __future__ import annotations

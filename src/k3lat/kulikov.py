@@ -25,23 +25,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
+from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import (
     ExactLAError,
     IntMatrix,
+    block_diagonal,
     det,
     hnf,
     int_express,
-    kernel_basis,
     saturate,
-    snf,
 )
 from .lattice import (
     Lattice,
     LatticeError,
+    Overlattice,
     Sublattice,
     cartan_gram,
     diag_lattice,
@@ -56,12 +56,13 @@ from .lattice import (
     root_lattice,
     signature,
 )
-from .roots import EMPTY_TYPE, RootSystemType, root_system
+from .roots import EMPTY_TYPE, RootSystemType, dual_class_min, root_system
 from .eisenstein import (
     RhoLattice,
     assemble,
     fixed_sublattice,
     fpf_order3,
+    negative_fpf_order3,
     primitive_part,
     rho4_a1a1,
     rho4_d4,
@@ -78,15 +79,6 @@ class KulikovError(LatticeError):
 
 # -- triple-cover component rows ----------------------------------------
 
-COMPONENT_ROWS: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = (
-    (0, ((1, 3),)),
-    (0, ((0, 1), (2, 2))),
-    (1, ((0, 3),)),
-    (1, ((0, 1), (1, 2))),
-    (2, ((0, 1), (0, 2))),
-    (3, ((0, 1), (0, 1), (0, 1))),
-)
-
 _ROW_RECIPE: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], Tuple[Optional[int], int, int]] = {
     # spec -> (terminal del Pezzo degree or None for the plane,
     #          number of 3-cycles of exceptional classes,
@@ -98,6 +90,8 @@ _ROW_RECIPE: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], Tuple[Optional[int], 
     (2, ((0, 1), (0, 2))): (None, 2, 3),
     (3, ((0, 1), (0, 1), (0, 1))): (None, 1, 6),
 }
+
+COMPONENT_ROWS: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = tuple(_ROW_RECIPE)
 
 
 @dataclass(frozen=True)
@@ -158,17 +152,13 @@ def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix, Sublatti
     s = b.stack(IntMatrix(k_row, cols=dim))
     fpf = fpf_order3(sym, n)
     for candidate in (fpf.rho.matrix, fpf.rho.matrix * fpf.rho.matrix):
-        block = [[0] * dim for _ in range(dim)]
-        for i in range(n):
-            for j in range(n):
-                block[i][j] = candidate.entries[i][j]
-        block[n][n] = 1
+        block = block_diagonal(candidate, IntMatrix.identity(1))
         # acting on rows: x -> x * M with S * M = D * S, coordinates taken
         # in the (root basis, canonical class) frame; solved transposed as
         # M^T * S^T = (D * S)^T, and a non-integral M tries the next D
         try:
             m = int_express(
-                (IntMatrix(block, cols=dim) * s).transpose(), s.transpose()
+                (block * s).transpose(), s.transpose()
             ).transpose()
         except ExactLAError:
             continue
@@ -187,39 +177,22 @@ def build_component(spec: ComponentSpec) -> ComponentModel:
     """Picard lattice with order-3 action for one triple-cover component."""
     degree, cycles, fixed = _ROW_RECIPE[(spec.m, spec.parts)]
     lat, m, core = _terminal_model(degree)
+    grams, actions = [lat.gram], [m]
     orbits: List[Tuple[str, Tuple[int, ...]]] = []
-    gram_rows = [list(r) for r in lat.gram.entries]
-    mat_rows = [list(r) for r in m.entries]
-
-    def append_classes(count: int, cycle: bool):
-        nonlocal gram_rows, mat_rows
-        dim = len(gram_rows)
-        for row in gram_rows:
-            row.extend([0] * count)
-        for row in mat_rows:
-            row.extend([0] * count)
-        for i in range(count):
-            gram_rows.append([0] * dim + [0] * count)
-            gram_rows[dim + i][dim + i] = -1
-            mat_rows.append([0] * (dim + count))
-        if cycle:
-            # e_a -> e_b -> e_c -> e_a
-            for i in range(count):
-                mat_rows[dim + i][dim + (i + 1) % count] = 1
-            orbits.append(("cycle", tuple(range(dim, dim + count))))
-        else:
-            for i in range(count):
-                mat_rows[dim + i][dim + i] = 1
-                orbits.append(("fixed", (dim + i,)))
-
+    dim = lat.rank
     for _ in range(cycles):
-        append_classes(3, cycle=True)
-    if fixed:
-        append_classes(fixed, cycle=False)
-    picard = Lattice(IntMatrix(gram_rows, cols=len(gram_rows)))
+        # e_a -> e_b -> e_c -> e_a
+        grams.append(IntMatrix.diagonal([-1] * 3))
+        actions.append(IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+        orbits.append(("cycle", (dim, dim + 1, dim + 2)))
+        dim += 3
+    grams.append(IntMatrix.diagonal([-1] * fixed))
+    actions.append(IntMatrix.identity(fixed))
+    orbits.extend(("fixed", (dim + i,)) for i in range(fixed))
+    picard = Lattice(block_diagonal(*grams))
     if picard.rank != 10:
         raise KulikovError("component Picard lattice must have rank 10")
-    rho = rho_lattice(picard, IntMatrix(mat_rows, cols=picard.rank))
+    rho = rho_lattice(picard, block_diagonal(*actions))
     if rho.order != 3:
         raise KulikovError("component action does not have order 3")
     k = tuple([-3] + [1] * 9)
@@ -228,16 +201,14 @@ def build_component(spec: ComponentSpec) -> ComponentModel:
         raise KulikovError("anticanonical class is not isotropic")
     if rho.rho.apply(d) != d:
         raise KulikovError("anticanonical class is not fixed")
-    core_rows = IntMatrix(
-        [list(r) + [0] * (10 - core.basis.cols) for r in core.basis.entries],
-        cols=10,
-    )
+    # the core rows, padded with zero columns up to the Picard rank
+    core_rows = block_diagonal(core.basis, IntMatrix([], cols=10 - core.basis.cols))
     return ComponentModel(
         spec,
         picard,
         rho,
         d,
-        Sublattice(picard, core_rows) if core_rows.rows else Sublattice(picard, IntMatrix([], cols=10)),
+        Sublattice(picard, core_rows),
         tuple(orbits),
     )
 
@@ -264,16 +235,15 @@ class KulikovLattice:
     lattice: Lattice  # rank 18, even, unimodular
     rho: RhoLattice
     prim: Sublattice
-    ambient: Lattice  # P0 + P1
-    tilde_basis: IntMatrix  # rank-19 sublattice of the ambient
     xi: Tuple[int, ...]  # radical generator (D0, -D1)
     lift: IntMatrix  # quotient basis lifted to ambient coordinates
 
-    def to_quotient_coords(self, rows: IntMatrix) -> IntMatrix:
-        """Coordinates in the quotient of ambient rows lying in the kernel."""
-        adapted = IntMatrix([list(self.xi)], cols=self.ambient.rank).stack(self.lift)
-        coeff = int_express(rows, adapted)
-        return IntMatrix([list(r)[1:] for r in coeff.entries], cols=self.lift.rows)
+
+def _quotient_coords(xi: Sequence[int], lift: IntMatrix, rows: IntMatrix) -> IntMatrix:
+    """Coordinates in the quotient of ambient rows lying in the kernel."""
+    adapted = IntMatrix([list(xi)], cols=lift.cols).stack(lift)
+    coeff = int_express(rows, adapted)
+    return IntMatrix([r[1:] for r in coeff.entries], cols=lift.rows)
 
 
 def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
@@ -284,55 +254,23 @@ def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
     componentwise order-3 action descending to it.
     """
     amb = direct_sum(c0.picard, c1.picard)
-    n = amb.rank
-    u = list(c0.d) + [-x for x in c1.d]
-    pair_row = amb.gram * IntMatrix([u], cols=n).transpose()
-    tilde = kernel_basis(pair_row.transpose())
-    if tilde.rows != n - 1:
-        raise KulikovError("degree-matching kernel has the wrong rank")
-    xi_coeff = int_express(IntMatrix([u], cols=n), tilde)
-    res = snf(xi_coeff)
-    if res.d != (1,):
-        raise KulikovError("radical generator is not primitive in the kernel")
-    r_inv = int_express(IntMatrix.identity(res.right.rows), res.right)
-    lift = r_inv.submatrix(range(1, r_inv.rows)) * tilde
-    gram = lift * amb.gram * lift.transpose()
-    lam = Lattice(gram)
-    if lam.rank != 18 or abs(lam.det()) != 1 or not lam.is_even:
+    xi = c0.d + tuple(-x for x in c1.d)
+    # degree matching is orthogonality to the isotropic xi
+    lam, lift = quotient_by_isotropic(Sublattice(amb, [xi]))
+    if lam.rank != 18 or not lam.is_unimodular or not lam.is_even:
         raise KulikovError("glued lattice is not even unimodular of rank 18")
     if signature(lam) != (1, 17):
         raise KulikovError("glued lattice has the wrong signature")
     # componentwise action descends to the quotient
-    rho_amb = [[0] * n for _ in range(n)]
-    for i in range(10):
-        for j in range(10):
-            rho_amb[i][j] = c0.rho.rho.matrix.entries[i][j]
-            rho_amb[10 + i][10 + j] = c1.rho.rho.matrix.entries[i][j]
-    rho_amb_m = IntMatrix(rho_amb, cols=n)
-    adapted = IntMatrix([u], cols=n).stack(lift)
-    images = lift * rho_amb_m
-    coeff = int_express(images, adapted)
-    rho_q = IntMatrix([list(r)[1:] for r in coeff.entries], cols=18)
-    rq = rho_lattice(lam, rho_q)
+    images = lift * block_diagonal(c0.rho.rho.matrix, c1.rho.rho.matrix)
+    rq = rho_lattice(lam, _quotient_coords(xi, lift, images))
     if rq.order != 3:
         raise KulikovError("glued action does not have order 3")
     prim = primitive_part(rq)
     fix = fixed_sublattice(rq)
     if prim.rank + fix.rank != 18:
         raise KulikovError("fixed and primitive parts do not fill the lattice")
-    out = KulikovLattice(lam, rq, prim, amb, tilde, tuple(u), lift)
-    return out
-
-
-def _embed_component_rows(rows: IntMatrix, side: int) -> IntMatrix:
-    """Pad rank-10 component rows into the rank-20 ambient sum."""
-    padded = []
-    for r in rows.entries:
-        v = [0] * 20
-        for j, x in enumerate(r):
-            v[side * 10 + j] = x
-        padded.append(v)
-    return IntMatrix(padded, cols=20)
+    return KulikovLattice(lam, rq, prim, xi, lift)
 
 
 def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) -> Tuple[bool, int]:
@@ -344,10 +282,8 @@ def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) 
     p0, t0 = primitive_picard(c0)
     p1, t1 = primitive_picard(c1)
     expected = t0 + t1
-    rows0 = _embed_component_rows(p0.basis, 0)
-    rows1 = _embed_component_rows(p1.basis, 1)
-    stacked = rows0.stack(rows1) if rows0.rows or rows1.rows else IntMatrix([], cols=20)
-    image = k.to_quotient_coords(stacked)
+    # the component primitive parts, padded into the rank-20 ambient sum
+    image = _quotient_coords(k.xi, k.lift, block_diagonal(p0.basis, p1.basis))
     # express the image inside the primitive part and measure the index
     coeff = int_express(image, k.prim.basis)
     if coeff.rows != k.prim.rank:
@@ -372,44 +308,21 @@ class SemifanRecord:
 
 
 def _starred_model(
-    factors: Sequence[Symbol],
-) -> Tuple[Lattice, IntMatrix, "object", Tuple[int, ...]]:
-    """Index-3 even overlattice of the negative definite factor sum whose
-    nonzero glue cosets contain no roots, together with the descended
-    order-3 action.  Returns (lattice, action, overlattice, glue word)."""
-    lats = [rescale(root_lattice(sym, n), -1) for sym, n in factors]
-    base = direct_sum(*lats)
-    offsets = []
-    off = 0
-    for sym, n in factors:
-        offsets.append(off)
-        off += n
-    rho_blocks = []
-    for sym, n in factors:
-        fpf = fpf_order3(sym, n)
-        rho_blocks.append(rho_lattice(rescale(fpf.lattice, -1), fpf.rho.matrix))
-    rho_base = assemble(rho_blocks)
+    factors: Sequence[Symbol], base: RhoLattice
+) -> Tuple[RhoLattice, Overlattice]:
+    """Index-3 even overlattice of the negative definite factor sum
+    ``base`` whose nonzero glue cosets contain no roots, together with the
+    descended order-3 action."""
     # candidate glue words over the factor discriminants (all of order 3)
-    n_slots = len(factors)
-    from itertools import product
-
-    def coset_min(word: Tuple[int, ...]) -> Fraction:
-        total = Fraction(0)
-        for c, (sym, n) in zip(word, factors):
-            if c:
-                total += Fraction(4, 3) if sym == "E" else Fraction(2, 3)
-        return total
-
-    found = None
-    for word in product((0, 1, 2), repeat=n_slots):
-        if not any(word) or coset_min(word) <= 2:
+    for word in product((0, 1, 2), repeat=len(factors)):
+        coset_min = sum(dual_class_min(*f) for c, f in zip(word, factors) if c)
+        if not any(word) or coset_min <= 2:
             continue
         glue_row = []
-        for c, (sym, n) in zip(word, factors):
-            gen = dual_generator(sym, n)
-            glue_row.extend(x * c for x in gen)
+        for c, f in zip(word, factors):
+            glue_row.extend(x * c for x in dual_generator(*f))
         try:
-            over = glue_overlattice(base, [glue_row])
+            over = glue_overlattice(base.lattice, [glue_row])
         except LatticeError:
             continue
         if over.index != 3:
@@ -419,59 +332,33 @@ def _starred_model(
         d = math.lcm(*(x.denominator for row in over.basis for x in row))
         h = IntMatrix([[x.numerator * (d // x.denominator) for x in row] for row in over.basis])
         try:
-            m = int_express(h * rho_base.rho.matrix, h)
+            m = int_express(h * base.rho.matrix, h)
         except ExactLAError:
             continue
-        found = (over.lattice, m, over, word)
-        break
-    if found is None:
-        raise KulikovError("no valid index-3 glue for the starred quotient model")
-    return found
-
-
-TABLE1_SEMIFANS: Dict[Tuple[int, int], Tuple[Tuple[str, int], ...]] = {
-    # (family) -> ((cusp type, rank of the semifan sublattice), ...)
-    (0, 2): (("E8^2", 0),),
-    (0, 1): (("E6^2+A2^2*", 4), ("E8+E6+A2", 2), ("E8^2", 0)),
-    (1, 1): (
-        ("E6+A2^4*", 8),
-        ("E8+A2^3", 6),
-        ("E6^2+A2", 2),
-        ("E8+E6", 0),
-    ),
-    (2, 1): (
-        ("A2^6*", 12),
-        ("E6+A2^3", 6),
-        ("E6^2", 0),
-        ("E8+A2^2", 4),
-    ),
-}
+        return rho_lattice(over.lattice, m), over
+    raise KulikovError("no valid index-3 glue for the starred quotient model")
 
 
 def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
     """The semifan sublattice of a quotient model: the saturation of the
-    span of the A2 factors, checked primitive and invariant."""
+    span of the A2 factors, checked primitive and invariant.  A cusp that
+    ``classify_cusps(n, k)`` does not list is rejected."""
+    # imported here, so that gluing alone does not load the cusp classifier
+    from .cusps import classify_cusps
+
     if isinstance(cusp, str):
         cusp = RootSystemType.parse(cusp)
-    table = dict(TABLE1_SEMIFANS.get((n, k), ()))
-    if str(cusp) not in table:
+    if cusp not in {c.jperp_root for c in classify_cusps(n, k)}:
         raise KulikovError(f"({n},{k}) with cusp {cusp} is not a boundary case")
     factors = list(cusp.components)
+    base = assemble([negative_fpf_order3(*f) for f in factors])
     if cusp.starred:
-        model, rho_m, over, word = _starred_model(factors)
+        rho_model, over = _starred_model(factors, base)
     else:
-        lats = [rescale(root_lattice(sym, m), -1) for sym, m in factors]
-        model = direct_sum(*lats)
-        blocks = []
-        for sym, m in factors:
-            fpf = fpf_order3(sym, m)
-            blocks.append(rho_lattice(rescale(fpf.lattice, -1), fpf.rho.matrix))
-        rho_m = assemble(blocks).rho.matrix
-        over = None
-        word = None
-    rho_model = rho_lattice(model, rho_m)
+        rho_model, over = base, None
     if rho_model.order not in (1, 3):
         raise KulikovError("model action has unexpected order")
+    model, rho_m = rho_model.lattice, rho_model.rho.matrix
     # rows of the A2 slots in model coordinates
     slot_rows: List[List[int]] = []
     off = 0
@@ -503,13 +390,8 @@ def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
     else:
         invariant = True
         fj_disc = ()
-    rank = fj.rows
-    if rank != table[str(cusp)]:
-        raise KulikovError(
-            f"semifan rank {rank} differs from the tabulated {table[str(cusp)]}"
-        )
     return SemifanRecord(
-        f"({n},{k})", cusp, rank, tuple(fj_disc), primitive, invariant, model, fj
+        f"({n},{k})", cusp, fj.rows, tuple(fj_disc), primitive, invariant, model, fj
     )
 
 

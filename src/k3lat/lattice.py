@@ -22,6 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .exactla import (
     IntMatrix,
+    block_diagonal,
     det,
     hnf,
     int_express,
@@ -159,16 +160,8 @@ def diag_lattice(entries: Sequence[int], label: str | None = None) -> Lattice:
 
 
 def direct_sum(*lats: Lattice) -> Lattice:
-    n = sum(l.rank for l in lats)
-    g = [[0] * n for _ in range(n)]
-    off = 0
-    for l in lats:
-        for i in range(l.rank):
-            for j in range(l.rank):
-                g[off + i][off + j] = l.gram.entries[i][j]
-        off += l.rank
-    label = "+".join(l.label or "?" for l in lats) if all(l.label for l in lats) else None
-    return Lattice(IntMatrix(g, cols=n), label=label)
+    label = "+".join(l.label for l in lats) if all(l.label for l in lats) else None
+    return Lattice(block_diagonal(*(l.gram for l in lats)), label=label)
 
 
 def rescale(l: Lattice, n: int) -> Lattice:
@@ -419,16 +412,16 @@ def quotient_by_isotropic(j: Sublattice) -> Tuple[Lattice, IntMatrix]:
     """
     if not j.is_isotropic():
         raise LatticeError("sublattice is not isotropic")
-    if not j.is_primitive:
-        raise LatticeError("sublattice is not saturated; saturate it first")
     perp = j.orth_complement()
     bperp = perp.basis
     # J sits inside its own orthogonal complement
     coeff = int_express(j.basis, bperp)
     # adapt a basis of Z^(rank perp) so the first rows span the image of J
     res = snf(coeff)
+    # J^perp is saturated and contains J, so J is saturated in the ambient
+    # lattice exactly when it is saturated in J^perp: all d equal to 1
     if any(d != 1 for d in res.d):
-        raise LatticeError("isotropic sublattice is not saturated in its complement")
+        raise LatticeError("sublattice is not saturated; saturate it first")
     q_inv = int_express(IntMatrix.identity(res.right.rows), res.right)
     # rows of right^-1 beyond rank(J) lift a basis of the quotient
     lift = q_inv.submatrix(range(j.rank, q_inv.rows)) * bperp

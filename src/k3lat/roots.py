@@ -17,23 +17,26 @@ ascending scan, and the components are those of the Dynkin graph of the
 simple roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
 The root span is the Hermite form of the simple roots.
 
-The layer is integer-only: no ``Fraction`` is built, and the size
-reduction rounds quotients with ``divmod``.  ``root_system`` analyses
-each Gram matrix once per process (a ``functools.cache`` keyed on the
-Gram matrix); a lattice with a Gram matrix already seen gets the cached
-type and span basis, wrapped as a sublattice of that lattice.
+The layer is integer-only: no ``Fraction`` is built but the one
+``dual_class_min`` returns, and the size reduction rounds quotients
+with ``divmod``.  ``root_system`` analyses each Gram matrix once per
+process (a ``functools.cache`` keyed on the Gram matrix); a lattice
+with a Gram matrix already seen gets the cached type and span basis,
+wrapped as a sublattice of that lattice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
+from itertools import count
 from operator import mul, sub
 from typing import Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, det, hermite_basis, in_rational_span
-from .lattice import Lattice, LatticeError, Sublattice, definite_sign
+from .exactla import IntMatrix, det, hermite_basis, in_rational_span, int_express
+from .lattice import Lattice, LatticeError, Sublattice, definite_sign, root_lattice
 
 Vector = Tuple[int, ...]
 
@@ -213,6 +216,28 @@ def enumerate_norm_box(l: Lattice, m: int, bound: int) -> List[Vector]:
 
     scan(0, 0, tuple([0] * n))
     return sorted(out)
+
+
+@cache
+def dual_class_min(sym: str, n: int) -> Fraction:
+    """Least norm of a nontrivial discriminant class of the root lattice
+    ``sym n``: of a vector of the dual lattice outside the lattice.
+
+    With ``d = det G``, ``C = d G^-1`` is integral, and a dual vector with
+    dual-basis coordinates ``v`` has norm ``v C v^T / d`` and lies in the
+    lattice exactly when ``v C = 0 mod d``.  The scaled dual is enumerated
+    norm by norm until such a ``v`` falls outside the lattice.
+    """
+    l = root_lattice(sym, n)
+    if l.is_unimodular:
+        raise EnumerationError(f"{sym}{n} is unimodular: no nontrivial dual class")
+    d = l.det()
+    c = int_express(IntMatrix.identity(n).scale(d), l.gram)
+    dual = Lattice(c)
+    for m in count(1):
+        found = enumerate_norm(dual, m)
+        if found and any(x % d for row in (IntMatrix(found, cols=n) * c).entries for x in row):
+            return Fraction(m, d)
 
 
 def restrict_to_box(vectors: Sequence[Vector], bound: int) -> List[Vector]:

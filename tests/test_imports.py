@@ -7,10 +7,12 @@ depth, so function-local imports count too) and the names the module
 reads anywhere, and fails on an import that is never read.
 
 The dead-code rule: every non-dunder function or method defined in
-``src/k3lat`` must be referenced by name (read as a name or an
-attribute, or imported) in ``src/k3lat``, ``tests`` or ``bench``.  A
-function registered as a CLI subcommand by a ``*.command()`` decorator
-is referenced by that decorator.
+``src/k3lat`` must be referenced by name in ``src/k3lat``, ``tests`` or
+``bench``.  A function counts as referenced when it is read as a name
+or an attribute, or imported; a method only when it is read as an
+attribute or imported, so a local variable that shares its name does
+not keep it alive.  A function registered as a CLI subcommand by a
+``*.command()`` decorator is referenced by that decorator.
 """
 
 from __future__ import annotations
@@ -58,21 +60,28 @@ def _is_command(decorator: ast.expr) -> bool:
 
 def unreferenced_definitions(defining: dict, others: list) -> list:
     """(file, line, name) of each non-dunder function or method in the
-    ``defining`` sources (file name -> text) whose name no source, of
-    these or of ``others``, reads or imports."""
+    ``defining`` sources (file name -> text) that no source, of these or
+    of ``others``, references: a function by a name, attribute or import,
+    a method by an attribute or import only."""
     trees = {name: ast.parse(text) for name, text in defining.items()}
-    referenced = set()
+    names = set()
+    attributes = set()  # attribute reads and imported names
     for tree in list(trees.values()) + [ast.parse(text) for text in others]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                referenced.add(node.name.split(".")[-1])
+                attributes.add(node.name.split(".")[-1])
+    everything = names | attributes
     out = []
     for file, tree in trees.items():
+        methods = {
+            id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+        }
         for node in ast.walk(tree):
+            referenced = attributes if id(node) in methods else everything
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (node.name.startswith("__") and node.name.endswith("__"))
@@ -101,3 +110,16 @@ def test_check_flags_an_unreferenced_definition():
         ("m.py", 10, "dead"),
     ]
     assert unreferenced_definitions({"m.py": source}, ["from m import unused", "A().m(); A.dead"]) == []
+
+
+def test_check_reads_a_method_only_as_an_attribute():
+    source = (
+        "class A:\n    def row(self): ...\n    def power(self): ...\n\n"
+        "def row():\n    return 1\n"
+    )
+    reads = "power = row()\nprint(power)"
+    assert unreferenced_definitions({"m.py": source}, [reads]) == [
+        ("m.py", 2, "row"),
+        ("m.py", 3, "power"),
+    ]
+    assert unreferenced_definitions({"m.py": source}, [reads, "A().row; from m import power"]) == []

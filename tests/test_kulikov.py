@@ -3,9 +3,9 @@ import dataclasses
 import pytest
 
 from k3lat.exactla import IntMatrix, index_in
+from k3lat.goldens import SEMIFAN_TABLE
 from k3lat.kulikov import (
     COMPONENT_ROWS,
-    TABLE1_SEMIFANS,
     ComponentSpec,
     KulikovError,
     build_component,
@@ -121,7 +121,7 @@ def test_root_split_trivial_case():
 
 
 def test_semifan_table_ranks():
-    for (n, k), entries in TABLE1_SEMIFANS.items():
+    for (n, k), entries in SEMIFAN_TABLE.items():
         for cusp, rank in entries:
             rec = semifan(n, k, cusp)
             assert rec.fj_rank == rank
@@ -145,6 +145,17 @@ def test_semifan_zero_cases():
 def test_semifan_rejects_unknown_pair():
     with pytest.raises(KulikovError):
         semifan(0, 2, "E6^2")
+
+
+def test_semifan_suite_reports_a_wrong_rank_as_fail(monkeypatch):
+    # the expected rank lives in goldens only: a wrong one is a FAIL item,
+    # never an exception out of the library
+    from k3lat.suites import suite_semifan
+
+    (cusp, rank), *rest = SEMIFAN_TABLE[(0, 1)]
+    monkeypatch.setitem(SEMIFAN_TABLE, (0, 1), ((cusp, rank + 2), *rest))
+    failed = [(i.id, i.computed, i.expected) for i in suite_semifan().items if i.status != "pass"]
+    assert failed == [(f"(0,1)-{cusp}-rank", str(rank), str(rank + 2))]
 
 
 def test_semifan_fingerprints_match_concrete_quotients():

@@ -19,6 +19,7 @@ from k3lat.roots import (
     RootSystemType,
     _round_div,
     complement_root_type,
+    dual_class_min,
     enumerate_norm,
     enumerate_norm_box,
     restrict_to_box,
@@ -122,6 +123,19 @@ def test_root_system_additive_over_sums():
 
 def test_root_span_index_trivial():
     assert root_span_index(root_lattice("E", 8)) == 1
+
+
+def test_dual_class_min():
+    assert dual_class_min("A", 2) == Fraction(2, 3)
+    assert dual_class_min("E", 6) == Fraction(4, 3)
+    with pytest.raises(EnumerationError, match="unimodular"):
+        dual_class_min("E", 8)
+    # closed forms (Conway-Sloane, SPLAG 4.6-4.8): A_n n/(n+1), D_n min(1, n/4), E7 3/2
+    for n in (1, 3, 5):
+        assert dual_class_min("A", n) == Fraction(n, n + 1)
+    for n in (4, 5, 6):
+        assert dual_class_min("D", n) == min(Fraction(1), Fraction(n, 4))
+    assert dual_class_min("E", 7) == Fraction(3, 2)
 
 
 def test_complement_a2_in_e8():
