@@ -7,8 +7,14 @@ lattices T is computed two ways:
   under the order-3 action and taking the induced form on J-perp/J;
 * combinatorially, by embedding the complementary definite lattice P
   into the root systems of the two relevant rank-24 even unimodular
-  lattices (E8^3, and the index-9 glue overlattice of E6^4) and reading
-  off orthogonal complements of root subsystems.
+  lattices, E8^3 and E6^4, and reading off orthogonal complements of
+  root subsystems.
+
+Both unimodular lattices come from one builder, ``build_niemeier``, which
+reads them from the data table ``NIEMEIER_GLUE``: a component, its number
+of copies and the generators of the glue code.  The glue codes are input
+data from Conway-Sloane, SPLAG Table 16.1: E8^3 needs none, and E6^4 is
+glued by the tetracode over the discriminant groups Z/3 of its copies.
 
 The embedding search walks simple roots of the factors of P through the
 component's root system, requiring the Cartan pairings at every step.
@@ -21,10 +27,9 @@ redundancy of the raw search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations, product
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import permutations, product
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import goldens
 from .exactla import (
@@ -33,6 +38,7 @@ from .exactla import (
     index_in,
     int_express,
     kernel_basis,
+    rank,
     saturate,
 )
 from .lattice import (
@@ -40,15 +46,14 @@ from .lattice import (
     LatticeError,
     Overlattice,
     Sublattice,
+    cartan_gram,
     direct_sum,
     dual_generator,
     glue_overlattice,
     hyperbolic,
-    is_p_elementary,
     quotient_by_isotropic,
     rescale,
     root_lattice,
-    signature,
 )
 from .roots import (
     EMPTY_TYPE,
@@ -100,7 +105,6 @@ class FamilyId:
 
 @dataclass(frozen=True)
 class FamilyData:
-    family: FamilyId
     s: Lattice
     t: Lattice
     p: Lattice
@@ -121,7 +125,7 @@ def _sum_from_symbols(symbols, negative_roots=True) -> Lattice:
 
 @cache
 def family_data(n: int, k: int) -> FamilyData:
-    fam = FamilyId(n, k)
+    FamilyId(n, k)  # rejects an unknown family
     row = goldens.LATTICE_TABLE[(n, k)]
     s, t, p = (_sum_from_symbols(row[x]) for x in "STP")
     u_block = rho3_u_u() if row["T"][:2] == (("U", 1), ("U", 1)) else rho3_u_u3()
@@ -129,22 +133,12 @@ def family_data(n: int, k: int) -> FamilyData:
     if rho_t.lattice.gram != t.gram:
         raise CuspError("assembled action lives on the wrong lattice")
 
-    # structural checks
-    if signature(t) != (2, t.rank - 2):
-        raise CuspError("period lattice has the wrong signature")
-    if signature(p) != (0, p.rank):
-        raise CuspError("complement lattice is not negative definite")
-    if t.rank + p.rank != 28:
-        raise CuspError("ranks do not sum to the rank of the ambient unimodular lattice")
-    if abs(t.det()) != abs(p.det()):
-        raise CuspError("discriminant orders of T and P disagree")
-    if not is_p_elementary(t, 3):
-        raise CuspError("period lattice is not 3-elementary")
+    # the signatures, ranks and discriminants are items of the tab3 suite
     if fixed_sublattice(rho_t).rank != 0:
         raise CuspError("period action has fixed vectors")
     if not is_estar(rho_t):
         raise CuspError("period action is not trivial on the discriminant group")
-    return FamilyData(fam, s, t, p, row["P"], rho_t)
+    return FamilyData(s, t, p, row["P"], rho_t)
 
 
 # -- root-system machinery per component -------------------------------
@@ -236,8 +230,6 @@ _FACTOR_ORDERS = {
 def _factor_requirements(sym: str, n: int) -> List[List[int]]:
     """Pairing requirements of each simple root against the earlier ones,
     in a connectivity-friendly choice order."""
-    from .lattice import cartan_gram
-
     order = _FACTOR_ORDERS.get((sym, n))
     if order is None:
         order = list(range(1, n + 1))
@@ -252,9 +244,7 @@ def _factor_requirements(sym: str, n: int) -> List[List[int]]:
 class ComponentOutcome:
     """Distinct result of embedding a factor multiset into one component."""
 
-    factors: Tuple[Symbol, ...]
     complement_type: RootSystemType
-    complement_rank: int
     rootspan_index: int  # [complement : span of its roots]
     dual_image_order: int  # [P-perp taken in the dual : P-perp in the component]
     witness: Tuple[Tuple[int, ...], ...]  # root indices per factor
@@ -262,9 +252,7 @@ class ComponentOutcome:
     complement_simple: Tuple[Vector, ...]  # simple roots of the complement
 
 
-def _outcome_from_leaf(
-    cs: ComponentSystem, factors: Tuple[Symbol, ...], flat: List[int], sizes: List[int]
-) -> ComponentOutcome:
+def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -> ComponentOutcome:
     rk = cs.lattice.rank
     comp_mask = cs.all_mask
     for i in flat:
@@ -273,8 +261,7 @@ def _outcome_from_leaf(
     ctype, simple = root_decomposition(comp_roots, cs.lattice.gram)
     rows = IntMatrix._of(tuple(cs.roots[i] for i in flat), rk)
     comp_basis = kernel_basis(rows * cs.lattice.gram)  # complement in the lattice
-    crank = comp_basis.rows
-    if ctype.rank != crank:
+    if ctype.rank != comp_basis.rows:
         raise CuspError("complement is not rationally spanned by its roots")
     # the simple roots span the same lattice as all complement roots
     rootspan_index = index_in(hermite_basis(simple, rk), comp_basis) if simple else 1
@@ -287,7 +274,7 @@ def _outcome_from_leaf(
         witness.append(tuple(flat[pos : pos + s]))
         pos += s
     return ComponentOutcome(
-        factors, ctype, crank, rootspan_index, dual_order, tuple(witness), comp_mask, tuple(simple)
+        ctype, rootspan_index, dual_order, tuple(witness), comp_mask, tuple(simple)
     )
 
 
@@ -324,7 +311,7 @@ def _embed_sorted(comp: Symbol, factors: Tuple[Symbol, ...]) -> Tuple[ComponentO
 
     def search(depth: int, chosen: List[int], orth_mask: int):
         if depth == total:
-            out = _outcome_from_leaf(cs, factors, chosen, sizes)
+            out = _outcome_from_leaf(cs, chosen, sizes)
             dkey = (str(out.complement_type), out.rootspan_index, out.dual_image_order)
             outcomes.setdefault(dkey, out)
             if full_rank:
@@ -348,6 +335,16 @@ def _embed_sorted(comp: Symbol, factors: Tuple[Symbol, ...]) -> Tuple[ComponentO
 # -- rank-24 unimodular models ------------------------------------------
 
 
+# The rank-24 even unimodular lattices of the classifier, as data: kind
+# -> (component, number of copies, generators of the glue code).  A code
+# word names a class of the discriminant group Z/3 of each copy, by its
+# multiple of the dual generator (Conway-Sloane, SPLAG Table 16.1).
+NIEMEIER_GLUE: Dict[str, Tuple[Symbol, int, Tuple[Vector, ...]]] = {
+    "E8^3": (("E", 8), 3, ()),
+    "E6^4": (("E", 6), 4, ((0, 1, 1, 1), (1, 0, 1, 2))),  # the tetracode
+}
+
+
 @dataclass
 class NiemeierModel:
     kind: str
@@ -355,41 +352,13 @@ class NiemeierModel:
     ncomp: int
     r: Lattice
     n: Lattice
-    overlattice: Optional[Overlattice]
-    glue_code: Tuple[Tuple[int, ...], ...]  # all nonzero codewords, or ()
+    overlattice: Overlattice
+    glue_code: Tuple[Vector, ...]  # all nonzero codewords
     perm_group: Tuple[Tuple[int, ...], ...]
     root_count: int
 
     def component_offset(self, c: int) -> int:
         return c * self.comp[1]
-
-
-def _subspaces_f3_4() -> List[Tuple[Tuple[int, ...], ...]]:
-    """All 2-dimensional subspaces of F_3^4, each as its tuple of nonzero
-    vectors sorted lexicographically.
-
-    Each plane is spanned by its reduced row-echelon basis v, w: pivots
-    p < q holding 1, zeros before each pivot and in the other row's pivot
-    column, any entries elsewhere; 130 bases in all.
-    """
-    out = []
-    for p, q in combinations(range(4), 2):
-        free_v = [j for j in range(p + 1, 4) if j != q]
-        for fv in product(range(3), repeat=len(free_v)):
-            for fw in product(range(3), repeat=3 - q):
-                v, w = [0] * 4, [0] * 4
-                v[p] = w[q] = 1
-                for j, x in zip(free_v, fv):
-                    v[j] = x
-                w[q + 1 :] = fw
-                span = {
-                    tuple((s * x + t * y) % 3 for x, y in zip(v, w))
-                    for s in range(3)
-                    for t in range(3)
-                    if s or t
-                }
-                out.append(tuple(sorted(span)))
-    return sorted(out)
 
 
 def _code_perm_group(code: FrozenSet[Tuple[int, ...]], ncomp: int) -> Tuple[Tuple[int, ...], ...]:
@@ -417,78 +386,43 @@ def _code_perm_group(code: FrozenSet[Tuple[int, ...]], ncomp: int) -> Tuple[Tupl
 
 @cache
 def build_niemeier(kind: str) -> NiemeierModel:
-    """The two rank-24 even unimodular lattices used by the classifier."""
-    if kind == "E8^3":
-        comp = ("E", 8)
-        r = direct_sum(*[root_lattice("E", 8) for _ in range(3)])
-        count = 3 * len(component_system("E", 8).roots)
-        model = NiemeierModel(
-            kind, comp, 3, r, r, None, (), tuple(permutations(range(3))), count
-        )
-    elif kind == "E6^4":
-        comp = ("E", 6)
-        r = direct_sum(*[root_lattice("E", 6) for _ in range(4)])
-        gen = dual_generator("E", 6)
-        zero = tuple(Fraction(0) for _ in range(6))
-
-        def glue_vector(word: Tuple[int, ...]) -> Tuple[Fraction, ...]:
-            parts = []
-            for c in word:
-                if c == 0:
-                    parts.extend(zero)
-                else:
-                    parts.extend(x * c for x in gen)
-            return tuple(parts)
-
-        min_nontrivial = dual_class_min("E", 6)
-        chosen = None
-        for span in _subspaces_f3_4():
-            # pick two independent generators from the span list
-            g1 = span[0]
-            g2 = next(
-                w
-                for w in span
-                if w != g1 and w != tuple((2 * x) % 3 for x in g1)
-            )
-            try:
-                over = glue_overlattice(r, [glue_vector(g1), glue_vector(g2)])
-            except LatticeError:
-                continue
-            if over.index != 9 or not over.lattice.is_unimodular or not over.lattice.is_even:
-                continue
-            # no new roots: each nonzero coset has minimal norm > 2
-            ok = True
-            for w in span:
-                weight = sum(1 for c in w if c)
-                if weight * min_nontrivial <= 2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen = (span, over)
-            break
-        if chosen is None:
-            raise CuspError("no valid glue found for E6^4")
-        span, over = chosen
-        # the defining property of the glue: one zero coordinate per word
-        for w in span:
-            if sum(1 for c in w if c == 0) != 1:
-                raise CuspError("glue word without exactly one zero coordinate")
-        count = 4 * len(component_system("E", 6).roots)
-        model = NiemeierModel(
-            kind,
-            comp,
-            4,
-            r,
-            over.lattice,
-            over,
-            tuple(span),
-            _code_perm_group(frozenset(span), 4),
-            count,
-        )
-    else:
+    """The rank-24 even unimodular lattice ``kind`` of ``NIEMEIER_GLUE``:
+    the direct sum of the copies of its component, glued by its code."""
+    if kind not in NIEMEIER_GLUE:
         raise CuspError(f"unknown model kind {kind!r}")
-    return model
+    comp, ncomp, gens = NIEMEIER_GLUE[kind]
+    code = {
+        tuple(sum(c * g[i] for c, g in zip(cs, gens)) % 3 for i in range(ncomp))
+        for cs in product(range(3), repeat=len(gens))
+    } - {(0,) * ncomp}
+    # no new roots: a word of weight w glues classes of norm at least
+    # w times the least norm of a nontrivial class
+    for w in code:
+        if (ncomp - w.count(0)) * dual_class_min(*comp) <= 2:
+            raise CuspError(f"{kind}: glue word {w} adds roots")
+    r = direct_sum(*[root_lattice(*comp)] * ncomp)
+    glue = [[x * c for c in g for x in dual_generator(*comp)] for g in gens]
+    over = glue_overlattice(r, glue)
+    if over.index ** 2 != abs(r.det()):
+        raise CuspError(f"{kind}: glue index {over.index} does not match the discriminant")
+    if not over.lattice.is_unimodular or not over.lattice.is_even:
+        raise CuspError(f"{kind}: glued lattice is not even unimodular")
+    # the defining property of the glue: one zero coordinate per word
+    for w in code:
+        if w.count(0) != 1:
+            raise CuspError("glue word without exactly one zero coordinate")
+    count = ncomp * len(component_system(*comp).roots)
+    return NiemeierModel(
+        kind,
+        comp,
+        ncomp,
+        r,
+        over.lattice,
+        over,
+        tuple(sorted(code)),
+        _code_perm_group(frozenset(code), ncomp),
+        count,
+    )
 
 
 # -- embeddings of P ----------------------------------------------------
@@ -502,7 +436,6 @@ class EmbeddingRecord:
     total_complement: RootSystemType
     starred: bool
     sat_index: int
-    glue_intersection: int  # order of code ∩ image of the dual complement
 
     def rows(self) -> List[Tuple[str, str, int]]:
         """Per-component rows (assigned factors, complement type, dual order)."""
@@ -561,21 +494,19 @@ def enumerate_embeddings(
             rootspan_prod = 1
             for oc in outcome_tuple:
                 rootspan_prod *= oc.rootspan_index
-            if model.glue_code:
-                full_positions = [
-                    i for i, oc in enumerate(outcome_tuple) if oc.dual_image_order == 3
-                ]
-                for oc in outcome_tuple:
-                    if oc.dual_image_order not in (1, 3):
-                        raise CuspError("unexpected dual image order")
-                inter = sum(
-                    1
-                    for w in model.glue_code
-                    if all(w[i] == 0 for i in range(model.ncomp) if i not in full_positions)
-                )
-                glue_intersection = inter + 1  # include the zero word
-            else:
-                glue_intersection = 1
+            full_positions = [
+                i for i, oc in enumerate(outcome_tuple) if oc.dual_image_order == 3
+            ]
+            for oc in outcome_tuple:
+                if oc.dual_image_order not in (1, 3):
+                    raise CuspError("unexpected dual image order")
+            # order of the code meeting the image of the dual complement
+            inter = sum(
+                1
+                for w in model.glue_code
+                if all(w[i] == 0 for i in range(model.ncomp) if i not in full_positions)
+            )
+            glue_intersection = inter + 1  # include the zero word
             sat_index = glue_intersection * rootspan_prod
             if sat_index not in (1, 3):
                 raise CuspError(f"saturation index {sat_index} outside {{1,3}}")
@@ -588,7 +519,6 @@ def enumerate_embeddings(
                     total.with_star(starred),
                     starred,
                     sat_index,
-                    glue_intersection,
                 )
             )
     records.sort(key=lambda r: (str(r.total_complement), r.assignment))
@@ -606,8 +536,7 @@ def _model_rows(model: NiemeierModel, per_component: Sequence[Sequence[Vector]])
             vec = [0] * rank_r
             vec[off : off + len(v)] = v
             rows.append(vec)
-    m = IntMatrix(rows, cols=rank_r)
-    return m if model.overlattice is None else m * model.overlattice.old_in_new
+    return IntMatrix(rows, cols=rank_r) * model.overlattice.old_in_new
 
 
 def embedded_p_rows(record: EmbeddingRecord, model: NiemeierModel) -> IntMatrix:
@@ -661,7 +590,6 @@ def cusp_quotient_lattice(record: EmbeddingRecord, model: NiemeierModel) -> Latt
 
 @dataclass(frozen=True)
 class CuspRecord:
-    family: FamilyId
     jperp_root: RootSystemType  # star flag included
     witnesses: Tuple[EmbeddingRecord, ...]
 
@@ -671,13 +599,13 @@ def classify_cusps(n: int, k: int) -> Tuple[CuspRecord, ...]:
     """All 1-cusp quotient types of the family, from both unimodular models."""
     fam = family_data(n, k)
     by_type: Dict[str, List[EmbeddingRecord]] = {}
-    for kind in ("E8^3", "E6^4"):
+    for kind in NIEMEIER_GLUE:
         model = build_niemeier(kind)
         for rec in enumerate_embeddings(fam.p_factors, model):
             star_of(rec, model)  # concrete verification of the star flag
             by_type.setdefault(str(rec.total_complement), []).append(rec)
     return tuple(
-        CuspRecord(fam.family, by_type[key][0].total_complement, tuple(by_type[key]))
+        CuspRecord(by_type[key][0].total_complement, tuple(by_type[key]))
         for key in sorted(by_type)
     )
 
@@ -694,9 +622,7 @@ def isotropic_plane(r: RhoLattice, e: Sequence[int]) -> Sublattice:
         raise CuspError("vector is not isotropic")
     re = r.rho.apply(e)
     rows = IntMatrix([list(e), list(re)], cols=t.rank)
-    from .exactla import rank as _rank
-
-    if _rank(rows) != 2:
+    if rank(rows) != 2:
         raise CuspError("vector and its image are dependent")
     j = Sublattice(t, saturate(rows))
     if not j.is_isotropic():

@@ -110,8 +110,6 @@ class ComponentModel:
     picard: Lattice
     rho: RhoLattice
     d: Tuple[int, ...]  # anticanonical fiber class, = -K
-    kperp_core: Sublattice  # del Pezzo root part of the terminal model
-    exceptional_orbits: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
 
 _DP_ROOT_TYPE = {1: ("E", 8), 3: ("E", 6)}
@@ -136,17 +134,15 @@ def _dp_kperp_rows(degree: int) -> IntMatrix:
     return IntMatrix(rows, cols=dim)
 
 
-def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix, Sublattice]:
-    """Picard lattice, order-3 action and root core of a terminal surface."""
+def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix]:
+    """Picard lattice and order-3 action of a terminal surface."""
     if degree is None:
-        lat = diag_lattice([1], label="I(1,0)")
-        return lat, IntMatrix.identity(1), Sublattice(lat, IntMatrix([], cols=1))
+        return diag_lattice([1], label="I(1,0)"), IntMatrix.identity(1)
     sym, n = _DP_ROOT_TYPE[degree]
     dim = 10 - degree
     lat = diag_lattice([1] + [-1] * (dim - 1), label=f"I(1,{dim - 1})")
     b = _dp_kperp_rows(degree)
-    core = Sublattice(lat, b)
-    if core.gram() != cartan_gram(sym, n).scale(-1):
+    if Sublattice(lat, b).gram() != cartan_gram(sym, n).scale(-1):
         raise KulikovError("del Pezzo root core has the wrong Gram matrix")
     k_row = [[-3] + [1] * (dim - 1)]
     s = b.stack(IntMatrix(k_row, cols=dim))
@@ -168,7 +164,7 @@ def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix, Sublatti
         k_vec = k_row[0]
         if r.rho.apply(k_vec) != tuple(k_vec):
             raise KulikovError("extension does not fix the canonical class")
-        return lat, m, core
+        return lat, m
     raise KulikovError("order-3 action does not extend integrally to the Picard lattice")
 
 
@@ -176,19 +172,14 @@ def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix, Sublatti
 def build_component(spec: ComponentSpec) -> ComponentModel:
     """Picard lattice with order-3 action for one triple-cover component."""
     degree, cycles, fixed = _ROW_RECIPE[(spec.m, spec.parts)]
-    lat, m, core = _terminal_model(degree)
+    lat, m = _terminal_model(degree)
     grams, actions = [lat.gram], [m]
-    orbits: List[Tuple[str, Tuple[int, ...]]] = []
-    dim = lat.rank
     for _ in range(cycles):
         # e_a -> e_b -> e_c -> e_a
         grams.append(IntMatrix.diagonal([-1] * 3))
         actions.append(IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
-        orbits.append(("cycle", (dim, dim + 1, dim + 2)))
-        dim += 3
     grams.append(IntMatrix.diagonal([-1] * fixed))
     actions.append(IntMatrix.identity(fixed))
-    orbits.extend(("fixed", (dim + i,)) for i in range(fixed))
     picard = Lattice(block_diagonal(*grams))
     if picard.rank != 10:
         raise KulikovError("component Picard lattice must have rank 10")
@@ -201,16 +192,7 @@ def build_component(spec: ComponentSpec) -> ComponentModel:
         raise KulikovError("anticanonical class is not isotropic")
     if rho.rho.apply(d) != d:
         raise KulikovError("anticanonical class is not fixed")
-    # the core rows, padded with zero columns up to the Picard rank
-    core_rows = block_diagonal(core.basis, IntMatrix([], cols=10 - core.basis.cols))
-    return ComponentModel(
-        spec,
-        picard,
-        rho,
-        d,
-        Sublattice(picard, core_rows),
-        tuple(orbits),
-    )
+    return ComponentModel(spec, picard, rho, d)
 
 
 @cache
@@ -297,10 +279,7 @@ def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) 
 
 @dataclass
 class SemifanRecord:
-    family: str
-    cusp: RootSystemType
     fj_rank: int
-    fj_disc: Tuple[int, ...]
     primitive: bool
     rho_invariant: bool
     model: Lattice
@@ -385,14 +364,9 @@ def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
             invariant = True
         except ExactLAError:
             invariant = False
-        sub = Sublattice(model, fj)
-        fj_disc = disc_group(sub.lattice()).elementary_divisors if sub.rank else ()
     else:
         invariant = True
-        fj_disc = ()
-    return SemifanRecord(
-        f"({n},{k})", cusp, fj.rows, tuple(fj_disc), primitive, invariant, model, fj
-    )
+    return SemifanRecord(fj.rows, primitive, invariant, model, fj)
 
 
 def quotient_model_fingerprint(l: Lattice) -> Tuple[int, int, Tuple[int, ...]]:

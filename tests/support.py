@@ -292,9 +292,8 @@ def all_complement_root_span(record, model):
                 vec = [0] * rank_r
                 vec[off : off + len(cs.roots[i])] = cs.roots[i]
                 rows.append(vec)
-    if rows and model.overlattice is not None:
-        rows = _mul(rows, model.overlattice.old_in_new.entries)
     if not rows:
         return IntMatrix([], cols=model.n.rank)
+    rows = _mul(rows, model.overlattice.old_in_new.entries)
     h, _ = hnf(IntMatrix(rows, cols=model.n.rank))
     return IntMatrix([r for r in h.entries if any(r)], cols=model.n.rank)

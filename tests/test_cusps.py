@@ -6,8 +6,8 @@ import pytest
 
 from k3lat import goldens
 from k3lat.cusps import (
+    NIEMEIER_GLUE,
     CuspError,
-    _subspaces_f3_4,
     FamilyId,
     build_niemeier,
     classify_cusps,
@@ -20,8 +20,9 @@ from k3lat.cusps import (
     isotropic_plane,
     star_of,
 )
-from k3lat.lattice import is_p_elementary, signature
+from k3lat.lattice import LatticeError, is_p_elementary, signature
 from k3lat.roots import RootSystemType
+from k3lat.suites import suite_tab3
 
 from support import all_complement_root_span
 
@@ -118,10 +119,9 @@ def test_component_table_check_rejects_mutants():
             check_component_tables(mutant)
 
 
-def check_planes(planes):
-    """The planes of F_3^4 as spanned by every pair of independent vectors:
-    130 in all, sorted, each its 8 nonzero vectors, sorted and closed
-    under addition."""
+def planes_of_f3_4():
+    """The planes of F_3^4 as spanned by every pair of independent vectors,
+    each as its 8 nonzero vectors, sorted."""
     vectors = list(product(range(3), repeat=4))[1:]
     coeffs = list(product(range(3), repeat=2))
     spans = set()
@@ -130,25 +130,53 @@ def check_planes(planes):
             span = {tuple((s * x + t * y) % 3 for x, y in zip(v, w)) for s, t in coeffs}
             if len(span) == 9:
                 spans.add(tuple(sorted(span - {(0, 0, 0, 0)})))
-    assert len(spans) == 130
-    assert planes == sorted(spans)
-    for plane in planes:
-        assert len(plane) == 8 and list(plane) == sorted(plane)
-        closed = {tuple((x + y) % 3 for x, y in zip(v, w)) for v in plane for w in plane}
-        assert closed == set(plane) | {(0, 0, 0, 0)}
+    return spans
 
 
-def test_planes_of_f3_4_match_brute_force_spans():
-    check_planes(_subspaces_f3_4())
+def test_e6_glue_code_is_a_plane_of_weight_3_words():
+    planes = planes_of_f3_4()
+    assert len(planes) == 130
+    code = build_niemeier("E6^4").glue_code
+    assert code in planes
+    assert all(sum(1 for c in w if c) == 3 for w in code)
 
 
-def test_plane_check_rejects_mutants():
-    planes = _subspaces_f3_4()
-    not_closed = list(planes)
-    not_closed[0] = planes[0][:7] + (planes[1][7],)
-    for mutant in (planes[:-1], planes + planes[:1], planes[::-1], not_closed):
-        with pytest.raises(AssertionError):
-            check_planes(mutant)
+@pytest.mark.parametrize(
+    "gens,message",
+    [
+        (((0, 1, 1, 1), (1, 0, 0, 0)), "adds roots"),  # a word of weight 1
+        (((1, 1, 0, 0), (0, 1, 1, 1)), "pair integrally"),  # weight 2: norm 8/3
+        (((0, 1, 1, 1),), "does not match the discriminant"),  # index 3, not 9
+    ],
+)
+def test_build_niemeier_rejects_a_mutated_glue_code(monkeypatch, gens, message):
+    monkeypatch.setitem(NIEMEIER_GLUE, "E6^4", (("E", 6), 4, gens))
+    build_niemeier.cache_clear()
+    try:
+        with pytest.raises(LatticeError, match=message):
+            build_niemeier("E6^4")
+    finally:
+        build_niemeier.cache_clear()
+
+
+def test_tab3_reports_a_swapped_p_row_as_fail(monkeypatch):
+    table = goldens.LATTICE_TABLE
+    a, b = table[(0, 2)], table[(2, 1)]
+    monkeypatch.setitem(table, (0, 2), {**a, "P": b["P"]})
+    monkeypatch.setitem(table, (2, 1), {**b, "P": a["P"]})
+    family_data.cache_clear()
+    classify_cusps.cache_clear()
+    try:
+        failed = sorted(i.id for i in suite_tab3().items if i.status != "pass")
+    finally:
+        family_data.cache_clear()
+        classify_cusps.cache_clear()
+    assert failed == [
+        "(0,2)-disc-orders",
+        "(0,2)-rank-sum",
+        "(2,1)-disc-orders",
+        "(2,1)-rank-sum",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,11 @@ or an attribute, or imported; a method only when it is read as an
 attribute or imported, so a local variable that shares its name does
 not keep it alive.  A function registered as a CLI subcommand by a
 ``*.command()`` decorator is referenced by that decorator.
+
+The dead-field rule: every field of a ``@dataclass`` in ``src/k3lat``
+must be read as an attribute somewhere in ``src/k3lat``, ``tests`` or
+``bench``.  Filling a field in a constructor call, assigning to it, or
+reading a variable that shares its name does not count.
 """
 
 from __future__ import annotations
@@ -123,3 +128,56 @@ def test_check_reads_a_method_only_as_an_attribute():
         ("m.py", 3, "power"),
     ]
     assert unreferenced_definitions({"m.py": source}, [reads, "A().row; from m import power"]) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        f = d.func if isinstance(d, ast.Call) else d
+        if getattr(f, "id", None) == "dataclass" or getattr(f, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(defining: dict, others: list) -> list:
+    """(file, line, Class.field) of each field of a ``@dataclass`` in the
+    ``defining`` sources that no source, of these or of ``others``, reads
+    as an attribute."""
+    trees = {name: ast.parse(text) for name, text in defining.items()}
+    reads = set()
+    for tree in list(trees.values()) + [ast.parse(text) for text in others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    out = []
+    for file, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                for node in cls.body:
+                    if (
+                        isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)
+                        and node.target.id not in reads
+                    ):
+                        out.append((file, node.lineno, f"{cls.name}.{node.target.id}"))
+    return sorted(out)
+
+
+def test_every_dataclass_field_is_read():
+    defining = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text() for d in ("tests", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    assert unread_fields(defining, others) == []
+
+
+def test_check_reads_a_field_only_as_an_attribute():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    kept: int\n    filled: int\n    named: int\n\n"
+        "@dataclasses.dataclass\nclass B:\n    stored: int\n\n"
+        "class C:\n    plain: int\n"
+    )
+    reads = "a = A(kept=1, filled=2, named=3)\nnamed = a.kept\nb = B(0)\nb.stored = named\n"
+    assert unread_fields({"m.py": source}, [reads]) == [
+        ("m.py", 4, "A.filled"),
+        ("m.py", 5, "A.named"),
+        ("m.py", 9, "B.stored"),
+    ]
+    assert unread_fields({"m.py": source}, [reads, "print(a.filled, a.named, b.stored)"]) == []
