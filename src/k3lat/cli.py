@@ -234,7 +234,7 @@ def info(expr: str) -> None:
     d = disc_group(lat)
     click.echo(f"disc       {d}")
     if p == 0 or q == 0:
-        rtype, _ = root_system(lat) if lat.rank else (None, None)
+        rtype, _ = root_system(lat)
         click.echo(f"roots      {rtype}")
     else:
         click.echo("roots      - (indefinite)")

@@ -87,23 +87,6 @@ class CuspError(LatticeError):
 
 
 @dataclass(frozen=True)
-class FamilyId:
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if (self.n, self.k) not in goldens.GENUS:
-            raise CuspError(f"unknown family ({self.n},{self.k})")
-
-    @property
-    def g(self) -> int:
-        return goldens.GENUS[(self.n, self.k)]
-
-    def __str__(self) -> str:
-        return f"({self.n},{self.k})"
-
-
-@dataclass(frozen=True)
 class FamilyData:
     s: Lattice
     t: Lattice
@@ -125,7 +108,8 @@ def _sum_from_symbols(symbols, negative_roots=True) -> Lattice:
 
 @cache
 def family_data(n: int, k: int) -> FamilyData:
-    FamilyId(n, k)  # rejects an unknown family
+    if (n, k) not in goldens.GENUS:
+        raise CuspError(f"unknown family ({n},{k})")
     row = goldens.LATTICE_TABLE[(n, k)]
     s, t, p = (_sum_from_symbols(row[x]) for x in "STP")
     u_block = rho3_u_u() if row["T"][:2] == (("U", 1), ("U", 1)) else rho3_u_u3()
@@ -434,7 +418,6 @@ class EmbeddingRecord:
     assignment: Tuple[Tuple[Symbol, ...], ...]  # factor multiset per component
     outcomes: Tuple[ComponentOutcome, ...]
     total_complement: RootSystemType
-    starred: bool
     sat_index: int
 
     def rows(self) -> List[Tuple[str, str, int]]:
@@ -510,14 +493,12 @@ def enumerate_embeddings(
             sat_index = glue_intersection * rootspan_prod
             if sat_index not in (1, 3):
                 raise CuspError(f"saturation index {sat_index} outside {{1,3}}")
-            starred = sat_index == 3
             records.append(
                 EmbeddingRecord(
                     model.kind,
                     assignment,
                     outcome_tuple,
-                    total.with_star(starred),
-                    starred,
+                    total.with_star(sat_index == 3),
                     sat_index,
                 )
             )
@@ -576,10 +557,9 @@ def star_of(record: EmbeddingRecord, model: NiemeierModel) -> bool:
     idx = index_in(span, sat.basis)
     if idx not in (1, 3):
         raise CuspError(f"saturation index {idx} outside {{1,3}}")
-    starred = idx == 3
-    if starred != record.starred or idx != record.sat_index:
+    if idx != record.sat_index:
         raise CuspError("glue bookkeeping disagrees with the concrete saturation")
-    return starred
+    return idx == 3
 
 
 def cusp_quotient_lattice(record: EmbeddingRecord, model: NiemeierModel) -> Lattice:

@@ -159,10 +159,32 @@ GLUE_PAIRINGS: Dict[Tuple[int, int], List[Tuple[Tuple, Tuple, str, bool]]] = {
     ],
 }
 
-# (family, cusp with star flag) -> rank of the semifan sublattice
-SEMIFAN_TABLE: Dict[Tuple[int, int], Tuple[Tuple[str, int], ...]] = {
-    (0, 2): (("E8^2", 0),),
-    (0, 1): (("E6^2+A2^2*", 4), ("E8+E6+A2", 2), ("E8^2", 0)),
-    (1, 1): (("E6+A2^4*", 8), ("E8+A2^3", 6), ("E6^2+A2", 2), ("E8+E6", 0)),
-    (2, 1): (("A2^6*", 12), ("E6+A2^3", 6), ("E6^2", 0), ("E8+A2^2", 4)),
+# [primitive part : span of the two component primitive parts] of a
+# gluing, by the star of its quotient type
+GLUE_SPLIT_INDEX = {False: 1, True: 3}
+
+# (family, cusp with star flag) -> (rank of the semifan sublattice, index
+# in it of the span of the A2 factors)
+SEMIFAN_TABLE: Dict[Tuple[int, int], Tuple[Tuple[str, int, int], ...]] = {
+    (0, 2): (("E8^2", 0, 1),),
+    (0, 1): (("E6^2+A2^2*", 4, 1), ("E8+E6+A2", 2, 1), ("E8^2", 0, 1)),
+    (1, 1): (("E6+A2^4*", 8, 1), ("E8+A2^3", 6, 1), ("E6^2+A2", 2, 1), ("E8+E6", 0, 1)),
+    (2, 1): (("A2^6*", 12, 3), ("E6+A2^3", 6, 1), ("E6^2", 0, 1), ("E8+A2^2", 4, 1)),
+}
+
+# (rank, |det|, elementary divisors) of the order-4 quotient D4^2+A1^2
+_D4D4A1A1 = (10, 64, (2, 2, 2, 2, 2, 2))
+
+# the order-4 aside: check id of ``kulikov.order4_suite`` -> (anchor,
+# expected value); each value lists the parts of its check in the order
+# that the check's comment in ``order4_suite`` names them
+ORDER4_TABLE: Dict[str, Tuple[str, Tuple]] = {
+    "nikulin-invariants": ("(1,9,4,0)", ((1, 9, 4, 0), (1, 9, 4, 0))),
+    "order-4-action": ("rho^4 = 1, rho^2 = -1", (4, True)),
+    "quotient-root-type": ("D4^2+A1^2", (True, True, True, "D4^2+A1^2")),
+    "exceptional-span": (
+        "differences of cycled classes span A1^2",
+        (((-2, 0), (0, -2)), ((0, 1, 0, -1), (-1, 0, 1, 0)), True, True, (2, 8, 10), (64, 64)),
+    ),
+    "semifan-summand": ("the A1^2 summand", (True, True, _D4D4A1A1, _D4D4A1A1)),
 }

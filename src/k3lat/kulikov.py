@@ -35,6 +35,7 @@ from .exactla import (
     block_diagonal,
     det,
     hnf,
+    index_in,
     int_express,
     saturate,
 )
@@ -56,7 +57,7 @@ from .lattice import (
     root_lattice,
     signature,
 )
-from .roots import EMPTY_TYPE, RootSystemType, dual_class_min, root_system
+from .roots import RootSystemType, dual_class_min, root_system
 from .eisenstein import (
     RhoLattice,
     assemble,
@@ -200,10 +201,9 @@ def primitive_picard(c: ComponentModel) -> Tuple[Sublattice, RootSystemType]:
     """Primitive part of the component action and its root type."""
     prim = primitive_part(c.rho)
     lat = prim.lattice()
-    p, q = signature(lat) if lat.rank else (0, 0)
-    if p != 0:
+    if signature(lat)[0] != 0:
         raise KulikovError("primitive part is not negative definite")
-    rtype, _ = root_system(lat) if lat.rank else (EMPTY_TYPE, None)
+    rtype, _ = root_system(lat)
     if rtype.rank != lat.rank:
         raise KulikovError("primitive part is not rationally spanned by roots")
     return prim, rtype
@@ -256,11 +256,10 @@ def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
 
 
 def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) -> Tuple[bool, int]:
-    """Roots of the primitive part split over the two components, and the
-    component primitive parts span a finite-index sublattice; returns the
-    verdict together with the computed index."""
-    prim_lat = k.prim.lattice()
-    rtype, _ = root_system(prim_lat) if prim_lat.rank else (EMPTY_TYPE, None)
+    """Whether the roots of the primitive part split over the two
+    components, and the index in the primitive part of the span of the
+    component primitive parts (0 if that span has the wrong rank)."""
+    rtype, _ = root_system(k.prim.lattice())
     p0, t0 = primitive_picard(c0)
     p1, t1 = primitive_picard(c1)
     expected = t0 + t1
@@ -270,8 +269,7 @@ def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) 
     coeff = int_express(image, k.prim.basis)
     if coeff.rows != k.prim.rank:
         return False, 0
-    idx = abs(det(coeff))
-    return (rtype == expected and idx >= 1), idx
+    return rtype == expected, abs(det(coeff))
 
 
 # -- semifan records -----------------------------------------------------
@@ -280,10 +278,20 @@ def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) 
 @dataclass
 class SemifanRecord:
     fj_rank: int
-    primitive: bool
+    slot_index: int  # [fj : span of the A2 slots]
     rho_invariant: bool
     model: Lattice
     fj_basis: IntMatrix
+
+
+def is_invariant(rows: IntMatrix, m: IntMatrix) -> bool:
+    """Whether the span of ``rows`` is preserved by the action ``m`` on
+    row vectors.  Only ``ExactLAError`` reads as "not invariant"."""
+    try:
+        int_express(rows * m, rows)
+    except ExactLAError:
+        return False
+    return True
 
 
 def _starred_model(
@@ -320,8 +328,9 @@ def _starred_model(
 
 def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
     """The semifan sublattice of a quotient model: the saturation of the
-    span of the A2 factors, checked primitive and invariant.  A cusp that
-    ``classify_cusps(n, k)`` does not list is rejected."""
+    span of the A2 factors, with the index of that span in it and whether
+    the order-3 action preserves it.  A cusp that ``classify_cusps(n, k)``
+    does not list is rejected."""
     # imported here, so that gluing alone does not load the cusp classifier
     from .cusps import classify_cusps
 
@@ -349,24 +358,11 @@ def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
                 v[off + i] = 1
                 slot_rows.append(v)
         off += m
+    slots = IntMatrix(slot_rows, cols=total)
     if cusp.starred:
-        # coordinates in the overlattice basis
-        slot_rows = (IntMatrix(slot_rows, cols=total) * over.old_in_new).entries
-    if slot_rows:
-        fj = saturate(IntMatrix(slot_rows, cols=total))
-    else:
-        fj = IntMatrix([], cols=total)
-    primitive = saturate(fj) == fj if fj.rows else True
-    if fj.rows:
-        images = fj * rho_m
-        try:
-            int_express(images, fj)
-            invariant = True
-        except ExactLAError:
-            invariant = False
-    else:
-        invariant = True
-    return SemifanRecord(fj.rows, primitive, invariant, model, fj)
+        slots = slots * over.old_in_new  # coordinates in the overlattice basis
+    fj = saturate(slots)
+    return SemifanRecord(fj.rows, index_in(slots, fj), is_invariant(fj, rho_m), model, fj)
 
 
 def quotient_model_fingerprint(l: Lattice) -> Tuple[int, int, Tuple[int, ...]]:
@@ -376,124 +372,67 @@ def quotient_model_fingerprint(l: Lattice) -> Tuple[int, int, Tuple[int, ...]]:
 # -- the order-4 story ---------------------------------------------------
 
 
-def order4_suite() -> List[Tuple[str, bool, str]]:
+@cache
+def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
     """All lattice checks of the order-4 family: invariant matching of the
     two rank-10 models, the assembled order-4 action, the invariant
     isotropic plane with quotient D4^2 + A1^2, the exceptional-class
-    span, and the semifan summand.  Returns (check id, passed, detail)."""
-    out: List[Tuple[str, bool, str]] = []
-
-    # (a) the two 2-elementary models share the invariants (1,9,4,0)
+    span, and the semifan summand.  Returns (check id, computed value)
+    pairs; ``goldens.ORDER4_TABLE`` holds the expected values."""
+    # (a) Nikulin invariants of the two 2-elementary models
+    d4 = rescale(root_lattice("D", 4), -1)
     l1 = direct_sum(hyperbolic(2), rescale(root_lattice("D", 8), -1))
-    l2 = direct_sum(hyperbolic(), rescale(root_lattice("D", 4), -1), rescale(root_lattice("D", 4), -1))
-    n1 = nikulin_2elem(l1).as_tuple()
-    n2 = nikulin_2elem(l2).as_tuple()
-    out.append(
-        (
-            "nikulin-invariants",
-            n1 == (1, 9, 4, 0) and n2 == (1, 9, 4, 0),
-            f"U(2)+D8: {n1}, U+D4^2: {n2}",
-        )
-    )
+    l2 = direct_sum(hyperbolic(), d4, d4)
+    nikulin = (nikulin_2elem(l1).as_tuple(), nikulin_2elem(l2).as_tuple())
 
-    # (b) assembled order-4 action with square -1
+    # (b) the assembled action: its order and whether its square is -1
     t4 = assemble([rho4_u_u2(), rho4_d4(), rho4_d4(), rho4_a1a1()])
-    sq = t4.rho.matrix * t4.rho.matrix
-    is_minus = sq == IntMatrix.identity(t4.lattice.rank).scale(-1)
-    out.append(
-        (
-            "order-4-action",
-            t4.order == 4 and is_minus,
-            f"order {t4.order}, square is -1: {is_minus}",
-        )
-    )
-
-    # (c) invariant isotropic plane with quotient D4^2 + A1^2
     t = t4.lattice
-    e = [0] * t.rank
-    e[0] = 1
-    ep = [0] * t.rank
-    ep[2] = 1
-    j = Sublattice(t, IntMatrix([e, ep], cols=t.rank))
-    iso = j.is_isotropic()
-    prim_flag = j.is_primitive
-    images = IntMatrix(
-        [list(t4.rho.apply(v)) for v in j.basis.entries], cols=t.rank
-    )
-    try:
-        int_express(images, j.basis)
-        inv_flag = True
-    except ExactLAError:
-        inv_flag = False
-    q, lift = quotient_by_isotropic(j)
-    rtype, _ = root_system(q)
-    out.append(
-        (
-            "quotient-root-type",
-            iso and prim_flag and inv_flag and str(rtype) == "D4^2+A1^2",
-            f"isotropic {iso}, saturated {prim_flag}, invariant {inv_flag}, type {rtype}",
-        )
-    )
+    sq = t4.rho.matrix * t4.rho.matrix
+    action = (t4.order, sq == IntMatrix.identity(t.rank).scale(-1))
 
-    # (d) four cycled norm -1 classes: differences span a copy of A1^2
+    # (c) an isotropic, saturated, invariant plane and its quotient's roots
+    e, ep = [0] * t.rank, [0] * t.rank
+    e[0] = ep[2] = 1
+    j = Sublattice(t, IntMatrix([e, ep], cols=t.rank))
+    q, _ = quotient_by_isotropic(j)
+    rtype, _ = root_system(q)
+    plane = (j.is_isotropic(), j.is_primitive, is_invariant(j.basis, t4.rho.matrix), str(rtype))
+
+    # (d) four cycled norm -1 classes: Gram matrix and images of two
+    # differences, saturation of their span, and the A1^2 block of the
+    # quotient model as a direct summand (ranks and determinants)
     e4 = diag_lattice([-1, -1, -1, -1])
-    cyc = rho_lattice(
-        e4,
-        [
-            [0, 1, 0, 0],
-            [0, 0, 1, 0],
-            [0, 0, 0, 1],
-            [1, 0, 0, 0],
-        ],
-    )
+    cyc = rho_lattice(e4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
     m_rows = IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]])
     m_gram = m_rows * e4.gram * m_rows.transpose()
-    gram_ok = m_gram == IntMatrix([[-2, 0], [0, -2]])
-    im1 = cyc.rho.apply((1, 0, -1, 0))
-    im2 = cyc.rho.apply((0, 1, 0, -1))
-    rho_ok = im1 == (0, 1, 0, -1) and im2 == (-1, 0, 1, 0)
-    sat_ok = saturate(m_rows) == hnf(m_rows)[0]
-    # the A1^2 block of the quotient model is a saturated direct summand
-    block = direct_sum(
-        rescale(root_lattice("D", 4), -1),
-        rescale(root_lattice("D", 4), -1),
-        diag_lattice([-2, -2]),
-    )
-    a1_rows = IntMatrix(
-        [[0] * 8 + [1, 0], [0] * 8 + [0, 1]], cols=10
-    )
+    images = (cyc.rho.apply((1, 0, -1, 0)), cyc.rho.apply((0, 1, 0, -1)))
+    block = direct_sum(d4, d4, diag_lattice([-2, -2]))
+    a1_rows = IntMatrix([[0] * 8 + [1, 0], [0] * 8 + [0, 1]], cols=10)
     a1_sub = Sublattice(block, a1_rows)
     comp = a1_sub.orth_complement()
-    summand_ok = (
-        a1_sub.is_primitive
-        and comp.rank + a1_sub.rank == block.rank
-        and abs(det(a1_sub.gram())) * abs(det(comp.gram())) == abs(block.det())
-    )
-    out.append(
-        (
-            "exceptional-span",
-            gram_ok and rho_ok and sat_ok and summand_ok,
-            f"gram 2I: {gram_ok}, four-cycle action: {rho_ok}, saturated: {sat_ok}, "
-            f"direct summand: {summand_ok}",
-        )
+    span = (
+        m_gram.entries,
+        images,
+        saturate(m_rows) == hnf(m_rows)[0],
+        a1_sub.is_primitive,
+        (a1_sub.rank, comp.rank, block.rank),
+        (abs(det(a1_sub.gram())) * abs(det(comp.gram())), abs(block.det())),
     )
 
-    # (e) the semifan summand: primitive and invariant under the block action
+    # (e) the semifan summand: invariant under the block action, primitive,
+    # and the block matches the quotient of (c)
     block_rho = assemble([rho4_d4(), rho4_d4(), rho4_a1a1()])
-    imgs = a1_rows * block_rho.rho.matrix
-    try:
-        int_express(imgs, a1_rows)
-        inv2 = True
-    except ExactLAError:
-        inv2 = False
-    fp_q = quotient_model_fingerprint(q)
-    fp_b = quotient_model_fingerprint(block)
-    out.append(
-        (
-            "semifan-summand",
-            inv2 and a1_sub.is_primitive and fp_q == fp_b,
-            f"invariant {inv2}, primitive {a1_sub.is_primitive}, "
-            f"quotient fingerprint {fp_q} vs block {fp_b}",
-        )
+    summand = (
+        is_invariant(a1_rows, block_rho.rho.matrix),
+        a1_sub.is_primitive,
+        quotient_model_fingerprint(q),
+        quotient_model_fingerprint(block),
     )
-    return out
+    return (
+        ("nikulin-invariants", nikulin),
+        ("order-4-action", action),
+        ("quotient-root-type", plane),
+        ("exceptional-span", span),
+        ("semifan-summand", summand),
+    )

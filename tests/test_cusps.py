@@ -8,7 +8,6 @@ from k3lat import goldens
 from k3lat.cusps import (
     NIEMEIER_GLUE,
     CuspError,
-    FamilyId,
     build_niemeier,
     classify_cusps,
     complement_root_span,
@@ -39,10 +38,10 @@ def all_records():
 
 
 def test_family_id_validation():
-    assert FamilyId(0, 2).g == 5
-    assert FamilyId(2, 1).g == 2
-    with pytest.raises(CuspError):
-        FamilyId(3, 3)
+    with pytest.raises(CuspError, match=r"unknown family \(3,3\)"):
+        family_data(3, 3)
+    with pytest.raises(CuspError, match=r"unknown family \(3,3\)"):
+        classify_cusps(3, 3)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +255,7 @@ def test_e8_model_never_starred():
     m = build_niemeier("E8^3")
     for p in [(("E", 8),), (("E", 6), ("A", 2), ("A", 2), ("A", 2))]:
         for rec in enumerate_embeddings(p, m):
-            assert not rec.starred
+            assert rec.sat_index == 1
             assert star_of(rec, m) is False
 
 
@@ -277,8 +276,8 @@ def test_all_root_span_rejects_a_missing_simple_root():
 
 def test_star_of_rejects_flipped_bookkeeping():
     for rec, model in all_records():
-        assert star_of(rec, model) is rec.starred
-        flipped = dataclasses.replace(rec, starred=not rec.starred, sat_index=4 - rec.sat_index)
+        assert star_of(rec, model) is (rec.sat_index == 3)
+        flipped = dataclasses.replace(rec, sat_index=4 - rec.sat_index)
         with pytest.raises(CuspError, match="bookkeeping disagrees"):
             star_of(flipped, model)
 

@@ -3,13 +3,15 @@ import dataclasses
 import pytest
 
 from k3lat.exactla import IntMatrix, index_in
-from k3lat.goldens import SEMIFAN_TABLE
+from k3lat import goldens
+from k3lat.goldens import ORDER4_TABLE, SEMIFAN_TABLE
 from k3lat.kulikov import (
     COMPONENT_ROWS,
     ComponentSpec,
     KulikovError,
     build_component,
     glue_lambda,
+    is_invariant,
     order4_suite,
     primitive_picard,
     quotient_model_fingerprint,
@@ -106,9 +108,7 @@ def _check_pairing(s0, s1, expected, starred):
     assert str(rtype) == expected
     star_idx = index_in(span.basis, IntMatrix.identity(prim_lat.rank))
     assert star_idx == (3 if starred else 1)
-    ok, idx = root_split_check(k, c0, c1)
-    assert ok
-    assert idx >= 1
+    assert root_split_check(k, c0, c1) == (True, 3 if starred else 1)
 
 
 def test_root_split_trivial_case():
@@ -116,16 +116,15 @@ def test_root_split_trivial_case():
     # trivial; the smallest actual case still splits correctly
     c = build_component(ComponentSpec(3, ((0, 1), (0, 1), (0, 1))))
     k = glue_lambda(c, c)
-    ok, idx = root_split_check(k, c, c)
-    assert ok and idx >= 1
+    assert root_split_check(k, c, c) == (True, 1)
 
 
 def test_semifan_table_ranks():
     for (n, k), entries in SEMIFAN_TABLE.items():
-        for cusp, rank in entries:
+        for cusp, rank, slot_index in entries:
             rec = semifan(n, k, cusp)
             assert rec.fj_rank == rank
-            assert rec.primitive
+            assert rec.slot_index == slot_index
             assert rec.rho_invariant
 
 
@@ -152,8 +151,8 @@ def test_semifan_suite_reports_a_wrong_rank_as_fail(monkeypatch):
     # never an exception out of the library
     from k3lat.suites import suite_semifan
 
-    (cusp, rank), *rest = SEMIFAN_TABLE[(0, 1)]
-    monkeypatch.setitem(SEMIFAN_TABLE, (0, 1), ((cusp, rank + 2), *rest))
+    (cusp, rank, slot_index), *rest = SEMIFAN_TABLE[(0, 1)]
+    monkeypatch.setitem(SEMIFAN_TABLE, (0, 1), ((cusp, rank + 2, slot_index), *rest))
     failed = [(i.id, i.computed, i.expected) for i in suite_semifan().items if i.status != "pass"]
     assert failed == [(f"(0,1)-{cusp}-rank", str(rank), str(rank + 2))]
 
@@ -171,9 +170,9 @@ def test_semifan_fingerprints_match_concrete_quotients():
 
 def test_order4_suite_all_pass():
     results = order4_suite()
-    assert len(results) == 5
-    for cid, ok, detail in results:
-        assert ok, f"{cid}: {detail}"
+    assert [cid for cid, _ in results] == list(ORDER4_TABLE)
+    for cid, computed in results:
+        assert computed == ORDER4_TABLE[cid][1], cid
 
 
 def test_unexpected_error_is_not_read_as_not_invariant(monkeypatch):
@@ -184,8 +183,80 @@ def test_unexpected_error_is_not_read_as_not_invariant(monkeypatch):
         raise TypeError("broken int_express")
 
     monkeypatch.setattr(kulikov, "int_express", broken)
-    with pytest.raises(TypeError, match="broken int_express"):
-        order4_suite()
+    order4_suite.cache_clear()
+    try:
+        with pytest.raises(TypeError, match="broken int_express"):
+            order4_suite()
+    finally:
+        order4_suite.cache_clear()
+
+
+def test_is_invariant():
+    swap = IntMatrix([[0, 1], [1, 0]])
+    assert is_invariant(IntMatrix([[1, 1]]), swap)
+    assert not is_invariant(IntMatrix([[1, 0]]), swap)
+    assert is_invariant(IntMatrix([], cols=2), swap)
+
+
+def _failed(report):
+    return [i.id for i in report.items if i.status != "pass"]
+
+
+@pytest.mark.parametrize("cid", list(ORDER4_TABLE))
+def test_order4_item_fails_on_a_wrong_expected_value(monkeypatch, cid):
+    # the expected values live in goldens only: a wrong one fails exactly
+    # its own item, without an exception out of the library
+    from k3lat.suites import suite_order4
+
+    anchor, expected = ORDER4_TABLE[cid]
+    monkeypatch.setitem(ORDER4_TABLE, cid, (anchor, expected[:-1] + (not expected[-1],)))
+    assert _failed(suite_order4()) == [cid]
+
+
+def test_order4_semifan_item_fails_on_a_wrong_expected_value(monkeypatch):
+    from k3lat.suites import suite_semifan
+
+    anchor, expected = ORDER4_TABLE["semifan-summand"]
+    monkeypatch.setitem(ORDER4_TABLE, "semifan-summand", (anchor, (False,) + expected[1:]))
+    assert _failed(suite_semifan()) == ["order4-semifan"]
+
+
+def test_semifan_slot_index_items_fail_on_flipped_expected_indices(monkeypatch):
+    # 3 for (2,1) A2^6* and 1 elsewhere; 4 - index flips each of them
+    from k3lat.suites import suite_semifan
+
+    ids = []
+    for fam, entries in list(SEMIFAN_TABLE.items()):
+        monkeypatch.setitem(SEMIFAN_TABLE, fam, tuple((c, r, 4 - i) for c, r, i in entries))
+        ids += [f"({fam[0]},{fam[1]})-{c}-primitive" for c, _, _ in entries]
+    assert _failed(suite_semifan()) == ids
+
+
+@pytest.mark.parametrize("star", [True, False])
+def test_glue_root_split_items_fail_on_a_flipped_expected_index(monkeypatch, star):
+    from k3lat.suites import suite_glue
+
+    monkeypatch.setitem(goldens.GLUE_SPLIT_INDEX, star, 4 - goldens.GLUE_SPLIT_INDEX[star])
+    flipped = [
+        f"({fam[0]},{fam[1]})-{expected}" + ("*" if starred else "") + "-root-split"
+        for fam, pairings in goldens.GLUE_PAIRINGS.items()
+        for _, _, expected, starred in pairings
+        if starred == star
+    ]
+    assert len(flipped) == (3 if star else 10)
+    assert _failed(suite_glue()) == flipped
+
+
+def test_order4_suite_runs_once_for_both_suites():
+    from k3lat.suites import suite_order4, suite_semifan
+
+    order4_suite.cache_clear()
+    try:
+        suite_order4()
+        suite_semifan()
+        assert order4_suite.cache_info().misses == 1
+    finally:
+        order4_suite.cache_clear()
 
 
 def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):

@@ -27,6 +27,7 @@ from k3lat.lattice import (
     signature,
     signature_with_radical,
 )
+from k3lat.roots import EMPTY_TYPE, root_system
 from support import (
     ROOT_ATOMS,
     atom_inertia,
@@ -420,4 +421,6 @@ def test_library_dual_generator_matches_gauss_jordan():
 def test_diag_lattice_of_no_entries_is_rank_0():
     l = diag_lattice([])
     assert l.rank == 0 and l.det() == 1
+    assert signature(l) == (0, 0)
+    assert root_system(l)[0] == EMPTY_TYPE
     assert IntMatrix.diagonal([]) == IntMatrix.identity(0)
