@@ -20,7 +20,7 @@ if the discriminant action comes out nontrivial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
@@ -107,20 +107,21 @@ def check(iso: Isometry) -> int:
 
 @dataclass(frozen=True)
 class RhoLattice:
+    """A lattice with an isometry ``rho``; ``order`` is computed from the
+    matrix (``IsometryError`` above ``ORDER_BOUND``), never stated."""
+
     lattice: Lattice
     rho: Isometry
-    order: int
+    order: int = field(init=False)
 
     def __post_init__(self):
-        if isometry_order(self.rho.matrix) != self.order:
-            raise IsometryError("stated order does not match the matrix")
+        object.__setattr__(self, "order", isometry_order(self.rho.matrix))
 
 
 def rho_lattice(lattice: Lattice, matrix: IntMatrix | Sequence[Sequence[int]]) -> RhoLattice:
     if not isinstance(matrix, IntMatrix):
         matrix = IntMatrix(matrix, cols=lattice.rank)
-    iso = Isometry(matrix, lattice)
-    return RhoLattice(lattice, iso, isometry_order(matrix))
+    return RhoLattice(lattice, Isometry(matrix, lattice))
 
 
 def fixed_sublattice(r: RhoLattice) -> Sublattice:

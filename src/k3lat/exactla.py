@@ -21,13 +21,25 @@ solved by one Bareiss elimination with a single common denominator
 (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2).  This is slow
 compared to modular methods but provably correct, and the matrices
 appearing in this package have rank at most 28.
+
+The inputs are mostly zeros (Gram matrices of root lattices,
+block-diagonal actions, root vectors), and the two kernels that every
+layer runs through skip the work whose result is known.  The product
+``A * B`` sums one row of ``B`` per nonzero entry of a row of ``A``,
+adding or subtracting it without a multiplication when the entry is
++-1.  A Bareiss step updates only the columns from the pivot on, since
+those before it are already zero below the pivot row, and leaves a row
+whose multiplier is 0 as it is when the pivot equals the previous one
+(it only rescales it otherwise).  What is skipped is an exact zero or a
+factor of exactly 1, so both kernels return the same integers as the
+dense computation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import index, mul
+from operator import add, index, mul, sub
 from typing import Iterable, List, Sequence, Tuple
 
 Row = Tuple[int, ...]
@@ -71,16 +83,17 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return IntMatrix.diagonal([1] * n)
 
     @staticmethod
     def zero(m: int, n: int) -> "IntMatrix":
-        return IntMatrix([[0] * n for _ in range(m)], cols=n)
+        return IntMatrix._of(((0,) * n,) * m, n)
 
     @staticmethod
     def diagonal(diag: Sequence[int]) -> "IntMatrix":
-        n = len(diag)
-        return IntMatrix([[diag[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        d = [index(x) for x in diag]
+        n = len(d)
+        return IntMatrix._of(tuple((0,) * i + (x,) + (0,) * (n - i - 1) for i, x in enumerate(d)), n)
 
     # -- basic algebra ------------------------------------------------
 
@@ -94,27 +107,41 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        # Row i of A*B sums the rows of B weighted by row i of A: a zero
+        # weight is skipped and a weight of +-1 adds or subtracts without
+        # a multiplication, so the sums are the exact dense ones.
         if self.cols != other.rows:
             raise ExactLAError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        bt = other.transpose().entries
-        return IntMatrix._of(
-            tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in self.entries),
-            other.cols,
-        )
+        zero = (0,) * other.cols
+        rows = []
+        for row in self.entries:
+            acc = zero
+            for x, brow in zip(row, other.entries):
+                if not x:
+                    continue
+                if x == 1:
+                    acc = list(map(add, acc, brow))
+                elif x == -1:
+                    acc = list(map(sub, acc, brow))
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+            rows.append(tuple(acc))
+        return IntMatrix._of(tuple(rows), other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ExactLAError("shape mismatch in addition")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
+        return IntMatrix._of(
+            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self.entries, other.entries)),
+            self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * x for x in row] for row in self.entries], cols=self.cols)
+        c = index(c)
+        return IntMatrix._of(tuple(tuple(c * x for x in row) for row in self.entries), self.cols)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._of(tuple(zip(*self.entries)) or ((),) * self.cols, self.rows)
@@ -130,13 +157,13 @@ class IntMatrix:
     def stack(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.cols:
             raise ExactLAError("column mismatch in stack")
-        return IntMatrix(self.entries + other.entries, cols=self.cols)
+        return IntMatrix._of(self.entries + other.entries, self.cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int] | None = None) -> "IntMatrix":
         cols = range(self.cols) if col_idx is None else col_idx
-        return IntMatrix(
-            [[self.entries[i][j] for j in cols] for i in row_idx],
-            cols=len(list(cols)),
+        return IntMatrix._of(
+            tuple(tuple(self.entries[i][j] for j in cols) for i in row_idx),
+            len(list(cols)),
         )
 
 
@@ -435,10 +462,17 @@ def _solve(
         a[c], a[piv] = a[piv], a[c]
         rc = a[c]
         p = rc[c]
-        for i in range(c + 1, n):
-            ri = a[i]
+        live = rc[c:]
+        # Columns before c are zero below the pivot row and stay zero, so
+        # only columns c: change.  A row with f = 0 becomes p*row/prev:
+        # unchanged when p == prev, otherwise rescaled (exactly, as every
+        # Bareiss quotient is).
+        for ri in a[c + 1 :]:
             f = ri[c]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(ri, rc)]
+            if f:
+                ri[c:] = [(p * x - f * y) // prev for x, y in zip(ri[c:], live)]
+            elif p != prev:
+                ri[c:] = [p * x // prev for x in ri[c:]]
         prev = p
     if any(x != 0 for row in a[k:] for x in row[k:]):
         raise ExactLAError("target outside rational span of basis")

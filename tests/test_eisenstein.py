@@ -5,6 +5,7 @@ from k3lat.eisenstein import (
     THETA,
     Eis,
     IsometryError,
+    RhoLattice,
     assemble,
     check,
     eis,
@@ -24,6 +25,7 @@ from k3lat.eisenstein import (
     rho_lattice,
 )
 from k3lat.lattice import (
+    diag_lattice,
     direct_sum,
     hyperbolic,
     rescale,
@@ -66,6 +68,17 @@ def test_non_isometry_rejected():
     u = hyperbolic()
     with pytest.raises(IsometryError, match="pairing"):
         rho_lattice(u, [[1, 1], [0, 1]])
+
+
+def test_order_is_computed_and_bounded():
+    l = diag_lattice([1, -2])
+    r = rho_lattice(l, IntMatrix.identity(2))
+    assert r.order == 1
+    with pytest.raises(TypeError):  # the order cannot be stated
+        RhoLattice(l, r.rho, 1)
+    # rows (3, 2), (4, 3): a Pell isometry of <1> + <-2>, of infinite order
+    with pytest.raises(IsometryError, match="order exceeds bound 24"):
+        rho_lattice(l, [[3, 2], [4, 3]])
 
 
 def test_identity_isometry_fixed_everything():

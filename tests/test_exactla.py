@@ -227,18 +227,14 @@ def check_express(found, targets, basis, oracle):
 KINDS = ["inside", "outside", "dependent"]
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@given(data=st.data())
-def test_rat_express_matches_gauss_jordan(kind, data):
-    targets, basis = data.draw(linear_systems(kind))
+def check_rat_express(targets, basis):
     found = outcome(rat_express, targets, basis)
     check_express(found, targets, basis, outcome(gauss_jordan_express, targets, basis))
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@given(data=st.data())
-def test_int_express_matches_gauss_jordan(kind, data):
-    targets, basis = data.draw(linear_systems(kind, small | ratio))
+def check_int_express(targets, basis):
+    """``int_express`` on the rows scaled to integers, against the oracle
+    with a non-integral answer read as its error message."""
     scale = math.lcm(*(Fraction(x).denominator for row in targets + basis for x in row))
     n = len(targets[0])
     t = IntMatrix([[int(scale * x) for x in row] for row in targets], cols=n)
@@ -250,6 +246,35 @@ def test_int_express_matches_gauss_jordan(kind, data):
     if not isinstance(found, str):
         found = tuple(tuple(Fraction(x) for x in row) for row in found.entries)
     check_express(found, t.entries, b.entries, oracle)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_rat_express_matches_gauss_jordan(kind, data):
+    check_rat_express(*data.draw(linear_systems(kind)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+def test_int_express_matches_gauss_jordan(kind, data):
+    check_int_express(*data.draw(linear_systems(kind, small | ratio)))
+
+
+# Systems (targets, basis) whose Bareiss elimination of [basis^T | targets^T]
+# meets a row with multiplier f = 0.  Pivots 2, 2, 2: step 0 rescales the
+# rows below (p = 2, prev = 1), step 1 leaves the last row as it is (p = prev).
+EQUAL_PIVOTS = (((3, 1, 0), (1, 0, 0)), ((2, 0, 0), (1, 1, 0), (0, 0, 1)))
+# Pivots 2, 3, 3: step 1 rescales the last row by 3/2 before it becomes the
+# third pivot row, so the denominator is det(basis) = 3 only with the rescale.
+RESCALED = (((3, 3, 2), (1, -1, 0), (1, 0, 0)), ((2, 1, 2), (1, 2, 1), (0, 0, 1)))
+
+
+@given(linear_systems("inside", small))
+@example(EQUAL_PIVOTS)
+@example(RESCALED)
+def test_bareiss_row_skips_match_gauss_jordan(system):
+    check_rat_express(*system)
+    check_int_express(*system)
 
 
 square = st.integers(0, 4).flatmap(
@@ -461,6 +486,26 @@ def test_intmatrix_rejects_non_integer_entries():
     assert all(type(x) is int for row in m.entries for x in row)
 
 
+def test_derived_matrices_hold_ints_and_reject_non_integers():
+    a = IntMatrix([[1, 2], [3, 4]])
+    derived = [
+        IntMatrix.identity(2),
+        IntMatrix.zero(2, 3),
+        IntMatrix.diagonal([True, -2]),
+        a + a,
+        a - a,
+        a.scale(True),
+        a.stack(a),
+        a.submatrix([1], [0]),
+    ]
+    assert all(type(x) is int for m in derived for row in m.entries for x in row)
+    assert IntMatrix.diagonal([True, -2]).entries == ((1, 0), (0, -2))
+    with pytest.raises(TypeError):
+        IntMatrix.diagonal([1, Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        a.scale(0.5)
+
+
 def triple_loop_product(a, b):
     out = [[0] * b.cols for _ in range(a.rows)]
     for i in range(a.rows):
@@ -473,7 +518,8 @@ def triple_loop_product(a, b):
 @st.composite
 def product_pairs(draw):
     m, n, p = (draw(st.integers(0, 4)) for _ in range(3))
-    entry = st.integers(-(10**20), 10**20)
+    unit = st.integers(-1, 1)  # weights the entries towards 0 and +-1
+    entry = unit | unit | st.integers(-(10**20), 10**20)
 
     def matrix(rows, cols):
         row = st.lists(entry, min_size=cols, max_size=cols)
@@ -498,6 +544,8 @@ def check_product_and_transpose(a, b, product):
 @example((IntMatrix([], cols=3), IntMatrix([[1, 2], [3, 4], [5, 6]])))
 @example((IntMatrix([[], []]), IntMatrix([], cols=3)))
 @example((IntMatrix([[1, 2], [3, 4], [5, 6]]), IntMatrix([[], []])))
+@example((IntMatrix([[0, 0, 0], [2, 0, -3]]), IntMatrix([[1, 2], [3, 4], [5, 6]])))
+@example((IntMatrix([[1, -1], [-1, -1], [1, 1]]), IntMatrix([[2, -3, 10**20], [5, 7, -1]])))
 def test_product_and_transpose_match_triple_loop(pair):
     a, b = pair
     check_product_and_transpose(a, b, triple_loop_product(a, b))
