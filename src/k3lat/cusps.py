@@ -616,7 +616,7 @@ def isotropic_plane(r: RhoLattice, e: Sequence[int]) -> Sublattice:
 
 def cusp_of_plane(r: RhoLattice, j: Sublattice) -> RootSystemType:
     """Root type (with star flag) of the quotient J-perp/J."""
-    q, _ = quotient_by_isotropic(j)
+    q = quotient_by_isotropic(j).lattice
     rtype, _ = root_system(q)
     idx = root_span_index(q)
     if idx not in (1, 3):

@@ -14,30 +14,34 @@ no machine-word fast path.  Conventions used by the whole package:
 The normal forms are computed by fraction-free row elimination with
 explicit transform accumulation: the Hermite form by gcd-driven row
 reduction, the Smith form by pivot elimination on the smallest entry
-(Cohen, GTM 138, Alg. 2.4.14, without the modulus), its row and column
-operations applied in place to both transforms.
-Linear systems (``rat_express``, ``int_express``, ``rat_inv``) are
-solved by one Bareiss elimination with a single common denominator
-(Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2).  This is slow
+(Cohen, GTM 138, 2.4, Alg. 2.4.14, without the modulus), its row and
+column operations applied in place to both transforms and, inverted, to
+the inverse of the right one.  ``int_express`` against a basis in row
+echelon form, as every Hermite basis from ``kernel_basis``,
+``hermite_basis`` and ``saturate`` is, is solved by exact substitution.
+Every other linear system is solved by one Bareiss elimination with a
+single common denominator (Bareiss, Math. Comp. 22 (1968); Cohen, GTM
+138, 2.2), whose step ``det`` and ``roots`` share.  This is slow
 compared to modular methods but provably correct, and the matrices
 appearing in this package have rank at most 28.
 
 The inputs are mostly zeros (Gram matrices of root lattices,
-block-diagonal actions, root vectors), and the two kernels that every
-layer runs through skip the work whose result is known.  The product
-``A * B`` sums one row of ``B`` per nonzero entry of a row of ``A``,
-adding or subtracting it without a multiplication when the entry is
-+-1.  A Bareiss step updates only the columns from the pivot on, since
-those before it are already zero below the pivot row, and leaves a row
-whose multiplier is 0 as it is when the pivot equals the previous one
-(it only rescales it otherwise).  What is skipped is an exact zero or a
-factor of exactly 1, so both kernels return the same integers as the
-dense computation.
+block-diagonal actions, root vectors), and the kernels skip the work
+whose result is known.  The product ``A * B`` sums one row of ``B`` per
+nonzero entry of a row of ``A``, adding or subtracting it without a
+multiplication when the entry is +-1.  A Bareiss step or a Hermite row
+operation updates only the columns from the pivot on, since those
+before it are zero in the pivot row; a Bareiss row whose multiplier is
+0 stays as it is when the pivot equals the previous one (it is only
+rescaled otherwise).  What is skipped is an exact zero or a factor of
+exactly 1, so the kernels return the same integers as the dense
+computation.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, index, mul, sub
 from typing import Iterable, List, Sequence, Tuple
@@ -171,27 +175,37 @@ def det(a: IntMatrix) -> int:
     """Determinant by fraction-free Bareiss elimination."""
     if a.rows != a.cols:
         raise ExactLAError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
     m = [list(row) for row in a.entries]
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
+    for c in range(a.rows):
+        if not m[c][c]:
+            piv = next((i for i in range(c + 1, a.rows) if m[i][c]), None)
+            if piv is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        prev = bareiss_step(m, c, prev)
+    return sign * prev
+
+
+def bareiss_step(a: List[List[int]], c: int, prev: int) -> int:
+    """One Bareiss step in place: clear column ``c`` below the pivot
+    ``a[c][c]``, given the previous pivot (1 at first); returns the pivot.
+    A row with multiplier 0 is only rescaled by p/prev, exactly."""
+    rc = a[c]
+    p = rc[c]
+    cols = range(c + 1, len(rc))
+    for ri in a[c + 1 :]:
+        f = ri[c]
+        if f:
+            for j in cols:
+                ri[j] = (p * ri[j] - f * rc[j]) // prev
+            ri[c] = 0
+        elif p != prev:
+            for j in cols:
+                ri[j] = p * ri[j] // prev
+    return p
 
 
 def hnf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
@@ -212,10 +226,11 @@ def _hermite(h: List[List[int]], u: List[List[int]]) -> None:
     m = len(h)
     n = len(h[0]) if h else 0
 
-    def row_sub(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j, mirrored on the transform
+    def row_sub(i: int, j: int, q: int, c: int) -> None:
+        # row_i -= q * row_j, mirrored on the transform; row_j is zero
+        # before its pivot column c, so columns before c do not change
         hi, hj = h[i], h[j]
-        for k in range(n):
+        for k in range(c, n):
             hi[k] -= q * hj[k]
         ui, uj = u[i], u[j]
         for k in range(len(ui)):
@@ -245,7 +260,7 @@ def _hermite(h: List[List[int]], u: List[List[int]]) -> None:
             for i in range(r + 1, m):
                 if h[i][c] != 0:
                     q = h[i][c] // h[r][c]
-                    row_sub(i, r, q)
+                    row_sub(i, r, q, c)
                     if h[i][c] != 0:
                         done = False
             if done:
@@ -256,23 +271,24 @@ def _hermite(h: List[List[int]], u: List[List[int]]) -> None:
             for i in range(r):
                 q = h[i][c] // h[r][c]
                 if q:
-                    row_sub(i, r, q)
+                    row_sub(i, r, q, c)
             r += 1
 
 
+@dataclass(frozen=True)
 class SnfResult:
-    """Smith normal form data: ``left * A * right = diag(d)``."""
+    """Smith normal form data: ``left * A * right = diag(d)`` and
+    ``right * right_inv = I``."""
 
-    __slots__ = ("d", "left", "right")
-
-    def __init__(self, d: Tuple[int, ...], left: IntMatrix, right: IntMatrix):
-        self.d = d
-        self.left = left
-        self.right = right
+    d: Tuple[int, ...]
+    left: IntMatrix
+    right: IntMatrix
+    right_inv: IntMatrix
 
 
 def snf(a: IntMatrix) -> SnfResult:
-    """Smith normal form with both unimodular transforms.
+    """Smith normal form with both unimodular transforms and the inverse
+    of the right one.
 
     Pivot elimination (Cohen, GTM 138, Alg. 2.4.14, without the
     modulus): the smallest nonzero entry of the trailing block becomes
@@ -280,15 +296,17 @@ def snf(a: IntMatrix) -> SnfResult:
     row, until both are zero.  If some entry of the block is not a
     multiple of the pivot, its row is added to the pivot row and the
     step repeats with a smaller pivot, so ``d_k | d_(k+1)``.  Row
-    operations are applied in place to ``left`` and column operations to
-    the rows of ``right^T``; the factorization is re-verified before
-    returning.
+    operations go in place to ``left``, column operations to the rows of
+    ``right^T`` and their inverses, as row operations, to ``right_inv``.
+    Verified are ``left * A == D * right_inv`` and ``right * right_inv ==
+    I``; both integral, so |det right| = 1 and ``left * A * right == D``.
     """
     m, n = a.rows, a.cols
     k = min(m, n)
     s = [list(row) for row in a.entries]
     left = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     right_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    right_inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
     def combine(rows: List[List[int]], i: int, j: int, q: int) -> None:
         # rows[i] -= q * rows[j]
@@ -305,6 +323,7 @@ def snf(a: IntMatrix) -> SnfResult:
             for row in s[t:]:
                 row[t], row[pj] = row[pj], row[t]
             right_t[t], right_t[pj] = right_t[pj], right_t[t]
+            right_inv[t], right_inv[pj] = right_inv[pj], right_inv[t]
             p = s[t][t]
             for i in range(t + 1, m):
                 q = s[i][t] // p
@@ -317,6 +336,7 @@ def snf(a: IntMatrix) -> SnfResult:
                     for row in s[t:]:
                         row[j] -= q * row[t]
                     combine(right_t, j, t, q)
+                    combine(right_inv, t, j, -q)
             if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
                 continue  # a remainder smaller than the pivot is left
             bad = next((i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :])), None)
@@ -332,16 +352,14 @@ def snf(a: IntMatrix) -> SnfResult:
             left[i] = [-x for x in left[i]]
     left = IntMatrix(left, cols=m)
     right = IntMatrix(right_t, cols=n).transpose()
+    inv = IntMatrix(right_inv, cols=n)
 
-    check = left * a * right
-    for i in range(m):
-        for j in range(n):
-            expect = d[i] if (i == j and i < k) else 0
-            if check.entries[i][j] != expect:
-                raise ExactLAError("smith factorization check failed")
-    if abs(det(left)) != 1 or abs(det(right)) != 1:
+    d_inv = tuple(tuple(x * di for x in row) for di, row in zip(d, inv.entries))
+    if left * a != IntMatrix._of(d_inv + ((0,) * n,) * (m - k), n):
+        raise ExactLAError("smith factorization check failed")
+    if right * inv != IntMatrix.identity(n) or abs(det(left)) != 1:
         raise ExactLAError("smith transforms are not unimodular")
-    return SnfResult(d, left, right)
+    return SnfResult(d, left, right, inv)
 
 
 def block_diagonal(*blocks: IntMatrix) -> IntMatrix:
@@ -359,10 +377,9 @@ def block_diagonal(*blocks: IntMatrix) -> IntMatrix:
 
 def hermite_basis(rows: Sequence[Sequence[int]], n: int) -> IntMatrix:
     """Nonzero rows of the Hermite form of ``rows``: a canonical basis of their Z-span."""
-    if not rows:
-        return IntMatrix([], cols=n)
-    h, _ = hnf(IntMatrix(rows, cols=n))
-    return IntMatrix._of(tuple(row for row in h.entries if any(row)), n)
+    h = [list(row) for row in IntMatrix(rows, cols=n).entries]
+    _hermite(h, [[] for _ in h])  # empty transform rows: no transform work
+    return IntMatrix._of(tuple(tuple(row) for row in h if any(row)), n)
 
 
 def rank(a: IntMatrix) -> int:
@@ -460,20 +477,7 @@ def _solve(
         if piv is None:
             raise ExactLAError("basis rows are dependent")
         a[c], a[piv] = a[piv], a[c]
-        rc = a[c]
-        p = rc[c]
-        live = rc[c:]
-        # Columns before c are zero below the pivot row and stay zero, so
-        # only columns c: change.  A row with f = 0 becomes p*row/prev:
-        # unchanged when p == prev, otherwise rescaled (exactly, as every
-        # Bareiss quotient is).
-        for ri in a[c + 1 :]:
-            f = ri[c]
-            if f:
-                ri[c:] = [(p * x - f * y) // prev for x, y in zip(ri[c:], live)]
-            elif p != prev:
-                ri[c:] = [p * x // prev for x in ri[c:]]
-        prev = p
+        prev = bareiss_step(a, c, prev)
     if any(x != 0 for row in a[k:] for x in row[k:]):
         raise ExactLAError("target outside rational span of basis")
     sign = 1 if prev > 0 else -1
@@ -522,8 +526,36 @@ def in_rational_span(v: Sequence[int], basis: IntMatrix) -> bool:
     return True
 
 
+def _echelon_express(targets: IntMatrix, basis: IntMatrix) -> List[Row] | None:
+    """Coefficients of ``targets`` by substitution in an echelon ``basis``:
+    among rows i.., row i alone is nonzero in its pivot column, so its
+    coefficient is the target entry left there over the pivot.  None for
+    another basis or a nonzero residual, which an inexact division leaves."""
+    pivots = [next((j for j, x in enumerate(row) if x), basis.cols) for row in basis.entries]
+    if targets.cols != basis.cols or any(a >= b for a, b in zip(pivots, pivots[1:] + [basis.cols])):
+        return None
+    out = []
+    for t in targets.entries:
+        rest, x = list(t), []
+        for row, c in zip(basis.entries, pivots):
+            q = rest[c] // row[c]
+            if q:
+                for j in range(c, len(rest)):
+                    rest[j] -= q * row[j]
+            x.append(q)
+        if any(rest):
+            return None
+        out.append(tuple(x))
+    return out
+
+
 def int_express(targets: IntMatrix, basis: IntMatrix) -> IntMatrix:
-    """Integer coefficients expressing ``targets`` in ``basis`` rows."""
+    """Integer coefficients expressing ``targets`` in ``basis`` rows: by
+    substitution for a basis in row echelon form, otherwise (and for every
+    error) by ``_solve``, so results and messages do not depend on it."""
+    coeffs = _echelon_express(targets, basis)
+    if coeffs is not None:
+        return IntMatrix._of(tuple(coeffs), basis.rows)
     nums, d = _solve(targets.entries, basis.entries)
     if any(x % d for row in nums for x in row):
         raise ExactLAError("coefficients are not integral")

@@ -40,6 +40,7 @@ from .exactla import (
     saturate,
 )
 from .lattice import (
+    IsotropicQuotient,
     Lattice,
     LatticeError,
     Overlattice,
@@ -217,15 +218,7 @@ class KulikovLattice:
     lattice: Lattice  # rank 18, even, unimodular
     rho: RhoLattice
     prim: Sublattice
-    xi: Tuple[int, ...]  # radical generator (D0, -D1)
-    lift: IntMatrix  # quotient basis lifted to ambient coordinates
-
-
-def _quotient_coords(xi: Sequence[int], lift: IntMatrix, rows: IntMatrix) -> IntMatrix:
-    """Coordinates in the quotient of ambient rows lying in the kernel."""
-    adapted = IntMatrix([list(xi)], cols=lift.cols).stack(lift)
-    coeff = int_express(rows, adapted)
-    return IntMatrix([r[1:] for r in coeff.entries], cols=lift.rows)
+    quotient: IsotropicQuotient  # of the radical (D0, -D1)
 
 
 def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
@@ -238,21 +231,22 @@ def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
     amb = direct_sum(c0.picard, c1.picard)
     xi = c0.d + tuple(-x for x in c1.d)
     # degree matching is orthogonality to the isotropic xi
-    lam, lift = quotient_by_isotropic(Sublattice(amb, [xi]))
+    quo = quotient_by_isotropic(Sublattice(amb, [xi]))
+    lam = quo.lattice
     if lam.rank != 18 or not lam.is_unimodular or not lam.is_even:
         raise KulikovError("glued lattice is not even unimodular of rank 18")
     if signature(lam) != (1, 17):
         raise KulikovError("glued lattice has the wrong signature")
     # componentwise action descends to the quotient
-    images = lift * block_diagonal(c0.rho.rho.matrix, c1.rho.rho.matrix)
-    rq = rho_lattice(lam, _quotient_coords(xi, lift, images))
+    images = quo.lift * block_diagonal(c0.rho.rho.matrix, c1.rho.rho.matrix)
+    rq = rho_lattice(lam, quo.coords(images))
     if rq.order != 3:
         raise KulikovError("glued action does not have order 3")
     prim = primitive_part(rq)
     fix = fixed_sublattice(rq)
     if prim.rank + fix.rank != 18:
         raise KulikovError("fixed and primitive parts do not fill the lattice")
-    return KulikovLattice(lam, rq, prim, xi, lift)
+    return KulikovLattice(lam, rq, prim, quo)
 
 
 def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) -> Tuple[bool, int]:
@@ -264,7 +258,7 @@ def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) 
     p1, t1 = primitive_picard(c1)
     expected = t0 + t1
     # the component primitive parts, padded into the rank-20 ambient sum
-    image = _quotient_coords(k.xi, k.lift, block_diagonal(p0.basis, p1.basis))
+    image = k.quotient.coords(block_diagonal(p0.basis, p1.basis))
     # express the image inside the primitive part and measure the index
     coeff = int_express(image, k.prim.basis)
     if coeff.rows != k.prim.rank:
@@ -395,7 +389,7 @@ def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
     e, ep = [0] * t.rank, [0] * t.rank
     e[0] = ep[2] = 1
     j = Sublattice(t, IntMatrix([e, ep], cols=t.rank))
-    q, _ = quotient_by_isotropic(j)
+    q = quotient_by_isotropic(j).lattice
     rtype, _ = root_system(q)
     plane = (j.is_isotropic(), j.is_primitive, is_invariant(j.basis, t4.rho.matrix), str(rtype))
 

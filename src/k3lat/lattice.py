@@ -21,10 +21,11 @@ from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 from .exactla import (
+    ExactLAError,
     IntMatrix,
     block_diagonal,
     det,
-    hnf,
+    hermite_basis,
     int_express,
     int_mat_inv,
     kernel_basis,
@@ -389,7 +390,7 @@ class Sublattice:
 
     @property
     def is_primitive(self) -> bool:
-        return saturate(self.basis) == hnf(self.basis)[0]
+        return saturate(self.basis) == hermite_basis(self.basis.entries, self.basis.cols)
 
     def orth_complement(self) -> "Sublattice":
         """Saturated orthogonal complement inside the ambient lattice."""
@@ -403,30 +404,45 @@ class Sublattice:
         return f"Sublattice(rank {self.rank} of {self.ambient!r})"
 
 
-def quotient_by_isotropic(j: Sublattice) -> Tuple[Lattice, IntMatrix]:
+@dataclass
+class IsotropicQuotient:
+    """J^perp/J with its induced form, the lifts of its basis, and the
+    map ``coords`` from J^perp to its coordinates."""
+
+    lattice: Lattice
+    lift: IntMatrix  # quotient basis rows in ambient coordinates
+    perp: IntMatrix  # Hermite basis of J^perp
+    tail: IntMatrix  # columns rank(J): of the Smith transform ``right``
+
+    def coords(self, rows: IntMatrix) -> IntMatrix:
+        """Quotient coordinates of ambient rows lying in J^perp."""
+        return int_express(rows, self.perp) * self.tail
+
+
+def quotient_by_isotropic(j: Sublattice) -> IsotropicQuotient:
     """The lattice J^perp/J with its induced form, for isotropic saturated J.
 
-    Returns the quotient lattice and one choice of lift basis (rows in
-    ambient coordinates); the induced Gram matrix does not depend on the
-    choice of lifts because J pairs to zero with all of J^perp.
+    If ``left * C * right = [I | 0]`` is the Smith form of the coordinates
+    of J in the Hermite basis of J^perp, the rows of ``right^-1`` (tracked
+    by ``snf``) after the first rank(J), which span J, lift a basis of the
+    quotient; its form does not depend on the lifts, as J is orthogonal
+    to J^perp.  Coordinates ``y`` in J^perp map to ``y * right`` in the
+    basis ``right^-1``, so the columns rank(J): of ``right`` give the
+    quotient coordinates.
     """
     if not j.is_isotropic():
         raise LatticeError("sublattice is not isotropic")
-    perp = j.orth_complement()
-    bperp = perp.basis
+    bperp = j.orth_complement().basis
     # J sits inside its own orthogonal complement
-    coeff = int_express(j.basis, bperp)
-    # adapt a basis of Z^(rank perp) so the first rows span the image of J
-    res = snf(coeff)
+    res = snf(int_express(j.basis, bperp))
     # J^perp is saturated and contains J, so J is saturated in the ambient
     # lattice exactly when it is saturated in J^perp: all d equal to 1
     if any(d != 1 for d in res.d):
         raise LatticeError("sublattice is not saturated; saturate it first")
-    q_inv = int_express(IntMatrix.identity(res.right.rows), res.right)
-    # rows of right^-1 beyond rank(J) lift a basis of the quotient
-    lift = q_inv.submatrix(range(j.rank, q_inv.rows)) * bperp
+    k = bperp.rows
+    lift = res.right_inv.submatrix(range(j.rank, k)) * bperp
     lat = Lattice(lift * j.ambient.gram * lift.transpose())
-    return lat, lift
+    return IsotropicQuotient(lat, lift, bperp, res.right.submatrix(range(k), range(j.rank, k)))
 
 
 @dataclass
@@ -463,11 +479,9 @@ def glue_overlattice(l: Lattice, glue: Sequence[Sequence[Fraction]]) -> Overlatt
                 raise LatticeError("glue vectors do not pair integrally")
             if s == t and (val // dd) % 2 != 0:
                 raise LatticeError("glue vector has odd norm; overlattice not even")
-    h, _ = hnf(IntMatrix.identity(n).scale(d).stack(IntMatrix(scaled, cols=n)))
-    rows = [r for r in h.entries if any(x != 0 for x in r)]
-    if len(rows) != n:
+    hm = hermite_basis([*IntMatrix.identity(n).scale(d).entries, *scaled], n)
+    if hm.rows != n:
         raise LatticeError("glue vectors do not preserve the rank")
-    hm = IntMatrix(rows, cols=n)
     entries = []
     for row in (hm * l.gram * hm.transpose()).entries:
         if any(x % dd for x in row):
@@ -476,17 +490,10 @@ def glue_overlattice(l: Lattice, glue: Sequence[Sequence[Fraction]]) -> Overlatt
     lat = Lattice(IntMatrix(entries, cols=n))
     if not lat.is_even:
         raise LatticeError("overlattice form is not even: invalid glue")
-    # solve C * H = d * I column by column: H is upper triangular with
-    # positive pivots, being the Hermite form of a full-rank square matrix
-    old_coeff = []
-    for r in range(n):
-        c = [0] * n
-        for j in range(r, n):
-            rhs = (d if j == r else 0) - sum(c[i] * rows[i][j] for i in range(r, j))
-            c[j], rem = divmod(rhs, rows[j][j])
-            if rem:
-                raise LatticeError("original basis not contained in the overlattice")
-        old_coeff.append(c)
-    old_in_new = IntMatrix(old_coeff, cols=n)
-    basis = tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+    # C * H = d * I, solved by substitution in the Hermite basis H
+    try:
+        old_in_new = int_express(IntMatrix.identity(n).scale(d), hm)
+    except ExactLAError:
+        raise LatticeError("original basis not contained in the overlattice") from None
+    basis = tuple(tuple(Fraction(x, d) for x in row) for row in hm.entries)
     return Overlattice(lat, basis, old_in_new, abs(det(old_in_new)))

@@ -35,7 +35,7 @@ from itertools import count
 from operator import mul, sub
 from typing import Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, det, hermite_basis, in_rational_span, int_express
+from .exactla import IntMatrix, bareiss_step, det, hermite_basis, in_rational_span, int_express
 from .lattice import Lattice, LatticeError, Sublattice, definite_sign, root_lattice
 
 Vector = Tuple[int, ...]
@@ -66,16 +66,12 @@ def _bareiss(gram: IntMatrix) -> List[List[int]]:
 
         Q(x) = sum_k (d_k x_k + sum_{l>k} B_kl x_l)^2 / (d_k d_{k-1}).
     """
-    n = gram.rows
     m = [list(row) for row in gram.entries]
     prev = 1
-    for k in range(n):
+    for k in range(gram.rows):
         if m[k][k] <= 0:
             raise EnumerationError("form is not positive definite")
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+        prev = bareiss_step(m, k, prev)
     return m
 
 

@@ -406,7 +406,7 @@ def suite_semifan() -> Report:
             r.add(f"{pid}-rank", f"semifan rank {rank}", rec.fj_rank, rank, "paper")
             r.add(
                 f"{pid}-primitive",
-                "saturated in the quotient model",
+                "index of the A2-slot span in its saturation",
                 rec.slot_index,
                 slot_index,
                 "paper",

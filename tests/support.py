@@ -9,7 +9,9 @@ They are slow, and independent of the code under test apart from
 test's all-roots route spans every complement root of an embedding
 record, where the library spans only their simple roots.  The Smith
 oracle is the alternating row and column Hermite passes that the pivot
-elimination of ``snf`` replaced.
+elimination of ``snf`` replaced.  The Kulikov quotient coordinates
+are also read off a Bareiss solve against the adapted basis ``[xi;
+lift]``, without the Smith transform that the library uses.
 """
 
 import math
@@ -18,7 +20,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from k3lat.cusps import component_system
-from k3lat.exactla import ExactLAError, IntMatrix, SnfResult, hnf
+from k3lat.exactla import ExactLAError, IntMatrix, SnfResult, _solve, hnf
 from k3lat.lattice import (
     Lattice,
     diag_lattice,
@@ -272,7 +274,9 @@ def hermite_snf(a):
         raise ExactLAError("smith reduction did not converge")
     signs = [-1 if i < min(m, n) and s.entries[i][i] < 0 else 1 for i in range(m)]
     left = IntMatrix([[c * x for x in row] for c, row in zip(signs, left.entries)], cols=m)
-    return SnfResult(tuple(abs(s.entries[i][i]) for i in range(min(m, n))), left, right)
+    # right is unimodular, so its Fraction inverse is integral
+    right_inv = IntMatrix([[int(x) for x in row] for row in gauss_jordan_inv(right.entries)], cols=n)
+    return SnfResult(tuple(abs(s.entries[i][i]) for i in range(min(m, n))), left, right, right_inv)
 
 
 # -- the all-roots span of an embedding's complement -------------------
@@ -297,3 +301,18 @@ def all_complement_root_span(record, model):
     rows = _mul(rows, model.overlattice.old_in_new.entries)
     h, _ = hnf(IntMatrix(rows, cols=model.n.rank))
     return IntMatrix([r for r in h.entries if any(r)], cols=model.n.rank)
+
+
+# -- the adapted-basis route to quotient coordinates --------------------
+
+
+def adapted_quotient_coords(xi, lift, rows):
+    """Coordinates in J^perp/J, J spanned by the primitive ``xi``, of
+    ambient rows in J^perp: a Bareiss solve of ``C * [xi; lift] = rows``,
+    integral since ``[xi; lift]`` is a basis of J^perp, with the ``xi``
+    column dropped."""
+    adapted = [tuple(xi)] + list(lift.entries)
+    nums, d = _solve(rows.entries, adapted)
+    if any(x % d for row in nums for x in row):
+        raise ExactLAError("coefficients are not integral")
+    return IntMatrix([[x // d for x in row[1:]] for row in nums], cols=lift.rows)

@@ -2,13 +2,17 @@ import math
 import random
 from fractions import Fraction
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+from k3lat import exactla
 from k3lat.exactla import (
     ExactLAError,
     IntMatrix,
     det,
+    hermite_basis,
     hnf,
     index_in,
     int_express,
@@ -277,6 +281,43 @@ def test_bareiss_row_skips_match_gauss_jordan(system):
     check_int_express(*system)
 
 
+@st.composite
+def echelon_systems(draw):
+    """A Hermite basis of random rows with targets of one kind: integral
+    combinations of it (``integral``), a row that the basis holds only
+    times 2 or 3 (``fraction``, mostly a non-integral combination), or a
+    free vector (``outside``, mostly outside the span)."""
+    n = draw(st.integers(1, 5))
+    rows = [[draw(small) for _ in range(n)] for _ in range(draw(st.integers(1, 4)))]
+    kind = draw(st.sampled_from(["integral", "fraction", "outside"]))
+    first = rows[0]
+    if kind == "fraction":
+        rows[0] = [draw(st.sampled_from([2, 3])) * x for x in first]
+    basis = hermite_basis(rows, n).entries
+    if kind == "integral":
+        coeffs = st.lists(small, min_size=len(basis), max_size=len(basis))
+        targets = [
+            [sum(c * row[j] for c, row in zip(cs, basis)) for j in range(n)]
+            for cs in draw(st.lists(coeffs, min_size=1, max_size=3))
+        ]
+    else:
+        targets = [first if kind == "fraction" else [draw(small) for _ in range(n)]]
+    return tuple(map(tuple, targets)), basis
+
+
+@given(echelon_systems())
+@example((((1, 1),), ((2, 2),)))  # the pivot 2 does not divide 1
+@example((((1, 1, 0),), ((1, 0, 0), (0, 0, 2))))  # exact divisions leave a residual
+def test_int_express_on_echelon_bases(system):
+    targets, basis = system
+    with mock.patch.object(exactla, "_solve", wraps=exactla._solve) as solve:
+        check_int_express(targets, basis)
+    # substitution solves every integral system, and Bareiss every other
+    n = len(targets[0])
+    found = outcome(int_express, IntMatrix(targets, cols=n), IntMatrix(basis, cols=n))
+    assert solve.called == isinstance(found, str)
+
+
 square = st.integers(0, 4).flatmap(
     lambda n: st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)
 )
@@ -368,14 +409,16 @@ def test_hnf_contract_and_sympy_oracle(rows):
 
 
 def check_snf(a, res, oracle_d):
-    """left*A*right = diag(d), both transforms unimodular, d_i | d_(i+1)
-    with zeros last, and d equal to the oracle's invariant factors."""
+    """left*A*right = diag(d), both transforms unimodular, right_inv the
+    inverse of right, d_i | d_(i+1) with zeros last, and d equal to the
+    oracle's invariant factors."""
     m, n = a.rows, a.cols
     prod = res.left * a * res.right
     assert all(
         prod.entries[i][j] == (res.d[i] if i == j else 0) for i in range(m) for j in range(n)
     )
     assert abs(det(res.left)) == 1 and abs(det(res.right)) == 1
+    assert res.right * res.right_inv == IntMatrix.identity(n)
     for x, y in zip(res.d, res.d[1:]):
         assert (y % x == 0) if x else y == 0
     assert res.d == tuple(oracle_d)
@@ -460,15 +503,28 @@ def test_snf_pinned_lattices():
 def test_snf_check_rejects_skipped_repair():
     a = IntMatrix([[2, 0], [0, 3]])
     # a diagonal certificate without the divisibility repair
-    unrepaired = SnfResult((2, 3), IntMatrix.identity(2), IntMatrix.identity(2))
+    unrepaired = SnfResult((2, 3), IntMatrix.identity(2), IntMatrix.identity(2), IntMatrix.identity(2))
     with pytest.raises(AssertionError):
         check_snf(a, unrepaired, (2, 3))
     with pytest.raises(AssertionError):
         check_snf(a, snf(a), (2, 3))
     flipped = snf(a)
-    flipped = SnfResult(flipped.d, flipped.left.scale(-1), flipped.right)
+    flipped = SnfResult(flipped.d, flipped.left.scale(-1), flipped.right, flipped.right_inv)
     with pytest.raises(AssertionError):
         check_snf(a, flipped, (1, 6))
+
+
+def test_snf_check_rejects_corrupted_right_inv():
+    a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    res = snf(a)
+    check_snf(a, res, (2, 6, 12))
+    # one entry off, and the right transform itself in place of its inverse
+    bad = [list(row) for row in res.right_inv.entries]
+    bad[0][2] += 1
+    for wrong in (IntMatrix(bad), res.right):
+        assert wrong != res.right_inv
+        with pytest.raises(AssertionError):
+            check_snf(a, SnfResult(res.d, res.left, res.right, wrong), (2, 6, 12))
 
 
 # -- IntMatrix entries, product and transpose --------------------------

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from k3lat.exactla import IntMatrix, index_in
+from k3lat.exactla import IntMatrix, block_diagonal, index_in
 from k3lat import goldens
 from k3lat.goldens import ORDER4_TABLE, SEMIFAN_TABLE
 from k3lat.kulikov import (
@@ -20,6 +20,7 @@ from k3lat.kulikov import (
 )
 from k3lat.lattice import signature
 from k3lat.roots import RootSystemType, root_system
+from support import adapted_quotient_coords
 
 T = RootSystemType.parse
 
@@ -109,6 +110,25 @@ def _check_pairing(s0, s1, expected, starred):
     star_idx = index_in(span.basis, IntMatrix.identity(prim_lat.rank))
     assert star_idx == (3 if starred else 1)
     assert root_split_check(k, c0, c1) == (True, 3 if starred else 1)
+
+
+ALL_GLUINGS = [(s0, s1) for pairings in goldens.GLUE_PAIRINGS.values() for s0, s1, _, _ in pairings]
+
+
+@pytest.mark.parametrize("s0,s1", ALL_GLUINGS)
+def test_quotient_coords_match_adapted_basis_route(s0, s1):
+    # the Smith-transform map of the glued lattice against a Bareiss solve
+    # in the adapted basis [xi; lift]: same descended action, same image
+    # of the component primitive parts
+    c0 = build_component(ComponentSpec(*s0))
+    c1 = build_component(ComponentSpec(*s1))
+    k = glue_lambda(c0, c1)
+    xi = c0.d + tuple(-x for x in c1.d)
+    lift = k.quotient.lift
+    images = lift * block_diagonal(c0.rho.rho.matrix, c1.rho.rho.matrix)
+    assert adapted_quotient_coords(xi, lift, images) == k.rho.rho.matrix
+    parts = block_diagonal(primitive_picard(c0)[0].basis, primitive_picard(c1)[0].basis)
+    assert k.quotient.coords(parts) == adapted_quotient_coords(xi, lift, parts)
 
 
 def test_root_split_trivial_case():
