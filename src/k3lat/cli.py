@@ -3,7 +3,11 @@
 Subcommands: ``info``, ``roots``, ``disc`` take a lattice expression;
 ``cusps`` classifies the 1-cusps of a family; ``verify`` runs the named
 golden suite.  Exit codes: 0 all checks pass, 1 a check failed or the
-input was rejected, 2 usage error.
+input was rejected, 2 usage error.  Each subcommand loads only the layers
+it uses, so a cold query pays no import it does not need: ``info``,
+``roots`` and ``disc`` load exactla, lattice and roots; ``cusps`` adds
+the classifier (``cusps`` with eisenstein); ``verify`` loads the suites.
+At start-up only the suite names are read, from ``goldens``.
 
 Lattice expressions: atoms ``U``, ``U(n)``, ``A<n>``, ``D<n>`` (n >= 4),
 ``E6|E7|E8``, ``diag(d1,...,dk)``, ``gram[[...],...]``; ``+`` is the
@@ -35,8 +39,8 @@ from .lattice import (
     root_lattice,
     signature_with_radical,
 )
+from .goldens import SUITE_ORDER
 from .roots import enumerate_norm, root_system
-from .suites import SUITE_ORDER, Report, run_suites
 
 
 # Largest index of an ADE atom: the rank of a Niemeier lattice, above every
@@ -187,28 +191,6 @@ def parse_lattice_expr(text: str) -> Lattice:
     return lat
 
 
-# -- rendering ----------------------------------------------------------
-
-
-def _render_reports_text(reports: List[Report]) -> str:
-    lines = []
-    for rep in reports:
-        lines.append(f"suite {rep.suite} (version {rep.version})")
-        width = max((len(i.id) for i in rep.items), default=0)
-        for i in rep.items:
-            lines.append(
-                f"  {i.status.upper():4} {i.id:<{width}}  {i.anchor}"
-                + ("" if i.status == "pass" else f"  [computed {i.computed} expected {i.expected}]")
-            )
-        n_pass = sum(1 for i in rep.items if i.status == "pass")
-        lines.append(f"  {n_pass}/{len(rep.items)} checks passed")
-    return "\n".join(lines)
-
-
-def _render_reports_json(reports: List[Report]) -> str:
-    return json.dumps([r.as_dict() for r in reports], indent=2, sort_keys=False)
-
-
 @click.group()
 @click.version_option(__version__)
 def main() -> None:
@@ -341,11 +323,13 @@ def cusps(family: str, fmt: str) -> None:
 )
 def verify(suite: str, fmt: str) -> None:
     """Run a golden verification suite; exit 0 only if every item passes."""
+    from .suites import run_suites
+
     reports = run_suites(suite)
     if fmt == "json":
-        click.echo(_render_reports_json(reports))
+        click.echo(json.dumps([r.as_dict() for r in reports], indent=2))
     else:
-        click.echo(_render_reports_text(reports))
+        click.echo("\n".join(r.as_text() for r in reports))
     if not all(r.passed for r in reports):
         sys.exit(1)
 

@@ -526,13 +526,23 @@ def in_rational_span(v: Sequence[int], basis: IntMatrix) -> bool:
     return True
 
 
+def echelon_pivots(basis: IntMatrix) -> List[int] | None:
+    """The pivot (first nonzero) column of each row of ``basis`` if they
+    strictly increase, which proves the rows independent; None otherwise,
+    a zero row included."""
+    pivots = [next((j for j, x in enumerate(row) if x), basis.cols) for row in basis.entries]
+    if any(a >= b for a, b in zip(pivots, pivots[1:] + [basis.cols])):
+        return None
+    return pivots
+
+
 def _echelon_express(targets: IntMatrix, basis: IntMatrix) -> List[Row] | None:
     """Coefficients of ``targets`` by substitution in an echelon ``basis``:
     among rows i.., row i alone is nonzero in its pivot column, so its
     coefficient is the target entry left there over the pivot.  None for
     another basis or a nonzero residual, which an inexact division leaves."""
-    pivots = [next((j for j, x in enumerate(row) if x), basis.cols) for row in basis.entries]
-    if targets.cols != basis.cols or any(a >= b for a, b in zip(pivots, pivots[1:] + [basis.cols])):
+    pivots = echelon_pivots(basis)
+    if targets.cols != basis.cols or pivots is None:
         return None
     out = []
     for t in targets.entries:

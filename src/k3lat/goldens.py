@@ -16,6 +16,10 @@ from typing import Dict, List, Tuple
 
 FAMILIES = ((0, 2), (0, 1), (1, 1), (2, 1))
 
+# the verification suites in the order ``verify --suite all`` runs them;
+# the CLI reads the names here without loading ``suites``
+SUITE_ORDER = ("tab3", "tab4", "expl", "eis", "order4", "tschirnhausen", "glue", "semifan")
+
 # family -> genus of the fixed curve
 GENUS = {(0, 2): 5, (0, 1): 4, (1, 1): 3, (2, 1): 2}
 

@@ -25,10 +25,12 @@ from .exactla import (
     IntMatrix,
     block_diagonal,
     det,
+    echelon_pivots,
     hermite_basis,
     int_express,
     int_mat_inv,
     kernel_basis,
+    rank,
     saturate,
     snf,
 )
@@ -368,9 +370,8 @@ class Sublattice:
             basis = IntMatrix(basis, cols=ambient.rank)
         if basis.cols != ambient.rank:
             raise LatticeError("basis rows do not match ambient rank")
-        from .exactla import rank as _rank
-
-        if _rank(basis) != basis.rows:
+        # an echelon basis (every Hermite basis) is independent as it stands
+        if echelon_pivots(basis) is None and rank(basis) != basis.rows:
             raise LatticeError("sublattice basis rows are dependent")
         self.ambient = ambient
         self.basis = basis

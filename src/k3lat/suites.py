@@ -103,6 +103,18 @@ class Report:
             "version": self.version,
         }
 
+    def as_text(self) -> str:
+        lines = [f"suite {self.suite} (version {self.version})"]
+        width = max((len(i.id) for i in self.items), default=0)
+        for i in self.items:
+            lines.append(
+                f"  {i.status.upper():4} {i.id:<{width}}  {i.anchor}"
+                + ("" if i.status == "pass" else f"  [computed {i.computed} expected {i.expected}]")
+            )
+        n_pass = sum(1 for i in self.items if i.status == "pass")
+        lines.append(f"  {n_pass}/{len(self.items)} checks passed")
+        return "\n".join(lines)
+
 
 def _sum_label(symbols) -> str:
     parts = []
@@ -431,23 +443,15 @@ def suite_semifan() -> Report:
     return r
 
 
-SUITES: Dict[str, Callable[[], Report]] = {
-    "tab3": suite_tab3,
-    "tab4": suite_tab4,
-    "expl": suite_expl,
-    "eis": suite_eis,
-    "order4": suite_order4,
-    "tschirnhausen": suite_tschirnhausen,
-    "glue": suite_glue,
-    "semifan": suite_semifan,
-}
-
-SUITE_ORDER = tuple(SUITES)
+SUITES: Dict[str, Callable[[], Report]] = dict(zip(goldens.SUITE_ORDER, (
+    suite_tab3, suite_tab4, suite_expl, suite_eis,
+    suite_order4, suite_tschirnhausen, suite_glue, suite_semifan,
+), strict=True))
 
 
 def run_suites(name: str) -> List[Report]:
     if name == "all":
-        return [SUITES[s]() for s in SUITE_ORDER]
+        return [run() for run in SUITES.values()]
     if name not in SUITES:
         raise KeyError(name)
     return [SUITES[name]()]

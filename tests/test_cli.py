@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
 
 from k3lat.cli import MAX_ADE_INDEX, main
+from k3lat.suites import SUITES
 
 
 def run(*args):
@@ -68,3 +72,46 @@ def test_verify_all_text_is_byte_stable():
     res = run("verify", "--suite", "all")
     assert res.exit_code == 0
     assert res.stdout_bytes == (Path(__file__).parent / "golden" / "verify_all.txt").read_bytes()
+
+
+def test_verify_help_lists_every_suite():
+    res = run("verify", "--help")
+    assert res.exit_code == 0
+    assert f"[{'|'.join([*SUITES, 'all'])}]" in res.output
+
+
+def test_verify_rejects_unknown_suite():
+    res = run("verify", "--suite", "nosuch")
+    assert res.exit_code == 2
+    assert "'nosuch' is not one of" in res.output
+
+
+def test_verify_suite_choices_are_the_registry():
+    (option,) = [p for p in main.commands["verify"].params if p.name == "suite"]
+    assert tuple(option.type.choices) == (*SUITES, "all")
+
+
+def imported_after(statement):
+    """The k3lat modules loaded by ``statement`` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = f"{statement}; import sys; print(' '.join(m for m in sys.modules if m.startswith('k3lat')))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_cli_import_leaves_out_the_suite_stack():
+    # info, roots and disc need none of these; verify and cusps import them
+    loaded = imported_after("import k3lat.cli")
+    assert "k3lat.roots" in loaded
+    for module in ("k3lat.suites", "k3lat.cusps", "k3lat.kulikov", "k3lat.eisenstein"):
+        assert module not in loaded
+
+
+def test_kulikov_import_leaves_out_cusps_and_suites():
+    # kulikov imports the cusp classifier inside the one function that uses it
+    loaded = imported_after("import k3lat.kulikov")
+    assert "k3lat.kulikov" in loaded
+    assert "k3lat.cusps" not in loaded and "k3lat.suites" not in loaded

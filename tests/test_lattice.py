@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from k3lat.exactla import IntMatrix, index_in, saturate
+from k3lat.exactla import IntMatrix, echelon_pivots, index_in, saturate
 from k3lat.lattice import (
     DegenerateFormError,
     DiscGroup,
@@ -176,6 +176,56 @@ def test_complement_of_isotropic_line_in_u():
     e = Sublattice(u, [[1, 0]])
     c = e.orth_complement()
     assert c.basis == IntMatrix([[1, 0]])
+
+
+SPARSE_ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+
+@st.composite
+def sparse_basis(draw):
+    """Random rows, often with repeated pivots or zero rows."""
+    cols = draw(st.integers(1, 5))
+    row = st.lists(SPARSE_ENTRY, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=1, max_size=cols + 1)), cols
+
+
+@st.composite
+def echelon_basis(draw):
+    """Random rows whose pivot columns strictly increase, with those pivots."""
+    cols = draw(st.integers(1, 5))
+    pivots = sorted(draw(st.sets(st.integers(0, cols - 1), min_size=1)))
+    rows = [
+        [0] * p + [draw(st.sampled_from([1, -1, 2, -3]))]
+        + draw(st.lists(SPARSE_ENTRY, min_size=cols - p - 1, max_size=cols - p - 1))
+        for p in pivots
+    ]
+    return rows, cols, pivots
+
+
+def check_sublattice_basis(rows, cols):
+    """The constructor rejects ``rows`` exactly when sympy finds them dependent."""
+    sympy = pytest.importorskip("sympy")
+    ambient = diag_lattice([1] * cols)
+    if sympy.Matrix(rows).rank() < len(rows):
+        with pytest.raises(LatticeError, match="sublattice basis rows are dependent"):
+            Sublattice(ambient, rows)
+    else:
+        assert Sublattice(ambient, rows).rank == len(rows)
+
+
+@given(sparse_basis())
+@example(([[1, 2], [2, 4]], 2))  # equal pivots, dependent
+@example(([[0, 1], [1, 0]], 2))  # decreasing pivots, independent
+@example(([[1, 0], [0, 0]], 2))  # a zero row
+def test_sublattice_rejects_exactly_dependent_rows(data):
+    check_sublattice_basis(*data)
+
+
+@given(echelon_basis())
+def test_sublattice_accepts_echelon_rows(data):
+    rows, cols, pivots = data
+    assert echelon_pivots(IntMatrix(rows, cols=cols)) == pivots
+    check_sublattice_basis(rows, cols)
 
 
 def test_quotient_d4_a1_example():
