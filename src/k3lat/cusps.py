@@ -48,12 +48,12 @@ from .lattice import (
     Sublattice,
     cartan_gram,
     direct_sum,
-    dual_generator,
     glue_overlattice,
     hyperbolic,
     quotient_by_isotropic,
     rescale,
     root_lattice,
+    scaled_dual,
 )
 from .roots import (
     EMPTY_TYPE,
@@ -385,8 +385,9 @@ def build_niemeier(kind: str) -> NiemeierModel:
         if (ncomp - w.count(0)) * dual_class_min(*comp) <= 2:
             raise CuspError(f"{kind}: glue word {w} adds roots")
     r = direct_sum(*[root_lattice(*comp)] * ncomp)
-    glue = [[x * c for c in g for x in dual_generator(*comp)] for g in gens]
-    over = glue_overlattice(r, glue)
+    dual, d = scaled_dual(*comp)
+    glue = [[x * c for c in g for x in dual.entries[0]] for g in gens]
+    over = glue_overlattice(r, glue, d)
     if over.index ** 2 != abs(r.det()):
         raise CuspError(f"{kind}: glue index {over.index} does not match the discriminant")
     if not over.lattice.is_unimodular or not over.lattice.is_even:

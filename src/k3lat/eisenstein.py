@@ -21,7 +21,6 @@ if the discriminant action comes out nontrivial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
 
@@ -152,8 +151,8 @@ def primitive_part(r: RhoLattice) -> Sublattice:
 class Eis:
     """a + b*w with w^2 + w + 1 = 0; theta = w - w^2 = 1 + 2w."""
 
-    a: Fraction
-    b: Fraction
+    a: int
+    b: int
 
     def __add__(self, o: "Eis") -> "Eis":
         return Eis(self.a + o.a, self.b + o.b)
@@ -170,12 +169,8 @@ class Eis:
         # conjugate of w is w^2 = -1 - w
         return Eis(self.a - self.b, -self.b)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int:
         return (self * self.conj()).a
-
-    @property
-    def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -189,8 +184,8 @@ class Eis:
         return f"{self.a}{sign}{term}"
 
 
-def eis(a, b=0) -> Eis:
-    return Eis(Fraction(a), Fraction(b))
+def eis(a: int, b: int = 0) -> Eis:
+    return Eis(a, b)
 
 
 THETA = eis(1, 2)
@@ -230,8 +225,6 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
         for j in range(len(chosen)):
             if gram[i][j] != gram[j][i].conj():
                 raise IsometryError("Hermitian matrix is not conjugate-symmetric")
-            if not gram[i][j].is_integral:
-                raise IsometryError("Hermitian value is not an Eisenstein integer")
     basis = IntMatrix([list(c) for c in chosen], cols=n)
     return basis, tuple(gram)
 
@@ -242,10 +235,11 @@ def _hermitian_value(lattice: Lattice, iso: Isometry, x, y) -> Eis:
     dy = tuple(a - b for a, b in zip(ry, r2y))
     b_plain = lattice.pair(x, y)
     b_theta = lattice.pair(x, dy)
-    # (3*b_plain + theta*b_theta) / 2 with theta = 1 + 2w
-    a_part = Fraction(3 * b_plain + b_theta, 2)
-    b_part = Fraction(b_theta)
-    return Eis(a_part, b_part)
+    # (3*b_plain + theta*b_theta) / 2 = (3*b_plain + b_theta)/2 + b_theta*w
+    a_twice = 3 * b_plain + b_theta
+    if a_twice % 2:
+        raise IsometryError("Hermitian value is not an Eisenstein integer")
+    return Eis(a_twice // 2, b_theta)
 
 
 def hermitian_normal_2x2(gram: Tuple[Tuple[Eis, ...], ...]) -> Tuple[Tuple[Eis, ...], ...]:

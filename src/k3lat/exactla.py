@@ -1,10 +1,11 @@
-"""Exact integer and rational linear algebra kernel.
+"""Exact integer linear algebra kernel.
 
-Everything here runs on arbitrary-precision Python integers;
-``fractions.Fraction`` appears only at the boundary of the rational
-helpers, whose inputs are scaled to integers and whose results are
-built from integer numerators.  There is no floating point anywhere and
-no machine-word fast path.  Conventions used by the whole package:
+Everything here runs on arbitrary-precision Python integers, with no
+floating point and no machine-word fast path; a rational matrix travels
+as integer rows over one denominator.  ``rat_express`` and ``rat_mul``,
+on ``Fraction`` rows, are kept only because the benchmark tracer wraps
+them by name; no library path calls them.  Conventions used by the
+whole package:
 
 * matrices are row-major; lattice elements are ROW vectors,
 * a transform ``U`` returned together with a normal form acts on the
@@ -417,14 +418,10 @@ def saturate(rows: IntMatrix, ambient_rank: int | None = None) -> IntMatrix:
     return kernel_basis(ortho)
 
 
-# -- rational helpers -------------------------------------------------
+# -- rational helpers, kept for the benchmark tracer -------------------
 
 RatRow = Tuple[Fraction, ...]
 RatMatrix = Tuple[RatRow, ...]
-
-
-def rat(a: IntMatrix) -> RatMatrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in a.entries)
 
 
 def rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -432,21 +429,6 @@ def rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
     )
-
-
-def rat_inv(a: RatMatrix) -> RatMatrix:
-    """Inverse as the solution of ``C * A = I``; raises on singular input."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ExactLAError("inverse of a non-square matrix")
-    try:
-        return rat_express(rat(IntMatrix.identity(n)), a)
-    except ExactLAError:
-        raise ExactLAError("singular matrix") from None
-
-
-def int_mat_inv(a: IntMatrix) -> RatMatrix:
-    return rat_inv(rat(a))
 
 
 def _solve(

@@ -49,13 +49,13 @@ from .lattice import (
     diag_lattice,
     direct_sum,
     disc_group,
-    dual_generator,
     glue_overlattice,
     hyperbolic,
     nikulin_2elem,
     quotient_by_isotropic,
     rescale,
     root_lattice,
+    scaled_dual,
     signature,
 )
 from .roots import RootSystemType, dual_class_min, root_system
@@ -295,23 +295,22 @@ def _starred_model(
     ``base`` whose nonzero glue cosets contain no roots, together with the
     descended order-3 action."""
     # candidate glue words over the factor discriminants (all of order 3)
+    duals = [scaled_dual(*f) for f in factors]
+    d = math.lcm(*(df for _, df in duals))
     for word in product((0, 1, 2), repeat=len(factors)):
         coset_min = sum(dual_class_min(*f) for c, f in zip(word, factors) if c)
         if not any(word) or coset_min <= 2:
             continue
-        glue_row = []
-        for c, f in zip(word, factors):
-            glue_row.extend(x * c for x in dual_generator(*f))
+        glue_row = [x * c * (d // df) for c, (cf, df) in zip(word, duals) for x in cf.entries[0]]
         try:
-            over = glue_overlattice(base.lattice, [glue_row])
+            over = glue_overlattice(base.lattice, [glue_row], d)
         except LatticeError:
             continue
         if over.index != 3:
             continue
         # action must descend to the overlattice: on the integer rows
         # H = d * basis it is M with M * H = H * rho, M integral
-        d = math.lcm(*(x.denominator for row in over.basis for x in row))
-        h = IntMatrix([[x.numerator * (d // x.denominator) for x in row] for row in over.basis])
+        h = over.scaled
         try:
             m = int_express(h * base.rho.matrix, h)
         except ExactLAError:

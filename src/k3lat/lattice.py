@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -28,7 +27,6 @@ from .exactla import (
     echelon_pivots,
     hermite_basis,
     int_express,
-    int_mat_inv,
     kernel_basis,
     rank,
     saturate,
@@ -148,14 +146,13 @@ def root_lattice(symbol: str, n: int) -> Lattice:
 
 
 @cache
-def dual_generator(symbol: str, n: int) -> Tuple[Fraction, ...]:
-    """Row 0 of the inverse Gram matrix of the root lattice: a dual vector
-    checked to lie outside the lattice (a generator of the discriminant
-    group Z/3 for A2 and E6)."""
-    row = int_mat_inv(root_lattice(symbol, n).gram)[0]
-    if all(x.denominator == 1 for x in row):
-        raise LatticeError(f"dual generator of {symbol}{n} lies in the lattice")
-    return row
+def scaled_dual(symbol: str, n: int) -> Tuple[IntMatrix, int]:
+    """``(C, d)`` with ``d = det G`` and ``C = d * G^-1`` for the root
+    lattice ``symbol n``: row i of ``C`` over ``d`` is the i-th dual basis
+    vector, so row 0 generates the discriminant group Z/3 of A2 and E6."""
+    g = root_lattice(symbol, n).gram
+    d = det(g)
+    return int_express(IntMatrix.identity(n).scale(d), g), d
 
 
 def diag_lattice(entries: Sequence[int], label: str | None = None) -> Lattice:
@@ -339,14 +336,8 @@ def nikulin_2elem(l: Lattice) -> NikulinInvariants:
     if any(d > 2 for d in res.d):
         raise LatticeError("lattice is not 2-elementary")
     gens = [res.left.entries[i] for i, d in enumerate(res.d) if d == 2]
-    a = len(gens)
-    delta = 0
-    for g in gens:
-        q = Fraction(l.norm(g), 4)  # (g/2)^2
-        if q.denominator != 1:
-            delta = 1
-            break
-    return NikulinInvariants(t_plus, t_minus, a, delta)
+    delta = int(any(l.norm(g) % 4 for g in gens))  # (g/2)^2 = norm(g)/4
+    return NikulinInvariants(t_plus, t_minus, len(gens), delta)
 
 
 def divisibility(l: Lattice, v: Sequence[int]) -> int:
@@ -449,38 +440,37 @@ def quotient_by_isotropic(j: Sublattice) -> IsotropicQuotient:
 @dataclass
 class Overlattice:
     lattice: Lattice
-    basis: Tuple[Tuple[Fraction, ...], ...]  # new basis in old coordinates
+    scaled: IntMatrix  # d * (new basis in old coordinates), Hermite rows
     old_in_new: IntMatrix
     index: int
 
 
-def glue_overlattice(l: Lattice, glue: Sequence[Sequence[Fraction]]) -> Overlattice:
-    """Finite-index even overlattice generated by L and dual glue vectors.
+def glue_overlattice(l: Lattice, rows: Sequence[Sequence[int]], d: int) -> Overlattice:
+    """Finite-index even overlattice generated by L and the dual glue
+    vectors ``s/d``, given as integer rows ``s`` over any common ``d > 0``.
 
     Every glue vector must lie in the dual lattice, pair integrally with
     the other glue vectors, and have even integer norm; otherwise the
     resulting form would not be an even integral lattice and the glue is
-    rejected.  The work is done on the glue scaled by its common
-    denominator ``d``: a vector ``s/d`` is dual when ``G s = 0 mod d``,
-    and pairings ``s.G.t`` are tested mod ``d^2``.
+    rejected: ``s/d`` is dual when ``G s = 0 mod d``, and pairings
+    ``s.G.t`` are tested mod ``d^2``.  The new basis is ``H/d`` for the
+    Hermite basis ``H`` (``scaled``) of ``d Z^n + span(rows)``.
     """
     n = l.rank
     g = l.gram.entries
-    glue_rows = [tuple(Fraction(x) for x in row) for row in glue]
-    d = math.lcm(*(x.denominator for v in glue_rows for x in v))
-    scaled = [[x.numerator * (d // x.denominator) for x in v] for v in glue_rows]
-    g_scaled = [[sum(a * b for a, b in zip(row, s)) for row in g] for s in scaled]
+    glue = IntMatrix(rows, cols=n).entries
+    g_scaled = [[sum(a * b for a, b in zip(row, s)) for row in g] for s in glue]
     if any(x % d for gs in g_scaled for x in gs):
         raise LatticeError("glue vector is not in the dual lattice")
     dd = d * d
-    for s, gs in zip(scaled, g_scaled):
-        for t in scaled:
+    for s, gs in zip(glue, g_scaled):
+        for t in glue:
             val = sum(a * b for a, b in zip(gs, t))
             if val % dd:
                 raise LatticeError("glue vectors do not pair integrally")
             if s == t and (val // dd) % 2 != 0:
                 raise LatticeError("glue vector has odd norm; overlattice not even")
-    hm = hermite_basis([*IntMatrix.identity(n).scale(d).entries, *scaled], n)
+    hm = hermite_basis([*IntMatrix.identity(n).scale(d).entries, *glue], n)
     if hm.rows != n:
         raise LatticeError("glue vectors do not preserve the rank")
     entries = []
@@ -496,5 +486,4 @@ def glue_overlattice(l: Lattice, glue: Sequence[Sequence[Fraction]]) -> Overlatt
         old_in_new = int_express(IntMatrix.identity(n).scale(d), hm)
     except ExactLAError:
         raise LatticeError("original basis not contained in the overlattice") from None
-    basis = tuple(tuple(Fraction(x, d) for x in row) for row in hm.entries)
-    return Overlattice(lat, basis, old_in_new, abs(det(old_in_new)))
+    return Overlattice(lat, hm, old_in_new, abs(det(old_in_new)))

@@ -5,8 +5,8 @@ Fincke--Pohst traversal (Fincke--Pohst, Math. Comp. 1985): Bareiss
 elimination of the size-reduced Gram matrix gives leading minors ``d_k``
 and integer numerators, and scaling the norm by ``lcm(d_k d_{k-1})``
 turns every level's interval into an integer square root and an integer
-subtraction.  A brute-force coefficient-box enumerator is kept alongside
-as an independent oracle; the two are cross-checked in the test suite.
+subtraction.  The test suite checks it against a brute-force
+coefficient-box enumerator.
 
 Vectors are returned closed under negation, sorted lexicographically on
 their coefficient tuples, so output order is deterministic.
@@ -17,12 +17,13 @@ ascending scan, and the components are those of the Dynkin graph of the
 simple roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
 The root span is the Hermite form of the simple roots.
 
-The layer is integer-only: no ``Fraction`` is built but the one
-``dual_class_min`` returns, and the size reduction rounds quotients
-with ``divmod``.  ``root_system`` analyses each Gram matrix once per
-process (a ``functools.cache`` keyed on the Gram matrix); a lattice
-with a Gram matrix already seen gets the cached type and span basis,
-wrapped as a sublattice of that lattice.
+The layer is integer-only: ``dual_class_min`` enumerates the integer
+scaled dual of ``lattice.scaled_dual`` and builds the one ``Fraction``
+it returns, and the size reduction rounds quotients with ``divmod``.
+``root_system`` analyses each Gram matrix once per process (a
+``functools.cache`` keyed on the Gram matrix); a lattice with a Gram
+matrix already seen gets the cached type and span basis, wrapped as a
+sublattice of that lattice.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from itertools import count
 from operator import mul, sub
 from typing import Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, bareiss_step, det, hermite_basis, in_rational_span, int_express
-from .lattice import Lattice, LatticeError, Sublattice, definite_sign, root_lattice
+from .exactla import IntMatrix, bareiss_step, det, hermite_basis, in_rational_span
+from .lattice import Lattice, LatticeError, Sublattice, definite_sign, scaled_dual
 
 Vector = Tuple[int, ...]
 
@@ -176,44 +177,6 @@ def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
     return sorted(orig + tuple(tuple(-o for o in x) for x in orig))
 
 
-def enumerate_norm_box(l: Lattice, m: int, bound: int) -> List[Vector]:
-    """Brute-force oracle: scan every coefficient vector with sup-norm <= bound.
-
-    The whole box is visited (no branch is ever skipped); the quadratic
-    form is evaluated incrementally along the recursion so the scan stays
-    usable for boxes with a few million points.  Completeness holds for
-    vectors whose coefficients all lie within the bound; callers compare
-    against the main enumerator restricted to the same box.
-    """
-    gram = _positive_gram(l)
-    n = gram.rows
-    g = gram.entries
-    out: List[Vector] = []
-    x = [0] * n
-    span = range(-bound, bound + 1)
-
-    def scan(k: int, partial: int, sums: Tuple[int, ...]) -> None:
-        if k == n:
-            if partial == m and any(x):
-                out.append(tuple(x))
-            return
-        row = g[k]
-        for t in span:
-            x[k] = t
-            if t == 0:
-                scan(k + 1, partial, sums)
-            else:
-                scan(
-                    k + 1,
-                    partial + 2 * t * sums[k] + t * t * row[k],
-                    tuple(s + t * c for s, c in zip(sums, row)),
-                )
-        x[k] = 0
-
-    scan(0, 0, tuple([0] * n))
-    return sorted(out)
-
-
 @cache
 def dual_class_min(sym: str, n: int) -> Fraction:
     """Least norm of a nontrivial discriminant class of the root lattice
@@ -224,21 +187,14 @@ def dual_class_min(sym: str, n: int) -> Fraction:
     lattice exactly when ``v C = 0 mod d``.  The scaled dual is enumerated
     norm by norm until such a ``v`` falls outside the lattice.
     """
-    l = root_lattice(sym, n)
-    if l.is_unimodular:
+    c, d = scaled_dual(sym, n)
+    if d == 1:
         raise EnumerationError(f"{sym}{n} is unimodular: no nontrivial dual class")
-    d = l.det()
-    c = int_express(IntMatrix.identity(n).scale(d), l.gram)
     dual = Lattice(c)
     for m in count(1):
         found = enumerate_norm(dual, m)
         if found and any(x % d for row in (IntMatrix(found, cols=n) * c).entries for x in row):
             return Fraction(m, d)
-
-
-def restrict_to_box(vectors: Sequence[Vector], bound: int) -> List[Vector]:
-    """Vectors whose coefficients all have absolute value <= bound."""
-    return sorted(v for v in vectors if all(abs(c) <= bound for c in v))
 
 
 # -- root systems ------------------------------------------------------

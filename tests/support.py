@@ -9,7 +9,9 @@ They are slow, and independent of the code under test apart from
 test's all-roots route spans every complement root of an embedding
 record, where the library spans only their simple roots.  The Smith
 oracle is the alternating row and column Hermite passes that the pivot
-elimination of ``snf`` replaced.  The Kulikov quotient coordinates
+elimination of ``snf`` replaced.  The coefficient-box enumerator scans
+every small coefficient vector that ``roots.enumerate_norm`` prunes
+away.  The Kulikov quotient coordinates
 are also read off a Bareiss solve against the adapted basis ``[xi;
 lift]``, without the Smith transform that the library uses.
 """
@@ -23,6 +25,7 @@ from k3lat.cusps import component_system
 from k3lat.exactla import ExactLAError, IntMatrix, SnfResult, _solve, hnf
 from k3lat.lattice import (
     Lattice,
+    definite_sign,
     diag_lattice,
     direct_sum,
     hyperbolic,
@@ -277,6 +280,52 @@ def hermite_snf(a):
     # right is unimodular, so its Fraction inverse is integral
     right_inv = IntMatrix([[int(x) for x in row] for row in gauss_jordan_inv(right.entries)], cols=n)
     return SnfResult(tuple(abs(s.entries[i][i]) for i in range(min(m, n))), left, right, right_inv)
+
+
+# -- the coefficient-box enumeration oracle ----------------------------
+
+
+def enumerate_norm_box(l, m, bound):
+    """Brute-force oracle: scan every coefficient vector with sup-norm <= bound.
+
+    The whole box is visited (no branch is ever skipped); the quadratic
+    form is evaluated incrementally along the recursion so the scan stays
+    usable for boxes with a few million points.  Completeness holds for
+    vectors whose coefficients all lie within the bound; callers compare
+    against the main enumerator restricted to the same box.
+    """
+    gram = l.gram.scale(definite_sign(l))
+    n = gram.rows
+    g = gram.entries
+    out = []
+    x = [0] * n
+    span = range(-bound, bound + 1)
+
+    def scan(k, partial, sums):
+        if k == n:
+            if partial == m and any(x):
+                out.append(tuple(x))
+            return
+        row = g[k]
+        for t in span:
+            x[k] = t
+            if t == 0:
+                scan(k + 1, partial, sums)
+            else:
+                scan(
+                    k + 1,
+                    partial + 2 * t * sums[k] + t * t * row[k],
+                    tuple(s + t * c for s, c in zip(sums, row)),
+                )
+        x[k] = 0
+
+    scan(0, 0, tuple([0] * n))
+    return sorted(out)
+
+
+def restrict_to_box(vectors, bound):
+    """Vectors whose coefficients all have absolute value <= bound."""
+    return sorted(v for v in vectors if all(abs(c) <= bound for c in v))
 
 
 # -- the all-roots span of an embedding's complement -------------------

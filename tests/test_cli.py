@@ -74,6 +74,15 @@ def test_verify_all_text_is_byte_stable():
     assert res.stdout_bytes == (Path(__file__).parent / "golden" / "verify_all.txt").read_bytes()
 
 
+def test_verify_all_json_is_byte_stable():
+    # the golden file is the `--format json` output of `k3lat verify
+    # --suite all` before the dual and glue vectors became integer rows
+    # and the Eisenstein parts integers; it pins every computed value
+    res = run("verify", "--suite", "all", "--format", "json")
+    assert res.exit_code == 0
+    assert res.stdout_bytes == (Path(__file__).parent / "golden" / "verify_all.json").read_bytes()
+
+
 def test_verify_help_lists_every_suite():
     res = run("verify", "--help")
     assert res.exit_code == 0

@@ -4,6 +4,7 @@ from k3lat.exactla import IntMatrix
 from k3lat.eisenstein import (
     THETA,
     Eis,
+    Isometry,
     IsometryError,
     RhoLattice,
     assemble,
@@ -23,6 +24,7 @@ from k3lat.eisenstein import (
     rho4_d4,
     rho4_u_u2,
     rho_lattice,
+    _hermitian_value,
 )
 from k3lat.lattice import (
     diag_lattice,
@@ -118,6 +120,17 @@ def test_hermitian_rejects_fixed_vectors():
     r = rho_lattice(u, IntMatrix.identity(2))
     with pytest.raises(IsometryError):
         eisenstein_gram(r)
+
+
+def test_hermitian_value_rejects_a_non_eisenstein_integer():
+    # unreachable through eisenstein_gram, whose action is fixed-point-free:
+    # 1 + r + r^2 = 0 makes 3<x, y> + <x, ry - r^2 y> = 4<x, y> + 2<x, ry>;
+    # the identity on <1> gives (3<x, y> + 0)/2, half-integral for x = y
+    l = diag_lattice([1])
+    iso = Isometry(IntMatrix.identity(1), l)
+    with pytest.raises(IsometryError, match="not an Eisenstein integer"):
+        _hermitian_value(l, iso, (1,), (1,))
+    assert _hermitian_value(l, iso, (2,), (1,)) == eis(3)
 
 
 def test_estar_standard_actions():

@@ -16,18 +16,15 @@ from k3lat.exactla import (
     hnf,
     index_in,
     int_express,
-    int_mat_inv,
     kernel_basis,
     rank,
-    rat,
     rat_express,
-    rat_inv,
     rat_mul,
     saturate,
     SnfResult,
     snf,
 )
-from support import gauss_jordan_express, gauss_jordan_inv, hermite_snf
+from support import _det, gauss_jordan_express, gauss_jordan_inv, hermite_snf
 
 
 def test_hnf_identity():
@@ -130,14 +127,17 @@ def test_int_express_roundtrip():
 
 
 def test_rat_express_detects_outside_span():
+    one, zero = Fraction(1), Fraction(0)
     with pytest.raises(ExactLAError):
-        rat_express(rat(IntMatrix([[0, 0, 1]])), rat(IntMatrix([[1, 0, 0]])))
+        rat_express(((zero, zero, one),), ((one, zero, zero),))
 
 
-def test_int_mat_inv():
-    a = IntMatrix([[2, 1], [1, 1]])
-    inv = int_mat_inv(a)
-    assert rat_mul(rat(a), inv) == rat(IntMatrix.identity(2))
+def test_rat_mul_inverts_rat_express():
+    a = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(3, 2)))
+    identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    inv = rat_express(identity, a)
+    assert inv == ((Fraction(3, 4), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1)))
+    assert rat_mul(inv, a) == identity
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -324,9 +324,17 @@ square = st.integers(0, 4).flatmap(
 
 
 @given(square)
-def test_rat_inv_matches_gauss_jordan(rows):
-    a = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    assert outcome(rat_inv, a) == outcome(gauss_jordan_inv, a)
+def test_scaled_inverse_matches_gauss_jordan(rows):
+    """``C * A = det(A) * I`` solved by ``int_express``: ``det(A) * A^-1``
+    for a nonsingular ``A``, and dependent basis rows for a singular one."""
+    n = len(rows)
+    d = _det(rows)
+    found = outcome(int_express, IntMatrix.identity(n).scale(d), IntMatrix(rows, cols=n))
+    oracle = outcome(gauss_jordan_inv, rows)
+    if isinstance(oracle, str):
+        assert (found, oracle) == ("basis rows are dependent", "singular matrix")
+    else:
+        assert found.entries == tuple(tuple(d * x for x in row) for row in oracle)
 
 
 def test_express_check_rejects_wrong_oracle():
@@ -344,11 +352,12 @@ def test_express_check_rejects_wrong_oracle():
 
 
 def test_express_messages():
-    e1, e2 = rat(IntMatrix.identity(2))
+    e1, e2 = (Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))
     assert outcome(rat_express, (e1,), (e1, e1)) == "basis rows are dependent"
     assert outcome(rat_express, (e2,), (e1,)) == "target outside rational span of basis"
     assert outcome(rat_express, (e1,), ()) == "target outside span of empty basis"
-    assert outcome(rat_inv, rat(IntMatrix([[1, 2], [2, 4]]))) == "singular matrix"
+    singular = outcome(int_express, IntMatrix.zero(2, 2), IntMatrix([[1, 2], [2, 4]]))
+    assert singular == "basis rows are dependent"
     not_integral = outcome(int_express, IntMatrix([[1, 0]]), IntMatrix([[2, 0]]))
     assert not_integral == "coefficients are not integral"
 

@@ -18,6 +18,10 @@ The dead-field rule: every field of a ``@dataclass`` in ``src/k3lat``
 must be read as an attribute somewhere in ``src/k3lat``, ``tests`` or
 ``bench``.  Filling a field in a constructor call, assigning to it, or
 reading a variable that shares its name does not count.
+
+The rational rule: only ``exactla`` (for ``rat_express``) and ``roots``
+(for the value of ``dual_class_min``) import ``fractions``; every other
+module carries rational quantities as integer rows over a denominator.
 """
 
 from __future__ import annotations
@@ -181,3 +185,31 @@ def test_check_reads_a_field_only_as_an_attribute():
         ("m.py", 9, "B.stored"),
     ]
     assert unread_fields({"m.py": source}, [reads, "print(a.filled, a.named, b.stored)"]) == []
+
+
+def fraction_importers(sources: dict) -> list:
+    """Names of the ``sources`` (file name -> text) that import
+    ``fractions`` at any depth."""
+    out = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.ImportFrom) and node.module == "fractions") or (
+                isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+            ):
+                out.append(name)
+                break
+    return sorted(out)
+
+
+def test_only_exactla_and_roots_import_fractions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert set(fraction_importers(sources)) <= {"exactla.py", "roots.py"}
+
+
+def test_check_flags_a_fractions_import():
+    sources = {
+        "a.py": "import math, fractions\n",
+        "b.py": "def f():\n    from fractions import Fraction\n    return Fraction(1)\n",
+        "c.py": "import math\nfractions = math\n",
+    }
+    assert fraction_importers(sources) == ["a.py", "b.py"]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from k3lat.lattice import (
     direct_sum,
     disc_group,
     divisibility,
-    dual_generator as library_dual_generator,
     glue_overlattice,
     hyperbolic,
     is_p_elementary,
@@ -24,12 +24,14 @@ from k3lat.lattice import (
     quotient_by_isotropic,
     rescale,
     root_lattice,
+    scaled_dual,
     signature,
     signature_with_radical,
 )
 from k3lat.roots import EMPTY_TYPE, root_system
 from support import (
     ROOT_ATOMS,
+    _det,
     atom_inertia,
     changed_basis,
     fraction_glue_overlattice,
@@ -269,7 +271,7 @@ def test_quotient_rejects_non_isotropic():
 
 def test_glue_empty_is_identity():
     l = root_lattice("A", 2)
-    o = glue_overlattice(l, [])
+    o = glue_overlattice(l, [], 1)
     assert o.index == 1
     assert o.lattice.gram == l.gram
 
@@ -278,14 +280,14 @@ def test_glue_rejects_odd_overlattice():
     # (1/3)(a - b) in the dual of A2 has norm 2/3: not an even glue
     a2 = root_lattice("A", 2)
     with pytest.raises(LatticeError):
-        glue_overlattice(a2, [[Fraction(1, 3), Fraction(-1, 3)]])
+        glue_overlattice(a2, [[1, -1]], 3)
 
 
 def test_glue_a2_to_dual_scale():
     # gluing A2(3) by its dual generators recovers an even lattice of index 3
     l = rescale(root_lattice("A", 2), 3)
     # dual vector (1/3)(2a+b) of A2(3): norm 3*(2/3)^2*2... check integrality via op
-    o = glue_overlattice(l, [[Fraction(2, 3), Fraction(1, 3)]])
+    o = glue_overlattice(l, [[2, 1]], 3)
     assert o.index == 3
     assert o.lattice.is_even
     assert abs(o.lattice.det()) == abs(l.det()) // 9
@@ -412,13 +414,23 @@ def glue_data(draw):
     return l, glue
 
 
+def over_denominator(glue):
+    """Fraction glue rows as integer rows over their least common denominator."""
+    d = math.lcm(*(Fraction(x).denominator for row in glue for x in row))
+    return [[int(x * d) for x in row] for row in glue], d
+
+
 def glue_outcome(l, glue):
+    """``glue_overlattice`` on the Fraction rows ``glue``, in the form of
+    ``fraction_glue_overlattice``: the new basis as Fraction rows."""
+    rows, d = over_denominator(glue)
     try:
-        o = glue_overlattice(l, glue)
+        o = glue_overlattice(l, rows, d)
     except LatticeError as e:
         return str(e)
     gram = [list(r) for r in o.lattice.gram.entries]
-    return gram, o.basis, [list(r) for r in o.old_in_new.entries], o.index
+    basis = tuple(tuple(Fraction(x, d) for x in row) for row in o.scaled.entries)
+    return gram, basis, [list(r) for r in o.old_in_new.entries], o.index
 
 
 def check_glue(found, oracle):
@@ -458,14 +470,39 @@ def test_glue_check_rejects_wrong_oracle():
         check_glue(found, "glue vector is not in the dual lattice")
 
 
-def test_library_dual_generator_matches_gauss_jordan():
-    for sym, n in [("A", 2), ("E", 6)]:
-        gen = library_dual_generator(sym, n)
-        assert library_dual_generator(sym, n) is gen
-        assert gen == dual_generator(sym, n)
-        assert any(x.denominator != 1 for x in gen)
-    with pytest.raises(LatticeError, match="lies in the lattice"):
-        library_dual_generator("E", 8)
+@given(glue_data(), st.sampled_from([1, 2, 3]))
+def test_glue_overlattice_is_independent_of_the_denominator(data, k):
+    """Rows and denominator scaled by k: the same overlattice, embedding
+    and index (or the same rejection), with k times the scaled basis."""
+    l, glue = data
+    rows, d = over_denominator(glue)
+
+    def outcome(rows, d):
+        try:
+            return glue_overlattice(l, rows, d)
+        except LatticeError as e:
+            return str(e)
+
+    base = outcome(rows, d)
+    found = outcome([[k * x for x in row] for row in rows], k * d)
+    if isinstance(base, str):
+        assert found == base
+    else:
+        assert found.lattice == base.lattice and found.index == base.index
+        assert found.old_in_new == base.old_in_new
+        assert found.scaled == base.scaled.scale(k)
+
+
+def test_scaled_dual_matches_gauss_jordan():
+    for sym, n in [("A", 1), ("A", 2), ("D", 4), ("E", 6), ("E", 7), ("E", 8)]:
+        gram = cartan_gram(sym, n).entries
+        out = scaled_dual(sym, n)
+        assert scaled_dual(sym, n) is out
+        c, d = out
+        assert d == _det(gram)
+        assert c.entries == tuple(tuple(d * x for x in row) for row in gauss_jordan_inv(gram))
+        # row 0 over d leaves the lattice, except the weight w1 of E7 and all of E8
+        assert any(x % d for x in c.entries[0]) == ((sym, n) not in {("E", 7), ("E", 8)})
 
 
 def test_diag_lattice_of_no_entries_is_rank_0():

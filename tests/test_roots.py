@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from k3lat.exactla import IntMatrix, hnf, int_mat_inv, rank as int_rank
+from k3lat.exactla import IntMatrix, hnf, rank as int_rank
 from k3lat.lattice import (
     Lattice,
     Sublattice,
@@ -21,13 +21,20 @@ from k3lat.roots import (
     complement_root_type,
     dual_class_min,
     enumerate_norm,
-    enumerate_norm_box,
-    restrict_to_box,
     root_decomposition,
     root_span_index,
     root_system,
 )
-from support import ROOT_ATOMS, SMALL_ATOMS, changed_basis, conjugate, unimodular
+from support import (
+    ROOT_ATOMS,
+    SMALL_ATOMS,
+    changed_basis,
+    conjugate,
+    enumerate_norm_box,
+    gauss_jordan_inv,
+    restrict_to_box,
+    unimodular,
+)
 
 T = RootSystemType.parse
 
@@ -208,7 +215,7 @@ def expected_type(parts):
 
 def coefficient_bound(l, m):
     """max_i |x_i| over vectors of norm m: x_i^2 <= m (G^-1)_ii (Cauchy-Schwarz)."""
-    ginv = int_mat_inv(l.gram)
+    ginv = gauss_jordan_inv(l.gram.entries)
     return max(math.isqrt(math.floor(abs(m * ginv[i][i]))) for i in range(l.rank))
 
 
