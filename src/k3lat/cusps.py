@@ -21,7 +21,14 @@ component's root system, requiring the Cartan pairings at every step.
 Candidates at each level are reduced to orbit representatives under the
 reflections fixing everything chosen so far; this preserves the set of
 reachable complement isometry types while collapsing the enormous
-redundancy of the raw search.
+redundancy of the raw search; the reflection table finds each reflected
+root by its packed integer key (see ``ComponentSystem``).
+
+Each verified object is built once per process (``functools.cache``):
+``family_data`` and ``classify_cusps`` per family, ``component_system``
+per component, ``_embed_sorted`` per factor multiset, ``build_niemeier``
+per kind, ``enumerate_embeddings`` per factor tuple and kind, and the
+saturated complement ``_p_complement`` per embedding record.
 """
 
 from __future__ import annotations
@@ -136,8 +143,13 @@ class ComponentSystem:
         self.lattice = root_lattice(sym, n)
         self.roots: List[Tuple[int, ...]] = enumerate_norm(self.lattice, 2)
         self.nroots = len(self.roots)
-        index = {v: i for i, v in enumerate(self.roots)}
-        neg = [index[tuple(-c for c in v)] for v in self.roots]
+        # packed keys: with B = 2 max|coord| + 1 the balanced base-B digits
+        # of key(v) = sum v_k B^k are the coordinates of v, and key is
+        # linear, so key(r_j - c r_i) = key_j - c key_i
+        base = 2 * max(abs(c) for v in self.roots for c in v) + 1
+        keys = [sum(c * base**k for k, c in enumerate(v)) for v in self.roots]
+        index = {key: i for i, key in enumerate(keys)}
+        neg = [index[-key] for key in keys]
         r = IntMatrix._of(tuple(self.roots), n)
         self.pair = (r * self.lattice.gram * r.transpose()).entries
         # masks[i][v+2] = bitmask of roots pairing v with root i
@@ -150,15 +162,14 @@ class ComponentSystem:
         # canonical representative per +- pair: first index wins
         self.pos_reps = [i for i in range(self.nroots) if neg[i] > i]
         # reflection permutations s_i(r_j) = r_j - <r_j, r_i> r_i of the
-        # pos_reps, the only reflections orbit_reps applies; a pairing of
-        # 0 fixes r_j and one of +-2 (r_j = +-r_i) negates it
+        # pos_reps, the only reflections orbit_reps applies; every image is
+        # a root, so its key is in the table
         self.refl: Dict[int, Tuple[int, ...]] = {}
         for i in self.pos_reps:
-            ri = self.roots[i]
+            ki = keys[i]
             self.refl[i] = tuple(
-                j if c == 0 else neg[j] if c in (2, -2)
-                else index[tuple(a - c * b for a, b in zip(self.roots[j], ri))]
-                for j, c in enumerate(self.pair[i])
+                j if c == 0 else index[kj - c * ki]
+                for j, (c, kj) in enumerate(zip(self.pair[i], keys))
             )
         self.all_mask = (1 << self.nroots) - 1
 
@@ -331,7 +342,6 @@ NIEMEIER_GLUE: Dict[str, Tuple[Symbol, int, Tuple[Vector, ...]]] = {
 
 @dataclass
 class NiemeierModel:
-    kind: str
     comp: Symbol
     ncomp: int
     r: Lattice
@@ -398,7 +408,6 @@ def build_niemeier(kind: str) -> NiemeierModel:
             raise CuspError("glue word without exactly one zero coordinate")
     count = ncomp * len(component_system(*comp).roots)
     return NiemeierModel(
-        kind,
         comp,
         ncomp,
         r,
@@ -456,11 +465,12 @@ def _canonical_assignment(
     return min(tuple(assignment[p[i]] for i in range(len(p))) for p in group)
 
 
-def enumerate_embeddings(
-    p_factors: Sequence[Symbol], model: NiemeierModel
-) -> List[EmbeddingRecord]:
-    """Embeddings of the direct sum of the given ADE factors into the model,
-    one record per inequivalent assignment and complement configuration."""
+@cache
+def enumerate_embeddings(p_factors: Tuple[Symbol, ...], kind: str) -> Tuple[EmbeddingRecord, ...]:
+    """Embeddings of the direct sum of the given ADE factors into the model
+    ``build_niemeier(kind)``, one record per inequivalent assignment and
+    complement configuration."""
+    model = build_niemeier(kind)
     classes: Dict[Tuple, Tuple[Tuple[Symbol, ...], ...]] = {}
     for assignment in _assignments(p_factors, model.ncomp):
         canon = _canonical_assignment(assignment, model.perm_group)
@@ -496,15 +506,14 @@ def enumerate_embeddings(
                 raise CuspError(f"saturation index {sat_index} outside {{1,3}}")
             records.append(
                 EmbeddingRecord(
-                    model.kind,
+                    kind,
                     assignment,
                     outcome_tuple,
                     total.with_star(sat_index == 3),
                     sat_index,
                 )
             )
-    records.sort(key=lambda r: (str(r.total_complement), r.assignment))
-    return records
+    return tuple(sorted(records, key=lambda r: (str(r.total_complement), r.assignment)))
 
 
 def _model_rows(model: NiemeierModel, per_component: Sequence[Sequence[Vector]]) -> IntMatrix:
@@ -521,38 +530,42 @@ def _model_rows(model: NiemeierModel, per_component: Sequence[Sequence[Vector]])
     return IntMatrix(rows, cols=rank_r) * model.overlattice.old_in_new
 
 
-def embedded_p_rows(record: EmbeddingRecord, model: NiemeierModel) -> IntMatrix:
+def embedded_p_rows(record: EmbeddingRecord) -> IntMatrix:
     """The embedded copy of P as rows in N coordinates."""
+    model = build_niemeier(record.model_kind)
     roots = component_system(*model.comp).roots
     return _model_rows(
         model, [[roots[i] for w in oc.witness for i in w] for oc in record.outcomes]
     )
 
 
-def complement_root_span(record: EmbeddingRecord, model: NiemeierModel) -> IntMatrix:
+def complement_root_span(record: EmbeddingRecord) -> IntMatrix:
     """Hermite basis of the span of the roots of N orthogonal to the
     embedded P.  Those roots are the complement roots of the components,
     and the simple roots of each component's complement span the same
     lattice as all of its roots (Humphreys, *Reflection Groups*, 1.5)."""
+    model = build_niemeier(record.model_kind)
     rows = _model_rows(model, [oc.complement_simple for oc in record.outcomes])
     return hermite_basis(rows.entries, model.n.rank)
 
 
-def _p_complement(record: EmbeddingRecord, model: NiemeierModel) -> Sublattice:
+@cache
+def _p_complement(record: EmbeddingRecord) -> Sublattice:
     """The orthogonal complement of the embedded P inside N, saturated
     by construction."""
-    return Sublattice(model.n, embedded_p_rows(record, model)).orth_complement()
+    n = build_niemeier(record.model_kind).n
+    return Sublattice(n, embedded_p_rows(record)).orth_complement()
 
 
-def star_of(record: EmbeddingRecord, model: NiemeierModel) -> bool:
+def star_of(record: EmbeddingRecord) -> bool:
     """Concrete saturation test inside the unimodular model.
 
     Spans the roots of the saturated complement of the embedded copy of
     P inside N and compares; the result must agree with the glue
     bookkeeping carried by the record.
     """
-    sat = _p_complement(record, model)
-    span = complement_root_span(record, model)
+    sat = _p_complement(record)
+    span = complement_root_span(record)
     if span.rows != sat.rank:
         raise CuspError("complement is not rationally spanned by its roots")
     idx = index_in(span, sat.basis)
@@ -563,10 +576,10 @@ def star_of(record: EmbeddingRecord, model: NiemeierModel) -> bool:
     return idx == 3
 
 
-def cusp_quotient_lattice(record: EmbeddingRecord, model: NiemeierModel) -> Lattice:
+def cusp_quotient_lattice(record: EmbeddingRecord) -> Lattice:
     """The saturated orthogonal complement of the embedded P inside N,
     which realizes the quotient lattice of the corresponding cusp."""
-    return _p_complement(record, model).lattice()
+    return _p_complement(record).lattice()
 
 
 @dataclass(frozen=True)
@@ -581,9 +594,8 @@ def classify_cusps(n: int, k: int) -> Tuple[CuspRecord, ...]:
     fam = family_data(n, k)
     by_type: Dict[str, List[EmbeddingRecord]] = {}
     for kind in NIEMEIER_GLUE:
-        model = build_niemeier(kind)
-        for rec in enumerate_embeddings(fam.p_factors, model):
-            star_of(rec, model)  # concrete verification of the star flag
+        for rec in enumerate_embeddings(fam.p_factors, kind):
+            star_of(rec)  # concrete verification of the star flag
             by_type.setdefault(str(rec.total_complement), []).append(rec)
     return tuple(
         CuspRecord(by_type[key][0].total_complement, tuple(by_type[key]))

@@ -13,14 +13,16 @@ lattice; both formulations are computed and must agree.
 Order-3 fixed-point-free isometries of A2, E6, E8 are produced as
 powers of a Coxeter element (product of the simple reflections in
 Bourbaki order, raised to one third of the Coxeter number) and verified
-on the spot: form preservation, multiplicative order, absence of fixed
-vectors, and trivial discriminant action, squaring the candidate once
-if the discriminant action comes out nontrivial.
+once per process when first built (``functools.cache``): form
+preservation, multiplicative order, absence of fixed vectors, and
+trivial discriminant action, squaring the candidate once if the
+discriminant action comes out nontrivial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import lcm
 from typing import List, Sequence, Tuple
 
@@ -152,7 +154,7 @@ class Eis:
     """a + b*w with w^2 + w + 1 = 0; theta = w - w^2 = 1 + 2w."""
 
     a: int
-    b: int
+    b: int = 0
 
     def __add__(self, o: "Eis") -> "Eis":
         return Eis(self.a + o.a, self.b + o.b)
@@ -184,12 +186,8 @@ class Eis:
         return f"{self.a}{sign}{term}"
 
 
-def eis(a: int, b: int = 0) -> Eis:
-    return Eis(a, b)
-
-
-THETA = eis(1, 2)
-UNITS = [eis(1), eis(0, 1), eis(-1, -1), eis(-1), eis(0, -1), eis(1, 1)]  # powers of -w
+THETA = Eis(1, 2)
+UNITS = [Eis(1), Eis(0, 1), Eis(-1, -1), Eis(-1), Eis(0, -1), Eis(1, 1)]  # powers of -w
 
 
 def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ...]]:
@@ -249,7 +247,7 @@ def hermitian_normal_2x2(gram: Tuple[Tuple[Eis, ...], ...]) -> Tuple[Tuple[Eis, 
     entry by u; pick the unit making it the positive real square root of
     its norm if possible, otherwise theta.
     """
-    if len(gram) != 2 or gram[0][0] != eis(0) or gram[1][1] != eis(0):
+    if len(gram) != 2 or gram[0][0] != Eis(0) or gram[1][1] != Eis(0):
         return gram
     h12 = gram[0][1]
     for u in UNITS:
@@ -319,6 +317,7 @@ def _coxeter_element(sym: str, n: int) -> IntMatrix:
     return out
 
 
+@cache
 def fpf_order3(sym: str, n: int) -> RhoLattice:
     """Order-3 fixed-point-free isometry acting trivially on the discriminant.
 
@@ -346,6 +345,7 @@ def fpf_order3(sym: str, n: int) -> RhoLattice:
     raise IsometryError(f"verified construction failed for {sym}{n}")
 
 
+@cache
 def negative_fpf_order3(sym: str, n: int) -> RhoLattice:
     """The action of ``fpf_order3(sym, n)`` on the negative definite copy
     of the root lattice, the summand of the period and quotient lattices."""

@@ -36,7 +36,7 @@ from itertools import count
 from operator import mul, sub
 from typing import Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, bareiss_step, det, hermite_basis, in_rational_span
+from .exactla import IntMatrix, bareiss_step, det, hermite_basis
 from .lattice import Lattice, LatticeError, Sublattice, definite_sign, scaled_dual
 
 Vector = Tuple[int, ...]
@@ -371,15 +371,22 @@ def root_span_index(l: Lattice) -> int:
     return abs(det(span.basis))  # the span is square: its index in Z^rank
 
 
-def complement_root_type(s: Sublattice, ambient: Lattice | None = None) -> RootSystemType:
-    """Root type of the orthogonal complement of a root-spanned sublattice."""
-    r = s.ambient if ambient is None else ambient
+def complement_root_type(s: Sublattice) -> RootSystemType:
+    """Root type of the orthogonal complement of a root-spanned sublattice.
+
+    The form is definite, so (S-perp)-perp = S (x) Q: a root lies in the
+    rational span of ``s`` exactly when it is orthogonal to ``s``-perp.
+    One product pairs every root with the rows of ``s`` and of ``s``-perp.
+    """
+    r = s.ambient
     all_roots = enumerate_norm(r, 2)
+    k = s.rank
+    rows = s.basis.stack(s.orth_complement().basis)
+    pairings = (IntMatrix(all_roots, cols=r.rank) * (rows * r.gram).transpose()).entries
     # the sublattice must be spanned by roots of the ambient lattice
-    in_span = [v for v in all_roots if in_rational_span(v, s.basis)]
+    in_span = [v for v, p in zip(all_roots, pairings) if not any(p[k:])]
     _, simple = root_decomposition(in_span, r.gram)
     if hermite_basis(simple, r.rank) != hermite_basis(s.basis.entries, r.rank):
         raise LatticeError("sublattice is not spanned by roots of the ambient lattice")
-    pairings = (IntMatrix(all_roots, cols=r.rank) * (s.basis * r.gram).transpose()).entries
-    comp_roots = [v for v, p in zip(all_roots, pairings) if not any(p)]
+    comp_roots = [v for v, p in zip(all_roots, pairings) if not any(p[:k])]
     return root_decomposition(comp_roots, r.gram)[0]

@@ -42,7 +42,6 @@ from .eisenstein import (
 from . import goldens
 from .cusps import (
     NIEMEIER_GLUE,
-    build_niemeier,
     classify_cusps,
     cusp_quotient_lattice,
     enumerate_embeddings,
@@ -238,12 +237,8 @@ def suite_tab4() -> Report:
 
 
 def _embedding_descriptors(fam, kind) -> List:
-    model = build_niemeier(kind)
-    fd = family_data(*fam)
-    out = []
-    for rec in enumerate_embeddings(fd.p_factors, model):
-        out.append(tuple(sorted(rec.rows())))
-    return sorted(out)
+    recs = enumerate_embeddings(family_data(*fam).p_factors, kind)
+    return sorted(tuple(sorted(rec.rows())) for rec in recs)
 
 
 def suite_expl() -> Report:
@@ -430,8 +425,7 @@ def suite_semifan() -> Report:
                 True,
                 "paper",
             )
-            witness = recs[cusp].witnesses[0]
-            sat = cusp_quotient_lattice(witness, build_niemeier(witness.model_kind))
+            sat = cusp_quotient_lattice(recs[cusp].witnesses[0])
             r.add(
                 f"{pid}-model-fingerprint",
                 "quotient model matches the embedded complement",

@@ -13,24 +13,45 @@ elimination of ``snf`` replaced.  The coefficient-box enumerator scans
 every small coefficient vector that ``roots.enumerate_norm`` prunes
 away.  The Kulikov quotient coordinates
 are also read off a Bareiss solve against the adapted basis ``[xi;
-lift]``, without the Smith transform that the library uses.
+lift]``, without the Smith transform that the library uses.  The
+complement root type is also computed with one rational-span solve per
+ambient root, where the library pairs the roots with S-perp.
+
+``clear_table_caches`` empties every cache built from the input tables,
+for the tests that patch a table; ``run_fresh`` runs code in a new
+interpreter, for the tests that need cold caches.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import strategies as st
 
-from k3lat.cusps import component_system
-from k3lat.exactla import ExactLAError, IntMatrix, SnfResult, _solve, hnf
+from k3lat import cusps
+from k3lat.cusps import build_niemeier, component_system
+from k3lat.exactla import (
+    ExactLAError,
+    IntMatrix,
+    SnfResult,
+    _solve,
+    hermite_basis,
+    hnf,
+    in_rational_span,
+)
 from k3lat.lattice import (
     Lattice,
+    LatticeError,
     definite_sign,
     diag_lattice,
     direct_sum,
     hyperbolic,
     root_lattice,
 )
+from k3lat.roots import enumerate_norm, root_decomposition
 
 # -- random changes of basis -------------------------------------------
 #
@@ -331,10 +352,11 @@ def restrict_to_box(vectors, bound):
 # -- the all-roots span of an embedding's complement -------------------
 
 
-def all_complement_root_span(record, model):
+def all_complement_root_span(record):
     """Nonzero Hermite rows of every root of N orthogonal to the embedded
     P: each component's complement roots (its ``complement_mask``) placed
     at the component's offset and mapped into N by the glue transform."""
+    model = build_niemeier(record.model_kind)
     cs = component_system(*model.comp)
     rank_r = model.r.rank
     rows = []
@@ -352,6 +374,23 @@ def all_complement_root_span(record, model):
     return IntMatrix([r for r in h.entries if any(r)], cols=model.n.rank)
 
 
+# -- the per-root rational-span route to complement root types ---------
+
+
+def rational_span_complement_root_type(s):
+    """Root type of the complement of the root-spanned sublattice ``s``,
+    picking the roots in its rational span by one Bareiss solve each."""
+    r = s.ambient
+    all_roots = enumerate_norm(r, 2)
+    in_span = [v for v in all_roots if in_rational_span(v, s.basis)]
+    _, simple = root_decomposition(in_span, r.gram)
+    if hermite_basis(simple, r.rank) != hermite_basis(s.basis.entries, r.rank):
+        raise LatticeError("sublattice is not spanned by roots of the ambient lattice")
+    pairings = (IntMatrix(all_roots, cols=r.rank) * (s.basis * r.gram).transpose()).entries
+    comp_roots = [v for v, p in zip(all_roots, pairings) if not any(p)]
+    return root_decomposition(comp_roots, r.gram)[0]
+
+
 # -- the adapted-basis route to quotient coordinates --------------------
 
 
@@ -365,3 +404,36 @@ def adapted_quotient_coords(xi, lift, rows):
     if any(x % d for row in nums for x in row):
         raise ExactLAError("coefficients are not integral")
     return IntMatrix([[x // d for x in row[1:]] for row in nums], cols=lift.rows)
+
+
+# -- caches and fresh interpreters ---------------------------------------
+
+# every cache whose value reads goldens or cusps.NIEMEIER_GLUE, directly
+# or through another cache of this list
+TABLE_CACHES = (
+    cusps.family_data,
+    cusps.build_niemeier,
+    cusps.enumerate_embeddings,
+    cusps._p_complement,
+    cusps.classify_cusps,
+)
+
+
+def clear_table_caches():
+    """Empty every cache of ``TABLE_CACHES``.  A test that patches an input
+    table calls it before and after, so no value built from the other
+    version of the table survives: a stale cached embedding or complement
+    would let a mutated table pass."""
+    for f in TABLE_CACHES:
+        f.cache_clear()
+
+
+def run_fresh(code):
+    """Standard output of ``code`` run by a new interpreter on this
+    checkout's ``src``, whose module caches start empty."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout

@@ -1,12 +1,10 @@
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 from click.testing import CliRunner
 
 from k3lat.cli import MAX_ADE_INDEX, main
 from k3lat.suites import SUITES
+from support import run_fresh
 
 
 def run(*args):
@@ -102,13 +100,8 @@ def test_verify_suite_choices_are_the_registry():
 
 def imported_after(statement):
     """The k3lat modules loaded by ``statement`` in a fresh interpreter."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = f"{statement}; import sys; print(' '.join(m for m in sys.modules if m.startswith('k3lat')))"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    return set(out.stdout.split())
+    return set(run_fresh(probe).split())
 
 
 def test_cli_import_leaves_out_the_suite_stack():

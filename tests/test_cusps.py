@@ -23,7 +23,7 @@ from k3lat.lattice import LatticeError, is_p_elementary, signature
 from k3lat.roots import RootSystemType
 from k3lat.suites import suite_tab3
 
-from support import all_complement_root_span
+from support import all_complement_root_span, clear_table_caches, run_fresh
 
 T = RootSystemType.parse
 
@@ -32,9 +32,7 @@ def all_records():
     """Every embedding record of the four families in both models."""
     for fam in goldens.FAMILIES:
         for kind in ("E8^3", "E6^4"):
-            model = build_niemeier(kind)
-            for rec in enumerate_embeddings(family_data(*fam).p_factors, model):
-                yield rec, model
+            yield from enumerate_embeddings(family_data(*fam).p_factors, kind)
 
 
 def test_family_id_validation():
@@ -150,12 +148,14 @@ def test_e6_glue_code_is_a_plane_of_weight_3_words():
 )
 def test_build_niemeier_rejects_a_mutated_glue_code(monkeypatch, gens, message):
     monkeypatch.setitem(NIEMEIER_GLUE, "E6^4", (("E", 6), 4, gens))
-    build_niemeier.cache_clear()
+    clear_table_caches()
     try:
         with pytest.raises(LatticeError, match=message):
             build_niemeier("E6^4")
+        with pytest.raises(LatticeError, match=message):
+            enumerate_embeddings((("E", 6), ("A", 2)), "E6^4")
     finally:
-        build_niemeier.cache_clear()
+        clear_table_caches()
 
 
 def test_tab3_reports_a_swapped_p_row_as_fail(monkeypatch):
@@ -163,13 +163,11 @@ def test_tab3_reports_a_swapped_p_row_as_fail(monkeypatch):
     a, b = table[(0, 2)], table[(2, 1)]
     monkeypatch.setitem(table, (0, 2), {**a, "P": b["P"]})
     monkeypatch.setitem(table, (2, 1), {**b, "P": a["P"]})
-    family_data.cache_clear()
-    classify_cusps.cache_clear()
+    clear_table_caches()
     try:
         failed = sorted(i.id for i in suite_tab3().items if i.status != "pass")
     finally:
-        family_data.cache_clear()
-        classify_cusps.cache_clear()
+        clear_table_caches()
     assert failed == [
         "(0,2)-disc-orders",
         "(0,2)-rank-sum",
@@ -233,7 +231,7 @@ def test_embedding_counts_match_expectations():
         ((2, 1), (("E", 6), ("A", 2), ("A", 2), ("A", 2))),
     ]:
         for kind in ("E8^3", "E6^4"):
-            counts[(fam, kind)] = len(enumerate_embeddings(p, build_niemeier(kind)))
+            counts[(fam, kind)] = len(enumerate_embeddings(p, kind))
     assert counts[((0, 2), "E8^3")] == 1
     assert counts[((0, 2), "E6^4")] == 0
     assert counts[((0, 1), "E8^3")] == 2
@@ -245,41 +243,52 @@ def test_embedding_counts_match_expectations():
 
 
 def test_star_of_concrete_agreement():
-    m = build_niemeier("E6^4")
-    recs = enumerate_embeddings((("E", 6), ("A", 2)), m)
+    recs = enumerate_embeddings((("E", 6), ("A", 2)), "E6^4")
     assert len(recs) == 1
-    assert star_of(recs[0], m) is True
+    assert star_of(recs[0]) is True
 
 
 def test_e8_model_never_starred():
-    m = build_niemeier("E8^3")
     for p in [(("E", 8),), (("E", 6), ("A", 2), ("A", 2), ("A", 2))]:
-        for rec in enumerate_embeddings(p, m):
+        for rec in enumerate_embeddings(p, "E8^3"):
             assert rec.sat_index == 1
-            assert star_of(rec, m) is False
+            assert star_of(rec) is False
 
 
 def test_simple_root_span_equals_all_root_span():
     records = list(all_records())
     assert len(records) == sum(goldens.EMBEDDING_COUNTS.values())
-    for rec, model in records:
-        assert complement_root_span(rec, model) == all_complement_root_span(rec, model)
+    for rec in records:
+        assert complement_root_span(rec) == all_complement_root_span(rec)
 
 
 def test_all_root_span_rejects_a_missing_simple_root():
-    rec, model = next((r, m) for r, m in all_records() if r.outcomes[0].complement_simple)
+    rec = next(r for r in all_records() if r.outcomes[0].complement_simple)
     oc = rec.outcomes[0]
     short = dataclasses.replace(oc, complement_simple=oc.complement_simple[:-1])
     cut = dataclasses.replace(rec, outcomes=(short,) + rec.outcomes[1:])
-    assert complement_root_span(cut, model) != all_complement_root_span(rec, model)
+    assert complement_root_span(cut) != all_complement_root_span(rec)
 
 
 def test_star_of_rejects_flipped_bookkeeping():
-    for rec, model in all_records():
-        assert star_of(rec, model) is (rec.sat_index == 3)
+    for rec in all_records():
+        assert star_of(rec) is (rec.sat_index == 3)
         flipped = dataclasses.replace(rec, sat_index=4 - rec.sat_index)
         with pytest.raises(CuspError, match="bookkeeping disagrees"):
-            star_of(flipped, model)
+            star_of(flipped)
+
+
+def test_a_fresh_process_builds_each_cached_object_once():
+    # every suite in one cold interpreter: the A2, E6 and E8 order-3
+    # blocks, the 8 (family, model) embedding tables and the 28 complements
+    out = run_fresh(
+        "from k3lat import cusps, eisenstein, suites\n"
+        "suites.run_suites('all')\n"
+        "for f in (eisenstein.fpf_order3, eisenstein.negative_fpf_order3,\n"
+        "          cusps.enumerate_embeddings, cusps._p_complement):\n"
+        "    print(f.cache_info().misses)\n"
+    )
+    assert out.split() == ["3", "3", "8", str(sum(goldens.EMBEDDING_COUNTS.values()))]
 
 
 def test_classify_cusps_is_computed_once():
@@ -341,5 +350,5 @@ def test_complement_rank_bound():
         ((2, 1), (("E", 6), ("A", 2), ("A", 2), ("A", 2))),
     ]:
         prank = sum(n for _, n in p)
-        for rec in enumerate_embeddings(p, build_niemeier("E8^3")):
+        for rec in enumerate_embeddings(p, "E8^3"):
             assert prank + rec.total_complement.rank == 24

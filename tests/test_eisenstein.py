@@ -9,7 +9,6 @@ from k3lat.eisenstein import (
     RhoLattice,
     assemble,
     check,
-    eis,
     eisenstein_gram,
     fixed_sublattice,
     fpf_order3,
@@ -37,11 +36,11 @@ from k3lat.lattice import (
 
 
 def test_eis_arithmetic():
-    w = eis(0, 1)
-    assert w * w == eis(-1, -1)
-    assert w * w * w == eis(1)
-    assert THETA == eis(1, 2)
-    assert (THETA * THETA.conj()) == eis(3)
+    w = Eis(0, 1)
+    assert w * w == Eis(-1, -1)
+    assert w * w * w == Eis(1)
+    assert THETA == Eis(1, 2)
+    assert (THETA * THETA.conj()) == Eis(3)
 
 
 def test_rho3_u_u_checks():
@@ -94,7 +93,7 @@ def test_hermitian_gram_u_u():
     r = rho3_u_u()
     _, h = eisenstein_gram(r)
     norm = hermitian_normal_2x2(h)
-    assert norm[0][0] == eis(0) and norm[1][1] == eis(0)
+    assert norm[0][0] == Eis(0) and norm[1][1] == Eis(0)
     assert norm[0][1] == THETA
     assert norm[1][0] == THETA.conj()
 
@@ -103,8 +102,8 @@ def test_hermitian_gram_u_u3():
     r = rho3_u_u3()
     _, h = eisenstein_gram(r)
     norm = hermitian_normal_2x2(h)
-    assert norm[0][1] == eis(3)
-    assert norm[1][0] == eis(3)
+    assert norm[0][1] == Eis(3)
+    assert norm[1][0] == Eis(3)
 
 
 def test_hermitian_gram_a2():
@@ -112,7 +111,7 @@ def test_hermitian_gram_a2():
     _, h = eisenstein_gram(r)
     assert len(h) == 1
     # diagonal values are rational: (3/2) * norm of a root
-    assert h[0][0] == eis(3)
+    assert h[0][0] == Eis(3)
 
 
 def test_hermitian_rejects_fixed_vectors():
@@ -130,7 +129,7 @@ def test_hermitian_value_rejects_a_non_eisenstein_integer():
     iso = Isometry(IntMatrix.identity(1), l)
     with pytest.raises(IsometryError, match="not an Eisenstein integer"):
         _hermitian_value(l, iso, (1,), (1,))
-    assert _hermitian_value(l, iso, (2,), (1,)) == eis(3)
+    assert _hermitian_value(l, iso, (2,), (1,)) == Eis(3)
 
 
 def test_estar_standard_actions():

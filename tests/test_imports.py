@@ -22,6 +22,12 @@ reading a variable that shares its name does not count.
 The rational rule: only ``exactla`` (for ``rat_express``) and ``roots``
 (for the value of ``dual_class_min``) import ``fractions``; every other
 module carries rational quantities as integer rows over a denominator.
+
+The caching rule: ``functools.cache`` is the only caching mechanism in
+``src/k3lat``.  No module names ``lru_cache`` or ``cached_property``,
+rebinds a module global from a function (``global``), gives a function a
+mutable default, or writes from a function into a module-level dict,
+list or set.
 """
 
 from __future__ import annotations
@@ -213,3 +219,81 @@ def test_check_flags_a_fractions_import():
         "c.py": "import math\nfractions = math\n",
     }
     assert fraction_importers(sources) == ["a.py", "b.py"]
+
+
+OTHER_CACHES = {"lru_cache", "cached_property"}
+MUTATORS = {"setdefault", "update", "append", "extend", "add", "insert", "__setitem__"}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _is_container(value) -> bool:
+    return isinstance(value, CONTAINERS) or (
+        isinstance(value, ast.Call) and getattr(value.func, "id", None) in {"dict", "list", "set"}
+    )
+
+
+def second_caches(sources: dict) -> list:
+    """(file, line, what) of each caching mechanism other than
+    ``functools.cache`` in the ``sources`` (file name -> text)."""
+    out = set()
+    for file, text in sources.items():
+        tree = ast.parse(text)
+        containers = set()
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                containers |= {t.id for t in targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in OTHER_CACHES:
+                out.add((file, node.lineno, name))
+            elif isinstance(node, ast.Global):
+                out.add((file, node.lineno, "global " + ", ".join(node.names)))
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                for default in args.defaults + [d for d in args.kw_defaults if d is not None]:
+                    if _is_container(default):
+                        out.add((file, default.lineno, f"mutable default of {node.name}"))
+                local = {a.arg for a in args.args + args.kwonlyargs + args.posonlyargs}
+                local |= {
+                    n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                }
+                for n in ast.walk(node):
+                    if isinstance(n, ast.Subscript) and isinstance(n.ctx, (ast.Store, ast.Del)):
+                        target = n.value
+                    elif isinstance(n, ast.Call) and getattr(n.func, "attr", None) in MUTATORS:
+                        target = n.func.value
+                    else:
+                        continue
+                    if isinstance(target, ast.Name) and target.id in containers - local:
+                        out.add((file, n.lineno, f"{node.name} writes {target.id}"))
+    return sorted(out)
+
+
+def test_functools_cache_is_the_only_cache():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert second_caches(sources) == []
+
+
+def test_check_flags_a_second_caching_mechanism():
+    sources = {
+        "a.py": "from functools import lru_cache\n@lru_cache(None)\ndef f(x):\n    return x\n",
+        "b.py": "import functools\nclass A:\n    @functools.cached_property\n    def p(self):\n        return 1\n",
+        "c.py": "_CACHE = {}\ndef f(x):\n    if x not in _CACHE:\n        _CACHE[x] = x * x\n    return _CACHE[x]\n",
+        "d.py": "_SEEN: set = set()\ndef f(x):\n    _SEEN.add(x)\n",
+        "e.py": "_M = None\ndef f():\n    global _M\n    _M = 1\n",
+        "f.py": "def f(x, memo={}):\n    return memo.setdefault(x, x)\n",
+        "ok.py": (
+            "from functools import cache\nTABLE = {}\nfor i in range(3):\n    TABLE[i] = i\n"
+            "@cache\ndef f(x):\n    TABLE = {}\n    TABLE[x] = 1\n    return TABLE\n"
+        ),
+    }
+    assert second_caches(sources) == [
+        ("a.py", 1, "lru_cache"),
+        ("a.py", 2, "lru_cache"),
+        ("b.py", 3, "cached_property"),
+        ("c.py", 4, "f writes _CACHE"),
+        ("d.py", 3, "f writes _SEEN"),
+        ("e.py", 3, "global _M"),
+        ("f.py", 1, "mutable default of f"),
+    ]

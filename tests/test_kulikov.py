@@ -178,12 +178,11 @@ def test_semifan_suite_reports_a_wrong_rank_as_fail(monkeypatch):
 
 
 def test_semifan_fingerprints_match_concrete_quotients():
-    from k3lat.cusps import build_niemeier, classify_cusps, cusp_quotient_lattice
+    from k3lat.cusps import classify_cusps, cusp_quotient_lattice
 
     for fam in [(0, 1), (2, 1)]:
         for rec in classify_cusps(*fam):
-            w = rec.witnesses[0]
-            sat = cusp_quotient_lattice(w, build_niemeier(w.model_kind))
+            sat = cusp_quotient_lattice(rec.witnesses[0])
             sf = semifan(fam[0], fam[1], rec.jperp_root)
             assert quotient_model_fingerprint(sat) == quotient_model_fingerprint(sf.model)
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from k3lat.exactla import IntMatrix, hnf, rank as int_rank
 from k3lat.lattice import (
     Lattice,
+    LatticeError,
     Sublattice,
     diag_lattice,
     direct_sum,
@@ -32,6 +33,7 @@ from support import (
     conjugate,
     enumerate_norm_box,
     gauss_jordan_inv,
+    rational_span_complement_root_type,
     restrict_to_box,
     unimodular,
 )
@@ -181,8 +183,40 @@ def test_complement_a2a2_in_e8():
 def test_complement_rejects_non_root_sublattice():
     e8 = root_lattice("E", 8)
     s = Sublattice(e8, [[2, 0, 0, 0, 0, 0, 0, 0]])
-    with pytest.raises(Exception):
+    with pytest.raises(LatticeError, match="not spanned by roots"):
         complement_root_type(s)
+
+
+def _complement_outcome(route, s):
+    try:
+        return str(route(s))
+    except LatticeError as exc:
+        return str(exc)
+
+
+@given(
+    st.sampled_from([("E", 6), ("E", 7), ("E", 8)] + [("D", n) for n in range(4, 9)]),
+    st.sets(st.integers(0, 7)),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([-1, 1])), max_size=4),
+    st.booleans(),
+)
+@example(("E", 8), set(), [], False)  # S = 0: the complement is all of E8
+@example(("E", 8), set(range(8)), [], False)  # S = E8: the complement is empty
+@example(("D", 4), {0}, [], True)  # 2 alpha_1 spans no root
+def test_complement_root_type_matches_the_rational_span_oracle(atom, chosen, ops, doubled):
+    """Sublattices spanned by simple roots, in a changed basis, or with one
+    basis row doubled (no longer root-spanned): the one-product route and
+    the per-root solves give the same type or the same rejection."""
+    sym, n = atom
+    idx = sorted(i for i in chosen if i < n)
+    rows = IntMatrix.identity(n).submatrix(idx)
+    if idx:
+        rows = unimodular(len(idx), ops) * rows
+        if doubled:
+            rows = IntMatrix([[2 * x for x in rows.entries[0]]] + list(rows.entries[1:]), cols=n)
+    s = Sublattice(root_lattice(sym, n), rows)
+    got = _complement_outcome(complement_root_type, s)
+    assert got == _complement_outcome(rational_span_complement_root_type, s)
 
 
 def test_type_parsing_and_str_roundtrip():
