@@ -52,7 +52,6 @@ MAX_ADE_INDEX = 24
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
-        self.offset = offset
 
 
 @dataclass

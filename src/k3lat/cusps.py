@@ -102,14 +102,13 @@ class FamilyData:
     rho_t: RhoLattice
 
 
-def _sum_from_symbols(symbols, negative_roots=True) -> Lattice:
+def _sum_from_symbols(symbols) -> Lattice:
     parts = []
     for sym, n in symbols:
         if sym == "U":
             parts.append(hyperbolic(n))
         else:
-            l = root_lattice(sym, n)
-            parts.append(rescale(l, -1) if negative_roots else l)
+            parts.append(rescale(root_lattice(sym, n), -1))
     return direct_sum(*parts)
 
 
@@ -345,11 +344,9 @@ class NiemeierModel:
     comp: Symbol
     ncomp: int
     r: Lattice
-    n: Lattice
-    overlattice: Overlattice
+    overlattice: Overlattice  # its lattice is the unimodular model N
     glue_code: Tuple[Vector, ...]  # all nonzero codewords
     perm_group: Tuple[Tuple[int, ...], ...]
-    root_count: int
 
     def component_offset(self, c: int) -> int:
         return c * self.comp[1]
@@ -406,16 +403,13 @@ def build_niemeier(kind: str) -> NiemeierModel:
     for w in code:
         if w.count(0) != 1:
             raise CuspError("glue word without exactly one zero coordinate")
-    count = ncomp * len(component_system(*comp).roots)
     return NiemeierModel(
         comp,
         ncomp,
         r,
-        over.lattice,
         over,
         tuple(sorted(code)),
         _code_perm_group(frozenset(code), ncomp),
-        count,
     )
 
 
@@ -546,14 +540,14 @@ def complement_root_span(record: EmbeddingRecord) -> IntMatrix:
     lattice as all of its roots (Humphreys, *Reflection Groups*, 1.5)."""
     model = build_niemeier(record.model_kind)
     rows = _model_rows(model, [oc.complement_simple for oc in record.outcomes])
-    return hermite_basis(rows.entries, model.n.rank)
+    return hermite_basis(rows.entries, model.overlattice.lattice.rank)
 
 
 @cache
 def _p_complement(record: EmbeddingRecord) -> Sublattice:
     """The orthogonal complement of the embedded P inside N, saturated
     by construction."""
-    n = build_niemeier(record.model_kind).n
+    n = build_niemeier(record.model_kind).overlattice.lattice
     return Sublattice(n, embedded_p_rows(record)).orth_complement()
 
 
@@ -613,7 +607,7 @@ def isotropic_plane(r: RhoLattice, e: Sequence[int]) -> Sublattice:
         raise CuspError("zero vector spans no plane")
     if t.norm(e) != 0:
         raise CuspError("vector is not isotropic")
-    re = r.rho.apply(e)
+    re = r.apply(e)
     rows = IntMatrix([list(e), list(re)], cols=t.rank)
     if rank(rows) != 2:
         raise CuspError("vector and its image are dependent")
@@ -621,7 +615,7 @@ def isotropic_plane(r: RhoLattice, e: Sequence[int]) -> Sublattice:
     if not j.is_isotropic():
         raise CuspError("span of the orbit is not isotropic")
     img = IntMatrix(
-        [list(r.rho.apply(v)) for v in j.basis.entries], cols=t.rank
+        [list(r.apply(v)) for v in j.basis.entries], cols=t.rank
     )
     int_express(img, j.basis)  # invariance
     return j

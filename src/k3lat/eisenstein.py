@@ -10,6 +10,10 @@ whose values lie in theta * Z[w].  The isometry acts trivially on the
 discriminant group exactly when (r - 1) maps the dual lattice into the
 lattice; both formulations are computed and must agree.
 
+A lattice with an isometry is one verified value, ``RhoLattice(lattice,
+matrix)``: construction checks that the matrix preserves the form and
+computes its order, which may not exceed ``ORDER_BOUND``.
+
 Order-3 fixed-point-free isometries of A2, E6, E8 are produced as
 powers of a Coxeter element (product of the simple reflections in
 Bourbaki order, raised to one third of the Coxeter number) and verified
@@ -57,22 +61,6 @@ class IsometryError(LatticeError):
 ORDER_BOUND = 24
 
 
-@dataclass(frozen=True)
-class Isometry:
-    """An integer matrix acting on row vectors and preserving the form."""
-
-    matrix: IntMatrix
-    lattice: Lattice
-
-    def __post_init__(self):
-        verify_isometry(self.lattice, self.matrix)
-
-    def apply(self, v: Sequence[int]) -> Tuple[int, ...]:
-        m = self.matrix.entries
-        n = self.matrix.rows
-        return tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(n))
-
-
 def verify_isometry(lattice: Lattice, m: IntMatrix) -> None:
     """Raise with the violated pairing if ``m`` does not preserve the form."""
     if m.rows != m.cols or m.rows != lattice.rank:
@@ -91,42 +79,40 @@ def verify_isometry(lattice: Lattice, m: IntMatrix) -> None:
         raise IsometryError("matrix is not unimodular")
 
 
-def isometry_order(m: IntMatrix, bound: int = ORDER_BOUND) -> int:
+def isometry_order(m: IntMatrix) -> int:
     ident = IntMatrix.identity(m.rows)
     p = m
-    for k in range(1, bound + 1):
+    for k in range(1, ORDER_BOUND + 1):
         if p == ident:
             return k
         p = p * m
-    raise IsometryError(f"order exceeds bound {bound}")
-
-
-def check(iso: Isometry) -> int:
-    """Verify form preservation (done at construction) and return the order."""
-    return isometry_order(iso.matrix)
+    raise IsometryError(f"order exceeds bound {ORDER_BOUND}")
 
 
 @dataclass(frozen=True)
 class RhoLattice:
-    """A lattice with an isometry ``rho``; ``order`` is computed from the
-    matrix (``IsometryError`` above ``ORDER_BOUND``), never stated."""
+    """A lattice with an isometry, an integer matrix acting on row vectors.
+
+    Construction verifies that the matrix preserves the form; ``order`` is
+    computed from the matrix (``IsometryError`` above ``ORDER_BOUND``),
+    never stated."""
 
     lattice: Lattice
-    rho: Isometry
+    matrix: IntMatrix
     order: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "order", isometry_order(self.rho.matrix))
+        verify_isometry(self.lattice, self.matrix)
+        object.__setattr__(self, "order", isometry_order(self.matrix))
 
-
-def rho_lattice(lattice: Lattice, matrix: IntMatrix | Sequence[Sequence[int]]) -> RhoLattice:
-    if not isinstance(matrix, IntMatrix):
-        matrix = IntMatrix(matrix, cols=lattice.rank)
-    return RhoLattice(lattice, Isometry(matrix, lattice))
+    def apply(self, v: Sequence[int]) -> Tuple[int, ...]:
+        m = self.matrix.entries
+        n = self.matrix.rows
+        return tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(n))
 
 
 def fixed_sublattice(r: RhoLattice) -> Sublattice:
-    m = r.rho.matrix
+    m = r.matrix
     delta = m - IntMatrix.identity(m.rows)
     return Sublattice(r.lattice, kernel_basis(delta.transpose()))
 
@@ -142,7 +128,7 @@ def _cyclotomic_at(m: IntMatrix, order: int) -> IntMatrix:
 
 def primitive_part(r: RhoLattice) -> Sublattice:
     """Saturated kernel of the order-N cyclotomic polynomial at rho."""
-    phi = _cyclotomic_at(r.rho.matrix, r.order)
+    phi = _cyclotomic_at(r.matrix, r.order)
     return Sublattice(r.lattice, kernel_basis(phi.transpose()))
 
 
@@ -156,12 +142,6 @@ class Eis:
     a: int
     b: int = 0
 
-    def __add__(self, o: "Eis") -> "Eis":
-        return Eis(self.a + o.a, self.b + o.b)
-
-    def __sub__(self, o: "Eis") -> "Eis":
-        return Eis(self.a - o.a, self.b - o.b)
-
     def __mul__(self, o: "Eis") -> "Eis":
         # (a + bw)(c + dw) with w^2 = -1 - w
         a, b, c, d = self.a, self.b, o.a, o.b
@@ -170,9 +150,6 @@ class Eis:
     def conj(self) -> "Eis":
         # conjugate of w is w^2 = -1 - w
         return Eis(self.a - self.b, -self.b)
-
-    def norm(self) -> int:
-        return (self * self.conj()).a
 
     def __str__(self) -> str:
         if self.b == 0:
@@ -203,21 +180,20 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
     if fixed_sublattice(r).rank != 0:
         raise IsometryError("action has a nonzero fixed vector")
     n = r.lattice.rank
-    iso = r.rho
     chosen: List[Tuple[int, ...]] = []
     spanned = IntMatrix([], cols=n)
     for i in range(n):
         v = tuple(1 if j == i else 0 for j in range(n))
         if not in_rational_span(v, spanned):
             chosen.append(v)
-            spanned = hermite_basis(chosen + [iso.apply(c) for c in chosen], n)
+            spanned = hermite_basis(chosen + [r.apply(c) for c in chosen], n)
     if 2 * len(chosen) != n:
         raise IsometryError("failed to extract a module basis")
     gram = []
     for x in chosen:
         row = []
         for y in chosen:
-            row.append(_hermitian_value(r.lattice, iso, x, y))
+            row.append(_hermitian_value(r, x, y))
         gram.append(tuple(row))
     for i in range(len(chosen)):
         for j in range(len(chosen)):
@@ -227,12 +203,12 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
     return basis, tuple(gram)
 
 
-def _hermitian_value(lattice: Lattice, iso: Isometry, x, y) -> Eis:
-    ry = iso.apply(y)
-    r2y = iso.apply(ry)
+def _hermitian_value(r: RhoLattice, x, y) -> Eis:
+    ry = r.apply(y)
+    r2y = r.apply(ry)
     dy = tuple(a - b for a, b in zip(ry, r2y))
-    b_plain = lattice.pair(x, y)
-    b_theta = lattice.pair(x, dy)
+    b_plain = r.lattice.pair(x, y)
+    b_theta = r.lattice.pair(x, dy)
     # (3*b_plain + theta*b_theta) / 2 = (3*b_plain + b_theta)/2 + b_theta*w
     a_twice = 3 * b_plain + b_theta
     if a_twice % 2:
@@ -283,7 +259,7 @@ def is_estar(r: RhoLattice) -> bool:
     """True when rho acts trivially on the discriminant group."""
     if not r.lattice.is_nondegenerate:
         raise LatticeError("discriminant action needs a nondegenerate lattice")
-    m = r.rho.matrix
+    m = r.matrix
     triv = _dual_shift_integral(r, m - IntMatrix.identity(m.rows))
     theta_elem = is_theta_elementary(r)
     if triv != theta_elem:
@@ -293,7 +269,7 @@ def is_estar(r: RhoLattice) -> bool:
 
 def is_theta_elementary(r: RhoLattice) -> bool:
     """True when (rho - rho^2) maps the dual lattice into the lattice."""
-    m = r.rho.matrix
+    m = r.matrix
     return _dual_shift_integral(r, m - m * m)
 
 
@@ -335,7 +311,7 @@ def fpf_order3(sym: str, n: int) -> RhoLattice:
     for _ in range(h // 3):
         power = power * cox
     for candidate in (power, power * power):
-        r = rho_lattice(lattice, candidate)
+        r = RhoLattice(lattice, candidate)
         if r.order != 3:
             continue
         if fixed_sublattice(r).rank != 0:
@@ -350,13 +326,13 @@ def negative_fpf_order3(sym: str, n: int) -> RhoLattice:
     """The action of ``fpf_order3(sym, n)`` on the negative definite copy
     of the root lattice, the summand of the period and quotient lattices."""
     fpf = fpf_order3(sym, n)
-    return rho_lattice(rescale(fpf.lattice, -1), fpf.rho.matrix)
+    return RhoLattice(rescale(fpf.lattice, -1), fpf.matrix)
 
 
 def assemble(blocks: Sequence[RhoLattice]) -> RhoLattice:
     """Block-diagonal action on the direct sum of the given pairs."""
     total = direct_sum(*(b.lattice for b in blocks))
-    out = rho_lattice(total, block_diagonal(*(b.rho.matrix for b in blocks)))
+    out = RhoLattice(total, block_diagonal(*(b.matrix for b in blocks)))
     expected = lcm(*[b.order for b in blocks]) if blocks else 1
     if out.order != expected:
         raise IsometryError("assembled order differs from the lcm of the blocks")
@@ -379,7 +355,7 @@ def rho3_u_u() -> RhoLattice:
         [-1, 0, -1, 0],  # e2 -> -e1 - e2
         [0, -1, 0, 0],  # f2 -> -f1
     ]
-    return rho_lattice(l, m)
+    return RhoLattice(l, IntMatrix(m))
 
 
 def rho3_u_u3() -> RhoLattice:
@@ -391,7 +367,7 @@ def rho3_u_u3() -> RhoLattice:
         [3, 0, -2, 0],  # e2' -> 3 e1 - 2 e2'
         [0, 3, 0, 1],  # f2' -> 3 f1 + f2'
     ]
-    return rho_lattice(l, m)
+    return RhoLattice(l, IntMatrix(m))
 
 
 def rho4_u_u2() -> RhoLattice:
@@ -403,7 +379,7 @@ def rho4_u_u2() -> RhoLattice:
         [-2, 0, 1, 0],  # e' -> -2e + e'
         [0, -2, 0, -1],  # f' -> -2f - f'
     ]
-    return rho_lattice(l, m)
+    return RhoLattice(l, IntMatrix(m))
 
 
 def rho4_d4() -> RhoLattice:
@@ -428,10 +404,9 @@ def rho4_d4() -> RhoLattice:
     except ExactLAError:
         raise IsometryError("double rotation does not preserve the D4 sublattice") from None
     neg = rescale(lat, -1)
-    return rho_lattice(neg, conj)
+    return RhoLattice(neg, conj)
 
 
 def rho4_a1a1() -> RhoLattice:
     """Order-4 action h1 -> h2 -> -h1 on two orthogonal norm -2 classes."""
-    l = diag_lattice([-2, -2], label="A1+A1")
-    return rho_lattice(l, [[0, 1], [-1, 0]])
+    return RhoLattice(diag_lattice([-2, -2]), IntMatrix([[0, 1], [-1, 0]]))

@@ -91,10 +91,6 @@ class IntMatrix:
         return IntMatrix.diagonal([1] * n)
 
     @staticmethod
-    def zero(m: int, n: int) -> "IntMatrix":
-        return IntMatrix._of(((0,) * n,) * m, n)
-
-    @staticmethod
     def diagonal(diag: Sequence[int]) -> "IntMatrix":
         d = [index(x) for x in diag]
         n = len(d)
@@ -399,15 +395,13 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return hermite_basis(ker, a.cols)
 
 
-def saturate(rows: IntMatrix, ambient_rank: int | None = None) -> IntMatrix:
+def saturate(rows: IntMatrix) -> IntMatrix:
     """Basis of ``span_Q(rows) ∩ Z^n``, in row Hermite form.
 
     Raises if the input rows are dependent, which would signal an
     invalid sublattice basis.
     """
-    n = rows.cols if ambient_rank is None else ambient_rank
-    if rows.cols != n:
-        raise ExactLAError("ambient rank does not match row length")
+    n = rows.cols
     if rank(rows) != rows.rows:
         raise ExactLAError("dependent rows: not a sublattice basis")
     if rows.rows == 0:

@@ -69,7 +69,6 @@ from .eisenstein import (
     rho4_a1a1,
     rho4_d4,
     rho4_u_u2,
-    rho_lattice,
 )
 
 Symbol = Tuple[str, int]
@@ -139,17 +138,17 @@ def _dp_kperp_rows(degree: int) -> IntMatrix:
 def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix]:
     """Picard lattice and order-3 action of a terminal surface."""
     if degree is None:
-        return diag_lattice([1], label="I(1,0)"), IntMatrix.identity(1)
+        return diag_lattice([1]), IntMatrix.identity(1)
     sym, n = _DP_ROOT_TYPE[degree]
     dim = 10 - degree
-    lat = diag_lattice([1] + [-1] * (dim - 1), label=f"I(1,{dim - 1})")
+    lat = diag_lattice([1] + [-1] * (dim - 1))
     b = _dp_kperp_rows(degree)
     if Sublattice(lat, b).gram() != cartan_gram(sym, n).scale(-1):
         raise KulikovError("del Pezzo root core has the wrong Gram matrix")
     k_row = [[-3] + [1] * (dim - 1)]
     s = b.stack(IntMatrix(k_row, cols=dim))
     fpf = fpf_order3(sym, n)
-    for candidate in (fpf.rho.matrix, fpf.rho.matrix * fpf.rho.matrix):
+    for candidate in (fpf.matrix, fpf.matrix * fpf.matrix):
         block = block_diagonal(candidate, IntMatrix.identity(1))
         # acting on rows: x -> x * M with S * M = D * S, coordinates taken
         # in the (root basis, canonical class) frame; solved transposed as
@@ -160,11 +159,11 @@ def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix]:
             ).transpose()
         except ExactLAError:
             continue
-        r = rho_lattice(lat, m)
+        r = RhoLattice(lat, m)
         if r.order != 3:
             continue
         k_vec = k_row[0]
-        if r.rho.apply(k_vec) != tuple(k_vec):
+        if r.apply(k_vec) != tuple(k_vec):
             raise KulikovError("extension does not fix the canonical class")
         return lat, m
     raise KulikovError("order-3 action does not extend integrally to the Picard lattice")
@@ -185,14 +184,14 @@ def build_component(spec: ComponentSpec) -> ComponentModel:
     picard = Lattice(block_diagonal(*grams))
     if picard.rank != 10:
         raise KulikovError("component Picard lattice must have rank 10")
-    rho = rho_lattice(picard, block_diagonal(*actions))
+    rho = RhoLattice(picard, block_diagonal(*actions))
     if rho.order != 3:
         raise KulikovError("component action does not have order 3")
     k = tuple([-3] + [1] * 9)
     d = tuple(-x for x in k)
     if picard.norm(d) != 0:
         raise KulikovError("anticanonical class is not isotropic")
-    if rho.rho.apply(d) != d:
+    if rho.apply(d) != d:
         raise KulikovError("anticanonical class is not fixed")
     return ComponentModel(spec, picard, rho, d)
 
@@ -238,8 +237,8 @@ def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
     if signature(lam) != (1, 17):
         raise KulikovError("glued lattice has the wrong signature")
     # componentwise action descends to the quotient
-    images = quo.lift * block_diagonal(c0.rho.rho.matrix, c1.rho.rho.matrix)
-    rq = rho_lattice(lam, quo.coords(images))
+    images = quo.lift * block_diagonal(c0.rho.matrix, c1.rho.matrix)
+    rq = RhoLattice(lam, quo.coords(images))
     if rq.order != 3:
         raise KulikovError("glued action does not have order 3")
     prim = primitive_part(rq)
@@ -275,7 +274,6 @@ class SemifanRecord:
     slot_index: int  # [fj : span of the A2 slots]
     rho_invariant: bool
     model: Lattice
-    fj_basis: IntMatrix
 
 
 def is_invariant(rows: IntMatrix, m: IntMatrix) -> bool:
@@ -299,7 +297,10 @@ def _starred_model(
     d = math.lcm(*(df for _, df in duals))
     for word in product((0, 1, 2), repeat=len(factors)):
         coset_min = sum(dual_class_min(*f) for c, f in zip(word, factors) if c)
-        if not any(word) or coset_min <= 2:
+        # c times a class of norm q has norm c^2 q mod 2Z, so the glue
+        # vector has even integral norm only when this sum is an even integer
+        norm = sum(c * c * dual_class_min(*f) for c, f in zip(word, factors) if c)
+        if not any(word) or coset_min <= 2 or norm % 2:
             continue
         glue_row = [x * c * (d // df) for c, (cf, df) in zip(word, duals) for x in cf.entries[0]]
         try:
@@ -312,10 +313,10 @@ def _starred_model(
         # H = d * basis it is M with M * H = H * rho, M integral
         h = over.scaled
         try:
-            m = int_express(h * base.rho.matrix, h)
+            m = int_express(h * base.matrix, h)
         except ExactLAError:
             continue
-        return rho_lattice(over.lattice, m), over
+        return RhoLattice(over.lattice, m), over
     raise KulikovError("no valid index-3 glue for the starred quotient model")
 
 
@@ -339,7 +340,7 @@ def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
         rho_model, over = base, None
     if rho_model.order not in (1, 3):
         raise KulikovError("model action has unexpected order")
-    model, rho_m = rho_model.lattice, rho_model.rho.matrix
+    model, rho_m = rho_model.lattice, rho_model.matrix
     # rows of the A2 slots in model coordinates
     slot_rows: List[List[int]] = []
     off = 0
@@ -355,7 +356,7 @@ def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
     if cusp.starred:
         slots = slots * over.old_in_new  # coordinates in the overlattice basis
     fj = saturate(slots)
-    return SemifanRecord(fj.rows, index_in(slots, fj), is_invariant(fj, rho_m), model, fj)
+    return SemifanRecord(fj.rows, index_in(slots, fj), is_invariant(fj, rho_m), model)
 
 
 def quotient_model_fingerprint(l: Lattice) -> Tuple[int, int, Tuple[int, ...]]:
@@ -376,12 +377,12 @@ def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
     d4 = rescale(root_lattice("D", 4), -1)
     l1 = direct_sum(hyperbolic(2), rescale(root_lattice("D", 8), -1))
     l2 = direct_sum(hyperbolic(), d4, d4)
-    nikulin = (nikulin_2elem(l1).as_tuple(), nikulin_2elem(l2).as_tuple())
+    nikulin = (nikulin_2elem(l1), nikulin_2elem(l2))
 
     # (b) the assembled action: its order and whether its square is -1
     t4 = assemble([rho4_u_u2(), rho4_d4(), rho4_d4(), rho4_a1a1()])
     t = t4.lattice
-    sq = t4.rho.matrix * t4.rho.matrix
+    sq = t4.matrix * t4.matrix
     action = (t4.order, sq == IntMatrix.identity(t.rank).scale(-1))
 
     # (c) an isotropic, saturated, invariant plane and its quotient's roots
@@ -390,16 +391,16 @@ def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
     j = Sublattice(t, IntMatrix([e, ep], cols=t.rank))
     q = quotient_by_isotropic(j).lattice
     rtype, _ = root_system(q)
-    plane = (j.is_isotropic(), j.is_primitive, is_invariant(j.basis, t4.rho.matrix), str(rtype))
+    plane = (j.is_isotropic(), j.is_primitive, is_invariant(j.basis, t4.matrix), str(rtype))
 
     # (d) four cycled norm -1 classes: Gram matrix and images of two
     # differences, saturation of their span, and the A1^2 block of the
     # quotient model as a direct summand (ranks and determinants)
     e4 = diag_lattice([-1, -1, -1, -1])
-    cyc = rho_lattice(e4, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]])
+    cyc = RhoLattice(e4, IntMatrix([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]))
     m_rows = IntMatrix([[1, 0, -1, 0], [0, 1, 0, -1]])
     m_gram = m_rows * e4.gram * m_rows.transpose()
-    images = (cyc.rho.apply((1, 0, -1, 0)), cyc.rho.apply((0, 1, 0, -1)))
+    images = (cyc.apply((1, 0, -1, 0)), cyc.apply((0, 1, 0, -1)))
     block = direct_sum(d4, d4, diag_lattice([-2, -2]))
     a1_rows = IntMatrix([[0] * 8 + [1, 0], [0] * 8 + [0, 1]], cols=10)
     a1_sub = Sublattice(block, a1_rows)
@@ -417,7 +418,7 @@ def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
     # and the block matches the quotient of (c)
     block_rho = assemble([rho4_d4(), rho4_d4(), rho4_a1a1()])
     summand = (
-        is_invariant(a1_rows, block_rho.rho.matrix),
+        is_invariant(a1_rows, block_rho.matrix),
         a1_sub.is_primitive,
         quotient_model_fingerprint(q),
         quotient_model_fingerprint(block),

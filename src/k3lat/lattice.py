@@ -1,11 +1,11 @@
 """Integral lattices with symmetric bilinear forms.
 
 A lattice is a free Z-module of finite rank carrying an integer Gram
-matrix; elements are row vectors and the form evaluates as
-``x * G * y^T``.  The ADE Gram matrices are stored positive definite
-(Cartan matrices in Bourbaki numbering); negative definite copies are
-obtained by ``rescale(L, -1)`` when a lattice is used inside an
-indefinite ambient.
+matrix, and nothing else: no name, and equality compares Gram matrices.
+Elements are row vectors and the form evaluates as ``x * G * y^T``.
+The ADE Gram matrices are stored positive definite (Cartan matrices in
+Bourbaki numbering); negative definite copies are obtained by
+``rescale(L, -1)`` when a lattice is used inside an indefinite ambient.
 
 Signatures are computed by fraction-free symmetric elimination
 (Sylvester's law), never by floating point.  Discriminant groups come
@@ -14,7 +14,6 @@ from Smith normal forms of the Gram matrix.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Dict, List, Sequence, Tuple
@@ -47,15 +46,14 @@ class DegenerateFormError(LatticeError):
 class Lattice:
     """Free Z-module with an integer symmetric bilinear form."""
 
-    __slots__ = ("gram", "label", "_det", "_sig")
+    __slots__ = ("gram", "_det", "_sig")
 
-    def __init__(self, gram: IntMatrix | Sequence[Sequence[int]], label: str | None = None):
+    def __init__(self, gram: IntMatrix | Sequence[Sequence[int]]):
         if not isinstance(gram, IntMatrix):
             gram = IntMatrix(gram, cols=len(gram) if gram else 0)
         if not gram.is_symmetric():
             raise LatticeError("gram matrix must be symmetric")
         self.gram = gram
-        self.label = label
         self._det: int | None = None
         self._sig: Tuple[int, int, int] | None = None
 
@@ -95,18 +93,17 @@ class Lattice:
         return hash(self.gram)
 
     def __repr__(self) -> str:
-        name = self.label or f"rank-{self.rank} lattice"
-        return f"Lattice({name})"
+        return f"Lattice(rank {self.rank})"
 
 
 # -- constructors ------------------------------------------------------
 
 
-def hyperbolic(n: int = 1, label: str | None = None) -> Lattice:
+def hyperbolic(n: int = 1) -> Lattice:
     """The hyperbolic plane U rescaled by ``n``: Gram [[0, n], [n, 0]]."""
     if n == 0:
         raise LatticeError("rescale by zero")
-    return Lattice([[0, n], [n, 0]], label=label or ("U" if n == 1 else f"U({n})"))
+    return Lattice([[0, n], [n, 0]])
 
 
 _ADE_EDGES = {
@@ -142,7 +139,7 @@ def cartan_gram(symbol: str, n: int) -> IntMatrix:
 
 
 def root_lattice(symbol: str, n: int) -> Lattice:
-    return Lattice(cartan_gram(symbol, n), label=f"{symbol}{n}")
+    return Lattice(cartan_gram(symbol, n))
 
 
 @cache
@@ -155,13 +152,12 @@ def scaled_dual(symbol: str, n: int) -> Tuple[IntMatrix, int]:
     return int_express(IntMatrix.identity(n).scale(d), g), d
 
 
-def diag_lattice(entries: Sequence[int], label: str | None = None) -> Lattice:
-    return Lattice(IntMatrix.diagonal(list(entries)), label=label)
+def diag_lattice(entries: Sequence[int]) -> Lattice:
+    return Lattice(IntMatrix.diagonal(list(entries)))
 
 
 def direct_sum(*lats: Lattice) -> Lattice:
-    label = "+".join(l.label for l in lats) if all(l.label for l in lats) else None
-    return Lattice(block_diagonal(*(l.gram for l in lats)), label=label)
+    return Lattice(block_diagonal(*(l.gram for l in lats)))
 
 
 def rescale(l: Lattice, n: int) -> Lattice:
@@ -169,8 +165,7 @@ def rescale(l: Lattice, n: int) -> Lattice:
         raise LatticeError("rescale by zero")
     if n == 1:
         return l
-    label = f"{l.label}({n})" if l.label else None
-    return Lattice(l.gram.scale(n), label=label)
+    return Lattice(l.gram.scale(n))
 
 
 def d4_z4_model() -> Tuple[Lattice, IntMatrix]:
@@ -190,7 +185,7 @@ def d4_z4_model() -> Tuple[Lattice, IntMatrix]:
     gram = basis * basis.transpose()
     if gram != cartan_gram("D", 4):
         raise LatticeError("Z^4 model of D4 does not match the Cartan model")
-    return Lattice(gram, label="D4"), basis
+    return Lattice(gram), basis
 
 
 # -- signatures --------------------------------------------------------
@@ -269,13 +264,6 @@ class DiscGroup:
     elementary_divisors: Tuple[int, ...]
     a_p: Dict[int, int]
 
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.elementary_divisors:
-            out *= d
-        return out
-
     def __str__(self) -> str:
         if not self.elementary_divisors:
             return "0"
@@ -311,18 +299,7 @@ def is_p_elementary(l: Lattice, p: int) -> bool:
     return all(d == p for d in disc_group(l).elementary_divisors)
 
 
-@dataclass(frozen=True)
-class NikulinInvariants:
-    t_plus: int
-    t_minus: int
-    a: int
-    delta: int
-
-    def as_tuple(self) -> Tuple[int, int, int, int]:
-        return (self.t_plus, self.t_minus, self.a, self.delta)
-
-
-def nikulin_2elem(l: Lattice) -> NikulinInvariants:
+def nikulin_2elem(l: Lattice) -> Tuple[int, int, int, int]:
     """(t+, t-, a, delta) for an even 2-elementary lattice.
 
     delta = 0 exactly when the discriminant quadratic form x^2 mod 2Z
@@ -337,15 +314,7 @@ def nikulin_2elem(l: Lattice) -> NikulinInvariants:
         raise LatticeError("lattice is not 2-elementary")
     gens = [res.left.entries[i] for i, d in enumerate(res.d) if d == 2]
     delta = int(any(l.norm(g) % 4 for g in gens))  # (g/2)^2 = norm(g)/4
-    return NikulinInvariants(t_plus, t_minus, len(gens), delta)
-
-
-def divisibility(l: Lattice, v: Sequence[int]) -> int:
-    """gcd of the pairings of v against a basis: v . L = div(v) Z."""
-    if all(x == 0 for x in v):
-        raise LatticeError("divisibility of the zero vector")
-    pairings = [l.pair(v, row) for row in IntMatrix.identity(l.rank).entries]
-    return math.gcd(*pairings) if len(pairings) > 1 else abs(pairings[0])
+    return t_plus, t_minus, len(gens), delta
 
 
 # -- sublattices -------------------------------------------------------
@@ -374,11 +343,8 @@ class Sublattice:
     def gram(self) -> IntMatrix:
         return self.basis * self.ambient.gram * self.basis.transpose()
 
-    def lattice(self, label: str | None = None) -> Lattice:
-        return Lattice(self.gram(), label=label)
-
-    def saturation(self) -> "Sublattice":
-        return Sublattice(self.ambient, saturate(self.basis))
+    def lattice(self) -> Lattice:
+        return Lattice(self.gram())
 
     @property
     def is_primitive(self) -> bool:

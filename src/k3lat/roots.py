@@ -199,15 +199,21 @@ def dual_class_min(sym: str, n: int) -> Fraction:
 
 # -- root systems ------------------------------------------------------
 
-_TYPE_BY_RANK_COUNT: Dict[Tuple[int, int], Tuple[str, int]] = {}
-for _n in range(1, 25):
-    _TYPE_BY_RANK_COUNT[(_n, _n * (_n + 1))] = ("A", _n)
-for _n in range(4, 25):
-    _TYPE_BY_RANK_COUNT[(_n, 2 * _n * (_n - 1))] = ("D", _n)
-_TYPE_BY_RANK_COUNT[(6, 72)] = ("E", 6)
-_TYPE_BY_RANK_COUNT[(7, 126)] = ("E", 7)
-_TYPE_BY_RANK_COUNT[(8, 240)] = ("E", 8)
-# rank 3 with 12 roots is reported as A3 by convention
+
+def _component_root_count(sym: str, n: int) -> int:
+    if sym == "A":
+        return n * (n + 1)
+    if sym == "D":
+        return 2 * n * (n - 1)
+    return {6: 72, 7: 126, 8: 240}[n]
+
+
+# rank 3 with 12 roots is reported as A3 by convention (no D3 entry)
+_TYPE_BY_RANK_COUNT: Dict[Tuple[int, int], Tuple[str, int]] = {
+    (n, _component_root_count(sym, n)): (sym, n)
+    for sym, ranks in (("A", range(1, 25)), ("D", range(4, 25)), ("E", (6, 7, 8)))
+    for n in ranks
+}
 
 
 @dataclass(frozen=True, order=True)
@@ -250,15 +256,7 @@ class RootSystemType:
         return sum(n for _, n in self.components)
 
     def root_count(self) -> int:
-        total = 0
-        for sym, n in self.components:
-            if sym == "A":
-                total += n * (n + 1)
-            elif sym == "D":
-                total += 2 * n * (n - 1)
-            else:
-                total += {6: 72, 7: 126, 8: 240}[n]
-        return total
+        return sum(_component_root_count(*c) for c in self.components)
 
     def with_star(self, starred: bool) -> "RootSystemType":
         return RootSystemType(self.components, starred)

@@ -14,7 +14,7 @@ independent oracle, ``trivial`` for forced cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List
 
 from . import __version__
@@ -36,7 +36,7 @@ from .eisenstein import (
     is_estar,
     rho3_u_u,
     rho3_u_u3,
-    rho_lattice,
+    RhoLattice,
     THETA,
 )
 from . import goldens
@@ -86,21 +86,8 @@ class Report:
         return all(i.status == "pass" for i in self.items)
 
     def as_dict(self) -> Dict:
-        return {
-            "suite": self.suite,
-            "items": [
-                {
-                    "id": i.id,
-                    "anchor": i.anchor,
-                    "status": i.status,
-                    "computed": i.computed,
-                    "expected": i.expected,
-                    "provenance": i.provenance,
-                }
-                for i in self.items
-            ],
-            "version": self.version,
-        }
+        """The report with its items, field by field, in declaration order."""
+        return asdict(self)
 
     def as_text(self) -> str:
         lines = [f"suite {self.suite} (version {self.version})"]
@@ -300,7 +287,7 @@ def suite_eis() -> Report:
     )
     _, ha = eisenstein_gram(fpf_order3("A", 2))
     r.add("A2-hermitian", "[[3]]", [[str(x) for x in row] for row in ha], [["3"]], "derived")
-    r33 = rho_lattice(rescale(uu.lattice, 3), uu.rho.matrix)
+    r33 = RhoLattice(rescale(uu.lattice, 3), uu.matrix)
     r.add(
         "U(3)+U(3)-not-estar",
         "induced action nontrivial on the discriminant",

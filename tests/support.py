@@ -368,10 +368,10 @@ def all_complement_root_span(record):
                 vec[off : off + len(cs.roots[i])] = cs.roots[i]
                 rows.append(vec)
     if not rows:
-        return IntMatrix([], cols=model.n.rank)
+        return IntMatrix([], cols=model.overlattice.lattice.rank)
     rows = _mul(rows, model.overlattice.old_in_new.entries)
-    h, _ = hnf(IntMatrix(rows, cols=model.n.rank))
-    return IntMatrix([r for r in h.entries if any(r)], cols=model.n.rank)
+    h, _ = hnf(IntMatrix(rows, cols=model.overlattice.lattice.rank))
+    return IntMatrix([r for r in h.entries if any(r)], cols=model.overlattice.lattice.rank)
 
 
 # -- the per-root rational-span route to complement root types ---------

@@ -60,7 +60,7 @@ def test_snf_u_gram():
 
 
 def test_snf_zero_matrix():
-    res = snf(IntMatrix.zero(2, 2))
+    res = snf(IntMatrix([[0, 0], [0, 0]]))
     assert res.d == (0, 0)
 
 
@@ -356,7 +356,7 @@ def test_express_messages():
     assert outcome(rat_express, (e1,), (e1, e1)) == "basis rows are dependent"
     assert outcome(rat_express, (e2,), (e1,)) == "target outside rational span of basis"
     assert outcome(rat_express, (e1,), ()) == "target outside span of empty basis"
-    singular = outcome(int_express, IntMatrix.zero(2, 2), IntMatrix([[1, 2], [2, 4]]))
+    singular = outcome(int_express, IntMatrix([[0, 0], [0, 0]]), IntMatrix([[1, 2], [2, 4]]))
     assert singular == "basis rows are dependent"
     not_integral = outcome(int_express, IntMatrix([[1, 0]]), IntMatrix([[2, 0]]))
     assert not_integral == "coefficients are not integral"
@@ -505,7 +505,8 @@ def test_snf_pinned_lattices():
         g = family_data(n, k).t.gram
         check_snf(g, snf(g), (1,) * (g.rows - a) + (3,) * a)
     model = build_niemeier("E6^4")
-    check_snf(model.n.gram, snf(model.n.gram), (1,) * 24)  # the glue is unimodular
+    n = model.overlattice.lattice.gram
+    check_snf(n, snf(n), (1,) * 24)  # the glue is unimodular
     check_snf(model.r.gram, snf(model.r.gram), (1,) * 20 + (3,) * 4)
 
 
@@ -555,7 +556,7 @@ def test_derived_matrices_hold_ints_and_reject_non_integers():
     a = IntMatrix([[1, 2], [3, 4]])
     derived = [
         IntMatrix.identity(2),
-        IntMatrix.zero(2, 3),
+        IntMatrix([[0, 0, 0], [0, 0, 0]]),
         IntMatrix.diagonal([True, -2]),
         a + a,
         a - a,

@@ -44,7 +44,7 @@ def test_component_primitive_types(row):
     assert c.picard.rank == 10
     assert abs(c.picard.det()) == 1
     assert c.picard.norm(c.d) == 0
-    assert c.rho.rho.apply(c.d) == c.d
+    assert c.rho.apply(c.d) == c.d
     _, rtype = primitive_picard(c)
     assert str(rtype) == EXPECTED_PRIM[row]
 
@@ -125,8 +125,8 @@ def test_quotient_coords_match_adapted_basis_route(s0, s1):
     k = glue_lambda(c0, c1)
     xi = c0.d + tuple(-x for x in c1.d)
     lift = k.quotient.lift
-    images = lift * block_diagonal(c0.rho.rho.matrix, c1.rho.rho.matrix)
-    assert adapted_quotient_coords(xi, lift, images) == k.rho.rho.matrix
+    images = lift * block_diagonal(c0.rho.matrix, c1.rho.matrix)
+    assert adapted_quotient_coords(xi, lift, images) == k.rho.matrix
     parts = block_diagonal(primitive_picard(c0)[0].basis, primitive_picard(c1)[0].basis)
     assert k.quotient.coords(parts) == adapted_quotient_coords(xi, lift, parts)
 
@@ -150,9 +150,38 @@ def test_semifan_table_ranks():
 
 def test_semifan_whole_lattice_case():
     rec = semifan(2, 1, "A2^6*")
-    assert rec.fj_rank == 12
-    # the semifan is the whole quotient model here
-    assert index_in(rec.fj_basis, IntMatrix.identity(12)) == 1
+    # the semifan is the whole rank-12 quotient model here
+    assert rec.fj_rank == rec.model.rank == 12
+
+
+def test_starred_models_try_one_glue_word(monkeypatch):
+    # a glue word whose vector norm is not an even integer is skipped
+    # before the overlattice is built; the accepted word is the first tried
+    import k3lat.kulikov as kulikov
+
+    calls = []
+    real = kulikov.glue_overlattice
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kulikov, "glue_overlattice", counted)
+    fingerprints = {
+        "E6^2+A2^2*": (16, 9, (3, 3)),
+        "E6+A2^4*": (14, 27, (3, 3, 3)),
+        "A2^6*": (12, 81, (3, 3, 3, 3)),
+    }
+    for fam, entries in SEMIFAN_TABLE.items():
+        for cusp, rank, slot_index in entries:
+            if cusp in fingerprints:
+                calls.clear()
+                rec = semifan(fam[0], fam[1], cusp)
+                assert len(calls) == 1, cusp
+                assert (rec.fj_rank, rec.slot_index, rec.rho_invariant) == (rank, slot_index, True)
+                assert quotient_model_fingerprint(rec.model) == fingerprints[cusp]
+                fingerprints.pop(cusp)
+    assert fingerprints == {}
 
 
 def test_semifan_zero_cases():
