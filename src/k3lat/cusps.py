@@ -43,7 +43,6 @@ from .exactla import (
     IntMatrix,
     hermite_basis,
     index_in,
-    int_express,
     kernel_basis,
     rank,
     saturate,
@@ -76,6 +75,7 @@ from .eisenstein import (
     assemble,
     fixed_sublattice,
     is_estar,
+    is_invariant,
     negative_fpf_order3,
     rho3_u_u,
     rho3_u_u3,
@@ -614,10 +614,8 @@ def isotropic_plane(r: RhoLattice, e: Sequence[int]) -> Sublattice:
     j = Sublattice(t, saturate(rows))
     if not j.is_isotropic():
         raise CuspError("span of the orbit is not isotropic")
-    img = IntMatrix(
-        [list(r.apply(v)) for v in j.basis.entries], cols=t.rank
-    )
-    int_express(img, j.basis)  # invariance
+    if not is_invariant(j.basis, r.matrix):
+        raise CuspError("plane is not invariant")
     return j
 
 

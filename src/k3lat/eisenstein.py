@@ -8,7 +8,7 @@ Hermitian form
 
 whose values lie in theta * Z[w].  The isometry acts trivially on the
 discriminant group exactly when (r - 1) maps the dual lattice into the
-lattice; both formulations are computed and must agree.
+lattice.
 
 A lattice with an isometry is one verified value, ``RhoLattice(lattice,
 matrix)``: construction checks that the matrix preserves the form and
@@ -19,8 +19,7 @@ powers of a Coxeter element (product of the simple reflections in
 Bourbaki order, raised to one third of the Coxeter number) and verified
 once per process when first built (``functools.cache``): form
 preservation, multiplicative order, absence of fixed vectors, and
-trivial discriminant action, squaring the candidate once if the
-discriminant action comes out nontrivial.
+trivial discriminant action.
 """
 
 from __future__ import annotations
@@ -111,24 +110,28 @@ class RhoLattice:
         return tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(n))
 
 
+def is_invariant(rows: IntMatrix, m: IntMatrix) -> bool:
+    """Whether the span of ``rows`` is preserved by the action ``m`` on
+    row vectors.  Only ``ExactLAError`` reads as "not invariant"."""
+    try:
+        int_express(rows * m, rows)
+    except ExactLAError:
+        return False
+    return True
+
+
 def fixed_sublattice(r: RhoLattice) -> Sublattice:
     m = r.matrix
     delta = m - IntMatrix.identity(m.rows)
     return Sublattice(r.lattice, kernel_basis(delta.transpose()))
 
 
-def _cyclotomic_at(m: IntMatrix, order: int) -> IntMatrix:
-    ident = IntMatrix.identity(m.rows)
-    if order == 3:
-        return m * m + m + ident
-    if order == 4:
-        return m * m + ident
-    raise IsometryError(f"no cyclotomic evaluation wired for order {order}")
-
-
 def primitive_part(r: RhoLattice) -> Sublattice:
-    """Saturated kernel of the order-N cyclotomic polynomial at rho."""
-    phi = _cyclotomic_at(r.matrix, r.order)
+    """Saturated kernel of rho^2 + rho + 1 for an order-3 action."""
+    if r.order != 3:
+        raise IsometryError(f"primitive part needs an order-3 action, not order {r.order}")
+    m = r.matrix
+    phi = m * m + m + IntMatrix.identity(m.rows)
     return Sublattice(r.lattice, kernel_basis(phi.transpose()))
 
 
@@ -239,38 +242,21 @@ def hermitian_normal_2x2(gram: Tuple[Tuple[Eis, ...], ...]) -> Tuple[Tuple[Eis, 
 # -- discriminant action ----------------------------------------------
 
 
-def _dual_shift_integral(r: RhoLattice, operator: IntMatrix) -> bool:
-    """True when ``operator`` maps the dual lattice into the lattice.
-
-    That is, ``G^-1 M`` is integral; as ``G`` is symmetric, this holds
-    exactly when the rows of ``M^T`` have integral coordinates in the
-    rows of ``G``.
-    """
-    try:
-        int_express(operator.transpose(), r.lattice.gram)
-    except ExactLAError:
-        if r.lattice.is_nondegenerate:
-            return False
-        raise
-    return True
-
-
 def is_estar(r: RhoLattice) -> bool:
-    """True when rho acts trivially on the discriminant group."""
+    """True when rho acts trivially on the discriminant group.
+
+    That is, (rho - 1) maps the dual lattice into the lattice: ``G^-1 (M -
+    I)`` is integral, and as ``G`` is symmetric this holds exactly when the
+    rows of ``(M - I)^T`` have integral coordinates in the rows of ``G``.
+    """
     if not r.lattice.is_nondegenerate:
         raise LatticeError("discriminant action needs a nondegenerate lattice")
     m = r.matrix
-    triv = _dual_shift_integral(r, m - IntMatrix.identity(m.rows))
-    theta_elem = is_theta_elementary(r)
-    if triv != theta_elem:
-        raise IsometryError("discriminant-action and theta-elementarity tests disagree")
-    return triv
-
-
-def is_theta_elementary(r: RhoLattice) -> bool:
-    """True when (rho - rho^2) maps the dual lattice into the lattice."""
-    m = r.matrix
-    return _dual_shift_integral(r, m - m * m)
+    try:
+        int_express((m - IntMatrix.identity(m.rows)).transpose(), r.lattice.gram)
+    except ExactLAError:
+        return False
+    return True
 
 
 # -- standard constructions -------------------------------------------
@@ -297,28 +283,21 @@ def _coxeter_element(sym: str, n: int) -> IntMatrix:
 def fpf_order3(sym: str, n: int) -> RhoLattice:
     """Order-3 fixed-point-free isometry acting trivially on the discriminant.
 
-    Built as the Coxeter element raised to h/3; if the discriminant
-    action of the candidate is nontrivial its square is used instead.
-    Every required property is verified before returning.
+    Built as the Coxeter element raised to h/3, and verified before
+    returning.  Aut(Z/3) = {+-1} has no element of order 3, so any order-3
+    isometry of A2 or E6 is trivial on the discriminant (E8 has none).
     """
     key = (sym, n)
     if key not in COXETER_NUMBER:
         raise IsometryError(f"{sym}{n} has no wired order-3 fixed-point-free action")
-    h = COXETER_NUMBER[key]
-    lattice = root_lattice(sym, n)
     cox = _coxeter_element(sym, n)
     power = IntMatrix.identity(n)
-    for _ in range(h // 3):
+    for _ in range(COXETER_NUMBER[key] // 3):
         power = power * cox
-    for candidate in (power, power * power):
-        r = RhoLattice(lattice, candidate)
-        if r.order != 3:
-            continue
-        if fixed_sublattice(r).rank != 0:
-            continue
-        if is_estar(r):
-            return r
-    raise IsometryError(f"verified construction failed for {sym}{n}")
+    r = RhoLattice(root_lattice(sym, n), power)
+    if r.order != 3 or fixed_sublattice(r).rank != 0 or not is_estar(r):
+        raise IsometryError(f"verified construction failed for {sym}{n}")
+    return r
 
 
 @cache

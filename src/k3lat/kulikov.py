@@ -64,6 +64,7 @@ from .eisenstein import (
     assemble,
     fixed_sublattice,
     fpf_order3,
+    is_invariant,
     negative_fpf_order3,
     primitive_part,
     rho4_a1a1,
@@ -108,7 +109,6 @@ class ComponentSpec:
 @dataclass(frozen=True)
 class ComponentModel:
     spec: ComponentSpec
-    picard: Lattice
     rho: RhoLattice
     d: Tuple[int, ...]  # anticanonical fiber class, = -K
 
@@ -135,10 +135,10 @@ def _dp_kperp_rows(degree: int) -> IntMatrix:
     return IntMatrix(rows, cols=dim)
 
 
-def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix]:
-    """Picard lattice and order-3 action of a terminal surface."""
+def _terminal_model(degree: Optional[int]) -> RhoLattice:
+    """Picard lattice with the order-3 action of a terminal surface."""
     if degree is None:
-        return diag_lattice([1]), IntMatrix.identity(1)
+        return RhoLattice(diag_lattice([1]), IntMatrix.identity(1))
     sym, n = _DP_ROOT_TYPE[degree]
     dim = 10 - degree
     lat = diag_lattice([1] + [-1] * (dim - 1))
@@ -147,44 +147,34 @@ def _terminal_model(degree: Optional[int]) -> Tuple[Lattice, IntMatrix]:
         raise KulikovError("del Pezzo root core has the wrong Gram matrix")
     k_row = [[-3] + [1] * (dim - 1)]
     s = b.stack(IntMatrix(k_row, cols=dim))
-    fpf = fpf_order3(sym, n)
-    for candidate in (fpf.matrix, fpf.matrix * fpf.matrix):
-        block = block_diagonal(candidate, IntMatrix.identity(1))
-        # acting on rows: x -> x * M with S * M = D * S, coordinates taken
-        # in the (root basis, canonical class) frame; solved transposed as
-        # M^T * S^T = (D * S)^T, and a non-integral M tries the next D
-        try:
-            m = int_express(
-                (block * s).transpose(), s.transpose()
-            ).transpose()
-        except ExactLAError:
-            continue
-        r = RhoLattice(lat, m)
-        if r.order != 3:
-            continue
-        k_vec = k_row[0]
-        if r.apply(k_vec) != tuple(k_vec):
-            raise KulikovError("extension does not fix the canonical class")
-        return lat, m
-    raise KulikovError("order-3 action does not extend integrally to the Picard lattice")
+    block = block_diagonal(fpf_order3(sym, n).matrix, IntMatrix.identity(1))
+    # acting on rows: x -> x * M with S * M = D * S, coordinates taken in
+    # the (root basis, canonical class) frame; solved transposed as
+    # M^T * S^T = (D * S)^T.  S spans a sublattice of index 3 (degree 3)
+    # or 1 (degree 1), glued along the discriminant of the root core, on
+    # which D acts trivially; so D preserves the glue and M is integral
+    try:
+        m = int_express((block * s).transpose(), s.transpose()).transpose()
+    except ExactLAError:
+        raise KulikovError("order-3 action does not extend integrally to the Picard lattice") from None
+    r = RhoLattice(lat, m)
+    if r.apply(k_row[0]) != tuple(k_row[0]):
+        raise KulikovError("extension does not fix the canonical class")
+    return r
 
 
 @cache
 def build_component(spec: ComponentSpec) -> ComponentModel:
-    """Picard lattice with order-3 action for one triple-cover component."""
+    """Picard lattice with order-3 action for one triple-cover component:
+    the terminal model, then each 3-cycle e_a -> e_b -> e_c -> e_a of
+    exceptional classes, then the fixed exceptional classes."""
     degree, cycles, fixed = _ROW_RECIPE[(spec.m, spec.parts)]
-    lat, m = _terminal_model(degree)
-    grams, actions = [lat.gram], [m]
-    for _ in range(cycles):
-        # e_a -> e_b -> e_c -> e_a
-        grams.append(IntMatrix.diagonal([-1] * 3))
-        actions.append(IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
-    grams.append(IntMatrix.diagonal([-1] * fixed))
-    actions.append(IntMatrix.identity(fixed))
-    picard = Lattice(block_diagonal(*grams))
+    cycle = RhoLattice(diag_lattice([-1] * 3), IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    fixed_block = RhoLattice(diag_lattice([-1] * fixed), IntMatrix.identity(fixed))
+    rho = assemble([_terminal_model(degree)] + [cycle] * cycles + [fixed_block])
+    picard = rho.lattice
     if picard.rank != 10:
         raise KulikovError("component Picard lattice must have rank 10")
-    rho = RhoLattice(picard, block_diagonal(*actions))
     if rho.order != 3:
         raise KulikovError("component action does not have order 3")
     k = tuple([-3] + [1] * 9)
@@ -193,7 +183,7 @@ def build_component(spec: ComponentSpec) -> ComponentModel:
         raise KulikovError("anticanonical class is not isotropic")
     if rho.apply(d) != d:
         raise KulikovError("anticanonical class is not fixed")
-    return ComponentModel(spec, picard, rho, d)
+    return ComponentModel(spec, rho, d)
 
 
 @cache
@@ -227,7 +217,7 @@ def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
     radical (D0, -D1); the result is even unimodular of rank 18 with the
     componentwise order-3 action descending to it.
     """
-    amb = direct_sum(c0.picard, c1.picard)
+    amb = direct_sum(c0.rho.lattice, c1.rho.lattice)
     xi = c0.d + tuple(-x for x in c1.d)
     # degree matching is orthogonality to the isotropic xi
     quo = quotient_by_isotropic(Sublattice(amb, [xi]))
@@ -276,48 +266,42 @@ class SemifanRecord:
     model: Lattice
 
 
-def is_invariant(rows: IntMatrix, m: IntMatrix) -> bool:
-    """Whether the span of ``rows`` is preserved by the action ``m`` on
-    row vectors.  Only ``ExactLAError`` reads as "not invariant"."""
-    try:
-        int_express(rows * m, rows)
-    except ExactLAError:
-        return False
-    return True
-
-
 def _starred_model(
     factors: Sequence[Symbol], base: RhoLattice
 ) -> Tuple[RhoLattice, Overlattice]:
     """Index-3 even overlattice of the negative definite factor sum
     ``base`` whose nonzero glue cosets contain no roots, together with the
     descended order-3 action."""
-    # candidate glue words over the factor discriminants (all of order 3)
+    # the first nonzero glue word over the factor discriminants (each Z/3)
+    # whose coset has no roots (minimum norm > 2) and whose glue vector has
+    # even integral norm (c times a class of norm q has norm c^2 q mod 2Z).
+    # Such a word is always valid index-3 glue, and the factor action
+    # descends to it because it is trivial on each discriminant; the
+    # checks below raise if either fails
     duals = [scaled_dual(*f) for f in factors]
     d = math.lcm(*(df for _, df in duals))
     for word in product((0, 1, 2), repeat=len(factors)):
         coset_min = sum(dual_class_min(*f) for c, f in zip(word, factors) if c)
-        # c times a class of norm q has norm c^2 q mod 2Z, so the glue
-        # vector has even integral norm only when this sum is an even integer
         norm = sum(c * c * dual_class_min(*f) for c, f in zip(word, factors) if c)
-        if not any(word) or coset_min <= 2 or norm % 2:
-            continue
-        glue_row = [x * c * (d // df) for c, (cf, df) in zip(word, duals) for x in cf.entries[0]]
-        try:
-            over = glue_overlattice(base.lattice, [glue_row], d)
-        except LatticeError:
-            continue
-        if over.index != 3:
-            continue
-        # action must descend to the overlattice: on the integer rows
-        # H = d * basis it is M with M * H = H * rho, M integral
-        h = over.scaled
-        try:
-            m = int_express(h * base.matrix, h)
-        except ExactLAError:
-            continue
-        return RhoLattice(over.lattice, m), over
-    raise KulikovError("no valid index-3 glue for the starred quotient model")
+        if any(word) and coset_min > 2 and norm % 2 == 0:
+            break
+    else:
+        raise KulikovError("no valid index-3 glue for the starred quotient model")
+    glue_row = [x * c * (d // df) for c, (cf, df) in zip(word, duals) for x in cf.entries[0]]
+    try:
+        over = glue_overlattice(base.lattice, [glue_row], d)
+    except LatticeError as e:
+        raise KulikovError(f"glue word {word} is not valid glue: {e}") from None
+    if over.index != 3:
+        raise KulikovError(f"glue word {word} has index {over.index}, not 3")
+    # action must descend to the overlattice: on the integer rows
+    # H = d * basis it is M with M * H = H * rho, M integral
+    h = over.scaled
+    try:
+        m = int_express(h * base.matrix, h)
+    except ExactLAError:
+        raise KulikovError("order-3 action does not descend to the glued model") from None
+    return RhoLattice(over.lattice, m), over
 
 
 def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
@@ -338,8 +322,6 @@ def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
         rho_model, over = _starred_model(factors, base)
     else:
         rho_model, over = base, None
-    if rho_model.order not in (1, 3):
-        raise KulikovError("model action has unexpected order")
     model, rho_m = rho_model.lattice, rho_model.matrix
     # rows of the A2 slots in model coordinates
     slot_rows: List[List[int]] = []

@@ -46,7 +46,7 @@ class DegenerateFormError(LatticeError):
 class Lattice:
     """Free Z-module with an integer symmetric bilinear form."""
 
-    __slots__ = ("gram", "_det", "_sig")
+    __slots__ = ("gram",)
 
     def __init__(self, gram: IntMatrix | Sequence[Sequence[int]]):
         if not isinstance(gram, IntMatrix):
@@ -54,17 +54,13 @@ class Lattice:
         if not gram.is_symmetric():
             raise LatticeError("gram matrix must be symmetric")
         self.gram = gram
-        self._det: int | None = None
-        self._sig: Tuple[int, int, int] | None = None
 
     @property
     def rank(self) -> int:
         return self.gram.rows
 
     def det(self) -> int:
-        if self._det is None:
-            self._det = det(self.gram)
-        return self._det
+        return _gram_det(self.gram)
 
     @property
     def is_even(self) -> bool:
@@ -94,6 +90,11 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice(rank {self.rank})"
+
+
+@cache
+def _gram_det(gram: IntMatrix) -> int:
+    return det(gram)
 
 
 # -- constructors ------------------------------------------------------
@@ -192,18 +193,22 @@ def d4_z4_model() -> Tuple[Lattice, IntMatrix]:
 
 
 def signature_with_radical(l: Lattice) -> Tuple[int, int, int]:
+    """(positive, negative, radical) inertia of ``l``."""
+    return _inertia(l.gram)
+
+
+@cache
+def _inertia(gram: IntMatrix) -> Tuple[int, int, int]:
     """(positive, negative, radical) inertia by symmetric Bareiss elimination.
 
     Each step replaces the remaining block ``A`` by ``(d*A - a*a^T)/prev``
     for the pivot ``d`` and its column ``a``, an exact division; the
     rational diagonal entry of the step is ``d/prev``.
     """
-    if l._sig is not None:
-        return l._sig
-    m = [list(row) for row in l.gram.entries]
+    m = [list(row) for row in gram.entries]
     pos = neg = 0
     prev = 1
-    alive = list(range(l.rank))
+    alive = list(range(gram.rows))
     while alive:
         piv = next((i for i in alive if m[i][i] != 0), None)
         if piv is None:
@@ -233,8 +238,7 @@ def signature_with_radical(l: Lattice) -> Tuple[int, int, int]:
             for k in alive:
                 ri[k] = (d * ri[k] - f * rp[k]) // prev
         prev = d
-    l._sig = (pos, neg, len(alive))
-    return l._sig
+    return pos, neg, len(alive)
 
 
 def signature(l: Lattice) -> Tuple[int, int]:

@@ -95,6 +95,18 @@ def conjugate(l, u):
 
 
 @st.composite
+def basis_change(draw, n, max_ops):
+    """A unimodular n x n matrix from at most ``max_ops`` row operations."""
+    ops = draw(
+        st.lists(
+            st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([-1, 1])),
+            max_size=max_ops,
+        )
+    )
+    return unimodular(n, ops)
+
+
+@st.composite
 def changed_basis(draw, atoms, max_rank, max_ops):
     parts = draw(
         st.lists(st.sampled_from(atoms), min_size=1, max_size=3).filter(
@@ -102,13 +114,7 @@ def changed_basis(draw, atoms, max_rank, max_ops):
         )
     )
     l = direct_sum(*[atom_lattice(a) for a in parts])
-    ops = draw(
-        st.lists(
-            st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([-1, 1])),
-            max_size=max_ops,
-        )
-    )
-    u = unimodular(l.rank, ops)
+    u = draw(basis_change(l.rank, max_ops))
     return parts, l, u, conjugate(l, u)
 
 

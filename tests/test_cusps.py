@@ -336,6 +336,14 @@ def test_isotropic_plane_in_u_of_01_lands_in_classification():
     assert str(c) in types
 
 
+def test_isotropic_plane_raises_on_a_plane_that_is_not_invariant(monkeypatch):
+    import k3lat.cusps as cusps
+
+    monkeypatch.setattr(cusps, "is_invariant", lambda rows, m: False)
+    with pytest.raises(CuspError, match="plane is not invariant"):
+        isotropic_plane(family_data(0, 2).rho_t, [1, 0, 0, 0] + [0] * 16)
+
+
 def test_isotropic_plane_rejects_zero_and_anisotropic():
     fd = family_data(0, 2)
     with pytest.raises(CuspError):

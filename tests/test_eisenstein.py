@@ -1,5 +1,11 @@
-import pytest
+from functools import partial
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from k3lat import eisenstein, goldens
+from k3lat.cusps import family_data
 from k3lat.exactla import IntMatrix
 from k3lat.eisenstein import (
     ORDER_BOUND,
@@ -13,8 +19,8 @@ from k3lat.eisenstein import (
     fpf_order3,
     hermitian_normal_2x2,
     is_estar,
-    is_theta_elementary,
     isometry_order,
+    negative_fpf_order3,
     primitive_part,
     rho3_u_u,
     rho3_u_u3,
@@ -24,6 +30,7 @@ from k3lat.eisenstein import (
     _hermitian_value,
 )
 from k3lat.lattice import (
+    cartan_gram,
     diag_lattice,
     direct_sum,
     hyperbolic,
@@ -31,6 +38,7 @@ from k3lat.lattice import (
     root_lattice,
     signature,
 )
+from support import basis_change, conjugate
 
 
 def test_eis_arithmetic():
@@ -140,7 +148,6 @@ def test_estar_fails_on_rescaled_u_u():
     scaled = rescale(r.lattice, 3)
     r33 = RhoLattice(scaled, r.matrix)
     assert not is_estar(r33)
-    assert not is_theta_elementary(r33)
 
 
 def test_estar_unimodular_trivial():
@@ -155,6 +162,40 @@ def test_fpf_order3_properties(sym, n):
     assert fixed_sublattice(r).rank == 0
     assert primitive_part(r).rank == n
     assert is_estar(r)
+
+
+def _int_matrix(m):
+    return IntMatrix([[int(x) for x in row] for row in m.tolist()])
+
+
+def _coxeter_power(sym, n, h):
+    """The product of the simple reflections x -> x - (x . a_i) a_i of the
+    root basis in Bourbaki order, raised to h/3, computed in sympy."""
+    import sympy
+
+    g = sympy.Matrix(cartan_gram(sym, n).entries)
+    one = sympy.eye(n)
+    cox = one
+    for i in range(n):
+        cox = cox * (one - g[:, i] * one[i, :])
+    return _int_matrix(cox ** (h // 3))
+
+
+@pytest.mark.parametrize("sym,n,h", [("A", 2, 3), ("E", 6, 12), ("E", 8, 30)])
+def test_fpf_order3_is_the_coxeter_power(sym, n, h):
+    # the one candidate: h/3 is the Coxeter number over 3, never squared
+    assert fpf_order3(sym, n).matrix == _coxeter_power(sym, n, h)
+
+
+@pytest.mark.parametrize("sym,n", [("A", 2), ("E", 6), ("E", 8)])
+def test_fpf_order3_raises_when_its_candidate_fails(monkeypatch, sym, n):
+    monkeypatch.setattr(eisenstein, "is_estar", lambda r: False)
+    fpf_order3.cache_clear()
+    try:
+        with pytest.raises(IsometryError, match=f"verified construction failed for {sym}{n}"):
+            fpf_order3(sym, n)
+    finally:
+        fpf_order3.cache_clear()
 
 
 def test_fpf_a2_is_rotation():
@@ -212,3 +253,70 @@ def test_isometry_order_stops_at_order_bound():
     assert isometry_order(_cycles(3, 8)) == 24  # lcm(3, 8), the bound itself
     with pytest.raises(IsometryError, match="order exceeds bound 24"):
         isometry_order(_cycles(5, 7))  # lcm(5, 7) = 35
+
+
+# -- the discriminant test against two oracles -------------------------
+#
+# rho is trivial on the discriminant group when G^-1 (M - I) is integral.
+# As M - M^2 = -(M - I) M and G^-1 M = M^-T G^-1 for an isometry M, the
+# same holds exactly when G^-1 (M - M^2) is integral: theta = w(1 - w) is
+# a unit times 1 - w.  Both are computed over the rationals by sympy.
+
+
+def estar_oracles(r):
+    """(G^-1 (M - I) integral, G^-1 (M - M^2) integral), in sympy."""
+    import sympy
+
+    g_inv = sympy.Matrix(r.lattice.gram.entries).inv()
+    m = sympy.Matrix(r.matrix.entries)
+    one = sympy.eye(m.rows)
+    return tuple(all(x.is_integer for x in g_inv * op) for op in (m - one, m - m * m))
+
+
+def estar_mismatches(estar, cases):
+    """Names of the ``cases`` (name -> action) on which ``estar``
+    disagrees with either oracle."""
+    return [name for name, r in cases.items() if {estar(r)} != set(estar_oracles(r))]
+
+
+def _u3_u3():
+    r = rho3_u_u()
+    return RhoLattice(rescale(r.lattice, 3), r.matrix)
+
+
+ESTAR_CASES = {
+    "U+U": rho3_u_u,
+    "U+U(3)": rho3_u_u3,
+    "U(3)+U(3)": _u3_u3,
+    **{f"{s}{n}": partial(fpf_order3, s, n) for s, n in [("A", 2), ("E", 6), ("E", 8)]},
+    **{f"-{s}{n}": partial(negative_fpf_order3, s, n) for s, n in [("A", 2), ("E", 6), ("E", 8)]},
+    **{f"T{fam}": partial(lambda f: family_data(*f).rho_t, fam) for fam in goldens.FAMILIES},
+    "U+U(2) order 4": rho4_u_u2,
+    "D4 order 4": rho4_d4,
+    "A1^2 order 4": rho4_a1a1,
+}
+
+
+def test_is_estar_matches_both_oracles():
+    cases = {name: make() for name, make in ESTAR_CASES.items()}
+    assert estar_mismatches(is_estar, cases) == []
+    assert {is_estar(r) for r in cases.values()} == {True, False}
+
+
+def test_estar_oracle_check_rejects_constant_mutants():
+    assert estar_mismatches(lambda r: True, {"U(3)+U(3)": _u3_u3()}) == ["U(3)+U(3)"]
+    assert estar_mismatches(lambda r: False, {"U+U": rho3_u_u()}) == ["U+U"]
+
+
+@given(st.sampled_from(list(ESTAR_CASES)), st.data())
+def test_is_estar_is_invariant_under_change_of_basis(name, data):
+    # the row x of the new basis is x * P in the old one: G -> P G P^T and
+    # M -> P M P^-1
+    import sympy
+
+    r = ESTAR_CASES[name]()
+    p = data.draw(basis_change(r.lattice.rank, 12))
+    m = sympy.Matrix((p * r.matrix).entries) * sympy.Matrix(p.entries).inv()
+    moved = RhoLattice(conjugate(r.lattice, p), _int_matrix(m))
+    assert is_estar(moved) == is_estar(r)
+    assert estar_mismatches(is_estar, {name: moved}) == []

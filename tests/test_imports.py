@@ -21,9 +21,12 @@ a dotted-name string constant there counts as an attribute read.
 The dead-field rule: every field of a ``@dataclass`` in ``src/k3lat``
 must be read as an attribute in those same sources.  Filling a field in
 a constructor call, assigning to it, or reading a variable that shares
-its name does not count.  A dataclass whose method hands ``self`` to
-``asdict`` reads all of its fields, and those of every dataclass named
-in its field annotations.
+its name does not count.  A read ``x.f`` counts only for the dataclass
+that ``x`` is known to hold: ``self`` in a method of that class, or a
+parameter annotated with its name; any other read counts for every
+dataclass with a field ``f``.  A dataclass whose method hands ``self``
+to ``asdict`` reads all of its fields, and those of every dataclass
+named in its field annotations.
 
 The rational rule: only ``exactla`` (for ``rat_express``) and ``roots``
 (for the value of ``dual_class_min``) import ``fractions``; every other
@@ -32,8 +35,9 @@ module carries rational quantities as integer rows over a denominator.
 The caching rule: ``functools.cache`` is the only caching mechanism in
 ``src/k3lat``.  No module names ``lru_cache`` or ``cached_property``,
 rebinds a module global from a function (``global``), gives a function a
-mutable default, or writes from a function into a module-level dict,
-list or set.
+mutable default, writes from a function into a module-level dict, list
+or set, or sets an attribute to ``None`` in ``__init__`` and assigns it
+in another function (a memo slot).
 """
 
 from __future__ import annotations
@@ -138,6 +142,8 @@ def library_references(root: Path) -> tuple:
 
 # only tests call them until the direct route of ROADMAP item 1 does
 NOT_YET_CALLED = {"isotropic_plane", "cusp_of_plane"}
+# only tests read it until the cusp actions of ROADMAP item 10 do
+NOT_YET_READ = {"KulikovLattice.rho"}
 
 
 def test_every_definition_is_referenced():
@@ -212,24 +218,65 @@ def _hands_self_to_asdict(cls: ast.ClassDef) -> bool:
     )
 
 
+def _annotated_class(annotation, classes: set):
+    """The dataclass an annotation names by itself, or None."""
+    if isinstance(annotation, ast.Name):
+        name = annotation.id
+    elif isinstance(annotation, ast.Constant):
+        name = annotation.value
+    else:
+        return None
+    return name if name in classes else None
+
+
+def _sort_reads(node: ast.AST, classes: set, env: dict, typed: set, untyped: set, owner=None) -> None:
+    """Sort the attribute reads under ``node`` into ``typed`` (class,
+    field) pairs, where ``env`` (variable -> class) says which dataclass
+    the read variable holds, and ``untyped`` field names otherwise.
+    ``owner`` is the dataclass whose body ``node`` is in, if any."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        env = dict(env)
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        for a in params:
+            cls = _annotated_class(a.annotation, classes)
+            if cls:
+                env[a.arg] = cls
+            else:
+                env.pop(a.arg, None)
+        if owner and params and params[0].arg == "self":
+            env["self"] = owner
+        # a name rebound in the body may hold anything
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                env.pop(n.id, None)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        var = getattr(node.value, "id", None)
+        if var in env:
+            typed.add((env[var], node.attr))
+        else:
+            untyped.add(node.attr)
+    inner = node.name if isinstance(node, ast.ClassDef) and node.name in classes else None
+    for child in ast.iter_child_nodes(node):
+        _sort_reads(child, classes, env, typed, untyped, inner)
+
+
 def unread_fields(defining: dict, others: list, lookups=frozenset()) -> list:
     """(file, line, Class.field) of each field of a ``@dataclass`` in the
     ``defining`` sources that no source, of these or of ``others``, reads
     as an attribute, and that no ``asdict(self)`` of its class, or of a
-    dataclass naming it in a field annotation, reads.  ``lookups`` are
-    attribute names read by string."""
+    dataclass naming it in a field annotation, reads.  A read through
+    ``self`` or an annotated parameter counts for its class only.
+    ``lookups`` are attribute names read by string."""
     trees = {name: ast.parse(text) for name, text in defining.items()}
-    reads = set(lookups)
-    for tree in list(trees.values()) + [ast.parse(text) for text in others]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.add(node.attr)
     classes = {
         c.name: (file, c)
         for file, tree in trees.items()
         for c in ast.walk(tree)
         if isinstance(c, ast.ClassDef) and _is_dataclass(c)
     }
+    typed, reads = set(), set(lookups)
+    for tree in list(trees.values()) + [ast.parse(text) for text in others]:
+        _sort_reads(tree, set(classes), {}, typed, reads)
     whole = set()  # classes whose every field asdict reads
     todo = [name for name, (_, c) in classes.items() if _hands_self_to_asdict(c)]
     while todo:
@@ -241,13 +288,15 @@ def unread_fields(defining: dict, others: list, lookups=frozenset()) -> list:
     out = []
     for name, (file, cls) in classes.items():
         for node in _fields(cls):
-            if name not in whole and node.target.id not in reads:
-                out.append((file, node.lineno, f"{name}.{node.target.id}"))
+            field = node.target.id
+            if name not in whole and field not in reads and (name, field) not in typed:
+                out.append((file, node.lineno, f"{name}.{field}"))
     return sorted(out)
 
 
 def test_every_dataclass_field_is_read():
-    assert unread_fields(*library_references(ROOT)) == []
+    unread = unread_fields(*library_references(ROOT))
+    assert [f for f in unread if f[2] not in NOT_YET_READ] == []
 
 
 def test_check_reads_a_field_only_as_an_attribute():
@@ -263,6 +312,22 @@ def test_check_reads_a_field_only_as_an_attribute():
         ("m.py", 9, "B.stored"),
     ]
     assert unread_fields({"m.py": source}, [reads, "print(a.filled, a.named, b.stored)"]) == []
+
+
+def test_check_reads_a_typed_field_for_its_class_only():
+    # both classes have a field rho; B reads its own through self
+    source = (
+        "@dataclass\nclass A:\n    rho: int\n\n"
+        "@dataclass\nclass B:\n    rho: int\n\n"
+        "    def order(self):\n        return self.rho\n"
+    )
+    reads_b = "def f(b: B, n: int):\n    return b.rho\n"
+    assert unread_fields({"m.py": source}, []) == [("m.py", 3, "A.rho")]
+    assert unread_fields({"m.py": source}, [reads_b]) == [("m.py", 3, "A.rho")]
+    assert unread_fields({"m.py": source}, ["def f(a: A):\n    return a.rho\n"]) == []
+    # an unannotated, or rebound, variable counts for every class
+    assert unread_fields({"m.py": source}, ["def f(x):\n    return x.rho\n"]) == []
+    assert unread_fields({"m.py": source}, ["def f(b: B):\n    b = g()\n    return b.rho\n"]) == []
 
 
 def test_check_reads_every_field_that_asdict_self_reads():
@@ -350,7 +415,31 @@ def second_caches(sources: dict) -> list:
                         continue
                     if isinstance(target, ast.Name) and target.id in containers - local:
                         out.add((file, n.lineno, f"{node.name} writes {target.id}"))
+        out |= _memo_slots(file, tree)
     return sorted(out)
+
+
+def _memo_slots(file: str, tree: ast.AST) -> set:
+    """(file, line, what) of each assignment, outside ``__init__``, to an
+    attribute that an ``__init__`` of ``tree`` sets to ``None``."""
+    inits = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "__init__"]
+    slots = {
+        t.attr
+        for init in inits
+        for n in ast.walk(init)
+        if isinstance(n, (ast.Assign, ast.AnnAssign))
+        and isinstance(n.value, ast.Constant)
+        and n.value.value is None
+        for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+        if isinstance(t, ast.Attribute)
+    }
+    return {
+        (file, n.lineno, f"{f.name} memoizes {n.attr}")
+        for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f not in inits
+        for n in ast.walk(f)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and n.attr in slots
+    }
 
 
 def test_functools_cache_is_the_only_cache():
@@ -366,6 +455,13 @@ def test_check_flags_a_second_caching_mechanism():
         "d.py": "_SEEN: set = set()\ndef f(x):\n    _SEEN.add(x)\n",
         "e.py": "_M = None\ndef f():\n    global _M\n    _M = 1\n",
         "f.py": "def f(x, memo={}):\n    return memo.setdefault(x, x)\n",
+        "g.py": (
+            "class L:\n    def __init__(self, g):\n        self.g = g\n        self._det: int | None = None\n"
+            "    def det(self):\n        if self._det is None:\n            self._det = d(self.g)\n"
+            "        return self._det\n\n"
+            "def signature(l):\n    l._det = 1\n"
+        ),
+        "h.py": "class K:\n    def __init__(self, v):\n        self.v = None\n        if v:\n            self.v = v\n",
         "ok.py": (
             "from functools import cache\nTABLE = {}\nfor i in range(3):\n    TABLE[i] = i\n"
             "@cache\ndef f(x):\n    TABLE = {}\n    TABLE[x] = 1\n    return TABLE\n"
@@ -379,4 +475,6 @@ def test_check_flags_a_second_caching_mechanism():
         ("d.py", 3, "f writes _SEEN"),
         ("e.py", 3, "global _M"),
         ("f.py", 1, "mutable default of f"),
+        ("g.py", 7, "det memoizes _det"),
+        ("g.py", 11, "signature memoizes _det"),
     ]

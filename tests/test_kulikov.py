@@ -2,8 +2,9 @@ import dataclasses
 
 import pytest
 
-from k3lat.exactla import IntMatrix, block_diagonal, index_in
-from k3lat import goldens
+from k3lat.exactla import ExactLAError, IntMatrix, block_diagonal, index_in
+from k3lat import eisenstein, goldens, kulikov
+from k3lat.eisenstein import assemble, is_invariant, negative_fpf_order3
 from k3lat.goldens import ORDER4_TABLE, SEMIFAN_TABLE
 from k3lat.kulikov import (
     COMPONENT_ROWS,
@@ -11,14 +12,13 @@ from k3lat.kulikov import (
     KulikovError,
     build_component,
     glue_lambda,
-    is_invariant,
     order4_suite,
     primitive_picard,
     quotient_model_fingerprint,
     root_split_check,
     semifan,
 )
-from k3lat.lattice import signature
+from k3lat.lattice import LatticeError, glue_overlattice, signature
 from k3lat.roots import RootSystemType, root_system
 from support import adapted_quotient_coords
 
@@ -41,9 +41,9 @@ def test_component_rows_cover_spec_table():
 @pytest.mark.parametrize("row", COMPONENT_ROWS)
 def test_component_primitive_types(row):
     c = build_component(ComponentSpec(*row))
-    assert c.picard.rank == 10
-    assert abs(c.picard.det()) == 1
-    assert c.picard.norm(c.d) == 0
+    assert c.rho.lattice.rank == 10
+    assert abs(c.rho.lattice.det()) == 1
+    assert c.rho.lattice.norm(c.d) == 0
     assert c.rho.apply(c.d) == c.d
     _, rtype = primitive_picard(c)
     assert str(rtype) == EXPECTED_PRIM[row]
@@ -223,27 +223,58 @@ def test_order4_suite_all_pass():
         assert computed == ORDER4_TABLE[cid][1], cid
 
 
-def test_unexpected_error_is_not_read_as_not_invariant(monkeypatch):
-    # only ExactLAError means "outside the span"; anything else propagates
-    import k3lat.kulikov as kulikov
-
-    def broken(targets, basis):
-        raise TypeError("broken int_express")
-
-    monkeypatch.setattr(kulikov, "int_express", broken)
-    order4_suite.cache_clear()
-    try:
-        with pytest.raises(TypeError, match="broken int_express"):
-            order4_suite()
-    finally:
-        order4_suite.cache_clear()
-
-
 def test_is_invariant():
     swap = IntMatrix([[0, 1], [1, 0]])
     assert is_invariant(IntMatrix([[1, 1]]), swap)
     assert not is_invariant(IntMatrix([[1, 0]]), swap)
     assert is_invariant(IntMatrix([], cols=2), swap)
+
+
+def test_unexpected_error_is_not_read_as_not_invariant(monkeypatch):
+    # only ExactLAError means "outside the span"; anything else propagates
+    def broken(targets, basis):
+        raise TypeError("broken int_express")
+
+    monkeypatch.setattr(eisenstein, "int_express", broken)
+    with pytest.raises(TypeError, match="broken int_express"):
+        is_invariant(IntMatrix([[1, 1]]), IntMatrix([[0, 1], [1, 0]]))
+
+
+def _raise(error):
+    def raising(*args):
+        raise error
+
+    return raising
+
+
+def test_terminal_model_raises_when_the_action_does_not_extend(monkeypatch):
+    monkeypatch.setattr(kulikov, "int_express", _raise(ExactLAError("not integral")))
+    with pytest.raises(KulikovError, match="does not extend integrally"):
+        kulikov._terminal_model(3)
+
+
+def _starred_a2_6():
+    factors = [("A", 2)] * 6
+    return factors, assemble([negative_fpf_order3(*f) for f in factors])
+
+
+def _index_9(*args):
+    return dataclasses.replace(glue_overlattice(*args), index=9)
+
+
+@pytest.mark.parametrize(
+    "name,patched,message",
+    [
+        ("glue_overlattice", _raise(LatticeError("glue vectors do not pair integrally")), "is not valid glue"),
+        ("glue_overlattice", _index_9, "has index 9, not 3"),
+        ("int_express", _raise(ExactLAError("not integral")), "does not descend"),
+    ],
+    ids=["not-glue", "index-9", "no-descent"],
+)
+def test_starred_model_raises_when_its_one_glue_word_fails(monkeypatch, name, patched, message):
+    monkeypatch.setattr(kulikov, name, patched)
+    with pytest.raises(KulikovError, match=message):
+        kulikov._starred_model(*_starred_a2_6())
 
 
 def _failed(report):
