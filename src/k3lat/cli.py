@@ -40,7 +40,7 @@ from .lattice import (
     signature_with_radical,
 )
 from .goldens import SUITE_ORDER
-from .roots import enumerate_norm, root_system
+from .roots import root_system
 
 
 # Largest index of an ADE atom: the rank of a Niemeier lattice, above every
@@ -230,11 +230,10 @@ def roots(expr: str) -> None:
     except ParseError as exc:
         raise click.ClickException(str(exc))
     try:
-        vecs = enumerate_norm(lat, 2)
         rtype, span = root_system(lat)
     except LatticeError as exc:
         raise click.ClickException(str(exc))
-    click.echo(f"roots      {len(vecs)}")
+    click.echo(f"roots      {rtype.root_count()}")
     click.echo(f"type       {rtype}")
     click.echo(f"span rank  {span.rank}")
 

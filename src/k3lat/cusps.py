@@ -556,15 +556,13 @@ def star_of(record: EmbeddingRecord) -> bool:
 
     Spans the roots of the saturated complement of the embedded copy of
     P inside N and compares; the result must agree with the glue
-    bookkeeping carried by the record.
+    bookkeeping carried by the record, whose ``sat_index`` is 1 or 3.
     """
     sat = _p_complement(record)
     span = complement_root_span(record)
     if span.rows != sat.rank:
         raise CuspError("complement is not rationally spanned by its roots")
     idx = index_in(span, sat.basis)
-    if idx not in (1, 3):
-        raise CuspError(f"saturation index {idx} outside {{1,3}}")
     if idx != record.sat_index:
         raise CuspError("glue bookkeeping disagrees with the concrete saturation")
     return idx == 3

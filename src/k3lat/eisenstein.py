@@ -26,14 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from math import lcm
 from typing import List, Sequence, Tuple
 
 from .exactla import (
     ExactLAError,
     IntMatrix,
     block_diagonal,
-    det,
     hermite_basis,
     in_rational_span,
     int_express,
@@ -61,7 +59,8 @@ ORDER_BOUND = 24
 
 
 def verify_isometry(lattice: Lattice, m: IntMatrix) -> None:
-    """Raise with the violated pairing if ``m`` does not preserve the form."""
+    """Raise with the violated pairing if ``m`` does not preserve the form
+    (``isometry_order`` proves it unimodular: M^k = I gives M^-1 = M^(k-1))."""
     if m.rows != m.cols or m.rows != lattice.rank:
         raise IsometryError("matrix shape does not match the lattice rank")
     g = lattice.gram
@@ -74,8 +73,6 @@ def verify_isometry(lattice: Lattice, m: IntMatrix) -> None:
                         f"pairing violated at basis pair ({i},{j}): "
                         f"{prod.entries[i][j]} != {g.entries[i][j]}"
                     )
-    if abs(det(m)) != 1:
-        raise IsometryError("matrix is not unimodular")
 
 
 def isometry_order(m: IntMatrix) -> int:
@@ -94,7 +91,7 @@ class RhoLattice:
 
     Construction verifies that the matrix preserves the form; ``order`` is
     computed from the matrix (``IsometryError`` above ``ORDER_BOUND``),
-    never stated."""
+    never stated; a finite order proves the matrix unimodular."""
 
     lattice: Lattice
     matrix: IntMatrix
@@ -176,7 +173,8 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
     Returns the chosen module basis (rows of the underlying lattice) and
     the Hermitian matrix.  The basis is greedy: standard basis vectors
     are taken whenever they leave the span of the previously chosen
-    vectors and their rho-images.
+    vectors and their rho-images.  The matrix is conjugate-symmetric, as
+    <y, rx - r^2 x> = -<x, ry - r^2 y> for an isometry r of order 3.
     """
     if r.order != 3:
         raise IsometryError("Hermitian structure needs an order-3 action")
@@ -198,10 +196,6 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
         for y in chosen:
             row.append(_hermitian_value(r, x, y))
         gram.append(tuple(row))
-    for i in range(len(chosen)):
-        for j in range(len(chosen)):
-            if gram[i][j] != gram[j][i].conj():
-                raise IsometryError("Hermitian matrix is not conjugate-symmetric")
     basis = IntMatrix([list(c) for c in chosen], cols=n)
     return basis, tuple(gram)
 
@@ -309,13 +303,10 @@ def negative_fpf_order3(sym: str, n: int) -> RhoLattice:
 
 
 def assemble(blocks: Sequence[RhoLattice]) -> RhoLattice:
-    """Block-diagonal action on the direct sum of the given pairs."""
+    """Block-diagonal action on the direct sum of the given pairs; its
+    order is the lcm of the block orders, as M^k = I blockwise."""
     total = direct_sum(*(b.lattice for b in blocks))
-    out = RhoLattice(total, block_diagonal(*(b.matrix for b in blocks)))
-    expected = lcm(*[b.order for b in blocks]) if blocks else 1
-    if out.order != expected:
-        raise IsometryError("assembled order differs from the lcm of the blocks")
-    return out
+    return RhoLattice(total, block_diagonal(*(b.matrix for b in blocks)))
 
 
 def rho3_u_u() -> RhoLattice:

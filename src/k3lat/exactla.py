@@ -396,19 +396,15 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 
 
 def saturate(rows: IntMatrix) -> IntMatrix:
-    """Basis of ``span_Q(rows) ∩ Z^n``, in row Hermite form.
+    """Basis of ``span_Q(rows) ∩ Z^n``, in row Hermite form: the kernel of
+    the kernel of ``rows``.
 
     Raises if the input rows are dependent, which would signal an
-    invalid sublattice basis.
+    invalid sublattice basis: then the kernel has more than n - k rows.
     """
-    n = rows.cols
-    if rank(rows) != rows.rows:
-        raise ExactLAError("dependent rows: not a sublattice basis")
-    if rows.rows == 0:
-        return IntMatrix([], cols=n)
     ortho = kernel_basis(rows)
-    if ortho.rows == 0:
-        return IntMatrix.identity(n)
+    if ortho.rows != rows.cols - rows.rows:
+        raise ExactLAError("dependent rows: not a sublattice basis")
     return kernel_basis(ortho)
 
 

@@ -19,7 +19,6 @@ from functools import cache
 from typing import Dict, List, Sequence, Tuple
 
 from .exactla import (
-    ExactLAError,
     IntMatrix,
     block_diagonal,
     det,
@@ -424,7 +423,8 @@ def glue_overlattice(l: Lattice, rows: Sequence[Sequence[int]], d: int) -> Overl
     resulting form would not be an even integral lattice and the glue is
     rejected: ``s/d`` is dual when ``G s = 0 mod d``, and pairings
     ``s.G.t`` are tested mod ``d^2``.  The new basis is ``H/d`` for the
-    Hermite basis ``H`` (``scaled``) of ``d Z^n + span(rows)``.
+    Hermite basis ``H`` (``scaled``) of ``d Z^n + span(rows)``, of rank n
+    and holding each ``d e_i``; its form is integral by the checks above.
     """
     n = l.rank
     g = l.gram.entries
@@ -441,19 +441,10 @@ def glue_overlattice(l: Lattice, rows: Sequence[Sequence[int]], d: int) -> Overl
             if s == t and (val // dd) % 2 != 0:
                 raise LatticeError("glue vector has odd norm; overlattice not even")
     hm = hermite_basis([*IntMatrix.identity(n).scale(d).entries, *glue], n)
-    if hm.rows != n:
-        raise LatticeError("glue vectors do not preserve the rank")
-    entries = []
-    for row in (hm * l.gram * hm.transpose()).entries:
-        if any(x % dd for x in row):
-            raise LatticeError("overlattice form is not integral: invalid glue")
-        entries.append([x // dd for x in row])
+    entries = [[x // dd for x in row] for row in (hm * l.gram * hm.transpose()).entries]
     lat = Lattice(IntMatrix(entries, cols=n))
     if not lat.is_even:
         raise LatticeError("overlattice form is not even: invalid glue")
     # C * H = d * I, solved by substitution in the Hermite basis H
-    try:
-        old_in_new = int_express(IntMatrix.identity(n).scale(d), hm)
-    except ExactLAError:
-        raise LatticeError("original basis not contained in the overlattice") from None
+    old_in_new = int_express(IntMatrix.identity(n).scale(d), hm)
     return Overlattice(lat, hm, old_in_new, abs(det(old_in_new)))

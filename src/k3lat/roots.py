@@ -46,20 +46,9 @@ class EnumerationError(LatticeError):
     pass
 
 
-def _positive_gram(l: Lattice) -> IntMatrix:
-    """The Gram matrix of ``l`` or of ``l(-1)``, whichever is positive
-    definite, which the Bareiss pivots decide (all leading minors > 0)."""
-    g = l.gram.scale(-1) if l.rank and l.gram.entries[0][0] < 0 else l.gram
-    try:
-        _bareiss(g)
-    except EnumerationError:
-        definite_sign(l)  # raises on indefinite or degenerate input, naming why
-        raise
-    return g
-
-
 def _bareiss(gram: IntMatrix) -> List[List[int]]:
-    """Fraction-free (Bareiss) elimination of a positive definite Gram matrix.
+    """Fraction-free (Bareiss) elimination of a positive definite Gram matrix
+    (``enumerate_norm`` checks definiteness; its pivots are then all > 0).
 
     Returns ``m`` with ``d_k = m[k][k]`` the leading principal minor of
     order ``k + 1`` and integer numerators ``B_kl = m[k][l]`` (``l > k``),
@@ -70,8 +59,6 @@ def _bareiss(gram: IntMatrix) -> List[List[int]]:
     m = [list(row) for row in gram.entries]
     prev = 1
     for k in range(gram.rows):
-        if m[k][k] <= 0:
-            raise EnumerationError("form is not positive definite")
         prev = bareiss_step(m, k, prev)
     return m
 
@@ -140,8 +127,9 @@ def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
         raise EnumerationError("norm bound must be a positive integer")
     if l.rank == 0:
         return []
-    gram_pos = _positive_gram(l)
-    gram_red, v = _size_reduce(gram_pos)
+    # the positive definite one of G and -G; ``definite_sign`` raises on
+    # indefinite or degenerate input, naming why, from the cached inertia
+    gram_red, v = _size_reduce(l.gram.scale(definite_sign(l)))
     b = _bareiss(gram_red)
     n = gram_red.rows
     d = [b[k][k] for k in range(n)]

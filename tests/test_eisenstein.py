@@ -30,6 +30,7 @@ from k3lat.eisenstein import (
     _hermitian_value,
 )
 from k3lat.lattice import (
+    Lattice,
     cartan_gram,
     diag_lattice,
     direct_sum,
@@ -86,6 +87,9 @@ def test_order_is_computed_and_bounded():
     # rows (3, 2), (4, 3): a Pell isometry of <1> + <-2>, of infinite order
     with pytest.raises(IsometryError, match="order exceeds bound 24"):
         RhoLattice(l, IntMatrix([[3, 2], [4, 3]]))
+    # a singular matrix preserves a zero form but never reaches I
+    with pytest.raises(IsometryError, match="order exceeds bound 24"):
+        RhoLattice(Lattice([[0]]), IntMatrix([[2]]))
 
 
 def test_identity_isometry_fixed_everything():

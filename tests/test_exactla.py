@@ -93,12 +93,14 @@ def test_saturate_scalar():
 def test_saturate_already_saturated():
     s = saturate(IntMatrix([[1, 0]]))
     assert s == IntMatrix([[1, 0]])
+    assert saturate(IntMatrix([], cols=3)) == IntMatrix([], cols=3)  # no rows
 
 
 def test_saturate_rank_two():
     # full-rank rows span all of Q^2, so the saturation is Z^2 itself
     s = saturate(IntMatrix([[2, 2], [0, 4]]))
     assert s == IntMatrix.identity(2)
+    assert saturate(IntMatrix([[0, 3, 1], [2, 0, 0], [1, 1, 1]])) == IntMatrix.identity(3)
     assert index_in(IntMatrix([[2, 2], [0, 4]]), s) == 8
 
 
@@ -111,6 +113,9 @@ def test_saturate_proper_sublattice():
 def test_saturate_rejects_dependent_rows():
     with pytest.raises(ExactLAError):
         saturate(IntMatrix([[1, 2], [2, 4]]))
+    # more rows than columns: no kernel has n - k < 0 rows
+    with pytest.raises(ExactLAError, match="dependent rows"):
+        saturate(IntMatrix([[1, 0], [0, 1], [1, 1]]))
 
 
 def test_index_in():

@@ -38,6 +38,9 @@ rebinds a module global from a function (``global``), gives a function a
 mutable default, writes from a function into a module-level dict, list
 or set, or sets an attribute to ``None`` in ``__init__`` and assigns it
 in another function (a memo slot).
+
+The typed-error rule: no handler in ``src/k3lat`` is a bare ``except:``
+or catches ``Exception`` or ``BaseException``, alone or in a tuple.
 """
 
 from __future__ import annotations
@@ -477,4 +480,48 @@ def test_check_flags_a_second_caching_mechanism():
         ("f.py", 1, "mutable default of f"),
         ("g.py", 7, "det memoizes _det"),
         ("g.py", 11, "signature memoizes _det"),
+    ]
+
+
+BROAD = {"Exception", "BaseException"}
+
+
+def broad_handlers(sources: dict) -> list:
+    """(file, line, what) of each ``except`` clause in the ``sources``
+    (file name -> text) that is bare or names a class in ``BROAD``."""
+    out = []
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if node.type is None:
+                out.append((file, node.lineno, "bare except"))
+                continue
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for k in kinds:
+                name = getattr(k, "id", None) or getattr(k, "attr", None)
+                if name in BROAD:
+                    out.append((file, node.lineno, f"except {name}"))
+    return sorted(out)
+
+
+def test_errors_are_typed():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert broad_handlers(sources) == []
+
+
+def test_check_flags_a_broad_handler():
+    sources = {
+        "a.py": "try:\n    f()\nexcept:\n    pass\n",
+        "b.py": "try:\n    f()\nexcept Exception as e:\n    raise\n",
+        "c.py": "try:\n    f()\nexcept (ValueError, builtins.BaseException):\n    pass\n",
+        "ok.py": (
+            "try:\n    f()\nexcept ValueError:\n    pass\n"
+            "except (KeyError, LatticeError) as e:\n    pass\nException = 1\n"
+        ),
+    }
+    assert broad_handlers(sources) == [
+        ("a.py", 3, "bare except"),
+        ("b.py", 3, "except Exception"),
+        ("c.py", 3, "except BaseException"),
     ]

@@ -4,7 +4,7 @@ import pytest
 
 from k3lat.exactla import ExactLAError, IntMatrix, block_diagonal, index_in
 from k3lat import eisenstein, goldens, kulikov
-from k3lat.eisenstein import assemble, is_invariant, negative_fpf_order3
+from k3lat.eisenstein import assemble, fixed_sublattice, is_invariant, negative_fpf_order3
 from k3lat.goldens import ORDER4_TABLE, SEMIFAN_TABLE
 from k3lat.kulikov import (
     COMPONENT_ROWS,
@@ -18,7 +18,7 @@ from k3lat.kulikov import (
     root_split_check,
     semifan,
 )
-from k3lat.lattice import LatticeError, glue_overlattice, signature
+from k3lat.lattice import LatticeError, glue_overlattice, rescale, signature
 from k3lat.roots import RootSystemType, root_system
 from support import adapted_quotient_coords
 
@@ -104,6 +104,12 @@ def _check_pairing(s0, s1, expected, starred):
     c0 = build_component(ComponentSpec(*s0))
     c1 = build_component(ComponentSpec(*s1))
     k = glue_lambda(c0, c1)
+    # what glue_lambda leaves unchecked: the shape (the glue suite's item),
+    # the signature, the order and the fixed and primitive parts filling Q^18
+    assert (k.lattice.rank, k.lattice.det(), k.lattice.is_even) == (18, -1, True)
+    assert signature(k.lattice) == (1, 17)
+    assert k.rho.order == 3
+    assert k.prim.rank + fixed_sublattice(k.rho).rank == 18
     prim_lat = k.prim.lattice()
     rtype, span = root_system(prim_lat)
     assert str(rtype) == expected
@@ -129,6 +135,41 @@ def test_quotient_coords_match_adapted_basis_route(s0, s1):
     assert adapted_quotient_coords(xi, lift, images) == k.rho.matrix
     parts = block_diagonal(primitive_picard(c0)[0].basis, primitive_picard(c1)[0].basis)
     assert k.quotient.coords(parts) == adapted_quotient_coords(xi, lift, parts)
+
+
+def test_glue_lambda_leaves_the_shape_to_the_suite(monkeypatch):
+    # a quotient form rescaled by 3 is returned, not raised on: the
+    # unimodular check lives in the glue suite's -shape item alone
+    real = kulikov.quotient_by_isotropic
+
+    def rescaled(j):
+        q = real(j)
+        return dataclasses.replace(q, lattice=rescale(q.lattice, 3))
+
+    monkeypatch.setattr(kulikov, "quotient_by_isotropic", rescaled)
+    c = build_component(ComponentSpec(0, ((1, 3),)))
+    k = glue_lambda(c, c)
+    assert k.lattice.rank == 18 and abs(k.lattice.det()) != 1
+
+
+def test_glue_shape_items_fail_on_a_rescaled_lattice(monkeypatch):
+    from k3lat import suites
+
+    real = suites.glue_lambda
+
+    def rescaled(c0, c1):
+        k = real(c0, c1)
+        return dataclasses.replace(k, lattice=rescale(k.lattice, 3))
+
+    monkeypatch.setattr(suites, "glue_lambda", rescaled)
+    failed = _failed(suites.suite_glue())
+    shapes = [
+        f"({fam[0]},{fam[1]})-{expected}" + ("*" if starred else "") + "-shape"
+        for fam, pairings in goldens.GLUE_PAIRINGS.items()
+        for _, _, expected, starred in pairings
+    ]
+    assert len(shapes) == 13
+    assert failed == shapes
 
 
 def test_root_split_trivial_case():
