@@ -188,8 +188,6 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
         if not in_rational_span(v, spanned):
             chosen.append(v)
             spanned = hermite_basis(chosen + [r.apply(c) for c in chosen], n)
-    if 2 * len(chosen) != n:
-        raise IsometryError("failed to extract a module basis")
     gram = []
     for x in chosen:
         row = []

@@ -12,12 +12,13 @@ whole package:
   left, ``U * A = H``,
 * ``kernel_basis(A)`` returns rows ``x`` with ``x * A^T = 0``.
 
-The normal forms are computed by fraction-free row elimination with
-explicit transform accumulation: the Hermite form by gcd-driven row
-reduction, the Smith form by pivot elimination on the smallest entry
-(Cohen, GTM 138, 2.4, Alg. 2.4.14, without the modulus), its row and
-column operations applied in place to both transforms and, inverted, to
-the inverse of the right one.  ``int_express`` against a basis in row
+Each normal form is one fraction-free elimination, transforms optional:
+the Hermite form by gcd-driven row reduction, the Smith form by pivot
+elimination on the first entry of least absolute value, row-major (Cohen,
+GTM 138, Alg. 2.4.14, without the modulus; a unit pivot is taken on sight
+and skips the divisibility scan), its row and column operations applied
+to both transforms and, inverted, to the inverse of the right one, or to
+none for ``smith_divisors``.  ``int_express`` against a basis in row
 echelon form, as every Hermite basis from ``kernel_basis``,
 ``hermite_basis`` and ``saturate`` is, is solved by exact substitution.
 Every other linear system is solved by one Bareiss elimination with a
@@ -285,62 +286,16 @@ class SnfResult:
 
 def snf(a: IntMatrix) -> SnfResult:
     """Smith normal form with both unimodular transforms and the inverse
-    of the right one.
-
-    Pivot elimination (Cohen, GTM 138, Alg. 2.4.14, without the
-    modulus): the smallest nonzero entry of the trailing block becomes
-    the pivot, row operations clear its column and column operations its
-    row, until both are zero.  If some entry of the block is not a
-    multiple of the pivot, its row is added to the pivot row and the
-    step repeats with a smaller pivot, so ``d_k | d_(k+1)``.  Row
-    operations go in place to ``left``, column operations to the rows of
-    ``right^T`` and their inverses, as row operations, to ``right_inv``.
-    Verified are ``left * A == D * right_inv`` and ``right * right_inv ==
-    I``; both integral, so |det right| = 1 and ``left * A * right == D``.
-    """
+    of the right one, from ``_smith``.  Verified are ``left * A == D *
+    right_inv`` and ``right * right_inv == I``; both integral, so |det
+    right| = 1 and ``left * A * right == D``."""
     m, n = a.rows, a.cols
     k = min(m, n)
     s = [list(row) for row in a.entries]
     left = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     right_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     right_inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def combine(rows: List[List[int]], i: int, j: int, q: int) -> None:
-        # rows[i] -= q * rows[j]
-        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
-
-    for t in range(k):
-        while True:
-            nz = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(s[i][t:], t) if x]
-            if not nz:
-                break
-            _, pi, pj = min(nz)
-            s[t], s[pi] = s[pi], s[t]
-            left[t], left[pi] = left[pi], left[t]
-            for row in s[t:]:
-                row[t], row[pj] = row[pj], row[t]
-            right_t[t], right_t[pj] = right_t[pj], right_t[t]
-            right_inv[t], right_inv[pj] = right_inv[pj], right_inv[t]
-            p = s[t][t]
-            for i in range(t + 1, m):
-                q = s[i][t] // p
-                if q:
-                    combine(s, i, t, q)
-                    combine(left, i, t, q)
-            for j in range(t + 1, n):
-                q = s[t][j] // p
-                if q:
-                    for row in s[t:]:
-                        row[j] -= q * row[t]
-                    combine(right_t, j, t, q)
-                    combine(right_inv, t, j, -q)
-            if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
-                continue  # a remainder smaller than the pivot is left
-            bad = next((i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :])), None)
-            if bad is None:
-                break
-            combine(s, t, bad, -1)
-            combine(left, t, bad, -1)
+    _smith(s, left, right_t, right_inv)
 
     d = tuple(abs(s[i][i]) for i in range(k))
     # normalize signs through the left transform
@@ -357,6 +312,71 @@ def snf(a: IntMatrix) -> SnfResult:
     if right * inv != IntMatrix.identity(n) or abs(det(left)) != 1:
         raise ExactLAError("smith transforms are not unimodular")
     return SnfResult(d, left, right, inv)
+
+
+def smith_divisors(a: IntMatrix) -> Tuple[int, ...]:
+    """``snf(a).d`` by the same elimination, with no transform and no check."""
+    s = [list(row) for row in a.entries]
+    _smith(s)
+    return tuple(abs(s[i][i]) for i in range(min(a.rows, a.cols)))
+
+
+def _smith(s: List[List[int]], left=None, right_t=None, right_inv=None) -> None:
+    """Reduce ``s`` in place to a diagonal ``+-d_1, +-d_2, ...`` with
+    ``d_k | d_(k+1)``: the pivot clears its column by row operations and
+    its row by column operations; an entry of the block it does not
+    divide adds its row to the pivot row, and the step repeats.  A pivot
+    +-1 clears in one pass and skips that scan.  With ``left`` None (or
+    empty, when there is nothing to eliminate) no transform is touched."""
+    m, n = len(s), len(s[0]) if s else 0
+
+    def combine(rows: List[List[int]], i: int, j: int, q: int) -> None:
+        # rows[i] -= q * rows[j]
+        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
+
+    for t in range(min(m, n)):
+        while True:
+            # a unit ends the scan; rows from t on are zero before column t
+            pi = next((i for i in range(t, m) if 1 in s[i] or -1 in s[i]), None)
+            if pi is not None:
+                pj = min(s[pi].index(u) for u in (1, -1) if u in s[pi])
+            else:
+                nz = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(s[i][t:], t) if x]
+                if not nz:
+                    break
+                _, pi, pj = min(nz)
+            s[t], s[pi] = s[pi], s[t]
+            for row in s[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            if left:
+                left[t], left[pi] = left[pi], left[t]
+                right_t[t], right_t[pj] = right_t[pj], right_t[t]
+                right_inv[t], right_inv[pj] = right_inv[pj], right_inv[t]
+            p, tail = s[t][t], s[t][t:]
+            for i in range(t + 1, m):
+                q = s[i][t] // p
+                if q:
+                    s[i][t:] = [x - q * y for x, y in zip(s[i][t:], tail)]
+                    if left:
+                        combine(left, i, t, q)
+            for j in range(t + 1, n):
+                q = s[t][j] // p
+                if q:
+                    for row in s[t:]:
+                        row[j] -= q * row[t]
+                    if left:
+                        combine(right_t, j, t, q)
+                        combine(right_inv, t, j, -q)
+            if p in (1, -1):
+                break  # a unit divides every entry, and one pass cleared it
+            if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
+                continue  # a remainder smaller than the pivot is left
+            bad = next((i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :])), None)
+            if bad is None:
+                break
+            combine(s, t, bad, -1)
+            if left:
+                combine(left, t, bad, -1)
 
 
 def block_diagonal(*blocks: IntMatrix) -> IntMatrix:

@@ -9,11 +9,12 @@ Bourbaki numbering); negative definite copies are obtained by
 
 Signatures are computed by fraction-free symmetric elimination
 (Sylvester's law), never by floating point.  Discriminant groups come
-from Smith normal forms of the Gram matrix.
+from the Gram matrix's invariant factors, checked against its determinant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Dict, List, Sequence, Tuple
@@ -28,6 +29,7 @@ from .exactla import (
     kernel_basis,
     rank,
     saturate,
+    smith_divisors,
     snf,
 )
 
@@ -288,9 +290,14 @@ def _prime_factors(n: int) -> List[int]:
 
 
 def disc_group(l: Lattice) -> DiscGroup:
+    """L^*/L, without generators, from the invariant factors of the Gram
+    matrix, whose product must be the independent Bareiss |det|."""
     if not l.is_nondegenerate:
         raise DegenerateFormError(signature_with_radical(l)[2])
-    divisors = tuple(d for d in snf(l.gram).d if d > 1)
+    factors = smith_divisors(l.gram)
+    if math.prod(factors) != abs(l.det()):
+        raise LatticeError("invariant factors disagree with the determinant")
+    divisors = tuple(d for d in factors if d > 1)
     a_p: Dict[int, int] = {}
     for d in divisors:
         for p in _prime_factors(d):

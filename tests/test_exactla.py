@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from k3lat import exactla
 from k3lat.exactla import (
@@ -22,6 +22,7 @@ from k3lat.exactla import (
     rat_mul,
     saturate,
     SnfResult,
+    smith_divisors,
     snf,
 )
 from support import _det, gauss_jordan_express, gauss_jordan_inv, hermite_snf
@@ -499,6 +500,7 @@ def test_snf_pinned_cases(a, d):
     res = snf(a)
     check_snf(a, res, d)
     assert hermite_snf(a).d == d
+    assert smith_divisors(a) == d
     assert (res.left.rows, res.right.rows) == (a.rows, a.cols)
 
 
@@ -506,13 +508,50 @@ def test_snf_pinned_lattices():
     from k3lat.cusps import build_niemeier, family_data
 
     # family T lattices: 3-elementary with a = 0, 2, 3, 4
-    for (n, k), a in {(0, 2): 0, (0, 1): 2, (1, 1): 3, (2, 1): 4}.items():
-        g = family_data(n, k).t.gram
-        check_snf(g, snf(g), (1,) * (g.rows - a) + (3,) * a)
+    families = {(0, 2): 0, (0, 1): 2, (1, 1): 3, (2, 1): 4}
+    cases = [(family_data(n, k).t.gram, a) for (n, k), a in families.items()]
     model = build_niemeier("E6^4")
-    n = model.overlattice.lattice.gram
-    check_snf(n, snf(n), (1,) * 24)  # the glue is unimodular
-    check_snf(model.r.gram, snf(model.r.gram), (1,) * 20 + (3,) * 4)
+    cases += [(model.overlattice.lattice.gram, 0), (model.r.gram, 4)]  # the glue is unimodular
+    for g, a in cases:
+        d = (1,) * (g.rows - a) + (3,) * a
+        check_snf(g, snf(g), d)
+        assert smith_divisors(g) == d
+
+
+@st.composite
+def nonsingular_matrices(draw):
+    """Nonsingular square matrices, half of them symmetric like a Gram
+    matrix, and half scaled by 2 or 3 so that no entry is a unit."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-9, 9) | st.just(0), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    c = draw(st.sampled_from([1, 1, 2, 3]))
+    rows = [[c * x for x in row] for row in rows]
+    assume(_det(rows) != 0)
+    return IntMatrix(rows)
+
+
+@given(nonsingular_matrices())
+@example(IntMatrix([[2, 3], [3, 2]]))  # no unit: the divisibility repair
+@example(IntMatrix([[0, 2, 1], [2, 0, 0], [1, 0, 4]]))  # a unit after a zero
+def test_smith_divisors_match_snf_and_sympy(a):
+    assert smith_divisors(a) == snf(a).d == tuple(sympy_invariant_factors(a))
+
+
+def test_snf_pivot_is_the_first_least_entry_in_row_major_order():
+    # quotient_by_isotropic and nikulin_2elem read the transforms, which
+    # the pivot order fixes: min((|x|, i, j)), here the first unit in
+    # row-major order, not the last one nor the first column-major
+    a = IntMatrix([[2, -1, 1], [-1, 2, 0], [1, 0, 2]])
+    res = snf(a)
+    assert res.left == IntMatrix([[-1, 0, 0], [0, 0, 1], [-2, -1, 3]])
+    assert res.right == IntMatrix([[0, 1, -2], [1, 2, -3], [0, 0, 1]])
+    b = IntMatrix([[2, 3, 0], [1, 4, -1], [0, -1, 2]])
+    res = snf(b)
+    assert res.left == IntMatrix([[0, 1, 0], [0, 0, -1], [-1, 2, 5]])
+    assert res.right == IntMatrix([[1, -4, -7], [0, 1, 2], [0, 0, 1]])
 
 
 def test_snf_check_rejects_skipped_repair():

@@ -118,6 +118,41 @@ def test_3_elementary():
     assert not is_p_elementary(hyperbolic(2), 3)
 
 
+def test_disc_group_checks_divisors_against_det(monkeypatch):
+    from k3lat import exactla
+
+    real = exactla._smith
+
+    def drop_last_factor(s, *transforms):
+        real(s, *transforms)
+        s[-1][-1] = 1
+
+    l = direct_sum(hyperbolic(3), neg("E", 6))
+    assert disc_group(l).elementary_divisors == (3, 3, 3)
+    monkeypatch.setattr(exactla, "_smith", drop_last_factor)
+    with pytest.raises(LatticeError, match="invariant factors disagree with the determinant"):
+        disc_group(l)
+
+
+def test_disc_group_needs_no_smith_transforms(monkeypatch):
+    from click.testing import CliRunner
+
+    import k3lat.lattice as lattice_module
+    from k3lat.cli import main
+
+    def no_snf(a):
+        raise AssertionError("snf called")
+
+    monkeypatch.setattr(lattice_module, "snf", no_snf)
+    l = direct_sum(hyperbolic(3), neg("E", 6))
+    assert disc_group(l).elementary_divisors == (3, 3, 3)
+    assert is_p_elementary(l, 3) and not is_p_elementary(hyperbolic(2), 3)
+    res = CliRunner().invoke(main, ["disc", "U(3) + E6"])
+    assert (res.exit_code, res.output) == (0, "3 3 3\n")
+    with pytest.raises(AssertionError, match="snf called"):
+        nikulin_2elem(hyperbolic(2))  # it reads the Smith generators
+
+
 def test_nikulin_u2_d8():
     l = direct_sum(hyperbolic(2), neg("D", 8))
     assert nikulin_2elem(l) == (1, 9, 4, 0)
