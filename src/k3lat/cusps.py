@@ -22,7 +22,7 @@ Candidates at each level are reduced to orbit representatives under the
 reflections fixing everything chosen so far; this preserves the set of
 reachable complement isometry types while collapsing the enormous
 redundancy of the raw search; the reflection table finds each reflected
-root by its packed integer key (see ``ComponentSystem``).
+root by its packed integer key (``roots.packed_keys``).
 
 Each verified object is built once per process (``functools.cache``):
 ``family_data`` and ``classify_cusps`` per family, ``component_system``
@@ -66,6 +66,7 @@ from .roots import (
     RootSystemType,
     dual_class_min,
     enumerate_norm,
+    packed_keys,
     root_decomposition,
     root_span_index,
     root_system,
@@ -142,11 +143,9 @@ class ComponentSystem:
         self.lattice = root_lattice(sym, n)
         self.roots: List[Tuple[int, ...]] = enumerate_norm(self.lattice, 2)
         self.nroots = len(self.roots)
-        # packed keys: with B = 2 max|coord| + 1 the balanced base-B digits
-        # of key(v) = sum v_k B^k are the coordinates of v, and key is
-        # linear, so key(r_j - c r_i) = key_j - c key_i
-        base = 2 * max(abs(c) for v in self.roots for c in v) + 1
-        keys = [sum(c * base**k for k, c in enumerate(v)) for v in self.roots]
+        # packed keys are injective on the roots and linear, so
+        # key(r_j - c r_i) = key_j - c key_i
+        keys = packed_keys(self.roots)
         index = {key: i for i, key in enumerate(keys)}
         neg = [index[-key] for key in keys]
         r = IntMatrix._of(tuple(self.roots), n)

@@ -8,14 +8,23 @@ turns every level's interval into an integer square root and an integer
 subtraction.  The test suite checks it against a brute-force
 coefficient-box enumerator.
 
-Vectors are returned closed under negation, sorted lexicographically on
-their coefficient tuples, so output order is deterministic.
+``enumerate_norm`` is reduce (``_size_reduce``), search (the traversal,
+which keeps one of each pair +-x, in reduced coordinates), map back
+through the reduction transform V, and sort: vectors are returned
+closed under negation, sorted lexicographically on their coefficient
+tuples, so output order is deterministic.
 
 Root systems are decomposed through simple roots: the lexicographically
 positive roots are a positive system, its simple roots are found by one
 ascending scan, and the components are those of the Dynkin graph of the
 simple roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
-The root span is the Hermite form of the simple roots.
+The scan runs on packed integer keys (``packed_keys``), so ordering,
+positivity and the simplicity test are integer comparisons, one
+subtraction and one set lookup.  ``root_system`` shares the reduce and
+search steps with ``enumerate_norm`` and decomposes the half the search
+returns, in the reduced basis; only the simple roots are mapped back
+through V, since the root span is the Hermite form of the simple roots,
+whichever basis and positive system they were found in.
 
 The layer is integer-only: ``dual_class_min`` enumerates the integer
 scaled dual of ``lattice.scaled_dual`` and builds the one ``Fraction``
@@ -32,8 +41,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import count
-from operator import mul, sub
+from itertools import chain, count
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .exactla import IntMatrix, bareiss_step, det, hermite_basis
@@ -120,13 +129,14 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     return IntMatrix(g, cols=n), IntMatrix(v, cols=n)
 
 
-def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
-    """All lattice vectors of norm exactly ``m`` (absolute value for
-    negative definite input), closed under negation, in canonical order."""
+def _reduced_search(l: Lattice, m: int) -> Tuple[IntMatrix, IntMatrix, List[Vector]]:
+    """Reduce, then search: ``(G', V, half)`` with ``G' = V G V^T`` the
+    size-reduced positive definite Gram matrix of ``l`` and ``half`` its
+    vectors of norm ``m`` whose last nonzero coordinate is positive, one of
+    each pair +-x, in the reduced basis and in the order the search finds
+    them."""
     if m < 1:
         raise EnumerationError("norm bound must be a positive integer")
-    if l.rank == 0:
-        return []
     # the positive definite one of G and -G; ``definite_sign`` raises on
     # indefinite or degenerate input, naming why, from the cached inertia
     gram_red, v = _size_reduce(l.gram.scale(definite_sign(l)))
@@ -158,10 +168,18 @@ def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
                 descend(k - 1, rest, top and t == 0)
         x[k] = 0
 
-    descend(n - 1, scale * m, True)
-    # map back through the size-reduction transform: rows enumerated in the
+    if n:
+        descend(n - 1, scale * m, True)
+    return gram_red, v, found
+
+
+def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
+    """All lattice vectors of norm exactly ``m`` (absolute value for
+    negative definite input), closed under negation, in canonical order."""
+    _, v, half = _reduced_search(l, m)
+    # map back through the size-reduction transform: rows found in the
     # reduced basis correspond to x*V in the original coordinates
-    orig = (IntMatrix(found, cols=n) * v).entries
+    orig = (IntMatrix._of(tuple(half), v.rows) * v).entries
     return sorted(orig + tuple(tuple(-o for o in x) for x in orig))
 
 
@@ -181,7 +199,7 @@ def dual_class_min(sym: str, n: int) -> Fraction:
     dual = Lattice(c)
     for m in count(1):
         found = enumerate_norm(dual, m)
-        if found and any(x % d for row in (IntMatrix(found, cols=n) * c).entries for x in row):
+        if found and any(x % d for row in (IntMatrix._of(tuple(found), n) * c).entries for x in row):
             return Fraction(m, d)
 
 
@@ -279,35 +297,66 @@ def _identify_component(rank: int, count: int) -> Tuple[str, int]:
     return t
 
 
+def packed_keys(vectors: Sequence[Vector]) -> List[int]:
+    """Integer keys ``key(v) = sum_k v_k B^(n-1-k)`` of ``vectors``, in
+    base ``B = 3M + 1`` for ``M`` their largest absolute coordinate.
+
+    The key is linear.  A vector ``w`` with every ``|w_k| <= B - 1`` has
+    the sign of its first nonzero coordinate, whose digit outweighs the
+    rest, ``sum_{k>j} (B - 1) B^(n-1-k) < B^(n-1-j)``; so its key is 0
+    only when ``w = 0``.  For vectors u, v, w of the set this makes:
+
+    * key order lexicographic order, and key > 0 the lexicographically
+      positive vectors (``u - v`` has coordinates of size up to 2M);
+    * ``key u - key v = key w`` exactly when ``u - v = w``, since
+      ``u - v - w`` has coordinates of size up to 3M = B - 1.
+
+    The root decomposition needs the second fact; a base of ``2M + 1``
+    gives only the first, and lets the key of a difference of two roots
+    equal the key of a root that is not that difference.
+    """
+    base = 3 * max(map(abs, chain.from_iterable(vectors)), default=0) + 1
+    n = len(vectors[0]) if vectors else 0
+    powers = [base**k for k in range(n - 1, -1, -1)]
+    return [sum(map(mul, v, powers)) for v in vectors]
+
+
 def root_decomposition(
     roots: Sequence[Vector], gram: IntMatrix
 ) -> Tuple[RootSystemType, List[Vector]]:
     """ADE type and simple roots of the roots ``roots`` (norm +-2 under
-    ``gram``, closed under negation and under their own reflections).
+    ``gram``, closed under their own reflections), given either closed
+    under negation or as one root of each pair +-r.
 
-    The lexicographically positive roots form a positive system.  Scanned
-    in ascending order, a positive root is simple unless subtracting an
-    earlier simple root leaves a positive root (Humphreys, *Reflection
-    Groups*, 1.3-1.6).  The components are those of the Dynkin graph of
-    the simple roots, read off their Cartan matrix; every root lies in
-    the component of the first simple root it pairs nonzero with, and a
-    component's rank is its number of simple roots.  Both pairing tables
-    are one ``IntMatrix`` product each.
+    The lexicographically positive roots form a positive system; on
+    ``packed_keys`` they are the roots of positive key, in key order, and
+    ``|key|`` picks the positive one of each pair.  Scanned in ascending
+    order, a positive root beta is simple unless ``beta - alpha`` is a
+    positive root for an earlier simple root alpha (Humphreys,
+    *Reflection Groups*, 1.3-1.6), one subtraction and one set lookup of
+    keys.  Then ``beta = (beta - alpha) + alpha`` with three roots forces
+    ``beta - alpha`` and alpha to pair nonzero, so beta lies in the
+    component of the first such alpha and is counted for it.  The
+    components are those of the Dynkin graph of the simple roots, read off
+    their Cartan matrix; a component's rank is its number of simple roots,
+    and its root count is twice the positive roots counted for them.
     """
-    n = gram.rows
-    zero = (0,) * n
-    positive = sorted(r for r in roots if r > zero)
-    is_positive = set(positive)
-    simple: List[Vector] = []
-    for beta in positive:
-        if not any(
-            tuple(map(sub, beta, alpha)) in is_positive for alpha in simple
-        ):
-            simple.append(beta)
-    s = IntMatrix(simple, cols=n)
-    g_simple_t = (s * gram).transpose()
-    cartan = (s * g_simple_t).entries
-    pairings = (IntMatrix(positive, cols=n) * g_simple_t).entries
+    keys = packed_keys(roots)
+    by_key = dict(zip(keys, roots))
+    positive = set(map(abs, keys))  # |key| of each pair +-r
+    simple: List[int] = []
+    counted: List[int] = []  # positive roots counted for each simple root
+    for kb in sorted(positive):
+        for i, ka in enumerate(simple):
+            if kb - ka in positive:
+                counted[i] += 1
+                break
+        else:
+            simple.append(kb)
+            counted.append(1)
+    vectors = [by_key[k] if k in by_key else tuple(-c for c in by_key[-k]) for k in simple]
+    s = IntMatrix._of(tuple(vectors), gram.rows)
+    cartan = (s * gram * s.transpose()).entries
 
     comp = [-1] * len(simple)
     for i in range(len(simple)):
@@ -320,21 +369,29 @@ def root_decomposition(
                         comp[j] = i
                         stack.append(j)
     counts: Dict[int, int] = {}
-    for row in pairings:
-        c = comp[next(i for i, x in enumerate(row) if x)]
-        counts[c] = counts.get(c, 0) + 2
+    for c, k in zip(comp, counted):
+        counts[c] = counts.get(c, 0) + 2 * k
     return (
         RootSystemType.of([_identify_component(comp.count(c), k) for c, k in counts.items()]),
-        simple,
+        vectors,
     )
 
 
 @cache
 def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     """Root type and Hermite basis of the simple roots of the definite
-    form ``gram``, computed once per Gram matrix."""
-    rtype, simple = root_decomposition(enumerate_norm(Lattice(gram), 2), gram)
-    return rtype, hermite_basis(simple, gram.rows)
+    form ``gram``, computed once per Gram matrix.
+
+    The decomposition runs in the size-reduced basis of the search, on
+    the half of the roots the search returns and the reduced Gram
+    matrix, where the coordinates (and so the packed keys) are smallest.
+    Only the simple roots are mapped back through V: they span the same
+    lattice as all roots, and the Hermite form of that span depends on
+    neither the positive system nor the basis it was found in.
+    """
+    gram_red, v, half = _reduced_search(Lattice(gram), 2)
+    rtype, simple = root_decomposition(half, gram_red)
+    return rtype, hermite_basis((IntMatrix._of(tuple(simple), v.rows) * v).entries, gram.rows)
 
 
 def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:

@@ -11,7 +11,10 @@ record, where the library spans only their simple roots.  The Smith
 oracle is the alternating row and column Hermite passes that the pivot
 elimination of ``snf`` replaced.  The coefficient-box enumerator scans
 every small coefficient vector that ``roots.enumerate_norm`` prunes
-away.  The Kulikov quotient coordinates
+away.  The tuple root decomposition subtracts coefficient tuples where
+``roots.root_decomposition`` subtracts packed keys, and counts each
+root's component from its pairings with the simple roots.  The Kulikov
+quotient coordinates
 are also read off a Bareiss solve against the adapted basis ``[xi;
 lift]``, without the Smith transform that the library uses.  The
 complement root type is also computed with one rational-span solve per
@@ -24,6 +27,7 @@ interpreter, for the tests that need cold caches.
 
 import math
 import os
+from operator import sub
 import subprocess
 import sys
 from fractions import Fraction
@@ -51,7 +55,7 @@ from k3lat.lattice import (
     hyperbolic,
     root_lattice,
 )
-from k3lat.roots import enumerate_norm, root_decomposition
+from k3lat.roots import RootSystemType, _identify_component, enumerate_norm, root_decomposition
 
 # -- random changes of basis -------------------------------------------
 #
@@ -353,6 +357,48 @@ def enumerate_norm_box(l, m, bound):
 def restrict_to_box(vectors, bound):
     """Vectors whose coefficients all have absolute value <= bound."""
     return sorted(v for v in vectors if all(abs(c) <= bound for c in v))
+
+
+# -- the tuple root decomposition ----------------------------------------
+
+
+def tuple_root_decomposition(roots, gram):
+    """ADE type and simple roots of ``roots`` (closed under negation) on
+    coefficient tuples: the lexicographically positive roots, scanned in
+    ascending order, with a root simple unless subtracting an earlier
+    simple root leaves a positive root; every root lies in the component
+    of the first simple root it pairs nonzero with."""
+    n = gram.rows
+    zero = (0,) * n
+    positive = sorted(r for r in roots if r > zero)
+    is_positive = set(positive)
+    simple = []
+    for beta in positive:
+        if not any(tuple(map(sub, beta, alpha)) in is_positive for alpha in simple):
+            simple.append(beta)
+    s = IntMatrix(simple, cols=n)
+    g_simple_t = (s * gram).transpose()
+    cartan = (s * g_simple_t).entries
+    pairings = (IntMatrix(positive, cols=n) * g_simple_t).entries
+
+    comp = [-1] * len(simple)
+    for i in range(len(simple)):
+        if comp[i] < 0:
+            comp[i] = i
+            stack = [i]
+            while stack:
+                for j, c in enumerate(cartan[stack.pop()]):
+                    if c and comp[j] < 0:
+                        comp[j] = i
+                        stack.append(j)
+    counts = {}
+    for row in pairings:
+        c = comp[next(i for i, x in enumerate(row) if x)]
+        counts[c] = counts.get(c, 0) + 2
+    return (
+        RootSystemType.of([_identify_component(comp.count(c), k) for c, k in counts.items()]),
+        simple,
+    )
 
 
 # -- the all-roots span of an embedding's complement -------------------

@@ -387,13 +387,13 @@ def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):
     k = glue_lambda(c0, c1)
     prim_lat = k.prim.lattice()
     grams = []
-    enumerate_norm = roots.enumerate_norm
+    search = roots._reduced_search
 
     def counted(l, m):
         grams.append(l.gram)
-        return enumerate_norm(l, m)
+        return search(l, m)
 
-    monkeypatch.setattr(roots, "enumerate_norm", counted)
+    monkeypatch.setattr(roots, "_reduced_search", counted)
     roots._root_analysis.cache_clear()
     primitive_picard.cache_clear()
     rtype, _ = root_system(prim_lat)

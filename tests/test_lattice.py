@@ -308,6 +308,13 @@ def test_glue_rejects_odd_overlattice():
         glue_overlattice(a2, [[1, -1]], 3)
 
 
+def test_glue_rejects_odd_base_lattice():
+    # every glue check passes on the empty glue; the overlattice is L
+    # itself, so an odd L reaches the evenness check of the new form
+    with pytest.raises(LatticeError, match="overlattice form is not even"):
+        glue_overlattice(Lattice(IntMatrix([[1]])), [], 1)
+
+
 def test_glue_a2_to_dual_scale():
     # gluing A2(3) by its dual generators recovers an even lattice of index 3
     l = rescale(root_lattice("A", 2), 3)

@@ -18,6 +18,7 @@ from k3lat.lattice import (
 from k3lat.roots import (
     EnumerationError,
     RootSystemType,
+    _reduced_search,
     _round_div,
     complement_root_type,
     dual_class_min,
@@ -35,6 +36,7 @@ from support import (
     gauss_jordan_inv,
     rational_span_complement_root_type,
     restrict_to_box,
+    tuple_root_decomposition,
     unimodular,
 )
 
@@ -348,6 +350,23 @@ def test_root_decomposition_matches_pairwise_oracle(data):
     assert rtype == pairwise_root_type(roots, lu.gram)
     perp = [r for r in roots if lu.pair(r, simple[0]) == 0]
     assert root_decomposition(perp, lu.gram)[0] == pairwise_root_type(perp, lu.gram)
+
+
+@given(changed_basis(ROOT_ATOMS, 10, 6))
+def test_root_decomposition_matches_tuple_oracle(data):
+    # the packed-key scan returns the oracle's type and simple roots, in
+    # order, on the full +- set and on its positive half; and on the half
+    # the search returns in the size-reduced basis, where ``root_system``
+    # runs it
+    lu = data[3]
+    roots = enumerate_norm(lu, 2)
+    want = tuple_root_decomposition(roots, lu.gram)
+    zero = (0,) * lu.rank
+    assert root_decomposition(roots, lu.gram) == want
+    assert root_decomposition([r for r in roots if r > zero], lu.gram) == want
+    gram_red, _, half = _reduced_search(lu, 2)
+    closed = half + [tuple(-c for c in r) for r in half]
+    assert root_decomposition(half, gram_red) == tuple_root_decomposition(closed, gram_red)
 
 
 # -- one analysis per Gram matrix, integer rounding ----------------------
