@@ -558,10 +558,7 @@ def star_of(record: EmbeddingRecord) -> bool:
     bookkeeping carried by the record, whose ``sat_index`` is 1 or 3.
     """
     sat = _p_complement(record)
-    span = complement_root_span(record)
-    if span.rows != sat.rank:
-        raise CuspError("complement is not rationally spanned by its roots")
-    idx = index_in(span, sat.basis)
+    idx = index_in(complement_root_span(record), sat.basis)
     if idx != record.sat_index:
         raise CuspError("glue bookkeeping disagrees with the concrete saturation")
     return idx == 3

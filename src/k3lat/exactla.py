@@ -23,7 +23,9 @@ echelon form, as every Hermite basis from ``kernel_basis``,
 ``hermite_basis`` and ``saturate`` is, is solved by exact substitution.
 Every other linear system is solved by one Bareiss elimination with a
 single common denominator (Bareiss, Math. Comp. 22 (1968); Cohen, GTM
-138, 2.2), whose step ``det`` and ``roots`` share.  This is slow
+138, 2.2), whose step ``det`` and ``gram_elimination`` share; the
+latter, symmetric, gives the inertia and determinant of every Gram
+matrix and the Fincke--Pohst minors of ``roots``.  This is slow
 compared to modular methods but provably correct, and the matrices
 appearing in this package have rank at most 28.
 
@@ -204,6 +206,45 @@ def bareiss_step(a: List[List[int]], c: int, prev: int) -> int:
             for j in cols:
                 ri[j] = p * ri[j] // prev
     return p
+
+
+def gram_elimination(gram: IntMatrix) -> Tuple[List[List[int]], List[int]]:
+    """Symmetric Bareiss elimination of a Gram matrix: ``(m, pivots)``.
+
+    Step t takes the next nonzero diagonal entry as the pivot, after
+    pushing an off-diagonal entry onto the diagonal (x_i -> x_i + x_j)
+    when none is left, and moves it to position t by a symmetric swap.
+    Both moves are unimodular congruences, so ``pivots`` are the leading
+    minors ``d_k`` of a form congruent to G: the sign of each against the
+    one before it (1 at first) gives the inertia, a full set ends in
+    det G, and each missing pivot is one rank of the radical.  On a
+    positive definite G nothing moves, and ``m[k][l]`` (``l > k``) are the
+    numerators ``B_kl`` with
+
+        Q(x) = sum_k (d_k x_k + sum_{l>k} B_kl x_l)^2 / (d_k d_{k-1}).
+    """
+    m = [list(row) for row in gram.entries]
+    n = len(m)
+    pivots: List[int] = []
+    prev = 1
+    for t in range(n):
+        piv = next((i for i in range(t, n) if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(t, n) for j in range(t, n) if m[i][j]), None)
+            if pair is None:
+                break  # what remains is the radical
+            i, j = pair
+            m[i] = list(map(add, m[i], m[j]))
+            for row in m:
+                row[i] += row[j]
+            piv = i
+        if piv != t:
+            m[t], m[piv] = m[piv], m[t]
+            for row in m:
+                row[t], row[piv] = row[piv], row[t]
+        prev = bareiss_step(m, t, prev)
+        pivots.append(prev)
+    return m, pivots
 
 
 def hnf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:

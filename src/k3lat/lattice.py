@@ -7,9 +7,11 @@ The ADE Gram matrices are stored positive definite (Cartan matrices in
 Bourbaki numbering); negative definite copies are obtained by
 ``rescale(L, -1)`` when a lattice is used inside an indefinite ambient.
 
-Signatures are computed by fraction-free symmetric elimination
-(Sylvester's law), never by floating point.  Discriminant groups come
-from the Gram matrix's invariant factors, checked against its determinant.
+Signature, radical and determinant are read from the pivots of one
+cached fraction-free symmetric elimination of the Gram matrix
+(``gram_elimination``; Sylvester's law), never by floating point.
+Discriminant groups come from the Gram matrix's invariant factors,
+checked against its determinant.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .exactla import (
     block_diagonal,
     det,
     echelon_pivots,
+    gram_elimination,
     hermite_basis,
     int_express,
     kernel_basis,
@@ -61,7 +64,7 @@ class Lattice:
         return self.gram.rows
 
     def det(self) -> int:
-        return _gram_det(self.gram)
+        return _inertia(self.gram)[3]
 
     @property
     def is_even(self) -> bool:
@@ -91,11 +94,6 @@ class Lattice:
 
     def __repr__(self) -> str:
         return f"Lattice(rank {self.rank})"
-
-
-@cache
-def _gram_det(gram: IntMatrix) -> int:
-    return det(gram)
 
 
 # -- constructors ------------------------------------------------------
@@ -195,51 +193,18 @@ def d4_z4_model() -> Tuple[Lattice, IntMatrix]:
 
 def signature_with_radical(l: Lattice) -> Tuple[int, int, int]:
     """(positive, negative, radical) inertia of ``l``."""
-    return _inertia(l.gram)
+    return _inertia(l.gram)[:3]
 
 
 @cache
-def _inertia(gram: IntMatrix) -> Tuple[int, int, int]:
-    """(positive, negative, radical) inertia by symmetric Bareiss elimination.
-
-    Each step replaces the remaining block ``A`` by ``(d*A - a*a^T)/prev``
-    for the pivot ``d`` and its column ``a``, an exact division; the
-    rational diagonal entry of the step is ``d/prev``.
-    """
-    m = [list(row) for row in gram.entries]
-    pos = neg = 0
-    prev = 1
-    alive = list(range(gram.rows))
-    while alive:
-        piv = next((i for i in alive if m[i][i] != 0), None)
-        if piv is None:
-            pair = next(
-                ((i, j) for i in alive for j in alive if i != j and m[i][j] != 0),
-                None,
-            )
-            if pair is None:
-                break  # what remains is the radical
-            i, j = pair
-            # push the off-diagonal entry onto the diagonal: x_i -> x_i + x_j
-            for k in alive:
-                m[i][k] += m[j][k]
-            for k in alive:
-                m[k][i] += m[k][j]
-            piv = i
-        d = m[piv][piv]
-        if (d > 0) == (prev > 0):
-            pos += 1
-        else:
-            neg += 1
-        alive.remove(piv)
-        rp = m[piv]
-        for i in alive:
-            ri = m[i]
-            f = ri[piv]
-            for k in alive:
-                ri[k] = (d * ri[k] - f * rp[k]) // prev
-        prev = d
-    return pos, neg, len(alive)
+def _inertia(gram: IntMatrix) -> Tuple[int, int, int, int]:
+    """(positive, negative, radical, det) from the pivots of the symmetric
+    elimination: the rational diagonal entry of step k is d_k/d_{k-1}."""
+    pivots = gram_elimination(gram)[1]
+    minors = [1] + pivots
+    pos = sum((d > 0) == (prev > 0) for prev, d in zip(minors, pivots))
+    rad = gram.rows - len(pivots)
+    return pos, len(pivots) - pos, rad, 0 if rad else minors[-1]
 
 
 def signature(l: Lattice) -> Tuple[int, int]:
@@ -251,8 +216,6 @@ def signature(l: Lattice) -> Tuple[int, int]:
 
 def definite_sign(l: Lattice) -> int:
     """+1 for positive definite, -1 for negative definite; error otherwise."""
-    if l.rank == 0:
-        return 1
     p, q = signature(l)
     if q == 0:
         return 1

@@ -1,11 +1,11 @@
 """Short-vector enumeration in definite lattices and ADE root systems.
 
 Everything runs on Python integers.  Enumeration is a fraction-free
-Fincke--Pohst traversal (Fincke--Pohst, Math. Comp. 1985): Bareiss
-elimination of the size-reduced Gram matrix gives leading minors ``d_k``
-and integer numerators, and scaling the norm by ``lcm(d_k d_{k-1})``
-turns every level's interval into an integer square root and an integer
-subtraction.  The test suite checks it against a brute-force
+Fincke--Pohst traversal (Fincke--Pohst, Math. Comp. 1985): the symmetric
+Bareiss elimination (``exactla.gram_elimination``) of the size-reduced
+Gram matrix gives leading minors ``d_k`` and integer numerators, and
+scaling the norm by ``lcm(d_k d_{k-1})`` turns every level's interval
+into an integer square root and an integer subtraction.  The test suite checks it against a brute-force
 coefficient-box enumerator.
 
 ``enumerate_norm`` is reduce (``_size_reduce``), search (the traversal,
@@ -45,7 +45,7 @@ from itertools import chain, count
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, bareiss_step, det, hermite_basis
+from .exactla import IntMatrix, det, gram_elimination, hermite_basis
 from .lattice import Lattice, LatticeError, Sublattice, definite_sign, scaled_dual
 
 Vector = Tuple[int, ...]
@@ -53,23 +53,6 @@ Vector = Tuple[int, ...]
 
 class EnumerationError(LatticeError):
     pass
-
-
-def _bareiss(gram: IntMatrix) -> List[List[int]]:
-    """Fraction-free (Bareiss) elimination of a positive definite Gram matrix
-    (``enumerate_norm`` checks definiteness; its pivots are then all > 0).
-
-    Returns ``m`` with ``d_k = m[k][k]`` the leading principal minor of
-    order ``k + 1`` and integer numerators ``B_kl = m[k][l]`` (``l > k``),
-    so that, with ``d_{-1} = 1``,
-
-        Q(x) = sum_k (d_k x_k + sum_{l>k} B_kl x_l)^2 / (d_k d_{k-1}).
-    """
-    m = [list(row) for row in gram.entries]
-    prev = 1
-    for k in range(gram.rows):
-        prev = bareiss_step(m, k, prev)
-    return m
 
 
 def _round_div(a: int, b: int) -> int:
@@ -140,9 +123,8 @@ def _reduced_search(l: Lattice, m: int) -> Tuple[IntMatrix, IntMatrix, List[Vect
     # the positive definite one of G and -G; ``definite_sign`` raises on
     # indefinite or degenerate input, naming why, from the cached inertia
     gram_red, v = _size_reduce(l.gram.scale(definite_sign(l)))
-    b = _bareiss(gram_red)
+    b, d = gram_elimination(gram_red)
     n = gram_red.rows
-    d = [b[k][k] for k in range(n)]
     # scaling by L = lcm(d_k d_{k-1}) makes every level's weight an integer
     dd = [d[k] * (d[k - 1] if k else 1) for k in range(n)]
     scale = math.lcm(*dd)

@@ -12,6 +12,7 @@ from k3lat.exactla import (
     ExactLAError,
     IntMatrix,
     det,
+    gram_elimination,
     hermite_basis,
     hnf,
     index_in,
@@ -25,7 +26,7 @@ from k3lat.exactla import (
     smith_divisors,
     snf,
 )
-from support import _det, gauss_jordan_express, gauss_jordan_inv, hermite_snf
+from support import ROOT_ATOMS, _det, changed_basis, gauss_jordan_express, gauss_jordan_inv, hermite_snf
 
 
 def test_hnf_identity():
@@ -668,3 +669,22 @@ def test_product_check_rejects_wrong_oracle():
         check_product_and_transpose(a, b, ((1, 2), (3, 4)))
     with pytest.raises(AssertionError):
         check_product_and_transpose(a, b, ((2, 1),))
+
+
+@given(changed_basis(ROOT_ATOMS, 10, 6), st.lists(st.integers(-3, 3), min_size=10, max_size=10))
+def test_gram_elimination_splits_a_definite_form_into_squares(data, xs):
+    """On a positive definite Gram matrix the pivots are the leading minors
+    d_k, and with w_k = lcm / (d_k d_{k-1}) the norm scaled by the lcm is
+    sum_k w_k (d_k x_k + sum_{l>k} B_kl x_l)^2."""
+    l = data[3]
+    n = l.rank
+    m, d = gram_elimination(l.gram)
+    assert d == [m[k][k] for k in range(n)]
+    assert d == [_det([row[: k + 1] for row in l.gram.entries[: k + 1]]) for k in range(n)]
+    dd = [d[k] * (d[k - 1] if k else 1) for k in range(n)]
+    scale = math.lcm(*dd)
+    x = xs[:n]
+    squares = sum(
+        scale // dd[k] * (d[k] * x[k] + sum(m[k][j] * x[j] for j in range(k + 1, n))) ** 2 for k in range(n)
+    )
+    assert l.norm(x) * scale == squares

@@ -32,6 +32,10 @@ The rational rule: only ``exactla`` (for ``rat_express``) and ``roots``
 (for the value of ``dual_class_min``) import ``fractions``; every other
 module carries rational quantities as integer rows over a denominator.
 
+The Bareiss rule: no module other than ``exactla`` imports or reads
+``bareiss_step``, so the elimination step has one home and every other
+module eliminates through ``det``, ``gram_elimination`` or a solver.
+
 The caching rule: ``functools.cache`` is the only caching mechanism in
 ``src/k3lat``.  No module names ``lru_cache`` or ``cached_property``,
 rebinds a module global from a function (``global``), gives a function a
@@ -370,6 +374,35 @@ def test_check_flags_a_fractions_import():
         "c.py": "import math\nfractions = math\n",
     }
     assert fraction_importers(sources) == ["a.py", "b.py"]
+
+
+def bareiss_step_users(sources: dict) -> list:
+    """Names of the ``sources`` (file name -> text) that import
+    ``bareiss_step`` or read it as an attribute, at any depth."""
+    out = []
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.ImportFrom) and any(a.name == "bareiss_step" for a in node.names)) or (
+                isinstance(node, ast.Attribute) and node.attr == "bareiss_step"
+            ):
+                out.append(name)
+                break
+    return sorted(out)
+
+
+def test_only_exactla_uses_bareiss_step():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert set(bareiss_step_users(sources)) <= {"exactla.py"}
+
+
+def test_check_flags_a_bareiss_step_user():
+    sources = {
+        "a.py": "from .exactla import det, bareiss_step\n",
+        "b.py": "def f(m):\n    from .exactla import bareiss_step as step\n    return step(m, 0, 1)\n",
+        "c.py": "from . import exactla\n\ndef f(m):\n    return exactla.bareiss_step(m, 0, 1)\n",
+        "d.py": "from .exactla import gram_elimination\nbareiss_step = gram_elimination\n",
+    }
+    assert bareiss_step_users(sources) == ["a.py", "b.py", "c.py"]
 
 
 OTHER_CACHES = {"lru_cache", "cached_property"}

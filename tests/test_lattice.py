@@ -32,10 +32,13 @@ from support import (
     ROOT_ATOMS,
     _det,
     atom_inertia,
+    atom_lattice,
     changed_basis,
+    conjugate,
     fraction_glue_overlattice,
     fraction_signature,
     gauss_jordan_inv,
+    unimodular,
 )
 
 
@@ -363,6 +366,24 @@ def test_signature_invariant_under_change_of_basis(data, sign):
     lu = rescale(lu, sign)
     want = expected_inertia(parts, sign)
     check_signature(signature_with_radical(lu), want, fraction_signature(lu.gram))
+
+
+def atoms_in_basis(parts, ops):
+    """The ``changed_basis`` draw for the atoms ``parts`` and row operations ``ops``."""
+    l = direct_sum(*map(atom_lattice, parts))
+    u = unimodular(l.rank, ops)
+    return parts, l, u, conjugate(l, u)
+
+
+@given(changed_basis(FORM_ATOMS, 10, 6), st.sampled_from([1, -1]))
+@example(atoms_in_basis([("U", 1), ("U", 3)], []), -1)  # zero diagonal: the push runs
+@example(atoms_in_basis([("U", 3), ("E", 6)], [(0, 2, 1), (3, 1, -1)]), 1)
+@example(atoms_in_basis([("O", 1), ("A", 2)], [(0, 1, 1), (2, 0, -1)]), 1)  # radical
+def test_det_matches_sympy_under_change_of_basis(data, sign):
+    sympy = pytest.importorskip("sympy")
+    lu = rescale(data[3], sign)
+    assert lu.det() == int(sympy.Matrix(lu.gram.entries).det())
+    assert lu.is_nondegenerate == (expected_inertia(data[0], sign)[2] == 0)
 
 
 def check_disc(found, before, oracle_divisors):
