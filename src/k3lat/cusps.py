@@ -19,10 +19,12 @@ glued by the tetracode over the discriminant groups Z/3 of its copies.
 The embedding search walks simple roots of the factors of P through the
 component's root system, requiring the Cartan pairings at every step.
 Candidates at each level are reduced to orbit representatives under the
-reflections fixing everything chosen so far; this preserves the set of
-reachable complement isometry types while collapsing the enormous
-redundancy of the raw search; the reflection table finds each reflected
-root by its packed integer key (``roots.packed_keys``).
+Weyl group W' of the roots orthogonal to everything chosen so far.  W'
+fixes the chosen roots, so it keeps every pairing requirement: the
+candidates form a W'-stable set, and the complements reached from one
+orbit are isometric.  Simple reflections generate W', so the search
+applies only those, found by one scan of the positive roots, and finds
+each reflected root by its packed integer key (``roots.packed_keys``).
 
 Each verified object is built once per process (``functools.cache``):
 ``family_data`` and ``classify_cusps`` per family, ``component_system``
@@ -143,42 +145,59 @@ class ComponentSystem:
         self.lattice = root_lattice(sym, n)
         self.roots: List[Tuple[int, ...]] = enumerate_norm(self.lattice, 2)
         self.nroots = len(self.roots)
-        # packed keys are injective on the roots and linear, so
-        # key(r_j - c r_i) = key_j - c key_i
-        keys = packed_keys(self.roots)
-        index = {key: i for i, key in enumerate(keys)}
-        neg = [index[-key] for key in keys]
+        # packed keys are injective on the roots and linear, so a reflected
+        # root s_i(r_j) = r_j - c r_i is the root of key key_j - c key_i
+        self.keys = packed_keys(self.roots)
+        self.index = {key: i for i, key in enumerate(self.keys)}
         r = IntMatrix._of(tuple(self.roots), n)
         self.pair = (r * self.lattice.gram * r.transpose()).entries
-        # masks[i][v+2] = bitmask of roots pairing v with root i
-        self.masks = []
-        for row in self.pair:
-            masks_i = [0] * 5
-            for j, v in enumerate(row):
-                masks_i[v + 2] |= 1 << j
-            self.masks.append(masks_i)
-        # canonical representative per +- pair: first index wins
-        self.pos_reps = [i for i in range(self.nroots) if neg[i] > i]
-        # reflection permutations s_i(r_j) = r_j - <r_j, r_i> r_i of the
-        # pos_reps, the only reflections orbit_reps applies; every image is
-        # a root, so its key is in the table
-        self.refl: Dict[int, Tuple[int, ...]] = {}
-        for i in self.pos_reps:
-            ki = keys[i]
-            self.refl[i] = tuple(
-                j if c == 0 else index[kj - c * ki]
-                for j, (c, kj) in enumerate(zip(self.pair[i], keys))
-            )
+        # masks[i][v+2] = bitmask of roots pairing v with root i: the row
+        # reversed as bytes v+2, with byte v+2 made "1" and the rest "0"
+        self.masks = [
+            [int(row.translate(t), 2) for t in _DIGIT_TABLES]
+            for row in (bytes(v + 2 for v in reversed(p)) for p in self.pair)
+        ]
+        # the roots come sorted and closed under negation, so their keys
+        # ascend and the negative keys come first: one root per +- pair,
+        # first index wins, and the positive system of the functional -key
+        self.pos_reps = [i for i, key in enumerate(self.keys) if key < 0]
         self.all_mask = (1 << self.nroots) - 1
 
+    def simple_roots(self, refl_mask: int) -> List[int]:
+        """Simple roots of the root subsystem in ``refl_mask`` for the
+        positive system of the functional -key, scanned by ascending -key.
+
+        A positive root beta that is not simple pairs +1 with a simple
+        root alpha of positive coefficient in it (the pairings sum to 2),
+        and beta - alpha is then positive, so alpha came first; simple
+        roots pair <= 0.  So a root is simple exactly when it pairs +1
+        with no simple root found before it.
+
+        ``roots.root_decomposition`` also finds simple roots, but on
+        vectors and with the components: on the 54 subsystems of
+        ``classify_cusps`` it takes two to three times as long as their
+        orbit computations.
+        """
+        simple = []
+        found = 0
+        for i in reversed(self.pos_reps):
+            if refl_mask >> i & 1 and not self.masks[i][3] & found:
+                simple.append(i)
+                found |= 1 << i
+        return simple
+
     def orbit_reps(self, cand_mask: int, refl_mask: int) -> List[int]:
-        """One representative per orbit of the candidate set under the
-        reflections whose roots lie in ``refl_mask``."""
+        """One representative, the first index, per orbit of the candidates
+        under the Weyl group W' of the roots in ``refl_mask``, which must
+        form a root subsystem with the candidates a W'-stable set (see the
+        module docstring).  W' is generated by its simple reflections
+        (Humphreys, *Reflection Groups*, 1.5), so an orbit is the closure
+        of its first candidate under them."""
         cands = _bits(cand_mask)
         if not cands:
             return []
-        refls = [i for i in self.pos_reps if (refl_mask >> i) & 1]
-        cand_set = set(cands)
+        keys, index, pair = self.keys, self.index, self.pair
+        gens = [(s, keys[s]) for s in self.simple_roots(refl_mask)]
         seen: set = set()
         reps = []
         for c in cands:
@@ -189,12 +208,20 @@ class ComponentSystem:
             seen.add(c)
             while stack:
                 x = stack.pop()
-                for i in refls:
-                    y = self.refl[i][x]
-                    if y in cand_set and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
+                row, kx = pair[x], keys[x]
+                for s, ks in gens:
+                    v = row[s]
+                    if v:
+                        y = index[kx - v * ks]
+                        if y not in seen:
+                            seen.add(y)
+                            stack.append(y)
         return reps
+
+
+# translate tables of ComponentSystem.masks, for d = v+2 = 0..4: the byte
+# d -> "1", every other byte -> "0"
+_DIGIT_TABLES = [bytes(48 + (b == d) for b in range(256)) for d in range(5)]
 
 
 def _bits(mask: int) -> List[int]:

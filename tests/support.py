@@ -13,12 +13,14 @@ elimination of ``snf`` replaced.  The coefficient-box enumerator scans
 every small coefficient vector that ``roots.enumerate_norm`` prunes
 away.  The tuple root decomposition subtracts coefficient tuples where
 ``roots.root_decomposition`` subtracts packed keys, and counts each
-root's component from its pairings with the simple roots.  The Kulikov
-quotient coordinates
-are also read off a Bareiss solve against the adapted basis ``[xi;
-lift]``, without the Smith transform that the library uses.  The
-complement root type is also computed with one rational-span solve per
-ambient root, where the library pairs the roots with S-perp.
+root's component from its pairings with the simple roots.  The Weyl
+orbit oracle applies every reflection of a root subsystem to root tuples,
+where ``ComponentSystem.orbit_reps`` applies its simple reflections to
+packed keys.  The Kulikov quotient coordinates are also read off a
+Bareiss solve against the adapted basis ``[xi; lift]``, without the
+Smith transform that the library uses.  The complement root type is
+also computed with one rational-span solve per ambient root, where the
+library pairs the roots with S-perp.
 
 ``clear_table_caches`` empties every cache built from the input tables,
 for the tests that patch a table; ``run_fresh`` runs code in a new
@@ -27,7 +29,7 @@ interpreter, for the tests that need cold caches.
 
 import math
 import os
-from operator import sub
+from operator import mul, sub
 import subprocess
 import sys
 from fractions import Fraction
@@ -424,6 +426,44 @@ def all_complement_root_span(record):
     rows = _mul(rows, model.overlattice.old_in_new.entries)
     h, _ = hnf(IntMatrix(rows, cols=model.overlattice.lattice.rank))
     return IntMatrix([r for r in h.entries if any(r)], cols=model.overlattice.lattice.rank)
+
+
+# -- Weyl orbits under every reflection -----------------------------------
+
+
+def reflection_orbit_reps(cs, cand_mask, refl_mask):
+    """One representative, the first index, per orbit of the roots in
+    ``cand_mask`` under the reflections s_a(x) = x - (x . a) a of every
+    root a in ``refl_mask``, on root tuples with the pairing of the Gram
+    matrix: no packed keys and no pairing table.  Each orbit must lie in
+    the candidate set, which is then stable under those reflections."""
+    roots = cs.roots
+    index = {v: i for i, v in enumerate(roots)}
+    gram = cs.lattice.gram.entries
+    refl = [
+        (a, tuple(sum(x * g for x, g in zip(a, col)) for col in zip(*gram)))
+        for i, a in enumerate(roots)
+        if refl_mask >> i & 1
+    ]
+    seen, reps = set(), []
+    for c in range(cs.nroots):
+        if not cand_mask >> c & 1 or c in seen:
+            continue
+        reps.append(c)
+        orbit, stack = {roots[c]}, [roots[c]]
+        while stack:
+            x = stack.pop()
+            for a, ga in refl:
+                p = sum(map(mul, x, ga))
+                y = tuple(xi - p * ai for xi, ai in zip(x, a))
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        members = {index[y] for y in orbit}
+        if any(not cand_mask >> i & 1 for i in members):
+            raise AssertionError("candidate set is not stable under the reflections")
+        seen |= members
+    return reps
 
 
 # -- the per-root rational-span route to complement root types ---------

@@ -3,10 +3,13 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from k3lat import goldens
 from k3lat.cusps import (
     NIEMEIER_GLUE,
+    ComponentSystem,
     CuspError,
     build_niemeier,
     classify_cusps,
@@ -19,11 +22,17 @@ from k3lat.cusps import (
     isotropic_plane,
     star_of,
 )
+from k3lat.exactla import IntMatrix, int_express, rank
 from k3lat.lattice import LatticeError, is_p_elementary, signature
 from k3lat.roots import RootSystemType
 from k3lat.suites import suite_tab3
 
-from support import all_complement_root_span, clear_table_caches, run_fresh
+from support import (
+    all_complement_root_span,
+    clear_table_caches,
+    reflection_orbit_reps,
+    run_fresh,
+)
 
 T = RootSystemType.parse
 
@@ -64,16 +73,19 @@ def test_family_21_t_rank_16():
 
 def test_component_weyl_transitivity():
     # the orbit of the first root under all reflections is everything;
-    # this underwrites fixing the first root of the embedding search
+    # this underwrites fixing the first root of the embedding search.
+    # The reflections in the roots orthogonal to it leave five orbits:
+    # r, -r, the two classes pairing +-1 with r, and r-perp
     for sym, n in [("E", 6), ("E", 8)]:
         cs = component_system(sym, n)
-        reps = cs.orbit_reps(cs.all_mask, cs.all_mask)
-        assert len(reps) == 1
+        assert len(cs.orbit_reps(cs.all_mask, cs.all_mask)) == 1
+        reps = cs.orbit_reps(cs.all_mask, cs.masks[0][2])
+        assert sorted(cs.pair[0][i] for i in reps) == [-2, -1, 0, 1, 2]
 
 
 def check_component_tables(cs):
-    """Pairings by ``Lattice.pair``, the masks they induce, the +- pair
-    representatives and s_i(r_j) = r_j - <r_j, r_i> r_i for each of them."""
+    """Pairings by ``Lattice.pair``, the masks they induce and the +- pair
+    representatives."""
     lat, roots = cs.lattice, cs.roots
     index = {v: i for i, v in enumerate(roots)}
     assert len(index) == cs.nroots == len(roots)
@@ -86,12 +98,6 @@ def check_component_tables(cs):
         masks = [sum(1 << j for j, c in enumerate(row) if c == v) for v in range(-2, 3)]
         assert cs.masks[i] == masks
     assert cs.pos_reps == [i for i, v in enumerate(roots) if index[tuple(-x for x in v)] > i]
-    assert sorted(cs.refl) == cs.pos_reps
-    for i in cs.pos_reps:
-        ri = roots[i]
-        assert cs.refl[i] == tuple(
-            index[tuple(a - c * b for a, b in zip(rj, ri))] for rj, c in zip(roots, pair[i])
-        )
 
 
 @pytest.mark.parametrize("n,nroots", [(6, 72), (8, 240)])
@@ -101,18 +107,99 @@ def test_component_tables_match_brute_force(n, nroots):
     check_component_tables(cs)
 
 
+def subsystem_masks(cs, chosen, allowed):
+    """The roots orthogonal to every chosen root, and the roots whose
+    pairing with each chosen root lies in its allowed set, by
+    ``Lattice.pair`` on root tuples."""
+    roots, lat = cs.roots, cs.lattice
+    pairings = [[lat.pair(r, roots[c]) for c in chosen] for r in roots]
+    refl = sum(1 << j for j, p in enumerate(pairings) if not any(p))
+    cand = sum(
+        1 << j for j, p in enumerate(pairings) if all(v in a for v, a in zip(p, allowed))
+    )
+    return refl, cand
+
+
+@st.composite
+def orbit_inputs(draw):
+    """A component, up to three chosen roots and, for each, a set of
+    allowed pairings that cuts out the candidates."""
+    cs = component_system("E", draw(st.sampled_from([6, 8])))
+    chosen = draw(st.lists(st.integers(0, cs.nroots - 1), max_size=3))
+    allowed = [draw(st.sets(st.integers(-2, 2), min_size=1)) for _ in chosen]
+    return cs, chosen, allowed
+
+
+def check_simple_roots(cs, refl):
+    """The simple roots of the subsystem in ``refl``: as many as its rank,
+    pairing <= 0 with each other, and writing each of its roots with
+    coefficients of one sign."""
+    simple = cs.simple_roots(refl)
+    phi = [cs.roots[i] for i in range(cs.nroots) if refl >> i & 1]
+    n = cs.lattice.rank
+    assert all(refl >> s & 1 for s in simple)
+    assert len(simple) == (rank(IntMatrix(phi, cols=n)) if phi else 0)
+    assert all(cs.pair[s][t] <= 0 for s in simple for t in simple if s != t)
+    if phi:
+        basis = IntMatrix([cs.roots[s] for s in simple], cols=n)
+        coeffs = int_express(IntMatrix(phi, cols=n), basis)
+        assert all(min(row) >= 0 or max(row) <= 0 for row in coeffs.entries)
+
+
+def check_orbit_reps(cs, cases):
+    """``orbit_reps`` against the all-reflection orbits, and the simple
+    roots it generates by, on (chosen roots, allowed pairings) cases."""
+    for chosen, allowed in cases:
+        refl, cand = subsystem_masks(cs, chosen, allowed)
+        check_simple_roots(cs, refl)
+        assert cs.orbit_reps(cand, refl) == reflection_orbit_reps(cs, cand, refl)
+
+
+@given(orbit_inputs())
+def test_orbit_reps_match_all_reflection_orbits(inputs):
+    cs, chosen, allowed = inputs
+    refl, cand = subsystem_masks(cs, chosen, allowed)
+    assert cs.orbit_reps(cand, refl) == reflection_orbit_reps(cs, cand, refl)
+
+
+@given(orbit_inputs())
+def test_simple_roots_of_the_fixing_subsystem(inputs):
+    cs, chosen, allowed = inputs
+    check_simple_roots(cs, subsystem_masks(cs, chosen, allowed)[0])
+
+
+class DroppedGenerator(ComponentSystem):
+    def simple_roots(self, refl_mask):
+        return super().simple_roots(refl_mask)[1:]
+
+
+class FlippedSimpleTest(ComponentSystem):
+    # a root is kept when it pairs -1, not +1, with no earlier kept root;
+    # the kept roots still generate W', so only check_simple_roots fails
+    def simple_roots(self, refl_mask):
+        simple, found = [], 0
+        for i in reversed(self.pos_reps):
+            if refl_mask >> i & 1 and not self.masks[i][1] & found:
+                simple.append(i)
+                found |= 1 << i
+        return simple
+
+
 def test_component_table_check_rejects_mutants():
     cs = component_system("E", 6)
-    fields = ("lattice", "roots", "nroots", "pair", "masks", "pos_reps", "refl")
-    first, second = cs.pos_reps[:2]
-    dropped = {i: perm for i, perm in cs.refl.items() if i != first}
-    swapped = {**cs.refl, first: cs.refl[second]}
+    fields = ("lattice", "roots", "nroots", "pair", "masks", "pos_reps")
     pair = [list(row) for row in cs.pair]
     pair[0][1] += 1
-    for change in ({"refl": dropped}, {"refl": swapped}, {"pair": pair}):
-        mutant = SimpleNamespace(**{**{f: getattr(cs, f) for f in fields}, **change})
+    mutant = SimpleNamespace(**{**{f: getattr(cs, f) for f in fields}, "pair": pair})
+    with pytest.raises(AssertionError):
+        check_component_tables(mutant)
+    cases = [((), ())] + [((0,), ({v},)) for v in range(-2, 3)]
+    check_orbit_reps(cs, cases)
+    for kind in (DroppedGenerator, FlippedSimpleTest):
+        mutant = object.__new__(kind)
+        mutant.__dict__.update(cs.__dict__)
         with pytest.raises(AssertionError):
-            check_component_tables(mutant)
+            check_orbit_reps(mutant, cases)
 
 
 def planes_of_f3_4():
