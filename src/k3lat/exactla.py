@@ -1,8 +1,9 @@
 """Exact integer linear algebra kernel.
 
 Everything here runs on arbitrary-precision Python integers, with no
-floating point and no machine-word fast path; a rational matrix travels
-as integer rows over one denominator.  ``rat_express`` and ``rat_mul``,
+floating point; fixed-width digits appear only inside the product, behind
+a bound that proves they cannot overflow.  A rational matrix travels as
+integer rows over one denominator.  ``rat_express`` and ``rat_mul``,
 on ``Fraction`` rows, are kept only because the benchmark tracer wraps
 them by name; no library path calls them.  Conventions used by the
 whole package:
@@ -29,11 +30,27 @@ matrix and the Fincke--Pohst minors of ``roots``.  This is slow
 compared to modular methods but provably correct, and the matrices
 appearing in this package have rank at most 28.
 
-The inputs are mostly zeros (Gram matrices of root lattices,
-block-diagonal actions, root vectors), and the kernels skip the work
-whose result is known.  The product ``A * B`` sums one row of ``B`` per
-nonzero entry of a row of ``A``, adding or subtracting it without a
-multiplication when the entry is +-1.  A Bareiss step or a Hermite row
+The product ``A * B`` packs each row of ``B`` into one integer of
+signed w-bit digits, ``P_k = sum_j b_kj 2^(wj)`` (Kronecker substitution;
+Harvey, J. Symb. Comput. 44 (2009)), so that row i of the product is the
+one big-integer sum ``sum_k a_ik P_k``: a C-level multiply-add per
+nonzero ``a_ik``, an addition or subtraction when it is +-1.  The width
+w is the least of 8, 16, 32 and 64 bits with ``beta < 2^(w-1)``, where
+``beta = max|B| * max_i sum_k |a_ik|`` (or ``max|B|`` when ``A`` is zero)
+bounds every entry of ``B`` and of ``A * B``.  A bias of ``2^(w-1)`` per
+digit then keeps every digit of the sum in [0, 2^w), so no digit carries
+into the next, and the digits read back are exactly the entries;
+``struct`` packs and unpacks the rows in C.
+Three kinds of input keep the row sums instead, which add one row of
+``B`` per nonzero entry of a row of ``A``: a ``beta`` of 2^63 or more,
+which no digit holds; an ``A`` with at most 2 rows(B) nonzeros, where
+packing ``B`` costs more than it saves; and a ``B`` with fewer than
+``_PACK_MIN_ENTRIES`` entries, where choosing a width and packing cost
+more than the short row sums (the products of the small lattices).
+
+The other inputs are mostly zeros too (Gram matrices of root lattices,
+block-diagonal actions, root vectors), and the eliminations skip the
+work whose result is known.  A Bareiss step or a Hermite row
 operation updates only the columns from the pivot on, since those
 before it are zero in the pivot row; a Bareiss row whose multiplier is
 0 stays as it is when the pivot equals the previous one (it is only
@@ -45,6 +62,7 @@ computation.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, index, mul, sub
@@ -111,26 +129,13 @@ class IntMatrix:
         return f"IntMatrix({[list(r) for r in self.entries]!r})"
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        # Row i of A*B sums the rows of B weighted by row i of A: a zero
-        # weight is skipped and a weight of +-1 adds or subtracts without
-        # a multiplication, so the sums are the exact dense ones.
         if self.cols != other.rows:
             raise ExactLAError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        zero = (0,) * other.cols
-        rows = []
-        for row in self.entries:
-            acc = zero
-            for x, brow in zip(row, other.entries):
-                if not x:
-                    continue
-                if x == 1:
-                    acc = list(map(add, acc, brow))
-                elif x == -1:
-                    acc = list(map(sub, acc, brow))
-                else:
-                    acc = [s + x * y for s, y in zip(acc, brow)]
-            rows.append(tuple(acc))
-        return IntMatrix._of(tuple(rows), other.cols)
+        a, b, n = self.entries, other.entries, other.cols
+        w = None
+        if other.rows * n >= _PACK_MIN_ENTRIES and sum(len(r) - r.count(0) for r in a) > 2 * other.rows:
+            w = _digit_width(a, b)
+        return IntMatrix._of(_row_sums(a, b, n) if w is None else _packed_rows(a, b, n, w), n)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -169,6 +174,82 @@ class IntMatrix:
             tuple(tuple(self.entries[i][j] for j in cols) for i in row_idx),
             len(list(cols)),
         )
+
+
+# -- the product kernels ----------------------------------------------
+
+# B with fewer entries than this takes the row-sum path: on products of
+# small lattices (4 x 4 to 7 x 7) packing and choosing a width cost more
+# than the row sums, while 8 x 8 already breaks even and a 240 x 8 root
+# table times an 8 x 8 Gram matrix runs three times faster packed
+_PACK_MIN_ENTRIES = 64
+# signed digit widths in bits, with their struct codes
+_DIGITS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _digit_width(a: Sequence[Row], b: Sequence[Row]) -> int | None:
+    """The least digit width w with every entry of ``b`` and of ``a * b``
+    inside a signed w-bit digit, or None when 64 bits do not suffice.
+
+    Both are bounded by ``beta = max(max|b|, max|b| * max_i sum_k |a_ik|)``;
+    the first term matters only when ``a`` is zero."""
+    top = max((max(max(row), -min(row)) for row in b if row), default=0)
+    beta = max(top, top * max((sum(map(abs, row)) for row in a), default=0))
+    return next((w for w in _DIGITS if beta < 1 << (w - 1)), None)
+
+
+def _row_sums(a: Sequence[Row], b: Sequence[Row], n: int) -> Tuple[Row, ...]:
+    """Row i of ``a * b`` as the sum of the rows of ``b`` weighted by row i
+    of ``a``: a zero weight is skipped and a weight of +-1 adds or
+    subtracts without a multiplication."""
+    zero = (0,) * n
+    rows = []
+    for row in a:
+        acc = zero
+        for x, brow in zip(row, b):
+            if not x:
+                continue
+            if x == 1:
+                acc = list(map(add, acc, brow))
+            elif x == -1:
+                acc = list(map(sub, acc, brow))
+            else:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        rows.append(tuple(acc))
+    return tuple(rows)
+
+
+def _packed_rows(a: Sequence[Row], b: Sequence[Row], n: int, w: int) -> Tuple[Row, ...]:
+    """``a * b`` with each row of ``b`` packed into one integer of n
+    signed w-bit digits, ``P_k = sum_j b_kj 2^(wj)``; ``w`` must be at
+    least ``_digit_width(a, b)``.
+
+    Row i of the product is ``sum_k a_ik P_k``, one big-integer
+    multiply-add per nonzero ``a_ik``.  With the bias ``2^(w-1)`` added
+    to every digit, each digit ``c_ij + 2^(w-1)`` of the sum lies in
+    [0, 2^w) because ``|c_ij| < 2^(w-1)``, so no digit carries into the
+    next; flipping the top bit of each digit (``^ bias``) turns it into
+    the two's-complement code of ``c_ij``, which ``struct`` unpacks."""
+    digits = struct.Struct(f"<{n}{_DIGITS[w]}")
+    bias = int.from_bytes((b"\x00" * (w // 8 - 1) + b"\x80") * n, "little")
+    size = n * w // 8
+    # packing writes two's-complement digits; ``^ bias`` makes them
+    # biased, and subtracting the bias leaves the signed digits b_kj
+    packed = [(int.from_bytes(digits.pack(*row), "little") ^ bias) - bias for row in b]
+    rows = []
+    for row in a:
+        acc = bias
+        for x, p in zip(row, packed):
+            if not x:
+                continue
+            if x == 1:
+                acc += p
+            elif x == -1:
+                acc -= p
+            else:
+                acc += x * p
+        rows.append(digits.unpack((acc ^ bias).to_bytes(size, "little")))
+    return tuple(rows)
 
 
 def det(a: IntMatrix) -> int:

@@ -268,10 +268,15 @@ def _starred_model(
     # checks below raise if either fails
     duals = [scaled_dual(*f) for f in factors]
     d = math.lcm(*(df for _, df in duals))
+    # each factor's least class norm q as the integer q*d (its denominator
+    # divides that factor's det, hence d): the coset minimum exceeds 2
+    # exactly when the scaled sum exceeds 2d, and the glue norm is an even
+    # integer exactly when the scaled norm is divisible by 2d
+    mins = [q.numerator * (d // q.denominator) for q in (dual_class_min(*f) for f in factors)]
     for word in product((0, 1, 2), repeat=len(factors)):
-        coset_min = sum(dual_class_min(*f) for c, f in zip(word, factors) if c)
-        norm = sum(c * c * dual_class_min(*f) for c, f in zip(word, factors) if c)
-        if any(word) and coset_min > 2 and norm % 2 == 0:
+        coset_min = sum(q for c, q in zip(word, mins) if c)
+        norm = sum(c * c * q for c, q in zip(word, mins))
+        if any(word) and coset_min > 2 * d and norm % (2 * d) == 0:
             break
     else:
         raise KulikovError("no valid index-3 glue for the starred quotient model")

@@ -97,12 +97,13 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
         changed = False
         for i in range(n):
             for j in range(n):
-                if i == j or g[j][j] == 0:
+                # the quotient rounds to 0 exactly when 2|g_ij| <= |g_jj| (a
+                # tie rounds to the even 0), so those shears are skipped
+                # without a division and every other one is nonzero
+                if i == j or g[j][j] == 0 or 2 * abs(g[i][j]) <= abs(g[j][j]):
                     continue
-                r = _round_div(g[i][j], g[j][j])
-                if r:
-                    shear(i, j, r)
-                    changed = True
+                shear(i, j, _round_div(g[i][j], g[j][j]))
+                changed = True
         for i in range(n - 1):
             if g[i + 1][i + 1] < g[i][i]:
                 swap(i, i + 1)

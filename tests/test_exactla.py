@@ -671,6 +671,115 @@ def test_product_check_rejects_wrong_oracle():
         check_product_and_transpose(a, b, ((2, 1),))
 
 
+# -- the two product kernels ------------------------------------------------
+
+WIDTHS = (8, 16, 32, 64)
+
+
+def least_width(bound):
+    """The least digit width holding every integer of absolute value at
+    most ``bound`` as a signed digit; None past 64 bits."""
+    return next((w for w in WIDTHS if bound < 2 ** (w - 1)), None)
+
+
+def check_kernels(a, b):
+    """Both kernels, and the product, equal the triple loop; the packed
+    kernel runs at the width ``_digit_width`` picks and at every wider one."""
+    expected = triple_loop_product(a, b)
+    assert exactla._row_sums(a.entries, b.entries, b.cols) == expected
+    w = exactla._digit_width(a.entries, b.entries)
+    if w is not None:
+        for wider in WIDTHS[WIDTHS.index(w) :]:
+            assert exactla._packed_rows(a.entries, b.entries, b.cols, wider) == expected
+    check_product_and_transpose(a, b, expected)
+    return w
+
+
+@st.composite
+def width_edge_products(draw, bound):
+    """``(a, b)`` with ``max|b| * max_i sum_k |a_ik| = bound``, reached by
+    ``max|b|`` and, with a positive sign, by entry (0, 0) of ``a * b``."""
+    s = draw(st.sampled_from([s for s in range(1, 9) if bound % s == 0]))
+    top = bound // s
+    m, k, n = draw(st.integers(1, 4)), draw(st.integers(1, 9)), draw(st.integers(1, 9))
+
+    def row_of_weight(total):
+        # k integers with sum of absolute values exactly ``total``
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1)))
+        parts = [y - x for x, y in zip([0] + cuts, cuts + [total])]
+        return [p * draw(st.sampled_from((1, -1))) for p in parts]
+
+    a = [row_of_weight(s)] + [row_of_weight(draw(st.integers(0, s))) for _ in range(m - 1)]
+    entry = st.integers(-top, top)
+    b = [[draw(entry) for _ in range(n)] for _ in range(k)]
+    for r in range(k):  # column 0 of b matches the signs of row 0 of a
+        b[r][0] = top if a[0][r] >= 0 else -top
+    return IntMatrix(a), IntMatrix(b)
+
+
+@pytest.mark.parametrize("bound", [2 ** (w - 1) - d for w in WIDTHS for d in (1, 0)])
+@given(data=st.data())
+def test_product_kernels_at_the_digit_width_edges(bound, data):
+    """A bound of ``2^(w-1) - 1`` fits w-bit digits and one of ``2^(w-1)``
+    needs the next width; past ``2^63 - 1`` only the row sums remain."""
+    a, b = data.draw(width_edge_products(bound))
+    assert max(map(max, triple_loop_product(a, b))) == bound
+    assert check_kernels(a, b) == least_width(bound)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # rows with a single +-1 weight add or subtract a packed row
+        (IntMatrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]), IntMatrix([[3, -4], [-128, 127], [5, 6]])),
+        (IntMatrix([[-1], [1]]), IntMatrix([[-(2**63) + 1, 2**63 - 1, 0]])),
+        (IntMatrix([[], []]), IntMatrix([], cols=3)),  # rows(b) = 0
+        (IntMatrix([[1, 2], [3, 4]]), IntMatrix([[], []])),  # n = 0
+        (IntMatrix([], cols=2), IntMatrix([[1, 2], [3, 4]])),
+    ],
+)
+def test_product_kernels_on_unit_rows_and_empty_shapes(a, b):
+    check_kernels(a, b)
+
+
+@st.composite
+def dense_products(draw):
+    k = draw(st.integers(4, 12))
+    m, n = draw(st.integers(1, 12)), draw(st.integers(4, 12))
+    big = draw(st.sampled_from((1, 3, 2**7, 2**20, 2**40, 2**62)))
+    entry = st.integers(-big, big)
+    a = IntMatrix(draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m)))
+    b = IntMatrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k)))
+    return a, b
+
+
+DENSE_8 = [[(3 * i + 5 * j) % 7 - 3 for j in range(8)] for i in range(8)]
+
+
+@given(dense_products())
+# a zero a: the width must still hold max|b|, and no 64-bit digit does
+@example((IntMatrix([[0, 0], [0, 0]]), IntMatrix([[10**20, -(10**20)], [-(10**20), 10**20]])))
+@example((IntMatrix(DENSE_8), IntMatrix(DENSE_8)))  # packed: 64 entries of b, 8-bit digits
+@example((IntMatrix([row[:7] for row in DENSE_8]), IntMatrix(DENSE_8[:7])))  # b too small to pack
+@example((IntMatrix(DENSE_8), IntMatrix([[2**61] * 8] * 8)))  # the bound passes 2^63
+@example((IntMatrix([[1, 1] + [0] * 6] * 8), IntMatrix(DENSE_8)))  # a too sparse: 16 nonzeros
+def test_packed_and_row_sum_paths_agree_on_dense_products(pair):
+    """Dense products take the packed path exactly when b has at least
+    ``_PACK_MIN_ENTRIES`` entries, a has more than 2 rows(b) nonzeros and
+    the bound has a 64-bit digit; both kernels give the triple loop's
+    product on every input, whichever path ``*`` takes."""
+    a, b = pair
+    packs = (
+        b.rows * b.cols >= exactla._PACK_MIN_ENTRIES
+        and sum(x != 0 for row in a.entries for x in row) > 2 * b.rows
+        and exactla._digit_width(a.entries, b.entries) is not None
+    )
+    with mock.patch.object(exactla, "_packed_rows", wraps=exactla._packed_rows) as packed:
+        a * b
+    assert packed.called == packs
+    check_kernels(a, b)
+
+
 @given(changed_basis(ROOT_ATOMS, 10, 6), st.lists(st.integers(-3, 3), min_size=10, max_size=10))
 def test_gram_elimination_splits_a_definite_form_into_squares(data, xs):
     """On a positive definite Gram matrix the pivots are the leading minors
