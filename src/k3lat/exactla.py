@@ -41,12 +41,12 @@ bounds every entry of ``B`` and of ``A * B``.  A bias of ``2^(w-1)`` per
 digit then keeps every digit of the sum in [0, 2^w), so no digit carries
 into the next, and the digits read back are exactly the entries;
 ``struct`` packs and unpacks the rows in C.
-Three kinds of input keep the row sums instead, which add one row of
+Two kinds of input keep the row sums instead, which add one row of
 ``B`` per nonzero entry of a row of ``A``: a ``beta`` of 2^63 or more,
-which no digit holds; an ``A`` with at most 2 rows(B) nonzeros, where
-packing ``B`` costs more than it saves; and a ``B`` with fewer than
-``_PACK_MIN_ENTRIES`` entries, where choosing a width and packing cost
-more than the short row sums (the products of the small lattices).
+which no digit holds, and an ``A`` with at most 2 rows(B) nonzeros,
+where packing every row of ``B`` costs more than the few row additions
+it replaces (signed permutations, and basis and quotient maps with one
+or two nonzeros per row).
 
 The other inputs are mostly zeros too (Gram matrices of root lattices,
 block-diagonal actions, root vectors), and the eliminations skip the
@@ -133,7 +133,7 @@ class IntMatrix:
             raise ExactLAError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         a, b, n = self.entries, other.entries, other.cols
         w = None
-        if other.rows * n >= _PACK_MIN_ENTRIES and sum(len(r) - r.count(0) for r in a) > 2 * other.rows:
+        if sum(len(r) - r.count(0) for r in a) > 2 * other.rows:
             w = _digit_width(a, b)
         return IntMatrix._of(_row_sums(a, b, n) if w is None else _packed_rows(a, b, n, w), n)
 
@@ -178,11 +178,6 @@ class IntMatrix:
 
 # -- the product kernels ----------------------------------------------
 
-# B with fewer entries than this takes the row-sum path: on products of
-# small lattices (4 x 4 to 7 x 7) packing and choosing a width cost more
-# than the row sums, while 8 x 8 already breaks even and a 240 x 8 root
-# table times an 8 x 8 Gram matrix runs three times faster packed
-_PACK_MIN_ENTRIES = 64
 # signed digit widths in bits, with their struct codes
 _DIGITS = {8: "b", 16: "h", 32: "i", 64: "q"}
 

@@ -759,19 +759,16 @@ DENSE_8 = [[(3 * i + 5 * j) % 7 - 3 for j in range(8)] for i in range(8)]
 @given(dense_products())
 # a zero a: the width must still hold max|b|, and no 64-bit digit does
 @example((IntMatrix([[0, 0], [0, 0]]), IntMatrix([[10**20, -(10**20)], [-(10**20), 10**20]])))
-@example((IntMatrix(DENSE_8), IntMatrix(DENSE_8)))  # packed: 64 entries of b, 8-bit digits
-@example((IntMatrix([row[:7] for row in DENSE_8]), IntMatrix(DENSE_8[:7])))  # b too small to pack
+@example((IntMatrix(DENSE_8), IntMatrix(DENSE_8)))  # packed, 8-bit digits
 @example((IntMatrix(DENSE_8), IntMatrix([[2**61] * 8] * 8)))  # the bound passes 2^63
 @example((IntMatrix([[1, 1] + [0] * 6] * 8), IntMatrix(DENSE_8)))  # a too sparse: 16 nonzeros
 def test_packed_and_row_sum_paths_agree_on_dense_products(pair):
-    """Dense products take the packed path exactly when b has at least
-    ``_PACK_MIN_ENTRIES`` entries, a has more than 2 rows(b) nonzeros and
-    the bound has a 64-bit digit; both kernels give the triple loop's
-    product on every input, whichever path ``*`` takes."""
+    """Products take the packed path exactly when a has more than
+    2 rows(b) nonzeros and the bound has a 64-bit digit; both kernels give
+    the triple loop's product on every input, whichever path ``*`` takes."""
     a, b = pair
     packs = (
-        b.rows * b.cols >= exactla._PACK_MIN_ENTRIES
-        and sum(x != 0 for row in a.entries for x in row) > 2 * b.rows
+        sum(x != 0 for row in a.entries for x in row) > 2 * b.rows
         and exactla._digit_width(a.entries, b.entries) is not None
     )
     with mock.patch.object(exactla, "_packed_rows", wraps=exactla._packed_rows) as packed:
