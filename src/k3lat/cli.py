@@ -28,6 +28,7 @@ from typing import List
 import click
 
 from . import __version__
+from .exactla import ExactLAError
 from .lattice import (
     DegenerateFormError,
     Lattice,
@@ -177,7 +178,7 @@ class _Parser:
         self.take("]")
         try:
             return Lattice(rows)
-        except LatticeError as exc:
+        except (LatticeError, ExactLAError) as exc:  # IntMatrix: ragged rows
             raise self.error(str(exc))
 
 

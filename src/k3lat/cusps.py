@@ -25,6 +25,9 @@ candidates form a W'-stable set, and the complements reached from one
 orbit are isometric.  Simple reflections generate W', so the search
 applies only those, found by one scan of the positive roots, and finds
 each reflected root by its packed integer key (``roots.packed_keys``).
+The factors of P are distributed over the components by one product
+over placements, reduced to classes under the component permutations
+that extend to isometries of the model (``perm_group``).
 
 Each verified object is built once per process (``functools.cache``):
 ``family_data`` and ``classify_cusps`` per family, ``component_system``
@@ -238,10 +241,8 @@ def component_system(sym: str, n: int) -> ComponentSystem:
     return ComponentSystem(sym, n)
 
 
+# choice orders other than the Bourbaki numbering, the default
 _FACTOR_ORDERS = {
-    ("A", 1): [1],
-    ("A", 2): [1, 2],
-    ("A", 3): [1, 2, 3],
     ("E", 6): [1, 3, 4, 2, 5, 6],
     ("E", 8): [1, 3, 4, 2, 5, 6, 7, 8],
 }
@@ -250,9 +251,7 @@ _FACTOR_ORDERS = {
 def _factor_requirements(sym: str, n: int) -> List[List[int]]:
     """Pairing requirements of each simple root against the earlier ones,
     in a connectivity-friendly choice order."""
-    order = _FACTOR_ORDERS.get((sym, n))
-    if order is None:
-        order = list(range(1, n + 1))
+    order = _FACTOR_ORDERS.get((sym, n), range(1, n + 1))
     c = cartan_gram(sym, n).entries
     reqs = []
     for k, idx in enumerate(order):
@@ -459,30 +458,10 @@ class EmbeddingRecord:
         return out
 
 
-def _assignments(factors: Sequence[Symbol], ncomp: int) -> List[Tuple[Tuple[Symbol, ...], ...]]:
-    """All ordered distributions of the factor multiset over components."""
-    out: set = set()
-
-    def place(rem: Tuple[Symbol, ...], acc: Tuple[Tuple[Symbol, ...], ...]):
-        if not rem:
-            out.add(acc)
-            return
-        f, rest = rem[0], rem[1:]
-        for c in range(ncomp):
-            new = tuple(
-                tuple(sorted(acc[i] + ((f,) if i == c else ()), key=_factor_key))
-                for i in range(ncomp)
-            )
-            place(rest, new)
-
-    place(tuple(sorted(factors, key=_factor_key)), tuple(() for _ in range(ncomp)))
-    return sorted(out)
-
-
 def _canonical_assignment(
     assignment: Tuple[Tuple[Symbol, ...], ...], group: Sequence[Tuple[int, ...]]
 ) -> Tuple[Tuple[Symbol, ...], ...]:
-    return min(tuple(assignment[p[i]] for i in range(len(p))) for p in group)
+    return min(tuple(map(assignment.__getitem__, p)) for p in group)
 
 
 @cache
@@ -491,12 +470,19 @@ def enumerate_embeddings(p_factors: Tuple[Symbol, ...], kind: str) -> Tuple[Embe
     ``build_niemeier(kind)``, one record per inequivalent assignment and
     complement configuration."""
     model = build_niemeier(kind)
-    classes: Dict[Tuple, Tuple[Tuple[Symbol, ...], ...]] = {}
-    for assignment in _assignments(p_factors, model.ncomp):
-        canon = _canonical_assignment(assignment, model.perm_group)
-        classes.setdefault(canon, canon)
+    fs = sorted(p_factors, key=_factor_key)
+    # placement cs sends factor i to component cs[i]; filtering the sorted
+    # factors keeps each multiset sorted, and the inner set merges swaps of
+    # equal factors before the canonical form (a min over perm_group)
+    classes = {
+        _canonical_assignment(assignment, model.perm_group)
+        for assignment in {
+            tuple(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(model.ncomp))
+            for cs in product(range(model.ncomp), repeat=len(fs))
+        }
+    }
     records: List[EmbeddingRecord] = []
-    for assignment in sorted(classes.values()):
+    for assignment in sorted(classes):
         per_comp = [embed_multiset(model.comp, fs) for fs in assignment]
         if any(not oc for oc in per_comp):
             continue

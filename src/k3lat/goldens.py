@@ -60,13 +60,15 @@ CUSP_TABLE: Dict[Tuple[int, int], List[str]] = {
     (2, 1): ["E8+A2^2", "E6^2", "E6+A2^3", "A2^6*"],
 }
 
-# the five orthogonal-complement identities inside E8 and E6
+# the five orthogonal-complement identities inside E8 and E6: sublattice,
+# ambient, complement, and the simple roots (Bourbaki nodes) spanning the
+# sublattice
 COMPLEMENT_FACTS = (
-    ("A2", "E8", "E6"),
-    ("E6", "E8", "A2"),
-    ("A2", "E6", "A2^2"),
-    ("A2^2", "E6", "A2"),
-    ("A2^2", "E8", "A2^2"),
+    ("A2", "E8", "E6", (1, 3)),
+    ("E6", "E8", "A2", (1, 2, 3, 4, 5, 6)),
+    ("A2", "E6", "A2^2", (1, 3)),
+    ("A2^2", "E6", "A2", (1, 3, 5, 6)),
+    ("A2^2", "E8", "A2^2", (1, 3, 5, 6)),
 )
 
 Row = Tuple[str, str, int]

@@ -32,7 +32,9 @@ it returns, and the size reduction rounds quotients with ``divmod``.
 ``root_system`` analyses each Gram matrix once per process (a
 ``functools.cache`` keyed on the Gram matrix); a lattice with a Gram
 matrix already seen gets the cached type and span basis, wrapped as a
-sublattice of that lattice.
+sublattice of that lattice.  ``complement_root_type`` is two such
+reads: the saturation of a sublattice holds the ambient roots in its
+rational span, and its orthogonal complement the roots orthogonal to it.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from itertools import chain, count
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, det, gram_elimination, hermite_basis
+from .exactla import IntMatrix, det, gram_elimination, hermite_basis, saturate
 from .lattice import Lattice, LatticeError, Sublattice, definite_sign, scaled_dual
 
 Vector = Tuple[int, ...]
@@ -400,19 +402,17 @@ def root_span_index(l: Lattice) -> int:
 def complement_root_type(s: Sublattice) -> RootSystemType:
     """Root type of the orthogonal complement of a root-spanned sublattice.
 
-    The form is definite, so (S-perp)-perp = S (x) Q: a root lies in the
-    rational span of ``s`` exactly when it is orthogonal to ``s``-perp.
-    One product pairs every root with the rows of ``s`` and of ``s``-perp.
+    Two ``root_system`` reads type both sides.  The ambient roots in the
+    rational span of ``s`` are the roots of its saturation, so ``s`` is
+    root-spanned exactly when the root span of the saturation, mapped
+    back to ambient coordinates, has the Hermite form of ``s``.  The
+    ambient roots orthogonal to ``s`` are the roots of ``s``-perp.
     """
     r = s.ambient
-    all_roots = enumerate_norm(r, 2)
-    k = s.rank
-    rows = s.basis.stack(s.orth_complement().basis)
-    pairings = (IntMatrix(all_roots, cols=r.rank) * (rows * r.gram).transpose()).entries
-    # the sublattice must be spanned by roots of the ambient lattice
-    in_span = [v for v, p in zip(all_roots, pairings) if not any(p[k:])]
-    _, simple = root_decomposition(in_span, r.gram)
-    if hermite_basis(simple, r.rank) != hermite_basis(s.basis.entries, r.rank):
+    sat = Sublattice(r, saturate(s.basis))
+    _, span = root_system(sat.lattice())
+    if hermite_basis((span.basis * sat.basis).entries, r.rank) != hermite_basis(
+        s.basis.entries, r.rank
+    ):
         raise LatticeError("sublattice is not spanned by roots of the ambient lattice")
-    comp_roots = [v for v, p in zip(all_roots, pairings) if not any(p[:k])]
-    return root_decomposition(comp_roots, r.gram)[0]
+    return root_system(s.orth_complement().lattice())[0]

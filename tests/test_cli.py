@@ -1,6 +1,9 @@
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 from k3lat.cli import MAX_ADE_INDEX, main
 from k3lat.suites import SUITES
@@ -55,6 +58,26 @@ def test_info_rejects_ade_index_above_cap():
         res = run("info", expr)
         assert res.exit_code == 1
         assert "rank" not in res.output
+
+
+@pytest.mark.parametrize("command", ["info", "roots", "disc"])
+def test_ragged_gram_literal_is_a_parse_error(command):
+    res = run(command, "gram[[1,2],[2]]")
+    assert res.exit_code == 1
+    assert res.output == "Error: ragged rows (at byte 15)\n"
+
+
+@given(
+    st.sampled_from(["info", "roots", "disc"]),
+    st.lists(st.lists(st.integers(-3, 3), max_size=4), min_size=1, max_size=4),
+)
+def test_gram_literals_exit_0_or_1(command, rows):
+    """Any small gram literal, ragged, asymmetric, degenerate or indefinite,
+    ends in output or a typed error, never in a traceback."""
+    literal = "gram[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in rows) + "]"
+    res = run(command, literal)
+    assert res.exit_code in (0, 1)
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def test_verify_order4_passes():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from k3lat import goldens
 from k3lat.exactla import IntMatrix, hnf, rank as int_rank
 from k3lat.lattice import (
     Lattice,
@@ -189,6 +190,44 @@ def test_complement_rejects_non_root_sublattice():
         complement_root_type(s)
 
 
+def test_complement_rejects_roots_of_index_2_in_their_saturation():
+    # four orthogonal roots of D4 (e1-e2, e3-e4, e3+e4, e1+e2) span A1^4,
+    # itself root-spanned, but the roots of its rational span are all of D4
+    s = Sublattice(root_lattice("D", 4), [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 2, 1, 1]])
+    assert s.gram() == IntMatrix.identity(4).scale(2)
+    for route in (complement_root_type, rational_span_complement_root_type):
+        with pytest.raises(LatticeError, match="not spanned by roots"):
+            route(s)
+
+
+def test_tab4_complement_items_need_no_enumeration(monkeypatch):
+    # both sides are typed by root_system, which searches without enumerate_norm
+    from k3lat import roots
+    from k3lat.suites import suite_tab4
+
+    def refuse(l, m):
+        raise AssertionError("enumerate_norm called")
+
+    monkeypatch.setattr(roots, "enumerate_norm", refuse)
+    items = [i for i in suite_tab4().items if i.id.startswith("complement-")]
+    assert [(i.id, i.status) for i in items] == [
+        (f"complement-{sub}-in-{amb}", "pass") for sub, amb, _, _ in goldens.COMPLEMENT_FACTS
+    ]
+
+
+def test_tab4_reports_a_wrong_complement_span_as_fail(monkeypatch):
+    # alpha1 and alpha2 are not adjacent in E8: they span A1^2, whose complement is D6
+    from k3lat.suites import suite_tab4
+
+    (sub, amb, expected, _), *rest = goldens.COMPLEMENT_FACTS
+    monkeypatch.setattr(goldens, "COMPLEMENT_FACTS", ((sub, amb, expected, (1, 2)), *rest))
+    report = suite_tab4()
+    failed = [i.id for i in report.items if i.status != "pass"]
+    assert failed == ["complement-A2-in-E8"]
+    assert "FAIL complement-A2-in-E8" in report.as_text()
+    assert "[computed D6 expected E6]" in report.as_text()
+
+
 def _complement_outcome(route, s):
     try:
         return str(route(s))
@@ -197,7 +236,11 @@ def _complement_outcome(route, s):
 
 
 @given(
-    st.sampled_from([("E", 6), ("E", 7), ("E", 8)] + [("D", n) for n in range(4, 9)]),
+    st.sampled_from(
+        [("E", 6), ("E", 7), ("E", 8)]
+        + [("D", n) for n in range(4, 9)]
+        + [("A", n) for n in range(2, 9)]
+    ),
     st.sets(st.integers(0, 7)),
     st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9), st.sampled_from([-1, 1])), max_size=4),
     st.booleans(),
@@ -207,8 +250,8 @@ def _complement_outcome(route, s):
 @example(("D", 4), {0}, [], True)  # 2 alpha_1 spans no root
 def test_complement_root_type_matches_the_rational_span_oracle(atom, chosen, ops, doubled):
     """Sublattices spanned by simple roots, in a changed basis, or with one
-    basis row doubled (no longer root-spanned): the one-product route and
-    the per-root solves give the same type or the same rejection."""
+    basis row doubled (no longer root-spanned): the two ``root_system``
+    reads and the per-root solves give the same type or the same rejection."""
     sym, n = atom
     idx = sorted(i for i in chosen if i < n)
     rows = IntMatrix.identity(n).submatrix(idx)
