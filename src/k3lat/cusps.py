@@ -364,7 +364,7 @@ NIEMEIER_GLUE: Dict[str, Tuple[Symbol, int, Tuple[Vector, ...]]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class NiemeierModel:
     comp: Symbol
     ncomp: int

@@ -16,6 +16,8 @@ exceptional classes:
 Gluing two components along D produces the rank-18 even unimodular
 lattice of numerically Cartier divisor classes: pairs agreeing in
 degree on the double curve, modulo the radical spanned by (D, -D).
+That quotient depends only on the two component Picard lattices and
+classes D, so it is built once per such pair and shared by the gluings.
 Its primitive part reproduces the quotient lattice of a boundary
 component, and the semifan attached to each quotient is the saturation
 of the span of the A2 factors coming from the cycled classes.
@@ -209,17 +211,25 @@ class KulikovLattice:
     quotient: IsotropicQuotient  # of the radical (D0, -D1)
 
 
+@cache
+def _matching_quotient(l0: Lattice, d0: Tuple[int, ...], l1: Lattice, d1: Tuple[int, ...]) -> IsotropicQuotient:
+    """J^perp/J for J = <(d0, -d1)> in l0 + l1, shared by every gluing of
+    components with these Picard lattices and classes D."""
+    xi = d0 + tuple(-x for x in d1)
+    # degree matching is orthogonality to the isotropic xi
+    return quotient_by_isotropic(Sublattice(direct_sum(l0, l1), [xi]))
+
+
 def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
     """The reduced divisor-class lattice of the two-component surface.
 
     Pairs of classes agreeing in degree on the double curve, modulo the
     radical (D0, -D1), with the componentwise order-3 action descending to
     it; its shape, even unimodular of rank 18, is the glue suite's check.
+    The quotient is built once per pair of component lattices and classes
+    D; only the action and its primitive part are per gluing.
     """
-    amb = direct_sum(c0.rho.lattice, c1.rho.lattice)
-    xi = c0.d + tuple(-x for x in c1.d)
-    # degree matching is orthogonality to the isotropic xi
-    quo = quotient_by_isotropic(Sublattice(amb, [xi]))
+    quo = _matching_quotient(c0.rho.lattice, c0.d, c1.rho.lattice, c1.d)
     # componentwise action descends to the quotient
     images = quo.lift * block_diagonal(c0.rho.matrix, c1.rho.matrix)
     rq = RhoLattice(quo.lattice, quo.coords(images))

@@ -335,7 +335,7 @@ class Sublattice:
         return f"Sublattice(rank {self.rank} of {self.ambient!r})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsotropicQuotient:
     """J^perp/J with its induced form, the lifts of its basis, and the
     map ``coords`` from J^perp to its coordinates."""
@@ -376,7 +376,7 @@ def quotient_by_isotropic(j: Sublattice) -> IsotropicQuotient:
     return IsotropicQuotient(lat, lift, bperp, res.right.submatrix(range(k), range(j.rank, k)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Overlattice:
     lattice: Lattice
     scaled: IntMatrix  # d * (new basis in old coordinates), Hermite rows

@@ -234,7 +234,9 @@ def suite_eis() -> Report:
     r = Report("eis")
     uu = rho3_u_u()
     uu3 = rho3_u_u3()
-    for name, rl in (("U+U", uu), ("U+U(3)", uu3)):
+    blocks = (("U+U", uu), ("U+U(3)", uu3))
+    estar = {name: is_estar(rl) for name, rl in blocks}
+    for name, rl in blocks:
         r.add(f"{name}-order", "order 3 isometry", rl.order, 3, "paper")
         r.add(
             f"{name}-fixed-free",
@@ -243,7 +245,7 @@ def suite_eis() -> Report:
             0,
             "paper",
         )
-        r.add(f"{name}-disc-trivial", "trivial discriminant action", is_estar(rl), True, "paper")
+        r.add(f"{name}-disc-trivial", "trivial discriminant action", estar[name], True, "paper")
     _, h = eisenstein_gram(uu)
     norm = hermitian_normal_2x2(h)
     r.add(
@@ -272,19 +274,18 @@ def suite_eis() -> Report:
         False,
         "paper",
     )
-    # trivial discriminant action forces 3-elementarity
-    pairs = [("U+U", uu), ("U+U(3)", uu3)]
-    for n, k in goldens.FAMILIES:
-        pairs.append((f"T({n},{k})", family_data(n, k).rho_t))
+    # trivial discriminant action forces 3-elementarity; family_data
+    # raises unless the action on T(n,k) is trivial on the discriminant
+    pairs = [(name, rl) for name, rl in blocks if estar[name]]
+    pairs += [(f"T({n},{k})", family_data(n, k).rho_t) for n, k in goldens.FAMILIES]
     for name, rl in pairs:
-        if is_estar(rl):
-            r.add(
-                f"{name}-3-elementary",
-                "trivial disc action implies 3-elementary",
-                is_p_elementary(rl.lattice, 3),
-                True,
-                "paper",
-            )
+        r.add(
+            f"{name}-3-elementary",
+            "trivial disc action implies 3-elementary",
+            is_p_elementary(rl.lattice, 3),
+            True,
+            "paper",
+        )
     return r
 
 

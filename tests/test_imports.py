@@ -43,6 +43,11 @@ mutable default, writes from a function into a module-level dict, list
 or set, or sets an attribute to ``None`` in ``__init__`` and assigns it
 in another function (a memo slot).
 
+The frozen-result rule: a ``functools.cache`` function hands the same
+object to every caller, so each dataclass named in the return
+annotation of one in ``src/k3lat``, alone or inside ``Tuple[...]``, is
+``frozen``.
+
 The typed-error rule: no handler in ``src/k3lat`` is a bare ``except:``
 or catches ``Exception`` or ``BaseException``, alone or in a tuple.
 """
@@ -513,6 +518,61 @@ def test_check_flags_a_second_caching_mechanism():
         ("f.py", 1, "mutable default of f"),
         ("g.py", 7, "det memoizes _det"),
         ("g.py", 11, "signature memoizes _det"),
+    ]
+
+
+def _is_frozen(cls: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+        for d in cls.decorator_list
+    )
+
+
+def _is_cached(f: ast.FunctionDef) -> bool:
+    return any(getattr(d, "id", None) == "cache" or getattr(d, "attr", None) == "cache" for d in f.decorator_list)
+
+
+def unfrozen_cached_results(sources: dict) -> list:
+    """(file, line, what) of each ``functools.cache`` function in the
+    ``sources`` (file name -> text) whose return annotation names a
+    dataclass of any of them that is not frozen."""
+    trees = {file: ast.parse(text) for file, text in sources.items()}
+    unfrozen = {
+        c.name
+        for tree in trees.values()
+        for c in ast.walk(tree)
+        if isinstance(c, ast.ClassDef) and _is_dataclass(c) and not _is_frozen(c)
+    }
+    return sorted(
+        (file, f.lineno, f"{f.name} returns {n.id}")
+        for file, tree in trees.items()
+        for f in ast.walk(tree)
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_cached(f) and f.returns
+        for n in ast.walk(f.returns)
+        if isinstance(n, ast.Name) and n.id in unfrozen
+    )
+
+
+def test_cached_results_are_frozen():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unfrozen_cached_results(sources) == []
+
+
+def test_check_flags_an_unfrozen_cached_result():
+    sources = {
+        "a.py": "@dataclass\nclass Q:\n    x: int\n\n@dataclass(frozen=True)\nclass F:\n    y: int\n",
+        "b.py": (
+            "from functools import cache\nimport functools\n\n"
+            "@cache\ndef q() -> Q:\n    return Q(1)\n\n"
+            "@functools.cache\ndef pair() -> Tuple[F, Tuple[Q, ...]]:\n    return F(1), (Q(2),)\n\n"
+            "@cache\ndef ok() -> Tuple[F, int]:\n    return F(1), 2\n\n"
+            "def uncached() -> Q:\n    return Q(3)\n"
+        ),
+    }
+    assert unfrozen_cached_results(sources) == [
+        ("b.py", 5, "q returns Q"),
+        ("b.py", 9, "pair returns Q"),
     ]
 
 

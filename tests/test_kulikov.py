@@ -18,7 +18,15 @@ from k3lat.kulikov import (
     root_split_check,
     semifan,
 )
-from k3lat.lattice import LatticeError, glue_overlattice, rescale, signature
+from k3lat.lattice import (
+    LatticeError,
+    Sublattice,
+    direct_sum,
+    glue_overlattice,
+    quotient_by_isotropic,
+    rescale,
+    signature,
+)
 from k3lat.roots import RootSystemType, root_system
 from support import adapted_quotient_coords
 
@@ -148,8 +156,51 @@ def test_glue_lambda_leaves_the_shape_to_the_suite(monkeypatch):
 
     monkeypatch.setattr(kulikov, "quotient_by_isotropic", rescaled)
     c = build_component(ComponentSpec(0, ((1, 3),)))
-    k = glue_lambda(c, c)
+    # a cached quotient would bypass the patch, and a rescaled one must
+    # not outlive it
+    kulikov._matching_quotient.cache_clear()
+    try:
+        k = glue_lambda(c, c)
+    finally:
+        kulikov._matching_quotient.cache_clear()
     assert k.lattice.rank == 18 and abs(k.lattice.det()) != 1
+
+
+def test_matching_quotient_is_built_once_for_the_glue_suite():
+    from k3lat.suites import suite_glue
+
+    kulikov._matching_quotient.cache_clear()
+    try:
+        suite_glue()
+        info = kulikov._matching_quotient.cache_info()
+        assert (info.misses, info.hits) == (1, 12)
+    finally:
+        kulikov._matching_quotient.cache_clear()
+
+
+def test_matching_quotient_equals_a_fresh_quotient():
+    c0 = build_component(ComponentSpec(0, ((1, 3),)))
+    c1 = build_component(ComponentSpec(3, ((0, 1), (0, 1), (0, 1))))
+    l0, l1 = c0.rho.lattice, c1.rho.lattice
+    cached = kulikov._matching_quotient(l0, c0.d, l1, c1.d)
+    xi = c0.d + tuple(-x for x in c1.d)
+    fresh = quotient_by_isotropic(Sublattice(direct_sum(l0, l1), [xi]))
+    assert cached.lattice.gram == fresh.lattice.gram
+    assert (cached.lift, cached.perp, cached.tail) == (fresh.lift, fresh.perp, fresh.tail)
+
+
+def test_matching_quotient_keys_on_every_argument():
+    c = build_component(ComponentSpec(0, ((1, 3),)))
+    l, d = c.rho.lattice, c.d
+    # a rescaled second lattice, and another isotropic class of the same
+    # lattice (D = (3, -1^9) and D' = (1, -1, 0^8) have norm 0)
+    d_other = (1, -1) + (0,) * 8
+    base = kulikov._matching_quotient(l, d, l, d)
+    rescaled = kulikov._matching_quotient(l, d, rescale(l, 3), d)
+    moved = kulikov._matching_quotient(l, d, l, d_other)
+    assert base.lattice.det() == -1
+    assert rescaled.lattice.gram != base.lattice.gram
+    assert moved.lift != base.lift
 
 
 def test_glue_shape_items_fail_on_a_rescaled_lattice(monkeypatch):
