@@ -412,12 +412,12 @@ def build_niemeier(kind: str) -> NiemeierModel:
         for cs in product(range(3), repeat=len(gens))
     } - {(0,) * ncomp}
     # no new roots: a word of weight w glues classes of norm at least
-    # w times the least norm of a nontrivial class
+    # w times the least norm m / d of a nontrivial class
+    dual, d = scaled_dual(*comp)
     for w in code:
-        if (ncomp - w.count(0)) * dual_class_min(*comp) <= 2:
+        if (ncomp - w.count(0)) * dual_class_min(*comp) <= 2 * d:
             raise CuspError(f"{kind}: glue word {w} adds roots")
     r = direct_sum(*[root_lattice(*comp)] * ncomp)
-    dual, d = scaled_dual(*comp)
     glue = [[x * c for c in g for x in dual.entries[0]] for g in gens]
     over = glue_overlattice(r, glue, d)
     if over.index ** 2 != abs(r.det()):

@@ -33,7 +33,6 @@ from .exactla import (
     IntMatrix,
     block_diagonal,
     hermite_basis,
-    in_rational_span,
     int_express,
     kernel_basis,
 )
@@ -173,8 +172,10 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
     Returns the chosen module basis (rows of the underlying lattice) and
     the Hermitian matrix.  The basis is greedy: standard basis vectors
     are taken whenever they leave the span of the previously chosen
-    vectors and their rho-images.  The matrix is conjugate-symmetric, as
-    <y, rx - r^2 x> = -<x, ry - r^2 y> for an isometry r of order 3.
+    vectors and their rho-images: when adding one to the Hermite basis
+    of that span raises its Hermite rank.  The matrix is
+    conjugate-symmetric, as <y, rx - r^2 x> = -<x, ry - r^2 y> for an
+    isometry r of order 3.
     """
     if r.order != 3:
         raise IsometryError("Hermitian structure needs an order-3 action")
@@ -183,9 +184,8 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
     n = r.lattice.rank
     chosen: List[Tuple[int, ...]] = []
     spanned = IntMatrix([], cols=n)
-    for i in range(n):
-        v = tuple(1 if j == i else 0 for j in range(n))
-        if not in_rational_span(v, spanned):
+    for v in IntMatrix.identity(n).entries:
+        if hermite_basis([*spanned.entries, v], n).rows > spanned.rows:
             chosen.append(v)
             spanned = hermite_basis(chosen + [r.apply(c) for c in chosen], n)
     gram = []

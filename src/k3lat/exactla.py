@@ -625,16 +625,6 @@ def rat_express(targets: RatMatrix, basis: RatMatrix) -> RatMatrix:
     return tuple(tuple(Fraction(x * db, d * dt) for x in row) for row in nums)
 
 
-def in_rational_span(v: Sequence[int], basis: IntMatrix) -> bool:
-    """Whether the integer row ``v`` lies in the rational span of the
-    independent rows of ``basis``."""
-    try:
-        _solve([v], basis.entries)
-    except ExactLAError:
-        return False
-    return True
-
-
 def echelon_pivots(basis: IntMatrix) -> List[int] | None:
     """The pivot (first nonzero) column of each row of ``basis`` if they
     strictly increase, which proves the rows independent; None otherwise,

@@ -28,6 +28,7 @@ from .exactla import (
     echelon_pivots,
     gram_elimination,
     hermite_basis,
+    hnf,
     int_express,
     kernel_basis,
     rank,
@@ -338,42 +339,47 @@ class Sublattice:
 @dataclass(frozen=True)
 class IsotropicQuotient:
     """J^perp/J with its induced form, the lifts of its basis, and the
-    map ``coords`` from J^perp to its coordinates."""
+    integral projection ``proj`` onto its coordinates: a right inverse X
+    of the J^perp basis times the quotient columns of the Smith transform."""
 
     lattice: Lattice
     lift: IntMatrix  # quotient basis rows in ambient coordinates
-    perp: IntMatrix  # Hermite basis of J^perp
-    tail: IntMatrix  # columns rank(J): of the Smith transform ``right``
+    proj: IntMatrix  # ambient rows in J^perp -> quotient coordinates
 
     def coords(self, rows: IntMatrix) -> IntMatrix:
-        """Quotient coordinates of ambient rows lying in J^perp."""
-        return int_express(rows, self.perp) * self.tail
+        """Quotient coordinates of ambient rows, which must lie in J^perp:
+        ``rows * proj`` is a linear map of all of Z^n and is not checked."""
+        return rows * self.proj
 
 
 def quotient_by_isotropic(j: Sublattice) -> IsotropicQuotient:
     """The lattice J^perp/J with its induced form, for isotropic saturated J.
 
-    If ``left * C * right = [I | 0]`` is the Smith form of the coordinates
-    of J in the Hermite basis of J^perp, the rows of ``right^-1`` (tracked
-    by ``snf``) after the first rank(J), which span J, lift a basis of the
-    quotient; its form does not depend on the lifts, as J is orthogonal
-    to J^perp.  Coordinates ``y`` in J^perp map to ``y * right`` in the
-    basis ``right^-1``, so the columns rank(J): of ``right`` give the
-    quotient coordinates.
+    The Hermite basis B of J^perp is saturated, so the Hermite form of
+    B^T is [I; 0], and the first k = rank(J^perp) rows of its transform,
+    transposed, are a right inverse X of B: a row y * B of J^perp has
+    coordinates y = (y * B) * X, and J has ``j.basis * X``.  If ``left *
+    C * right = [I | 0]`` is the Smith form of those coordinates C of J,
+    the rows of ``right^-1`` (tracked by ``snf``) after the first rank(J),
+    which span J, lift a basis of the quotient; its form does not depend
+    on the lifts, as J is orthogonal to J^perp.  Coordinates ``y`` in
+    J^perp map to ``y * right`` in the basis ``right^-1``, so ``proj = X
+    * right[:, rank(J):]`` maps J^perp onto the quotient coordinates.
     """
     if not j.is_isotropic():
         raise LatticeError("sublattice is not isotropic")
     bperp = j.orth_complement().basis
+    k = bperp.rows
+    x = hnf(bperp.transpose())[1].submatrix(range(k)).transpose()
     # J sits inside its own orthogonal complement
-    res = snf(int_express(j.basis, bperp))
+    res = snf(j.basis * x)
     # J^perp is saturated and contains J, so J is saturated in the ambient
     # lattice exactly when it is saturated in J^perp: all d equal to 1
     if any(d != 1 for d in res.d):
         raise LatticeError("sublattice is not saturated; saturate it first")
-    k = bperp.rows
     lift = res.right_inv.submatrix(range(j.rank, k)) * bperp
     lat = Lattice(lift * j.ambient.gram * lift.transpose())
-    return IsotropicQuotient(lat, lift, bperp, res.right.submatrix(range(k), range(j.rank, k)))
+    return IsotropicQuotient(lat, lift, x * res.right.submatrix(range(k), range(j.rank, k)))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ through V, since the root span is the Hermite form of the simple roots,
 whichever basis and positive system they were found in.
 
 The layer is integer-only: ``dual_class_min`` enumerates the integer
-scaled dual of ``lattice.scaled_dual`` and builds the one ``Fraction``
-it returns, and the size reduction rounds quotients with ``divmod``.
+scaled dual of ``lattice.scaled_dual`` and returns the numerator of a
+least class norm over det G, and the size reduction rounds quotients
+with ``divmod``.
 ``root_system`` analyses each Gram matrix once per process (a
 ``functools.cache`` keyed on the Gram matrix); a lattice with a Gram
 matrix already seen gets the cached type and span basis, wrapped as a
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import chain, count
 from operator import mul
@@ -169,9 +169,10 @@ def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
 
 
 @cache
-def dual_class_min(sym: str, n: int) -> Fraction:
-    """Least norm of a nontrivial discriminant class of the root lattice
-    ``sym n``: of a vector of the dual lattice outside the lattice.
+def dual_class_min(sym: str, n: int) -> int:
+    """The integer m for which m / det G is the least norm of a nontrivial
+    discriminant class of the root lattice ``sym n``: of a vector of the
+    dual lattice outside the lattice.
 
     With ``d = det G``, ``C = d G^-1`` is integral, and a dual vector with
     dual-basis coordinates ``v`` has norm ``v C v^T / d`` and lies in the
@@ -185,7 +186,7 @@ def dual_class_min(sym: str, n: int) -> Fraction:
     for m in count(1):
         found = enumerate_norm(dual, m)
         if found and any(x % d for row in (IntMatrix._of(tuple(found), n) * c).entries for x in row):
-            return Fraction(m, d)
+            return m
 
 
 # -- root systems ------------------------------------------------------

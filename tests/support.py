@@ -18,9 +18,11 @@ orbit oracle applies every reflection of a root subsystem to root tuples,
 where ``ComponentSystem.orbit_reps`` applies its simple reflections to
 packed keys.  The Kulikov quotient coordinates are also read off a
 Bareiss solve against the adapted basis ``[xi; lift]``, without the
-Smith transform that the library uses.  The complement root type is
-also computed with one rational-span solve per ambient root, where the
-library pairs the roots with S-perp.
+Smith transform and the right inverse of the J^perp basis that the
+library's projection is built from.  The complement root type is also
+computed with one Gauss-Jordan solve per ambient root, where the library
+reads the roots of the saturation of S and of S-perp; it shares no
+solve with the library.
 
 ``clear_table_caches`` empties every cache built from the input tables,
 for the tests that patch a table; ``run_fresh`` runs code in a new
@@ -46,7 +48,6 @@ from k3lat.exactla import (
     _solve,
     hermite_basis,
     hnf,
-    in_rational_span,
 )
 from k3lat.lattice import (
     Lattice,
@@ -471,10 +472,18 @@ def reflection_orbit_reps(cs, cand_mask, refl_mask):
 
 def rational_span_complement_root_type(s):
     """Root type of the complement of the root-spanned sublattice ``s``,
-    picking the roots in its rational span by one Bareiss solve each."""
+    picking the roots in its rational span by one Gauss-Jordan solve each."""
     r = s.ambient
     all_roots = enumerate_norm(r, 2)
-    in_span = [v for v in all_roots if in_rational_span(v, s.basis)]
+
+    def spans(v):
+        try:
+            gauss_jordan_express([v], s.basis.entries)
+        except ExactLAError:
+            return False
+        return True
+
+    in_span = [v for v in all_roots if spans(v)]
     _, simple = root_decomposition(in_span, r.gram)
     if hermite_basis(simple, r.rank) != hermite_basis(s.basis.entries, r.rank):
         raise LatticeError("sublattice is not spanned by roots of the ambient lattice")

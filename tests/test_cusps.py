@@ -1,4 +1,5 @@
 import dataclasses
+from functools import cache
 from itertools import product
 from types import SimpleNamespace
 
@@ -22,8 +23,15 @@ from k3lat.cusps import (
     isotropic_plane,
     star_of,
 )
+from k3lat.eisenstein import assemble, rho4_a1a1, rho4_d4, rho4_u_u2
 from k3lat.exactla import IntMatrix, int_express, rank
-from k3lat.lattice import LatticeError, is_p_elementary, signature
+from k3lat.lattice import (
+    LatticeError,
+    Sublattice,
+    is_p_elementary,
+    quotient_by_isotropic,
+    signature,
+)
 from k3lat.roots import RootSystemType
 from k3lat.suites import suite_tab3
 
@@ -437,6 +445,46 @@ def test_isotropic_plane_rejects_zero_and_anisotropic():
         isotropic_plane(fd.rho_t, [0] * 20)
     with pytest.raises(CuspError):
         isotropic_plane(fd.rho_t, [1, 1, 0, 0] + [0] * 16)
+
+
+# isotropic planes J with their quotients J^perp/J: the (0,2) plane
+# through e_0, the (1,1) E8+A2^3 witness, and the order-4 plane (e_0, e_2)
+PLANES = ("(0,2)-e0", "(1,1)-E8+A2^3", "order-4")
+
+
+@cache
+def plane_quotient(name):
+    if name == "order-4":
+        t = assemble([rho4_u_u2(), rho4_d4(), rho4_d4(), rho4_a1a1()]).lattice
+        e, ep = [0] * t.rank, [0] * t.rank
+        e[0] = ep[2] = 1
+        j = Sublattice(t, IntMatrix([e, ep], cols=t.rank))
+    else:
+        fam, e = {
+            "(0,2)-e0": ((0, 2), [1] + [0] * 19),
+            "(1,1)-E8+A2^3": ((1, 1), [1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        }[name]
+        j = isotropic_plane(family_data(*fam).rho_t, e)
+    return j, quotient_by_isotropic(j)
+
+
+@pytest.mark.parametrize("name", PLANES)
+def test_rank_2_quotient_projection_inverts_the_lifts_and_kills_j(name):
+    j, q = plane_quotient(name)
+    assert j.rank == 2
+    assert q.lift * q.proj == IntMatrix.identity(q.lift.rows)
+    assert (j.basis * q.proj).is_zero()
+
+
+@pytest.mark.parametrize("name", PLANES)
+@given(data=st.data())
+def test_rank_2_quotient_coords_read_the_lift_coefficients(name, data):
+    j, q = plane_quotient(name)
+    coeff = st.integers(-9, 9)
+    u = data.draw(st.lists(coeff, min_size=2, max_size=2))
+    c = data.draw(st.lists(coeff, min_size=q.lift.rows, max_size=q.lift.rows))
+    row = IntMatrix([u]) * j.basis + IntMatrix([c]) * q.lift
+    assert q.coords(row) == IntMatrix([c])
 
 
 def test_complement_rank_bound():

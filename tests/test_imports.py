@@ -28,9 +28,9 @@ dataclass with a field ``f``.  A dataclass whose method hands ``self``
 to ``asdict`` reads all of its fields, and those of every dataclass
 named in its field annotations.
 
-The rational rule: only ``exactla`` (for ``rat_express``) and ``roots``
-(for the value of ``dual_class_min``) import ``fractions``; every other
-module carries rational quantities as integer rows over a denominator.
+The rational rule: only ``exactla`` (for ``rat_express``) imports
+``fractions``; every other module carries rational quantities as
+integer rows over a denominator.
 
 The Bareiss rule: no module other than ``exactla`` imports or reads
 ``bareiss_step``, so the elimination step has one home and every other
@@ -367,9 +367,9 @@ def fraction_importers(sources: dict) -> list:
     return sorted(out)
 
 
-def test_only_exactla_and_roots_import_fractions():
+def test_only_exactla_imports_fractions():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert set(fraction_importers(sources)) <= {"exactla.py", "roots.py"}
+    assert set(fraction_importers(sources)) <= {"exactla.py"}
 
 
 def test_check_flags_a_fractions_import():

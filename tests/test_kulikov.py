@@ -186,7 +186,29 @@ def test_matching_quotient_equals_a_fresh_quotient():
     xi = c0.d + tuple(-x for x in c1.d)
     fresh = quotient_by_isotropic(Sublattice(direct_sum(l0, l1), [xi]))
     assert cached.lattice.gram == fresh.lattice.gram
-    assert (cached.lift, cached.perp, cached.tail) == (fresh.lift, fresh.perp, fresh.tail)
+    assert (cached.lift, cached.proj) == (fresh.lift, fresh.proj)
+
+
+def test_warm_glue_solves_no_system_against_the_quotient(monkeypatch):
+    # once the quotient is built, the descended action and the image of
+    # the component primitive parts are products with its projection
+    from k3lat import lattice
+
+    rows = [
+        (build_component(ComponentSpec(*s0)), build_component(ComponentSpec(*s1)), starred)
+        for pairings in goldens.GLUE_PAIRINGS.values()
+        for s0, s1, _, starred in pairings
+    ]
+    for c0, c1, _ in rows:
+        kulikov._matching_quotient(c0.rho.lattice, c0.d, c1.rho.lattice, c1.d)
+
+    def refuse(targets, basis):
+        raise AssertionError("int_express called on a warm quotient")
+
+    monkeypatch.setattr(lattice, "int_express", refuse)
+    for c0, c1, starred in rows:
+        k = glue_lambda(c0, c1)
+        assert root_split_check(k, c0, c1) == (True, 3 if starred else 1)
 
 
 def test_matching_quotient_keys_on_every_argument():

@@ -15,6 +15,7 @@ from k3lat.lattice import (
     hyperbolic,
     rescale,
     root_lattice,
+    scaled_dual,
 )
 from k3lat.roots import (
     EnumerationError,
@@ -138,16 +139,20 @@ def test_root_span_index_trivial():
 
 
 def test_dual_class_min():
-    assert dual_class_min("A", 2) == Fraction(2, 3)
-    assert dual_class_min("E", 6) == Fraction(4, 3)
+    # (m, det G) for the least class norm m / det G
+    def least(sym, n):
+        return dual_class_min(sym, n), scaled_dual(sym, n)[1]
+
+    assert least("A", 2) == (2, 3)
+    assert least("E", 6) == (4, 3)
     with pytest.raises(EnumerationError, match="unimodular"):
         dual_class_min("E", 8)
-    # closed forms (Conway-Sloane, SPLAG 4.6-4.8): A_n n/(n+1), D_n min(1, n/4), E7 3/2
+    # closed forms (Conway-Sloane, SPLAG 4.6-4.8): A_n n/(n+1), D_n min(4, n)/4, E7 3/2
     for n in (1, 3, 5):
-        assert dual_class_min("A", n) == Fraction(n, n + 1)
+        assert least("A", n) == (n, n + 1)
     for n in (4, 5, 6):
-        assert dual_class_min("D", n) == min(Fraction(1), Fraction(n, 4))
-    assert dual_class_min("E", 7) == Fraction(3, 2)
+        assert least("D", n) == (min(4, n), 4)
+    assert least("E", 7) == (3, 2)
 
 
 def test_complement_a2_in_e8():
