@@ -19,12 +19,13 @@ elimination on the first entry of least absolute value, row-major (Cohen,
 GTM 138, Alg. 2.4.14, without the modulus; a unit pivot is taken on sight
 and skips the divisibility scan), its row and column operations applied
 to both transforms and, inverted, to the inverse of the right one, or to
-none for ``smith_divisors``.  ``int_express`` against a basis in row
-echelon form, as every Hermite basis from ``kernel_basis``,
-``hermite_basis`` and ``saturate`` is, is solved by exact substitution.
-Every other linear system is solved by one Bareiss elimination with a
-single common denominator (Bareiss, Math. Comp. 22 (1968); Cohen, GTM
-138, 2.2), whose step ``det`` and ``gram_elimination`` share; the
+none for ``smith_divisors``.  Every linear system is solved one way,
+by exact substitution against a basis in row echelon form: the basis
+itself when it is one, as every Hermite basis from ``kernel_basis``,
+``hermite_basis`` and ``saturate`` is, and its Hermite form otherwise,
+with the product of the pivots as one common denominator.  Bareiss
+elimination (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2) is
+kept for ``det`` and ``gram_elimination``, which share its step; the
 latter, symmetric, gives the inertia and determinant of every Gram
 matrix and the Fincke--Pohst minors of ``roots``.  This is slow
 compared to modular methods but provably correct, and the matrices
@@ -65,7 +66,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, index, mul, sub
+from operator import add, index, sub
 from typing import Iterable, List, Sequence, Tuple
 
 Row = Tuple[int, ...]
@@ -560,17 +561,16 @@ def rat_mul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
 
 def _solve(
     targets: Sequence[Sequence[int]], basis: Sequence[Sequence[int]]
-) -> Tuple[List[List[int]], int]:
+) -> Tuple[Sequence[Row], int]:
     """Integer numerators ``N`` and one denominator ``D > 0`` with
     ``N * basis = D * targets``.
 
-    Bareiss elimination of ``[basis^T | targets^T]``: a basis column
-    without a pivot means dependent rows, a zero row of ``basis^T`` with
-    a nonzero right-hand side a target outside the span.  ``D`` is the
-    last pivot, the determinant of the pivot minor, so by Cramer's rule
-    the back-substitution divides exactly.  The solution is checked in
-    full against every target.
-    """
+    Substitution in the Hermite form ``H = U * basis``, whose zero row
+    means dependent rows.  ``D``, the product of its pivots, is the
+    determinant of its triangular pivot columns, so the substitution of
+    ``D * targets`` divides exactly and leaves a residual only for a
+    target outside the rational span.  Its coefficients ``Y`` give
+    ``N = Y * U``, and ``N * basis = Y * H = D * targets``."""
     k = len(basis)
     if k == 0:
         if any(any(x != 0 for x in t) for t in targets):
@@ -579,31 +579,14 @@ def _solve(
     n = len(basis[0])
     if any(len(t) != n for t in targets):
         raise ExactLAError("target outside rational span of basis")
-    a = [[b[i] for b in basis] + [t[i] for t in targets] for i in range(n)]
-    prev = 1
-    for c in range(k):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ExactLAError("basis rows are dependent")
-        a[c], a[piv] = a[piv], a[c]
-        prev = bareiss_step(a, c, prev)
-    if any(x != 0 for row in a[k:] for x in row[k:]):
+    h, u = hnf(IntMatrix(basis, cols=n))
+    if not any(h.entries[-1]):
+        raise ExactLAError("basis rows are dependent")
+    d = math.prod(next(filter(None, row)) for row in h.entries)
+    coeffs = _echelon_express(IntMatrix(targets, cols=n).scale(d), h)
+    if coeffs is None:
         raise ExactLAError("target outside rational span of basis")
-    sign = 1 if prev > 0 else -1
-    nums = []
-    for j in range(k, len(a[0])):
-        x = [0] * k
-        for i in range(k - 1, -1, -1):
-            row = a[i]
-            x[i] = (prev * row[j] - sum(map(mul, row[i + 1 : k], x[i + 1 :]))) // row[i]
-        nums.append([sign * v for v in x])
-    d = abs(prev)
-    cols = list(zip(*basis))
-    for t, x in zip(targets, nums):
-        recon = [sum(map(mul, x, col)) for col in cols]
-        if recon != [d * v for v in t]:
-            raise ExactLAError("target outside rational span of basis")
-    return nums, d
+    return (IntMatrix._of(tuple(coeffs), k) * u).entries, d
 
 
 def _scaled(rows: RatMatrix) -> Tuple[List[List[int]], int]:
@@ -660,8 +643,8 @@ def _echelon_express(targets: IntMatrix, basis: IntMatrix) -> List[Row] | None:
 
 def int_express(targets: IntMatrix, basis: IntMatrix) -> IntMatrix:
     """Integer coefficients expressing ``targets`` in ``basis`` rows: by
-    substitution for a basis in row echelon form, otherwise (and for every
-    error) by ``_solve``, so results and messages do not depend on it."""
+    substitution in a basis in row echelon form, otherwise (and for every
+    error) in its Hermite form by ``_solve``, so nothing depends on which."""
     coeffs = _echelon_express(targets, basis)
     if coeffs is not None:
         return IntMatrix._of(tuple(coeffs), basis.rows)

@@ -9,7 +9,8 @@ shows as a FAIL item rather than an exception.  Each item carries a
 short anchor (the value or identity being reproduced), the computed and
 expected values as strings, and a provenance tag: ``paper`` for
 tabulated reference values, ``derived`` for values computed by an
-independent oracle, ``trivial`` for forced cases.
+independent oracle, ``trivial`` for forced cases.  A suite that raises a
+k3lat error is one ``error`` item, and the suites after it still run.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List
 
 from . import __version__
-from .exactla import IntMatrix
+from .exactla import ExactLAError, IntMatrix
 from .lattice import (
+    LatticeError,
     Sublattice,
     disc_group,
     is_p_elementary,
@@ -410,7 +412,17 @@ SUITES: Dict[str, Callable[[], Report]] = dict(zip(goldens.SUITE_ORDER, (
 
 def run_suites(name: str) -> List[Report]:
     if name == "all":
-        return [run() for run in SUITES.values()]
+        return [_run(n) for n in SUITES]
     if name not in SUITES:
         raise KeyError(name)
-    return [SUITES[name]()]
+    return [_run(name)]
+
+
+def _run(name: str) -> Report:
+    """The suite's report, or one ``error`` item naming the k3lat error it
+    raised, so that the suites after it still run."""
+    try:
+        return SUITES[name]()
+    except (LatticeError, ExactLAError) as e:
+        error = Item("error", "suite raised", "error", f"{type(e).__name__}: {e}", "no error", "trivial")
+        return Report(name, [error])

@@ -17,12 +17,12 @@ root's component from its pairings with the simple roots.  The Weyl
 orbit oracle applies every reflection of a root subsystem to root tuples,
 where ``ComponentSystem.orbit_reps`` applies its simple reflections to
 packed keys.  The Kulikov quotient coordinates are also read off a
-Bareiss solve against the adapted basis ``[xi; lift]``, without the
+Gauss-Jordan solve against the adapted basis ``[xi; lift]``, without the
 Smith transform and the right inverse of the J^perp basis that the
 library's projection is built from.  The complement root type is also
 computed with one Gauss-Jordan solve per ambient root, where the library
-reads the roots of the saturation of S and of S-perp; it shares no
-solve with the library.
+reads the roots of the saturation of S and of S-perp.  Neither oracle
+shares a solve with the library.
 
 ``clear_table_caches`` empties every cache built from the input tables,
 for the tests that patch a table; ``run_fresh`` runs code in a new
@@ -45,7 +45,6 @@ from k3lat.exactla import (
     ExactLAError,
     IntMatrix,
     SnfResult,
-    _solve,
     hermite_basis,
     hnf,
 )
@@ -497,14 +496,13 @@ def rational_span_complement_root_type(s):
 
 def adapted_quotient_coords(xi, lift, rows):
     """Coordinates in J^perp/J, J spanned by the primitive ``xi``, of
-    ambient rows in J^perp: a Bareiss solve of ``C * [xi; lift] = rows``,
-    integral since ``[xi; lift]`` is a basis of J^perp, with the ``xi``
-    column dropped."""
-    adapted = [tuple(xi)] + list(lift.entries)
-    nums, d = _solve(rows.entries, adapted)
-    if any(x % d for row in nums for x in row):
+    ambient rows in J^perp: a Gauss-Jordan solve of ``C * [xi; lift] =
+    rows``, integral since ``[xi; lift]`` is a basis of J^perp, with the
+    ``xi`` column dropped."""
+    coeffs = gauss_jordan_express(rows.entries, [tuple(xi)] + list(lift.entries))
+    if any(x.denominator != 1 for row in coeffs for x in row):
         raise ExactLAError("coefficients are not integral")
-    return IntMatrix([[x // d for x in row[1:]] for row in nums], cols=lift.rows)
+    return IntMatrix([[int(x) for x in row[1:]] for row in coeffs], cols=lift.rows)
 
 
 # -- caches and fresh interpreters ---------------------------------------

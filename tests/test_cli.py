@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from k3lat.cli import MAX_ADE_INDEX, main
-from k3lat.suites import SUITES
+from k3lat.lattice import LatticeError
+from k3lat.suites import SUITES, run_suites
 from support import run_fresh
 
 
@@ -102,6 +103,22 @@ def test_verify_all_json_is_byte_stable():
     res = run("verify", "--suite", "all", "--format", "json")
     assert res.exit_code == 0
     assert res.stdout_bytes == (Path(__file__).parent / "golden" / "verify_all.json").read_bytes()
+
+
+def test_a_raising_suite_is_one_error_item_and_the_others_still_run(monkeypatch):
+    def broken():
+        raise LatticeError("determinant check failed")
+
+    monkeypatch.setitem(SUITES, "eis", broken)
+    reports = run_suites("all")
+    assert [r.suite for r in reports] == list(SUITES)
+    errors = [(r.suite, i.id, i.computed) for r in reports for i in r.items if i.status == "error"]
+    assert errors == [("eis", "error", "LatticeError: determinant check failed")]
+    assert all(r.passed for r in reports if r.suite != "eis")
+    res = run("verify", "--suite", "all")
+    assert res.exit_code == 1
+    line = "  ERROR error  suite raised  [computed LatticeError: determinant check failed expected no error]"
+    assert line in res.output.splitlines()
 
 
 def test_verify_help_lists_every_suite():

@@ -271,12 +271,13 @@ def test_int_express_matches_gauss_jordan(kind, data):
     check_int_express(*data.draw(linear_systems(kind, small | ratio)))
 
 
-# Systems (targets, basis) whose Bareiss elimination of [basis^T | targets^T]
-# meets a row with multiplier f = 0.  Pivots 2, 2, 2: step 0 rescales the
-# rows below (p = 2, prev = 1), step 1 leaves the last row as it is (p = prev).
+# Systems (targets, basis) whose basis^T meets Bareiss rows with multiplier
+# f = 0 in ``det``, an example of test_det_matches_fraction_oracle each.
+# Pivots 2, 2, 2: step 0 rescales the rows below (p = 2, prev = 1), step 1
+# leaves the last row as it is (p = prev).
 EQUAL_PIVOTS = (((3, 1, 0), (1, 0, 0)), ((2, 0, 0), (1, 1, 0), (0, 0, 1)))
 # Pivots 2, 3, 3: step 1 rescales the last row by 3/2 before it becomes the
-# third pivot row, so the denominator is det(basis) = 3 only with the rescale.
+# third pivot row, so the last pivot is det(basis) = 3 only with the rescale.
 RESCALED = (((3, 3, 2), (1, -1, 0), (1, 0, 0)), ((2, 1, 2), (1, 2, 1), (0, 0, 1)))
 
 
@@ -319,7 +320,8 @@ def test_int_express_on_echelon_bases(system):
     targets, basis = system
     with mock.patch.object(exactla, "_solve", wraps=exactla._solve) as solve:
         check_int_express(targets, basis)
-    # substitution solves every integral system, and Bareiss every other
+    # substitution in the basis solves every integral system, and
+    # substitution in its Hermite form every other
     n = len(targets[0])
     found = outcome(int_express, IntMatrix(targets, cols=n), IntMatrix(basis, cols=n))
     assert solve.called == isinstance(found, str)
@@ -328,6 +330,14 @@ def test_int_express_on_echelon_bases(system):
 square = st.integers(0, 4).flatmap(
     lambda n: st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)
 )
+
+
+@given(square)
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 2]])  # a row swap turns the sign
+@example([list(col) for col in zip(*EQUAL_PIVOTS[1])])  # a row kept as it is
+@example([list(col) for col in zip(*RESCALED[1])])  # a row rescaled by p / prev
+def test_det_matches_fraction_oracle(rows):
+    assert det(IntMatrix(rows, cols=len(rows))) == _det(rows)
 
 
 @given(square)

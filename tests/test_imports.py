@@ -33,8 +33,9 @@ The rational rule: only ``exactla`` (for ``rat_express``) imports
 integer rows over a denominator.
 
 The Bareiss rule: no module other than ``exactla`` imports or reads
-``bareiss_step``, so the elimination step has one home and every other
-module eliminates through ``det``, ``gram_elimination`` or a solver.
+``bareiss_step``, and within ``exactla`` only ``det`` and
+``gram_elimination`` read it, so the elimination step has one home, two
+users, and no linear solve of its own.
 
 The caching rule: ``functools.cache`` is the only caching mechanism in
 ``src/k3lat``.  No module names ``lru_cache`` or ``cached_property``,
@@ -408,6 +409,36 @@ def test_check_flags_a_bareiss_step_user():
         "d.py": "from .exactla import gram_elimination\nbareiss_step = gram_elimination\n",
     }
     assert bareiss_step_users(sources) == ["a.py", "b.py", "c.py"]
+
+
+def bareiss_callers(text: str) -> list:
+    """Names of the functions in ``text`` that read ``bareiss_step`` as a
+    name or an attribute; a function counts for the functions around it."""
+    return sorted(
+        f.name
+        for f in ast.walk(ast.parse(text))
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            getattr(n, "id", None) == "bareiss_step" or getattr(n, "attr", None) == "bareiss_step"
+            for n in ast.walk(f)
+        )
+    )
+
+
+def test_bareiss_step_serves_det_and_gram_elimination_only():
+    assert bareiss_callers((SRC / "exactla.py").read_text()) == ["det", "gram_elimination"]
+
+
+def test_check_flags_a_third_bareiss_caller():
+    source = (
+        "def bareiss_step(a, c, prev):\n    return a[c][c]\n\n"
+        "def det(a):\n    return bareiss_step(a, 0, 1)\n\n"
+        "def gram_elimination(g):\n    step = bareiss_step\n    return step(g, 0, 1)\n\n"
+        "def _solve(t, b):\n    def eliminate(a):\n        return exactla.bareiss_step(a, 0, 1)\n"
+        "    return eliminate(b)\n\n"
+        "def hnf(a):\n    return a\n"
+    )
+    assert bareiss_callers(source) == ["_solve", "det", "eliminate", "gram_elimination"]
 
 
 OTHER_CACHES = {"lru_cache", "cached_property"}
