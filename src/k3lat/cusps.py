@@ -96,16 +96,19 @@ class CuspError(LatticeError):
 
 
 # -- families ----------------------------------------------------------
-# The family summands and genera are the input tables of goldens.
+# The family summands are the input table ``goldens.LATTICE_TABLE``.
 
 
 @dataclass(frozen=True)
 class FamilyData:
     s: Lattice
-    t: Lattice
     p: Lattice
     p_factors: Tuple[Symbol, ...]
     rho_t: RhoLattice
+
+    @property
+    def t(self) -> Lattice:
+        return self.rho_t.lattice
 
 
 def _sum_from_symbols(symbols) -> Lattice:
@@ -118,23 +121,28 @@ def _sum_from_symbols(symbols) -> Lattice:
     return direct_sum(*parts)
 
 
+# the order-3 action on the hyperbolic block of T, by its two U summands
+_U_BLOCKS = {(("U", 1), ("U", 1)): rho3_u_u, (("U", 1), ("U", 3)): rho3_u_u3}
+
+
 @cache
 def family_data(n: int, k: int) -> FamilyData:
-    if (n, k) not in goldens.GENUS:
+    """S, P, and T as the lattice of the period action, assembled from an
+    order-3 action on the hyperbolic block and ``negative_fpf_order3`` per
+    root summand.  No fixed vector and a trivial discriminant action split
+    over the sum, and ``fpf_order3`` proved both for each root block."""
+    if (n, k) not in goldens.LATTICE_TABLE:
         raise CuspError(f"unknown family ({n},{k})")
     row = goldens.LATTICE_TABLE[(n, k)]
-    s, t, p = (_sum_from_symbols(row[x]) for x in "STP")
-    u_block = rho3_u_u() if row["T"][:2] == (("U", 1), ("U", 1)) else rho3_u_u3()
-    rho_t = assemble([u_block] + [negative_fpf_order3(*f) for f in row["T"][2:]])
-    if rho_t.lattice.gram != t.gram:
-        raise CuspError("assembled action lives on the wrong lattice")
-
-    # the signatures, ranks and discriminants are items of the tab3 suite
-    if fixed_sublattice(rho_t).rank != 0:
+    if row["T"][:2] not in _U_BLOCKS:
+        raise CuspError(f"no order-3 action on the hyperbolic block {row['T'][:2]}")
+    u_block = _U_BLOCKS[row["T"][:2]]()
+    if fixed_sublattice(u_block).rank != 0:
         raise CuspError("period action has fixed vectors")
-    if not is_estar(rho_t):
+    if not is_estar(u_block):
         raise CuspError("period action is not trivial on the discriminant group")
-    return FamilyData(s, t, p, row["P"], rho_t)
+    rho_t = assemble([u_block] + [negative_fpf_order3(*f) for f in row["T"][2:]])
+    return FamilyData(_sum_from_symbols(row["S"]), _sum_from_symbols(row["P"]), row["P"], rho_t)
 
 
 # -- root-system machinery per component -------------------------------
@@ -241,22 +249,15 @@ def component_system(sym: str, n: int) -> ComponentSystem:
     return ComponentSystem(sym, n)
 
 
-# choice orders other than the Bourbaki numbering, the default
-_FACTOR_ORDERS = {
-    ("E", 6): [1, 3, 4, 2, 5, 6],
-    ("E", 8): [1, 3, 4, 2, 5, 6, 7, 8],
-}
-
-
 def _factor_requirements(sym: str, n: int) -> List[List[int]]:
     """Pairing requirements of each simple root against the earlier ones,
-    in a connectivity-friendly choice order."""
-    order = _FACTOR_ORDERS.get((sym, n), range(1, n + 1))
+    in a connectivity-friendly choice order: breadth first through the
+    Dynkin diagram from node 1, neighbours in index order."""
     c = cartan_gram(sym, n).entries
-    reqs = []
-    for k, idx in enumerate(order):
-        reqs.append([c[idx - 1][order[j] - 1] for j in range(k)])
-    return reqs
+    order = [0]
+    for i in order:
+        order += [j for j in range(n) if c[i][j] and j not in order]
+    return [[c[idx][order[j]] for j in range(k)] for k, idx in enumerate(order)]
 
 
 @dataclass(frozen=True)
@@ -420,10 +421,9 @@ def build_niemeier(kind: str) -> NiemeierModel:
     r = direct_sum(*[root_lattice(*comp)] * ncomp)
     glue = [[x * c for c in g for x in dual.entries[0]] for g in gens]
     over = glue_overlattice(r, glue, d)
+    # index^2 = |det R| makes N unimodular; glue_overlattice returns even lattices
     if over.index ** 2 != abs(r.det()):
         raise CuspError(f"{kind}: glue index {over.index} does not match the discriminant")
-    if not over.lattice.is_unimodular or not over.lattice.is_even:
-        raise CuspError(f"{kind}: glued lattice is not even unimodular")
     # the defining property of the glue: one zero coordinate per word
     for w in code:
         if w.count(0) != 1:
@@ -626,7 +626,7 @@ def isotropic_plane(r: RhoLattice, e: Sequence[int]) -> Sublattice:
     return j
 
 
-def cusp_of_plane(r: RhoLattice, j: Sublattice) -> RootSystemType:
+def cusp_of_plane(j: Sublattice) -> RootSystemType:
     """Root type (with star flag) of the quotient J-perp/J."""
     q = quotient_by_isotropic(j).lattice
     rtype, _ = root_system(q)

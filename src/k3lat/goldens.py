@@ -1,10 +1,11 @@
 """The paper's tables: the family definitions and the reference values.
 
-Two tables are inputs, which ``cusps`` reads to define the families:
-``GENUS`` and the S, T and P summands of ``LATTICE_TABLE``.  The rest,
-``a3`` of ``LATTICE_TABLE`` included, are expected values: only the
-suites read them, and they compare them entry by entry against values
-the library computes independently.
+One table is input, which ``cusps`` reads to define the families: the
+S, T and P summands of ``LATTICE_TABLE``.  The rest, ``a3`` of
+``LATTICE_TABLE`` and ``GENUS`` included, are expected values: only the
+suites and tests read them, and they compare them entry by entry against
+values computed independently.  Each fact is stored once: an embedding
+class count is the length of its row list in ``EMBEDDING_TABLES``.
 Embedding descriptors are stored per component in expanded form: one
 row per component, ``(assigned factors, complement type, dual quotient
 order)``, as a sorted tuple so comparisons are order-free.
@@ -114,18 +115,6 @@ EMBEDDING_TABLES: Dict[Tuple[Tuple[int, int], str], List[Embedding]] = {
         _emb(("E6", "0", 1), ("A2^2", "A2", 1), ("A2", "A2^2", 3), ("0", "E6", 3)),
         _emb(("E6", "0", 1), ("A2", "A2^2", 3), ("A2", "A2^2", 3), ("A2", "A2^2", 3)),
     ],
-}
-
-# embedding-class counts per (family, model)
-EMBEDDING_COUNTS = {
-    ((0, 2), "E8^3"): 1,
-    ((0, 2), "E6^4"): 0,
-    ((0, 1), "E8^3"): 2,
-    ((0, 1), "E6^4"): 1,
-    ((1, 1), "E8^3"): 3,
-    ((1, 1), "E6^4"): 2,
-    ((2, 1), "E8^3"): 4,
-    ((2, 1), "E6^4"): 3,
 }
 
 # the six triple-cover component rows: (pinch count, cover pieces) ->

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactla import (
@@ -58,7 +57,6 @@ from .lattice import (
     rescale,
     root_lattice,
     scaled_dual,
-    signature,
 )
 from .roots import RootSystemType, dual_class_min, root_system
 from .eisenstein import (
@@ -114,9 +112,6 @@ class ComponentModel:
     d: Tuple[int, ...]  # anticanonical fiber class, = -K
 
 
-_DP_ROOT_TYPE = {1: ("E", 8), 3: ("E", 6)}
-
-
 def _dp_kperp_rows(degree: int) -> IntMatrix:
     """Simple roots of the anticanonical-orthogonal lattice of a del Pezzo
     of the given degree, in I(1, 9-d) coordinates and Bourbaki order."""
@@ -140,7 +135,7 @@ def _terminal_model(degree: Optional[int]) -> RhoLattice:
     """Picard lattice with the order-3 action of a terminal surface."""
     if degree is None:
         return RhoLattice(diag_lattice([1]), IntMatrix.identity(1))
-    sym, n = _DP_ROOT_TYPE[degree]
+    sym, n = "E", 9 - degree  # E8 for degree 1, E6 for degree 3
     dim = 10 - degree
     lat = diag_lattice([1] + [-1] * (dim - 1))
     b = _dp_kperp_rows(degree)
@@ -187,11 +182,11 @@ def build_component(spec: ComponentSpec) -> ComponentModel:
 
 @cache
 def primitive_picard(c: ComponentModel) -> Tuple[Sublattice, RootSystemType]:
-    """Primitive part of the component action and its root type."""
+    """Primitive part of the component action and its root type.  It is
+    orthogonal to the fixed part, which holds a positive class (the line of
+    the plane, or -K of a del Pezzo, K^2 > 0), so it is negative definite."""
     prim = primitive_part(c.rho)
     lat = prim.lattice()
-    if signature(lat)[0] != 0:
-        raise KulikovError("primitive part is not negative definite")
     rtype, _ = root_system(lat)
     if rtype.rank != lat.rank:
         raise KulikovError("primitive part is not rationally spanned by roots")
@@ -203,10 +198,13 @@ def primitive_picard(c: ComponentModel) -> Tuple[Sublattice, RootSystemType]:
 
 @dataclass
 class KulikovLattice:
-    lattice: Lattice  # even unimodular of rank 18, as the glue suite checks
     rho: RhoLattice
     prim: Sublattice
     quotient: IsotropicQuotient  # of the radical (D0, -D1)
+
+    @property
+    def lattice(self) -> Lattice:
+        return self.rho.lattice  # even unimodular of rank 18, as the glue suite checks
 
 
 @cache
@@ -232,7 +230,7 @@ def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
     # isometry fixing xi = (D0, -D1), so it maps J^perp into itself
     images = quo.lift * block_diagonal(c0.rho.matrix, c1.rho.matrix)
     rq = RhoLattice(quo.lattice, quo.coords(images))
-    return KulikovLattice(quo.lattice, rq, primitive_part(rq), quo)
+    return KulikovLattice(rq, primitive_part(rq), quo)
 
 
 def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) -> Tuple[bool, int]:
@@ -268,43 +266,24 @@ def _starred_model(
     factors: Sequence[Symbol], base: RhoLattice
 ) -> Tuple[RhoLattice, Overlattice]:
     """Index-3 even overlattice of the negative definite factor sum
-    ``base`` whose nonzero glue cosets contain no roots, together with the
-    descended order-3 action."""
-    # the first nonzero glue word over the factor discriminants (each Z/3)
-    # whose coset has no roots (minimum norm > 2) and whose glue vector has
-    # even integral norm (c times a class of norm q has norm c^2 q mod 2Z).
-    # Such a word is always valid index-3 glue, and the factor action
-    # descends to it because it is trivial on each discriminant; the
-    # checks below raise if either fails
+    ``base`` whose nonzero glue cosets hold no roots, with the descended
+    order-3 action.  It is glued by the all-ones word, the sum of each
+    factor's first dual vector.  Both nonzero classes of an E6 or A2 factor
+    have least norm q = 4/3 or 2/3, and c^2 q = q mod 2 for c = +-1 mod 3,
+    so a word's coset minimum and norm parity depend only on its support.
+    For E6^2+A2^2, E6+A2^4 and A2^6 only the full support sums to an even
+    integer above 2.  The word has order 3, so the index is 3; the action
+    is trivial on each discriminant, so it descends."""
     duals = [scaled_dual(*f) for f in factors]
     d = math.lcm(*(df for _, df in duals))
-    # each factor's least class norm m/df as the integer (m/df)*d: the
-    # coset minimum exceeds 2 exactly when the scaled sum exceeds 2d, and
-    # the glue norm is an even integer exactly when the scaled norm is
-    # divisible by 2d
-    mins = [dual_class_min(*f) * (d // df) for f, (_, df) in zip(factors, duals)]
-    for word in product((0, 1, 2), repeat=len(factors)):
-        coset_min = sum(q for c, q in zip(word, mins) if c)
-        norm = sum(c * c * q for c, q in zip(word, mins))
-        if any(word) and coset_min > 2 * d and norm % (2 * d) == 0:
-            break
-    else:
-        raise KulikovError("no valid index-3 glue for the starred quotient model")
-    glue_row = [x * c * (d // df) for c, (cf, df) in zip(word, duals) for x in cf.entries[0]]
-    try:
-        over = glue_overlattice(base.lattice, [glue_row], d)
-    except LatticeError as e:
-        raise KulikovError(f"glue word {word} is not valid glue: {e}") from None
-    if over.index != 3:
-        raise KulikovError(f"glue word {word} has index {over.index}, not 3")
-    # action must descend to the overlattice: on the integer rows
-    # H = d * basis it is M with M * H = H * rho, M integral
-    h = over.scaled
-    try:
-        m = int_express(h * base.matrix, h)
-    except ExactLAError:
-        raise KulikovError("order-3 action does not descend to the glued model") from None
-    return RhoLattice(over.lattice, m), over
+    # the coset minimum exceeds 2 exactly when its scaled sum exceeds 2d;
+    # this guards a factor list outside the three starred types
+    if sum(dual_class_min(*f) * (d // df) for f, (_, df) in zip(factors, duals)) <= 2 * d:
+        raise KulikovError("all-ones word adds roots")
+    glue_row = [x * (d // df) for cf, df in duals for x in cf.entries[0]]
+    over = glue_overlattice(base.lattice, [glue_row], d)
+    # the action on the integer rows H = d * basis is M with M * H = H * rho
+    return RhoLattice(over.lattice, int_express(over.scaled * base.matrix, over.scaled)), over
 
 
 def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
@@ -320,28 +299,16 @@ def semifan(n: int, k: int, cusp: RootSystemType | str) -> SemifanRecord:
     if cusp not in {c.jperp_root for c in classify_cusps(n, k)}:
         raise KulikovError(f"({n},{k}) with cusp {cusp} is not a boundary case")
     factors = list(cusp.components)
-    base = assemble([negative_fpf_order3(*f) for f in factors])
+    rho_model = assemble([negative_fpf_order3(*f) for f in factors])
+    # rows of the A2 slots in the factor basis
+    slots = block_diagonal(
+        *(IntMatrix.identity(2) if f == ("A", 2) else IntMatrix([], cols=f[1]) for f in factors)
+    )
     if cusp.starred:
-        rho_model, over = _starred_model(factors, base)
-    else:
-        rho_model, over = base, None
-    model, rho_m = rho_model.lattice, rho_model.matrix
-    # rows of the A2 slots in model coordinates
-    slot_rows: List[List[int]] = []
-    off = 0
-    total = model.rank
-    for sym, m in factors:
-        if (sym, m) == ("A", 2):
-            for i in range(2):
-                v = [0] * total
-                v[off + i] = 1
-                slot_rows.append(v)
-        off += m
-    slots = IntMatrix(slot_rows, cols=total)
-    if cusp.starred:
+        rho_model, over = _starred_model(factors, rho_model)
         slots = slots * over.old_in_new  # coordinates in the overlattice basis
     fj = saturate(slots)
-    return SemifanRecord(fj.rows, index_in(slots, fj), is_invariant(fj, rho_m), model)
+    return SemifanRecord(fj.rows, index_in(slots, fj), is_invariant(fj, rho_model.matrix), rho_model.lattice)
 
 
 def quotient_model_fingerprint(l: Lattice) -> Tuple[int, int, Tuple[int, ...]]:

@@ -72,10 +72,6 @@ class Lattice:
         return all(self.gram.entries[i][i] % 2 == 0 for i in range(self.rank))
 
     @property
-    def is_unimodular(self) -> bool:
-        return abs(self.det()) == 1
-
-    @property
     def is_nondegenerate(self) -> bool:
         return self.det() != 0
 
@@ -107,13 +103,6 @@ def hyperbolic(n: int = 1) -> Lattice:
     return Lattice([[0, n], [n, 0]])
 
 
-_ADE_EDGES = {
-    "E": {6: [(1, 3), (3, 4), (4, 5), (5, 6), (2, 4)],
-          7: [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 4)],
-          8: [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]},
-}
-
-
 def cartan_gram(symbol: str, n: int) -> IntMatrix:
     """Positive definite Cartan matrix of an ADE root system (Bourbaki order)."""
     if symbol == "A":
@@ -127,7 +116,7 @@ def cartan_gram(symbol: str, n: int) -> IntMatrix:
     elif symbol == "E":
         if n not in (6, 7, 8):
             raise LatticeError(f"E{n} is not a root system")
-        edges = _ADE_EDGES["E"][n]
+        edges = [(1, 3)] + [(i, i + 1) for i in range(3, n)] + [(2, 4)]
     else:
         raise LatticeError(f"unknown root-system symbol {symbol!r}")
     g = [[0] * n for _ in range(n)]

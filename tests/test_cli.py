@@ -5,6 +5,7 @@ from click.testing import CliRunner
 from hypothesis import given
 from hypothesis import strategies as st
 
+from k3lat import lattice
 from k3lat.cli import MAX_ADE_INDEX, main
 from k3lat.lattice import LatticeError
 from k3lat.suites import SUITES, run_suites
@@ -119,6 +120,17 @@ def test_a_raising_suite_is_one_error_item_and_the_others_still_run(monkeypatch)
     assert res.exit_code == 1
     line = "  ERROR error  suite raised  [computed LatticeError: determinant check failed expected no error]"
     assert line in res.output.splitlines()
+
+
+def test_an_error_item_names_the_innermost_k3lat_function(monkeypatch):
+    # a Smith form that drops its last invariant factor disagrees with the
+    # determinant of the first T with a nontrivial discriminant
+    real = lattice.smith_divisors
+    monkeypatch.setattr(lattice, "smith_divisors", lambda gram: real(gram)[:-1])
+    (report,) = run_suites("tab3")
+    assert [(i.id, i.computed) for i in report.items] == [
+        ("error", "LatticeError: invariant factors disagree with the determinant (in lattice.disc_group)")
+    ]
 
 
 def test_verify_help_lists_every_suite():

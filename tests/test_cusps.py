@@ -12,6 +12,8 @@ from k3lat.cusps import (
     NIEMEIER_GLUE,
     ComponentSystem,
     CuspError,
+    _factor_requirements,
+    _sum_from_symbols,
     build_niemeier,
     classify_cusps,
     complement_root_span,
@@ -23,11 +25,13 @@ from k3lat.cusps import (
     isotropic_plane,
     star_of,
 )
-from k3lat.eisenstein import assemble, rho4_a1a1, rho4_d4, rho4_u_u2
+from k3lat.eisenstein import assemble, fixed_sublattice, is_estar, rho4_a1a1, rho4_d4, rho4_u_u2
 from k3lat.exactla import IntMatrix, int_express, rank
 from k3lat.lattice import (
     LatticeError,
     Sublattice,
+    cartan_gram,
+    disc_group,
     is_p_elementary,
     quotient_by_isotropic,
     signature,
@@ -79,6 +83,34 @@ def test_family_21_t_rank_16():
     assert fd.t.rank == 16
 
 
+@pytest.mark.parametrize("fam", goldens.FAMILIES)
+def test_period_action_is_fixed_point_free_and_trivial_on_the_discriminant(fam):
+    # family_data checks both on the hyperbolic block only; on the whole
+    # of T they follow from the root blocks, which fpf_order3 verified
+    fd = family_data(*fam)
+    assert fd.t == _sum_from_symbols(goldens.LATTICE_TABLE[fam]["T"])
+    assert fixed_sublattice(fd.rho_t).rank == 0
+    assert is_estar(fd.rho_t)
+
+
+def test_family_data_rejects_a_hyperbolic_block_without_an_action(monkeypatch):
+    row = dict(goldens.LATTICE_TABLE[(0, 1)], T=(("U", 3), ("U", 1), ("E", 8), ("E", 8)))
+    monkeypatch.setitem(goldens.LATTICE_TABLE, (9, 9), row)
+    with pytest.raises(CuspError, match="no order-3 action on the hyperbolic block"):
+        family_data(9, 9)
+
+
+@pytest.mark.parametrize("fam", goldens.FAMILIES)
+def test_family_label_and_genus_follow_from_s(fam):
+    # rank S = 22 - 2m for m pinch points, n = 10 - m, and the fixed curve
+    # has genus g = (m - a)/2 with a the 3-rank of the discriminant of S
+    s = family_data(*fam).s
+    m, odd = divmod(22 - s.rank, 2)
+    a = disc_group(s).a_p.get(3, 0)
+    assert odd == 0 and (m - a) % 2 == 0
+    assert (10 - m, (m - a) // 2) == (fam[0], goldens.GENUS[fam])
+
+
 def test_component_weyl_transitivity():
     # the orbit of the first root under all reflections is everything;
     # this underwrites fixing the first root of the embedding search.
@@ -89,6 +121,25 @@ def test_component_weyl_transitivity():
         assert len(cs.orbit_reps(cs.all_mask, cs.all_mask)) == 1
         reps = cs.orbit_reps(cs.all_mask, cs.masks[0][2])
         assert sorted(cs.pair[0][i] for i in reps) == [-2, -1, 0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "sym,n",
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 10)] + [("E", n) for n in (6, 7, 8)],
+)
+def test_factor_choice_order_is_breadth_first_from_node_1(sym, n):
+    # Bourbaki numbering: A_n and D_n in index order; E_n branches at 4
+    order = [1, 3, 4, 2, *range(5, n + 1)] if sym == "E" else list(range(1, n + 1))
+    c = cartan_gram(sym, n).entries
+    expected = [[c[i - 1][order[j] - 1] for j in range(k)] for k, i in enumerate(order)]
+    assert _factor_requirements(sym, n) == expected
+
+
+def test_factor_requirements_of_the_search_factors_are_pinned():
+    e8 = [[], [-1], [0, -1], [0, 0, -1], [0, 0, -1, 0], [0, 0, 0, 0, -1], [0] * 5 + [-1], [0] * 6 + [-1]]
+    assert _factor_requirements("E", 8) == e8
+    assert _factor_requirements("E", 6) == e8[:6]
+    assert _factor_requirements("A", 2) == [[], [-1]]
 
 
 def check_component_tables(cs):
@@ -353,7 +404,7 @@ def test_e8_model_never_starred():
 
 def test_simple_root_span_equals_all_root_span():
     records = list(all_records())
-    assert len(records) == sum(goldens.EMBEDDING_COUNTS.values())
+    assert len(records) == sum(map(len, goldens.EMBEDDING_TABLES.values()))
     for rec in records:
         assert complement_root_span(rec) == all_complement_root_span(rec)
 
@@ -384,7 +435,7 @@ def test_a_fresh_process_builds_each_cached_object_once():
         "          cusps.enumerate_embeddings, cusps._p_complement):\n"
         "    print(f.cache_info().misses)\n"
     )
-    assert out.split() == ["3", "3", "8", str(sum(goldens.EMBEDDING_COUNTS.values()))]
+    assert out.split() == ["3", "3", "8", str(sum(map(len, goldens.EMBEDDING_TABLES.values())))]
 
 
 def test_classify_cusps_is_computed_once():
@@ -420,13 +471,13 @@ def test_isotropic_plane_and_cusp_02():
     j = isotropic_plane(fd.rho_t, e1)
     assert j.rank == 2
     assert j.is_isotropic()
-    assert str(cusp_of_plane(fd.rho_t, j)) == "E8^2"
+    assert str(cusp_of_plane(j)) == "E8^2"
 
 
 def test_isotropic_plane_in_u_of_01_lands_in_classification():
     fd = family_data(0, 1)
     j = isotropic_plane(fd.rho_t, [1, 0, 0, 0] + [0] * 16)
-    c = cusp_of_plane(fd.rho_t, j)
+    c = cusp_of_plane(j)
     types = {str(r.jperp_root) for r in classify_cusps(0, 1)}
     assert str(c) in types
 
@@ -485,6 +536,40 @@ def test_rank_2_quotient_coords_read_the_lift_coefficients(name, data):
     c = data.draw(st.lists(coeff, min_size=q.lift.rows, max_size=q.lift.rows))
     row = IntMatrix([u]) * j.basis + IntMatrix([c]) * q.lift
     assert q.coords(row) == IntMatrix([c])
+
+
+# a primitive isotropic vector e of each 1-cusp type, in the coordinates
+# of family_data(n, k).t: the four hyperbolic coordinates first, then the
+# root-lattice blocks
+WITNESSES = {
+    (0, 2): {"E8^2": [1] + [0] * 19},
+    (0, 1): {
+        "E8^2": [1] + [0] * 19,
+        "E8+E6+A2": [-1, -1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0],
+        "E6^2+A2^2*": [1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, -1],
+    },
+    (1, 1): {
+        "E8+E6": [1, 2, -2, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+        "E8+A2^3": [1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        "E6^2+A2": [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+        "E6+A2^4*": [1, 0, -1, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+    },
+    (2, 1): {
+        "E8+A2^2": [1, 1, -2, -1, 0, 0, 1, 0, 0, -2, 0, 0, 0, -1, 0, -1],
+        "E6^2": [2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, -1],
+        "E6+A2^3": [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+        "A2^6*": [-1, -2, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+    },
+}
+
+
+@pytest.mark.parametrize("fam", goldens.FAMILIES)
+def test_direct_route_witnesses_give_the_cusp_table(fam):
+    # J = sat(e, rho e) is an invariant isotropic plane, and J-perp/J has
+    # the listed type; together the witnesses reach every tabulated type
+    rho_t = family_data(*fam).rho_t
+    found = {cusp: str(cusp_of_plane(isotropic_plane(rho_t, e))) for cusp, e in WITNESSES[fam].items()}
+    assert found == {cusp: cusp for cusp in goldens.CUSP_TABLE[fam]}
 
 
 def test_complement_rank_bound():

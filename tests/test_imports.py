@@ -155,8 +155,6 @@ def library_references(root: Path) -> tuple:
 
 # only tests call them until the direct route of ROADMAP item 1 does
 NOT_YET_CALLED = {"isotropic_plane", "cusp_of_plane"}
-# only tests read it until the cusp actions of ROADMAP item 10 do
-NOT_YET_READ = {"KulikovLattice.rho"}
 
 
 def test_every_definition_is_referenced():
@@ -308,8 +306,7 @@ def unread_fields(defining: dict, others: list, lookups=frozenset()) -> list:
 
 
 def test_every_dataclass_field_is_read():
-    unread = unread_fields(*library_references(ROOT))
-    assert [f for f in unread if f[2] not in NOT_YET_READ] == []
+    assert unread_fields(*library_references(ROOT)) == []
 
 
 def test_check_reads_a_field_only_as_an_attribute():

@@ -1,10 +1,12 @@
 import dataclasses
+import math
+from itertools import product
 
 import pytest
 
 from k3lat.exactla import ExactLAError, IntMatrix, block_diagonal, index_in
 from k3lat import eisenstein, goldens, kulikov
-from k3lat.eisenstein import assemble, fixed_sublattice, is_invariant, negative_fpf_order3
+from k3lat.eisenstein import RhoLattice, assemble, fixed_sublattice, is_invariant, negative_fpf_order3
 from k3lat.goldens import ORDER4_TABLE, SEMIFAN_TABLE
 from k3lat.kulikov import (
     COMPONENT_ROWS,
@@ -19,15 +21,15 @@ from k3lat.kulikov import (
     semifan,
 )
 from k3lat.lattice import (
-    LatticeError,
     Sublattice,
     direct_sum,
     glue_overlattice,
     quotient_by_isotropic,
     rescale,
+    scaled_dual,
     signature,
 )
-from k3lat.roots import RootSystemType, root_system
+from k3lat.roots import RootSystemType, dual_class_min, root_system
 from support import adapted_quotient_coords
 
 T = RootSystemType.parse
@@ -53,8 +55,10 @@ def test_component_primitive_types(row):
     assert abs(c.rho.lattice.det()) == 1
     assert c.rho.lattice.norm(c.d) == 0
     assert c.rho.apply(c.d) == c.d
-    _, rtype = primitive_picard(c)
+    prim, rtype = primitive_picard(c)
     assert str(rtype) == EXPECTED_PRIM[row]
+    # orthogonal to a positive fixed class, so negative definite
+    assert signature(prim.lattice()) == (0, prim.rank)
 
 
 def test_primitive_picard_is_computed_once():
@@ -232,7 +236,7 @@ def test_glue_shape_items_fail_on_a_rescaled_lattice(monkeypatch):
 
     def rescaled(c0, c1):
         k = real(c0, c1)
-        return dataclasses.replace(k, lattice=rescale(k.lattice, 3))
+        return dataclasses.replace(k, rho=RhoLattice(rescale(k.rho.lattice, 3), k.rho.matrix))
 
     monkeypatch.setattr(suites, "glue_lambda", rescaled)
     failed = _failed(suites.suite_glue())
@@ -269,8 +273,8 @@ def test_semifan_whole_lattice_case():
 
 
 def test_starred_models_try_one_glue_word(monkeypatch):
-    # a glue word whose vector norm is not an even integer is skipped
-    # before the overlattice is built; the accepted word is the first tried
+    # each starred model is glued by the all-ones word alone, with no
+    # search over the other words
     import k3lat.kulikov as kulikov
 
     calls = []
@@ -367,28 +371,47 @@ def test_terminal_model_raises_when_the_action_does_not_extend(monkeypatch):
         kulikov._terminal_model(3)
 
 
-def _starred_a2_6():
-    factors = [("A", 2)] * 6
-    return factors, assemble([negative_fpf_order3(*f) for f in factors])
+def _negative_sum(factors):
+    return assemble([negative_fpf_order3(*f) for f in factors])
 
 
-def _index_9(*args):
-    return dataclasses.replace(glue_overlattice(*args), index=9)
+STARRED = {
+    "E6^2+A2^2*": [("E", 6)] * 2 + [("A", 2)] * 2,
+    "E6+A2^4*": [("E", 6)] + [("A", 2)] * 4,
+    "A2^6*": [("A", 2)] * 6,
+}
 
 
-@pytest.mark.parametrize(
-    "name,patched,message",
-    [
-        ("glue_overlattice", _raise(LatticeError("glue vectors do not pair integrally")), "is not valid glue"),
-        ("glue_overlattice", _index_9, "has index 9, not 3"),
-        ("int_express", _raise(ExactLAError("not integral")), "does not descend"),
-    ],
-    ids=["not-glue", "index-9", "no-descent"],
-)
-def test_starred_model_raises_when_its_one_glue_word_fails(monkeypatch, name, patched, message):
-    monkeypatch.setattr(kulikov, name, patched)
-    with pytest.raises(KulikovError, match=message):
-        kulikov._starred_model(*_starred_a2_6())
+@pytest.mark.parametrize("cusp", list(STARRED))
+def test_starred_glue_is_the_first_word_of_the_old_search(cusp):
+    # every glue word over the factor discriminants (each Z/3): valid
+    # exactly when its coset holds no roots (scaled minimum above 2d) and
+    # its glue vector has even integral norm (scaled norm divisible by 2d)
+    factors = STARRED[cusp]
+    duals = [scaled_dual(*f) for f in factors]
+    d = math.lcm(*(df for _, df in duals))
+    mins = [dual_class_min(*f) * (d // df) for f, (_, df) in zip(factors, duals)]
+    valid = [
+        word
+        for word in product((0, 1, 2), repeat=len(factors))
+        if any(word)
+        and sum(q for c, q in zip(word, mins) if c) > 2 * d
+        and sum(c * c * q for c, q in zip(word, mins)) % (2 * d) == 0
+    ]
+    assert valid == list(product((1, 2), repeat=len(factors)))  # the full support
+    assert valid[0] == (1,) * len(factors)
+    base = _negative_sum(factors)
+    row = [x * c * (d // df) for c, (cf, df) in zip(valid[0], duals) for x in cf.entries[0]]
+    rho, over = kulikov._starred_model(factors, base)
+    assert over == glue_overlattice(base.lattice, [row], d)
+    assert over.index == 3 and rho.order == 3
+
+
+def test_starred_model_rejects_a_word_that_adds_roots():
+    # A2^3: the all-ones coset has minimum 3 * 2/3 = 2, a root
+    factors = [("A", 2)] * 3
+    with pytest.raises(KulikovError, match="adds roots"):
+        kulikov._starred_model(factors, _negative_sum(factors))
 
 
 def _failed(report):
