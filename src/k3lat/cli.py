@@ -49,6 +49,9 @@ from .roots import root_system
 # Cartan matrix is allocated.
 MAX_ADE_INDEX = 24
 
+# the grammar's digits: str.isdigit also accepts superscripts and other scripts
+_ASCII_DIGITS = frozenset("0123456789")
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
@@ -81,7 +84,7 @@ class _Parser:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _ASCII_DIGITS:
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.pos = start
@@ -152,7 +155,7 @@ class _Parser:
                 self.take(")")
             else:
                 self.skip_ws()
-                if not self.text[self.pos : self.pos + 1].isdigit():
+                if self.text[self.pos : self.pos + 1] not in _ASCII_DIGITS:
                     raise self.error(f"{ch} needs an index")
                 n = self.integer()
             if n > MAX_ADE_INDEX:

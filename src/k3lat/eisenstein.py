@@ -12,7 +12,8 @@ lattice.
 
 A lattice with an isometry is one verified value, ``RhoLattice(lattice,
 matrix)``: construction checks that the matrix preserves the form and
-computes its order, which may not exceed ``ORDER_BOUND``.
+computes its order, which may not exceed ``ORDER_BOUND``; it keeps the
+square of the verified matrix, which the order check computes anyway.
 
 Order-3 fixed-point-free isometries of A2, E6, E8 are produced as
 powers of a Coxeter element (product of the simple reflections in
@@ -74,13 +75,14 @@ def verify_isometry(lattice: Lattice, m: IntMatrix) -> None:
                     )
 
 
-def isometry_order(m: IntMatrix) -> int:
+def isometry_order(m: IntMatrix, square: IntMatrix | None = None) -> int:
+    """The order of ``m``; ``square``, when given, must be ``m * m``."""
     ident = IntMatrix.identity(m.rows)
     p = m
     for k in range(1, ORDER_BOUND + 1):
         if p == ident:
             return k
-        p = p * m
+        p = square if k == 1 and square is not None else p * m
     raise IsometryError(f"order exceeds bound {ORDER_BOUND}")
 
 
@@ -95,10 +97,12 @@ class RhoLattice:
     lattice: Lattice
     matrix: IntMatrix
     order: int = field(init=False)
+    square: IntMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         verify_isometry(self.lattice, self.matrix)
-        object.__setattr__(self, "order", isometry_order(self.matrix))
+        object.__setattr__(self, "square", self.matrix * self.matrix)
+        object.__setattr__(self, "order", isometry_order(self.matrix, self.square))
 
     def apply(self, v: Sequence[int]) -> Tuple[int, ...]:
         m = self.matrix.entries
@@ -127,7 +131,7 @@ def primitive_part(r: RhoLattice) -> Sublattice:
     if r.order != 3:
         raise IsometryError(f"primitive part needs an order-3 action, not order {r.order}")
     m = r.matrix
-    phi = m * m + m + IntMatrix.identity(m.rows)
+    phi = r.square + m + IntMatrix.identity(m.rows)
     return Sublattice(r.lattice, kernel_basis(phi.transpose()))
 
 

@@ -66,6 +66,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import add, index, sub
 from typing import Iterable, List, Sequence, Tuple
 
@@ -189,9 +190,12 @@ def _digit_width(a: Sequence[Row], b: Sequence[Row]) -> int | None:
 
     Both are bounded by ``beta = max(max|b|, max|b| * max_i sum_k |a_ik|)``;
     the first term matters only when ``a`` is zero."""
-    top = max((max(max(row), -min(row)) for row in b if row), default=0)
-    beta = max(top, top * max((sum(map(abs, row)) for row in a), default=0))
-    return next((w for w in _DIGITS if beta < 1 << (w - 1)), None)
+    top = max(max(map(max, b)), -min(map(min, b))) if b and b[0] else 0
+    beta = max(top, top * max(map(sum, map(map, repeat(abs), a)), default=0))
+    for w in _DIGITS:
+        if beta < 1 << (w - 1):
+            return w
+    return None
 
 
 def _row_sums(a: Sequence[Row], b: Sequence[Row], n: int) -> Tuple[Row, ...]:

@@ -11,7 +11,9 @@ Signature, radical and determinant are read from the pivots of one
 cached fraction-free symmetric elimination of the Gram matrix
 (``gram_elimination``; Sylvester's law), never by floating point.
 Discriminant groups come from the Gram matrix's invariant factors,
-checked against its determinant.
+checked against its determinant.  The Gram matrix ``B * G * B^T`` of a
+sublattice is cached by the values (basis B, ambient Gram G), never by
+object identity, so the same basis in a rescaled ambient gets its own.
 """
 
 from __future__ import annotations
@@ -304,7 +306,7 @@ class Sublattice:
         return self.basis.rows
 
     def gram(self) -> IntMatrix:
-        return self.basis * self.ambient.gram * self.basis.transpose()
+        return _sublattice_gram(self.basis, self.ambient.gram)
 
     def lattice(self) -> Lattice:
         return Lattice(self.gram())
@@ -323,6 +325,11 @@ class Sublattice:
 
     def __repr__(self) -> str:
         return f"Sublattice(rank {self.rank} of {self.ambient!r})"
+
+
+@cache
+def _sublattice_gram(basis: IntMatrix, gram: IntMatrix) -> IntMatrix:
+    return basis * gram * basis.transpose()
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ Smith transform and the right inverse of the J^perp basis that the
 library's projection is built from.  The complement root type is also
 computed with one Gauss-Jordan solve per ambient root, where the library
 reads the roots of the saturation of S and of S-perp.  Neither oracle
-shares a solve with the library.
+shares a solve with the library.  The digit-width reference scans the
+product operands row by row with generators, where
+``exactla._digit_width`` maps C-level iterators over them.
 
 ``clear_table_caches`` empties every cache built from the input tables,
 for the tests that patch a table; ``run_fresh`` runs code in a new
@@ -492,6 +494,14 @@ def rational_span_complement_root_type(s):
 
 
 # -- the adapted-basis route to quotient coordinates --------------------
+
+
+def digit_width_reference(a, b):
+    """The least w in 8, 16, 32, 64 with ``beta < 2^(w-1)``, for ``beta =
+    max(max|b|, max|b| * max_i sum_k |a_ik|)`` over row tuples, or None."""
+    top = max((max(max(row), -min(row)) for row in b if row), default=0)
+    beta = max(top, top * max((sum(map(abs, row)) for row in a), default=0))
+    return next((w for w in (8, 16, 32, 64) if beta < 1 << (w - 1)), None)
 
 
 def adapted_quotient_coords(xi, lift, rows):

@@ -69,6 +69,27 @@ def test_ragged_gram_literal_is_a_parse_error(command):
     assert res.output == "Error: ragged rows (at byte 15)\n"
 
 
+@pytest.mark.parametrize(
+    "expr,message",
+    [
+        ("A\u0662", "A needs an index (at byte 1)"),  # Arabic-Indic two
+        ("A\u00b2", "A needs an index (at byte 1)"),  # superscript two
+        ("diag(\u0661)", "expected an integer (at byte 5)"),  # Arabic-Indic one
+    ],
+)
+def test_lattice_expressions_take_ascii_digits_only(expr, message):
+    # str.isdigit holds for all three digits, which the grammar does not have
+    res = run("info", expr)
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
+
+
+def test_ascii_integer_literals_still_parse():
+    res = run("info", "diag(12, -3) + A2")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[:4] == ["rank       4", "signature  (1,3)", "parity     odd", "det        -108"]
+
+
 @given(
     st.sampled_from(["info", "roots", "disc"]),
     st.lists(st.lists(st.integers(-3, 3), max_size=4), min_size=1, max_size=4),

@@ -259,6 +259,33 @@ def test_isometry_order_stops_at_order_bound():
         isometry_order(_cycles(5, 7))  # lcm(5, 7) = 35
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        partial(fpf_order3, "A", 2),
+        partial(fpf_order3, "E", 6),
+        partial(fpf_order3, "E", 8),
+        rho3_u_u,
+        rho3_u_u3,
+        rho4_u_u2,
+        rho4_d4,
+        rho4_a1a1,
+    ],
+)
+def test_rho_lattice_keeps_the_square_of_its_matrix(make):
+    r = make()
+    m = r.matrix
+    assert r.square == m * m
+    assert isometry_order(m, r.square) == isometry_order(m) == r.order
+
+
+def test_the_kept_square_is_not_part_of_the_value():
+    a = rho3_u_u()
+    b = RhoLattice(a.lattice, a.matrix)
+    assert a == b and hash(a) == hash(b)
+    assert "square" not in repr(a)
+
+
 # -- the discriminant test against two oracles -------------------------
 #
 # rho is trivial on the discriminant group when G^-1 (M - I) is integral.

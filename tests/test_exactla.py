@@ -26,7 +26,15 @@ from k3lat.exactla import (
     smith_divisors,
     snf,
 )
-from support import ROOT_ATOMS, _det, changed_basis, gauss_jordan_express, gauss_jordan_inv, hermite_snf
+from support import (
+    ROOT_ATOMS,
+    _det,
+    changed_basis,
+    digit_width_reference,
+    gauss_jordan_express,
+    gauss_jordan_inv,
+    hermite_snf,
+)
 
 
 def test_hnf_identity():
@@ -735,6 +743,54 @@ def test_product_kernels_at_the_digit_width_edges(bound, data):
     a, b = data.draw(width_edge_products(bound))
     assert max(map(max, triple_loop_product(a, b))) == bound
     assert check_kernels(a, b) == least_width(bound)
+
+
+# entries at and just below each digit edge 2^(w-1), and past 64 bits
+EDGE_ENTRIES = [0, 1, 2, *(2 ** (w - 1) - d for w in WIDTHS for d in (1, 0)), 2**64, 2**100]
+
+
+@st.composite
+def digit_operands(draw):
+    """Row tuples ``a`` (m x k) and ``b`` (k x n), each size possibly 0,
+    of mixed-sign, all-zero and all-negative rows of edge entries."""
+    m, k, n = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def rows(count, length):
+        out = []
+        for _ in range(count):
+            mags = draw(st.lists(st.sampled_from(EDGE_ENTRIES), min_size=length, max_size=length))
+            kind = draw(st.sampled_from(("mixed", "zero", "negative")))
+            if kind == "zero":
+                out.append((0,) * length)
+            elif kind == "negative":
+                out.append(tuple(-(x or 1) for x in mags))
+            else:
+                out.append(tuple(x * draw(st.sampled_from((1, -1))) for x in mags))
+        return tuple(out)
+
+    return rows(m, k), rows(k, n)
+
+
+@given(digit_operands())
+@example(((), ()))  # no rows at all
+@example((((), ()), ()))  # k = 0
+@example((((1, 2),), ((), ())))  # n = 0
+@example(((), ((-5, -7),)))  # a has no rows: beta = max|b|
+@example((((0, 0),), ((0,), (0,))))  # all zero
+@example((((3, 3),), ((2**62,), (0,))))  # 6 * 2^62 is past 64 bits
+def test_digit_width_scan_matches_the_row_generators(operands):
+    """The bound that guards the packed product, against the row-by-row
+    generator formula; ``test_product_kernels_at_the_digit_width_edges``
+    checks the products it lets through."""
+    a, b = operands
+    assert exactla._digit_width(a, b) == digit_width_reference(a, b)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("entry", EDGE_ENTRIES)
+def test_digit_width_of_each_edge_entry(sign, entry):
+    b = ((sign * entry, 0), (0, 0))
+    assert exactla._digit_width(((1, 0),), b) == digit_width_reference(((1, 0),), b) == least_width(entry)
 
 
 @pytest.mark.parametrize(

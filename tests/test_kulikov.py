@@ -4,9 +4,16 @@ from itertools import product
 
 import pytest
 
-from k3lat.exactla import ExactLAError, IntMatrix, block_diagonal, index_in
+from k3lat.exactla import ExactLAError, IntMatrix, block_diagonal, index_in, kernel_basis
 from k3lat import eisenstein, goldens, kulikov
-from k3lat.eisenstein import RhoLattice, assemble, fixed_sublattice, is_invariant, negative_fpf_order3
+from k3lat.eisenstein import (
+    RhoLattice,
+    assemble,
+    fixed_sublattice,
+    is_invariant,
+    negative_fpf_order3,
+    primitive_part,
+)
 from k3lat.goldens import ORDER4_TABLE, SEMIFAN_TABLE
 from k3lat.kulikov import (
     COMPONENT_ROWS,
@@ -30,7 +37,7 @@ from k3lat.lattice import (
     signature,
 )
 from k3lat.roots import RootSystemType, dual_class_min, root_system
-from support import adapted_quotient_coords
+from support import adapted_quotient_coords, run_fresh
 
 T = RootSystemType.parse
 
@@ -180,6 +187,39 @@ def test_matching_quotient_is_built_once_for_the_glue_suite():
         assert (info.misses, info.hits) == (1, 12)
     finally:
         kulikov._matching_quotient.cache_clear()
+
+
+def test_primitive_gram_is_built_once_per_gluing():
+    k = glue_lambda(build_component(ComponentSpec(0, ((1, 3),))), build_component(ComponentSpec(1, ((0, 3),))))
+    gram = k.prim.lattice().gram
+    assert k.prim.lattice().gram is gram
+    # the cache reads values, not objects: the same basis in the ambient
+    # rescaled by 3 gets its own Gram matrix
+    tripled = Sublattice(rescale(k.prim.ambient, 3), k.prim.basis)
+    assert tripled.gram() == gram.scale(3)
+
+
+def test_sublattice_gram_is_built_once_for_the_glue_suite():
+    # a new interpreter: warm component and quotient caches would skip
+    # some of the Gram matrices a cold glue suite asks for
+    out = run_fresh(
+        "from k3lat import lattice\n"
+        "from k3lat.suites import suite_glue\n"
+        "suite_glue()\n"
+        "info = lattice._sublattice_gram.cache_info()\n"
+        "print(info.misses, info.hits)\n"
+    )
+    assert out.split() == ["20", "15"]
+
+
+@pytest.mark.parametrize("s0,s1", ALL_GLUINGS)
+def test_descended_action_keeps_its_square(s0, s1):
+    k = glue_lambda(build_component(ComponentSpec(*s0)), build_component(ComponentSpec(*s1)))
+    m = k.rho.matrix
+    assert k.rho.square == m * m
+    # the primitive part against phi = M*M + M + I built without the square
+    phi = m * m + m + IntMatrix.identity(m.rows)
+    assert primitive_part(k.rho).basis == kernel_basis(phi.transpose())
 
 
 def test_matching_quotient_equals_a_fresh_quotient():
