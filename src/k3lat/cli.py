@@ -49,8 +49,12 @@ from .roots import root_system
 # Cartan matrix is allocated.
 MAX_ADE_INDEX = 24
 
-# the grammar's digits: str.isdigit also accepts superscripts and other scripts
+# the grammar's digits and spaces: str.isdigit also accepts superscripts and
+# other scripts, str.isspace the ideographic and other Unicode spaces.  So
+# the parser never consumes a non-ASCII character, and a character offset
+# into the consumed text is its UTF-8 byte offset.
 _ASCII_DIGITS = frozenset("0123456789")
+_ASCII_SPACE = frozenset(" \t\n\r\x0b\x0c")
 
 
 class ParseError(ValueError):
@@ -67,7 +71,7 @@ class _Parser:
         return ParseError(message, self.pos)
 
     def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
+        while self.pos < len(self.text) and self.text[self.pos] in _ASCII_SPACE:
             self.pos += 1
 
     def peek(self) -> str:

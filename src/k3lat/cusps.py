@@ -29,6 +29,11 @@ The factors of P are distributed over the components by one product
 over placements, reduced to classes under the component permutations
 that extend to isometries of the model (``perm_group``).
 
+A cusp is starred when J-perp/J is an index-3 overlattice of its root
+span.  ``star_of`` decides it once per embedding record: the index of the
+complement roots' span in the saturated complement of P inside N.  The
+dual quotient orders of the components are tabulated data only.
+
 Each verified object is built once per process (``functools.cache``):
 ``family_data`` and ``classify_cusps`` per family, ``component_system``
 per component, ``_embed_sorted`` per factor multiset, ``build_niemeier``
@@ -371,7 +376,6 @@ class NiemeierModel:
     ncomp: int
     r: Lattice
     overlattice: Overlattice  # its lattice is the unimodular model N
-    glue_code: Tuple[Vector, ...]  # all nonzero codewords
     perm_group: Tuple[Tuple[int, ...], ...]
 
     def component_offset(self, c: int) -> int:
@@ -428,14 +432,7 @@ def build_niemeier(kind: str) -> NiemeierModel:
     for w in code:
         if w.count(0) != 1:
             raise CuspError("glue word without exactly one zero coordinate")
-    return NiemeierModel(
-        comp,
-        ncomp,
-        r,
-        over,
-        tuple(sorted(code)),
-        _code_perm_group(frozenset(code), ncomp),
-    )
+    return NiemeierModel(comp, ncomp, r, over, _code_perm_group(frozenset(code), ncomp))
 
 
 # -- embeddings of P ----------------------------------------------------
@@ -446,8 +443,13 @@ class EmbeddingRecord:
     model_kind: str
     assignment: Tuple[Tuple[Symbol, ...], ...]  # factor multiset per component
     outcomes: Tuple[ComponentOutcome, ...]
-    total_complement: RootSystemType
-    sat_index: int
+
+    @property
+    def total_complement(self) -> RootSystemType:
+        """The sum of the component complements, unstarred: the star is the
+        saturation index of ``star_of``, and the dual quotient orders of
+        ``rows`` are tabulated data, compared in the expl rows."""
+        return sum((oc.complement_type for oc in self.outcomes), EMPTY_TYPE)
 
     def rows(self) -> List[Tuple[str, str, int]]:
         """Per-component rows (assigned factors, complement type, dual order)."""
@@ -481,44 +483,13 @@ def enumerate_embeddings(p_factors: Tuple[Symbol, ...], kind: str) -> Tuple[Embe
             for cs in product(range(model.ncomp), repeat=len(fs))
         }
     }
-    records: List[EmbeddingRecord] = []
-    for assignment in sorted(classes):
-        per_comp = [embed_multiset(model.comp, fs) for fs in assignment]
-        if any(not oc for oc in per_comp):
-            continue
-        # cartesian product over the (few) outcomes of each component
-        for outcome_tuple in product(*per_comp):
-            total = EMPTY_TYPE
-            for oc in outcome_tuple:
-                total = total + oc.complement_type
-            rootspan_prod = 1
-            for oc in outcome_tuple:
-                rootspan_prod *= oc.rootspan_index
-            full_positions = [
-                i for i, oc in enumerate(outcome_tuple) if oc.dual_image_order == 3
-            ]
-            for oc in outcome_tuple:
-                if oc.dual_image_order not in (1, 3):
-                    raise CuspError("unexpected dual image order")
-            # order of the code meeting the image of the dual complement
-            inter = sum(
-                1
-                for w in model.glue_code
-                if all(w[i] == 0 for i in range(model.ncomp) if i not in full_positions)
-            )
-            glue_intersection = inter + 1  # include the zero word
-            sat_index = glue_intersection * rootspan_prod
-            if sat_index not in (1, 3):
-                raise CuspError(f"saturation index {sat_index} outside {{1,3}}")
-            records.append(
-                EmbeddingRecord(
-                    kind,
-                    assignment,
-                    outcome_tuple,
-                    total.with_star(sat_index == 3),
-                    sat_index,
-                )
-            )
+    # the product over the (few) outcomes of each component is empty when
+    # some component takes no embedding
+    records = [
+        EmbeddingRecord(kind, assignment, outcomes)
+        for assignment in sorted(classes)
+        for outcomes in product(*[embed_multiset(model.comp, fs) for fs in assignment])
+    ]
     return tuple(sorted(records, key=lambda r: (str(r.total_complement), r.assignment)))
 
 
@@ -564,16 +535,12 @@ def _p_complement(record: EmbeddingRecord) -> Sublattice:
 
 
 def star_of(record: EmbeddingRecord) -> bool:
-    """Concrete saturation test inside the unimodular model.
-
-    Spans the roots of the saturated complement of the embedded copy of
-    P inside N and compares; the result must agree with the glue
-    bookkeeping carried by the record, whose ``sat_index`` is 1 or 3.
-    """
-    sat = _p_complement(record)
-    idx = index_in(complement_root_span(record), sat.basis)
-    if idx != record.sat_index:
-        raise CuspError("glue bookkeeping disagrees with the concrete saturation")
+    """Whether the record's cusp is starred: the index of the span of the
+    complement roots in the saturated complement of the embedded P inside
+    N, which is 1 or 3 (``CuspError`` otherwise), is 3."""
+    idx = index_in(complement_root_span(record), _p_complement(record).basis)
+    if idx not in (1, 3):
+        raise CuspError(f"saturation index {idx} outside {{1,3}}")
     return idx == 3
 
 
@@ -593,15 +560,11 @@ class CuspRecord:
 def classify_cusps(n: int, k: int) -> Tuple[CuspRecord, ...]:
     """All 1-cusp quotient types of the family, from both unimodular models."""
     fam = family_data(n, k)
-    by_type: Dict[str, List[EmbeddingRecord]] = {}
+    by_type: Dict[RootSystemType, List[EmbeddingRecord]] = {}
     for kind in NIEMEIER_GLUE:
         for rec in enumerate_embeddings(fam.p_factors, kind):
-            star_of(rec)  # concrete verification of the star flag
-            by_type.setdefault(str(rec.total_complement), []).append(rec)
-    return tuple(
-        CuspRecord(by_type[key][0].total_complement, tuple(by_type[key]))
-        for key in sorted(by_type)
-    )
+            by_type.setdefault(rec.total_complement.with_star(star_of(rec)), []).append(rec)
+    return tuple(CuspRecord(t, tuple(by_type[t])) for t in sorted(by_type, key=str))
 
 
 # -- direct route: isotropic planes -------------------------------------

@@ -75,14 +75,14 @@ def verify_isometry(lattice: Lattice, m: IntMatrix) -> None:
                     )
 
 
-def isometry_order(m: IntMatrix, square: IntMatrix | None = None) -> int:
-    """The order of ``m``; ``square``, when given, must be ``m * m``."""
+def isometry_order(m: IntMatrix, square: IntMatrix) -> int:
+    """The order of ``m``; ``square`` must be ``m * m``."""
     ident = IntMatrix.identity(m.rows)
     p = m
     for k in range(1, ORDER_BOUND + 1):
         if p == ident:
             return k
-        p = square if k == 1 and square is not None else p * m
+        p = square if k == 1 else p * m
     raise IsometryError(f"order exceeds bound {ORDER_BOUND}")
 
 

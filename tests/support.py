@@ -7,9 +7,12 @@ signatures, and the ``Fraction`` construction of a glued overlattice.
 They are slow, and independent of the code under test apart from
 ``hnf``, which the glue construction defines its basis by.  The star
 test's all-roots route spans every complement root of an embedding
-record, where the library spans only their simple roots.  The Smith
-oracle is the alternating row and column Hermite passes that the pivot
-elimination of ``snf`` replaced.  The coefficient-box enumerator scans
+record, where the library spans only their simple roots.  The glue-code
+bookkeeping decides the star from the words of the glue code and each
+component's tabulated indices, where the library computes the index of
+the complement's root span in its saturation inside the Niemeier
+lattice.  The Smith oracle is the alternating row and column Hermite
+passes that the pivot elimination of ``snf`` replaced.  The coefficient-box enumerator scans
 every small coefficient vector that ``roots.enumerate_norm`` prunes
 away.  The tuple root decomposition subtracts coefficient tuples where
 ``roots.root_decomposition`` subtracts packed keys, and counts each
@@ -37,6 +40,7 @@ from operator import mul, sub
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -428,6 +432,37 @@ def all_complement_root_span(record):
     rows = _mul(rows, model.overlattice.old_in_new.entries)
     h, _ = hnf(IntMatrix(rows, cols=model.overlattice.lattice.rank))
     return IntMatrix([r for r in h.entries if any(r)], cols=model.overlattice.lattice.rank)
+
+
+# -- the glue-code bookkeeping of the star ------------------------------
+
+
+def glue_code(kind):
+    """The nonzero words of the glue code of ``kind``, sorted: every
+    combination mod 3 of its ``NIEMEIER_GLUE`` generators."""
+    _, ncomp, gens = cusps.NIEMEIER_GLUE[kind]
+    words = {
+        tuple(sum(c * g[i] for c, g in zip(cs, gens)) % 3 for i in range(ncomp))
+        for cs in product(range(3), repeat=len(gens))
+    }
+    return tuple(sorted(words - {(0,) * ncomp}))
+
+
+def glue_code_sat_index(record):
+    """[saturated complement of P in N : span of its roots], from the glue
+    code and the tabulated data of each component outcome alone.
+
+    The complement of P in the root lattice R has index the product of the
+    ``rootspan_index`` over its root span.  N adds one class per glue
+    word that is trivial on every component where the dual complement has
+    image order 1; the image order must be 1 or 3, one Z/3 per copy."""
+    if any(oc.dual_image_order not in (1, 3) for oc in record.outcomes):
+        raise AssertionError("dual image order outside {1,3}")
+    full = {i for i, oc in enumerate(record.outcomes) if oc.dual_image_order == 3}
+    glued = 1 + sum(
+        1 for w in glue_code(record.model_kind) if all(x == 0 for i, x in enumerate(w) if i not in full)
+    )
+    return glued * math.prod(oc.rootspan_index for oc in record.outcomes)
 
 
 # -- Weyl orbits under every reflection -----------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3lat import goldens
+from k3lat import cusps, goldens
 from k3lat.cusps import (
     NIEMEIER_GLUE,
     ComponentSystem,
@@ -42,6 +42,8 @@ from k3lat.suites import suite_tab3
 from support import (
     all_complement_root_span,
     clear_table_caches,
+    glue_code,
+    glue_code_sat_index,
     reflection_orbit_reps,
     run_fresh,
 )
@@ -278,7 +280,7 @@ def planes_of_f3_4():
 def test_e6_glue_code_is_a_plane_of_weight_3_words():
     planes = planes_of_f3_4()
     assert len(planes) == 130
-    code = build_niemeier("E6^4").glue_code
+    code = glue_code("E6^4")
     assert code in planes
     assert all(sum(1 for c in w if c) == 3 for w in code)
 
@@ -365,8 +367,9 @@ def test_niemeier_e6_fourth():
     assert m.overlattice.index == 9
     assert m.ncomp * len(component_system(*m.comp).roots) == 288
     # every nonzero glue word has exactly one zero coordinate
-    assert all(sum(1 for c in w if c == 0) == 1 for w in m.glue_code)
-    assert len(m.glue_code) == 8
+    code = glue_code("E6^4")
+    assert all(sum(1 for c in w if c == 0) == 1 for w in code)
+    assert len(code) == 8
 
 
 def test_embedding_counts_match_expectations():
@@ -398,7 +401,6 @@ def test_star_of_concrete_agreement():
 def test_e8_model_never_starred():
     for p in [(("E", 8),), (("E", 6), ("A", 2), ("A", 2), ("A", 2))]:
         for rec in enumerate_embeddings(p, "E8^3"):
-            assert rec.sat_index == 1
             assert star_of(rec) is False
 
 
@@ -417,12 +419,35 @@ def test_all_root_span_rejects_a_missing_simple_root():
     assert complement_root_span(cut) != all_complement_root_span(rec)
 
 
-def test_star_of_rejects_flipped_bookkeeping():
-    for rec in all_records():
-        assert star_of(rec) is (rec.sat_index == 3)
-        flipped = dataclasses.replace(rec, sat_index=4 - rec.sat_index)
-        with pytest.raises(CuspError, match="bookkeeping disagrees"):
-            star_of(flipped)
+def test_star_of_agrees_with_the_glue_code_bookkeeping():
+    # the concrete saturation index against the tetracode count over the
+    # tabulated dual image orders, on the 16 records of the 8 tables
+    records = list(all_records())
+    assert len(records) == 16
+    stars = [star_of(rec) for rec in records]
+    assert stars == [glue_code_sat_index(rec) == 3 for rec in records]
+    assert sum(stars) == 3
+
+
+def test_star_of_rejects_a_saturation_index_outside_1_3(monkeypatch):
+    # a root span with one row doubled has twice the index: 2 or 6
+    real = cusps.complement_root_span
+
+    def doubled(record):
+        span = real(record)
+        return IntMatrix([[2 * x for x in span.entries[0]], *span.entries[1:]], cols=span.cols)
+
+    records = list(all_records())
+    monkeypatch.setattr(cusps, "complement_root_span", doubled)
+    clear_table_caches()
+    try:
+        for rec in records:
+            with pytest.raises(CuspError, match=r"outside \{1,3\}"):
+                star_of(rec)
+        with pytest.raises(CuspError, match=r"outside \{1,3\}"):
+            classify_cusps(0, 1)
+    finally:
+        clear_table_caches()
 
 
 def test_a_fresh_process_builds_each_cached_object_once():
@@ -483,8 +508,6 @@ def test_isotropic_plane_in_u_of_01_lands_in_classification():
 
 
 def test_isotropic_plane_raises_on_a_plane_that_is_not_invariant(monkeypatch):
-    import k3lat.cusps as cusps
-
     monkeypatch.setattr(cusps, "is_invariant", lambda rows, m: False)
     with pytest.raises(CuspError, match="plane is not invariant"):
         isotropic_plane(family_data(0, 2).rho_t, [1, 0, 0, 0] + [0] * 16)

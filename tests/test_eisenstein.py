@@ -254,9 +254,11 @@ def _cycles(*lengths):
 
 def test_isometry_order_stops_at_order_bound():
     assert ORDER_BOUND == 24
-    assert isometry_order(_cycles(3, 8)) == 24  # lcm(3, 8), the bound itself
+    m = _cycles(3, 8)
+    assert isometry_order(m, m * m) == 24  # lcm(3, 8), the bound itself
+    m = _cycles(5, 7)
     with pytest.raises(IsometryError, match="order exceeds bound 24"):
-        isometry_order(_cycles(5, 7))  # lcm(5, 7) = 35
+        isometry_order(m, m * m)  # lcm(5, 7) = 35
 
 
 @pytest.mark.parametrize(
@@ -276,7 +278,7 @@ def test_rho_lattice_keeps_the_square_of_its_matrix(make):
     r = make()
     m = r.matrix
     assert r.square == m * m
-    assert isometry_order(m, r.square) == isometry_order(m) == r.order
+    assert isometry_order(m, r.square) == isometry_order(m, m * m) == r.order
 
 
 def test_the_kept_square_is_not_part_of_the_value():
