@@ -167,8 +167,8 @@ class ComponentSystem:
         self.index = {key: i for i, key in enumerate(self.keys)}
         r = IntMatrix._of(tuple(self.roots), n)
         self.pair = (r * self.lattice.gram * r.transpose()).entries
-        # masks[i][v+2] = bitmask of roots pairing v with root i: the row
-        # reversed as bytes v+2, with byte v+2 made "1" and the rest "0"
+        # masks[i][v+1] = bitmask of roots pairing v = -1, 0, 1 with root i:
+        # the row reversed as bytes v+2, byte v+2 made "1" and the rest "0"
         self.masks = [
             [int(row.translate(t), 2) for t in _DIGIT_TABLES]
             for row in (bytes(v + 2 for v in reversed(p)) for p in self.pair)
@@ -189,15 +189,15 @@ class ComponentSystem:
         roots pair <= 0.  So a root is simple exactly when it pairs +1
         with no simple root found before it.
 
-        ``roots.root_decomposition`` also finds simple roots, but on
-        vectors and with the components: on the 54 subsystems of
-        ``classify_cusps`` it takes two to three times as long as their
-        orbit computations.
+        ``roots.root_decomposition`` runs the same scan on vectors, with
+        packed keys, and types the components: on the 54 subsystems of
+        ``classify_cusps`` it takes about twice as long as their orbit
+        computations, and over ten times as long as this scan.
         """
         simple = []
         found = 0
         for i in reversed(self.pos_reps):
-            if refl_mask >> i & 1 and not self.masks[i][3] & found:
+            if refl_mask >> i & 1 and not self.masks[i][2] & found:
                 simple.append(i)
                 found |= 1 << i
         return simple
@@ -235,9 +235,9 @@ class ComponentSystem:
         return reps
 
 
-# translate tables of ComponentSystem.masks, for d = v+2 = 0..4: the byte
+# translate tables of ComponentSystem.masks, for d = v+2 = 1..3: the byte
 # d -> "1", every other byte -> "0"
-_DIGIT_TABLES = [bytes(48 + (b == d) for b in range(256)) for d in range(5)]
+_DIGIT_TABLES = [bytes(48 + (b == d) for b in range(256)) for d in (1, 2, 3)]
 
 
 def _bits(mask: int) -> List[int]:
@@ -281,7 +281,7 @@ def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -
     rk = cs.lattice.rank
     comp_mask = cs.all_mask
     for i in flat:
-        comp_mask &= cs.masks[i][0 + 2]
+        comp_mask &= cs.masks[i][0 + 1]
     comp_roots = [cs.roots[i] for i in _bits(comp_mask)]
     ctype, simple = root_decomposition(comp_roots, cs.lattice.gram)
     rows = IntMatrix._of(tuple(cs.roots[i] for i in flat), rk)
@@ -344,13 +344,13 @@ def _embed_sorted(comp: Symbol, factors: Tuple[Symbol, ...]) -> Tuple[ComponentO
             return
         mask = cs.all_mask
         for j, val in enumerate(reqs[depth]):
-            mask &= cs.masks[chosen[j]][val + 2]
+            mask &= cs.masks[chosen[j]][val + 1]
         for rep in cs.orbit_reps(mask, orth_mask):
             if full_rank and found_full[0]:
                 # complement is empty either way; one witness suffices
                 return
             chosen.append(rep)
-            search(depth + 1, chosen, orth_mask & cs.masks[rep][2])
+            search(depth + 1, chosen, orth_mask & cs.masks[rep][1])
             chosen.pop()
 
     search(0, [], cs.all_mask)

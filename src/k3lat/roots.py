@@ -5,8 +5,8 @@ Fincke--Pohst traversal (Fincke--Pohst, Math. Comp. 1985): the symmetric
 Bareiss elimination (``exactla.gram_elimination``) of the size-reduced
 Gram matrix gives leading minors ``d_k`` and integer numerators, and
 scaling the norm by ``lcm(d_k d_{k-1})`` turns every level's interval
-into an integer square root and an integer subtraction.  The test suite checks it against a brute-force
-coefficient-box enumerator.
+into an integer square root and an integer subtraction.  The test suite
+checks it against a brute-force coefficient-box enumerator.
 
 ``enumerate_norm`` is reduce (``_size_reduce``), search (the traversal,
 which keeps one of each pair +-x, in reduced coordinates), map back
@@ -14,17 +14,15 @@ through the reduction transform V, and sort: vectors are returned
 closed under negation, sorted lexicographically on their coefficient
 tuples, so output order is deterministic.
 
-Root systems are decomposed through simple roots: the lexicographically
-positive roots are a positive system, its simple roots are found by one
-ascending scan, and the components are those of the Dynkin graph of the
-simple roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
-The scan runs on packed integer keys (``packed_keys``), so ordering,
-positivity and the simplicity test are integer comparisons, one
-subtraction and one set lookup.  ``root_system`` shares the reduce and
-search steps with ``enumerate_norm`` and decomposes the half the search
-returns, in the reduced basis; only the simple roots are mapped back
-through V, since the root span is the Hermite form of the simple roots,
-whichever basis and positive system they were found in.
+Root systems take one pass.  The search order is that of an exact
+integer key, a linear functional positive on the vectors the search
+keeps, so the roots it finds are a positive system; each goes to the
+simple-root scan as it is found, and the search stops at the rank-th
+simple root.  Components are typed by the Dynkin diagram of the simple
+roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6), and
+``root_decomposition`` gives roots passed as vectors the same scan and
+typing.  ``root_system`` maps only the simple roots back through V:
+their Hermite form is the root span, in any basis and positive system.
 
 The layer is integer-only: ``dual_class_min`` enumerates the integer
 scaled dual of ``lattice.scaled_dual`` and returns the numerator of a
@@ -43,14 +41,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, count
+from itertools import accumulate, chain, count
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .exactla import IntMatrix, det, gram_elimination, hermite_basis, saturate
 from .lattice import Lattice, LatticeError, Sublattice, definite_sign, scaled_dual
 
 Vector = Tuple[int, ...]
+Visit = Callable[[int, List[int]], object]  # (key, vector) -> stop the search?
 
 
 class EnumerationError(LatticeError):
@@ -115,12 +114,14 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     return IntMatrix(g, cols=n), IntMatrix(v, cols=n)
 
 
-def _reduced_search(l: Lattice, m: int) -> Tuple[IntMatrix, IntMatrix, List[Vector]]:
-    """Reduce, then search: ``(G', V, half)`` with ``G' = V G V^T`` the
-    size-reduced positive definite Gram matrix of ``l`` and ``half`` its
-    vectors of norm ``m`` whose last nonzero coordinate is positive, one of
-    each pair +-x, in the reduced basis and in the order the search finds
-    them."""
+def _reduced_search(l: Lattice, m: int, visit: Visit) -> Tuple[IntMatrix, IntMatrix]:
+    """Reduce, then search: returns ``(G', V)``, ``G' = V G V^T`` size-reduced
+    and positive definite, after ``visit(key, x)`` on each x of norm ``m``
+    with last nonzero coordinate positive (reduced coordinates) until it
+    returns True.  ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
+    (3 M_k + 1)`` for ``M_k`` the bound on ``|x_k|`` that the level-k
+    intervals prove: the top nonzero digit outweighs the rest, so keys
+    ascend and ``key u - key v = key w`` only when ``u - v = w``."""
     if m < 1:
         raise EnumerationError("norm bound must be a positive integer")
     # the positive definite one of G and -G; ``definite_sign`` raises on
@@ -133,37 +134,44 @@ def _reduced_search(l: Lattice, m: int) -> Tuple[IntMatrix, IntMatrix, List[Vect
     scale = math.lcm(*dd)
     w = [scale // x for x in dd]
     tails = [b[k][k + 1 :] for k in range(n)]
-    found: List[Vector] = []
+    # level k bounds y = d_k x_k + c by |y| <= isqrt(scale m / w_k), and
+    # |c| <= sum_j |b_kj| M_j over the levels above it
+    bound = [0] * n
+    for k in reversed(range(n)):
+        c = sum(abs(bkj) * mj for bkj, mj in zip(tails[k], bound[k + 1 :]))
+        bound[k] = (math.isqrt(scale * m // w[k]) + c) // d[k]
+    place = list(accumulate([3 * mk + 1 for mk in bound[:-1]], mul, initial=1))
     x = [0] * n
 
-    def descend(k: int, budget: int, top: bool) -> None:
+    def descend(k: int, budget: int, top: bool, key: int) -> bool:
         # |y| <= s with y = d_k x_k + c bounds x_k to an integer interval;
         # while x_{k+1..n-1} are all zero (top), x_k >= 0 keeps one of +-x
         c = sum(map(mul, tails[k], x[k + 1 :]))
         s = math.isqrt(budget // w[k])
-        dk, wk = d[k], w[k]
+        dk, wk, pk = d[k], w[k], place[k]
         for t in range(0 if top else -((s + c) // dk), (s - c) // dk + 1):
             x[k] = t
             y = dk * t + c
             rest = budget - wk * y * y
             if k == 0:
-                if rest == 0:
-                    found.append(tuple(x))
-            else:
-                descend(k - 1, rest, top and t == 0)
+                if rest == 0 and visit(key + t, x):
+                    return True
+            elif descend(k - 1, rest, top and t == 0, key + t * pk):
+                return True
         x[k] = 0
+        return False
 
     if n:
-        descend(n - 1, scale * m, True)
-    return gram_red, v, found
+        descend(n - 1, scale * m, True, 0)
+    return gram_red, v
 
 
 def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
     """All lattice vectors of norm exactly ``m`` (absolute value for
     negative definite input), closed under negation, in canonical order."""
-    _, v, half = _reduced_search(l, m)
-    # map back through the size-reduction transform: rows found in the
-    # reduced basis correspond to x*V in the original coordinates
+    half: List[Vector] = []
+    _, v = _reduced_search(l, m, lambda key, x: half.append(tuple(x)))
+    # a row x found in the reduced basis is x*V in the original coordinates
     orig = (IntMatrix._of(tuple(half), v.rows) * v).entries
     return sorted(orig + tuple(tuple(-o for o in x) for x in orig))
 
@@ -190,22 +198,6 @@ def dual_class_min(sym: str, n: int) -> int:
 
 
 # -- root systems ------------------------------------------------------
-
-
-def _component_root_count(sym: str, n: int) -> int:
-    if sym == "A":
-        return n * (n + 1)
-    if sym == "D":
-        return 2 * n * (n - 1)
-    return {6: 72, 7: 126, 8: 240}[n]
-
-
-# rank 3 with 12 roots is reported as A3 by convention (no D3 entry)
-_TYPE_BY_RANK_COUNT: Dict[Tuple[int, int], Tuple[str, int]] = {
-    (n, _component_root_count(sym, n)): (sym, n)
-    for sym, ranks in (("A", range(1, 25)), ("D", range(4, 25)), ("E", (6, 7, 8)))
-    for n in ranks
-}
 
 
 @dataclass(frozen=True, order=True)
@@ -248,7 +240,9 @@ class RootSystemType:
         return sum(n for _, n in self.components)
 
     def root_count(self) -> int:
-        return sum(_component_root_count(*c) for c in self.components)
+        # n h roots in a component of rank n and Coxeter number h
+        h = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get}
+        return sum(n * h[sym](n) for sym, n in self.components)
 
     def with_star(self, starred: bool) -> "RootSystemType":
         return RootSystemType(self.components, starred)
@@ -274,110 +268,116 @@ class RootSystemType:
 EMPTY_TYPE = RootSystemType.of([])
 
 
-def _identify_component(rank: int, count: int) -> Tuple[str, int]:
-    t = _TYPE_BY_RANK_COUNT.get((rank, count))
-    if t is None:
-        raise EnumerationError(
-            f"component with rank {rank} and {count} roots matches no ADE type"
-        )
-    return t
-
-
 def packed_keys(vectors: Sequence[Vector]) -> List[int]:
     """Integer keys ``key(v) = sum_k v_k B^(n-1-k)`` of ``vectors``, in
     base ``B = 3M + 1`` for ``M`` their largest absolute coordinate.
 
-    The key is linear.  A vector ``w`` with every ``|w_k| <= B - 1`` has
-    the sign of its first nonzero coordinate, whose digit outweighs the
-    rest, ``sum_{k>j} (B - 1) B^(n-1-k) < B^(n-1-j)``; so its key is 0
-    only when ``w = 0``.  For vectors u, v, w of the set this makes:
-
-    * key order lexicographic order, and key > 0 the lexicographically
-      positive vectors (``u - v`` has coordinates of size up to 2M);
-    * ``key u - key v = key w`` exactly when ``u - v = w``, since
-      ``u - v - w`` has coordinates of size up to 3M = B - 1.
-
-    The root decomposition needs the second fact; a base of ``2M + 1``
-    gives only the first, and lets the key of a difference of two roots
-    equal the key of a root that is not that difference.
-    """
+    The key is linear, and the first nonzero digit of a vector with every
+    ``|w_k| <= B - 1`` outweighs the rest.  So, for u, v, w in the set, key
+    order is lexicographic order (``u - v`` has coordinates up to 2M), and
+    ``key u - key v = key w`` exactly when ``u - v = w`` (``u - v - w`` has
+    coordinates up to 3M); a base of ``2M + 1`` gives only the first."""
     base = 3 * max(map(abs, chain.from_iterable(vectors)), default=0) + 1
     n = len(vectors[0]) if vectors else 0
     powers = [base**k for k in range(n - 1, -1, -1)]
     return [sum(map(mul, v, powers)) for v in vectors]
 
 
+def _simple_scan(limit: int, simple: List[Vector]) -> Visit:
+    """``visit(key, root)`` of the simple-root scan, fed the positive roots
+    in ascending order of a linear key exact on differences: it appends
+    each simple root to ``simple`` and returns True at the ``limit``-th.  A
+    positive beta is simple unless ``beta - alpha`` is a positive root for
+    a simple alpha (Humphreys, *Reflection Groups*, 1.3-1.6); both come
+    before beta, so the test is exact on every prefix of the order."""
+    positive = set()
+    keys: List[int] = []
+
+    def visit(key: int, root: Sequence[int]) -> bool:
+        for ka in keys:
+            if key - ka in positive:
+                break
+        else:
+            keys.append(key)
+            simple.append(tuple(root))
+            if len(keys) == limit:
+                return True
+        positive.add(key)
+        return False
+
+    return visit
+
+
+def _diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
+    """ADE type of simple roots with the Cartan matrix ``cartan``, one
+    component per piece of its Dynkin diagram: a path is A_n, a tree with
+    one branch node is D_n when its arms have (1, 1, k) nodes and E6, E7,
+    E8 when (1, 2, 2), (1, 2, 3), (1, 2, 4); any other diagram raises.
+    Layer d >= 1 from the branch node has one node per arm of >= d nodes."""
+    adj = [[j for j, c in enumerate(row) if c and j != i] for i, row in enumerate(cartan)]
+
+    def layers(start: int) -> Dict[int, int]:
+        depth = {start: 0}
+        order = [start]
+        for a in order:
+            for j in adj[a]:
+                if j not in depth:
+                    depth[j] = depth[a] + 1
+                    order.append(j)
+        return depth
+
+    comps: List[Tuple[str, int]] = []
+    seen: set = set()
+    for i in range(len(adj)):
+        if i in seen:
+            continue
+        depth = layers(i)
+        seen.update(depth)
+        n = len(depth)
+        degree = sorted(len(adj[a]) for a in depth)
+        if sum(degree) == 2 * n - 2 and degree[-1] <= 2:
+            comps.append(("A", n))
+            continue
+        if sum(degree) == 2 * n - 2 and degree[-1] == 3 and degree[-2] <= 2:
+            depths = list(layers(next(a for a in depth if len(adj[a]) == 3)).values())
+            arms = [sum(depths.count(d) >= k for d in range(1, n)) for k in (3, 2, 1)]
+            if arms[:2] == [1, 1] or arms[:2] == [1, 2] and arms[2] <= 4:
+                comps.append(("DE"[arms[1] - 1], n))
+                continue
+        raise EnumerationError(f"a component of {n} simple roots has no ADE Dynkin diagram")
+    return RootSystemType.of(comps)
+
+
 def root_decomposition(
     roots: Sequence[Vector], gram: IntMatrix
 ) -> Tuple[RootSystemType, List[Vector]]:
-    """ADE type and simple roots of the roots ``roots`` (norm +-2 under
-    ``gram``, closed under their own reflections), given either closed
-    under negation or as one root of each pair +-r.
-
-    The lexicographically positive roots form a positive system; on
-    ``packed_keys`` they are the roots of positive key, in key order, and
-    ``|key|`` picks the positive one of each pair.  Scanned in ascending
-    order, a positive root beta is simple unless ``beta - alpha`` is a
-    positive root for an earlier simple root alpha (Humphreys,
-    *Reflection Groups*, 1.3-1.6), one subtraction and one set lookup of
-    keys.  Then ``beta = (beta - alpha) + alpha`` with three roots forces
-    ``beta - alpha`` and alpha to pair nonzero, so beta lies in the
-    component of the first such alpha and is counted for it.  The
-    components are those of the Dynkin graph of the simple roots, read off
-    their Cartan matrix; a component's rank is its number of simple roots,
-    and its root count is twice the positive roots counted for them.
-    """
+    """ADE type and simple roots of ``roots`` (norm +-2 under ``gram``,
+    closed under their own reflections), given closed under negation or as
+    one root of each pair +-r: the lexicographically positive ones, of
+    positive ``packed_keys`` key, go to ``_simple_scan`` in key order."""
     keys = packed_keys(roots)
-    by_key = dict(zip(keys, roots))
-    positive = set(map(abs, keys))  # |key| of each pair +-r
-    simple: List[int] = []
-    counted: List[int] = []  # positive roots counted for each simple root
-    for kb in sorted(positive):
-        for i, ka in enumerate(simple):
-            if kb - ka in positive:
-                counted[i] += 1
-                break
-        else:
-            simple.append(kb)
-            counted.append(1)
-    vectors = [by_key[k] if k in by_key else tuple(-c for c in by_key[-k]) for k in simple]
-    s = IntMatrix._of(tuple(vectors), gram.rows)
-    cartan = (s * gram * s.transpose()).entries
-
-    comp = [-1] * len(simple)
-    for i in range(len(simple)):
-        if comp[i] < 0:
-            comp[i] = i
-            stack = [i]
-            while stack:
-                for j, c in enumerate(cartan[stack.pop()]):
-                    if c and comp[j] < 0:
-                        comp[j] = i
-                        stack.append(j)
-    counts: Dict[int, int] = {}
-    for c, k in zip(comp, counted):
-        counts[c] = counts.get(c, 0) + 2 * k
-    return (
-        RootSystemType.of([_identify_component(comp.count(c), k) for c, k in counts.items()]),
-        vectors,
-    )
+    positive = {abs(k): r if k > 0 else tuple(-c for c in r) for k, r in zip(keys, roots)}
+    simple: List[Vector] = []
+    visit = _simple_scan(gram.rows, simple)
+    for k in sorted(positive):
+        if visit(k, positive[k]):
+            break
+    s = IntMatrix._of(tuple(simple), gram.rows)
+    return _diagram_type((s * gram * s.transpose()).entries), simple
 
 
 @cache
 def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     """Root type and Hermite basis of the simple roots of the definite
-    form ``gram``, computed once per Gram matrix.
-
-    The decomposition runs in the size-reduced basis of the search, on
-    the half of the roots the search returns and the reduced Gram
-    matrix, where the coordinates (and so the packed keys) are smallest.
-    Only the simple roots are mapped back through V: they span the same
-    lattice as all roots, and the Hermite form of that span depends on
-    neither the positive system nor the basis it was found in.
-    """
-    gram_red, v, half = _reduced_search(Lattice(gram), 2)
-    rtype, simple = root_decomposition(half, gram_red)
-    return rtype, hermite_basis((IntMatrix._of(tuple(simple), v.rows) * v).entries, gram.rows)
+    form ``gram``, once per Gram matrix.  The roots the search finds, the
+    positive system of its key, go to ``_simple_scan`` as found, until the
+    rank-th simple root; the diagram is read in the reduced basis, and only
+    the simple roots, which span all roots, are mapped back through V."""
+    simple: List[Vector] = []
+    gram_red, v = _reduced_search(Lattice(gram), 2, _simple_scan(gram.rows, simple))
+    s = IntMatrix._of(tuple(simple), gram.rows)
+    rtype = _diagram_type((s * gram_red * s.transpose()).entries)
+    return rtype, hermite_basis((s * v).entries, gram.rows)
 
 
 def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:

@@ -15,8 +15,11 @@ lattice.  The Smith oracle is the alternating row and column Hermite
 passes that the pivot elimination of ``snf`` replaced.  The coefficient-box enumerator scans
 every small coefficient vector that ``roots.enumerate_norm`` prunes
 away.  The tuple root decomposition subtracts coefficient tuples where
-``roots.root_decomposition`` subtracts packed keys, and counts each
-root's component from its pairings with the simple roots.  The Weyl
+``roots.root_decomposition`` subtracts packed keys, scans every positive
+root where the library stops at the rank-th simple root, and types each
+component by its rank and root count, counting each root's component
+from its pairings with the simple roots, where the library reads the
+Dynkin diagram of the simple roots.  The Weyl
 orbit oracle applies every reflection of a root subsystem to root tuples,
 where ``ComponentSystem.orbit_reps`` applies its simple reflections to
 packed keys.  The Kulikov quotient coordinates are also read off a
@@ -63,7 +66,7 @@ from k3lat.lattice import (
     hyperbolic,
     root_lattice,
 )
-from k3lat.roots import RootSystemType, _identify_component, enumerate_norm, root_decomposition
+from k3lat.roots import RootSystemType, enumerate_norm, root_decomposition
 
 # -- random changes of basis -------------------------------------------
 #
@@ -370,6 +373,22 @@ def restrict_to_box(vectors, bound):
 # -- the tuple root decomposition ----------------------------------------
 
 
+def _ade_root_count(sym, n):
+    if sym == "A":
+        return n * (n + 1)
+    if sym == "D":
+        return 2 * n * (n - 1)
+    return {6: 72, 7: 126, 8: 240}[n]
+
+
+# rank 3 with 12 roots is A3 (there is no D3 entry)
+TYPE_BY_RANK_COUNT = {
+    (n, _ade_root_count(sym, n)): (sym, n)
+    for sym, ranks in (("A", range(1, 25)), ("D", range(4, 25)), ("E", (6, 7, 8)))
+    for n in ranks
+}
+
+
 def tuple_root_decomposition(roots, gram):
     """ADE type and simple roots of ``roots`` (closed under negation) on
     coefficient tuples: the lexicographically positive roots, scanned in
@@ -404,7 +423,7 @@ def tuple_root_decomposition(roots, gram):
         c = comp[next(i for i, x in enumerate(row) if x)]
         counts[c] = counts.get(c, 0) + 2
     return (
-        RootSystemType.of([_identify_component(comp.count(c), k) for c, k in counts.items()]),
+        RootSystemType.of([TYPE_BY_RANK_COUNT[comp.count(c), k] for c, k in counts.items()]),
         simple,
     )
 

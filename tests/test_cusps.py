@@ -121,7 +121,7 @@ def test_component_weyl_transitivity():
     for sym, n in [("E", 6), ("E", 8)]:
         cs = component_system(sym, n)
         assert len(cs.orbit_reps(cs.all_mask, cs.all_mask)) == 1
-        reps = cs.orbit_reps(cs.all_mask, cs.masks[0][2])
+        reps = cs.orbit_reps(cs.all_mask, cs.masks[0][1])
         assert sorted(cs.pair[0][i] for i in reps) == [-2, -1, 0, 1, 2]
 
 
@@ -156,7 +156,7 @@ def check_component_tables(cs):
             pair[i][j] = pair[j][i] = lat.pair(ri, roots[j])
     for i, row in enumerate(pair):
         assert list(cs.pair[i]) == row
-        masks = [sum(1 << j for j, c in enumerate(row) if c == v) for v in range(-2, 3)]
+        masks = [sum(1 << j for j, c in enumerate(row) if c == v) for v in (-1, 0, 1)]
         assert cs.masks[i] == masks
     assert cs.pos_reps == [i for i, v in enumerate(roots) if index[tuple(-x for x in v)] > i]
 
@@ -240,7 +240,7 @@ class FlippedSimpleTest(ComponentSystem):
     def simple_roots(self, refl_mask):
         simple, found = [], 0
         for i in reversed(self.pos_reps):
-            if refl_mask >> i & 1 and not self.masks[i][1] & found:
+            if refl_mask >> i & 1 and not self.masks[i][0] & found:
                 simple.append(i)
                 found |= 1 << i
         return simple

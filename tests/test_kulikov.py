@@ -525,9 +525,9 @@ def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):
     grams = []
     search = roots._reduced_search
 
-    def counted(l, m):
+    def counted(l, m, visit):
         grams.append(l.gram)
-        return search(l, m)
+        return search(l, m, visit)
 
     monkeypatch.setattr(roots, "_reduced_search", counted)
     roots._root_analysis.cache_clear()

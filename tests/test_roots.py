@@ -1,15 +1,18 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import k3lat.roots as roots_module
 from k3lat import goldens
 from k3lat.exactla import IntMatrix, hnf, rank as int_rank
 from k3lat.lattice import (
     Lattice,
     LatticeError,
     Sublattice,
+    cartan_gram,
     diag_lattice,
     direct_sum,
     hyperbolic,
@@ -20,8 +23,10 @@ from k3lat.lattice import (
 from k3lat.roots import (
     EnumerationError,
     RootSystemType,
+    _diagram_type,
     _reduced_search,
     _round_div,
+    _simple_scan,
     complement_root_type,
     dual_class_min,
     enumerate_norm,
@@ -32,6 +37,7 @@ from k3lat.roots import (
 from support import (
     ROOT_ATOMS,
     SMALL_ATOMS,
+    atom_lattice,
     changed_basis,
     conjugate,
     enumerate_norm_box,
@@ -324,25 +330,23 @@ def test_enumeration_check_rejects_wrong_oracle():
 
 def pairwise_root_type(roots, gram):
     """Oracle: components of the graph 'pairing is nonzero' over all pairs
-    of roots (union-find), each identified by its rank and root count."""
-    lat = Lattice(gram)
-    parent = list(range(len(roots)))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if lat.pair(roots[i], roots[j]) != 0:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i, r in enumerate(roots):
-        groups.setdefault(find(i), []).append(r)
+    of roots (one product gives every pairing), each identified by its
+    rank and root count."""
+    r = IntMatrix(roots, cols=gram.rows)
+    pair = (r * gram * r.transpose()).entries
+    comp = [False] * len(roots)
     comps = []
-    for vecs in groups.values():
-        k, count = int_rank(IntMatrix(vecs)), len(vecs)
+    for i in range(len(roots)):
+        if comp[i]:
+            continue
+        comp[i] = True
+        members = [i]
+        for a in members:
+            new = [j for j, c in enumerate(pair[a]) if c and not comp[j]]
+            for j in new:
+                comp[j] = True
+            members += new
+        k, count = int_rank(IntMatrix([roots[a] for a in members])), len(members)
         if count == k * (k + 1):
             comps.append(("A", k))
         elif count == 2 * k * (k - 1):
@@ -368,12 +372,58 @@ def test_root_system_invariant_under_change_of_basis(data, sign):
     check_root_system(rtype, span.basis * u, expected_type(parts), root_system(l)[1].basis)
 
 
+def skewed(parts, seed):
+    """``changed_basis`` data for the sum of ``parts`` in its Cartan basis
+    (seed None) or in a seeded basis of 2n random shears by +-1."""
+    l = direct_sum(*map(atom_lattice, parts))
+    n = l.rank
+    rng = random.Random(seed)
+    ops = [] if seed is None else [(rng.randrange(n), rng.randrange(n), rng.choice([1, -1])) for _ in range(2 * n)]
+    u = unimodular(n, ops)
+    return parts, l, u, conjugate(l, u)
+
+
+# the search stops early on D24 and E8^2 and runs to the end on E8+I1
+STOP_CASES = [
+    ([("D", 24)], None),
+    ([("D", 24)], 30),
+    ([("E", 8), ("E", 8)], None),
+    ([("E", 8), ("E", 8)], 30),
+    ([("E", 8), ("I", 1)], 30),
+]
+
+
 @given(changed_basis(ROOT_ATOMS, 10, 6), st.sampled_from([1, -1]))
+@example(skewed(*STOP_CASES[0]), 1)
+@example(skewed(*STOP_CASES[1]), -1)
+@example(skewed(*STOP_CASES[2]), 1)
+@example(skewed(*STOP_CASES[3]), -1)
+@example(skewed(*STOP_CASES[4]), 1)
 def test_root_system_matches_pairwise_oracle(data, sign):
     lu = rescale(data[3], sign)
     roots = enumerate_norm(lu, 2)
     rtype, span = root_system(lu)
-    check_root_system(rtype, span.basis, pairwise_root_type(roots, lu.gram), IntMatrix(roots, cols=lu.rank))
+    # the positive half spans the lattice that all roots span
+    half = [r for r in roots if r > (0,) * lu.rank]
+    check_root_system(rtype, span.basis, pairwise_root_type(roots, lu.gram), IntMatrix(half, cols=lu.rank))
+
+
+@pytest.mark.parametrize("parts,seed", STOP_CASES)
+def test_root_analysis_stops_at_the_last_simple_root(monkeypatch, parts, seed):
+    lu = skewed(parts, seed)[3]
+    search = roots_module._reduced_search
+    scanned = []
+
+    def counted(l, m, visit):
+        return search(l, m, lambda key, x: scanned.append(key) or visit(key, x))
+
+    monkeypatch.setattr(roots_module, "_reduced_search", counted)
+    rtype, _ = roots_module._root_analysis.__wrapped__(lu.gram)
+    positive = rtype.root_count() // 2
+    if rtype.rank == lu.rank:
+        assert positive in (552, 240) and len(scanned) < positive
+    else:  # E8+I1: the roots span rank 8 of 9, so no root ends the search
+        assert (str(rtype), len(scanned)) == ("E8", positive)
 
 
 def test_root_system_check_rejects_wrong_oracle():
@@ -403,18 +453,81 @@ def test_root_decomposition_matches_pairwise_oracle(data):
 @given(changed_basis(ROOT_ATOMS, 10, 6))
 def test_root_decomposition_matches_tuple_oracle(data):
     # the packed-key scan returns the oracle's type and simple roots, in
-    # order, on the full +- set and on its positive half; and on the half
-    # the search returns in the size-reduced basis, where ``root_system``
-    # runs it
+    # order, on the full +- set and on its positive half
     lu = data[3]
     roots = enumerate_norm(lu, 2)
     want = tuple_root_decomposition(roots, lu.gram)
     zero = (0,) * lu.rank
     assert root_decomposition(roots, lu.gram) == want
     assert root_decomposition([r for r in roots if r > zero], lu.gram) == want
-    gram_red, _, half = _reduced_search(lu, 2)
-    closed = half + [tuple(-c for c in r) for r in half]
-    assert root_decomposition(half, gram_red) == tuple_root_decomposition(closed, gram_red)
+
+
+@given(changed_basis(ROOT_ATOMS, 10, 6))
+def test_search_order_is_a_positive_system(data):
+    # the search finds the roots with positive last nonzero coordinate in
+    # the reduced basis, in ascending reverse-lexicographic order, under
+    # keys that are exact on differences; the scan, fed them as they are
+    # found and stopped at the rank-th simple root, returns the tuple
+    # oracle's simple roots of that positive system, in order
+    lu = data[3]
+    n = lu.rank
+    found, simple = [], []
+    scan = _simple_scan(n, simple)
+    _reduced_search(lu, 2, lambda key, x: found.append((key, tuple(x))))
+    gram_red, v = _reduced_search(lu, 2, scan)
+    v_inv = IntMatrix([[int(c) for c in row] for row in gauss_jordan_inv(v.entries)])
+    closed = list((IntMatrix(enumerate_norm(lu, 2), cols=n) * v_inv).entries)
+    half = [r for _, r in found]
+    assert sorted(half, key=lambda r: r[::-1]) == half
+    assert sorted(half + [tuple(-c for c in r) for r in half]) == sorted(closed)
+    by_key = dict(found)
+    key = {r: k for k, r in found}
+    assert list(by_key) == sorted(by_key) and len(by_key) == len(half)
+    for r in half:
+        for t in half:
+            diff = tuple(a - b for a, b in zip(r, t))
+            assert by_key.get(key[r] - key[t]) == (diff if diff in key else None)
+    flip = IntMatrix([[int(i + j == n - 1) for j in range(n)] for i in range(n)])
+    _, want = tuple_root_decomposition([r[::-1] for r in closed], flip * gram_red * flip)
+    assert simple == [r[::-1] for r in want]
+
+
+@pytest.mark.parametrize(
+    "sym,n",
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 10)] + [("E", n) for n in (6, 7, 8)],
+)
+def test_diagram_type_of_each_cartan_matrix(sym, n):
+    # the nodes permuted, alone and beside an A2 on interleaved nodes
+    c = cartan_gram(sym, n).entries
+    order = random.Random(n).sample(range(n), n)
+    permuted = [[c[i][j] for j in order] for i in order]
+    assert _diagram_type(permuted) == RootSystemType.of([(sym, n)])
+    both = direct_sum(Lattice(IntMatrix(permuted)), root_lattice("A", 2)).gram.entries
+    order = [n] + list(range(n)) + [n + 1]
+    assert _diagram_type([[both[i][j] for j in order] for i in order]) == RootSystemType.of([(sym, n), ("A", 2)])
+
+
+def diagram(n, edges):
+    """Cartan matrix with nodes 0..n-1 and the given edges."""
+    c = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        c[i][j] = c[j][i] = -1
+    return c
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [
+        diagram(3, [(0, 1), (1, 2), (2, 0)]),  # affine A2: a cycle
+        diagram(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),  # affine D4: four arms
+        diagram(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]),  # affine D5: two branch nodes
+        diagram(9, [(0, 1), (1, 2), (1, 3), (3, 4), (2, 5), (5, 6), (6, 7), (7, 8)]),  # affine E8: arms (1, 2, 5)
+        diagram(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)]),  # affine E6: arms (2, 2, 2)
+    ],
+)
+def test_diagram_type_rejects_non_ade_diagrams(cartan):
+    with pytest.raises(EnumerationError):
+        _diagram_type(cartan)
 
 
 # -- one analysis per Gram matrix, integer rounding ----------------------
