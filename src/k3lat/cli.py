@@ -33,6 +33,7 @@ from .lattice import (
     DegenerateFormError,
     Lattice,
     LatticeError,
+    diag_lattice,
     direct_sum,
     disc_group,
     hyperbolic,
@@ -142,8 +143,6 @@ class _Parser:
             self.take("(")
             entries = self.int_list()
             self.take(")")
-            from .lattice import diag_lattice
-
             return diag_lattice(entries)
         if self.text.startswith("gram", self.pos):
             self.pos += 4
@@ -198,6 +197,14 @@ def parse_lattice_expr(text: str) -> Lattice:
     return lat
 
 
+def _parsed(expr: str) -> Lattice:
+    """The lattice of ``expr``; a parse error is the command's error."""
+    try:
+        return parse_lattice_expr(expr)
+    except ParseError as exc:
+        raise click.ClickException(str(exc))
+
+
 @click.group()
 @click.version_option(__version__)
 def main() -> None:
@@ -208,10 +215,7 @@ def main() -> None:
 @click.argument("expr")
 def info(expr: str) -> None:
     """Rank, signature, parity, discriminant and roots of a lattice."""
-    try:
-        lat = parse_lattice_expr(expr)
-    except ParseError as exc:
-        raise click.ClickException(str(exc))
+    lat = _parsed(expr)
     click.echo(f"rank       {lat.rank}")
     p, q, r = signature_with_radical(lat)
     if r:
@@ -233,10 +237,7 @@ def info(expr: str) -> None:
 @click.argument("expr")
 def roots(expr: str) -> None:
     """Root count and ADE decomposition of a definite lattice."""
-    try:
-        lat = parse_lattice_expr(expr)
-    except ParseError as exc:
-        raise click.ClickException(str(exc))
+    lat = _parsed(expr)
     try:
         rtype, span = root_system(lat)
     except LatticeError as exc:
@@ -250,10 +251,7 @@ def roots(expr: str) -> None:
 @click.argument("expr")
 def disc(expr: str) -> None:
     """Elementary divisors of the discriminant group."""
-    try:
-        lat = parse_lattice_expr(expr)
-    except ParseError as exc:
-        raise click.ClickException(str(exc))
+    lat = _parsed(expr)
     try:
         d = disc_group(lat)
     except DegenerateFormError as exc:

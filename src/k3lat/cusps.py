@@ -14,7 +14,7 @@ Both unimodular lattices come from one builder, ``build_niemeier``, which
 reads them from the data table ``NIEMEIER_GLUE``: a component, its number
 of copies and the generators of the glue code.  The glue codes are input
 data from Conway-Sloane, SPLAG Table 16.1: E8^3 needs none, and E6^4 is
-glued by the tetracode over the discriminant groups Z/3 of its copies.
+glued by the tetracode over its Z/3 classes (``roots.glue_root_sum``).
 
 The embedding search walks simple roots of the factors of P through the
 component's root system, requiring the Cartan pairings at every step.
@@ -25,6 +25,7 @@ candidates form a W'-stable set, and the complements reached from one
 orbit are isometric.  Simple reflections generate W', so the search
 applies only those, found by one scan of the positive roots, and finds
 each reflected root by its packed integer key (``roots.packed_keys``).
+The scan also types each complement (``roots.diagram_type``).
 The factors of P are distributed over the components by one product
 over placements, reduced to classes under the component permutations
 that extend to isometries of the model (``perm_group``).
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import goldens
@@ -64,20 +65,18 @@ from .lattice import (
     Sublattice,
     cartan_gram,
     direct_sum,
-    glue_overlattice,
     hyperbolic,
     quotient_by_isotropic,
     rescale,
     root_lattice,
-    scaled_dual,
 )
 from .roots import (
     EMPTY_TYPE,
     RootSystemType,
-    dual_class_min,
+    diagram_type,
     enumerate_norm,
+    glue_root_sum,
     packed_keys,
-    root_decomposition,
     root_span_index,
     root_system,
 )
@@ -187,13 +186,7 @@ class ComponentSystem:
         root alpha of positive coefficient in it (the pairings sum to 2),
         and beta - alpha is then positive, so alpha came first; simple
         roots pair <= 0.  So a root is simple exactly when it pairs +1
-        with no simple root found before it.
-
-        ``roots.root_decomposition`` runs the same scan on vectors, with
-        packed keys, and types the components: on the 54 subsystems of
-        ``classify_cusps`` it takes about twice as long as their orbit
-        computations, and over ten times as long as this scan.
-        """
+        with no simple root found before it."""
         simple = []
         found = 0
         for i in reversed(self.pos_reps):
@@ -282,8 +275,9 @@ def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -
     comp_mask = cs.all_mask
     for i in flat:
         comp_mask &= cs.masks[i][0 + 1]
-    comp_roots = [cs.roots[i] for i in _bits(comp_mask)]
-    ctype, simple = root_decomposition(comp_roots, cs.lattice.gram)
+    simple_idx = cs.simple_roots(comp_mask)
+    ctype = diagram_type([[cs.pair[i][j] for j in simple_idx] for i in simple_idx])
+    simple = [cs.roots[i] for i in simple_idx]
     rows = IntMatrix._of(tuple(cs.roots[i] for i in flat), rk)
     comp_basis = kernel_basis(rows * cs.lattice.gram)  # complement in the lattice
     if ctype.rank != comp_basis.rows:
@@ -293,14 +287,8 @@ def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -
     # y with y . rows^T = 0 are the dual-side complement x = y G^-1, and
     # comp = C * (dual_side * G^-1) exactly when comp * G = C * dual_side
     dual_order = index_in(comp_basis * cs.lattice.gram, kernel_basis(rows))
-    witness = []
-    pos = 0
-    for s in sizes:
-        witness.append(tuple(flat[pos : pos + s]))
-        pos += s
-    return ComponentOutcome(
-        ctype, rootspan_index, dual_order, tuple(witness), comp_mask, tuple(simple)
-    )
+    witness = tuple(tuple(flat[end - s : end]) for s, end in zip(sizes, accumulate(sizes)))
+    return ComponentOutcome(ctype, rootspan_index, dual_order, witness, comp_mask, tuple(simple))
 
 
 def _factor_key(s: Symbol) -> Tuple[int, str]:
@@ -412,19 +400,8 @@ def build_niemeier(kind: str) -> NiemeierModel:
     if kind not in NIEMEIER_GLUE:
         raise CuspError(f"unknown model kind {kind!r}")
     comp, ncomp, gens = NIEMEIER_GLUE[kind]
-    code = {
-        tuple(sum(c * g[i] for c, g in zip(cs, gens)) % 3 for i in range(ncomp))
-        for cs in product(range(3), repeat=len(gens))
-    } - {(0,) * ncomp}
-    # no new roots: a word of weight w glues classes of norm at least
-    # w times the least norm m / d of a nontrivial class
-    dual, d = scaled_dual(*comp)
-    for w in code:
-        if (ncomp - w.count(0)) * dual_class_min(*comp) <= 2 * d:
-            raise CuspError(f"{kind}: glue word {w} adds roots")
     r = direct_sum(*[root_lattice(*comp)] * ncomp)
-    glue = [[x * c for c in g for x in dual.entries[0]] for g in gens]
-    over = glue_overlattice(r, glue, d)
+    over, code = glue_root_sum(r, [comp] * ncomp, gens)
     # index^2 = |det R| makes N unimodular; glue_overlattice returns even lattices
     if over.index ** 2 != abs(r.det()):
         raise CuspError(f"{kind}: glue index {over.index} does not match the discriminant")
@@ -432,7 +409,7 @@ def build_niemeier(kind: str) -> NiemeierModel:
     for w in code:
         if w.count(0) != 1:
             raise CuspError("glue word without exactly one zero coordinate")
-    return NiemeierModel(comp, ncomp, r, over, _code_perm_group(frozenset(code), ncomp))
+    return NiemeierModel(comp, ncomp, r, over, _code_perm_group(code, ncomp))
 
 
 # -- embeddings of P ----------------------------------------------------

@@ -177,9 +177,10 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
     the Hermitian matrix.  The basis is greedy: standard basis vectors
     are taken whenever they leave the span of the previously chosen
     vectors and their rho-images: when adding one to the Hermite basis
-    of that span raises its Hermite rank.  The matrix is
-    conjugate-symmetric, as <y, rx - r^2 x> = -<x, ry - r^2 y> for an
-    isometry r of order 3.
+    of that span raises its Hermite rank; ``IsometryError`` if the final
+    span is a proper sublattice, as then they are no module basis.  The
+    matrix is conjugate-symmetric, as <y, rx - r^2 x> = -<x, ry - r^2 y>
+    for an isometry r of order 3.
     """
     if r.order != 3:
         raise IsometryError("Hermitian structure needs an order-3 action")
@@ -192,14 +193,11 @@ def eisenstein_gram(r: RhoLattice) -> Tuple[IntMatrix, Tuple[Tuple[Eis, ...], ..
         if hermite_basis([*spanned.entries, v], n).rows > spanned.rows:
             chosen.append(v)
             spanned = hermite_basis(chosen + [r.apply(c) for c in chosen], n)
-    gram = []
-    for x in chosen:
-        row = []
-        for y in chosen:
-            row.append(_hermitian_value(r, x, y))
-        gram.append(tuple(row))
+    if spanned != IntMatrix.identity(n):
+        raise IsometryError("the greedy vectors and their images span a proper sublattice")
+    gram = tuple(tuple(_hermitian_value(r, x, y) for y in chosen) for x in chosen)
     basis = IntMatrix([list(c) for c in chosen], cols=n)
-    return basis, tuple(gram)
+    return basis, gram
 
 
 def _hermitian_value(r: RhoLattice, x, y) -> Eis:

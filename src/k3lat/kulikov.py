@@ -20,12 +20,12 @@ That quotient depends only on the two component Picard lattices and
 classes D, so it is built once per such pair and shared by the gluings.
 Its primitive part reproduces the quotient lattice of a boundary
 component, and the semifan attached to each quotient is the saturation
-of the span of the A2 factors coming from the cycled classes.
+of the span of the A2 factors coming from the cycled classes; a starred
+quotient model is glued by the all-ones word (``roots.glue_root_sum``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -50,15 +50,13 @@ from .lattice import (
     diag_lattice,
     direct_sum,
     disc_group,
-    glue_overlattice,
     hyperbolic,
     nikulin_2elem,
     quotient_by_isotropic,
     rescale,
     root_lattice,
-    scaled_dual,
 )
-from .roots import RootSystemType, dual_class_min, root_system
+from .roots import RootSystemType, glue_root_sum, root_system
 from .eisenstein import (
     RhoLattice,
     assemble,
@@ -267,21 +265,11 @@ def _starred_model(
 ) -> Tuple[RhoLattice, Overlattice]:
     """Index-3 even overlattice of the negative definite factor sum
     ``base`` whose nonzero glue cosets hold no roots, with the descended
-    order-3 action.  It is glued by the all-ones word, the sum of each
-    factor's first dual vector.  Both nonzero classes of an E6 or A2 factor
-    have least norm q = 4/3 or 2/3, and c^2 q = q mod 2 for c = +-1 mod 3,
-    so a word's coset minimum and norm parity depend only on its support.
-    For E6^2+A2^2, E6+A2^4 and A2^6 only the full support sums to an even
+    order-3 action.  It is glued by the all-ones word (``glue_root_sum``):
+    for E6^2+A2^2, E6+A2^4 and A2^6 only the full support sums to an even
     integer above 2.  The word has order 3, so the index is 3; the action
     is trivial on each discriminant, so it descends."""
-    duals = [scaled_dual(*f) for f in factors]
-    d = math.lcm(*(df for _, df in duals))
-    # the coset minimum exceeds 2 exactly when its scaled sum exceeds 2d;
-    # this guards a factor list outside the three starred types
-    if sum(dual_class_min(*f) * (d // df) for f, (_, df) in zip(factors, duals)) <= 2 * d:
-        raise KulikovError("all-ones word adds roots")
-    glue_row = [x * (d // df) for cf, df in duals for x in cf.entries[0]]
-    over = glue_overlattice(base.lattice, [glue_row], d)
+    over, _ = glue_root_sum(base.lattice, factors, [(1,) * len(factors)])
     # the action on the integer rows H = d * basis is M with M * H = H * rho
     return RhoLattice(over.lattice, int_express(over.scaled * base.matrix, over.scaled)), over
 
@@ -337,10 +325,11 @@ def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
     sq = t4.matrix * t4.matrix
     action = (t4.order, sq == IntMatrix.identity(t.rank).scale(-1))
 
-    # (c) an isotropic, saturated, invariant plane and its quotient's roots
-    e, ep = [0] * t.rank, [0] * t.rank
-    e[0] = ep[2] = 1
-    j = Sublattice(t, IntMatrix([e, ep], cols=t.rank))
+    # (c) the invariant isotropic plane of e_0 and its image e_2, and its
+    # quotient's roots; the cusp classifier is imported here, as in ``semifan``
+    from .cusps import isotropic_plane
+
+    j = isotropic_plane(t4, [1] + [0] * (t.rank - 1))
     q = quotient_by_isotropic(j).lattice
     rtype, _ = root_system(q)
     plane = (j.is_isotropic(), j.is_primitive, is_invariant(j.basis, t4.matrix), str(rtype))

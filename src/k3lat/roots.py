@@ -19,15 +19,16 @@ integer key, a linear functional positive on the vectors the search
 keeps, so the roots it finds are a positive system; each goes to the
 simple-root scan as it is found, and the search stops at the rank-th
 simple root.  Components are typed by the Dynkin diagram of the simple
-roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6), and
-``root_decomposition`` gives roots passed as vectors the same scan and
-typing.  ``root_system`` maps only the simple roots back through V:
-their Hermite form is the root span, in any basis and positive system.
+roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
+``root_system`` maps only the simple roots back through V: their
+Hermite form is the root span, in any basis and positive system.
 
 The layer is integer-only: ``dual_class_min`` enumerates the integer
 scaled dual of ``lattice.scaled_dual`` and returns the numerator of a
 least class norm over det G, and the size reduction rounds quotients
-with ``divmod``.
+with ``divmod``.  Only ``glue_root_sum`` reads those dual classes: it
+glues a sum of root lattices by a code of Z/3 classes that adds no
+roots, as in the Niemeier lattice E6^4 and the starred models.
 ``root_system`` analyses each Gram matrix once per process (a
 ``functools.cache`` keyed on the Gram matrix); a lattice with a Gram
 matrix already seen gets the cached type and span basis, wrapped as a
@@ -41,12 +42,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, product
 from operator import mul
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 from .exactla import IntMatrix, det, gram_elimination, hermite_basis, saturate
-from .lattice import Lattice, LatticeError, Sublattice, definite_sign, scaled_dual
+from .lattice import (
+    Lattice,
+    LatticeError,
+    Overlattice,
+    Sublattice,
+    definite_sign,
+    glue_overlattice,
+    scaled_dual,
+)
 
 Vector = Tuple[int, ...]
 Visit = Callable[[int, List[int]], object]  # (key, vector) -> stop the search?
@@ -197,6 +206,36 @@ def dual_class_min(sym: str, n: int) -> int:
             return m
 
 
+class GlueError(LatticeError):
+    pass
+
+
+def glue_root_sum(
+    l: Lattice, factors: Sequence[Tuple[str, int]], gens: Sequence[Sequence[int]]
+) -> Tuple[Overlattice, FrozenSet[Vector]]:
+    """The overlattice of ``l``, a sum of the root lattices ``factors`` of
+    either sign, glued by the code that ``gens`` span mod 3, and the
+    code's nonzero words.  Word w adds the sum of ``w_i c_i``, for ``c_i``
+    the first ``scaled_dual`` row of factor i over d, the lcm of the
+    factor determinants, which generates the Z/3 of an A2 or E6 factor.
+    Both nonzero classes, c and -c, have least norm q = 4/3 or 2/3, and
+    c^2 q = q mod 2 for c = +-1 mod 3, so a word's coset minimum (the sum
+    of q over its support) and norm parity depend only on its support.
+    A word adds roots (``GlueError``) when that minimum is at most 2;
+    ``glue_overlattice`` rejects glue that is not integral and even."""
+    duals = [scaled_dual(*f) for f in factors]
+    d = math.lcm(*(df for _, df in duals))
+    code = frozenset(
+        tuple(sum(c * g[i] for c, g in zip(cs, gens)) % 3 for i in range(len(factors)))
+        for cs in product(range(3), repeat=len(gens))
+    ) - {(0,) * len(factors)}
+    for w in code:
+        if sum(dual_class_min(*f) * (d // df) for f, (_, df), c in zip(factors, duals, w) if c) <= 2 * d:
+            raise GlueError(f"glue word {w} adds roots")
+    glue = [[c * x * (d // df) for c, (cf, df) in zip(g, duals) for x in cf.entries[0]] for g in gens]
+    return glue_overlattice(l, glue, d), code
+
+
 # -- root systems ------------------------------------------------------
 
 
@@ -308,7 +347,7 @@ def _simple_scan(limit: int, simple: List[Vector]) -> Visit:
     return visit
 
 
-def _diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
+def diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
     """ADE type of simple roots with the Cartan matrix ``cartan``, one
     component per piece of its Dynkin diagram: a path is A_n, a tree with
     one branch node is D_n when its arms have (1, 1, k) nodes and E6, E7,
@@ -348,24 +387,6 @@ def _diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
     return RootSystemType.of(comps)
 
 
-def root_decomposition(
-    roots: Sequence[Vector], gram: IntMatrix
-) -> Tuple[RootSystemType, List[Vector]]:
-    """ADE type and simple roots of ``roots`` (norm +-2 under ``gram``,
-    closed under their own reflections), given closed under negation or as
-    one root of each pair +-r: the lexicographically positive ones, of
-    positive ``packed_keys`` key, go to ``_simple_scan`` in key order."""
-    keys = packed_keys(roots)
-    positive = {abs(k): r if k > 0 else tuple(-c for c in r) for k, r in zip(keys, roots)}
-    simple: List[Vector] = []
-    visit = _simple_scan(gram.rows, simple)
-    for k in sorted(positive):
-        if visit(k, positive[k]):
-            break
-    s = IntMatrix._of(tuple(simple), gram.rows)
-    return _diagram_type((s * gram * s.transpose()).entries), simple
-
-
 @cache
 def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     """Root type and Hermite basis of the simple roots of the definite
@@ -376,7 +397,7 @@ def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     simple: List[Vector] = []
     gram_red, v = _reduced_search(Lattice(gram), 2, _simple_scan(gram.rows, simple))
     s = IntMatrix._of(tuple(simple), gram.rows)
-    rtype = _diagram_type((s * gram_red * s.transpose()).entries)
+    rtype = diagram_type((s * gram_red * s.transpose()).entries)
     return rtype, hermite_basis((s * v).entries, gram.rows)
 
 

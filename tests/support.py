@@ -15,11 +15,13 @@ lattice.  The Smith oracle is the alternating row and column Hermite
 passes that the pivot elimination of ``snf`` replaced.  The coefficient-box enumerator scans
 every small coefficient vector that ``roots.enumerate_norm`` prunes
 away.  The tuple root decomposition subtracts coefficient tuples where
-``roots.root_decomposition`` subtracts packed keys, scans every positive
-root where the library stops at the rank-th simple root, and types each
-component by its rank and root count, counting each root's component
-from its pairings with the simple roots, where the library reads the
-Dynkin diagram of the simple roots.  The Weyl
+the library's scan (``roots._simple_scan``) subtracts packed keys, scans
+every positive root where the library stops at the rank-th simple root,
+and types each component by its rank and root count, counting each
+root's component from its pairings with the simple roots, where the
+library reads the Dynkin diagram of the simple roots.  The pairwise
+root type finds the components in the graph of nonzero pairings over
+all roots.  The Weyl
 orbit oracle applies every reflection of a root subsystem to root tuples,
 where ``ComponentSystem.orbit_reps`` applies its simple reflections to
 packed keys.  The Kulikov quotient coordinates are also read off a
@@ -56,6 +58,7 @@ from k3lat.exactla import (
     SnfResult,
     hermite_basis,
     hnf,
+    rank,
 )
 from k3lat.lattice import (
     Lattice,
@@ -66,7 +69,7 @@ from k3lat.lattice import (
     hyperbolic,
     root_lattice,
 )
-from k3lat.roots import RootSystemType, enumerate_norm, root_decomposition
+from k3lat.roots import RootSystemType, enumerate_norm
 
 # -- random changes of basis -------------------------------------------
 #
@@ -428,6 +431,34 @@ def tuple_root_decomposition(roots, gram):
     )
 
 
+def pairwise_root_type(roots, gram):
+    """Oracle: components of the graph 'pairing is nonzero' over all pairs
+    of roots (one product gives every pairing), each identified by its
+    rank and root count."""
+    r = IntMatrix(roots, cols=gram.rows)
+    pair = (r * gram * r.transpose()).entries
+    comp = [False] * len(roots)
+    comps = []
+    for i in range(len(roots)):
+        if comp[i]:
+            continue
+        comp[i] = True
+        members = [i]
+        for a in members:
+            new = [j for j, c in enumerate(pair[a]) if c and not comp[j]]
+            for j in new:
+                comp[j] = True
+            members += new
+        k, count = rank(IntMatrix([roots[a] for a in members])), len(members)
+        if count == k * (k + 1):
+            comps.append(("A", k))
+        elif count == 2 * k * (k - 1):
+            comps.append(("D", k))
+        else:
+            comps.append(("E", k))
+    return RootSystemType.of(comps)
+
+
 # -- the all-roots span of an embedding's complement -------------------
 
 
@@ -539,12 +570,12 @@ def rational_span_complement_root_type(s):
         return True
 
     in_span = [v for v in all_roots if spans(v)]
-    _, simple = root_decomposition(in_span, r.gram)
+    _, simple = tuple_root_decomposition(in_span, r.gram)
     if hermite_basis(simple, r.rank) != hermite_basis(s.basis.entries, r.rank):
         raise LatticeError("sublattice is not spanned by roots of the ambient lattice")
     pairings = (IntMatrix(all_roots, cols=r.rank) * (s.basis * r.gram).transpose()).entries
     comp_roots = [v for v, p in zip(all_roots, pairings) if not any(p)]
-    return root_decomposition(comp_roots, r.gram)[0]
+    return tuple_root_decomposition(comp_roots, r.gram)[0]
 
 
 # -- the adapted-basis route to quotient coordinates --------------------

@@ -36,7 +36,7 @@ from k3lat.lattice import (
     quotient_by_isotropic,
     signature,
 )
-from k3lat.roots import RootSystemType
+from k3lat.roots import RootSystemType, diagram_type
 from k3lat.suites import suite_tab3
 
 from support import (
@@ -44,6 +44,7 @@ from support import (
     clear_table_caches,
     glue_code,
     glue_code_sat_index,
+    pairwise_root_type,
     reflection_orbit_reps,
     run_fresh,
 )
@@ -193,8 +194,8 @@ def orbit_inputs(draw):
 
 def check_simple_roots(cs, refl):
     """The simple roots of the subsystem in ``refl``: as many as its rank,
-    pairing <= 0 with each other, and writing each of its roots with
-    coefficients of one sign."""
+    pairing <= 0 with each other, writing each of its roots with
+    coefficients of one sign, and with the Dynkin diagram of its type."""
     simple = cs.simple_roots(refl)
     phi = [cs.roots[i] for i in range(cs.nroots) if refl >> i & 1]
     n = cs.lattice.rank
@@ -205,6 +206,8 @@ def check_simple_roots(cs, refl):
         basis = IntMatrix([cs.roots[s] for s in simple], cols=n)
         coeffs = int_express(IntMatrix(phi, cols=n), basis)
         assert all(min(row) >= 0 or max(row) <= 0 for row in coeffs.entries)
+    cartan = [[cs.pair[s][t] for t in simple] for s in simple]
+    assert diagram_type(cartan) == pairwise_root_type(phi, cs.lattice.gram)
 
 
 def check_orbit_reps(cs, cases):

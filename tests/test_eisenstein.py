@@ -1,3 +1,4 @@
+import random
 from functools import partial
 
 import pytest
@@ -39,7 +40,7 @@ from k3lat.lattice import (
     root_lattice,
     signature,
 )
-from support import basis_change, conjugate
+from support import _det, basis_change, conjugate, gauss_jordan_inv, unimodular
 
 
 def test_eis_arithmetic():
@@ -122,6 +123,44 @@ def test_hermitian_gram_a2():
     assert len(h) == 1
     # diagonal values are rational: (3/2) * norm of a root
     assert h[0][0] == Eis(3)
+
+
+MODULE_BASIS_CASES = {
+    "A2": lambda: fpf_order3("A", 2),
+    "E6": lambda: fpf_order3("E", 6),
+    "E8": lambda: fpf_order3("E", 8),
+    "U+U": rho3_u_u,
+    "U+U(3)": rho3_u_u3,
+    **{f"T{fam}": partial(lambda fam: family_data(*fam).rho_t, fam) for fam in goldens.FAMILIES},
+}
+
+
+@pytest.mark.parametrize("name", list(MODULE_BASIS_CASES))
+def test_eisenstein_gram_returns_a_module_basis(name):
+    # the chosen b_i and their images r b_i are a Z-basis: determinant +-1
+    r = MODULE_BASIS_CASES[name]()
+    basis, h = eisenstein_gram(r)
+    rows = [list(b) for b in basis.entries] + [list(r.apply(b)) for b in basis.entries]
+    assert abs(_det(rows)) == 1
+    assert len(h) == r.lattice.rank // 2
+
+
+def sheared(r, seed, count=20):
+    """``r`` in the basis of ``count`` seeded row shears, multipliers +-1
+    and +-2: row x of the new basis is x*U in the old one."""
+    n = r.lattice.rank
+    rng = random.Random(seed)
+    u = unimodular(n, [(*rng.sample(range(n), 2), rng.choice([-2, -1, 1, 2])) for _ in range(count)])
+    u_inv = IntMatrix([[int(x) for x in row] for row in gauss_jordan_inv(u.entries)])
+    return RhoLattice(conjugate(r.lattice, u), u * r.matrix * u_inv)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_eisenstein_gram_rejects_a_greedy_basis_of_a_sublattice(seed):
+    # on these skewed bases of E8 the greedy vectors and their images span
+    # a proper sublattice, so they are no Z[w]-module basis
+    with pytest.raises(IsometryError, match="proper sublattice"):
+        eisenstein_gram(sheared(fpf_order3("E", 8), seed))
 
 
 def test_hermitian_rejects_fixed_vectors():

@@ -37,6 +37,11 @@ The Bareiss rule: no module other than ``exactla`` imports or reads
 ``gram_elimination`` read it, so the elimination step has one home, two
 users, and no linear solve of its own.
 
+The dual-class rule: only ``roots`` reads ``scaled_dual`` or
+``dual_class_min`` (by name, attribute or import), and only ``lattice``
+and ``roots`` define them, so gluing root lattices by discriminant
+classes has one home, ``roots.glue_root_sum``.
+
 The caching rule: ``functools.cache`` is the only caching mechanism in
 ``src/k3lat``.  No module names ``lru_cache`` or ``cached_property``,
 rebinds a module global from a function (``global``), gives a function a
@@ -153,8 +158,8 @@ def library_references(root: Path) -> tuple:
     return defining, [p.read_text() for p in paths], lookups
 
 
-# only tests call them until the direct route of ROADMAP item 1 does
-NOT_YET_CALLED = {"isotropic_plane", "cusp_of_plane"}
+# only tests call it until the direct route of ROADMAP item 1 does
+NOT_YET_CALLED = {"cusp_of_plane"}
 
 
 def test_every_definition_is_referenced():
@@ -436,6 +441,43 @@ def test_check_flags_a_third_bareiss_caller():
         "def hnf(a):\n    return a\n"
     )
     assert bareiss_callers(source) == ["_solve", "det", "eliminate", "gram_elimination"]
+
+
+DUAL_CLASS_NAMES = {"scaled_dual", "dual_class_min"}
+
+
+def dual_class_users(sources: dict) -> tuple:
+    """``(readers, definers)``: the names of the ``sources`` (file name ->
+    text) that read a name of ``DUAL_CLASS_NAMES`` as a name or an
+    attribute or import it, at any depth, and of those that define one."""
+    readers, definers = set(), set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.ImportFrom) and any(a.name in DUAL_CLASS_NAMES for a in node.names)
+                or getattr(node, "id", None) in DUAL_CLASS_NAMES
+                or getattr(node, "attr", None) in DUAL_CLASS_NAMES
+            ):
+                readers.add(name)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in DUAL_CLASS_NAMES:
+                definers.add(name)
+    return sorted(readers), sorted(definers)
+
+
+def test_only_roots_reads_the_dual_classes():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert dual_class_users(sources) == (["roots.py"], ["lattice.py", "roots.py"])
+
+
+def test_check_flags_a_dual_class_reader_and_definer():
+    sources = {
+        "a.py": "from .lattice import direct_sum, scaled_dual\n",
+        "b.py": "def f():\n    from .roots import dual_class_min as m\n    return m('A', 2)\n",
+        "c.py": "from . import roots\n\ndef f():\n    return roots.dual_class_min('E', 6)\n",
+        "d.py": "def scaled_dual(sym, n):\n    return sym, n\n",
+        "e.py": "name = 'scaled_dual'\n",
+    }
+    assert dual_class_users(sources) == (["a.py", "b.py", "c.py"], ["d.py"])
 
 
 OTHER_CACHES = {"lru_cache", "cached_property"}

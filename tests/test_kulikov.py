@@ -36,7 +36,7 @@ from k3lat.lattice import (
     scaled_dual,
     signature,
 )
-from k3lat.roots import RootSystemType, dual_class_min, root_system
+from k3lat.roots import GlueError, RootSystemType, dual_class_min, root_system
 from support import adapted_quotient_coords, run_fresh
 
 T = RootSystemType.parse
@@ -314,17 +314,17 @@ def test_semifan_whole_lattice_case():
 
 def test_starred_models_try_one_glue_word(monkeypatch):
     # each starred model is glued by the all-ones word alone, with no
-    # search over the other words
-    import k3lat.kulikov as kulikov
+    # search over the other words; the glue helper lives in roots
+    import k3lat.roots as roots
 
     calls = []
-    real = kulikov.glue_overlattice
+    real = roots.glue_overlattice
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(kulikov, "glue_overlattice", counted)
+    monkeypatch.setattr(roots, "glue_overlattice", counted)
     fingerprints = {
         "E6^2+A2^2*": (16, 9, (3, 3)),
         "E6+A2^4*": (14, 27, (3, 3, 3)),
@@ -450,7 +450,7 @@ def test_starred_glue_is_the_first_word_of_the_old_search(cusp):
 def test_starred_model_rejects_a_word_that_adds_roots():
     # A2^3: the all-ones coset has minimum 3 * 2/3 = 2, a root
     factors = [("A", 2)] * 3
-    with pytest.raises(KulikovError, match="adds roots"):
+    with pytest.raises(GlueError, match="glue word .* adds roots"):
         kulikov._starred_model(factors, _negative_sum(factors))
 
 

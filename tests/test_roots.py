@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 import k3lat.roots as roots_module
 from k3lat import goldens
-from k3lat.exactla import IntMatrix, hnf, rank as int_rank
+from k3lat.exactla import IntMatrix, hnf
 from k3lat.lattice import (
     Lattice,
     LatticeError,
@@ -23,14 +23,13 @@ from k3lat.lattice import (
 from k3lat.roots import (
     EnumerationError,
     RootSystemType,
-    _diagram_type,
     _reduced_search,
     _round_div,
     _simple_scan,
     complement_root_type,
+    diagram_type,
     dual_class_min,
     enumerate_norm,
-    root_decomposition,
     root_span_index,
     root_system,
 )
@@ -42,6 +41,7 @@ from support import (
     conjugate,
     enumerate_norm_box,
     gauss_jordan_inv,
+    pairwise_root_type,
     rational_span_complement_root_type,
     restrict_to_box,
     tuple_root_decomposition,
@@ -328,34 +328,6 @@ def test_enumeration_check_rejects_wrong_oracle():
         check_enumeration(found, box[1:])
 
 
-def pairwise_root_type(roots, gram):
-    """Oracle: components of the graph 'pairing is nonzero' over all pairs
-    of roots (one product gives every pairing), each identified by its
-    rank and root count."""
-    r = IntMatrix(roots, cols=gram.rows)
-    pair = (r * gram * r.transpose()).entries
-    comp = [False] * len(roots)
-    comps = []
-    for i in range(len(roots)):
-        if comp[i]:
-            continue
-        comp[i] = True
-        members = [i]
-        for a in members:
-            new = [j for j, c in enumerate(pair[a]) if c and not comp[j]]
-            for j in new:
-                comp[j] = True
-            members += new
-        k, count = int_rank(IntMatrix([roots[a] for a in members])), len(members)
-        if count == k * (k + 1):
-            comps.append(("A", k))
-        elif count == 2 * k * (k - 1):
-            comps.append(("D", k))
-        else:
-            comps.append(("E", k))
-    return RootSystemType.of(comps)
-
-
 def check_root_system(rtype, span_rows, want_type, want_rows):
     """Type equal, and the two row sets span one lattice (equal HNF)."""
     assert rtype == want_type, f"{rtype} against {want_type}"
@@ -439,30 +411,6 @@ def test_root_system_check_rejects_wrong_oracle():
 
 
 @given(changed_basis(ROOT_ATOMS, 10, 6))
-def test_root_decomposition_matches_pairwise_oracle(data):
-    # on the whole root system and on the roots orthogonal to one simple
-    # root, which are again closed under negation and their reflections
-    lu = data[3]
-    roots = enumerate_norm(lu, 2)
-    rtype, simple = root_decomposition(roots, lu.gram)
-    assert rtype == pairwise_root_type(roots, lu.gram)
-    perp = [r for r in roots if lu.pair(r, simple[0]) == 0]
-    assert root_decomposition(perp, lu.gram)[0] == pairwise_root_type(perp, lu.gram)
-
-
-@given(changed_basis(ROOT_ATOMS, 10, 6))
-def test_root_decomposition_matches_tuple_oracle(data):
-    # the packed-key scan returns the oracle's type and simple roots, in
-    # order, on the full +- set and on its positive half
-    lu = data[3]
-    roots = enumerate_norm(lu, 2)
-    want = tuple_root_decomposition(roots, lu.gram)
-    zero = (0,) * lu.rank
-    assert root_decomposition(roots, lu.gram) == want
-    assert root_decomposition([r for r in roots if r > zero], lu.gram) == want
-
-
-@given(changed_basis(ROOT_ATOMS, 10, 6))
 def test_search_order_is_a_positive_system(data):
     # the search finds the roots with positive last nonzero coordinate in
     # the reduced basis, in ascending reverse-lexicographic order, under
@@ -501,10 +449,10 @@ def test_diagram_type_of_each_cartan_matrix(sym, n):
     c = cartan_gram(sym, n).entries
     order = random.Random(n).sample(range(n), n)
     permuted = [[c[i][j] for j in order] for i in order]
-    assert _diagram_type(permuted) == RootSystemType.of([(sym, n)])
+    assert diagram_type(permuted) == RootSystemType.of([(sym, n)])
     both = direct_sum(Lattice(IntMatrix(permuted)), root_lattice("A", 2)).gram.entries
     order = [n] + list(range(n)) + [n + 1]
-    assert _diagram_type([[both[i][j] for j in order] for i in order]) == RootSystemType.of([(sym, n), ("A", 2)])
+    assert diagram_type([[both[i][j] for j in order] for i in order]) == RootSystemType.of([(sym, n), ("A", 2)])
 
 
 def diagram(n, edges):
@@ -527,7 +475,7 @@ def diagram(n, edges):
 )
 def test_diagram_type_rejects_non_ade_diagrams(cartan):
     with pytest.raises(EnumerationError):
-        _diagram_type(cartan)
+        diagram_type(cartan)
 
 
 # -- one analysis per Gram matrix, integer rounding ----------------------
