@@ -25,10 +25,10 @@ candidates form a W'-stable set, and the complements reached from one
 orbit are isometric.  Simple reflections generate W', so the search
 applies only those, found by one scan of the positive roots, and finds
 each reflected root by its packed integer key (``roots.packed_keys``).
-The scan also types each complement (``roots.diagram_type``).
-The factors of P are distributed over the components by one product
-over placements, reduced to classes under the component permutations
-that extend to isometries of the model (``perm_group``).
+The scan also types each complement (``roots.diagram_type``).  The
+factors of P are distributed over the components by one product over
+placements, reduced by one sorted sweep to classes under the component
+permutations that extend to isometries of the model (``perm_group``).
 
 A cusp is starred when J-perp/J is an index-3 overlattice of its root
 span.  ``star_of`` decides it once per embedding record: the index of the
@@ -47,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, permutations, product
+from struct import Struct
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from . import goldens
@@ -167,10 +168,11 @@ class ComponentSystem:
         r = IntMatrix._of(tuple(self.roots), n)
         self.pair = (r * self.lattice.gram * r.transpose()).entries
         # masks[i][v+1] = bitmask of roots pairing v = -1, 0, 1 with root i:
-        # the row reversed as bytes v+2, byte v+2 made "1" and the rest "0"
+        # the row reversed as signed bytes, byte v made "1" and the rest "0"
+        pack = Struct(f"{self.nroots}b").pack
         self.masks = [
             [int(row.translate(t), 2) for t in _DIGIT_TABLES]
-            for row in (bytes(v + 2 for v in reversed(p)) for p in self.pair)
+            for row in (pack(*p[::-1]) for p in self.pair)
         ]
         # the roots come sorted and closed under negation, so their keys
         # ascend and the negative keys come first: one root per +- pair,
@@ -228,9 +230,9 @@ class ComponentSystem:
         return reps
 
 
-# translate tables of ComponentSystem.masks, for d = v+2 = 1..3: the byte
-# d -> "1", every other byte -> "0"
-_DIGIT_TABLES = [bytes(48 + (b == d) for b in range(256)) for d in (1, 2, 3)]
+# translate tables of ComponentSystem.masks, for the signed bytes v = -1,
+# 0, 1: the byte v -> "1", every other byte -> "0"
+_DIGIT_TABLES = [bytes(48 + (b == (v & 255)) for b in range(256)) for v in (-1, 0, 1)]
 
 
 def _bits(mask: int) -> List[int]:
@@ -377,17 +379,14 @@ def _code_perm_group(code: FrozenSet[Tuple[int, ...]], ncomp: int) -> Tuple[Tupl
     acts on the discriminant group as a monomial transformation; each
     sign is realized by the negation isometry of that component, so any
     monomial transformation preserving the glue code lifts to an
-    isometry of the overlattice.  Assignments of factors to components
-    are deduplicated by the permutation images of these.
+    isometry of the overlattice.  The transformation is injective, so it
+    preserves the code when each word's image lies in the code.
     """
     perms = []
-    signs = [tuple(s) for s in product((1, 2), repeat=ncomp)]
+    signs = list(product((1, 2), repeat=ncomp))
     for p in permutations(range(ncomp)):
         for s in signs:
-            image = {
-                tuple((s[i] * v[p[i]]) % 3 for i in range(ncomp)) for v in code
-            }
-            if image == set(code):
+            if all(tuple(s[i] * v[p[i]] % 3 for i in range(ncomp)) in code for v in code):
                 perms.append(p)
                 break
     return tuple(perms)
@@ -437,10 +436,22 @@ class EmbeddingRecord:
         return out
 
 
-def _canonical_assignment(
-    assignment: Tuple[Tuple[Symbol, ...], ...], group: Sequence[Tuple[int, ...]]
-) -> Tuple[Tuple[Symbol, ...], ...]:
-    return min(tuple(map(assignment.__getitem__, p)) for p in group)
+def _placement_classes(fs: Sequence[Symbol], model: NiemeierModel) -> List[Tuple[Tuple[Symbol, ...], ...]]:
+    """The least assignment of each ``perm_group`` orbit of the placements
+    cs (factor i to component cs[i]) of the sorted factors, ascending: the
+    assignments are closed under the group, so an orbit's first one in
+    sorted order is its least, and its images are the rest of the orbit."""
+    assignments = {
+        tuple(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(model.ncomp))
+        for cs in product(range(model.ncomp), repeat=len(fs))
+    }
+    seen: set = set()
+    classes = []
+    for a in sorted(assignments):
+        if a not in seen:
+            classes.append(a)
+            seen.update(tuple(map(a.__getitem__, p)) for p in model.perm_group)
+    return classes
 
 
 @cache
@@ -449,22 +460,11 @@ def enumerate_embeddings(p_factors: Tuple[Symbol, ...], kind: str) -> Tuple[Embe
     ``build_niemeier(kind)``, one record per inequivalent assignment and
     complement configuration."""
     model = build_niemeier(kind)
-    fs = sorted(p_factors, key=_factor_key)
-    # placement cs sends factor i to component cs[i]; filtering the sorted
-    # factors keeps each multiset sorted, and the inner set merges swaps of
-    # equal factors before the canonical form (a min over perm_group)
-    classes = {
-        _canonical_assignment(assignment, model.perm_group)
-        for assignment in {
-            tuple(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(model.ncomp))
-            for cs in product(range(model.ncomp), repeat=len(fs))
-        }
-    }
     # the product over the (few) outcomes of each component is empty when
     # some component takes no embedding
     records = [
         EmbeddingRecord(kind, assignment, outcomes)
-        for assignment in sorted(classes)
+        for assignment in _placement_classes(sorted(p_factors, key=_factor_key), model)
         for outcomes in product(*[embed_multiset(model.comp, fs) for fs in assignment])
     ]
     return tuple(sorted(records, key=lambda r: (str(r.total_complement), r.assignment)))

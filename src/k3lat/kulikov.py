@@ -322,8 +322,7 @@ def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
     # (b) the assembled action: its order and whether its square is -1
     t4 = assemble([rho4_u_u2(), rho4_d4(), rho4_d4(), rho4_a1a1()])
     t = t4.lattice
-    sq = t4.matrix * t4.matrix
-    action = (t4.order, sq == IntMatrix.identity(t.rank).scale(-1))
+    action = (t4.order, t4.square == IntMatrix.identity(t.rank).scale(-1))
 
     # (c) the invariant isotropic plane of e_0 and its image e_2, and its
     # quotient's roots; the cusp classifier is imported here, as in ``semifan``

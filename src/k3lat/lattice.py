@@ -11,9 +11,10 @@ Signature, radical and determinant are read from the pivots of one
 cached fraction-free symmetric elimination of the Gram matrix
 (``gram_elimination``; Sylvester's law), never by floating point.
 Discriminant groups come from the Gram matrix's invariant factors,
-checked against its determinant.  The Gram matrix ``B * G * B^T`` of a
-sublattice is cached by the values (basis B, ambient Gram G), never by
-object identity, so the same basis in a rescaled ambient gets its own.
+cached per Gram matrix and checked against its determinant on each
+call.  The Gram matrix ``B * G * B^T`` of a sublattice is cached by the
+values (basis B, ambient Gram G), never by object identity, so the same
+basis in a rescaled ambient gets its own.
 """
 
 from __future__ import annotations
@@ -199,6 +200,11 @@ def _inertia(gram: IntMatrix) -> Tuple[int, int, int, int]:
     return pos, len(pivots) - pos, rad, 0 if rad else minors[-1]
 
 
+@cache
+def _invariant_factors(gram: IntMatrix) -> Tuple[int, ...]:
+    return smith_divisors(gram)
+
+
 def signature(l: Lattice) -> Tuple[int, int]:
     pos, neg, rad = signature_with_radical(l)
     if rad:
@@ -249,7 +255,7 @@ def disc_group(l: Lattice) -> DiscGroup:
     matrix, whose product must be the independent Bareiss |det|."""
     if not l.is_nondegenerate:
         raise DegenerateFormError(signature_with_radical(l)[2])
-    factors = smith_divisors(l.gram)
+    factors = _invariant_factors(l.gram)
     if math.prod(factors) != abs(l.det()):
         raise LatticeError("invariant factors disagree with the determinant")
     divisors = tuple(d for d in factors if d > 1)

@@ -84,39 +84,43 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     is integral; this is only a preconditioner that keeps the
     enumeration intervals short on skew bases coming from quotient
     constructions, not a reduction algorithm with guarantees.
+
+    The test of pair (i, j) reads products of basis vectors i and j, which
+    swaps only move and a shear of i changes, so a sweep tests only pairs
+    with a vector changed since their last test: the others would skip.
     """
     n = gram.rows
     g = [list(row) for row in gram.entries]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def shear(i: int, j: int, r: int) -> None:
-        for k in range(n):
-            g[i][k] -= r * g[j][k]
-        for k in range(n):
-            g[k][i] -= r * g[k][j]
-        for k in range(n):
-            v[i][k] -= r * v[j][k]
-
-    def swap(i: int, j: int) -> None:
-        g[i], g[j] = g[j], g[i]
-        for row in g:
-            row[i], row[j] = row[j], row[i]
-        v[i], v[j] = v[j], v[i]
+    diag = [abs(g[i][i]) for i in range(n)]
+    # stamp[k]: the step at which vector k last changed; begun[i]: the
+    # step at which the tests of vector i as row last began
+    stamp, begun, step = [0] * n, [-1] * n, 0
 
     for _ in range(60):
         changed = False
         for i in range(n):
+            since, begun[i] = begun[i], step
+            dirty = stamp[i] > since
             for j in range(n):
                 # the quotient rounds to 0 exactly when 2|g_ij| <= |g_jj| (a
                 # tie rounds to the even 0), so those shears are skipped
                 # without a division and every other one is nonzero
-                if i == j or g[j][j] == 0 or 2 * abs(g[i][j]) <= abs(g[j][j]):
+                if (not dirty and stamp[j] <= since) or i == j or diag[j] == 0 or 2 * abs(g[i][j]) <= diag[j]:
                     continue
-                shear(i, j, _round_div(g[i][j], g[j][j]))
-                changed = True
+                r = _round_div(g[i][j], g[j][j])
+                g[i] = [a - r * b for a, b in zip(g[i], g[j])]
+                for row in g:
+                    row[i] -= r * row[j]
+                v[i] = [a - r * b for a, b in zip(v[i], v[j])]
+                step += 1
+                stamp[i], diag[i], dirty, changed = step, abs(g[i][i]), True, True
         for i in range(n - 1):
             if g[i + 1][i + 1] < g[i][i]:
-                swap(i, i + 1)
+                for row in g:
+                    row[i], row[i + 1] = row[i + 1], row[i]
+                for a in (g, v, diag, stamp, begun):
+                    a[i], a[i + 1] = a[i + 1], a[i]
                 changed = True
         if not changed:
             break

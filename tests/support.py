@@ -32,7 +32,12 @@ computed with one Gauss-Jordan solve per ambient root, where the library
 reads the roots of the saturation of S and of S-perp.  Neither oracle
 shares a solve with the library.  The digit-width reference scans the
 product operands row by row with generators, where
-``exactla._digit_width`` maps C-level iterators over them.
+``exactla._digit_width`` maps C-level iterators over them.  The
+placement classes are also the minimum over ``perm_group`` of each
+distinct assignment, where the library sweeps the sorted assignments
+once.  The full-sweep size reduction tests every pair in every sweep
+and rounds by ``Fraction``, where the library re-tests only the pairs
+with a changed vector and rounds by ``divmod``.
 
 ``clear_table_caches`` empties every cache built from the input tables,
 for the tests that patch a table; ``run_fresh`` runs code in a new
@@ -551,6 +556,63 @@ def reflection_orbit_reps(cs, cand_mask, refl_mask):
             raise AssertionError("candidate set is not stable under the reflections")
         seen |= members
     return reps
+
+
+# -- placement classes by a minimum over the group ---------------------
+
+
+def group_min_placement_classes(fs, model):
+    """The placement classes of the sorted factors ``fs`` in ``model``,
+    each as the minimum of its assignment's images under every element
+    of ``perm_group``, ascending: one minimum per distinct assignment,
+    where ``cusps._placement_classes`` sweeps the sorted assignments once."""
+    assignments = {
+        tuple(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(model.ncomp))
+        for cs in product(range(model.ncomp), repeat=len(fs))
+    }
+    return sorted({min(tuple(map(a.__getitem__, p)) for p in model.perm_group) for a in assignments})
+
+
+# -- size reduction by full sweeps ---------------------------------------
+
+
+def full_sweep_size_reduce(gram):
+    """``roots._size_reduce`` testing every pair (i, j) in every sweep,
+    where the library re-tests only pairs with a vector changed since
+    their last test: the same shears and swaps in the same order."""
+    n = gram.rows
+    g = [list(row) for row in gram.entries]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def shear(i, j, r):
+        for k in range(n):
+            g[i][k] -= r * g[j][k]
+        for k in range(n):
+            g[k][i] -= r * g[k][j]
+        for k in range(n):
+            v[i][k] -= r * v[j][k]
+
+    def swap(i, j):
+        g[i], g[j] = g[j], g[i]
+        for row in g:
+            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
+
+    for _ in range(60):
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if i == j or g[j][j] == 0 or 2 * abs(g[i][j]) <= abs(g[j][j]):
+                    continue
+                shear(i, j, round(Fraction(g[i][j], g[j][j])))
+                changed = True
+        for i in range(n - 1):
+            if g[i + 1][i + 1] < g[i][i]:
+                swap(i, i + 1)
+                changed = True
+        if not changed:
+            break
+    return IntMatrix(g, cols=n), IntMatrix(v, cols=n)
 
 
 # -- the per-root rational-span route to complement root types ---------

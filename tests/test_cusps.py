@@ -12,7 +12,9 @@ from k3lat.cusps import (
     NIEMEIER_GLUE,
     ComponentSystem,
     CuspError,
+    _factor_key,
     _factor_requirements,
+    _placement_classes,
     _sum_from_symbols,
     build_niemeier,
     classify_cusps,
@@ -44,6 +46,7 @@ from support import (
     clear_table_caches,
     glue_code,
     glue_code_sat_index,
+    group_min_placement_classes,
     pairwise_root_type,
     reflection_orbit_reps,
     run_fresh,
@@ -373,6 +376,25 @@ def test_niemeier_e6_fourth():
     code = glue_code("E6^4")
     assert all(sum(1 for c in w if c == 0) == 1 for w in code)
     assert len(code) == 8
+
+
+@pytest.mark.parametrize("kind,order", [("E8^3", 6), ("E6^4", 24)])
+def test_perm_group_is_a_group(kind, order):
+    # the placement sweep's precondition: the identity, and closure under
+    # composition, which makes the finite set a group
+    m = build_niemeier(kind)
+    group = set(m.perm_group)
+    assert len(group) == len(m.perm_group) == order
+    assert tuple(range(m.ncomp)) in group
+    assert {tuple(p[i] for i in q) for p in group for q in group} == group
+
+
+@pytest.mark.parametrize("kind", NIEMEIER_GLUE)
+@pytest.mark.parametrize("fam", goldens.FAMILIES)
+def test_placement_sweep_matches_the_group_minimum(fam, kind):
+    fs = sorted(family_data(*fam).p_factors, key=_factor_key)
+    m = build_niemeier(kind)
+    assert _placement_classes(fs, m) == group_min_placement_classes(fs, m)
 
 
 def test_embedding_counts_match_expectations():

@@ -122,6 +122,7 @@ def test_3_elementary():
 
 
 def test_disc_group_checks_divisors_against_det(monkeypatch):
+    import k3lat.lattice as lattice_module
     from k3lat import exactla
 
     real = exactla._smith
@@ -133,8 +134,14 @@ def test_disc_group_checks_divisors_against_det(monkeypatch):
     l = direct_sum(hyperbolic(3), neg("E", 6))
     assert disc_group(l).elementary_divisors == (3, 3, 3)
     monkeypatch.setattr(exactla, "_smith", drop_last_factor)
-    with pytest.raises(LatticeError, match="invariant factors disagree with the determinant"):
-        disc_group(l)
+    # a cached factor list would bypass the patch, and a patched one must
+    # not outlive it
+    lattice_module._invariant_factors.cache_clear()
+    try:
+        with pytest.raises(LatticeError, match="invariant factors disagree with the determinant"):
+            disc_group(l)
+    finally:
+        lattice_module._invariant_factors.cache_clear()
 
 
 def test_disc_group_needs_no_smith_transforms(monkeypatch):

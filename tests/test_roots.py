@@ -26,6 +26,7 @@ from k3lat.roots import (
     _reduced_search,
     _round_div,
     _simple_scan,
+    _size_reduce,
     complement_root_type,
     diagram_type,
     dual_class_min,
@@ -40,6 +41,7 @@ from support import (
     changed_basis,
     conjugate,
     enumerate_norm_box,
+    full_sweep_size_reduce,
     gauss_jordan_inv,
     pairwise_root_type,
     rational_span_complement_root_type,
@@ -363,6 +365,16 @@ STOP_CASES = [
     ([("E", 8), ("E", 8)], 30),
     ([("E", 8), ("I", 1)], 30),
 ]
+
+
+@given(st.lists(st.sampled_from(ROOT_ATOMS), min_size=1, max_size=3), st.integers(0, 10**6))
+@example([("D", 24)], 30)
+@example([("E", 8), ("E", 8)], 30)
+def test_size_reduce_matches_the_full_sweep(parts, seed):
+    # a skipped pair would skip again, so the shears, the swaps and the
+    # result are those of the sweep over every pair
+    gram = skewed(parts, seed)[3].gram
+    assert _size_reduce(gram) == full_sweep_size_reduce(gram)
 
 
 @given(changed_basis(ROOT_ATOMS, 10, 6), st.sampled_from([1, -1]))
