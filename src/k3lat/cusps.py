@@ -27,8 +27,10 @@ applies only those, found by one scan of the positive roots, and finds
 each reflected root by its packed integer key (``roots.packed_keys``).
 The scan also types each complement (``roots.diagram_type``).  The
 factors of P are distributed over the components by one product over
-placements, reduced by one sorted sweep to classes under the component
-permutations that extend to isometries of the model (``perm_group``).
+placements, taken up to every permutation of the components: in both
+models each one extends to an isometry of N (the group G2 of SPLAG
+Table 16.1 is S3 for E8^3 and S4 for E6^4), so a placement class is the
+assignment with its per-component blocks sorted.
 
 A cusp is starred when J-perp/J is an index-3 overlattice of its root
 span.  ``star_of`` decides it once per embedding record: the index of the
@@ -46,9 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, permutations, product
+from itertools import accumulate, product
 from struct import Struct
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import goldens
 from .exactla import (
@@ -265,32 +267,27 @@ class ComponentOutcome:
     """Distinct result of embedding a factor multiset into one component."""
 
     complement_type: RootSystemType
-    rootspan_index: int  # [complement : span of its roots]
     dual_image_order: int  # [P-perp taken in the dual : P-perp in the component]
     witness: Tuple[Tuple[int, ...], ...]  # root indices per factor
-    complement_mask: int
     complement_simple: Tuple[Vector, ...]  # simple roots of the complement
 
 
 def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -> ComponentOutcome:
-    rk = cs.lattice.rank
     comp_mask = cs.all_mask
     for i in flat:
         comp_mask &= cs.masks[i][0 + 1]
     simple_idx = cs.simple_roots(comp_mask)
     ctype = diagram_type([[cs.pair[i][j] for j in simple_idx] for i in simple_idx])
     simple = [cs.roots[i] for i in simple_idx]
-    rows = IntMatrix._of(tuple(cs.roots[i] for i in flat), rk)
+    rows = IntMatrix._of(tuple(cs.roots[i] for i in flat), cs.lattice.rank)
     comp_basis = kernel_basis(rows * cs.lattice.gram)  # complement in the lattice
     if ctype.rank != comp_basis.rows:
         raise CuspError("complement is not rationally spanned by its roots")
-    # the simple roots span the same lattice as all complement roots
-    rootspan_index = index_in(hermite_basis(simple, rk), comp_basis) if simple else 1
     # y with y . rows^T = 0 are the dual-side complement x = y G^-1, and
     # comp = C * (dual_side * G^-1) exactly when comp * G = C * dual_side
     dual_order = index_in(comp_basis * cs.lattice.gram, kernel_basis(rows))
     witness = tuple(tuple(flat[end - s : end]) for s, end in zip(sizes, accumulate(sizes)))
-    return ComponentOutcome(ctype, rootspan_index, dual_order, witness, comp_mask, tuple(simple))
+    return ComponentOutcome(ctype, dual_order, witness, tuple(simple))
 
 
 def _factor_key(s: Symbol) -> Tuple[int, str]:
@@ -327,7 +324,7 @@ def _embed_sorted(comp: Symbol, factors: Tuple[Symbol, ...]) -> Tuple[ComponentO
     def search(depth: int, chosen: List[int], orth_mask: int):
         if depth == total:
             out = _outcome_from_leaf(cs, chosen, sizes)
-            dkey = (str(out.complement_type), out.rootspan_index, out.dual_image_order)
+            dkey = (str(out.complement_type), out.dual_image_order)
             outcomes.setdefault(dkey, out)
             if full_rank:
                 found_full[0] = True
@@ -366,30 +363,6 @@ class NiemeierModel:
     ncomp: int
     r: Lattice
     overlattice: Overlattice  # its lattice is the unimodular model N
-    perm_group: Tuple[Tuple[int, ...], ...]
-
-    def component_offset(self, c: int) -> int:
-        return c * self.comp[1]
-
-
-def _code_perm_group(code: FrozenSet[Tuple[int, ...]], ncomp: int) -> Tuple[Tuple[int, ...], ...]:
-    """Component permutations extending to isometries of the overlattice.
-
-    A permutation of components combined with per-component sign flips
-    acts on the discriminant group as a monomial transformation; each
-    sign is realized by the negation isometry of that component, so any
-    monomial transformation preserving the glue code lifts to an
-    isometry of the overlattice.  The transformation is injective, so it
-    preserves the code when each word's image lies in the code.
-    """
-    perms = []
-    signs = list(product((1, 2), repeat=ncomp))
-    for p in permutations(range(ncomp)):
-        for s in signs:
-            if all(tuple(s[i] * v[p[i]] % 3 for i in range(ncomp)) in code for v in code):
-                perms.append(p)
-                break
-    return tuple(perms)
 
 
 @cache
@@ -408,7 +381,7 @@ def build_niemeier(kind: str) -> NiemeierModel:
     for w in code:
         if w.count(0) != 1:
             raise CuspError("glue word without exactly one zero coordinate")
-    return NiemeierModel(comp, ncomp, r, over, _code_perm_group(code, ncomp))
+    return NiemeierModel(comp, ncomp, r, over)
 
 
 # -- embeddings of P ----------------------------------------------------
@@ -436,22 +409,16 @@ class EmbeddingRecord:
         return out
 
 
-def _placement_classes(fs: Sequence[Symbol], model: NiemeierModel) -> List[Tuple[Tuple[Symbol, ...], ...]]:
-    """The least assignment of each ``perm_group`` orbit of the placements
-    cs (factor i to component cs[i]) of the sorted factors, ascending: the
-    assignments are closed under the group, so an orbit's first one in
-    sorted order is its least, and its images are the rest of the orbit."""
-    assignments = {
-        tuple(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(model.ncomp))
-        for cs in product(range(model.ncomp), repeat=len(fs))
-    }
-    seen: set = set()
-    classes = []
-    for a in sorted(assignments):
-        if a not in seen:
-            classes.append(a)
-            seen.update(tuple(map(a.__getitem__, p)) for p in model.perm_group)
-    return classes
+def _placement_classes(fs: Sequence[Symbol], ncomp: int) -> List[Tuple[Tuple[Symbol, ...], ...]]:
+    """The placements cs (factor i to component cs[i]) of the sorted
+    factors up to every permutation of the components, ascending: each
+    class by its least assignment, the one with its blocks sorted."""
+    return sorted(
+        {
+            tuple(sorted(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(ncomp)))
+            for cs in product(range(ncomp), repeat=len(fs))
+        }
+    )
 
 
 @cache
@@ -464,7 +431,7 @@ def enumerate_embeddings(p_factors: Tuple[Symbol, ...], kind: str) -> Tuple[Embe
     # some component takes no embedding
     records = [
         EmbeddingRecord(kind, assignment, outcomes)
-        for assignment in _placement_classes(sorted(p_factors, key=_factor_key), model)
+        for assignment in _placement_classes(sorted(p_factors, key=_factor_key), model.ncomp)
         for outcomes in product(*[embed_multiset(model.comp, fs) for fs in assignment])
     ]
     return tuple(sorted(records, key=lambda r: (str(r.total_complement), r.assignment)))
@@ -476,7 +443,7 @@ def _model_rows(model: NiemeierModel, per_component: Sequence[Sequence[Vector]])
     rank_r = model.r.rank
     rows: List[List[int]] = []
     for c, vectors in enumerate(per_component):
-        off = model.component_offset(c)
+        off = c * model.comp[1]
         for v in vectors:
             vec = [0] * rank_r
             vec[off : off + len(v)] = v

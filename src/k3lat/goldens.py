@@ -176,10 +176,10 @@ _D4D4A1A1 = (10, 64, (2, 2, 2, 2, 2, 2))
 ORDER4_TABLE: Dict[str, Tuple[str, Tuple]] = {
     "nikulin-invariants": ("(1,9,4,0)", ((1, 9, 4, 0), (1, 9, 4, 0))),
     "order-4-action": ("rho^4 = 1, rho^2 = -1", (4, True)),
-    "quotient-root-type": ("D4^2+A1^2", (True, True, True, "D4^2+A1^2")),
+    "quotient-root-type": ("D4^2+A1^2", ("D4^2+A1^2",)),
     "exceptional-span": (
         "differences of cycled classes span A1^2",
         (((-2, 0), (0, -2)), ((0, 1, 0, -1), (-1, 0, 1, 0)), True, True, (2, 8, 10), (64, 64)),
     ),
-    "semifan-summand": ("the A1^2 summand", (True, True, _D4D4A1A1, _D4D4A1A1)),
+    "semifan-summand": ("the A1^2 summand", (True, _D4D4A1A1, _D4D4A1A1)),
 }

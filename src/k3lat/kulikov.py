@@ -90,8 +90,6 @@ _ROW_RECIPE: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], Tuple[Optional[int], 
     (3, ((0, 1), (0, 1), (0, 1))): (None, 1, 6),
 }
 
-COMPONENT_ROWS: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = tuple(_ROW_RECIPE)
-
 
 @dataclass(frozen=True)
 class ComponentSpec:
@@ -324,14 +322,16 @@ def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
     t = t4.lattice
     action = (t4.order, t4.square == IntMatrix.identity(t.rank).scale(-1))
 
-    # (c) the invariant isotropic plane of e_0 and its image e_2, and its
-    # quotient's roots; the cusp classifier is imported here, as in ``semifan``
+    # (c) the roots of the quotient by the invariant isotropic plane of e_0
+    # and its image e_2, which ``isotropic_plane`` saturates and proves
+    # isotropic and invariant; the cusp classifier is imported here, as in
+    # ``semifan``
     from .cusps import isotropic_plane
 
     j = isotropic_plane(t4, [1] + [0] * (t.rank - 1))
     q = quotient_by_isotropic(j).lattice
     rtype, _ = root_system(q)
-    plane = (j.is_isotropic(), j.is_primitive, is_invariant(j.basis, t4.matrix), str(rtype))
+    plane = (str(rtype),)
 
     # (d) four cycled norm -1 classes: Gram matrix and images of two
     # differences, saturation of their span, and the A1^2 block of the
@@ -354,12 +354,11 @@ def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
         (abs(det(a1_sub.gram())) * abs(det(comp.gram())), abs(block.det())),
     )
 
-    # (e) the semifan summand: invariant under the block action, primitive,
-    # and the block matches the quotient of (c)
+    # (e) the semifan summand: invariant under the block action (primitive
+    # by (d)), and the block matches the quotient of (c)
     block_rho = assemble([rho4_d4(), rho4_d4(), rho4_a1a1()])
     summand = (
         is_invariant(a1_rows, block_rho.matrix),
-        a1_sub.is_primitive,
         quotient_model_fingerprint(q),
         quotient_model_fingerprint(block),
     )

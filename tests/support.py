@@ -7,11 +7,13 @@ signatures, and the ``Fraction`` construction of a glued overlattice.
 They are slow, and independent of the code under test apart from
 ``hnf``, which the glue construction defines its basis by.  The star
 test's all-roots route spans every complement root of an embedding
-record, where the library spans only their simple roots.  The glue-code
-bookkeeping decides the star from the words of the glue code and each
-component's tabulated indices, where the library computes the index of
-the complement's root span in its saturation inside the Niemeier
-lattice.  The Smith oracle is the alternating row and column Hermite
+record, found by its pairings with the embedded roots, where the library
+spans only the simple roots of its scan.  The glue-code bookkeeping
+decides the star from the words of the glue code, each component's
+tabulated dual image order and its own root-span index (the gcd of the
+maximal minors of the complement roots' span), where the library
+computes the index of the complement's root span in its saturation
+inside the Niemeier lattice.  The Smith oracle is the alternating row and column Hermite
 passes that the pivot elimination of ``snf`` replaced.  The coefficient-box enumerator scans
 every small coefficient vector that ``roots.enumerate_norm`` prunes
 away.  The tuple root decomposition subtracts coefficient tuples where
@@ -33,11 +35,13 @@ reads the roots of the saturation of S and of S-perp.  Neither oracle
 shares a solve with the library.  The digit-width reference scans the
 product operands row by row with generators, where
 ``exactla._digit_width`` maps C-level iterators over them.  The
-placement classes are also the minimum over ``perm_group`` of each
-distinct assignment, where the library sweeps the sorted assignments
-once.  The full-sweep size reduction tests every pair in every sweep
-and rounds by ``Fraction``, where the library re-tests only the pairs
-with a changed vector and rounds by ``divmod``.
+placement classes are also the minimum of each distinct assignment over
+the component permutations that keep the glue code up to signs
+(``code_perm_group``), where the library sorts each assignment's blocks,
+taking every permutation to lift to an isometry of N.  The full-sweep
+size reduction tests every pair in every sweep and rounds by
+``Fraction``, where the library re-tests only the pairs with a changed
+vector and rounds by ``divmod``.
 
 ``clear_table_caches`` empties every cache built from the input tables,
 for the tests that patch a table; ``run_fresh`` runs code in a new
@@ -50,7 +54,7 @@ from operator import mul, sub
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -467,21 +471,29 @@ def pairwise_root_type(roots, gram):
 # -- the all-roots span of an embedding's complement -------------------
 
 
+def complement_root_indices(cs, oc):
+    """Indices of the roots of the component ``cs`` orthogonal to every
+    embedded root of the outcome ``oc``, by their Gram pairings."""
+    gram = cs.lattice.gram.entries
+    embedded = _mul([cs.roots[i] for w in oc.witness for i in w], gram)
+    return [i for i, r in enumerate(cs.roots) if not any(sum(map(mul, r, g)) for g in embedded)]
+
+
 def all_complement_root_span(record):
     """Nonzero Hermite rows of every root of N orthogonal to the embedded
-    P: each component's complement roots (its ``complement_mask``) placed
-    at the component's offset and mapped into N by the glue transform."""
+    P: each component's complement roots (``complement_root_indices``)
+    placed at the component's offset and mapped into N by the glue
+    transform."""
     model = build_niemeier(record.model_kind)
     cs = component_system(*model.comp)
     rank_r = model.r.rank
     rows = []
     for c, oc in enumerate(record.outcomes):
-        off = model.component_offset(c)
-        for i in range(cs.nroots):
-            if oc.complement_mask >> i & 1:
-                vec = [0] * rank_r
-                vec[off : off + len(cs.roots[i])] = cs.roots[i]
-                rows.append(vec)
+        off = c * model.comp[1]
+        for i in complement_root_indices(cs, oc):
+            vec = [0] * rank_r
+            vec[off : off + len(cs.roots[i])] = cs.roots[i]
+            rows.append(vec)
     if not rows:
         return IntMatrix([], cols=model.overlattice.lattice.rank)
     rows = _mul(rows, model.overlattice.old_in_new.entries)
@@ -503,21 +515,63 @@ def glue_code(kind):
     return tuple(sorted(words - {(0,) * ncomp}))
 
 
+def component_rootspan_index(cs, oc):
+    """[complement of the embedded roots of ``oc`` in the component ``cs``
+    : span of its roots].  The complement is saturated, so when the roots
+    span it rationally this is the index of their span in its saturation:
+    the gcd of the maximal minors of a basis of the span."""
+    embedded = rank(IntMatrix([cs.roots[i] for w in oc.witness for i in w], cols=cs.lattice.rank))
+    h = hermite_basis([cs.roots[i] for i in complement_root_indices(cs, oc)], cs.lattice.rank)
+    if h.rows + embedded != cs.lattice.rank:
+        raise AssertionError("complement is not rationally spanned by its roots")
+    if not h.rows:
+        return 1
+    minors = (
+        _det([[row[j] for j in cols] for row in h.entries])
+        for cols in combinations(range(h.cols), h.rows)
+    )
+    return math.gcd(*minors)
+
+
 def glue_code_sat_index(record):
     """[saturated complement of P in N : span of its roots], from the glue
-    code and the tabulated data of each component outcome alone.
+    code, the tabulated dual image order of each component outcome and the
+    oracle's own ``component_rootspan_index``.
 
     The complement of P in the root lattice R has index the product of the
-    ``rootspan_index`` over its root span.  N adds one class per glue
-    word that is trivial on every component where the dual complement has
-    image order 1; the image order must be 1 or 3, one Z/3 per copy."""
+    component root-span indices over its root span.  N adds one class per
+    glue word that is trivial on every component where the dual complement
+    has image order 1; the image order must be 1 or 3, one Z/3 per copy."""
     if any(oc.dual_image_order not in (1, 3) for oc in record.outcomes):
         raise AssertionError("dual image order outside {1,3}")
     full = {i for i, oc in enumerate(record.outcomes) if oc.dual_image_order == 3}
     glued = 1 + sum(
         1 for w in glue_code(record.model_kind) if all(x == 0 for i, x in enumerate(w) if i not in full)
     )
-    return glued * math.prod(oc.rootspan_index for oc in record.outcomes)
+    cs = component_system(*build_niemeier(record.model_kind).comp)
+    return glued * math.prod(component_rootspan_index(cs, oc) for oc in record.outcomes)
+
+
+def code_perm_group(code, ncomp):
+    """Component permutations extending to isometries of the overlattice
+    glued by ``code``, the set of its nonzero words.
+
+    A permutation of components combined with per-component sign flips
+    acts on the discriminant group as a monomial transformation; each
+    sign is realized by the negation isometry of that component, so any
+    monomial transformation preserving the glue code lifts to an
+    isometry of the overlattice.  The transformation is injective, so it
+    preserves the code when each word's image lies in the code.
+    """
+    code = set(code)
+    perms = []
+    signs = list(product((1, 2), repeat=ncomp))
+    for p in permutations(range(ncomp)):
+        for s in signs:
+            if all(tuple(s[i] * v[p[i]] % 3 for i in range(ncomp)) in code for v in code):
+                perms.append(p)
+                break
+    return tuple(perms)
 
 
 # -- Weyl orbits under every reflection -----------------------------------
@@ -561,16 +615,19 @@ def reflection_orbit_reps(cs, cand_mask, refl_mask):
 # -- placement classes by a minimum over the group ---------------------
 
 
-def group_min_placement_classes(fs, model):
-    """The placement classes of the sorted factors ``fs`` in ``model``,
-    each as the minimum of its assignment's images under every element
-    of ``perm_group``, ascending: one minimum per distinct assignment,
-    where ``cusps._placement_classes`` sweeps the sorted assignments once."""
+def group_min_placement_classes(fs, kind):
+    """The placement classes of the sorted factors ``fs`` in the model
+    ``kind``, each as the minimum of its assignment's images under every
+    element of ``code_perm_group``, ascending: one minimum per distinct
+    assignment, where ``cusps._placement_classes`` sorts each assignment's
+    blocks."""
+    ncomp = cusps.NIEMEIER_GLUE[kind][1]
+    group = code_perm_group(glue_code(kind), ncomp)
     assignments = {
-        tuple(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(model.ncomp))
-        for cs in product(range(model.ncomp), repeat=len(fs))
+        tuple(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(ncomp))
+        for cs in product(range(ncomp), repeat=len(fs))
     }
-    return sorted({min(tuple(map(a.__getitem__, p)) for p in model.perm_group) for a in assignments})
+    return sorted({min(tuple(map(a.__getitem__, p)) for p in group) for a in assignments})
 
 
 # -- size reduction by full sweeps ---------------------------------------

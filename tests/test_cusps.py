@@ -1,6 +1,6 @@
 import dataclasses
 from functools import cache
-from itertools import product
+from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -28,7 +28,7 @@ from k3lat.cusps import (
     star_of,
 )
 from k3lat.eisenstein import assemble, fixed_sublattice, is_estar, rho4_a1a1, rho4_d4, rho4_u_u2
-from k3lat.exactla import IntMatrix, int_express, rank
+from k3lat.exactla import IntMatrix, hermite_basis, int_express, rank
 from k3lat.lattice import (
     LatticeError,
     Sublattice,
@@ -38,12 +38,14 @@ from k3lat.lattice import (
     quotient_by_isotropic,
     signature,
 )
-from k3lat.roots import RootSystemType, diagram_type
+from k3lat.roots import RootSystemType, diagram_type, glue_root_sum
 from k3lat.suites import suite_tab3
 
 from support import (
     all_complement_root_span,
     clear_table_caches,
+    code_perm_group,
+    component_rootspan_index,
     glue_code,
     glue_code_sat_index,
     group_min_placement_classes,
@@ -348,7 +350,7 @@ def test_embed_multiset_outcomes(comp, factors, expected, dual):
     assert len(out) == 1
     assert str(out[0].complement_type) == expected
     assert out[0].dual_image_order == dual
-    assert out[0].rootspan_index == 1
+    assert component_rootspan_index(component_system(*comp), out[0]) == 1
 
 
 def test_embed_rejects_oversized():
@@ -361,7 +363,6 @@ def test_niemeier_e8_cubed():
     assert n.rank == 24
     assert abs(n.det()) == 1
     assert m.ncomp * len(component_system(*m.comp).roots) == 720
-    assert len(m.perm_group) == 6
 
 
 def test_niemeier_e6_fourth():
@@ -378,23 +379,49 @@ def test_niemeier_e6_fourth():
     assert len(code) == 8
 
 
-@pytest.mark.parametrize("kind,order", [("E8^3", 6), ("E6^4", 24)])
-def test_perm_group_is_a_group(kind, order):
-    # the placement sweep's precondition: the identity, and closure under
-    # composition, which makes the finite set a group
-    m = build_niemeier(kind)
-    group = set(m.perm_group)
-    assert len(group) == len(m.perm_group) == order
-    assert tuple(range(m.ncomp)) in group
-    assert {tuple(p[i] for i in q) for p in group for q in group} == group
+def _lifts_to_n(m, perm):
+    """Whether the permutation ``perm`` of the components of the model
+    ``m``, with one sign per component, maps its overlattice onto itself:
+    the same Hermite basis."""
+    k, scaled = m.comp[1], m.overlattice.scaled
+    for signs in product((1, -1), repeat=m.ncomp):
+        move = [[0] * m.r.rank for _ in range(m.r.rank)]
+        for c, (p, s) in enumerate(zip(perm, signs)):
+            for i in range(k):
+                move[c * k + i][p * k + i] = s
+        if hermite_basis((scaled * IntMatrix(move)).entries, m.r.rank) == scaled:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("kind", NIEMEIER_GLUE)
+def test_every_component_permutation_lifts(kind):
+    # the placement classes' premise: every permutation of the components
+    # keeps the glue code up to signs, and so is an isometry of N
+    ncomp = NIEMEIER_GLUE[kind][1]
+    group = code_perm_group(glue_code(kind), ncomp)
+    assert group == tuple(permutations(range(ncomp)))
+    assert all(_lifts_to_n(build_niemeier(kind), p) for p in group)
+
+
+def test_a_smaller_code_keeps_fewer_permutations(monkeypatch):
+    # the tetracode's first generator alone is kept only by the
+    # permutations that fix its zero coordinate, 6 of the 24, on the code
+    # and on the overlattice it glues
+    m = build_niemeier("E6^4")
+    word = (0, 1, 1, 1)
+    monkeypatch.setitem(NIEMEIER_GLUE, "E6^4", (("E", 6), 4, (word,)))
+    assert len(code_perm_group(glue_code("E6^4"), 4)) == 6
+    half = dataclasses.replace(m, overlattice=glue_root_sum(m.r, [m.comp] * 4, [word])[0])
+    assert _lifts_to_n(half, (0, 2, 1, 3))
+    assert not _lifts_to_n(half, (1, 0, 2, 3))
 
 
 @pytest.mark.parametrize("kind", NIEMEIER_GLUE)
 @pytest.mark.parametrize("fam", goldens.FAMILIES)
 def test_placement_sweep_matches_the_group_minimum(fam, kind):
     fs = sorted(family_data(*fam).p_factors, key=_factor_key)
-    m = build_niemeier(kind)
-    assert _placement_classes(fs, m) == group_min_placement_classes(fs, m)
+    assert _placement_classes(fs, NIEMEIER_GLUE[kind][1]) == group_min_placement_classes(fs, kind)
 
 
 def test_embedding_counts_match_expectations():

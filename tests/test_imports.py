@@ -7,13 +7,16 @@ depth, so function-local imports count too) and the names the module
 reads anywhere, and fails on an import that is never read.
 
 The dead-code rule: every non-dunder function or method defined in
-``src/k3lat`` must be referenced by name in ``src/k3lat``, ``bench/*.py``
-or ``tests/support.py`` (the home of the reference oracles).  The test
+``src/k3lat``, and every non-dunder name a module assigns at its top
+level, must be referenced by name in ``src/k3lat``, ``bench/*.py`` or
+``tests/support.py`` (the home of the reference oracles).  The test
 files ``tests/test_*.py`` do not count: API that only a test calls is
-dead.  A function counts as referenced when it is read as a name or an
-attribute, or imported; a method only when it is read as an attribute
-or imported, so a local variable that shares its name does not keep it
-alive.  A function registered as a CLI subcommand by a ``*.command()``
+dead.  A function or module-level name counts as referenced when it is
+read as a name or an attribute, or imported; a method only when it is
+read as an attribute or imported, so a local variable that shares its
+name does not keep it alive.  Assigning a name does not read it.  The
+module-level names of ``goldens`` are exempt: they are expected values,
+and some of them (``GENUS``) only tests read.  A function registered as a CLI subcommand by a ``*.command()``
 decorator is referenced by that decorator.  ``bench/tracer.py`` looks
 functions up by string (``"hnf"``, ``"Lattice.pair"``), so each part of
 a dotted-name string constant there counts as an attribute read.
@@ -101,18 +104,36 @@ def _is_command(decorator: ast.expr) -> bool:
     )
 
 
-def unreferenced_definitions(defining: dict, others: list, lookups=frozenset()) -> list:
-    """(file, line, name) of each non-dunder function or method in the
-    ``defining`` sources (file name -> text) that no source, of these or
-    of ``others``, references: a function by a name, attribute or import,
-    a method by an attribute or import only.  ``lookups`` are attribute
-    names read by string."""
+def _module_names(tree: ast.Module) -> list:
+    """(line, name) of each non-dunder name assigned at the top level."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and not (node.id.startswith("__") and node.id.endswith("__")):
+                    out.append((node.lineno, node.id))
+    return out
+
+
+def unreferenced_definitions(defining: dict, others: list, lookups=frozenset(), tables=frozenset()) -> list:
+    """(file, line, name) of each non-dunder function, method or
+    module-level name in the ``defining`` sources (file name -> text) that
+    no source, of these or of ``others``, references: a function or
+    module-level name by a read name, attribute or import, a method by an
+    attribute or import only.  ``lookups`` are attribute names read by
+    string; the module-level names of the ``tables`` files are exempt."""
     trees = {name: ast.parse(text) for name, text in defining.items()}
     names = set()
     attributes = set(lookups)  # attribute reads and imported names
     for tree in list(trees.values()) + [ast.parse(text) for text in others]:
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
@@ -133,6 +154,8 @@ def unreferenced_definitions(defining: dict, others: list, lookups=frozenset()) 
                 and node.name not in referenced
             ):
                 out.append((file, node.lineno, node.name))
+        if file not in tables:
+            out += [(file, line, name) for line, name in _module_names(tree) if name not in everything]
     return sorted(out)
 
 
@@ -161,9 +184,12 @@ def library_references(root: Path) -> tuple:
 # only tests call it until the direct route of ROADMAP item 1 does
 NOT_YET_CALLED = {"cusp_of_plane"}
 
+# modules of expected values, whose module-level names tests may read alone
+TABLE_MODULES = {"goldens.py"}
+
 
 def test_every_definition_is_referenced():
-    dead = unreferenced_definitions(*library_references(ROOT))
+    dead = unreferenced_definitions(*library_references(ROOT), tables=TABLE_MODULES)
     assert [d for d in dead if d[2] not in NOT_YET_CALLED] == []
 
 
@@ -197,6 +223,24 @@ def test_check_flags_an_unreferenced_definition():
         ("m.py", 10, "dead"),
     ]
     assert unreferenced_definitions({"m.py": source}, ["from m import unused", "A().m(); A.dead"]) == []
+
+
+def test_check_flags_an_unread_module_name():
+    source = (
+        "from typing import Tuple\n\n"
+        "Symbol = Tuple[str, int]\n"
+        "TABLE = {1: 2}\n"
+        "ROWS: tuple = tuple(TABLE)\n"
+        "A, B = 1, 2\n"
+        "__all__ = []\n\n"
+        "def f(s: Symbol):\n    return A\n"
+    )
+    assert unreferenced_definitions({"m.py": source}, ["f()\nROWS = ()\n"]) == [
+        ("m.py", 5, "ROWS"),
+        ("m.py", 6, "B"),
+    ]
+    assert unreferenced_definitions({"m.py": source}, ["f(); m.ROWS\nfrom m import B"]) == []
+    assert unreferenced_definitions({"m.py": source}, ["f()"], tables={"m.py"}) == []
 
 
 def test_check_reads_a_method_only_as_an_attribute():

@@ -16,7 +16,7 @@ from k3lat.eisenstein import (
 )
 from k3lat.goldens import ORDER4_TABLE, SEMIFAN_TABLE
 from k3lat.kulikov import (
-    COMPONENT_ROWS,
+    _ROW_RECIPE,
     ComponentSpec,
     KulikovError,
     build_component,
@@ -52,10 +52,11 @@ EXPECTED_PRIM = {
 
 
 def test_component_rows_cover_spec_table():
-    assert set(COMPONENT_ROWS) == set(EXPECTED_PRIM)
+    assert set(_ROW_RECIPE) == set(EXPECTED_PRIM)
+    assert [row for row, _ in goldens.COMPONENT_TABLE] == list(_ROW_RECIPE)
 
 
-@pytest.mark.parametrize("row", COMPONENT_ROWS)
+@pytest.mark.parametrize("row", list(_ROW_RECIPE))
 def test_component_primitive_types(row):
     c = build_component(ComponentSpec(*row))
     assert c.rho.lattice.rank == 10
@@ -69,8 +70,9 @@ def test_component_primitive_types(row):
 
 
 def test_primitive_picard_is_computed_once():
-    c = build_component(ComponentSpec(*COMPONENT_ROWS[0]))
-    assert build_component(ComponentSpec(*COMPONENT_ROWS[0])) is c
+    row = next(iter(_ROW_RECIPE))
+    c = build_component(ComponentSpec(*row))
+    assert build_component(ComponentSpec(*row)) is c
     assert primitive_picard(c) is primitive_picard(c)
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.d = ()
