@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, combinations_with_replacement, groupby, product
 from struct import Struct
 from typing import Dict, List, Sequence, Tuple
 
@@ -410,13 +410,20 @@ class EmbeddingRecord:
 
 
 def _placement_classes(fs: Sequence[Symbol], ncomp: int) -> List[Tuple[Tuple[Symbol, ...], ...]]:
-    """The placements cs (factor i to component cs[i]) of the sorted
-    factors up to every permutation of the components, ascending: each
-    class by its least assignment, the one with its blocks sorted."""
+    """The placements of the sorted factors ``fs`` on the components up to
+    every permutation of the components, ascending: each class by its least
+    assignment, the one with its per-component blocks sorted.  A run of k
+    equal factors splits over the components as a multiset of k of them,
+    each split once; a block is its runs' parts in order."""
+    splits = [
+        [tuple((f,) * cs.count(c) for c in range(ncomp)) for cs in combinations_with_replacement(range(ncomp), k)]
+        for f, k in ((f, len(list(run))) for f, run in groupby(fs))
+    ]
+    # the empty first part keeps ncomp blocks when there are no factors
     return sorted(
         {
-            tuple(sorted(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(ncomp)))
-            for cs in product(range(ncomp), repeat=len(fs))
+            tuple(sorted(tuple(chain.from_iterable(parts)) for parts in zip(((),) * ncomp, *split)))
+            for split in product(*splits)
         }
     )
 

@@ -12,8 +12,9 @@ lattice.
 
 A lattice with an isometry is one verified value, ``RhoLattice(lattice,
 matrix)``: construction checks that the matrix preserves the form and
-computes its order, which may not exceed ``ORDER_BOUND``; it keeps the
-square of the verified matrix, which the order check computes anyway.
+computes its order, which may not exceed ``ORDER_BOUND``, from two
+products, ``M [G | M] = [MG | M^2]`` and ``M [(MG)^T | M^2] = [M G M^T |
+M^3]``; it keeps the square, which the order check reads anyway.
 
 Order-3 fixed-point-free isometries of A2, E6, E8 are produced as
 powers of a Coxeter element (product of the simple reflections in
@@ -27,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import product
+from operator import add
 from typing import List, Sequence, Tuple
 
 from .exactla import (
@@ -58,32 +61,10 @@ class IsometryError(LatticeError):
 ORDER_BOUND = 24
 
 
-def verify_isometry(lattice: Lattice, m: IntMatrix) -> None:
-    """Raise with the violated pairing if ``m`` does not preserve the form
-    (``isometry_order`` proves it unimodular: M^k = I gives M^-1 = M^(k-1))."""
-    if m.rows != m.cols or m.rows != lattice.rank:
-        raise IsometryError("matrix shape does not match the lattice rank")
-    g = lattice.gram
-    prod = m * g * m.transpose()
-    if prod != g:
-        for i in range(g.rows):
-            for j in range(g.cols):
-                if prod.entries[i][j] != g.entries[i][j]:
-                    raise IsometryError(
-                        f"pairing violated at basis pair ({i},{j}): "
-                        f"{prod.entries[i][j]} != {g.entries[i][j]}"
-                    )
-
-
-def isometry_order(m: IntMatrix, square: IntMatrix) -> int:
-    """The order of ``m``; ``square`` must be ``m * m``."""
-    ident = IntMatrix.identity(m.rows)
-    p = m
-    for k in range(1, ORDER_BOUND + 1):
-        if p == ident:
-            return k
-        p = square if k == 1 else p * m
-    raise IsometryError(f"order exceeds bound {ORDER_BOUND}")
+def _side_by_side(m: IntMatrix, a: IntMatrix, b: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
+    """``(m * a, m * b)`` from the one product ``m * [a | b]``."""
+    rows, k = (m * IntMatrix._of(tuple(map(add, a.entries, b.entries)), a.cols + b.cols)).entries, a.cols
+    return IntMatrix._of(tuple(r[:k] for r in rows), k), IntMatrix._of(tuple(r[k:] for r in rows), b.cols)
 
 
 @dataclass(frozen=True)
@@ -92,7 +73,8 @@ class RhoLattice:
 
     Construction verifies that the matrix preserves the form; ``order`` is
     computed from the matrix (``IsometryError`` above ``ORDER_BOUND``),
-    never stated; a finite order proves the matrix unimodular."""
+    never stated; a finite order proves the matrix unimodular: M^k = I
+    gives M^-1 = M^(k-1)."""
 
     lattice: Lattice
     matrix: IntMatrix
@@ -100,9 +82,22 @@ class RhoLattice:
     square: IntMatrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        verify_isometry(self.lattice, self.matrix)
-        object.__setattr__(self, "square", self.matrix * self.matrix)
-        object.__setattr__(self, "order", isometry_order(self.matrix, self.square))
+        m, g = self.matrix, self.lattice.gram
+        if m.rows != m.cols or m.rows != g.rows:
+            raise IsometryError("matrix shape does not match the lattice rank")
+        mg, square = _side_by_side(m, g, m)
+        mgm, cube = _side_by_side(m, mg.transpose(), square)
+        if mgm != g:
+            a, b = mgm.entries, g.entries
+            i, j = next((i, j) for i, j in product(range(g.rows), repeat=2) if a[i][j] != b[i][j])
+            raise IsometryError(f"pairing violated at basis pair ({i},{j}): {a[i][j]} != {b[i][j]}")
+        object.__setattr__(self, "square", square)
+        p, k, ident = m, 1, IntMatrix.identity(m.rows)
+        while p != ident:
+            if k == ORDER_BOUND:
+                raise IsometryError(f"order exceeds bound {ORDER_BOUND}")
+            p, k = (m, square, cube)[k] if k < 3 else p * m, k + 1
+        object.__setattr__(self, "order", k)
 
     def apply(self, v: Sequence[int]) -> Tuple[int, ...]:
         m = self.matrix.entries

@@ -14,7 +14,8 @@ whole package:
 * ``kernel_basis(A)`` returns rows ``x`` with ``x * A^T = 0``.
 
 Each normal form is one fraction-free elimination, transforms optional:
-the Hermite form by gcd-driven row reduction, the Smith form by pivot
+the Hermite form by gcd-driven row reduction (``kernel_basis`` is one,
+of ``[A^T | I]``; Cohen, GTM 138, 2.4), the Smith form by pivot
 elimination on the first entry of least absolute value, row-major (Cohen,
 GTM 138, Alg. 2.4.14, without the modulus; a unit pivot is taken on sight
 and skips the divisibility scan), its row and column operations applied
@@ -526,15 +527,17 @@ def rank(a: IntMatrix) -> int:
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis of the saturated integer kernel ``{x : x * A^T = 0}``.
+    """Basis of the saturated integer kernel ``{x : x * A^T = 0}``, in row
+    Hermite form, from one Hermite elimination of ``[A^T | I]``.
 
-    The rows of the Hermite transform of ``A^T`` that map to zero rows
-    form a basis; the kernel of an integer matrix is automatically a
-    primitive subgroup.
+    Its rows zero on the ``A^T`` columns span the kernel, as the row
+    operations are unimodular, and their ``I`` parts are in Hermite form
+    among themselves: the kernel's unique Hermite basis.
     """
-    h, u = hnf(a.transpose())
-    ker = [u.entries[i] for i in range(h.rows) if not any(h.entries[i])]
-    return hermite_basis(ker, a.cols)
+    k, m = a.rows, a.cols
+    h = [[*col, *(0,) * i, 1, *(0,) * (m - i - 1)] for i, col in enumerate(a.transpose().entries)]
+    _hermite(h, [[] for _ in h])  # empty transform rows: no transform work
+    return IntMatrix._of(tuple(tuple(row[k:]) for row in h if not any(row[:k])), m)
 
 
 def saturate(rows: IntMatrix) -> IntMatrix:

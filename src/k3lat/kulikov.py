@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .exactla import (
     ExactLAError,
@@ -112,19 +112,9 @@ def _dp_kperp_rows(degree: int) -> IntMatrix:
     """Simple roots of the anticanonical-orthogonal lattice of a del Pezzo
     of the given degree, in I(1, 9-d) coordinates and Bourbaki order."""
     n = 9 - degree  # number of exceptional coordinates
-    dim = n + 1
-    rows: List[List[int]] = []
-    chain = []
-    for i in range(n - 1):
-        v = [0] * dim
-        v[1 + i] = 1
-        v[2 + i] = -1
-        chain.append(v)
-    branch = [1, -1, -1, -1] + [0] * (dim - 4)
-    rows.append(chain[0])
-    rows.append(branch)
-    rows.extend(chain[1:])
-    return IntMatrix(rows, cols=dim)
+    chain = [[0] * (1 + i) + [1, -1] + [0] * (n - 2 - i) for i in range(n - 1)]  # e_i - e_(i+1)
+    branch = [1, -1, -1, -1] + [0] * (n - 3)  # h - e_1 - e_2 - e_3
+    return IntMatrix([chain[0], branch, *chain[1:]], cols=n + 1)
 
 
 def _terminal_model(degree: Optional[int]) -> RhoLattice:

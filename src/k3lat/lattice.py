@@ -323,8 +323,7 @@ class Sublattice:
 
     def orth_complement(self) -> "Sublattice":
         """Saturated orthogonal complement inside the ambient lattice."""
-        pairing = self.ambient.gram * self.basis.transpose()
-        return Sublattice(self.ambient, kernel_basis(pairing.transpose()))
+        return Sublattice(self.ambient, kernel_basis(self.basis * self.ambient.gram))
 
     def is_isotropic(self) -> bool:
         return self.gram().is_zero()

@@ -5,7 +5,9 @@ Fincke--Pohst traversal (Fincke--Pohst, Math. Comp. 1985): the symmetric
 Bareiss elimination (``exactla.gram_elimination``) of the size-reduced
 Gram matrix gives leading minors ``d_k`` and integer numerators, and
 scaling the norm by ``lcm(d_k d_{k-1})`` turns every level's interval
-into an integer square root and an integer subtraction.  The test suite
+into an integer square root and an integer subtraction.  The minors also
+prove the form definite, so that is its only elimination; the
+``definite_sign`` of the input only names a failure.  The test suite
 checks it against a brute-force coefficient-box enumerator.
 
 ``enumerate_norm`` is reduce (``_size_reduce``), search (the traversal,
@@ -113,6 +115,8 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
                 for row in g:
                     row[i] -= r * row[j]
                 v[i] = [a - r * b for a, b in zip(v[i], v[j])]
+                if g[i][i] < 1:  # no longer a positive norm: the form is not definite
+                    return IntMatrix(g, cols=n), IntMatrix(v, cols=n)
                 step += 1
                 stamp[i], diag[i], dirty, changed = step, abs(g[i][i]), True, True
         for i in range(n - 1):
@@ -137,11 +141,16 @@ def _reduced_search(l: Lattice, m: int, visit: Visit) -> Tuple[IntMatrix, IntMat
     ascend and ``key u - key v = key w`` only when ``u - v = w``."""
     if m < 1:
         raise EnumerationError("norm bound must be a positive integer")
-    # the positive definite one of G and -G; ``definite_sign`` raises on
-    # indefinite or degenerate input, naming why, from the cached inertia
-    gram_red, v = _size_reduce(l.gram.scale(definite_sign(l)))
+    # of G and -G, the one with a positive diagonal, as a definite form has;
+    # n positive pivots of its congruent reduced form prove it positive
+    # definite (Sylvester), else ``definite_sign`` raises, naming why
+    diag = [row[i] for i, row in enumerate(l.gram.entries)]
+    sign = 1 if min(diag, default=1) > 0 else -1 if max(diag) < 0 else definite_sign(l)
+    gram_red, v = _size_reduce(l.gram.scale(sign))
     b, d = gram_elimination(gram_red)
     n = gram_red.rows
+    if len(d) < n or min(d, default=1) < 1:
+        definite_sign(l)
     # scaling by L = lcm(d_k d_{k-1}) makes every level's weight an integer
     dd = [d[k] * (d[k - 1] if k else 1) for k in range(n)]
     scale = math.lcm(*dd)

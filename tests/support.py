@@ -38,10 +38,14 @@ product operands row by row with generators, where
 placement classes are also the minimum of each distinct assignment over
 the component permutations that keep the glue code up to signs
 (``code_perm_group``), where the library sorts each assignment's blocks,
-taking every permutation to lift to an isometry of N.  The full-sweep
+taking every permutation to lift to an isometry of N, and the product
+enumeration builds them from every placement, where the library splits
+each run of equal factors over the components once.  The full-sweep
 size reduction tests every pair in every sweep and rounds by
 ``Fraction``, where the library re-tests only the pairs with a changed
-vector and rounds by ``divmod``.
+vector and rounds by ``divmod``.  The two-pass kernel takes the zero
+rows of the ``hnf`` transform of A^T and then their Hermite form, where
+``exactla.kernel_basis`` runs one Hermite elimination of [A^T | I].
 
 ``clear_table_caches`` empties every cache built from the input tables,
 for the tests that patch a table; ``run_fresh`` runs code in a new
@@ -612,7 +616,42 @@ def reflection_orbit_reps(cs, cand_mask, refl_mask):
     return reps
 
 
+# -- kernels by a Hermite transform and a second Hermite pass ----------
+
+
+def two_pass_kernel_basis(a):
+    """``exactla.kernel_basis`` in two passes: the rows of the ``hnf``
+    transform of A^T that map to zero rows, then their Hermite form."""
+    h, u = hnf(a.transpose())
+    return hermite_basis([u.entries[i] for i in range(h.rows) if not any(h.entries[i])], a.cols)
+
+
+def two_pass_saturate(rows):
+    """``exactla.saturate`` as the kernel of the kernel, by the two-pass
+    kernel, with the same raise on dependent rows."""
+    ortho = two_pass_kernel_basis(rows)
+    if ortho.rows != rows.cols - rows.rows:
+        raise ExactLAError("dependent rows: not a sublattice basis")
+    return two_pass_kernel_basis(ortho)
+
+
 # -- placement classes by a minimum over the group ---------------------
+
+
+def placement_assignments(fs, ncomp):
+    """The assignments of the factors ``fs`` to ``ncomp`` components, one
+    per placement cs (factor i to component cs[i]): all ncomp^len(fs) of
+    them, duplicates merged."""
+    return {
+        tuple(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(ncomp))
+        for cs in product(range(ncomp), repeat=len(fs))
+    }
+
+
+def product_placement_classes(fs, ncomp):
+    """The placement classes of ``cusps._placement_classes`` from every
+    placement, each assignment with its blocks sorted, ascending."""
+    return sorted({tuple(sorted(a)) for a in placement_assignments(fs, ncomp)})
 
 
 def group_min_placement_classes(fs, kind):
@@ -623,10 +662,7 @@ def group_min_placement_classes(fs, kind):
     blocks."""
     ncomp = cusps.NIEMEIER_GLUE[kind][1]
     group = code_perm_group(glue_code(kind), ncomp)
-    assignments = {
-        tuple(tuple(f for f, c in zip(fs, cs) if c == i) for i in range(ncomp))
-        for cs in product(range(ncomp), repeat=len(fs))
-    }
+    assignments = placement_assignments(fs, ncomp)
     return sorted({min(tuple(map(a.__getitem__, p)) for p in group) for a in assignments})
 
 

@@ -124,6 +124,25 @@ def test_gram_literals_exit_0_or_1(command, rows):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("U", "lattice is indefinite with signature (1,1)"),
+        ("gram[[0]]", "degenerate form with radical of rank 1"),
+        ("gram[[2,3],[3,2]]", "lattice is indefinite with signature (1,1)"),  # positive diagonal
+        ("gram[[2,2],[2,2]]", "degenerate form with radical of rank 1"),  # positive diagonal
+        ("diag(2,-2)", "lattice is indefinite with signature (1,1)"),
+        ("A2(-1)+A1", "lattice is indefinite with signature (2,1)"),
+        ("gram[[-2,5,0],[5,-2,0],[0,0,-2]]", "lattice is indefinite with signature (1,2)"),  # negative diagonal
+    ],
+)
+def test_roots_names_why_a_form_is_not_definite(expr, message):
+    # the sign comes from the diagonal and the reduced form's pivots prove
+    # it; a form they do not prove definite still gets the inertia's reason
+    res = run("roots", expr)
+    assert (res.exit_code, res.output) == (1, f"Error: {message}\n")
+
+
 def test_verify_order4_passes():
     res = run("verify", "--suite", "order4")
     assert res.exit_code == 0

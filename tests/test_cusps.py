@@ -50,6 +50,7 @@ from support import (
     glue_code_sat_index,
     group_min_placement_classes,
     pairwise_root_type,
+    product_placement_classes,
     reflection_orbit_reps,
     run_fresh,
 )
@@ -421,7 +422,15 @@ def test_a_smaller_code_keeps_fewer_permutations(monkeypatch):
 @pytest.mark.parametrize("fam", goldens.FAMILIES)
 def test_placement_sweep_matches_the_group_minimum(fam, kind):
     fs = sorted(family_data(*fam).p_factors, key=_factor_key)
-    assert _placement_classes(fs, NIEMEIER_GLUE[kind][1]) == group_min_placement_classes(fs, kind)
+    classes = _placement_classes(fs, NIEMEIER_GLUE[kind][1])
+    assert classes == group_min_placement_classes(fs, kind)
+    assert classes == product_placement_classes(fs, NIEMEIER_GLUE[kind][1])
+
+
+@pytest.mark.parametrize("ncomp", [3, 4])
+@pytest.mark.parametrize("fs", [[("E", 6), ("E", 6), ("A", 2), ("A", 2), ("A", 2), ("A", 1)], []])
+def test_placement_classes_of_repeated_factors_match_the_product_enumeration(fs, ncomp):
+    assert _placement_classes(fs, ncomp) == product_placement_classes(fs, ncomp)
 
 
 def test_embedding_counts_match_expectations():

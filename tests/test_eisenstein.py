@@ -20,7 +20,6 @@ from k3lat.eisenstein import (
     fpf_order3,
     hermitian_normal_2x2,
     is_estar,
-    isometry_order,
     negative_fpf_order3,
     primitive_part,
     rho3_u_u,
@@ -293,11 +292,57 @@ def _cycles(*lengths):
 
 def test_isometry_order_stops_at_order_bound():
     assert ORDER_BOUND == 24
-    m = _cycles(3, 8)
-    assert isometry_order(m, m * m) == 24  # lcm(3, 8), the bound itself
-    m = _cycles(5, 7)
-    with pytest.raises(IsometryError, match="order exceeds bound 24"):
-        isometry_order(m, m * m)  # lcm(5, 7) = 35
+    # a permutation matrix preserves the form of <1>^n
+    assert RhoLattice(diag_lattice([1] * 11), _cycles(3, 8)).order == 24  # lcm(3, 8), the bound itself
+    for m in (_cycles(25), _cycles(5, 7)):  # orders 25, one past the bound, and 35
+        with pytest.raises(IsometryError, match="order exceeds bound 24"):
+            RhoLattice(diag_lattice([1] * m.rows), m)
+
+
+def naive_order(m):
+    """The least k <= ORDER_BOUND with m^k = I, by repeated products; None past it."""
+    p = m
+    for k in range(1, ORDER_BOUND + 1):
+        if p == IntMatrix.identity(m.rows):
+            return k
+        p = p * m
+    return None
+
+
+def test_a_broken_pairing_names_its_first_basis_pair():
+    # e2 -> e2 + e3 on <2>^3 breaks the pairings (1,2), (2,1) and (2,2)
+    with pytest.raises(IsometryError, match=r"^pairing violated at basis pair \(1,2\): 2 != 0$"):
+        RhoLattice(diag_lattice([2, 2, 2]), IntMatrix([[1, 0, 0], [0, 1, 0], [0, 1, 1]]))
+
+
+@pytest.mark.parametrize(
+    "make, order",
+    [
+        (lambda: RhoLattice(root_lattice("A", 2), IntMatrix.identity(2)), 1),
+        (lambda: RhoLattice(root_lattice("E", 6), IntMatrix.identity(6).scale(-1)), 2),
+        (lambda: fpf_order3("A", 2), 3),
+        (rho4_d4, 4),
+        (lambda: RhoLattice(root_lattice("A", 2), fpf_order3("A", 2).matrix.scale(-1)), 6),
+    ],
+)
+def test_order_matches_the_naive_power_oracle(make, order):
+    r = make()
+    assert r.order == naive_order(r.matrix) == order
+    assert r.square == r.matrix * r.matrix
+
+
+def test_an_order3_action_is_verified_by_two_products(monkeypatch):
+    m = fpf_order3("E", 6).matrix
+    real = IntMatrix.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.rows, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counted)
+    assert RhoLattice(root_lattice("E", 6), m).order == 3
+    assert calls == [(6, 12), (6, 12)]
 
 
 @pytest.mark.parametrize(
@@ -317,7 +362,7 @@ def test_rho_lattice_keeps_the_square_of_its_matrix(make):
     r = make()
     m = r.matrix
     assert r.square == m * m
-    assert isometry_order(m, r.square) == isometry_order(m, m * m) == r.order
+    assert r.order == naive_order(m)
 
 
 def test_the_kept_square_is_not_part_of_the_value():

@@ -7,7 +7,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from k3lat import exactla
+from k3lat import exactla, goldens
+from k3lat.cusps import NIEMEIER_GLUE, build_niemeier, embedded_p_rows, enumerate_embeddings, family_data
 from k3lat.exactla import (
     ExactLAError,
     IntMatrix,
@@ -34,6 +35,8 @@ from support import (
     gauss_jordan_express,
     gauss_jordan_inv,
     hermite_snf,
+    two_pass_kernel_basis,
+    two_pass_saturate,
 )
 
 
@@ -433,6 +436,53 @@ def sympy_row_lattice(a):
 
     hs = hermite_normal_form(sympy.Matrix(a.transpose().entries))
     return [list(map(int, hs.col(j))) for j in range(hs.cols)]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """k x m matrices, k = 0 and m = 0 included, entries up to +-50 and
+    mostly zero, with a zero row, a zero column or a row that is a
+    combination of two others (rank-deficient) drawn in."""
+    k, m = draw(st.integers(0, 6)), draw(st.integers(0, 24))
+    entry = st.integers(-50, 50) | st.just(0) | st.just(0)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=k, max_size=k))
+    if k and draw(st.booleans()):
+        rows[draw(st.integers(0, k - 1))] = [0] * m
+    if m and draw(st.booleans()):
+        j = draw(st.integers(0, m - 1))
+        rows = [[0 if c == j else x for c, x in enumerate(row)] for row in rows]
+    if k >= 2 and draw(st.booleans()):
+        c1, c2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows.append([c1 * x + c2 * y for x, y in zip(rows[0], rows[1])])
+    return IntMatrix(rows, cols=m)
+
+
+@given(kernel_inputs())
+@example(IntMatrix([], cols=5))
+@example(IntMatrix([[], []]))
+@example(IntMatrix([[0, 0, 0], [0, 0, 0]]))
+@example(IntMatrix([[2, 4, 6], [1, 2, 3]]))
+def test_one_pass_kernel_and_saturation_match_the_two_pass_oracle(a):
+    k = kernel_basis(a)
+    assert k == two_pass_kernel_basis(a)
+    assert k.cols == a.cols and (k * a.transpose()).is_zero()
+    assert outcome(saturate, a) == outcome(two_pass_saturate, a)
+
+
+def test_one_pass_kernel_matches_the_oracle_on_the_niemeier_complements():
+    # the complement of each embedded P in N: a kernel with 24 columns
+    seen = 0
+    for kind in NIEMEIER_GLUE:
+        gram = build_niemeier(kind).overlattice.lattice.gram
+        for fam in goldens.FAMILIES:
+            for record in enumerate_embeddings(family_data(*fam).p_factors, kind):
+                p = embedded_p_rows(record)
+                pairing = p * gram
+                assert pairing.cols == 24
+                assert kernel_basis(pairing) == two_pass_kernel_basis(pairing)
+                assert saturate(p) == two_pass_saturate(p)
+                seen += 1
+    assert seen == sum(map(len, goldens.EMBEDDING_TABLES.values()))
 
 
 @given(int_matrices)

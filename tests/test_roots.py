@@ -5,10 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+import k3lat.lattice as lattice_module
 import k3lat.roots as roots_module
 from k3lat import goldens
-from k3lat.exactla import IntMatrix, hnf
+from k3lat.exactla import IntMatrix, gram_elimination, hnf
 from k3lat.lattice import (
+    DegenerateFormError,
     Lattice,
     LatticeError,
     Sublattice,
@@ -81,6 +83,43 @@ def test_enumerate_closed_under_negation_and_sorted():
 def test_enumerate_rejects_indefinite():
     with pytest.raises(Exception):
         enumerate_norm(hyperbolic(), 2)
+
+
+def test_root_analysis_of_a_new_gram_matrix_eliminates_once(monkeypatch):
+    # the reduced form's pivots prove definiteness, so no second
+    # elimination of the input Gram matrix runs beside them
+    u = unimodular(8, [(0, 7, 2), (5, 1, -1)])
+    lu = conjugate(direct_sum(root_lattice("E", 6), root_lattice("A", 2)), u)
+    roots_module._root_analysis.cache_clear()
+    lattice_module._inertia.cache_clear()
+    calls = []
+
+    def counted(gram):
+        calls.append(gram.rows)
+        return gram_elimination(gram)
+
+    monkeypatch.setattr(roots_module, "gram_elimination", counted)
+    monkeypatch.setattr(lattice_module, "gram_elimination", counted)
+    assert str(root_system(lu)[0]) == "E6+A2"
+    assert calls == [8]
+
+
+@pytest.mark.parametrize(
+    "gram, error",
+    [
+        ([[0, 1], [1, 0]], LatticeError),
+        ([[2, 3], [3, 2]], LatticeError),
+        ([[2, 2], [2, 2]], DegenerateFormError),
+        ([[-2, 2], [2, -2]], DegenerateFormError),
+        ([[2, 0], [0, -2]], LatticeError),
+    ],
+)
+def test_root_system_raises_the_inertia_error_on_a_form_not_definite(gram, error):
+    with pytest.raises(error) as raised:
+        root_system(Lattice(gram))
+    with pytest.raises(error) as named:
+        lattice_module.definite_sign(Lattice(gram))
+    assert str(raised.value) == str(named.value)
 
 
 def test_enumerate_rejects_bad_norm():
