@@ -21,6 +21,7 @@ of the reference tables.  ADE indices may also be parenthesized, as in
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import List
@@ -56,6 +57,10 @@ MAX_ADE_INDEX = 24
 # into the consumed text is its UTF-8 byte offset.
 _ASCII_DIGITS = frozenset("0123456789")
 _ASCII_SPACE = frozenset(" \t\n\r\x0b\x0c")
+# a whole integer list, ``int (, int)*``, over the same ASCII classes; the
+# character-level ``integer`` reparses any list this does not settle
+_INT = r"[ \t\n\r\x0b\x0c]*-?[0-9]+"
+_INT_LIST = re.compile(rf"{_INT}(?:[ \t\n\r\x0b\x0c]*,{_INT})*")
 
 
 class ParseError(ValueError):
@@ -101,6 +106,20 @@ class _Parser:
             raise self.error("integer literal too long")
 
     def int_list(self) -> List[int]:
+        """The integers of ``int (, int)*`` at ``pos``: one match of
+        ``_INT_LIST`` and a split when the list ends there, else (an item
+        that is not an integer, or one too long to convert) the
+        character-level parse, which names the error and its offset."""
+        start = self.pos
+        match = _INT_LIST.match(self.text, start)
+        if match:
+            self.pos = match.end()
+            if self.peek() != ",":
+                try:
+                    return [int(x) for x in match[0].split(",")]
+                except ValueError:  # longer than the interpreter's int-conversion limit
+                    pass
+            self.pos = start
         out = [self.integer()]
         while self.peek() == ",":
             self.take(",")

@@ -4,7 +4,8 @@ The quotient J-perp/J of an isotropic plane inside one of the period
 lattices T is computed two ways:
 
 * directly, by saturating a plane spanned by a vector and its image
-  under the order-3 action and taking the induced form on J-perp/J;
+  under the order-3 action and taking the induced form on J-perp/J,
+  with the action it induces there (``cusp_of_plane``);
 * combinatorially, by embedding the complementary definite lattice P
   into the root systems of the two relevant rank-24 even unimodular
   lattices, E8^3 and E6^4, and reading off orthogonal complements of
@@ -540,11 +541,22 @@ def isotropic_plane(r: RhoLattice, e: Sequence[int]) -> Sublattice:
     return j
 
 
-def cusp_of_plane(j: Sublattice) -> RootSystemType:
-    """Root type (with star flag) of the quotient J-perp/J."""
-    q = quotient_by_isotropic(j).lattice
-    rtype, _ = root_system(q)
-    idx = root_span_index(q)
+def root_type_with_star(l: Lattice) -> RootSystemType:
+    """Root type of a definite lattice that its roots span rationally,
+    starred when the root span has index 3 in it; any index but 1 or 3
+    raises."""
+    rtype, _ = root_system(l)
+    idx = root_span_index(l)
     if idx not in (1, 3):
         raise CuspError(f"root-span index {idx} outside {{1,3}}")
     return rtype.with_star(idx == 3)
+
+
+def cusp_of_plane(r: RhoLattice, j: Sublattice) -> Tuple[RootSystemType, RhoLattice]:
+    """Root type (with star flag) of the quotient J-perp/J for a plane J
+    that ``r`` keeps, and the action ``r`` induces on it: the lifts of the
+    quotient basis, moved by ``r``, stay in J-perp, and their quotient
+    coordinates are the rows of the induced matrix."""
+    q = quotient_by_isotropic(j)
+    rho_q = RhoLattice(q.lattice, q.coords(q.lift * r.matrix))
+    return root_type_with_star(q.lattice), rho_q

@@ -13,14 +13,19 @@ whole package:
   left, ``U * A = H``,
 * ``kernel_basis(A)`` returns rows ``x`` with ``x * A^T = 0``.
 
-Each normal form is one fraction-free elimination, transforms optional:
-the Hermite form by gcd-driven row reduction (``kernel_basis`` is one,
-of ``[A^T | I]``; Cohen, GTM 138, 2.4), the Smith form by pivot
-elimination on the first entry of least absolute value, row-major (Cohen,
-GTM 138, Alg. 2.4.14, without the modulus; a unit pivot is taken on sight
-and skips the divisibility scan), its row and column operations applied
-to both transforms and, inverted, to the inverse of the right one, or to
-none for ``smith_divisors``.  Every linear system is solved one way,
+Each normal form is one fraction-free elimination: the Hermite form by
+gcd-driven row reduction, transform optional (``kernel_basis`` is one,
+of ``[A^T | I]``; Cohen, GTM 138, 2.4), and the Smith form two ways.
+``snf``, the one with transforms, eliminates on the first entry of least
+absolute value, row-major (a unit pivot is taken on sight and skips the
+divisibility scan), its row and column operations applied to both
+transforms and, inverted, to the inverse of the right one.
+``smith_divisors``, the invariant factors alone of a nonsingular square
+matrix, eliminates with the modulus d = |det| that the caller already
+holds (Cohen, GTM 138, Alg. 2.4.14): an entry coprime to d is a unit
+pivot that clears its column in one row pass, and the same pivot loop
+runs on what is left, on representatives in [0, d), each factor the gcd
+of its pivot with d.  Every linear system is solved one way,
 by exact substitution against a basis in row echelon form: the basis
 itself when it is one, as every Hermite basis from ``kernel_basis``,
 ``hermite_basis`` and ``saturate`` is, and its Hermite form otherwise,
@@ -437,20 +442,16 @@ def snf(a: IntMatrix) -> SnfResult:
     return SnfResult(d, left, right, inv)
 
 
-def smith_divisors(a: IntMatrix) -> Tuple[int, ...]:
-    """``snf(a).d`` by the same elimination, with no transform and no check."""
-    s = [list(row) for row in a.entries]
-    _smith(s)
-    return tuple(abs(s[i][i]) for i in range(min(a.rows, a.cols)))
-
-
-def _smith(s: List[List[int]], left=None, right_t=None, right_inv=None) -> None:
+def _smith(
+    s: List[List[int]], left: List[List[int]], right_t: List[List[int]], right_inv: List[List[int]]
+) -> None:
     """Reduce ``s`` in place to a diagonal ``+-d_1, +-d_2, ...`` with
     ``d_k | d_(k+1)``: the pivot clears its column by row operations and
     its row by column operations; an entry of the block it does not
     divide adds its row to the pivot row, and the step repeats.  A pivot
-    +-1 clears in one pass and skips that scan.  With ``left`` None (or
-    empty, when there is nothing to eliminate) no transform is touched."""
+    +-1 clears in one pass and skips that scan.  Every row operation is
+    applied to ``left``, every column operation to the rows of
+    ``right_t`` and, inverted, to the columns of ``right_inv``."""
     m, n = len(s), len(s[0]) if s else 0
 
     def combine(rows: List[List[int]], i: int, j: int, q: int) -> None:
@@ -471,25 +472,22 @@ def _smith(s: List[List[int]], left=None, right_t=None, right_inv=None) -> None:
             s[t], s[pi] = s[pi], s[t]
             for row in s[t:]:
                 row[t], row[pj] = row[pj], row[t]
-            if left:
-                left[t], left[pi] = left[pi], left[t]
-                right_t[t], right_t[pj] = right_t[pj], right_t[t]
-                right_inv[t], right_inv[pj] = right_inv[pj], right_inv[t]
+            left[t], left[pi] = left[pi], left[t]
+            right_t[t], right_t[pj] = right_t[pj], right_t[t]
+            right_inv[t], right_inv[pj] = right_inv[pj], right_inv[t]
             p, tail = s[t][t], s[t][t:]
             for i in range(t + 1, m):
                 q = s[i][t] // p
                 if q:
                     s[i][t:] = [x - q * y for x, y in zip(s[i][t:], tail)]
-                    if left:
-                        combine(left, i, t, q)
+                    combine(left, i, t, q)
             for j in range(t + 1, n):
                 q = s[t][j] // p
                 if q:
                     for row in s[t:]:
                         row[j] -= q * row[t]
-                    if left:
-                        combine(right_t, j, t, q)
-                        combine(right_inv, t, j, -q)
+                    combine(right_t, j, t, q)
+                    combine(right_inv, t, j, -q)
             if p in (1, -1):
                 break  # a unit divides every entry, and one pass cleared it
             if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
@@ -498,8 +496,71 @@ def _smith(s: List[List[int]], left=None, right_t=None, right_inv=None) -> None:
             if bad is None:
                 break
             combine(s, t, bad, -1)
-            if left:
-                combine(left, t, bad, -1)
+            combine(left, t, bad, -1)
+
+
+def smith_divisors(a: IntMatrix, d: int) -> Tuple[int, ...]:
+    """``snf(a).d`` for a nonsingular square ``a`` with ``d = |det a|``, by
+    elimination modulo d, with no transform and no check."""
+    if a.rows != a.cols or d < 1:
+        raise ExactLAError("smith divisors modulo |det| need a nonsingular square matrix")
+    return _smith_mod([[x % d for x in row] for row in a.entries], d)
+
+
+def _smith_mod(s: List[List[int]], d: int) -> Tuple[int, ...]:
+    """Invariant factors of a nonsingular square matrix with ``|det| = d``
+    whose entries, reduced into [0, d), are the rows ``s`` (consumed).
+
+    The adjugate puts ``d Z^n`` in the row lattice, so every operation may
+    reduce modulo d and each factor is ``gcd(pivot, d)``.  An entry
+    coprime to d is a unit mod d: one row pass clears its column, its row
+    then leaves the rest unchanged, and both go with a factor 1.  What is
+    left, the torsion block, takes the pivot elimination of ``_smith`` on
+    representatives in [0, d), with the divisibility test on ``gcd(p, d)``.
+    """
+    units = 0
+    while True:
+        pi, pj = next(
+            ((i, j) for i, row in enumerate(s) for j, x in enumerate(row) if x and math.gcd(x, d) == 1),
+            (None, None),
+        )
+        if pi is None:
+            break
+        prow = s.pop(pi)
+        inv = pow(prow[pj], -1, d)
+        for row in s:
+            f = row[pj] * inv
+            if f:
+                row[:] = [(x - f * y) % d for x, y in zip(row, prow)]
+            del row[pj]
+        units += 1
+    m = len(s)
+    for t in range(m):
+        while nz := [(x, i, j) for i in range(t, m) for j, x in enumerate(s[i][t:], t) if x]:
+            p, pi, pj = min(nz)
+            s[t], s[pi] = s[pi], s[t]
+            for row in s[t:]:
+                row[t], row[pj] = row[pj], row[t]
+            tail = s[t][t:]
+            for i in range(t + 1, m):
+                q = s[i][t] // p
+                if q:
+                    s[i][t:] = [(x - q * y) % d for x, y in zip(s[i][t:], tail)]
+            for j in range(t + 1, m):
+                q = s[t][j] // p
+                if q:
+                    for row in s[t:]:
+                        row[j] = (row[j] - q * row[t]) % d
+            if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
+                continue  # a remainder smaller than the pivot is left
+            g = math.gcd(p, d)
+            bad = next((i for i in range(t + 1, m) if any(x % g for x in s[i][t + 1 :])), None)
+            if bad is None:
+                break
+            s[t] = [(x + y) % d for x, y in zip(s[t], s[bad])]
+        else:
+            break  # the block from t on is zero mod d: each factor left is d
+    return (1,) * units + tuple(math.gcd(s[t][t], d) for t in range(m))
 
 
 def block_diagonal(*blocks: IntMatrix) -> IntMatrix:

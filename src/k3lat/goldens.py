@@ -1,7 +1,9 @@
 """The paper's tables: the family definitions and the reference values.
 
 One table is input, which ``cusps`` reads to define the families: the
-S, T and P summands of ``LATTICE_TABLE``.  The rest, ``a3`` of
+S, T and P summands of ``LATTICE_TABLE``.  The vectors of
+``DIRECT_WITNESSES`` are inputs of the ``direct`` suite, each filed
+under the cusp row it is expected to give.  The rest, ``a3`` of
 ``LATTICE_TABLE`` and ``GENUS`` included, are expected values: only the
 suites and tests read them, and they compare them entry by entry against
 values computed independently.  Each fact is stored once: an embedding
@@ -19,7 +21,7 @@ FAMILIES = ((0, 2), (0, 1), (1, 1), (2, 1))
 
 # the verification suites in the order ``verify --suite all`` runs them;
 # the CLI reads the names here without loading ``suites``
-SUITE_ORDER = ("tab3", "tab4", "expl", "eis", "order4", "tschirnhausen", "glue", "semifan")
+SUITE_ORDER = ("tab3", "tab4", "expl", "eis", "order4", "tschirnhausen", "glue", "semifan", "direct")
 
 # family -> genus of the fixed curve
 GENUS = {(0, 2): 5, (0, 1): 4, (1, 1): 3, (2, 1): 2}
@@ -59,6 +61,31 @@ CUSP_TABLE: Dict[Tuple[int, int], List[str]] = {
     (0, 1): ["E8^2", "E8+E6+A2", "E6^2+A2^2*"],
     (1, 1): ["E8+E6", "E6^2+A2", "E8+A2^3", "E6+A2^4*"],
     (2, 1): ["E8+A2^2", "E6^2", "E6+A2^3", "A2^6*"],
+}
+
+# family -> cusp type -> a primitive isotropic vector e of T whose plane
+# J = sat(e, rho e) has that J-perp/J, in the coordinates of
+# ``cusps.family_data(n, k).t``: the four hyperbolic coordinates first,
+# then the root-lattice blocks
+DIRECT_WITNESSES: Dict[Tuple[int, int], Dict[str, Tuple[int, ...]]] = {
+    (0, 2): {"E8^2": (1,) + (0,) * 19},
+    (0, 1): {
+        "E8^2": (1,) + (0,) * 19,
+        "E8+E6+A2": (-1, -1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0),
+        "E6^2+A2^2*": (1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, -1),
+    },
+    (1, 1): {
+        "E8+E6": (1, 2, -2, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+        "E8+A2^3": (1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        "E6^2+A2": (1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
+        "E6+A2^4*": (1, 0, -1, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+    },
+    (2, 1): {
+        "E8+A2^2": (1, 1, -2, -1, 0, 0, 1, 0, 0, -2, 0, 0, 0, -1, 0, -1),
+        "E6^2": (2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, -1),
+        "E6+A2^3": (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0),
+        "A2^6*": (-1, -2, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    },
 }
 
 # the five orthogonal-complement identities inside E8 and E6: sublattice,

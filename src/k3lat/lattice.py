@@ -11,10 +11,11 @@ Signature, radical and determinant are read from the pivots of one
 cached fraction-free symmetric elimination of the Gram matrix
 (``gram_elimination``; Sylvester's law), never by floating point.
 Discriminant groups come from the Gram matrix's invariant factors,
-cached per Gram matrix and checked against its determinant on each
-call.  The Gram matrix ``B * G * B^T`` of a sublattice is cached by the
-values (basis B, ambient Gram G), never by object identity, so the same
-basis in a rescaled ambient gets its own.
+found by a Smith elimination modulo the |det| that the cached
+elimination already holds, cached per Gram matrix and checked against
+that determinant on each call.  The Gram matrix ``B * G * B^T`` of a
+sublattice is cached by the values (basis B, ambient Gram G), never by
+object identity, so the same basis in a rescaled ambient gets its own.
 """
 
 from __future__ import annotations
@@ -202,7 +203,9 @@ def _inertia(gram: IntMatrix) -> Tuple[int, int, int, int]:
 
 @cache
 def _invariant_factors(gram: IntMatrix) -> Tuple[int, ...]:
-    return smith_divisors(gram)
+    """Invariant factors of a nondegenerate Gram matrix, by the Smith
+    elimination modulo the |det| that its cached elimination holds."""
+    return smith_divisors(gram, abs(_inertia(gram)[3]))
 
 
 def signature(l: Lattice) -> Tuple[int, int]:
@@ -252,7 +255,9 @@ def _prime_factors(n: int) -> List[int]:
 
 def disc_group(l: Lattice) -> DiscGroup:
     """L^*/L, without generators, from the invariant factors of the Gram
-    matrix, whose product must be the independent Bareiss |det|."""
+    matrix.  They are found modulo the Bareiss |det|, and their product
+    must be that |det|: the check proves the Smith kernel against the
+    cached determinant, which has its own oracle tests."""
     if not l.is_nondegenerate:
         raise DegenerateFormError(signature_with_radical(l)[2])
     factors = _invariant_factors(l.gram)

@@ -22,8 +22,12 @@ keeps, so the roots it finds are a positive system; each goes to the
 simple-root scan as it is found, and the search stops at the rank-th
 simple root.  Components are typed by the Dynkin diagram of the simple
 roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
-``root_system`` maps only the simple roots back through V: their
-Hermite form is the root span, in any basis and positive system.
+The index of the root span is read off determinants first: for n
+simple roots with Cartan matrix C in a lattice with Gram matrix G,
+index^2 = det C / det G, and ``_reduced_search`` already holds det G as
+its last pivot.  Index 1 makes the span the identity basis; any other
+case maps only the simple roots back through V, and their Hermite form
+is the root span, in any basis and positive system.
 
 The layer is integer-only: ``dual_class_min`` enumerates the integer
 scaled dual of ``lattice.scaled_dual`` and returns the numerator of a
@@ -77,9 +81,11 @@ def _round_div(a: int, b: int) -> int:
     return q + 1 if twice > b or (twice == b and q % 2) else q
 
 
-def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
-    """Exact greedy basis reduction: returns (reduced gram, transform V)
-    with ``V * G * V^T`` reduced.
+def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix] | None:
+    """Exact greedy basis reduction of a form with a positive diagonal:
+    returns (reduced gram, transform V) with ``V * G * V^T`` reduced, or
+    None when a pair it tests has ``g_ij^2 >= g_ii g_jj``, which by
+    Cauchy--Schwarz proves the form not positive definite.
 
     Alternates integer shear sweeps (subtracting the rounded projection
     coefficient) with norm-sorting swaps until stable.  All arithmetic
@@ -90,6 +96,8 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     The test of pair (i, j) reads products of basis vectors i and j, which
     swaps only move and a shear of i changes, so a sweep tests only pairs
     with a vector changed since their last test: the others would skip.
+    A pair that passes Cauchy--Schwarz spans a positive definite plane, so
+    its shear leaves vector i a positive norm.
     """
     n = gram.rows
     g = [list(row) for row in gram.entries]
@@ -110,13 +118,13 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
                 # without a division and every other one is nonzero
                 if (not dirty and stamp[j] <= since) or i == j or diag[j] == 0 or 2 * abs(g[i][j]) <= diag[j]:
                     continue
+                if g[i][j] * g[i][j] >= g[i][i] * g[j][j]:
+                    return None
                 r = _round_div(g[i][j], g[j][j])
                 g[i] = [a - r * b for a, b in zip(g[i], g[j])]
                 for row in g:
                     row[i] -= r * row[j]
                 v[i] = [a - r * b for a, b in zip(v[i], v[j])]
-                if g[i][i] < 1:  # no longer a positive norm: the form is not definite
-                    return IntMatrix(g, cols=n), IntMatrix(v, cols=n)
                 step += 1
                 stamp[i], diag[i], dirty, changed = step, abs(g[i][i]), True, True
         for i in range(n - 1):
@@ -131,11 +139,11 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
     return IntMatrix(g, cols=n), IntMatrix(v, cols=n)
 
 
-def _reduced_search(l: Lattice, m: int, visit: Visit) -> Tuple[IntMatrix, IntMatrix]:
-    """Reduce, then search: returns ``(G', V)``, ``G' = V G V^T`` size-reduced
-    and positive definite, after ``visit(key, x)`` on each x of norm ``m``
-    with last nonzero coordinate positive (reduced coordinates) until it
-    returns True.  ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
+def _reduced_search(l: Lattice, m: int, visit: Visit) -> Tuple[IntMatrix, IntMatrix, int]:
+    """Reduce, then search: returns ``(G', V, det G')``, ``G' = V G V^T``
+    size-reduced and positive definite, after ``visit(key, x)`` on each x
+    of norm ``m`` with last nonzero coordinate positive (reduced
+    coordinates) until it returns True.  ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
     (3 M_k + 1)`` for ``M_k`` the bound on ``|x_k|`` that the level-k
     intervals prove: the top nonzero digit outweighs the rest, so keys
     ascend and ``key u - key v = key w`` only when ``u - v = w``."""
@@ -143,14 +151,17 @@ def _reduced_search(l: Lattice, m: int, visit: Visit) -> Tuple[IntMatrix, IntMat
         raise EnumerationError("norm bound must be a positive integer")
     # of G and -G, the one with a positive diagonal, as a definite form has;
     # n positive pivots of its congruent reduced form prove it positive
-    # definite (Sylvester), else ``definite_sign`` raises, naming why
+    # definite (Sylvester), else ``definite_sign`` raises, naming why; a
+    # reduction that meets a pair beyond Cauchy--Schwarz leaves no form to
+    # eliminate, and no pivots
     diag = [row[i] for i, row in enumerate(l.gram.entries)]
     sign = 1 if min(diag, default=1) > 0 else -1 if max(diag) < 0 else definite_sign(l)
-    gram_red, v = _size_reduce(l.gram.scale(sign))
-    b, d = gram_elimination(gram_red)
-    n = gram_red.rows
+    reduced = _size_reduce(l.gram.scale(sign))
+    b, d = gram_elimination(reduced[0]) if reduced else ([], [])
+    n = l.rank
     if len(d) < n or min(d, default=1) < 1:
         definite_sign(l)
+    gram_red, v = reduced
     # scaling by L = lcm(d_k d_{k-1}) makes every level's weight an integer
     dd = [d[k] * (d[k - 1] if k else 1) for k in range(n)]
     scale = math.lcm(*dd)
@@ -185,14 +196,14 @@ def _reduced_search(l: Lattice, m: int, visit: Visit) -> Tuple[IntMatrix, IntMat
 
     if n:
         descend(n - 1, scale * m, True, 0)
-    return gram_red, v
+    return gram_red, v, d[-1] if d else 1
 
 
 def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
     """All lattice vectors of norm exactly ``m`` (absolute value for
     negative definite input), closed under negation, in canonical order."""
     half: List[Vector] = []
-    _, v = _reduced_search(l, m, lambda key, x: half.append(tuple(x)))
+    _, v, _ = _reduced_search(l, m, lambda key, x: half.append(tuple(x)))
     # a row x found in the reduced basis is x*V in the original coordinates
     orig = (IntMatrix._of(tuple(half), v.rows) * v).entries
     return sorted(orig + tuple(tuple(-o for o in x) for x in orig))
@@ -405,13 +416,20 @@ def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     """Root type and Hermite basis of the simple roots of the definite
     form ``gram``, once per Gram matrix.  The roots the search finds, the
     positive system of its key, go to ``_simple_scan`` as found, until the
-    rank-th simple root; the diagram is read in the reduced basis, and only
-    the simple roots, which span all roots, are mapped back through V."""
+    rank-th simple root; the diagram is read in the reduced basis.  When n
+    simple roots S have the Cartan matrix C = S G' S^T, det C = det(S)^2
+    det G', so det C = det G' proves the span the whole lattice, whose
+    Hermite basis is the identity; otherwise only the simple roots, which
+    span all roots, are mapped back through V."""
+    n = gram.rows
     simple: List[Vector] = []
-    gram_red, v = _reduced_search(Lattice(gram), 2, _simple_scan(gram.rows, simple))
-    s = IntMatrix._of(tuple(simple), gram.rows)
-    rtype = diagram_type((s * gram_red * s.transpose()).entries)
-    return rtype, hermite_basis((s * v).entries, gram.rows)
+    gram_red, v, det_red = _reduced_search(Lattice(gram), 2, _simple_scan(n, simple))
+    s = IntMatrix._of(tuple(simple), n)
+    cartan = s * gram_red * s.transpose()
+    rtype = diagram_type(cartan.entries)
+    if len(simple) == n and det(cartan) == det_red:
+        return rtype, IntMatrix.identity(n)
+    return rtype, hermite_basis((s * v).entries, n)
 
 
 def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:

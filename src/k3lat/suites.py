@@ -30,7 +30,7 @@ from .lattice import (
     root_lattice,
     signature,
 )
-from .roots import complement_root_type, root_span_index, root_system
+from .roots import complement_root_type
 from .eisenstein import (
     eisenstein_gram,
     fixed_sublattice,
@@ -46,9 +46,12 @@ from . import goldens
 from .cusps import (
     NIEMEIER_GLUE,
     classify_cusps,
+    cusp_of_plane,
     cusp_quotient_lattice,
     enumerate_embeddings,
     family_data,
+    isotropic_plane,
+    root_type_with_star,
 )
 from .kulikov import (
     ComponentSpec,
@@ -341,14 +344,12 @@ def suite_glue() -> Report:
                 (18, -1, True),  # signature (1,17) makes the determinant -1
                 "paper",
             )
-            prim_lat = k.prim.lattice()
-            rtype, _ = root_system(prim_lat)
-            r.add(f"{pid}-root-type", expected, str(rtype), expected, "paper")
-            idx = root_span_index(prim_lat)
+            rtype = root_type_with_star(k.prim.lattice())
+            r.add(f"{pid}-root-type", expected, str(rtype.with_star(False)), expected, "paper")
             r.add(
                 f"{pid}-star-index",
                 "index of the root span",
-                idx,
+                3 if rtype.starred else 1,
                 3 if starred else 1,
                 "paper",
             )
@@ -359,7 +360,7 @@ def suite_glue() -> Report:
                 (True, goldens.GLUE_SPLIT_INDEX[starred]),
                 "paper",
             )
-            seen.add(str(rtype.with_star(idx == 3)))
+            seen.add(str(rtype))
         r.add(
             f"({fam[0]},{fam[1]})-cusp-set",
             " ".join(sorted(goldens.CUSP_TABLE[fam])),
@@ -405,9 +406,40 @@ def suite_semifan() -> Report:
     return r
 
 
+def suite_direct() -> Report:
+    """The cusp table from its definition: for each listed witness e, the
+    quotient J-perp/J of the invariant isotropic plane J = sat(e, rho e),
+    its root type with star against the witness's cusp row, and the
+    action rho induces on it; each family's types against tab4's."""
+    r = Report("direct")
+    for fam, witnesses in goldens.DIRECT_WITNESSES.items():
+        rho_t = family_data(*fam).rho_t
+        seen = []
+        for cusp, e in witnesses.items():
+            rtype, rho_q = cusp_of_plane(rho_t, isotropic_plane(rho_t, e))
+            pid = f"({fam[0]},{fam[1]})-{cusp}"
+            r.add(f"{pid}-root-type", f"J-perp/J = {cusp}", str(rtype), cusp, "paper")
+            r.add(
+                f"{pid}-action",
+                "descended rho: order 3, fixed rank 0, E*",
+                (rho_q.order, fixed_sublattice(rho_q).rank, is_estar(rho_q)),
+                (3, 0, True),
+                "derived",
+            )
+            seen.append(str(rtype))
+        r.add(
+            f"({fam[0]},{fam[1]})-tab4-set",
+            "the Niemeier route's cusp types",
+            sorted(seen),
+            sorted(str(c.jperp_root) for c in classify_cusps(*fam)),
+            "derived",
+        )
+    return r
+
+
 SUITES: Dict[str, Callable[[], Report]] = dict(zip(goldens.SUITE_ORDER, (
     suite_tab3, suite_tab4, suite_expl, suite_eis,
-    suite_order4, suite_tschirnhausen, suite_glue, suite_semifan,
+    suite_order4, suite_tschirnhausen, suite_glue, suite_semifan, suite_direct,
 ), strict=True))
 
 

@@ -47,6 +47,13 @@ vector and rounds by ``divmod``.  The two-pass kernel takes the zero
 rows of the ``hnf`` transform of A^T and then their Hermite form, where
 ``exactla.kernel_basis`` runs one Hermite elimination of [A^T | I].
 
+The Hermite-route span maps the simple roots back to the input basis
+and takes their Hermite form, where ``roots._root_analysis`` returns the
+identity whenever det C = det G proves the index 1.  The character-level parser reads each integer of a list with
+``_Parser.integer`` and each comma with ``take``, where the library
+matches the whole list with one compiled pattern and falls back to those
+only to name an error.
+
 ``clear_table_caches`` empties every cache built from the input tables,
 for the tests that patch a table; ``run_fresh`` runs code in a new
 interpreter, for the tests that need cold caches.
@@ -63,7 +70,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from k3lat import cusps
+from k3lat import cli, cusps
 from k3lat.cusps import build_niemeier, component_system
 from k3lat.exactla import (
     ExactLAError,
@@ -82,7 +89,7 @@ from k3lat.lattice import (
     hyperbolic,
     root_lattice,
 )
-from k3lat.roots import RootSystemType, enumerate_norm
+from k3lat.roots import RootSystemType, _reduced_search, _simple_scan, enumerate_norm
 
 # -- random changes of basis -------------------------------------------
 #
@@ -786,3 +793,39 @@ def run_fresh(code):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout
+
+
+# -- the root span without determinants ----------------------------------
+
+
+def hermite_span(gram):
+    """The Hermite basis of the simple roots of ``gram`` mapped back
+    through V: the root span by the route that reads no determinant."""
+    simple = []
+    _, v, _ = _reduced_search(Lattice(gram), 2, _simple_scan(gram.rows, simple))
+    return hermite_basis((IntMatrix(simple, cols=gram.rows) * v).entries, gram.rows)
+
+
+# -- the character-level lattice-expression parser -----------------------
+
+
+class CharParser(cli._Parser):
+    """``cli._Parser`` with every integer list read one character-level
+    integer and one comma at a time."""
+
+    def int_list(self):
+        out = [self.integer()]
+        while self.peek() == ",":
+            self.take(",")
+            out.append(self.integer())
+        return out
+
+
+def char_parse_lattice_expr(text):
+    """``cli.parse_lattice_expr`` on ``CharParser``."""
+    p = CharParser(text)
+    lat = p.expr()
+    p.skip_ws()
+    if p.pos != len(text):
+        raise p.error("trailing input")
+    return lat

@@ -2,14 +2,14 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3lat import lattice
-from k3lat.cli import MAX_ADE_INDEX, main
+from k3lat.cli import MAX_ADE_INDEX, main, parse_lattice_expr
 from k3lat.lattice import LatticeError
 from k3lat.suites import SUITES, run_suites
-from support import run_fresh
+from support import char_parse_lattice_expr, run_fresh
 
 
 def run(*args):
@@ -111,6 +111,53 @@ def test_ascii_integer_literals_still_parse():
     assert res.output.splitlines()[:4] == ["rank       4", "signature  (1,3)", "parity     odd", "det        -108"]
 
 
+# separators the grammar takes and characters it rejects around integers:
+# a non-ASCII digit and space, a sign without digits, doubled commas, and
+# an integer longer than the interpreter converts
+_WS = st.sampled_from(["", "", " ", "\t", "\n "])
+_JUNK = st.sampled_from(["", ",", "-", " - 1", ",,", "x", "]", ")", "\u00b2", "\u0663", "\u3000", "1" * 5000])
+
+
+@st.composite
+def integer_list_expressions(draw):
+    """A ``diag(...)`` or ``gram[[...]]`` expression with integer lists
+    spaced at random, half of them then broken by junk at a random place."""
+    item = st.builds(lambda a, x, b: f"{a}{x}{b}", _WS, st.integers(-99, 99), _WS)
+    if draw(st.booleans()):
+        text = "diag(" + ",".join(draw(st.lists(item, min_size=1, max_size=4))) + ")"
+    else:
+        n = draw(st.integers(1, 3))
+        rows = [",".join(draw(st.lists(item, min_size=n, max_size=n))) for _ in range(n)]
+        text = "gram[" + ",".join(f"{draw(_WS)}[{row}]" for row in rows) + "]"
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(_JUNK) + text[at + draw(st.integers(0, 2)) :]
+    return draw(st.sampled_from(["", "U + ", "A2(3) + "])) + text
+
+
+def parsed_or_error(parse, text):
+    try:
+        return parse(text).gram
+    except ValueError as exc:  # ParseError and the lattice errors
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300)
+@given(integer_list_expressions())
+@example("diag(1, 2 ,3)")
+@example("diag(1,,2)")
+@example("diag(1, - 2)")
+@example("diag(1, 2,)")
+@example("diag(\u0661)")
+@example("diag(1,\u3000 2)")
+@example("diag(" + "1" * 5000 + ")")
+@example("diag(1, " + "2" * 5000 + ")")
+@example("gram[[2, -1], [-1, 2]x]")
+def test_integer_lists_parse_as_the_character_level_parser_does(text):
+    # the same lattice, or the same error with the same byte offset
+    assert parsed_or_error(parse_lattice_expr, text) == parsed_or_error(char_parse_lattice_expr, text)
+
+
 @given(
     st.sampled_from(["info", "roots", "disc"]),
     st.lists(st.lists(st.integers(-3, 3), max_size=4), min_size=1, max_size=4),
@@ -147,6 +194,23 @@ def test_verify_order4_passes():
     res = run("verify", "--suite", "order4")
     assert res.exit_code == 0
     assert res.output.startswith("suite order4")
+
+
+def test_verify_direct_passes_and_fails_on_swapped_witnesses(monkeypatch):
+    from k3lat import goldens
+
+    res = run("verify", "--suite", "direct")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[-1] == "  28/28 checks passed"
+    # two rows of one family exchange their witnesses: each row's type
+    # fails, while the family's set of types still matches tab4's
+    rows = dict(goldens.DIRECT_WITNESSES[(1, 1)])
+    rows["E8+E6"], rows["E8+A2^3"] = rows["E8+A2^3"], rows["E8+E6"]
+    monkeypatch.setitem(goldens.DIRECT_WITNESSES, (1, 1), rows)
+    res = run("verify", "--suite", "direct")
+    assert res.exit_code == 1
+    failed = [line.split()[1] for line in res.output.splitlines() if line.startswith("  FAIL")]
+    assert failed == ["(1,1)-E8+E6-root-type", "(1,1)-E8+A2^3-root-type"]
 
 
 def test_verify_all_text_is_byte_stable():
@@ -199,7 +263,7 @@ def test_an_error_item_names_the_innermost_k3lat_function(monkeypatch):
     # a Smith form that drops its last invariant factor disagrees with the
     # determinant of the first T with a nontrivial discriminant
     real = lattice.smith_divisors
-    monkeypatch.setattr(lattice, "smith_divisors", lambda gram: real(gram)[:-1])
+    monkeypatch.setattr(lattice, "smith_divisors", lambda gram, d: real(gram, d)[:-1])
     # a cached factor list would bypass the patch, and a patched one must
     # not outlive it
     lattice._invariant_factors.cache_clear()

@@ -557,13 +557,13 @@ def test_isotropic_plane_and_cusp_02():
     j = isotropic_plane(fd.rho_t, e1)
     assert j.rank == 2
     assert j.is_isotropic()
-    assert str(cusp_of_plane(j)) == "E8^2"
+    assert str(cusp_of_plane(fd.rho_t, j)[0]) == "E8^2"
 
 
 def test_isotropic_plane_in_u_of_01_lands_in_classification():
     fd = family_data(0, 1)
     j = isotropic_plane(fd.rho_t, [1, 0, 0, 0] + [0] * 16)
-    c = cusp_of_plane(j)
+    c, _ = cusp_of_plane(fd.rho_t, j)
     types = {str(r.jperp_root) for r in classify_cusps(0, 1)}
     assert str(c) in types
 
@@ -622,37 +622,17 @@ def test_rank_2_quotient_coords_read_the_lift_coefficients(name, data):
     assert q.coords(row) == IntMatrix([c])
 
 
-# a primitive isotropic vector e of each 1-cusp type, in the coordinates
-# of family_data(n, k).t: the four hyperbolic coordinates first, then the
-# root-lattice blocks
-WITNESSES = {
-    (0, 2): {"E8^2": [1] + [0] * 19},
-    (0, 1): {
-        "E8^2": [1] + [0] * 19,
-        "E8+E6+A2": [-1, -1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0],
-        "E6^2+A2^2*": [1, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, -1],
-    },
-    (1, 1): {
-        "E8+E6": [1, 2, -2, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-        "E8+A2^3": [1, 1, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        "E6^2+A2": [1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-        "E6+A2^4*": [1, 0, -1, -1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
-    },
-    (2, 1): {
-        "E8+A2^2": [1, 1, -2, -1, 0, 0, 1, 0, 0, -2, 0, 0, 0, -1, 0, -1],
-        "E6^2": [2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, -1],
-        "E6+A2^3": [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-        "A2^6*": [-1, -2, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
-    },
-}
-
-
 @pytest.mark.parametrize("fam", goldens.FAMILIES)
 def test_direct_route_witnesses_give_the_cusp_table(fam):
     # J = sat(e, rho e) is an invariant isotropic plane, and J-perp/J has
     # the listed type; together the witnesses reach every tabulated type
     rho_t = family_data(*fam).rho_t
-    found = {cusp: str(cusp_of_plane(isotropic_plane(rho_t, e))) for cusp, e in WITNESSES[fam].items()}
+    found = {}
+    for cusp, e in goldens.DIRECT_WITNESSES[fam].items():
+        rtype, rho_q = cusp_of_plane(rho_t, isotropic_plane(rho_t, e))
+        found[cusp] = str(rtype)
+        # the induced action is again fixed-point free of order 3 and E*
+        assert rho_q.order == 3 and fixed_sublattice(rho_q).rank == 0 and is_estar(rho_q)
     assert found == {cusp: cusp for cusp in goldens.CUSP_TABLE[fam]}
 
 

@@ -27,9 +27,11 @@ from k3lat.exactla import (
     smith_divisors,
     snf,
 )
+from k3lat.lattice import cartan_gram
 from support import (
     ROOT_ATOMS,
     _det,
+    basis_change,
     changed_basis,
     digit_width_reference,
     gauss_jordan_express,
@@ -569,7 +571,11 @@ def test_snf_pinned_cases(a, d):
     res = snf(a)
     check_snf(a, res, d)
     assert hermite_snf(a).d == d
-    assert smith_divisors(a) == d
+    if a.rows == a.cols:  # every square case here is nonsingular
+        assert smith_divisors(a, abs(det(a))) == d
+    else:
+        with pytest.raises(ExactLAError, match="nonsingular square"):
+            smith_divisors(a, 1)
     assert (res.left.rows, res.right.rows) == (a.rows, a.cols)
 
 
@@ -584,7 +590,7 @@ def test_snf_pinned_lattices():
     for g, a in cases:
         d = (1,) * (g.rows - a) + (3,) * a
         check_snf(g, snf(g), d)
-        assert smith_divisors(g) == d
+        assert smith_divisors(g, 3**a) == d
 
 
 @st.composite
@@ -602,11 +608,41 @@ def nonsingular_matrices(draw):
     return IntMatrix(rows)
 
 
-@given(nonsingular_matrices())
+@st.composite
+def modulus_cases(draw):
+    """Nonsingular matrices where the modulus |det| is special: unimodular
+    (d = 1, every factor 1), a prime power (one torsion prime, factors
+    that must be told apart by the divisibility repair), and a Cartan
+    matrix rescaled by c (every entry shares c with d), each conjugated
+    on both sides by unimodular matrices."""
+    kind = draw(st.sampled_from(["unimodular", "prime power", "cartan"]))
+    if kind == "unimodular":
+        n = draw(st.integers(1, 6))
+        a = IntMatrix.identity(n)
+    elif kind == "prime power":
+        p = draw(st.sampled_from([2, 3, 5]))
+        exps = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+        a = IntMatrix.diagonal([p**e for e in exps])
+    else:
+        sym, m = draw(st.sampled_from([("A", 1), ("A", 2), ("A", 4), ("D", 4), ("D", 5), ("E", 6), ("E", 7)]))
+        a = cartan_gram(sym, m).scale(draw(st.sampled_from([1, 2, 3, 6])))
+    return draw(basis_change(a.rows, 12)) * a * draw(basis_change(a.rows, 12)).transpose()
+
+
+@given(nonsingular_matrices() | modulus_cases())
 @example(IntMatrix([[2, 3], [3, 2]]))  # no unit: the divisibility repair
 @example(IntMatrix([[0, 2, 1], [2, 0, 0], [1, 0, 4]]))  # a unit after a zero
+@example(IntMatrix([[4, 0], [0, 6]]))  # a pivot that shares only 2 with d = 24
+@example(IntMatrix([[9, 0, 0], [0, 3, 0], [0, 0, 27]]))  # d = 3^6: factors 3, 9, 27
+@example(IntMatrix([[1, 0], [0, 1]]))  # d = 1: every entry is 0 mod d
 def test_smith_divisors_match_snf_and_sympy(a):
-    assert smith_divisors(a) == snf(a).d == tuple(sympy_invariant_factors(a))
+    assert smith_divisors(a, abs(det(a))) == snf(a).d == tuple(sympy_invariant_factors(a))
+
+
+def test_smith_divisors_need_the_modulus_of_a_nonsingular_matrix():
+    # a singular matrix has no modulus: |det| = 0 is refused, not divided by
+    with pytest.raises(ExactLAError, match="nonsingular square"):
+        smith_divisors(IntMatrix([[2, 4], [1, 2]]), 0)
 
 
 def test_snf_pivot_is_the_first_least_entry_in_row_major_order():

@@ -181,16 +181,13 @@ def library_references(root: Path) -> tuple:
     return defining, [p.read_text() for p in paths], lookups
 
 
-# only tests call it until the direct route of ROADMAP item 1 does
-NOT_YET_CALLED = {"cusp_of_plane"}
-
 # modules of expected values, whose module-level names tests may read alone
 TABLE_MODULES = {"goldens.py"}
 
 
 def test_every_definition_is_referenced():
     dead = unreferenced_definitions(*library_references(ROOT), tables=TABLE_MODULES)
-    assert [d for d in dead if d[2] not in NOT_YET_CALLED] == []
+    assert dead == []
 
 
 def test_check_counts_no_test_file_and_reads_tracer_strings(tmp_path):

@@ -125,15 +125,14 @@ def test_disc_group_checks_divisors_against_det(monkeypatch):
     import k3lat.lattice as lattice_module
     from k3lat import exactla
 
-    real = exactla._smith
+    real = exactla._smith_mod
 
-    def drop_last_factor(s, *transforms):
-        real(s, *transforms)
-        s[-1][-1] = 1
+    def drop_last_factor(s, d):
+        return real(s, d)[:-1] + (1,)
 
     l = direct_sum(hyperbolic(3), neg("E", 6))
     assert disc_group(l).elementary_divisors == (3, 3, 3)
-    monkeypatch.setattr(exactla, "_smith", drop_last_factor)
+    monkeypatch.setattr(exactla, "_smith_mod", drop_last_factor)
     # a cached factor list would bypass the patch, and a patched one must
     # not outlive it
     lattice_module._invariant_factors.cache_clear()
@@ -148,12 +147,16 @@ def test_disc_group_needs_no_smith_transforms(monkeypatch):
     from click.testing import CliRunner
 
     import k3lat.lattice as lattice_module
+    from k3lat import exactla
     from k3lat.cli import main
 
-    def no_snf(a):
+    def no_snf(a, *transforms):
         raise AssertionError("snf called")
 
     monkeypatch.setattr(lattice_module, "snf", no_snf)
+    # nor the transform kernel: the divisors come from the modular one
+    monkeypatch.setattr(exactla, "_smith", no_snf)
+    lattice_module._invariant_factors.cache_clear()
     l = direct_sum(hyperbolic(3), neg("E", 6))
     assert disc_group(l).elementary_divisors == (3, 3, 3)
     assert is_p_elementary(l, 3) and not is_p_elementary(hyperbolic(2), 3)

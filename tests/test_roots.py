@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -8,7 +9,7 @@ from hypothesis import example, given, strategies as st
 import k3lat.lattice as lattice_module
 import k3lat.roots as roots_module
 from k3lat import goldens
-from k3lat.exactla import IntMatrix, gram_elimination, hnf
+from k3lat.exactla import IntMatrix, det, gram_elimination, hermite_basis, hnf
 from k3lat.lattice import (
     DegenerateFormError,
     Lattice,
@@ -45,7 +46,9 @@ from support import (
     enumerate_norm_box,
     full_sweep_size_reduce,
     gauss_jordan_inv,
+    hermite_span,
     pairwise_root_type,
+    run_fresh,
     rational_span_complement_root_type,
     restrict_to_box,
     tuple_root_decomposition,
@@ -120,6 +123,32 @@ def test_root_system_raises_the_inertia_error_on_a_form_not_definite(gram, error
     with pytest.raises(error) as named:
         lattice_module.definite_sign(Lattice(gram))
     assert str(raised.value) == str(named.value)
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[2, 3], [3, 2]],  # indefinite
+        [[2, 2], [2, 2]],  # degenerate: Cauchy--Schwarz with equality
+        [[4, 1, 5], [1, 2, 0], [5, 0, 6]],  # the pair (0, 2) of a 3 x 3 form
+    ],
+)
+def test_a_pair_beyond_cauchy_schwarz_skips_the_reduced_elimination(monkeypatch, gram):
+    # g_ij^2 >= g_ii g_jj already proves the form not positive definite, so
+    # the only elimination is the one of the input that names the error
+    lattice_module._inertia.cache_clear()
+    calls = []
+
+    def counted(g):
+        calls.append(g.rows)
+        return gram_elimination(g)
+
+    monkeypatch.setattr(roots_module, "gram_elimination", counted)
+    monkeypatch.setattr(lattice_module, "gram_elimination", counted)
+    assert _size_reduce(IntMatrix(gram)) is None
+    with pytest.raises(LatticeError):
+        root_system(Lattice(gram))
+    assert calls == [len(gram)]
 
 
 def test_enumerate_rejects_bad_norm():
@@ -473,7 +502,9 @@ def test_search_order_is_a_positive_system(data):
     found, simple = [], []
     scan = _simple_scan(n, simple)
     _reduced_search(lu, 2, lambda key, x: found.append((key, tuple(x))))
-    gram_red, v = _reduced_search(lu, 2, scan)
+    gram_red, v, det_red = _reduced_search(lu, 2, scan)
+    # the last pivot of the reduced form's elimination is its determinant
+    assert det_red == det(gram_red) == abs(det(lu.gram))
     v_inv = IntMatrix([[int(c) for c in row] for row in gauss_jordan_inv(v.entries)])
     closed = list((IntMatrix(enumerate_norm(lu, 2), cols=n) * v_inv).entries)
     half = [r for _, r in found]
@@ -556,3 +587,56 @@ def test_root_system_is_shared_by_equal_gram_matrices():
     assert t1 == t2 == T("E6+A2")
     assert s1.basis == s2.basis and s1.rank == 8
     assert s1.ambient is l1 and s2.ambient is l2
+
+
+@given(changed_basis(ROOT_ATOMS, 12, 8), st.sampled_from([1, -1]))
+@example(skewed(*STOP_CASES[4]), 1)  # E8+I1: the roots span rank 8 of 9
+def test_identity_span_matches_the_hermite_route(data, sign):
+    gram = rescale(data[3], sign).gram
+    assert roots_module._root_analysis.__wrapped__(gram)[1] == hermite_span(gram)
+
+
+def test_identity_span_matches_the_hermite_route_on_the_benchmark_inputs():
+    # every Gram matrix whose roots the three benchmark workloads analyse
+    # (the suites and the seed-1 query stream), in one cold interpreter;
+    # both routes are taken, and each gives the Hermite route's basis
+    root = Path(__file__).resolve().parent.parent
+    out = run_fresh(
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'bench')!r}, {str(root / 'tests')!r}]\n"
+        "from queries import make_stream\n"
+        "from k3lat import cli, lattice, roots, suites\n"
+        "from k3lat.exactla import IntMatrix\n"
+        "grams, real = [], roots._root_analysis\n"
+        "roots._root_analysis = lambda g: grams.append(g) or real(g)\n"
+        "suites.run_suites('all')\n"
+        "for q in make_stream(1):\n"
+        "    lat = cli.parse_lattice_expr(q.text)\n"
+        "    p, n, r = lattice.signature_with_radical(lat)\n"
+        "    if p == 0 or n == 0:\n"
+        "        roots.root_system(lat)\n"
+        "from support import hermite_span\n"
+        "for g in dict.fromkeys(grams):\n"
+        "    span = real(g)[1]\n"
+        "    print(span == hermite_span(g), span == IntMatrix.identity(g.rows))\n"
+    )
+    pairs = [tuple(line.split()) for line in out.splitlines()]
+    assert len(pairs) > 100 and all(same == "True" for same, _ in pairs)
+    assert {identity for _, identity in pairs} == {"True", "False"}
+
+
+def test_only_an_index_other_than_1_takes_the_hermite_route(monkeypatch):
+    from k3lat.cusps import family_data, isotropic_plane
+    from k3lat.lattice import quotient_by_isotropic
+
+    e = goldens.DIRECT_WITNESSES[(0, 1)]["E6^2+A2^2*"]
+    starred = quotient_by_isotropic(isotropic_plane(family_data(0, 1).rho_t, e)).lattice
+    calls = []
+    real = roots_module.hermite_basis
+    monkeypatch.setattr(roots_module, "hermite_basis", lambda rows, n: calls.append(n) or real(rows, n))
+    unstarred = conjugate(root_lattice("E", 8), unimodular(8, [(0, 7, 2), (5, 1, -1)]))
+    assert roots_module._root_analysis.__wrapped__(unstarred.gram)[1] == IntMatrix.identity(8)
+    assert calls == []
+    rtype, span = roots_module._root_analysis.__wrapped__(starred.gram)
+    assert (str(rtype), abs(det(span))) == ("E6^2+A2^2", 3)
+    assert calls == [16]
