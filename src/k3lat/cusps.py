@@ -34,9 +34,10 @@ Table 16.1 is S3 for E8^3 and S4 for E6^4), so a placement class is the
 assignment with its per-component blocks sorted.
 
 A cusp is starred when J-perp/J is an index-3 overlattice of its root
-span.  ``star_of`` decides it once per embedding record: the index of the
-complement roots' span in the saturated complement of P inside N.  The
-dual quotient orders of the components are tabulated data only.
+span.  ``star_of`` decides it once per embedding record by the rule
+index^2 = det C / |det| of ``roots.span_index``: the glue adds no roots,
+so the complement of P in N has the component complements as its roots.
+The dual quotient orders of the components are tabulated data only.
 
 Each verified object is built once per process (``functools.cache``):
 ``family_data`` and ``classify_cusps`` per family, ``component_system``
@@ -56,7 +57,6 @@ from typing import Dict, List, Sequence, Tuple
 from . import goldens
 from .exactla import (
     IntMatrix,
-    hermite_basis,
     index_in,
     kernel_basis,
     rank,
@@ -83,6 +83,7 @@ from .roots import (
     packed_keys,
     root_span_index,
     root_system,
+    span_index,
 )
 from .eisenstein import (
     RhoLattice,
@@ -270,7 +271,6 @@ class ComponentOutcome:
     complement_type: RootSystemType
     dual_image_order: int  # [P-perp taken in the dual : P-perp in the component]
     witness: Tuple[Tuple[int, ...], ...]  # root indices per factor
-    complement_simple: Tuple[Vector, ...]  # simple roots of the complement
 
 
 def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -> ComponentOutcome:
@@ -279,7 +279,6 @@ def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -
         comp_mask &= cs.masks[i][0 + 1]
     simple_idx = cs.simple_roots(comp_mask)
     ctype = diagram_type([[cs.pair[i][j] for j in simple_idx] for i in simple_idx])
-    simple = [cs.roots[i] for i in simple_idx]
     rows = IntMatrix._of(tuple(cs.roots[i] for i in flat), cs.lattice.rank)
     comp_basis = kernel_basis(rows * cs.lattice.gram)  # complement in the lattice
     if ctype.rank != comp_basis.rows:
@@ -288,7 +287,7 @@ def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -
     # comp = C * (dual_side * G^-1) exactly when comp * G = C * dual_side
     dual_order = index_in(comp_basis * cs.lattice.gram, kernel_basis(rows))
     witness = tuple(tuple(flat[end - s : end]) for s, end in zip(sizes, accumulate(sizes)))
-    return ComponentOutcome(ctype, dual_order, witness, tuple(simple))
+    return ComponentOutcome(ctype, dual_order, witness)
 
 
 def _factor_key(s: Symbol) -> Tuple[int, str]:
@@ -369,20 +368,13 @@ class NiemeierModel:
 @cache
 def build_niemeier(kind: str) -> NiemeierModel:
     """The rank-24 even unimodular lattice ``kind`` of ``NIEMEIER_GLUE``:
-    the direct sum of the copies of its component, glued by its code."""
+    the direct sum of the copies of its component, glued by its code.
+    The tests check the table: index^2 = |det R|, one zero per word."""
     if kind not in NIEMEIER_GLUE:
         raise CuspError(f"unknown model kind {kind!r}")
     comp, ncomp, gens = NIEMEIER_GLUE[kind]
     r = direct_sum(*[root_lattice(*comp)] * ncomp)
-    over, code = glue_root_sum(r, [comp] * ncomp, gens)
-    # index^2 = |det R| makes N unimodular; glue_overlattice returns even lattices
-    if over.index ** 2 != abs(r.det()):
-        raise CuspError(f"{kind}: glue index {over.index} does not match the discriminant")
-    # the defining property of the glue: one zero coordinate per word
-    for w in code:
-        if w.count(0) != 1:
-            raise CuspError("glue word without exactly one zero coordinate")
-    return NiemeierModel(comp, ncomp, r, over)
+    return NiemeierModel(comp, ncomp, r, glue_root_sum(r, [comp] * ncomp, gens))
 
 
 # -- embeddings of P ----------------------------------------------------
@@ -396,9 +388,10 @@ class EmbeddingRecord:
 
     @property
     def total_complement(self) -> RootSystemType:
-        """The sum of the component complements, unstarred: the star is the
-        saturation index of ``star_of``, and the dual quotient orders of
-        ``rows`` are tabulated data, compared in the expl rows."""
+        """The sum of the component complements, unstarred: the root type
+        of the saturated complement of P in N, whose determinant gives the
+        star (``star_of``); the dual quotient orders of ``rows`` are
+        tabulated data, compared in the expl rows."""
         return sum((oc.complement_type for oc in self.outcomes), EMPTY_TYPE)
 
     def rows(self) -> List[Tuple[str, str, int]]:
@@ -445,37 +438,19 @@ def enumerate_embeddings(p_factors: Tuple[Symbol, ...], kind: str) -> Tuple[Embe
     return tuple(sorted(records, key=lambda r: (str(r.total_complement), r.assignment)))
 
 
-def _model_rows(model: NiemeierModel, per_component: Sequence[Sequence[Vector]]) -> IntMatrix:
-    """Vectors given in root coordinates of each component of R, as rows
-    in N coordinates."""
-    rank_r = model.r.rank
-    rows: List[List[int]] = []
-    for c, vectors in enumerate(per_component):
-        off = c * model.comp[1]
-        for v in vectors:
-            vec = [0] * rank_r
-            vec[off : off + len(v)] = v
-            rows.append(vec)
-    return IntMatrix(rows, cols=rank_r) * model.overlattice.old_in_new
-
-
 def embedded_p_rows(record: EmbeddingRecord) -> IntMatrix:
-    """The embedded copy of P as rows in N coordinates."""
+    """The embedded copy of P as rows in N coordinates: each component's
+    witness roots at its offset in R, mapped into N by the glue transform."""
     model = build_niemeier(record.model_kind)
+    k, rank_r = model.comp[1], model.r.rank
     roots = component_system(*model.comp).roots
-    return _model_rows(
-        model, [[roots[i] for w in oc.witness for i in w] for oc in record.outcomes]
-    )
-
-
-def complement_root_span(record: EmbeddingRecord) -> IntMatrix:
-    """Hermite basis of the span of the roots of N orthogonal to the
-    embedded P.  Those roots are the complement roots of the components,
-    and the simple roots of each component's complement span the same
-    lattice as all of its roots (Humphreys, *Reflection Groups*, 1.5)."""
-    model = build_niemeier(record.model_kind)
-    rows = _model_rows(model, [oc.complement_simple for oc in record.outcomes])
-    return hermite_basis(rows.entries, model.overlattice.lattice.rank)
+    rows = [
+        (0,) * (c * k) + roots[i] + (0,) * (rank_r - (c + 1) * k)
+        for c, oc in enumerate(record.outcomes)
+        for w in oc.witness
+        for i in w
+    ]
+    return IntMatrix(rows, cols=rank_r) * model.overlattice.old_in_new
 
 
 @cache
@@ -486,20 +461,19 @@ def _p_complement(record: EmbeddingRecord) -> Sublattice:
     return Sublattice(n, embedded_p_rows(record)).orth_complement()
 
 
-def star_of(record: EmbeddingRecord) -> bool:
-    """Whether the record's cusp is starred: the index of the span of the
-    complement roots in the saturated complement of the embedded P inside
-    N, which is 1 or 3 (``CuspError`` otherwise), is 3."""
-    idx = index_in(complement_root_span(record), _p_complement(record).basis)
-    if idx not in (1, 3):
-        raise CuspError(f"saturation index {idx} outside {{1,3}}")
-    return idx == 3
-
-
 def cusp_quotient_lattice(record: EmbeddingRecord) -> Lattice:
     """The saturated orthogonal complement of the embedded P inside N,
     which realizes the quotient lattice of the corresponding cusp."""
     return _p_complement(record).lattice()
+
+
+def star_of(record: EmbeddingRecord) -> bool:
+    """Whether the record's cusp is starred: the ``span_index`` of the
+    complement of P in N, which is 1 or 3 (``CuspError`` otherwise), is 3."""
+    idx = span_index(record.total_complement, cusp_quotient_lattice(record).det())
+    if idx not in (1, 3):
+        raise CuspError(f"saturation index {idx} outside {{1,3}}")
+    return idx == 3
 
 
 @dataclass(frozen=True)

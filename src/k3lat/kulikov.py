@@ -257,7 +257,7 @@ def _starred_model(
     for E6^2+A2^2, E6+A2^4 and A2^6 only the full support sums to an even
     integer above 2.  The word has order 3, so the index is 3; the action
     is trivial on each discriminant, so it descends."""
-    over, _ = glue_root_sum(base.lattice, factors, [(1,) * len(factors)])
+    over = glue_root_sum(base.lattice, factors, [(1,) * len(factors)])
     # the action on the integer rows H = d * basis is M with M * H = H * rho
     return RhoLattice(over.lattice, int_express(over.scaled * base.matrix, over.scaled)), over
 

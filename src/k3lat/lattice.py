@@ -393,7 +393,6 @@ class Overlattice:
     lattice: Lattice
     scaled: IntMatrix  # d * (new basis in old coordinates), Hermite rows
     old_in_new: IntMatrix
-    index: int
 
 
 def glue_overlattice(l: Lattice, rows: Sequence[Sequence[int]], d: int) -> Overlattice:
@@ -429,4 +428,4 @@ def glue_overlattice(l: Lattice, rows: Sequence[Sequence[int]], d: int) -> Overl
         raise LatticeError("overlattice form is not even: invalid glue")
     # C * H = d * I, solved by substitution in the Hermite basis H
     old_in_new = int_express(IntMatrix.identity(n).scale(d), hm)
-    return Overlattice(lat, hm, old_in_new, abs(det(old_in_new)))
+    return Overlattice(lat, hm, old_in_new)

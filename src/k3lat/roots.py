@@ -22,12 +22,14 @@ keeps, so the roots it finds are a positive system; each goes to the
 simple-root scan as it is found, and the search stops at the rank-th
 simple root.  Components are typed by the Dynkin diagram of the simple
 roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
-The index of the root span is read off determinants first: for n
-simple roots with Cartan matrix C in a lattice with Gram matrix G,
-index^2 = det C / det G, and ``_reduced_search`` already holds det G as
-its last pivot.  Index 1 makes the span the identity basis; any other
-case maps only the simple roots back through V, and their Hermite form
-is the root span, in any basis and positive system.
+The index of the root span is read off determinants alone
+(``span_index``): for n simple roots with Cartan matrix C in a lattice
+of rank n with Gram matrix G, index^2 = det C / |det G|, and det C is a
+closed form of the type (``RootSystemType.cartan_det``).  The root
+analysis tests index 1 against the det G that ``_reduced_search``
+already holds as its last pivot, and index 1 makes the span the identity
+basis; any other case maps only the simple roots back through V, and
+their Hermite form is the root span, in any basis and positive system.
 
 The layer is integer-only: ``dual_class_min`` enumerates the integer
 scaled dual of ``lattice.scaled_dual`` and returns the numerator of a
@@ -50,9 +52,9 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, count, product
 from operator import mul
-from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .exactla import IntMatrix, det, gram_elimination, hermite_basis, saturate
+from .exactla import IntMatrix, gram_elimination, hermite_basis, saturate
 from .lattice import (
     Lattice,
     LatticeError,
@@ -236,12 +238,12 @@ class GlueError(LatticeError):
 
 def glue_root_sum(
     l: Lattice, factors: Sequence[Tuple[str, int]], gens: Sequence[Sequence[int]]
-) -> Tuple[Overlattice, FrozenSet[Vector]]:
+) -> Overlattice:
     """The overlattice of ``l``, a sum of the root lattices ``factors`` of
-    either sign, glued by the code that ``gens`` span mod 3, and the
-    code's nonzero words.  Word w adds the sum of ``w_i c_i``, for ``c_i``
-    the first ``scaled_dual`` row of factor i over d, the lcm of the
-    factor determinants, which generates the Z/3 of an A2 or E6 factor.
+    either sign, glued by the code that ``gens`` span mod 3.  Word w adds
+    the sum of ``w_i c_i``, for ``c_i`` the first ``scaled_dual`` row of
+    factor i over d, the lcm of the factor determinants, which generates
+    the Z/3 of an A2 or E6 factor.
     Both nonzero classes, c and -c, have least norm q = 4/3 or 2/3, and
     c^2 q = q mod 2 for c = +-1 mod 3, so a word's coset minimum (the sum
     of q over its support) and norm parity depend only on its support.
@@ -257,7 +259,7 @@ def glue_root_sum(
         if sum(dual_class_min(*f) * (d // df) for f, (_, df), c in zip(factors, duals, w) if c) <= 2 * d:
             raise GlueError(f"glue word {w} adds roots")
     glue = [[c * x * (d // df) for c, (cf, df) in zip(g, duals) for x in cf.entries[0]] for g in gens]
-    return glue_overlattice(l, glue, d), code
+    return glue_overlattice(l, glue, d)
 
 
 # -- root systems ------------------------------------------------------
@@ -306,6 +308,11 @@ class RootSystemType:
         # n h roots in a component of rank n and Coxeter number h
         h = {"A": lambda n: n + 1, "D": lambda n: 2 * n - 2, "E": {6: 12, 7: 18, 8: 30}.get}
         return sum(n * h[sym](n) for sym, n in self.components)
+
+    def cartan_det(self) -> int:
+        # the order of the discriminant group of each component's root lattice
+        d = {"A": lambda n: n + 1, "D": lambda n: 4, "E": lambda n: 9 - n}
+        return math.prod(d[sym](n) for sym, n in self.components)
 
     def with_star(self, starred: bool) -> "RootSystemType":
         return RootSystemType(self.components, starred)
@@ -418,16 +425,16 @@ def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     positive system of its key, go to ``_simple_scan`` as found, until the
     rank-th simple root; the diagram is read in the reduced basis.  When n
     simple roots S have the Cartan matrix C = S G' S^T, det C = det(S)^2
-    det G', so det C = det G' proves the span the whole lattice, whose
-    Hermite basis is the identity; otherwise only the simple roots, which
-    span all roots, are mapped back through V."""
+    det G', so a type determinant equal to det G' proves the span the
+    whole lattice, whose Hermite basis is the identity; otherwise only the
+    simple roots, which span all roots, are mapped back through V."""
     n = gram.rows
     simple: List[Vector] = []
     gram_red, v, det_red = _reduced_search(Lattice(gram), 2, _simple_scan(n, simple))
     s = IntMatrix._of(tuple(simple), n)
     cartan = s * gram_red * s.transpose()
     rtype = diagram_type(cartan.entries)
-    if len(simple) == n and det(cartan) == det_red:
+    if len(simple) == n and rtype.cartan_det() == det_red:
         return rtype, IntMatrix.identity(n)
     return rtype, hermite_basis((s * v).entries, n)
 
@@ -444,12 +451,25 @@ def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:
     return rtype, Sublattice(l, span)
 
 
+def span_index(rtype: RootSystemType, det: int) -> int:
+    """Index of the root span in a lattice of determinant ``det`` whose
+    roots, of type ``rtype``, span it rationally.  In simple roots the
+    span's Gram matrix is the Cartan matrix C, so index^2 |det| = det C;
+    a type that fails this certificate is not the lattice's root type
+    (``EnumerationError``)."""
+    cartan = rtype.cartan_det()
+    index = math.isqrt(cartan // abs(det))
+    if index * index * abs(det) != cartan:
+        raise EnumerationError(f"det C = {cartan} of {rtype} is not a square times |det| = {abs(det)}")
+    return index
+
+
 def root_span_index(l: Lattice) -> int:
     """Index of the root span inside the full lattice (requires equal ranks)."""
-    rtype, span = root_system(l)
+    rtype, _ = root_system(l)
     if rtype.rank != l.rank:
         raise EnumerationError("roots do not span the lattice rationally")
-    return abs(det(span.basis))  # the span is square: its index in Z^rank
+    return span_index(rtype, l.det())
 
 
 def complement_root_type(s: Sublattice) -> RootSystemType:

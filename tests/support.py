@@ -70,7 +70,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from k3lat import cli, cusps
+from k3lat import cli, cusps, exactla
 from k3lat.cusps import build_niemeier, component_system
 from k3lat.exactla import (
     ExactLAError,
@@ -493,15 +493,22 @@ def complement_root_indices(cs, oc):
 def all_complement_root_span(record):
     """Nonzero Hermite rows of every root of N orthogonal to the embedded
     P: each component's complement roots (``complement_root_indices``)
-    placed at the component's offset and mapped into N by the glue
-    transform."""
+    in N (``span_in_n``)."""
+    cs = component_system(*build_niemeier(record.model_kind).comp)
+    return span_in_n(record, [complement_root_indices(cs, oc) for oc in record.outcomes])
+
+
+def span_in_n(record, picks):
+    """Nonzero Hermite rows of the roots ``picks[c]`` (indices into the
+    roots of the model's component) of each component c, placed at the
+    component's offset and mapped into N by the glue transform."""
     model = build_niemeier(record.model_kind)
     cs = component_system(*model.comp)
     rank_r = model.r.rank
     rows = []
-    for c, oc in enumerate(record.outcomes):
+    for c, pick in enumerate(picks):
         off = c * model.comp[1]
-        for i in complement_root_indices(cs, oc):
+        for i in pick:
             vec = [0] * rank_r
             vec[off : off + len(cs.roots[i])] = cs.roots[i]
             rows.append(vec)
@@ -793,6 +800,38 @@ def run_fresh(code):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout
+
+
+# -- calls into exactla ---------------------------------------------------
+
+
+def watch_exactla(monkeypatch, *names):
+    """The list that logs, by name, every later call of the ``exactla``
+    functions ``names`` from k3lat: each binding of one, in ``exactla``
+    and in every k3lat module that imports it, is wrapped."""
+    calls = []
+    for name in names:
+        real = getattr(exactla, name)
+
+        def logged(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("k3lat") and getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, logged)
+    return calls
+
+
+def misread_e6_cartan_det(monkeypatch):
+    """Patch ``RootSystemType.cartan_det`` to read det C of E6 as 4, not 3."""
+    real = RootSystemType.cartan_det
+
+    def wrong(t):
+        e6 = t.components.count(("E", 6))
+        return real(t) // 3**e6 * 4**e6
+
+    monkeypatch.setattr(RootSystemType, "cartan_det", wrong)
 
 
 # -- the root span without determinants ----------------------------------

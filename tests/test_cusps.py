@@ -16,11 +16,12 @@ from k3lat.cusps import (
     _factor_requirements,
     _placement_classes,
     _sum_from_symbols,
+    _p_complement,
     build_niemeier,
     classify_cusps,
-    complement_root_span,
     component_system,
     cusp_of_plane,
+    cusp_quotient_lattice,
     embed_multiset,
     enumerate_embeddings,
     family_data,
@@ -28,7 +29,7 @@ from k3lat.cusps import (
     star_of,
 )
 from k3lat.eisenstein import assemble, fixed_sublattice, is_estar, rho4_a1a1, rho4_d4, rho4_u_u2
-from k3lat.exactla import IntMatrix, hermite_basis, int_express, rank
+from k3lat.exactla import IntMatrix, det, hermite_basis, index_in, int_express, rank
 from k3lat.lattice import (
     LatticeError,
     Sublattice,
@@ -38,21 +39,26 @@ from k3lat.lattice import (
     quotient_by_isotropic,
     signature,
 )
-from k3lat.roots import RootSystemType, diagram_type, glue_root_sum
+from k3lat.roots import EnumerationError, RootSystemType, diagram_type, glue_root_sum, root_span_index, span_index
 from k3lat.suites import suite_tab3
 
 from support import (
     all_complement_root_span,
     clear_table_caches,
     code_perm_group,
+    complement_root_indices,
     component_rootspan_index,
     glue_code,
     glue_code_sat_index,
     group_min_placement_classes,
+    hermite_span,
+    misread_e6_cartan_det,
     pairwise_root_type,
     product_placement_classes,
     reflection_orbit_reps,
     run_fresh,
+    span_in_n,
+    watch_exactla,
 )
 
 T = RootSystemType.parse
@@ -299,7 +305,6 @@ def test_e6_glue_code_is_a_plane_of_weight_3_words():
     [
         (((0, 1, 1, 1), (1, 0, 0, 0)), "adds roots"),  # a word of weight 1
         (((1, 1, 0, 0), (0, 1, 1, 1)), "pair integrally"),  # weight 2: norm 8/3
-        (((0, 1, 1, 1),), "does not match the discriminant"),  # index 3, not 9
     ],
 )
 def test_build_niemeier_rejects_a_mutated_glue_code(monkeypatch, gens, message):
@@ -372,12 +377,42 @@ def test_niemeier_e6_fourth():
     assert n.rank == 24
     assert abs(n.det()) == 1
     assert n.is_even
-    assert m.overlattice.index == 9
+    assert abs(det(m.overlattice.old_in_new)) == 9
     assert m.ncomp * len(component_system(*m.comp).roots) == 288
-    # every nonzero glue word has exactly one zero coordinate
-    code = glue_code("E6^4")
-    assert all(sum(1 for c in w if c == 0) == 1 for w in code)
-    assert len(code) == 8
+
+
+@pytest.mark.parametrize("kind", NIEMEIER_GLUE)
+def test_glue_index_squared_is_the_discriminant_of_r(kind):
+    # index^2 = |det R| is what makes N unimodular
+    m = build_niemeier(kind)
+    assert abs(det(m.overlattice.old_in_new)) ** 2 == abs(m.r.det())
+    assert abs(m.overlattice.lattice.det()) == 1
+
+
+def test_a_half_tetracode_fails_the_discriminant_test():
+    # the tetracode's first generator alone glues at index 3, not 9
+    m = build_niemeier("E6^4")
+    half = glue_root_sum(m.r, [m.comp] * 4, [(0, 1, 1, 1)])
+    assert abs(det(half.old_in_new)) ** 2 != abs(m.r.det())
+    assert abs(half.lattice.det()) == 9
+
+
+@pytest.mark.parametrize("kind,words", [("E8^3", 0), ("E6^4", 8)])
+def test_every_glue_word_has_one_zero_coordinate(kind, words):
+    code = glue_code(kind)
+    assert len(code) == words
+    assert all(w.count(0) == 1 for w in code)
+
+
+@pytest.mark.parametrize(
+    "word,error",
+    [((1, 0, 0, 0), "adds roots"), ((1, 2, 0, 0), "do not pair integrally"), ((1, 1, 1, 1), "do not pair integrally")],
+)
+def test_glue_root_sum_rejects_e6_words_of_weight_1_2_and_4(word, error):
+    # a word of weight w has norm 4w/3 mod 2: only weight 3 glues E6^4
+    m = build_niemeier("E6^4")
+    with pytest.raises(LatticeError, match=error):
+        glue_root_sum(m.r, [m.comp] * 4, [word])
 
 
 def _lifts_to_n(m, perm):
@@ -413,7 +448,7 @@ def test_a_smaller_code_keeps_fewer_permutations(monkeypatch):
     word = (0, 1, 1, 1)
     monkeypatch.setitem(NIEMEIER_GLUE, "E6^4", (("E", 6), 4, (word,)))
     assert len(code_perm_group(glue_code("E6^4"), 4)) == 6
-    half = dataclasses.replace(m, overlattice=glue_root_sum(m.r, [m.comp] * 4, [word])[0])
+    half = dataclasses.replace(m, overlattice=glue_root_sum(m.r, [m.comp] * 4, [word]))
     assert _lifts_to_n(half, (0, 2, 1, 3))
     assert not _lifts_to_n(half, (1, 0, 2, 3))
 
@@ -465,19 +500,33 @@ def test_e8_model_never_starred():
             assert star_of(rec) is False
 
 
+def complement_simple_roots(rec):
+    """Per component, the simple roots of its complement roots: those of
+    ``ComponentSystem.simple_roots`` in the oracle's complement."""
+    cs = component_system(*build_niemeier(rec.model_kind).comp)
+    return [cs.simple_roots(sum(1 << i for i in complement_root_indices(cs, oc))) for oc in rec.outcomes]
+
+
 def test_simple_root_span_equals_all_root_span():
+    # the star index of the determinant rule against the index of the span
+    # of every root of N orthogonal to P in the saturated complement; the
+    # simple roots, whose Gram matrix is the Cartan matrix of the
+    # complement type, span that same lattice
     records = list(all_records())
-    assert len(records) == sum(map(len, goldens.EMBEDDING_TABLES.values()))
+    assert len(records) == sum(map(len, goldens.EMBEDDING_TABLES.values())) == 16
     for rec in records:
-        assert complement_root_span(rec) == all_complement_root_span(rec)
+        span = all_complement_root_span(rec)
+        idx = index_in(span, _p_complement(rec).basis)
+        assert span_index(rec.total_complement, cusp_quotient_lattice(rec).det()) == idx
+        assert star_of(rec) == (idx == 3)
+        assert span_in_n(rec, complement_simple_roots(rec)) == span
 
 
 def test_all_root_span_rejects_a_missing_simple_root():
-    rec = next(r for r in all_records() if r.outcomes[0].complement_simple)
-    oc = rec.outcomes[0]
-    short = dataclasses.replace(oc, complement_simple=oc.complement_simple[:-1])
-    cut = dataclasses.replace(rec, outcomes=(short,) + rec.outcomes[1:])
-    assert complement_root_span(cut) != all_complement_root_span(rec)
+    rec = next(r for r in all_records() if r.outcomes[0].complement_type.rank)
+    picks = complement_simple_roots(rec)
+    picks[0] = picks[0][:-1]
+    assert span_in_n(rec, picks) != all_complement_root_span(rec)
 
 
 def test_star_of_agrees_with_the_glue_code_bookkeeping():
@@ -491,15 +540,10 @@ def test_star_of_agrees_with_the_glue_code_bookkeeping():
 
 
 def test_star_of_rejects_a_saturation_index_outside_1_3(monkeypatch):
-    # a root span with one row doubled has twice the index: 2 or 6
-    real = cusps.complement_root_span
-
-    def doubled(record):
-        span = real(record)
-        return IntMatrix([[2 * x for x in span.entries[0]], *span.entries[1:]], cols=span.cols)
-
+    # four times every Cartan determinant doubles every index: 2 or 6
+    real = RootSystemType.cartan_det
     records = list(all_records())
-    monkeypatch.setattr(cusps, "complement_root_span", doubled)
+    monkeypatch.setattr(RootSystemType, "cartan_det", lambda t: 4 * real(t))
     clear_table_caches()
     try:
         for rec in records:
@@ -509,6 +553,35 @@ def test_star_of_rejects_a_saturation_index_outside_1_3(monkeypatch):
             classify_cusps(0, 1)
     finally:
         clear_table_caches()
+
+
+def test_a_wrong_e6_cartan_determinant_fails_the_star_certificate(monkeypatch):
+    # det C of E6 read as 4: 9 of the 10 records with an E6 complement fail
+    # the certificate; on E6^2+A2^2*, det C grows by the square (4/3)^2 and
+    # the index 3 becomes 4, outside {1,3}
+    with_e6 = [rec for rec in all_records() if ("E", 6) in rec.total_complement.components]
+    misread_e6_cartan_det(monkeypatch)
+    failed = []
+    for rec in with_e6:
+        with pytest.raises(LatticeError) as err:
+            star_of(rec)
+        failed.append((str(rec.total_complement), err.type, str(err.value)))
+    assert len(failed) == 10
+    assert [f for f in failed if f[1] is not EnumerationError] == [
+        ("E6^2+A2^2", CuspError, "saturation index 4 outside {1,3}")
+    ]
+    assert all("is not a square times" in f[2] for f in failed if f[1] is EnumerationError)
+
+
+def test_star_of_reads_no_det_and_no_hermite_form(monkeypatch):
+    # given the saturated complement, which the tables build anyway, the
+    # star reads only the complement's type and its determinant
+    records = list(all_records())
+    for rec in records:
+        _p_complement(rec)
+    calls = watch_exactla(monkeypatch, "det", "hermite_basis")
+    assert sum(star_of(rec) for rec in records) == 3
+    assert calls == []
 
 
 def test_a_fresh_process_builds_each_cached_object_once():
@@ -634,6 +707,14 @@ def test_direct_route_witnesses_give_the_cusp_table(fam):
         # the induced action is again fixed-point free of order 3 and E*
         assert rho_q.order == 3 and fixed_sublattice(rho_q).rank == 0 and is_estar(rho_q)
     assert found == {cusp: cusp for cusp in goldens.CUSP_TABLE[fam]}
+
+
+@pytest.mark.parametrize("fam", goldens.FAMILIES)
+def test_root_span_index_matches_the_hermite_span_on_direct_quotients(fam):
+    rho_t = family_data(*fam).rho_t
+    for e in goldens.DIRECT_WITNESSES[fam].values():
+        q = quotient_by_isotropic(isotropic_plane(rho_t, e)).lattice
+        assert root_span_index(q) == abs(det(hermite_span(q.gram)))
 
 
 def test_complement_rank_bound():

@@ -45,6 +45,12 @@ The dual-class rule: only ``roots`` reads ``scaled_dual`` or
 and ``roots`` define them, so gluing root lattices by discriminant
 classes has one home, ``roots.glue_root_sum``.
 
+The span-index rule: only ``roots`` defines ``span_index`` or
+``cartan_det``, and ``roots`` reads neither ``det`` nor ``index_in`` from
+``exactla`` (by import or as an ``exactla`` attribute), so every
+root-span index is read off determinants by one rule, with no
+elimination of a span basis.
+
 The caching rule: ``functools.cache`` is the only caching mechanism in
 ``src/k3lat``.  No module names ``lru_cache`` or ``cached_property``,
 rebinds a module global from a function (``global``), gives a function a
@@ -519,6 +525,47 @@ def test_check_flags_a_dual_class_reader_and_definer():
         "e.py": "name = 'scaled_dual'\n",
     }
     assert dual_class_users(sources) == (["a.py", "b.py", "c.py"], ["d.py"])
+
+
+SPAN_INDEX_NAMES = {"span_index", "cartan_det"}
+SPAN_ELIMINATIONS = {"det", "index_in"}
+
+
+def span_index_homes(sources: dict) -> tuple:
+    """``(definers, eliminations)``: the names of the ``sources`` (file
+    name -> text) that define a function of ``SPAN_INDEX_NAMES``, and the
+    names of ``SPAN_ELIMINATIONS`` that ``roots.py`` imports or reads as
+    an attribute of ``exactla``."""
+    definers, eliminations = set(), set()
+    for name, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in SPAN_INDEX_NAMES:
+                definers.add(name)
+            if name != "roots.py":
+                continue
+            if isinstance(node, ast.ImportFrom):
+                eliminations.update(a.name for a in node.names if a.name in SPAN_ELIMINATIONS)
+            if isinstance(node, ast.Attribute) and node.attr in SPAN_ELIMINATIONS:
+                if getattr(node.value, "id", None) == "exactla":
+                    eliminations.add(node.attr)
+    return sorted(definers), sorted(eliminations)
+
+
+def test_only_roots_reads_the_span_index():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert span_index_homes(sources) == (["roots.py"], [])
+
+
+def test_check_flags_a_second_span_index_definer_and_a_roots_elimination():
+    sources = {
+        "roots.py": (
+            "from .exactla import det as d, hermite_basis\nfrom . import exactla\n\n"
+            "def span_index(t, n):\n    return exactla.index_in(t, n) + d(t) + n.det()\n"
+        ),
+        "cusps.py": "class T:\n    def cartan_det(self):\n        return 1\n",
+        "kulikov.py": "from .exactla import det, index_in\nfrom .roots import span_index\n",
+    }
+    assert span_index_homes(sources) == (["cusps.py", "roots.py"], ["det", "index_in"])
 
 
 OTHER_CACHES = {"lru_cache", "cached_property"}

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from k3lat.exactla import ExactLAError, IntMatrix, block_diagonal, index_in, kernel_basis
+from k3lat.exactla import ExactLAError, IntMatrix, block_diagonal, det, index_in, kernel_basis
 from k3lat import eisenstein, goldens, kulikov
 from k3lat.eisenstein import (
     RhoLattice,
@@ -36,8 +36,8 @@ from k3lat.lattice import (
     scaled_dual,
     signature,
 )
-from k3lat.roots import GlueError, RootSystemType, dual_class_min, root_system
-from support import adapted_quotient_coords, run_fresh
+from k3lat.roots import GlueError, RootSystemType, dual_class_min, root_span_index, root_system
+from support import adapted_quotient_coords, hermite_span, run_fresh
 
 T = RootSystemType.parse
 
@@ -222,6 +222,13 @@ def test_descended_action_keeps_its_square(s0, s1):
     # the primitive part against phi = M*M + M + I built without the square
     phi = m * m + m + IntMatrix.identity(m.rows)
     assert primitive_part(k.rho).basis == kernel_basis(phi.transpose())
+
+
+@pytest.mark.parametrize("s0,s1", ALL_GLUINGS)
+def test_root_span_index_matches_the_hermite_span_on_glue_primitive_parts(s0, s1):
+    k = glue_lambda(build_component(ComponentSpec(*s0)), build_component(ComponentSpec(*s1)))
+    prim_lat = k.prim.lattice()
+    assert root_span_index(prim_lat) == abs(det(hermite_span(prim_lat.gram)))
 
 
 def test_matching_quotient_equals_a_fresh_quotient():
@@ -446,7 +453,7 @@ def test_starred_glue_is_the_first_word_of_the_old_search(cusp):
     row = [x * c * (d // df) for c, (cf, df) in zip(valid[0], duals) for x in cf.entries[0]]
     rho, over = kulikov._starred_model(factors, base)
     assert over == glue_overlattice(base.lattice, [row], d)
-    assert over.index == 3 and rho.order == 3
+    assert abs(det(over.old_in_new)) == 3 and rho.order == 3
 
 
 def test_starred_model_rejects_a_word_that_adds_roots():

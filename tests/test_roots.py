@@ -36,6 +36,7 @@ from k3lat.roots import (
     enumerate_norm,
     root_span_index,
     root_system,
+    span_index,
 )
 from support import (
     ROOT_ATOMS,
@@ -47,12 +48,14 @@ from support import (
     full_sweep_size_reduce,
     gauss_jordan_inv,
     hermite_span,
+    misread_e6_cartan_det,
     pairwise_root_type,
     run_fresh,
     rational_span_complement_root_type,
     restrict_to_box,
     tuple_root_decomposition,
     unimodular,
+    watch_exactla,
 )
 
 T = RootSystemType.parse
@@ -212,6 +215,30 @@ def test_root_system_additive_over_sums():
 
 def test_root_span_index_trivial():
     assert root_span_index(root_lattice("E", 8)) == 1
+
+
+def test_cartan_det_is_the_determinant_of_the_cartan_matrix():
+    types = [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)]
+    for sym, n in types:
+        assert RootSystemType.of([(sym, n)]).cartan_det() == det(cartan_gram(sym, n))
+    assert T("E6^2+A2^2").cartan_det() == 81 and T("0").cartan_det() == 1
+
+
+def test_span_index_reads_the_index_off_the_determinants():
+    # D4 in Z^4 (det 1) at index 2, E6^2+A2^2 at index 3 in a lattice of det 9
+    assert span_index(T("D4"), 1) == 2
+    assert span_index(T("E6^2+A2^2"), -9) == 3
+    assert span_index(T("E8"), 1) == 1
+    with pytest.raises(EnumerationError, match="not a square times"):
+        span_index(T("E6"), 1)
+
+
+def test_a_wrong_e6_cartan_determinant_fails_the_certificate(monkeypatch):
+    l = conjugate(direct_sum(root_lattice("E", 6), root_lattice("A", 2)), unimodular(8, [(0, 7, 1), (3, 5, -1)]))
+    assert root_span_index(l) == 1
+    misread_e6_cartan_det(monkeypatch)
+    with pytest.raises(EnumerationError, match="det C = 12 of E6\\+A2 is not a square times \\|det\\| = 9"):
+        root_span_index(l)
 
 
 def test_dual_class_min():
@@ -458,6 +485,9 @@ def test_root_system_matches_pairwise_oracle(data, sign):
     # the positive half spans the lattice that all roots span
     half = [r for r in roots if r > (0,) * lu.rank]
     check_root_system(rtype, span.basis, pairwise_root_type(roots, lu.gram), IntMatrix(half, cols=lu.rank))
+    # the index from determinants is that of the Hermite span of the roots
+    if rtype.rank == lu.rank:
+        assert root_span_index(lu) == abs(det(hermite_span(lu.gram)))
 
 
 @pytest.mark.parametrize("parts,seed", STOP_CASES)
@@ -631,12 +661,13 @@ def test_only_an_index_other_than_1_takes_the_hermite_route(monkeypatch):
 
     e = goldens.DIRECT_WITNESSES[(0, 1)]["E6^2+A2^2*"]
     starred = quotient_by_isotropic(isotropic_plane(family_data(0, 1).rho_t, e)).lattice
-    calls = []
-    real = roots_module.hermite_basis
-    monkeypatch.setattr(roots_module, "hermite_basis", lambda rows, n: calls.append(n) or real(rows, n))
-    unstarred = conjugate(root_lattice("E", 8), unimodular(8, [(0, 7, 2), (5, 1, -1)]))
-    assert roots_module._root_analysis.__wrapped__(unstarred.gram)[1] == IntMatrix.identity(8)
+    # index 1 reads no det and no Hermite form; the starred quotient takes
+    # one Hermite form, of its 16 simple roots
+    calls = watch_exactla(monkeypatch, "det", "hermite_basis")
+    e8 = conjugate(root_lattice("E", 8), unimodular(8, [(0, 7, 2), (5, 1, -1)]))
+    for unstarred in [e8] + [skewed(*case)[3] for case in STOP_CASES[:4]]:
+        assert roots_module._root_analysis.__wrapped__(unstarred.gram)[1] == IntMatrix.identity(unstarred.rank)
     assert calls == []
     rtype, span = roots_module._root_analysis.__wrapped__(starred.gram)
+    assert calls == ["hermite_basis"]
     assert (str(rtype), abs(det(span))) == ("E6^2+A2^2", 3)
-    assert calls == [16]
