@@ -455,10 +455,15 @@ def embedded_p_rows(record: EmbeddingRecord) -> IntMatrix:
 
 @cache
 def _p_complement(record: EmbeddingRecord) -> Sublattice:
-    """The orthogonal complement of the embedded P inside N, saturated
-    by construction."""
+    """The orthogonal complement of the embedded P inside N, saturated by
+    construction: the kernel of ``rows * G_N``, of rank 24 - rank P as N is
+    nondegenerate, so more than 24 - rows exactly for dependent rows."""
     n = build_niemeier(record.model_kind).overlattice.lattice
-    return Sublattice(n, embedded_p_rows(record)).orth_complement()
+    rows = embedded_p_rows(record)
+    perp = kernel_basis(rows * n.gram)
+    if perp.rows != n.rank - rows.rows:
+        raise CuspError("embedded P rows are dependent")
+    return Sublattice(n, perp)
 
 
 def cusp_quotient_lattice(record: EmbeddingRecord) -> Lattice:

@@ -21,13 +21,14 @@ absolute value, row-major (a unit pivot is taken on sight and skips the
 divisibility scan), its row and column operations applied to both
 transforms and, inverted, to the inverse of the right one.
 ``smith_divisors``, the invariant factors alone of a nonsingular square
-matrix, eliminates with the modulus d = |det| that the caller already
-holds (Cohen, GTM 138, Alg. 2.4.14): an entry coprime to d is a unit
-pivot that clears its column in one row pass, and the same pivot loop
-runs on what is left, on representatives in [0, d), each factor the gcd
-of its pivot with d.  Every linear system is solved one way,
-by exact substitution against a basis in row echelon form: the basis
-itself when it is one, as every Hermite basis from ``kernel_basis``,
+matrix, works one coprime part c^e of d = |det| at a time (Cohen, GTM
+138, 2.4): the primes below 2^10, then the cofactor, split where a
+pivot's unit part shares a divisor with it (dynamic evaluation; Della
+Dora, Dicrescenzo and Duval, EUROCAL 1985).  Over Z/c^e a pivot of
+least valuation divides its block, so one row pass clears its column
+with no remainder.  Every linear system is solved one way, by exact
+substitution against a basis in row echelon form: the basis itself
+when it is one, as every Hermite basis from ``kernel_basis``,
 ``hermite_basis`` and ``saturate`` is, and its Hermite form otherwise,
 with the product of the pivots as one common denominator.  Bareiss
 elimination (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2) is
@@ -72,6 +73,7 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from operator import add, index, sub
 from typing import Iterable, List, Sequence, Tuple
@@ -164,9 +166,8 @@ class IntMatrix:
         return IntMatrix._of(tuple(zip(*self.entries)) or ((),) * self.cols, self.rows)
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i] for i in range(self.rows) for j in range(i)
-        )
+        # entries are tuples of ints, so the transpose compares as they do
+        return self.rows == self.cols and self.entries == tuple(zip(*self.entries))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -500,67 +501,97 @@ def _smith(
 
 
 def smith_divisors(a: IntMatrix, d: int) -> Tuple[int, ...]:
-    """``snf(a).d`` for a nonsingular square ``a`` with ``d = |det a|``, by
-    elimination modulo d, with no transform and no check."""
+    """``snf(a).d`` for a nonsingular square ``a`` with ``d = |det a|``, with
+    no transform and no check.  As ``adj(a) * a = +-d I`` puts ``d Z^n``
+    in the row lattice, for pairwise coprime parts ``c^e`` of d the
+    c-parts of the factors are those over Z/c^e (``_local_valuations``).
+    The parts are the primes below 2^10 and the cofactor left, split
+    only where a pivot shows a divisor of it: d is not factored further."""
     if a.rows != a.cols or d < 1:
         raise ExactLAError("smith divisors modulo |det| need a nonsingular square matrix")
-    return _smith_mod([[x % d for x in row] for row in a.entries], d)
+    factors = [1] * a.rows
+    parts = list(factorize(d, 1 << 10))
+    while parts:
+        c, e = parts.pop()
+        g, vals = _local_valuations(a.entries, c, e)
+        if g > 1:
+            parts += _coprime_base([(g, e), (c // g, e)])
+        for k, v in enumerate(vals):
+            factors[k] *= c**v
+    return tuple(factors)
 
 
-def _smith_mod(s: List[List[int]], d: int) -> Tuple[int, ...]:
-    """Invariant factors of a nonsingular square matrix with ``|det| = d``
-    whose entries, reduced into [0, d), are the rows ``s`` (consumed).
-
-    The adjugate puts ``d Z^n`` in the row lattice, so every operation may
-    reduce modulo d and each factor is ``gcd(pivot, d)``.  An entry
-    coprime to d is a unit mod d: one row pass clears its column, its row
-    then leaves the rest unchanged, and both go with a factor 1.  What is
-    left, the torsion block, takes the pivot elimination of ``_smith`` on
-    representatives in [0, d), with the divisibility test on ``gcd(p, d)``.
-    """
-    units = 0
-    while True:
-        pi, pj = next(
-            ((i, j) for i, row in enumerate(s) for j, x in enumerate(row) if x and math.gcd(x, d) == 1),
-            (None, None),
-        )
-        if pi is None:
-            break
-        prow = s.pop(pi)
-        inv = pow(prow[pj], -1, d)
-        for row in s:
-            f = row[pj] * inv
-            if f:
-                row[:] = [(x - f * y) % d for x, y in zip(row, prow)]
-            del row[pj]
-        units += 1
-    m = len(s)
-    for t in range(m):
-        while nz := [(x, i, j) for i in range(t, m) for j, x in enumerate(s[i][t:], t) if x]:
-            p, pi, pj = min(nz)
-            s[t], s[pi] = s[pi], s[t]
-            for row in s[t:]:
-                row[t], row[pj] = row[pj], row[t]
-            tail = s[t][t:]
-            for i in range(t + 1, m):
-                q = s[i][t] // p
-                if q:
-                    s[i][t:] = [(x - q * y) % d for x, y in zip(s[i][t:], tail)]
-            for j in range(t + 1, m):
-                q = s[t][j] // p
-                if q:
-                    for row in s[t:]:
-                        row[j] = (row[j] - q * row[t]) % d
-            if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
-                continue  # a remainder smaller than the pivot is left
-            g = math.gcd(p, d)
-            bad = next((i for i in range(t + 1, m) if any(x % g for x in s[i][t + 1 :])), None)
-            if bad is None:
+def _local_valuations(rows: Sequence[Row], c: int, e: int) -> Tuple[int, List[int]]:
+    """``(1, vals)``, the c-valuations, increasing, of the invariant factors
+    of the square ``rows`` over Z/c^e, which kills their c-part, or ``(g,
+    [])`` for a divisor 1 < g < c.  The pivot, the first entry (row-major)
+    of least valuation v, is ``c^v u``; if ``g = gcd(u, c)`` is 1, as for
+    every prime c, it has least valuation at each prime of c, so it
+    divides its block and ``(x / c^v) u^-1`` times its row clears its
+    column.  A block that is zero mod c^e gives e to each factor left."""
+    q = c**e
+    s = [[x % q for x in row] for row in rows]
+    vals: List[int] = []
+    while s:
+        cv = 1  # c^v, while every entry is divisible by it
+        for v in range(e):
+            ck = cv * c
+            at = next(((i, j) for i, row in enumerate(s) for j, x in enumerate(row) if x % ck), None)
+            if at is not None:
                 break
-            s[t] = [(x + y) % d for x, y in zip(s[t], s[bad])]
+            cv = ck
         else:
-            break  # the block from t on is zero mod d: each factor left is d
-    return (1,) * units + tuple(math.gcd(s[t][t], d) for t in range(m))
+            return 1, vals + [e] * len(s)
+        i, j = at
+        prow = s.pop(i)
+        u = prow[j] // cv
+        if (g := math.gcd(u, c)) > 1:
+            return g, []
+        inv = pow(u, -1, q)
+        for row in s:
+            if row[j]:
+                f = row[j] // cv * inv % q
+                row[:] = [(x - f * y) % q for x, y in zip(row, prow)]
+            del row[j]
+        vals.append(v)
+    return 1, vals
+
+
+def _coprime_base(todo: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Pairwise coprime ``(b, e)``, b > 1, with the product of ``b^e`` over
+    ``todo`` (consumed): a common factor t of b and c is split off, as
+    ``t^(e+f) (b/t)^e (c/t)^f``, until none is left."""
+    out: List[Tuple[int, int]] = []
+    while todo:
+        b, e = todo.pop()
+        k = next((k for k, (c, _) in enumerate(out) if math.gcd(b, c) > 1), None)
+        if k is not None:
+            c, f = out.pop(k)
+            t = math.gcd(b, c)
+            todo += [(t, e + f), (b // t, e), (c // t, f)]
+        elif b > 1:
+            out.append((b, e))
+    return out
+
+
+@cache
+def factorize(n: int, limit: int = 0) -> Tuple[Tuple[int, int], ...]:
+    """The prime powers ``(p, e)`` of ``n >= 1``, p increasing, by trial
+    division; cached.  With a ``limit``, no p above it is tried, so a
+    cofactor left then comes last with e = 1, and it may be composite."""
+    out = []
+    for p in range(2, min(math.isqrt(n), limit or n) + 1):
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    if n > 1:
+        out.append((n, 1))
+    return tuple(out)
 
 
 def block_diagonal(*blocks: IntMatrix) -> IntMatrix:

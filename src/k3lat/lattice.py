@@ -11,11 +11,12 @@ Signature, radical and determinant are read from the pivots of one
 cached fraction-free symmetric elimination of the Gram matrix
 (``gram_elimination``; Sylvester's law), never by floating point.
 Discriminant groups come from the Gram matrix's invariant factors,
-found by a Smith elimination modulo the |det| that the cached
-elimination already holds, cached per Gram matrix and checked against
-that determinant on each call.  The Gram matrix ``B * G * B^T`` of a
-sublattice is cached by the values (basis B, ambient Gram G), never by
-object identity, so the same basis in a rescaled ambient gets its own.
+found by one Smith elimination modulo each power of a coprime part of
+the |det| that the cached elimination already holds, cached per Gram
+matrix and checked against that determinant on each call.  The Gram matrix
+``B * G * B^T`` of a sublattice is cached by the values (basis B,
+ambient Gram G), never by object identity, so the same basis in a
+rescaled ambient gets its own.
 """
 
 from __future__ import annotations
@@ -23,13 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .exactla import (
     IntMatrix,
     block_diagonal,
     det,
     echelon_pivots,
+    factorize,
     gram_elimination,
     hermite_basis,
     hnf,
@@ -107,6 +109,7 @@ def hyperbolic(n: int = 1) -> Lattice:
     return Lattice([[0, n], [n, 0]])
 
 
+@cache
 def cartan_gram(symbol: str, n: int) -> IntMatrix:
     """Positive definite Cartan matrix of an ADE root system (Bourbaki order)."""
     if symbol == "A":
@@ -239,36 +242,18 @@ class DiscGroup:
         return "+".join(f"Z/{d}" for d in self.elementary_divisors)
 
 
-def _prime_factors(n: int) -> List[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def disc_group(l: Lattice) -> DiscGroup:
-    """L^*/L, without generators, from the invariant factors of the Gram
-    matrix.  They are found modulo the Bareiss |det|, and their product
-    must be that |det|: the check proves the Smith kernel against the
-    cached determinant, which has its own oracle tests."""
+    """L^*/L, without generators: the Gram matrix's invariant factors and
+    ``a_p``, how many of them p divides, for the primes of the largest.
+    Their product must be the Bareiss |det|: the check proves the Smith
+    kernel against the cached determinant, which has its own oracle tests."""
     if not l.is_nondegenerate:
         raise DegenerateFormError(signature_with_radical(l)[2])
     factors = _invariant_factors(l.gram)
     if math.prod(factors) != abs(l.det()):
         raise LatticeError("invariant factors disagree with the determinant")
-    divisors = tuple(d for d in factors if d > 1)
-    a_p: Dict[int, int] = {}
-    for d in divisors:
-        for p in _prime_factors(d):
-            a_p[p] = a_p.get(p, 0) + 1
-    return DiscGroup(divisors, a_p)
+    a_p = {p: sum(f % p == 0 for f in factors) for p, _ in factorize(max(factors, default=1))}
+    return DiscGroup(tuple(f for f in factors if f > 1), a_p)
 
 
 def is_p_elementary(l: Lattice, p: int) -> bool:

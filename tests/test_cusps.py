@@ -23,6 +23,7 @@ from k3lat.cusps import (
     cusp_of_plane,
     cusp_quotient_lattice,
     embed_multiset,
+    embedded_p_rows,
     enumerate_embeddings,
     family_data,
     isotropic_plane,
@@ -582,6 +583,34 @@ def test_star_of_reads_no_det_and_no_hermite_form(monkeypatch):
     calls = watch_exactla(monkeypatch, "det", "hermite_basis")
     assert sum(star_of(rec) for rec in records) == 3
     assert calls == []
+
+
+def test_p_complement_is_the_kernel_of_p_times_the_gram_matrix(monkeypatch):
+    # the same basis as the complement of the P sublattice, with no Hermite
+    # rank of the P rows: the kernel's row count proves them independent
+    records = list(all_records())
+    for rec in records:
+        embedded_p_rows(rec)
+    _p_complement.cache_clear()
+    calls = watch_exactla(monkeypatch, "hermite_basis", "rank", "saturate")
+    complements = [_p_complement(rec) for rec in records]
+    assert calls == []
+    for rec, perp in zip(records, complements):
+        n = build_niemeier(rec.model_kind).overlattice.lattice
+        assert perp.basis == Sublattice(n, embedded_p_rows(rec)).orth_complement().basis
+        assert perp.rank == 24 - rank(embedded_p_rows(rec))
+
+
+def test_p_complement_rejects_dependent_p_rows(monkeypatch):
+    rec = next(all_records())
+    real = cusps.embedded_p_rows
+    monkeypatch.setattr(cusps, "embedded_p_rows", lambda r: real(r).stack(real(r).submatrix([0])))
+    clear_table_caches()
+    try:
+        with pytest.raises(CuspError, match="embedded P rows are dependent"):
+            _p_complement(rec)
+    finally:
+        clear_table_caches()
 
 
 def test_a_fresh_process_builds_each_cached_object_once():

@@ -12,7 +12,9 @@ from k3lat.cusps import NIEMEIER_GLUE, build_niemeier, embedded_p_rows, enumerat
 from k3lat.exactla import (
     ExactLAError,
     IntMatrix,
+    block_diagonal,
     det,
+    factorize,
     gram_elimination,
     hermite_basis,
     hnf,
@@ -612,11 +614,17 @@ def nonsingular_matrices(draw):
 def modulus_cases(draw):
     """Nonsingular matrices where the modulus |det| is special: unimodular
     (d = 1, every factor 1), a prime power (one torsion prime, factors
-    that must be told apart by the divisibility repair), and a Cartan
-    matrix rescaled by c (every entry shares c with d), each conjugated
-    on both sides by unimodular matrices."""
-    kind = draw(st.sampled_from(["unimodular", "prime power", "cartan"]))
-    if kind == "unimodular":
+    that only the valuation of each pivot tells apart), a Cartan matrix
+    rescaled by c (every entry shares c with d), and repeated primes
+    above the trial-division limit 2^10, each conjugated on both sides
+    by unimodular matrices."""
+    kind = draw(st.sampled_from(["unimodular", "prime power", "cartan", "large primes"]))
+    if kind == "large primes":
+        # primes above the trial-division limit, so the cofactor of d is
+        # composite and the kernel splits it only where a pivot shows how
+        q = st.sampled_from([1, 2, 1031, 1033, 1031**2, 1031 * 1033])
+        a = IntMatrix.diagonal(draw(st.lists(q, min_size=1, max_size=4)))
+    elif kind == "unimodular":
         n = draw(st.integers(1, 6))
         a = IntMatrix.identity(n)
     elif kind == "prime power":
@@ -630,13 +638,50 @@ def modulus_cases(draw):
 
 
 @given(nonsingular_matrices() | modulus_cases())
-@example(IntMatrix([[2, 3], [3, 2]]))  # no unit: the divisibility repair
+@example(IntMatrix([[2, 3], [3, 2]]))  # d = 5: every entry is a unit mod 5
 @example(IntMatrix([[0, 2, 1], [2, 0, 0], [1, 0, 4]]))  # a unit after a zero
-@example(IntMatrix([[4, 0], [0, 6]]))  # a pivot that shares only 2 with d = 24
+@example(IntMatrix([[4, 0], [0, 6]]))  # d = 24: valuations (1, 2) at 2, (0, 1) at 3
 @example(IntMatrix([[9, 0, 0], [0, 3, 0], [0, 0, 27]]))  # d = 3^6: factors 3, 9, 27
-@example(IntMatrix([[1, 0], [0, 1]]))  # d = 1: every entry is 0 mod d
+@example(IntMatrix([[1, 0], [0, 1]]))  # d = 1: no prime, every factor 1
+# U(3)+A2(-2)+A1(-3), a median query: d = 648 = 2^3 3^4, no entry coprime to d
+@example(block_diagonal(IntMatrix([[0, 3], [3, 0]]), IntMatrix([[-4, 2], [2, -4]]), IntMatrix([[-6]])))
+@example(IntMatrix.diagonal([2, 2 * 1009]))  # the prime 1009 > sqrt(d) ends the trial division
+@example(IntMatrix([[6, 0, 0], [0, 35, 0], [0, 0, 1]]))  # d = 2 3 5 7, e = 1 for each
+@example(IntMatrix([[4, 2], [2, 3]]))  # 2-valuations 2, 1, 0: the least is not the first
+@example(IntMatrix.diagonal([1031, 1031]))  # cofactor 1031^2, split at the first pivot
+@example(IntMatrix.diagonal([1031, 1031**2 * 1033]))  # cofactor 1031^3 1033: two splits
+@example(IntMatrix([[0, 1031 * 1033], [1031 * 1033, 0]]))  # the part 1031 1033 never splits
 def test_smith_divisors_match_snf_and_sympy(a):
     assert smith_divisors(a, abs(det(a))) == snf(a).d == tuple(sympy_invariant_factors(a))
+
+
+@given(st.integers(1, 10**6))
+@example(2 * 1009)
+@example(1)
+def test_factorize_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert factorize(n) == tuple(sorted(sympy.factorint(n).items()))
+
+
+@given(st.integers(1, 10**9), st.integers(0, 40))
+@example(1031**2, 1 << 10)
+def test_factorize_stops_at_its_limit(n, limit):
+    sympy = pytest.importorskip("sympy")
+    parts = factorize(n, limit)
+    assert math.prod(p**e for p, e in parts) == n
+    small = [(p, e) for p, e in sorted(sympy.factorint(n).items()) if not limit or p <= limit]
+    assert list(parts[: len(small)]) == small
+    # at most one cofactor follows, with no prime factor up to the limit
+    assert len(parts) - len(small) <= 1 and all(e == 1 for _, e in parts[len(small) :])
+
+
+@given(st.lists(st.tuples(st.integers(1, 10**4), st.integers(1, 3)), max_size=5))
+@example([(1031, 1), (1031**2 * 1033, 1)])
+def test_coprime_base_keeps_the_product(pairs):
+    out = exactla._coprime_base(list(pairs))
+    assert math.prod(b**e for b, e in out) == math.prod(b**e for b, e in pairs)
+    assert all(b > 1 for b, _ in out)
+    assert all(math.gcd(b, c) == 1 for i, (b, _) in enumerate(out) for c, _ in out[:i])
 
 
 def test_smith_divisors_need_the_modulus_of_a_nonsingular_matrix():
@@ -773,6 +818,32 @@ def test_product_check_rejects_wrong_oracle():
         check_product_and_transpose(a, b, ((1, 2), (3, 4)))
     with pytest.raises(AssertionError):
         check_product_and_transpose(a, b, ((2, 1),))
+
+
+@st.composite
+def symmetry_cases(draw):
+    """Matrices of every shape up to 4x4, empty ones included, half of the
+    square ones symmetrized, and the product ``A * A^T`` built by the
+    product kernels."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    if m == n and draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    a = IntMatrix(rows, cols=n)
+    return a * a.transpose() if draw(st.booleans()) else a
+
+
+@given(symmetry_cases())
+@example(IntMatrix([], cols=0))
+@example(IntMatrix([], cols=3))
+@example(IntMatrix([[1, 2, 3]]))
+@example(IntMatrix([[1], [2]]))
+@example(IntMatrix([[1, 2], [3, 1]]))
+def test_is_symmetric_matches_the_pairwise_definition(a):
+    g = a.entries
+    pairwise = a.rows == a.cols and all(g[i][j] == g[j][i] for i in range(a.rows) for j in range(a.cols))
+    assert a.is_symmetric() == pairwise
 
 
 # -- the two product kernels ------------------------------------------------

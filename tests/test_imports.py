@@ -51,6 +51,13 @@ The span-index rule: only ``roots`` defines ``span_index`` or
 root-span index is read off determinants by one rule, with no
 elimination of a span basis.
 
+The factorization rule: one function in ``src/k3lat`` factors integers
+by trial division, ``exactla.factorize``, and ``lattice`` defines none.
+A function counts as a trial division when a ``while`` loop in it tests
+a name squared (``p * p`` or ``p ** 2``) or a ``for`` loop in it runs
+over an iterable that calls ``isqrt``; so every determinant is factored
+by the one cached function that the Smith kernel reads.
+
 The caching rule: ``functools.cache`` is the only caching mechanism in
 ``src/k3lat``.  No module names ``lru_cache`` or ``cached_property``,
 rebinds a module global from a function (``global``), gives a function a
@@ -566,6 +573,62 @@ def test_check_flags_a_second_span_index_definer_and_a_roots_elimination():
         "kulikov.py": "from .exactla import det, index_in\nfrom .roots import span_index\n",
     }
     assert span_index_homes(sources) == (["cusps.py", "roots.py"], ["det", "index_in"])
+
+
+def _is_square(node: ast.AST) -> bool:
+    """``x * x`` or ``x ** 2`` for a name ``x``."""
+    if not isinstance(node, ast.BinOp) or not isinstance(node.left, ast.Name):
+        return False
+    if isinstance(node.op, ast.Mult):
+        return getattr(node.right, "id", None) == node.left.id
+    return isinstance(node.op, ast.Pow) and getattr(node.right, "value", None) == 2
+
+
+def trial_division_homes(sources: dict) -> list:
+    """(file, function) of each function in the ``sources`` (file name ->
+    text) with a ``while`` loop that tests a name squared, or a ``for``
+    loop over an iterable that calls ``isqrt``."""
+    homes = set()
+    for file, text in sources.items():
+        for f in ast.walk(ast.parse(text)):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for loop in ast.walk(f):
+                if isinstance(loop, ast.While):
+                    found = any(_is_square(n) for n in ast.walk(loop.test))
+                elif isinstance(loop, ast.For):
+                    calls = [n.func for n in ast.walk(loop.iter) if isinstance(n, ast.Call)]
+                    found = any("isqrt" in (getattr(c, "id", None), getattr(c, "attr", None)) for c in calls)
+                else:
+                    continue
+                if found:
+                    homes.add((file, f.name))
+    return sorted(homes)
+
+
+def test_only_exactla_factorizes_by_trial_division():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert trial_division_homes(sources) == [("exactla.py", "factorize")]
+
+
+def test_check_flags_a_second_trial_division():
+    sources = {
+        "exactla.py": "def factorize(n):\n    p = 2\n    while p * p <= n:\n        p += 1\n",
+        "lattice.py": (
+            "def _prime_factors(n):\n    out, p = [], 2\n    while n > 1 and p ** 2 <= n:\n"
+            "        if n % p == 0:\n            out.append(p)\n        p += 1\n    return out\n"
+        ),
+        "cusps.py": "import math\n\ndef primes(n):\n    for p in range(2, math.isqrt(n) + 1):\n        yield p\n",
+        "roots.py": (
+            "from math import isqrt\n\ndef span_index(a, b):\n    i = 0\n    while i < a * b:\n"
+            "        i += 1\n    return isqrt(a * b)\n"
+        ),
+    }
+    assert trial_division_homes(sources) == [
+        ("cusps.py", "primes"),
+        ("exactla.py", "factorize"),
+        ("lattice.py", "_prime_factors"),
+    ]
 
 
 OTHER_CACHES = {"lru_cache", "cached_property"}

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -125,14 +126,15 @@ def test_disc_group_checks_divisors_against_det(monkeypatch):
     import k3lat.lattice as lattice_module
     from k3lat import exactla
 
-    real = exactla._smith_mod
+    real = exactla._local_valuations
 
-    def drop_last_factor(s, d):
-        return real(s, d)[:-1] + (1,)
+    def drop_last_factor(rows, c, e):
+        g, vals = real(rows, c, e)
+        return g, vals[:-1] + [0]
 
     l = direct_sum(hyperbolic(3), neg("E", 6))
     assert disc_group(l).elementary_divisors == (3, 3, 3)
-    monkeypatch.setattr(exactla, "_smith_mod", drop_last_factor)
+    monkeypatch.setattr(exactla, "_local_valuations", drop_last_factor)
     # a cached factor list would bypass the patch, and a patched one must
     # not outlive it
     lattice_module._invariant_factors.cache_clear()
@@ -419,6 +421,48 @@ def test_disc_group_invariant_under_change_of_basis(data, sign):
         return
     s = smith_normal_form(sympy.Matrix(lu.gram.entries), domain=ZZ)
     check_disc(disc_group(lu), disc_group(l), [abs(int(s[i, i])) for i in range(lu.rank)])
+
+
+def test_disc_group_of_a_median_query():
+    # U(3)+A2(-2)+A1(-3): d = 648 = 2^3 3^4 and no Gram entry coprime to d
+    l = direct_sum(hyperbolic(3), rescale(root_lattice("A", 2), -2), rescale(root_lattice("A", 1), -3))
+    assert abs(l.det()) == 648
+    d = disc_group(l)
+    assert d.elementary_divisors == (3, 6, 6, 6)
+    assert d.a_p == {2: 3, 3: 4}
+
+
+def test_disc_group_of_large_repeated_primes_factors_no_determinant():
+    # |det| = p^2, 3 q^2 and q^3: the kernel splits the cofactor above the
+    # trial-division limit at a pivot, and only the largest invariant
+    # factor is factored, up to its square root, never |det| itself
+    p, q = 10**9 + 7, 1000003
+    cases = [
+        (rescale(hyperbolic(), p), (p, p), {p: 2}),
+        (rescale(root_lattice("A", 2), q), (q, 3 * q), {3: 1, q: 2}),
+        (diag_lattice([q] * 3), (q, q, q), {q: 3}),
+    ]
+    start = time.perf_counter()
+    for l, divisors, a_p in cases:
+        d = disc_group(l)
+        assert (d.elementary_divisors, d.a_p) == (divisors, a_p)
+    # a trial division of p^2 up to p takes minutes
+    assert time.perf_counter() - start < 5
+
+
+@given(changed_basis(FORM_ATOMS, 10, 6), st.sampled_from([1, -1, 2, -3, 6]))
+def test_disc_group_counts_the_sympy_factors_divisible_by_each_prime(data, scale):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+    from sympy.polys.domains import ZZ
+
+    lu = rescale(data[3], scale)
+    if not lu.is_nondegenerate:
+        return
+    s = smith_normal_form(sympy.Matrix(lu.gram.entries), domain=ZZ)
+    factors = [abs(int(s[i, i])) for i in range(lu.rank)]
+    primes = sympy.primefactors(abs(lu.det()))
+    assert disc_group(lu).a_p == {p: sum(f % p == 0 for f in factors) for p in primes}
 
 
 def test_form_checks_reject_wrong_oracle():
