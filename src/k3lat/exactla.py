@@ -503,16 +503,18 @@ def _smith(
 def smith_divisors(a: IntMatrix, d: int) -> Tuple[int, ...]:
     """``snf(a).d`` for a nonsingular square ``a`` with ``d = |det a|``, with
     no transform and no check.  As ``adj(a) * a = +-d I`` puts ``d Z^n``
-    in the row lattice, for pairwise coprime parts ``c^e`` of d the
-    c-parts of the factors are those over Z/c^e (``_local_valuations``).
-    The parts are the primes below 2^10 and the cofactor left, split
-    only where a pivot shows a divisor of it: d is not factored further."""
+    in the row lattice, the c-parts of the factors, for the parts c^e of d
+    of the module notes, are those over Z/c^e (``_local_valuations``); a
+    prime below 2^10 with e = 1 divides the last factor alone."""
     if a.rows != a.cols or d < 1:
         raise ExactLAError("smith divisors modulo |det| need a nonsingular square matrix")
     factors = [1] * a.rows
     parts = list(factorize(d, 1 << 10))
     while parts:
         c, e = parts.pop()
+        if e == 1 and c <= 1 << 10:
+            factors[-1] *= c
+            continue
         g, vals = _local_valuations(a.entries, c, e)
         if g > 1:
             parts += _coprime_base([(g, e), (c // g, e)])

@@ -56,7 +56,7 @@ from .lattice import (
     rescale,
     root_lattice,
 )
-from .roots import RootSystemType, glue_root_sum, root_system
+from .roots import RootSystemType, glue_root_sum, root_system, square_index
 from .eisenstein import (
     RhoLattice,
     assemble,
@@ -186,7 +186,6 @@ def primitive_picard(c: ComponentModel) -> Tuple[Sublattice, RootSystemType]:
 class KulikovLattice:
     rho: RhoLattice
     prim: Sublattice
-    quotient: IsotropicQuotient  # of the radical (D0, -D1)
 
     @property
     def lattice(self) -> Lattice:
@@ -216,25 +215,23 @@ def glue_lambda(c0: ComponentModel, c1: ComponentModel) -> KulikovLattice:
     # isometry fixing xi = (D0, -D1), so it maps J^perp into itself
     images = quo.lift * block_diagonal(c0.rho.matrix, c1.rho.matrix)
     rq = RhoLattice(quo.lattice, quo.coords(images))
-    return KulikovLattice(rq, primitive_part(rq), quo)
+    return KulikovLattice(rq, primitive_part(rq))
 
 
 def root_split_check(k: KulikovLattice, c0: ComponentModel, c1: ComponentModel) -> Tuple[bool, int]:
     """Whether the roots of the primitive part split over the two
     components, and the index in the primitive part of the span of the
-    component primitive parts (0 if that span has the wrong rank)."""
-    rtype, _ = root_system(k.prim.lattice())
+    component primitive parts (0 if that span has the wrong rank).  Those
+    parts lie in J^perp (for x in one, 0 = ((1 + rho + rho^2) x).D = 3 x.D),
+    and their images in the primitive part keep their forms and are
+    orthogonal: index^2 |det prim| = |det p0| |det p1|."""
+    prim = k.prim.lattice()
+    rtype, _ = root_system(prim)
     p0, t0 = primitive_picard(c0)
     p1, t1 = primitive_picard(c1)
-    expected = t0 + t1
-    # the component primitive parts, padded into the rank-20 ambient sum,
-    # lie in J^perp: for x in one, 0 = ((1 + rho + rho^2) x).D = 3 x.D
-    image = k.quotient.coords(block_diagonal(p0.basis, p1.basis))
-    # express the image inside the primitive part and measure the index
-    coeff = int_express(image, k.prim.basis)
-    if coeff.rows != k.prim.rank:
+    if p0.rank + p1.rank != prim.rank:
         return False, 0
-    return rtype == expected, abs(det(coeff))
+    return rtype == t0 + t1, square_index(p0.lattice().det() * p1.lattice().det(), prim.det())
 
 
 # -- semifan records -----------------------------------------------------

@@ -66,6 +66,13 @@ class Lattice:
             raise LatticeError("gram matrix must be symmetric")
         self.gram = gram
 
+    @classmethod
+    def _of(cls, gram: IntMatrix) -> "Lattice":
+        """Wrap a Gram matrix symmetric by an identity, without the check."""
+        l = object.__new__(cls)
+        l.gram = gram
+        return l
+
     @property
     def rank(self) -> int:
         return self.gram.rows
@@ -136,7 +143,7 @@ def cartan_gram(symbol: str, n: int) -> IntMatrix:
 
 
 def root_lattice(symbol: str, n: int) -> Lattice:
-    return Lattice(cartan_gram(symbol, n))
+    return Lattice._of(cartan_gram(symbol, n))
 
 
 @cache
@@ -150,11 +157,11 @@ def scaled_dual(symbol: str, n: int) -> Tuple[IntMatrix, int]:
 
 
 def diag_lattice(entries: Sequence[int]) -> Lattice:
-    return Lattice(IntMatrix.diagonal(list(entries)))
+    return Lattice._of(IntMatrix.diagonal(list(entries)))
 
 
 def direct_sum(*lats: Lattice) -> Lattice:
-    return Lattice(block_diagonal(*(l.gram for l in lats)))
+    return Lattice._of(block_diagonal(*(l.gram for l in lats)))
 
 
 def rescale(l: Lattice, n: int) -> Lattice:
@@ -162,7 +169,7 @@ def rescale(l: Lattice, n: int) -> Lattice:
         raise LatticeError("rescale by zero")
     if n == 1:
         return l
-    return Lattice(l.gram.scale(n))
+    return Lattice._of(l.gram.scale(n))
 
 
 def d4_z4_model() -> Tuple[Lattice, IntMatrix]:
@@ -305,7 +312,7 @@ class Sublattice:
         return _sublattice_gram(self.basis, self.ambient.gram)
 
     def lattice(self) -> Lattice:
-        return Lattice(self.gram())
+        return Lattice._of(self.gram())
 
     @property
     def is_primitive(self) -> bool:
@@ -369,7 +376,7 @@ def quotient_by_isotropic(j: Sublattice) -> IsotropicQuotient:
     if any(d != 1 for d in res.d):
         raise LatticeError("sublattice is not saturated; saturate it first")
     lift = res.right_inv.submatrix(range(j.rank, k)) * bperp
-    lat = Lattice(lift * j.ambient.gram * lift.transpose())
+    lat = Lattice._of(lift * j.ambient.gram * lift.transpose())
     return IsotropicQuotient(lat, lift, x * res.right.submatrix(range(k), range(j.rank, k)))
 
 
@@ -408,7 +415,7 @@ def glue_overlattice(l: Lattice, rows: Sequence[Sequence[int]], d: int) -> Overl
                 raise LatticeError("glue vector has odd norm; overlattice not even")
     hm = hermite_basis([*IntMatrix.identity(n).scale(d).entries, *glue], n)
     entries = [[x // dd for x in row] for row in (hm * l.gram * hm.transpose()).entries]
-    lat = Lattice(IntMatrix(entries, cols=n))
+    lat = Lattice._of(IntMatrix(entries, cols=n))
     if not lat.is_even:
         raise LatticeError("overlattice form is not even: invalid glue")
     # C * H = d * I, solved by substitution in the Hermite basis H

@@ -6,43 +6,39 @@ Bareiss elimination (``exactla.gram_elimination``) of the size-reduced
 Gram matrix gives leading minors ``d_k`` and integer numerators, and
 scaling the norm by ``lcm(d_k d_{k-1})`` turns every level's interval
 into an integer square root and an integer subtraction.  The minors also
-prove the form definite, so that is its only elimination; the
-``definite_sign`` of the input only names a failure.  The test suite
-checks it against a brute-force coefficient-box enumerator.
+prove the form definite; the ``definite_sign`` of the input only names a
+failure.  ``enumerate_norm`` is reduce (``_size_reduce``), search (which
+keeps one of each pair +-x, in reduced coordinates), map back through
+the transform V, and sort: the vectors, closed under negation, are in
+lexicographic order of their coefficient tuples.
 
-``enumerate_norm`` is reduce (``_size_reduce``), search (the traversal,
-which keeps one of each pair +-x, in reduced coordinates), map back
-through the reduction transform V, and sort: vectors are returned
-closed under negation, sorted lexicographically on their coefficient
-tuples, so output order is deterministic.
-
-Root systems take one pass.  The search order is that of an exact
-integer key, a linear functional positive on the vectors the search
-keeps, so the roots it finds are a positive system; each goes to the
-simple-root scan as it is found, and the search stops at the rank-th
-simple root.  Components are typed by the Dynkin diagram of the simple
-roots (Humphreys, *Reflection Groups*, 1.3; Bourbaki VI 1.6).
-The index of the root span is read off determinants alone
+A root analysis reduces once and first tries a certificate: a reduced
+form that is a Cartan matrix of ADE type R up to the signs of the basis
+vectors (``_cartan_type``) has a basis of +-simple roots, so the lattice
+is the root lattice Q(R), whose norm-2 vectors are exactly R (Humphreys,
+*Reflection Groups*, 2.9-2.10; Conway--Sloane, SPLAG, ch. 4, 6-8), and
+the type is R with the identity span, with no elimination and no search.
+Otherwise it takes one pass: the search order is that of an exact
+integer key, positive on the vectors the search keeps, so the roots it
+finds are a positive system; each goes to the simple-root scan as found,
+and the search stops at the rank-th simple root.  Components are typed
+by the Dynkin diagram of the simple roots (Humphreys, 1.3; Bourbaki VI
+1.6).  The index of the root span is read off determinants alone
 (``span_index``): for n simple roots with Cartan matrix C in a lattice
-of rank n with Gram matrix G, index^2 = det C / |det G|, and det C is a
-closed form of the type (``RootSystemType.cartan_det``).  The root
-analysis tests index 1 against the det G that ``_reduced_search``
-already holds as its last pivot, and index 1 makes the span the identity
-basis; any other case maps only the simple roots back through V, and
-their Hermite form is the root span, in any basis and positive system.
+with Gram matrix G, index^2 = det C / |det G|: a closed form of the type
+over the last pivot of the search.  Index 1 makes the span the identity
+basis; any other index maps the simple roots back through V, and their
+Hermite form is the root span.
 
-The layer is integer-only: ``dual_class_min`` enumerates the integer
-scaled dual of ``lattice.scaled_dual`` and returns the numerator of a
-least class norm over det G, and the size reduction rounds quotients
-with ``divmod``.  Only ``glue_root_sum`` reads those dual classes: it
-glues a sum of root lattices by a code of Z/3 classes that adds no
-roots, as in the Niemeier lattice E6^4 and the starred models.
-``root_system`` analyses each Gram matrix once per process (a
-``functools.cache`` keyed on the Gram matrix); a lattice with a Gram
-matrix already seen gets the cached type and span basis, wrapped as a
-sublattice of that lattice.  ``complement_root_type`` is two such
-reads: the saturation of a sublattice holds the ambient roots in its
-rational span, and its orthogonal complement the roots orthogonal to it.
+``dual_class_min`` enumerates the integer scaled dual of
+``lattice.scaled_dual``; only ``glue_root_sum`` reads those classes, to
+glue a sum of root lattices by a Z/3 code that adds no roots, as in
+E6^4 and the starred models.  ``root_system`` analyses each Gram matrix
+once per process (``functools.cache``); a lattice with a Gram matrix
+already seen gets the cached type and span, as a sublattice of itself.
+``complement_root_type`` is two such reads: the saturation of a
+sublattice holds the ambient roots in its rational span, and its
+orthogonal complement the roots orthogonal to it.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, count, product
+from itertools import accumulate, chain, count, groupby, product
 from operator import mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -67,6 +63,7 @@ from .lattice import (
 
 Vector = Tuple[int, ...]
 Visit = Callable[[int, List[int]], object]  # (key, vector) -> stop the search?
+Reduction = Tuple[IntMatrix, IntMatrix]  # (reduced Gram matrix V G V^T, transform V)
 
 
 class EnumerationError(LatticeError):
@@ -83,7 +80,7 @@ def _round_div(a: int, b: int) -> int:
     return q + 1 if twice > b or (twice == b and q % 2) else q
 
 
-def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix] | None:
+def _size_reduce(gram: IntMatrix) -> Reduction | None:
     """Exact greedy basis reduction of a form with a positive diagonal:
     returns (reduced gram, transform V) with ``V * G * V^T`` reduced, or
     None when a pair it tests has ``g_ij^2 >= g_ii g_jj``, which by
@@ -141,24 +138,25 @@ def _size_reduce(gram: IntMatrix) -> Tuple[IntMatrix, IntMatrix] | None:
     return IntMatrix(g, cols=n), IntMatrix(v, cols=n)
 
 
-def _reduced_search(l: Lattice, m: int, visit: Visit) -> Tuple[IntMatrix, IntMatrix, int]:
-    """Reduce, then search: returns ``(G', V, det G')``, ``G' = V G V^T``
-    size-reduced and positive definite, after ``visit(key, x)`` on each x
-    of norm ``m`` with last nonzero coordinate positive (reduced
-    coordinates) until it returns True.  ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
+def _definite_reduce(l: Lattice) -> Reduction | None:
+    """``_size_reduce`` of G or -G, the one with a positive diagonal, as a
+    definite form has; on a diagonal of both signs ``definite_sign`` raises."""
+    diag = [row[i] for i, row in enumerate(l.gram.entries)]
+    sign = 1 if min(diag, default=1) > 0 else -1 if max(diag) < 0 else definite_sign(l)
+    return _size_reduce(l.gram.scale(sign))
+
+
+def _reduced_search(l: Lattice, reduced: Reduction | None, m: int, visit: Visit) -> Tuple[IntMatrix, IntMatrix, int]:
+    """Search ``reduced = _definite_reduce(l)``: returns ``(G', V, det G')``,
+    ``G' = V G V^T`` size-reduced and positive definite, after ``visit(key,
+    x)`` on each x of norm ``m`` with last nonzero coordinate positive
+    (reduced coordinates) until it returns True.  ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
     (3 M_k + 1)`` for ``M_k`` the bound on ``|x_k|`` that the level-k
     intervals prove: the top nonzero digit outweighs the rest, so keys
     ascend and ``key u - key v = key w`` only when ``u - v = w``."""
-    if m < 1:
-        raise EnumerationError("norm bound must be a positive integer")
-    # of G and -G, the one with a positive diagonal, as a definite form has;
-    # n positive pivots of its congruent reduced form prove it positive
-    # definite (Sylvester), else ``definite_sign`` raises, naming why; a
-    # reduction that meets a pair beyond Cauchy--Schwarz leaves no form to
-    # eliminate, and no pivots
-    diag = [row[i] for i, row in enumerate(l.gram.entries)]
-    sign = 1 if min(diag, default=1) > 0 else -1 if max(diag) < 0 else definite_sign(l)
-    reduced = _size_reduce(l.gram.scale(sign))
+    # n positive pivots of the reduced form prove it positive definite
+    # (Sylvester), else ``definite_sign`` raises, naming why; a reduction
+    # that met a pair beyond Cauchy--Schwarz leaves no form to eliminate
     b, d = gram_elimination(reduced[0]) if reduced else ([], [])
     n = l.rank
     if len(d) < n or min(d, default=1) < 1:
@@ -204,8 +202,10 @@ def _reduced_search(l: Lattice, m: int, visit: Visit) -> Tuple[IntMatrix, IntMat
 def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
     """All lattice vectors of norm exactly ``m`` (absolute value for
     negative definite input), closed under negation, in canonical order."""
+    if m < 1:
+        raise EnumerationError("norm bound must be a positive integer")
     half: List[Vector] = []
-    _, v, _ = _reduced_search(l, m, lambda key, x: half.append(tuple(x)))
+    _, v, _ = _reduced_search(l, _definite_reduce(l), m, lambda key, x: half.append(tuple(x)))
     # a row x found in the reduced basis is x*V in the original coordinates
     orig = (IntMatrix._of(tuple(half), v.rows) * v).entries
     return sorted(orig + tuple(tuple(-o for o in x) for x in orig))
@@ -289,15 +289,9 @@ class RootSystemType:
         if starred:
             text = text[:-1]
         comps: List[Tuple[str, int]] = []
-        if text not in ("", "0"):
-            for part in text.split("+"):
-                part = part.strip()
-                if "^" in part:
-                    base, mult = part.split("^")
-                    k = int(mult)
-                else:
-                    base, k = part, 1
-                comps.extend([(base[0], int(base[1:]))] * k)
+        for part in text.split("+") if text not in ("", "0") else ():
+            base, hat, mult = part.strip().partition("^")
+            comps += [(base[0], int(base[1:]))] * (int(mult) if hat else 1)
         return RootSystemType.of(comps, starred)
 
     @property
@@ -321,18 +315,9 @@ class RootSystemType:
         return RootSystemType.of(self.components + other.components, self.starred or other.starred)
 
     def __str__(self) -> str:
-        if not self.components:
-            return "0" + ("*" if self.starred else "")
-        runs: List[Tuple[Tuple[str, int], int]] = []
-        for comp in self.components:
-            if runs and runs[-1][0] == comp:
-                runs[-1] = (comp, runs[-1][1] + 1)
-            else:
-                runs.append((comp, 1))
-        parts = [
-            f"{sym}{n}" + (f"^{k}" if k > 1 else "") for (sym, n), k in runs
-        ]
-        return "+".join(parts) + ("*" if self.starred else "")
+        runs = [(comp, len(list(same))) for comp, same in groupby(self.components)]
+        text = "+".join(f"{sym}{n}" + (f"^{k}" if k > 1 else "") for (sym, n), k in runs)
+        return (text or "0") + ("*" if self.starred else "")
 
 
 EMPTY_TYPE = RootSystemType.of([])
@@ -418,19 +403,37 @@ def diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
     return RootSystemType.of(comps)
 
 
+def _cartan_type(gram: IntMatrix) -> RootSystemType | None:
+    """The ADE type of ``gram`` if it is a Cartan matrix up to basis signs,
+    else None: diagonal 2, other entries in {-1, 0, 1}, and a graph that
+    ``diagram_type`` accepts, which is a forest, so the signs can make
+    every edge -1, tree by tree from a root outwards."""
+    rows = gram.entries
+    if any(row[i] != 2 or row.count(2) > 1 or min(row) < -1 or max(row) > 2 for i, row in enumerate(rows)):
+        return None
+    try:
+        return diagram_type(rows)
+    except EnumerationError:
+        return None
+
+
 @cache
 def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     """Root type and Hermite basis of the simple roots of the definite
-    form ``gram``, once per Gram matrix.  The roots the search finds, the
-    positive system of its key, go to ``_simple_scan`` as found, until the
-    rank-th simple root; the diagram is read in the reduced basis.  When n
-    simple roots S have the Cartan matrix C = S G' S^T, det C = det(S)^2
-    det G', so a type determinant equal to det G' proves the span the
-    whole lattice, whose Hermite basis is the identity; otherwise only the
-    simple roots, which span all roots, are mapped back through V."""
+    form ``gram``, once per Gram matrix, from one size reduction.  A
+    reduced form that is a Cartan matrix of type R up to basis signs is
+    Q(R), whose norm-2 vectors are exactly R: (R, identity).  Otherwise
+    the search feeds its positive system to ``_simple_scan`` until the
+    rank-th simple root.  For n simple roots S, det C = det(S)^2 det G'
+    for C = S G' S^T, so det C = det G' proves the span the whole lattice
+    (the identity); otherwise only the simple roots go back through V."""
     n = gram.rows
+    l = Lattice._of(gram)
+    reduced = _definite_reduce(l)
+    if reduced is not None and (rtype := _cartan_type(reduced[0])) is not None:
+        return rtype, IntMatrix.identity(n)
     simple: List[Vector] = []
-    gram_red, v, det_red = _reduced_search(Lattice(gram), 2, _simple_scan(n, simple))
+    gram_red, v, det_red = _reduced_search(l, reduced, 2, _simple_scan(n, simple))
     s = IntMatrix._of(tuple(simple), n)
     cartan = s * gram_red * s.transpose()
     rtype = diagram_type(cartan.entries)
@@ -451,6 +454,13 @@ def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:
     return rtype, Sublattice(l, span)
 
 
+def square_index(sub_det: int, det: int) -> int:
+    """Index of a full-rank sublattice with Gram determinant ``sub_det`` in
+    a lattice of determinant ``det``, from index^2 |det| = |sub_det|; 0 if none fits."""
+    index = math.isqrt(abs(sub_det) // abs(det))
+    return index if index * index * abs(det) == abs(sub_det) else 0
+
+
 def span_index(rtype: RootSystemType, det: int) -> int:
     """Index of the root span in a lattice of determinant ``det`` whose
     roots, of type ``rtype``, span it rationally.  In simple roots the
@@ -458,8 +468,7 @@ def span_index(rtype: RootSystemType, det: int) -> int:
     a type that fails this certificate is not the lattice's root type
     (``EnumerationError``)."""
     cartan = rtype.cartan_det()
-    index = math.isqrt(cartan // abs(det))
-    if index * index * abs(det) != cartan:
+    if not (index := square_index(cartan, det)):
         raise EnumerationError(f"det C = {cartan} of {rtype} is not a square times |det| = {abs(det)}")
     return index
 

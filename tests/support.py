@@ -89,7 +89,7 @@ from k3lat.lattice import (
     hyperbolic,
     root_lattice,
 )
-from k3lat.roots import RootSystemType, _reduced_search, _simple_scan, enumerate_norm
+from k3lat.roots import RootSystemType, _definite_reduce, _reduced_search, _simple_scan, enumerate_norm
 
 # -- random changes of basis -------------------------------------------
 #
@@ -840,8 +840,8 @@ def misread_e6_cartan_det(monkeypatch):
 def hermite_span(gram):
     """The Hermite basis of the simple roots of ``gram`` mapped back
     through V: the root span by the route that reads no determinant."""
-    simple = []
-    _, v, _ = _reduced_search(Lattice(gram), 2, _simple_scan(gram.rows, simple))
+    simple, l = [], Lattice(gram)
+    _, v, _ = _reduced_search(l, _definite_reduce(l), 2, _simple_scan(gram.rows, simple))
     return hermite_basis((IntMatrix(simple, cols=gram.rows) * v).entries, gram.rows)
 
 

@@ -684,6 +684,31 @@ def test_coprime_base_keeps_the_product(pairs):
     assert all(math.gcd(b, c) == 1 for i, (b, _) in enumerate(out) for c, _ in out[:i])
 
 
+@pytest.mark.parametrize(
+    "a, parts, d",
+    [
+        # d = 2^3 3 5 7: only the prime 2, with e = 3, is eliminated
+        (IntMatrix([[6, 0, 0], [0, 35, 0], [0, 0, 4]]), [(2, 3)], (1, 2, 420)),
+        # d = 2 1009, both primes trial-divided with e = 1
+        (IntMatrix.diagonal([1, 2 * 1009]), [], (1, 2018)),
+        # the cofactor 1031^2 reads e = 1 but is eliminated, and split
+        (IntMatrix.diagonal([1031, 1031]), [(1031**2, 1), (1031, 2)], (1031, 1031)),
+    ],
+)
+def test_a_trial_divided_prime_with_e_1_runs_no_elimination(monkeypatch, a, parts, d):
+    # v_p(d) = 1 forces the valuations [0, ..., 0, 1]; a cofactor may be
+    # composite or a square, so its exponent 1 forces nothing
+    real, calls = exactla._local_valuations, []
+
+    def logged(rows, c, e):
+        calls.append((c, e))
+        return real(rows, c, e)
+
+    monkeypatch.setattr(exactla, "_local_valuations", logged)
+    assert smith_divisors(a, abs(det(a))) == snf(a).d == d
+    assert calls == parts
+
+
 def test_smith_divisors_need_the_modulus_of_a_nonsingular_matrix():
     # a singular matrix has no modulus: |det| = 0 is refused, not divided by
     with pytest.raises(ExactLAError, match="nonsingular square"):

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from k3lat.exactla import ExactLAError, IntMatrix, block_diagonal, det, index_in, kernel_basis
+from k3lat.exactla import ExactLAError, IntMatrix, block_diagonal, det, index_in, int_express, kernel_basis
 from k3lat import eisenstein, goldens, kulikov
 from k3lat.eisenstein import (
     RhoLattice,
@@ -37,7 +37,7 @@ from k3lat.lattice import (
     signature,
 )
 from k3lat.roots import GlueError, RootSystemType, dual_class_min, root_span_index, root_system
-from support import adapted_quotient_coords, hermite_span, run_fresh
+from support import adapted_quotient_coords, hermite_span, run_fresh, watch_exactla
 
 T = RootSystemType.parse
 
@@ -151,11 +151,12 @@ def test_quotient_coords_match_adapted_basis_route(s0, s1):
     c1 = build_component(ComponentSpec(*s1))
     k = glue_lambda(c0, c1)
     xi = c0.d + tuple(-x for x in c1.d)
-    lift = k.quotient.lift
+    quotient = kulikov._matching_quotient(c0.rho.lattice, c0.d, c1.rho.lattice, c1.d)
+    lift = quotient.lift
     images = lift * block_diagonal(c0.rho.matrix, c1.rho.matrix)
     assert adapted_quotient_coords(xi, lift, images) == k.rho.matrix
     parts = block_diagonal(primitive_picard(c0)[0].basis, primitive_picard(c1)[0].basis)
-    assert k.quotient.coords(parts) == adapted_quotient_coords(xi, lift, parts)
+    assert quotient.coords(parts) == adapted_quotient_coords(xi, lift, parts)
 
 
 def test_glue_lambda_leaves_the_shape_to_the_suite(monkeypatch):
@@ -211,7 +212,7 @@ def test_sublattice_gram_is_built_once_for_the_glue_suite():
         "info = lattice._sublattice_gram.cache_info()\n"
         "print(info.misses, info.hits)\n"
     )
-    assert out.split() == ["20", "15"]
+    assert out.split() == ["20", "41"]
 
 
 @pytest.mark.parametrize("s0,s1", ALL_GLUINGS)
@@ -229,6 +230,31 @@ def test_root_span_index_matches_the_hermite_span_on_glue_primitive_parts(s0, s1
     k = glue_lambda(build_component(ComponentSpec(*s0)), build_component(ComponentSpec(*s1)))
     prim_lat = k.prim.lattice()
     assert root_span_index(prim_lat) == abs(det(hermite_span(prim_lat.gram)))
+
+
+@pytest.mark.parametrize("s0,s1", ALL_GLUINGS)
+def test_root_split_index_matches_the_coefficient_route(s0, s1):
+    # index^2 |det prim| = |det p0| |det p1| against the determinant of the
+    # coefficients of the component parts' images in the primitive basis
+    c0 = build_component(ComponentSpec(*s0))
+    c1 = build_component(ComponentSpec(*s1))
+    k = glue_lambda(c0, c1)
+    quotient = kulikov._matching_quotient(c0.rho.lattice, c0.d, c1.rho.lattice, c1.d)
+    parts = block_diagonal(primitive_picard(c0)[0].basis, primitive_picard(c1)[0].basis)
+    coeff = int_express(quotient.coords(parts), k.prim.basis)
+    assert coeff.rows == k.prim.rank
+    assert root_split_check(k, c0, c1)[1] == abs(det(coeff)) in (1, 3)
+
+
+def test_root_split_check_reads_no_elimination(monkeypatch):
+    c0 = build_component(ComponentSpec(0, ((1, 3),)))
+    c1 = build_component(ComponentSpec(1, ((0, 3),)))
+    k = glue_lambda(c0, c1)
+    want = root_split_check(k, c0, c1)
+    # warm: the index comes from the cached Gram eliminations alone
+    calls = watch_exactla(monkeypatch, "det", "int_express", "gram_elimination")
+    assert root_split_check(k, c0, c1) == want == (True, 3)
+    assert calls == []
 
 
 def test_matching_quotient_equals_a_fresh_quotient():
@@ -531,18 +557,29 @@ def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):
     c1 = build_component(ComponentSpec(1, ((0, 3),)))
     k = glue_lambda(c0, c1)
     prim_lat = k.prim.lattice()
-    grams = []
-    search = roots._reduced_search
+    grams, searched = [], []
+    reduce, search = roots._definite_reduce, roots._reduced_search
 
-    def counted(l, m, visit):
+    def counted_reduce(l):
         grams.append(l.gram)
-        return search(l, m, visit)
+        return reduce(l)
 
-    monkeypatch.setattr(roots, "_reduced_search", counted)
+    def counted_search(l, reduced, m, visit):
+        searched.append(l.gram)
+        return search(l, reduced, m, visit)
+
+    monkeypatch.setattr(roots, "_definite_reduce", counted_reduce)
+    monkeypatch.setattr(roots, "_reduced_search", counted_search)
     roots._root_analysis.cache_clear()
     primitive_picard.cache_clear()
     rtype, _ = root_system(prim_lat)
     assert root_split_check(k, c0, c1) == (True, 3)
-    # the glued primitive part and the two component primitive parts
+    # the glued primitive part and the two component primitive parts, each
+    # reduced once by one root analysis
     assert len(grams) == len(set(grams)) == 3
+    assert roots._root_analysis.cache_info().misses == 3
     assert prim_lat.gram in grams and str(rtype) == "E6+A2^4"
+    # the certificate declines the glued part and E6+A2, which are searched,
+    # and takes the reduced A2^3
+    p0, p1 = (primitive_picard(c)[0].lattice() for c in (c0, c1))
+    assert searched == [prim_lat.gram, p0.gram] and grams[2] == p1.gram

@@ -63,6 +63,14 @@ def test_rescale_three():
     assert rescale(hyperbolic(), 3).gram == IntMatrix([[0, 3], [3, 0]])
 
 
+def test_lattice_refuses_an_asymmetric_gram_matrix():
+    with pytest.raises(LatticeError, match="gram matrix must be symmetric"):
+        Lattice([[2, 1], [0, 2]])
+    # the constructions symmetric by an identity build unchecked, and agree
+    blocks = direct_sum(root_lattice("A", 2), rescale(hyperbolic(), -2))
+    assert blocks.gram.is_symmetric() and blocks == Lattice(blocks.gram.entries)
+
+
 def test_rescale_zero_rejected():
     with pytest.raises(LatticeError):
         rescale(hyperbolic(), 0)

@@ -26,6 +26,8 @@ from k3lat.lattice import (
 from k3lat.roots import (
     EnumerationError,
     RootSystemType,
+    _cartan_type,
+    _definite_reduce,
     _reduced_search,
     _round_div,
     _simple_scan,
@@ -91,21 +93,37 @@ def test_enumerate_rejects_indefinite():
         enumerate_norm(hyperbolic(), 2)
 
 
-def test_root_analysis_of_a_new_gram_matrix_eliminates_once(monkeypatch):
-    # the reduced form's pivots prove definiteness, so no second
-    # elimination of the input Gram matrix runs beside them
-    u = unimodular(8, [(0, 7, 2), (5, 1, -1)])
-    lu = conjugate(direct_sum(root_lattice("E", 6), root_lattice("A", 2)), u)
-    roots_module._root_analysis.cache_clear()
-    lattice_module._inertia.cache_clear()
+def certified(l):
+    """Whether the Cartan certificate takes ``l``: its size-reduced form is
+    a Cartan matrix up to the signs of the basis vectors."""
+    reduced = _definite_reduce(l)
+    return reduced is not None and _cartan_type(reduced[0]) is not None
+
+
+def counted_eliminations(mp):
+    """The list that logs the rank of every later ``gram_elimination`` from
+    ``roots`` or ``lattice``."""
     calls = []
 
-    def counted(gram):
-        calls.append(gram.rows)
-        return gram_elimination(gram)
+    def counted(g):
+        calls.append(g.rows)
+        return gram_elimination(g)
 
-    monkeypatch.setattr(roots_module, "gram_elimination", counted)
-    monkeypatch.setattr(lattice_module, "gram_elimination", counted)
+    mp.setattr(roots_module, "gram_elimination", counted)
+    mp.setattr(lattice_module, "gram_elimination", counted)
+    return calls
+
+
+def test_root_analysis_of_a_new_gram_matrix_eliminates_once(monkeypatch):
+    # the reduced form's pivots prove definiteness, so no second
+    # elimination of the input Gram matrix runs beside them; the basis is
+    # one the size reduction leaves off the simple roots, so the search runs
+    u = unimodular(8, [(1, 4, 2), (4, 6, -2), (7, 2, 1)])
+    lu = conjugate(direct_sum(root_lattice("E", 6), root_lattice("A", 2)), u)
+    assert not certified(lu)
+    roots_module._root_analysis.cache_clear()
+    lattice_module._inertia.cache_clear()
+    calls = counted_eliminations(monkeypatch)
     assert str(root_system(lu)[0]) == "E6+A2"
     assert calls == [8]
 
@@ -140,18 +158,83 @@ def test_a_pair_beyond_cauchy_schwarz_skips_the_reduced_elimination(monkeypatch,
     # g_ij^2 >= g_ii g_jj already proves the form not positive definite, so
     # the only elimination is the one of the input that names the error
     lattice_module._inertia.cache_clear()
-    calls = []
-
-    def counted(g):
-        calls.append(g.rows)
-        return gram_elimination(g)
-
-    monkeypatch.setattr(roots_module, "gram_elimination", counted)
-    monkeypatch.setattr(lattice_module, "gram_elimination", counted)
+    calls = counted_eliminations(monkeypatch)
     assert _size_reduce(IntMatrix(gram)) is None
     with pytest.raises(LatticeError):
         root_system(Lattice(gram))
     assert calls == [len(gram)]
+
+
+ADE_ATOMS = [atom for atom in ROOT_ATOMS if atom[0] in "ADE"]
+
+
+@st.composite
+def signed_permuted_root_bases(draw):
+    """A sum of ADE root lattices in a basis of its simple roots, permuted
+    and with random signs: the Gram matrix M C M^T for a signed
+    permutation matrix M and a Cartan matrix C."""
+    parts = draw(st.lists(st.sampled_from(ADE_ATOMS), min_size=1, max_size=3).filter(lambda ps: sum(n for _, n in ps) <= 12))
+    c = direct_sum(*map(atom_lattice, parts)).gram
+    n = c.rows
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    m = IntMatrix([[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)])
+    return Lattice(m * c * m.transpose())
+
+
+@given(signed_permuted_root_bases(), st.sampled_from([1, -1]))
+def test_cartan_certificate_types_signed_permuted_root_bases(l, sign):
+    # the certificate types every signed simple-root basis, of either sign,
+    # as the pairwise oracle does over all roots, with no elimination
+    lu = rescale(l, sign)
+    want = pairwise_root_type(enumerate_norm(lu, 2), lu.gram)
+    assert certified(lu)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counted_eliminations(mp)
+        rtype, span = roots_module._root_analysis.__wrapped__(lu.gram)
+    assert (rtype, span, calls) == (want, IntMatrix.identity(lu.rank), [])
+
+
+def test_cartan_certificate_on_pinned_forms(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    # A2 with one basis sign flipped: the certificate, and no elimination
+    a2 = IntMatrix([[2, 1], [1, 2]])
+    assert roots_module._root_analysis.__wrapped__(a2) == (T("A2"), IntMatrix.identity(2))
+    assert calls == []
+    # a triangle of pairings and an odd form are declined, and searched
+    for gram, want in (([[2, 1, 1], [1, 2, 1], [1, 1, 2]], "A3"), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "A3")):
+        l = Lattice(gram)
+        assert not certified(l)
+        calls.clear()
+        assert str(roots_module._root_analysis.__wrapped__(l.gram)[0]) == want
+        assert calls == [3]
+
+
+def diagram_gram(n, edges):
+    g = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        g[i][j] = g[j][i] = -1
+    return g
+
+
+@pytest.mark.parametrize(
+    "gram, error",
+    [
+        (diagram_gram(3, [(0, 1), (1, 2), (2, 0)]), DegenerateFormError),  # affine A2: a cycle
+        (diagram_gram(5, [(0, 1), (0, 2), (0, 3), (0, 4)]), DegenerateFormError),  # affine D4: a forest
+        # T(2,3,7): arms of 1, 2 and 6 nodes, a forest of signature (9,1)
+        (diagram_gram(10, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)]), LatticeError),
+    ],
+)
+def test_a_diagram_that_is_not_ade_is_declined_and_raises_the_inertia_error(gram, error):
+    l = Lattice(gram)
+    # already size-reduced, and a Cartan matrix but for ``diagram_type``
+    assert _size_reduce(l.gram)[0] == l.gram and not certified(l)
+    with pytest.raises(error) as raised:
+        roots_module._root_analysis.__wrapped__(l.gram)
+    with pytest.raises(error) as named:
+        lattice_module.definite_sign(l)
+    assert type(raised.value) is error and str(raised.value) == str(named.value)
 
 
 def test_enumerate_rejects_bad_norm():
@@ -490,14 +573,20 @@ def test_root_system_matches_pairwise_oracle(data, sign):
         assert root_span_index(lu) == abs(det(hermite_span(lu.gram)))
 
 
-@pytest.mark.parametrize("parts,seed", STOP_CASES)
+# the Cartan bases of STOP_CASES take the certificate, so the search runs
+# on the seeded bases alone, two of each of D24 and E8^2
+SEARCH_STOP_CASES = [(parts, 31 if seed is None else seed) for parts, seed in STOP_CASES]
+
+
+@pytest.mark.parametrize("parts,seed", SEARCH_STOP_CASES)
 def test_root_analysis_stops_at_the_last_simple_root(monkeypatch, parts, seed):
     lu = skewed(parts, seed)[3]
+    assert not certified(lu)
     search = roots_module._reduced_search
     scanned = []
 
-    def counted(l, m, visit):
-        return search(l, m, lambda key, x: scanned.append(key) or visit(key, x))
+    def counted(l, reduced, m, visit):
+        return search(l, reduced, m, lambda key, x: scanned.append(key) or visit(key, x))
 
     monkeypatch.setattr(roots_module, "_reduced_search", counted)
     rtype, _ = roots_module._root_analysis.__wrapped__(lu.gram)
@@ -531,8 +620,8 @@ def test_search_order_is_a_positive_system(data):
     n = lu.rank
     found, simple = [], []
     scan = _simple_scan(n, simple)
-    _reduced_search(lu, 2, lambda key, x: found.append((key, tuple(x))))
-    gram_red, v, det_red = _reduced_search(lu, 2, scan)
+    _reduced_search(lu, _definite_reduce(lu), 2, lambda key, x: found.append((key, tuple(x))))
+    gram_red, v, det_red = _reduced_search(lu, _definite_reduce(lu), 2, scan)
     # the last pivot of the reduced form's elimination is its determinant
     assert det_red == det(gram_red) == abs(det(lu.gram))
     v_inv = IntMatrix([[int(c) for c in row] for row in gauss_jordan_inv(v.entries)])
