@@ -3,10 +3,9 @@
 Everything here runs on arbitrary-precision Python integers, with no
 floating point; fixed-width digits appear only inside the product, behind
 a bound that proves they cannot overflow.  A rational matrix travels as
-integer rows over one denominator.  ``rat_express`` and ``rat_mul``,
-on ``Fraction`` rows, are kept only because the benchmark tracer wraps
-them by name; no library path calls them.  Conventions used by the
-whole package:
+integer rows over one denominator.  ``rat_express``, ``rat_mul`` and
+``snf`` are kept only because the benchmark tracer wraps them by name;
+no library path calls them.  Conventions used by the whole package:
 
 * matrices are row-major; lattice elements are ROW vectors,
 * a transform ``U`` returned together with a normal form acts on the
@@ -15,28 +14,27 @@ whole package:
 
 Each normal form is one fraction-free elimination: the Hermite form by
 gcd-driven row reduction, transform optional (``kernel_basis`` is one,
-of ``[A^T | I]``; Cohen, GTM 138, 2.4), and the Smith form two ways.
-``snf``, the one with transforms, eliminates on the first entry of least
-absolute value, row-major (a unit pivot is taken on sight and skips the
-divisibility scan), its row and column operations applied to both
-transforms and, inverted, to the inverse of the right one.
-``smith_divisors``, the invariant factors alone of a nonsingular square
-matrix, works one coprime part c^e of d = |det| at a time (Cohen, GTM
-138, 2.4): the primes below 2^10, then the cofactor, split where a
+of ``[A^T | I]``; Cohen, GTM 138, 2.4), and the Smith form without
+transforms.  ``smith_divisors``, the invariant factors of a nonsingular
+square matrix, works one coprime part c^e of d = |det| at a time (Cohen,
+GTM 138, 2.4): the primes up to 2^10, then the cofactor, split where a
 pivot's unit part shares a divisor with it (dynamic evaluation; Della
 Dora, Dicrescenzo and Duval, EUROCAL 1985).  Over Z/c^e a pivot of
 least valuation divides its block, so one row pass clears its column
-with no remainder.  Every linear system is solved one way, by exact
-substitution against a basis in row echelon form: the basis itself
-when it is one, as every Hermite basis from ``kernel_basis``,
-``hermite_basis`` and ``saturate`` is, and its Hermite form otherwise,
-with the product of the pivots as one common denominator.  Bareiss
-elimination (Bareiss, Math. Comp. 22 (1968); Cohen, GTM 138, 2.2) is
-kept for ``det`` and ``gram_elimination``, which share its step; the
-latter, symmetric, gives the inertia and determinant of every Gram
-matrix and the Fincke--Pohst minors of ``roots``.  This is slow
-compared to modular methods but provably correct, and the matrices
-appearing in this package have rank at most 28.
+with no remainder.  ``snf``, the invariant factors of any matrix, is two
+Hermite passes, of the rows and then of the columns, that leave a
+square nonsingular matrix for it.  Every linear system is solved one
+way, by exact substitution against a basis in row echelon form: the
+basis itself when it is one, as every Hermite basis from
+``kernel_basis``, ``hermite_basis`` and ``saturate`` is, and its Hermite
+form otherwise, with the product of the pivots as one common
+denominator.  Bareiss elimination (Bareiss, Math. Comp. 22 (1968);
+Cohen, GTM 138, 2.2) is kept for ``det`` and ``gram_elimination``, which
+share its step; the latter, symmetric, gives the inertia and
+determinant of every Gram matrix and the Fincke--Pohst minors of
+``roots``.  This is slow compared to modular methods but provably
+correct, and the matrices appearing in this package have rank at most
+28.
 
 The product ``A * B`` packs each row of ``B`` into one integer of
 signed w-bit digits, ``P_k = sum_j b_kj 2^(wj)`` (Kronecker substitution;
@@ -71,7 +69,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
@@ -402,117 +399,35 @@ def _hermite(h: List[List[int]], u: List[List[int]]) -> None:
             r += 1
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form data: ``left * A * right = diag(d)`` and
-    ``right * right_inv = I``."""
-
-    d: Tuple[int, ...]
-    left: IntMatrix
-    right: IntMatrix
-    right_inv: IntMatrix
-
-
-def snf(a: IntMatrix) -> SnfResult:
-    """Smith normal form with both unimodular transforms and the inverse
-    of the right one, from ``_smith``.  Verified are ``left * A == D *
-    right_inv`` and ``right * right_inv == I``; both integral, so |det
-    right| = 1 and ``left * A * right == D``."""
-    m, n = a.rows, a.cols
-    k = min(m, n)
-    s = [list(row) for row in a.entries]
-    left = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    right_t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    right_inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    _smith(s, left, right_t, right_inv)
-
-    d = tuple(abs(s[i][i]) for i in range(k))
-    # normalize signs through the left transform
-    for i in range(k):
-        if s[i][i] < 0:
-            left[i] = [-x for x in left[i]]
-    left = IntMatrix(left, cols=m)
-    right = IntMatrix(right_t, cols=n).transpose()
-    inv = IntMatrix(right_inv, cols=n)
-
-    d_inv = tuple(tuple(x * di for x in row) for di, row in zip(d, inv.entries))
-    if left * a != IntMatrix._of(d_inv + ((0,) * n,) * (m - k), n):
-        raise ExactLAError("smith factorization check failed")
-    if right * inv != IntMatrix.identity(n) or abs(det(left)) != 1:
-        raise ExactLAError("smith transforms are not unimodular")
-    return SnfResult(d, left, right, inv)
-
-
-def _smith(
-    s: List[List[int]], left: List[List[int]], right_t: List[List[int]], right_inv: List[List[int]]
-) -> None:
-    """Reduce ``s`` in place to a diagonal ``+-d_1, +-d_2, ...`` with
-    ``d_k | d_(k+1)``: the pivot clears its column by row operations and
-    its row by column operations; an entry of the block it does not
-    divide adds its row to the pivot row, and the step repeats.  A pivot
-    +-1 clears in one pass and skips that scan.  Every row operation is
-    applied to ``left``, every column operation to the rows of
-    ``right_t`` and, inverted, to the columns of ``right_inv``."""
-    m, n = len(s), len(s[0]) if s else 0
-
-    def combine(rows: List[List[int]], i: int, j: int, q: int) -> None:
-        # rows[i] -= q * rows[j]
-        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
-
-    for t in range(min(m, n)):
-        while True:
-            # a unit ends the scan; rows from t on are zero before column t
-            pi = next((i for i in range(t, m) if 1 in s[i] or -1 in s[i]), None)
-            if pi is not None:
-                pj = min(s[pi].index(u) for u in (1, -1) if u in s[pi])
-            else:
-                nz = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(s[i][t:], t) if x]
-                if not nz:
-                    break
-                _, pi, pj = min(nz)
-            s[t], s[pi] = s[pi], s[t]
-            for row in s[t:]:
-                row[t], row[pj] = row[pj], row[t]
-            left[t], left[pi] = left[pi], left[t]
-            right_t[t], right_t[pj] = right_t[pj], right_t[t]
-            right_inv[t], right_inv[pj] = right_inv[pj], right_inv[t]
-            p, tail = s[t][t], s[t][t:]
-            for i in range(t + 1, m):
-                q = s[i][t] // p
-                if q:
-                    s[i][t:] = [x - q * y for x, y in zip(s[i][t:], tail)]
-                    combine(left, i, t, q)
-            for j in range(t + 1, n):
-                q = s[t][j] // p
-                if q:
-                    for row in s[t:]:
-                        row[j] -= q * row[t]
-                    combine(right_t, j, t, q)
-                    combine(right_inv, t, j, -q)
-            if p in (1, -1):
-                break  # a unit divides every entry, and one pass cleared it
-            if any(s[i][t] for i in range(t + 1, m)) or any(s[t][t + 1 :]):
-                continue  # a remainder smaller than the pivot is left
-            bad = next((i for i in range(t + 1, m) if any(x % p for x in s[i][t + 1 :])), None)
-            if bad is None:
-                break
-            combine(s, t, bad, -1)
-            combine(left, t, bad, -1)
+def snf(a: IntMatrix) -> Tuple[int, ...]:
+    """The invariant factors of any matrix, zeros last, from two Hermite
+    passes and ``smith_divisors``: the Hermite form B of the transpose of
+    the Hermite basis of the rows is square, triangular and nonsingular,
+    with the same factors as ``a`` apart from zeros.  Checked against the
+    product of B's pivots, its |det|.  No library path calls it; the
+    benchmark tracer wraps it by name."""
+    h = hermite_basis(a.entries, a.cols)
+    b = hermite_basis(h.transpose().entries, h.rows)
+    d = math.prod(b.entries[i][i] for i in range(b.rows))
+    factors = smith_divisors(b, d)
+    if math.prod(factors) != d:
+        raise ExactLAError("invariant factors disagree with the pivots")
+    return factors + (0,) * (min(a.rows, a.cols) - b.rows)
 
 
 def smith_divisors(a: IntMatrix, d: int) -> Tuple[int, ...]:
-    """``snf(a).d`` for a nonsingular square ``a`` with ``d = |det a|``, with
-    no transform and no check.  As ``adj(a) * a = +-d I`` puts ``d Z^n``
-    in the row lattice, the c-parts of the factors, for the parts c^e of d
-    of the module notes, are those over Z/c^e (``_local_valuations``); a
-    prime below 2^10 with e = 1 divides the last factor alone."""
+    """The invariant factors of a nonsingular square ``a`` with ``d = |det
+    a|``, unchecked.  As ``adj(a) * a = +-d I`` puts ``d Z^n`` in the row
+    lattice, the c-parts of the factors, for the parts c^e of d of the
+    module notes, are those over Z/c^e (``_local_valuations``); a prime up
+    to ``_TRIAL_LIMIT`` with e = 1 divides the last factor alone."""
     if a.rows != a.cols or d < 1:
         raise ExactLAError("smith divisors modulo |det| need a nonsingular square matrix")
     factors = [1] * a.rows
-    parts = list(factorize(d, 1 << 10))
+    parts = list(factorize(d))
     while parts:
         c, e = parts.pop()
-        if e == 1 and c <= 1 << 10:
+        if e == 1 and c <= _TRIAL_LIMIT:
             factors[-1] *= c
             continue
         g, vals = _local_valuations(a.entries, c, e)
@@ -576,13 +491,17 @@ def _coprime_base(todo: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return out
 
 
+# the largest prime that ``factorize`` tries
+_TRIAL_LIMIT = 1 << 10
+
+
 @cache
-def factorize(n: int, limit: int = 0) -> Tuple[Tuple[int, int], ...]:
-    """The prime powers ``(p, e)`` of ``n >= 1``, p increasing, by trial
-    division; cached.  With a ``limit``, no p above it is tried, so a
-    cofactor left then comes last with e = 1, and it may be composite."""
+def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The prime powers ``(p, e)`` of ``n >= 1`` for the primes p up to
+    ``_TRIAL_LIMIT``, by trial division, p increasing; cached.  A cofactor
+    left comes last with e = 1, and it may be composite."""
     out = []
-    for p in range(2, min(math.isqrt(n), limit or n) + 1):
+    for p in range(2, min(math.isqrt(n), _TRIAL_LIMIT) + 1):
         if p * p > n:
             break
         if n % p == 0:

@@ -34,8 +34,6 @@ from .exactla import (
     ExactLAError,
     IntMatrix,
     block_diagonal,
-    det,
-    hnf,
     index_in,
     int_express,
     saturate,
@@ -335,10 +333,10 @@ def order4_suite() -> Tuple[Tuple[str, Tuple], ...]:
     span = (
         m_gram.entries,
         images,
-        saturate(m_rows) == hnf(m_rows)[0],
+        Sublattice(e4, m_rows).is_primitive,
         a1_sub.is_primitive,
         (a1_sub.rank, comp.rank, block.rank),
-        (abs(det(a1_sub.gram())) * abs(det(comp.gram())), abs(block.det())),
+        (abs(a1_sub.lattice().det() * comp.lattice().det()), abs(block.det())),
     )
 
     # (e) the semifan summand: invariant under the block action (primitive

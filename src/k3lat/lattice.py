@@ -24,14 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .exactla import (
     IntMatrix,
     block_diagonal,
     det,
     echelon_pivots,
-    factorize,
     gram_elimination,
     hermite_basis,
     hnf,
@@ -40,7 +39,6 @@ from .exactla import (
     rank,
     saturate,
     smith_divisors,
-    snf,
 )
 
 
@@ -241,7 +239,10 @@ def definite_sign(l: Lattice) -> int:
 @dataclass(frozen=True)
 class DiscGroup:
     elementary_divisors: Tuple[int, ...]
-    a_p: Dict[int, int]
+
+    def a(self, p: int) -> int:
+        """The p-rank: how many invariant factors p divides."""
+        return sum(d % p == 0 for d in self.elementary_divisors)
 
     def __str__(self) -> str:
         if not self.elementary_divisors:
@@ -250,8 +251,7 @@ class DiscGroup:
 
 
 def disc_group(l: Lattice) -> DiscGroup:
-    """L^*/L, without generators: the Gram matrix's invariant factors and
-    ``a_p``, how many of them p divides, for the primes of the largest.
+    """L^*/L, without generators: the Gram matrix's invariant factors.
     Their product must be the Bareiss |det|: the check proves the Smith
     kernel against the cached determinant, which has its own oracle tests."""
     if not l.is_nondegenerate:
@@ -259,8 +259,7 @@ def disc_group(l: Lattice) -> DiscGroup:
     factors = _invariant_factors(l.gram)
     if math.prod(factors) != abs(l.det()):
         raise LatticeError("invariant factors disagree with the determinant")
-    a_p = {p: sum(f % p == 0 for f in factors) for p, _ in factorize(max(factors, default=1))}
-    return DiscGroup(tuple(f for f in factors if f > 1), a_p)
+    return DiscGroup(tuple(f for f in factors if f > 1))
 
 
 def is_p_elementary(l: Lattice, p: int) -> bool:
@@ -270,19 +269,19 @@ def is_p_elementary(l: Lattice, p: int) -> bool:
 def nikulin_2elem(l: Lattice) -> Tuple[int, int, int, int]:
     """(t+, t-, a, delta) for an even 2-elementary lattice.
 
-    delta = 0 exactly when the discriminant quadratic form x^2 mod 2Z
-    takes integer values on all of A_L, which it suffices to test on the
-    Smith-form generators (1/2) * (left-transform rows).
+    The dual basis, the rows of G^-1, generates A_L, and on a 2-elementary
+    A_L the form x^2 mod Z is additive (2 x.y is an integer), so delta = 0,
+    x^2 integral on all of A_L, exactly when every diagonal entry of G^-1
+    is: when the integral 2 G^-1 has an even diagonal (Nikulin 1979, 1.3).
     """
     if not l.is_even:
         raise LatticeError("lattice is not even")
     t_plus, t_minus = signature(l)
-    res = snf(l.gram)
-    if any(d > 2 for d in res.d):
+    if not is_p_elementary(l, 2):
         raise LatticeError("lattice is not 2-elementary")
-    gens = [res.left.entries[i] for i, d in enumerate(res.d) if d == 2]
-    delta = int(any(l.norm(g) % 4 for g in gens))  # (g/2)^2 = norm(g)/4
-    return t_plus, t_minus, len(gens), delta
+    twice_inv = int_express(IntMatrix.identity(l.rank).scale(2), l.gram).entries
+    delta = int(any(row[i] % 2 for i, row in enumerate(twice_inv)))
+    return t_plus, t_minus, len(disc_group(l).elementary_divisors), delta
 
 
 # -- sublattices -------------------------------------------------------
@@ -337,8 +336,8 @@ def _sublattice_gram(basis: IntMatrix, gram: IntMatrix) -> IntMatrix:
 @dataclass(frozen=True)
 class IsotropicQuotient:
     """J^perp/J with its induced form, the lifts of its basis, and the
-    integral projection ``proj`` onto its coordinates: a right inverse X
-    of the J^perp basis times the quotient columns of the Smith transform."""
+    integral projection ``proj`` onto its coordinates, with ``lift * proj
+    = I`` and ``J * proj = 0``."""
 
     lattice: Lattice
     lift: IntMatrix  # quotient basis rows in ambient coordinates
@@ -350,34 +349,40 @@ class IsotropicQuotient:
         return rows * self.proj
 
 
+def _right_inverse(b: IntMatrix) -> IntMatrix:
+    """X with ``b * X = I`` for rows ``b`` spanning a saturated lattice:
+    the Hermite form of b^T is then [I; 0], and the first rows of its
+    transform, transposed, are X."""
+    return hnf(b.transpose())[1].submatrix(range(b.rows)).transpose()
+
+
 def quotient_by_isotropic(j: Sublattice) -> IsotropicQuotient:
     """The lattice J^perp/J with its induced form, for isotropic saturated J.
 
-    The Hermite basis B of J^perp is saturated, so the Hermite form of
-    B^T is [I; 0], and the first k = rank(J^perp) rows of its transform,
-    transposed, are a right inverse X of B: a row y * B of J^perp has
-    coordinates y = (y * B) * X, and J has ``j.basis * X``.  If ``left *
-    C * right = [I | 0]`` is the Smith form of those coordinates C of J,
-    the rows of ``right^-1`` (tracked by ``snf``) after the first rank(J),
-    which span J, lift a basis of the quotient; its form does not depend
-    on the lifts, as J is orthogonal to J^perp.  Coordinates ``y`` in
-    J^perp map to ``y * right`` in the basis ``right^-1``, so ``proj = X
-    * right[:, rank(J):]`` maps J^perp onto the quotient coordinates.
+    With a right inverse X of the Hermite basis B of J^perp, a row y * B
+    of J^perp has coordinates y = (y * B) * X, and J has C = ``j.basis *
+    X``.  J^perp is saturated and contains J, so J is saturated exactly
+    when C is: when the Hermite basis of C^T is the identity.  Then the
+    kernel K of C (``y * C^T = 0``) has J^perp/J = Z^k/span(C) -> Z^(k-r),
+    y -> y * K^T, an isomorphism, so ``proj = X * K^T``; the rows of R^T
+    times B, for a right inverse R of K, lift its basis.  The form does not
+    depend on the lifts, as J is orthogonal to J^perp.
     """
     if not j.is_isotropic():
         raise LatticeError("sublattice is not isotropic")
     bperp = j.orth_complement().basis
-    k = bperp.rows
-    x = hnf(bperp.transpose())[1].submatrix(range(k)).transpose()
+    x = _right_inverse(bperp)
     # J sits inside its own orthogonal complement
-    res = snf(j.basis * x)
-    # J^perp is saturated and contains J, so J is saturated in the ambient
-    # lattice exactly when it is saturated in J^perp: all d equal to 1
-    if any(d != 1 for d in res.d):
+    c = j.basis * x
+    if hermite_basis(c.transpose().entries, c.rows) != IntMatrix.identity(c.rows):
         raise LatticeError("sublattice is not saturated; saturate it first")
-    lift = res.right_inv.submatrix(range(j.rank, k)) * bperp
+    k = kernel_basis(c)
+    lift = _right_inverse(k).transpose() * bperp
+    proj = x * k.transpose()
+    if lift * proj != IntMatrix.identity(k.rows):
+        raise LatticeError("quotient lifts and projection do not invert")
     lat = Lattice._of(lift * j.ambient.gram * lift.transpose())
-    return IsotropicQuotient(lat, lift, x * res.right.submatrix(range(k), range(j.rank, k)))
+    return IsotropicQuotient(lat, lift, proj)
 
 
 @dataclass(frozen=True)

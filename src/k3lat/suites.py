@@ -159,7 +159,7 @@ def suite_tab3() -> Report:
         r.add(
             f"{fam}-a3",
             f"a_3 = {row['a3']}",
-            disc_group(fd.t).a_p.get(3, 0),
+            disc_group(fd.t).a(3),
             row["a3"],
             "paper",
         )

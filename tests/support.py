@@ -14,7 +14,10 @@ tabulated dual image order and its own root-span index (the gcd of the
 maximal minors of the complement roots' span), where the library
 computes the index of the complement's root span in its saturation
 inside the Niemeier lattice.  The Smith oracle is the alternating row and column Hermite
-passes that the pivot elimination of ``snf`` replaced.  The coefficient-box enumerator scans
+passes, with both transforms, where ``smith_divisors`` eliminates modulo
+each part of |det| with none; the rows of its left transform give the
+Smith generators of a discriminant group, whose norms decide the delta
+that ``nikulin_2elem`` reads off the diagonal of 2 G^-1.  The coefficient-box enumerator scans
 every small coefficient vector that ``roots.enumerate_norm`` prunes
 away.  The tuple root decomposition subtracts coefficient tuples where
 the library's scan (``roots._simple_scan``) subtracts packed keys, scans
@@ -28,8 +31,8 @@ orbit oracle applies every reflection of a root subsystem to root tuples,
 where ``ComponentSystem.orbit_reps`` applies its simple reflections to
 packed keys.  The Kulikov quotient coordinates are also read off a
 Gauss-Jordan solve against the adapted basis ``[xi; lift]``, without the
-Smith transform and the right inverse of the J^perp basis that the
-library's projection is built from.  The complement root type is also
+kernel and the right inverses that the library's projection is built
+from.  The complement root type is also
 computed with one Gauss-Jordan solve per ambient root, where the library
 reads the roots of the saturation of S and of S-perp.  Neither oracle
 shares a solve with the library.  The digit-width reference scans the
@@ -67,6 +70,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from pathlib import Path
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -75,7 +79,6 @@ from k3lat.cusps import build_niemeier, component_system
 from k3lat.exactla import (
     ExactLAError,
     IntMatrix,
-    SnfResult,
     hermite_basis,
     hnf,
     rank,
@@ -311,8 +314,16 @@ def _det(rows):
     return int(out)
 
 
+class SmithForm(NamedTuple):
+    """``left * A * right = diag(d)``, both transforms unimodular."""
+
+    d: tuple
+    left: IntMatrix
+    right: IntMatrix
+
+
 def hermite_snf(a):
-    """Smith form by alternating Hermite passes: ``hnf`` of the rows, then
+    """Smith form with transforms by alternating Hermite passes: ``hnf`` of the rows, then
     of the columns, until the matrix is diagonal; a divisibility failure
     ``d_i`` not dividing ``d_(i+1)`` folds column i+1 into column i and
     reduces again.  Signs are normalized through ``left``."""
@@ -342,9 +353,7 @@ def hermite_snf(a):
         raise ExactLAError("smith reduction did not converge")
     signs = [-1 if i < min(m, n) and s.entries[i][i] < 0 else 1 for i in range(m)]
     left = IntMatrix([[c * x for x in row] for c, row in zip(signs, left.entries)], cols=m)
-    # right is unimodular, so its Fraction inverse is integral
-    right_inv = IntMatrix([[int(x) for x in row] for row in gauss_jordan_inv(right.entries)], cols=n)
-    return SnfResult(tuple(abs(s.entries[i][i]) for i in range(min(m, n))), left, right, right_inv)
+    return SmithForm(tuple(abs(s.entries[i][i]) for i in range(min(m, n))), left, right)
 
 
 # -- the coefficient-box enumeration oracle ----------------------------
@@ -791,13 +800,14 @@ def clear_table_caches():
         f.cache_clear()
 
 
-def run_fresh(code):
+def run_fresh(code, timeout=None):
     """Standard output of ``code`` run by a new interpreter on this
-    checkout's ``src``, whose module caches start empty."""
+    checkout's ``src``, whose module caches start empty; it raises
+    ``subprocess.TimeoutExpired`` after ``timeout`` seconds."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=timeout
     )
     return out.stdout
 

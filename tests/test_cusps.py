@@ -122,7 +122,7 @@ def test_family_label_and_genus_follow_from_s(fam):
     # has genus g = (m - a)/2 with a the 3-rank of the discriminant of S
     s = family_data(*fam).s
     m, odd = divmod(22 - s.rank, 2)
-    a = disc_group(s).a_p.get(3, 0)
+    a = disc_group(s).a(3)
     assert odd == 0 and (m - a) % 2 == 0
     assert (10 - m, (m - a) // 2) == (fam[0], goldens.GENUS[fam])
 

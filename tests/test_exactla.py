@@ -25,7 +25,6 @@ from k3lat.exactla import (
     rat_express,
     rat_mul,
     saturate,
-    SnfResult,
     smith_divisors,
     snf,
 )
@@ -41,6 +40,7 @@ from support import (
     hermite_snf,
     two_pass_kernel_basis,
     two_pass_saturate,
+    unimodular,
 )
 
 
@@ -67,18 +67,15 @@ def test_hnf_row_swap():
 
 
 def test_snf_u3_gram():
-    res = snf(IntMatrix([[0, 3], [3, 0]]))
-    assert res.d == (3, 3)
+    assert snf(IntMatrix([[0, 3], [3, 0]])) == (3, 3)
 
 
 def test_snf_u_gram():
-    res = snf(IntMatrix([[0, 1], [1, 0]]))
-    assert res.d == (1, 1)
+    assert snf(IntMatrix([[0, 1], [1, 0]])) == (1, 1)
 
 
 def test_snf_zero_matrix():
-    res = snf(IntMatrix([[0, 0], [0, 0]]))
-    assert res.d == (0, 0)
+    assert snf(IntMatrix([[0, 0], [0, 0]])) == (0, 0)
 
 
 def test_kernel_identity_empty():
@@ -164,23 +161,17 @@ def test_rat_mul_inverts_rat_express():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_snf_random_transform_identity(seed):
+    # U * A * V has the invariant factors of A for unimodular U and V
     rng = random.Random(seed)
     m = rng.randint(1, 6)
     n = rng.randint(1, 6)
     a = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
-    res = snf(a)
-    prod = res.left * a * res.right
-    for i in range(m):
-        for j in range(n):
-            expect = res.d[i] if (i == j and i < len(res.d)) else 0
-            assert prod.entries[i][j] == expect
-    for i in range(len(res.d) - 1):
-        if res.d[i] != 0:
-            assert res.d[i + 1] % res.d[i] == 0
-        else:
-            assert res.d[i + 1] == 0
-    assert abs(det(res.left)) == 1
-    assert abs(det(res.right)) == 1
+    ops = [[(rng.randrange(k), rng.randrange(k), rng.choice([-1, 2])) for _ in range(8)] for k in (m, n)]
+    u, v = unimodular(m, ops[0]), unimodular(n, ops[1])
+    assert abs(det(u)) == abs(det(v)) == 1
+    d = snf(a)
+    check_snf(a, d, hermite_snf(a).d)
+    assert snf(u * a * v) == d
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -496,20 +487,22 @@ def test_hnf_contract_and_sympy_oracle(rows):
     check_hnf(a, h, u, sympy_row_lattice(a) if any(map(any, rows)) else [])
 
 
-def check_snf(a, res, oracle_d):
-    """left*A*right = diag(d), both transforms unimodular, right_inv the
-    inverse of right, d_i | d_(i+1) with zeros last, and d equal to the
-    oracle's invariant factors."""
-    m, n = a.rows, a.cols
-    prod = res.left * a * res.right
-    assert all(
-        prod.entries[i][j] == (res.d[i] if i == j else 0) for i in range(m) for j in range(n)
-    )
-    assert abs(det(res.left)) == 1 and abs(det(res.right)) == 1
-    assert res.right * res.right_inv == IntMatrix.identity(n)
-    for x, y in zip(res.d, res.d[1:]):
+def check_snf(a, d, oracle_d):
+    """One factor per diagonal entry of A, d_i | d_(i+1) with zeros last,
+    and d equal to the oracle's invariant factors."""
+    assert len(d) == min(a.rows, a.cols)
+    for x, y in zip(d, d[1:]):
         assert (y % x == 0) if x else y == 0
-    assert res.d == tuple(oracle_d)
+    assert d == tuple(oracle_d)
+
+
+def check_smith_transforms(a, form):
+    """left*A*right = diag(d), both transforms unimodular."""
+    prod = form.left * a * form.right
+    assert all(
+        prod.entries[i][j] == (form.d[i] if i == j else 0) for i in range(a.rows) for j in range(a.cols)
+    )
+    assert abs(det(form.left)) == 1 and abs(det(form.right)) == 1
 
 
 def sympy_invariant_factors(a):
@@ -529,11 +522,11 @@ def test_snf_contract_and_sympy_oracle(rows):
 
 def test_normal_form_checks_reject_wrong_oracle():
     a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    res = snf(a)
-    check_snf(a, res, sympy_invariant_factors(a))
-    assert res.d == (2, 6, 12)
+    d = snf(a)
+    check_snf(a, d, sympy_invariant_factors(a))
+    assert d == (2, 6, 12)
     with pytest.raises(AssertionError):
-        check_snf(a, res, [2, 2, 36])
+        check_snf(a, d, [2, 2, 36])
     h, u = hnf(a)
     check_hnf(a, h, u, sympy_row_lattice(a))
     with pytest.raises(AssertionError):
@@ -548,7 +541,8 @@ def test_normal_form_checks_reject_wrong_oracle():
 def test_snf_matches_hermite_oracle(rows):
     a = IntMatrix(rows)
     oracle = hermite_snf(a)
-    check_snf(a, oracle, sympy_invariant_factors(a))
+    check_smith_transforms(a, oracle)
+    check_snf(a, oracle.d, sympy_invariant_factors(a))
     check_snf(a, snf(a), oracle.d)
 
 
@@ -570,15 +564,13 @@ PINNED_SNF = [
 
 @pytest.mark.parametrize("a,d", PINNED_SNF)
 def test_snf_pinned_cases(a, d):
-    res = snf(a)
-    check_snf(a, res, d)
+    check_snf(a, snf(a), d)
     assert hermite_snf(a).d == d
     if a.rows == a.cols:  # every square case here is nonsingular
         assert smith_divisors(a, abs(det(a))) == d
     else:
         with pytest.raises(ExactLAError, match="nonsingular square"):
             smith_divisors(a, 1)
-    assert (res.left.rows, res.right.rows) == (a.rows, a.cols)
 
 
 def test_snf_pinned_lattices():
@@ -652,7 +644,7 @@ def modulus_cases(draw):
 @example(IntMatrix.diagonal([1031, 1031**2 * 1033]))  # cofactor 1031^3 1033: two splits
 @example(IntMatrix([[0, 1031 * 1033], [1031 * 1033, 0]]))  # the part 1031 1033 never splits
 def test_smith_divisors_match_snf_and_sympy(a):
-    assert smith_divisors(a, abs(det(a))) == snf(a).d == tuple(sympy_invariant_factors(a))
+    assert smith_divisors(a, abs(det(a))) == snf(a) == tuple(sympy_invariant_factors(a))
 
 
 @given(st.integers(1, 10**6))
@@ -663,13 +655,16 @@ def test_factorize_matches_sympy(n):
     assert factorize(n) == tuple(sorted(sympy.factorint(n).items()))
 
 
-@given(st.integers(1, 10**9), st.integers(0, 40))
-@example(1031**2, 1 << 10)
-def test_factorize_stops_at_its_limit(n, limit):
+@given(st.integers(1, 10**9) | st.integers(1, 10**3).map(lambda k: 1031 * 1033 * k))
+@example(1031**2)
+@example(1021 * 1031)
+def test_factorize_stops_at_its_limit(n):
     sympy = pytest.importorskip("sympy")
-    parts = factorize(n, limit)
+    parts = factorize(n)
     assert math.prod(p**e for p, e in parts) == n
-    small = [(p, e) for p, e in sorted(sympy.factorint(n).items()) if not limit or p <= limit]
+    limit = exactla._TRIAL_LIMIT
+    assert limit == 1 << 10
+    small = [(p, e) for p, e in sorted(sympy.factorint(n).items()) if p <= limit]
     assert list(parts[: len(small)]) == small
     # at most one cofactor follows, with no prime factor up to the limit
     assert len(parts) - len(small) <= 1 and all(e == 1 for _, e in parts[len(small) :])
@@ -705,8 +700,9 @@ def test_a_trial_divided_prime_with_e_1_runs_no_elimination(monkeypatch, a, part
         return real(rows, c, e)
 
     monkeypatch.setattr(exactla, "_local_valuations", logged)
-    assert smith_divisors(a, abs(det(a))) == snf(a).d == d
+    assert smith_divisors(a, abs(det(a))) == d
     assert calls == parts
+    assert snf(a) == d
 
 
 def test_smith_divisors_need_the_modulus_of_a_nonsingular_matrix():
@@ -715,45 +711,29 @@ def test_smith_divisors_need_the_modulus_of_a_nonsingular_matrix():
         smith_divisors(IntMatrix([[2, 4], [1, 2]]), 0)
 
 
-def test_snf_pivot_is_the_first_least_entry_in_row_major_order():
-    # quotient_by_isotropic and nikulin_2elem read the transforms, which
-    # the pivot order fixes: min((|x|, i, j)), here the first unit in
-    # row-major order, not the last one nor the first column-major
-    a = IntMatrix([[2, -1, 1], [-1, 2, 0], [1, 0, 2]])
-    res = snf(a)
-    assert res.left == IntMatrix([[-1, 0, 0], [0, 0, 1], [-2, -1, 3]])
-    assert res.right == IntMatrix([[0, 1, -2], [1, 2, -3], [0, 0, 1]])
-    b = IntMatrix([[2, 3, 0], [1, 4, -1], [0, -1, 2]])
-    res = snf(b)
-    assert res.left == IntMatrix([[0, 1, 0], [0, 0, -1], [-1, 2, 5]])
-    assert res.right == IntMatrix([[1, -4, -7], [0, 1, 2], [0, 0, 1]])
-
-
 def test_snf_check_rejects_skipped_repair():
     a = IntMatrix([[2, 0], [0, 3]])
-    # a diagonal certificate without the divisibility repair
-    unrepaired = SnfResult((2, 3), IntMatrix.identity(2), IntMatrix.identity(2), IntMatrix.identity(2))
+    # a diagonal without the divisibility repair, even against itself
     with pytest.raises(AssertionError):
-        check_snf(a, unrepaired, (2, 3))
+        check_snf(a, (2, 3), (2, 3))
     with pytest.raises(AssertionError):
         check_snf(a, snf(a), (2, 3))
-    flipped = snf(a)
-    flipped = SnfResult(flipped.d, flipped.left.scale(-1), flipped.right, flipped.right_inv)
     with pytest.raises(AssertionError):
-        check_snf(a, flipped, (1, 6))
+        check_snf(a, (6,), (6,))  # a factor short
 
 
-def test_snf_check_rejects_corrupted_right_inv():
-    a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-    res = snf(a)
-    check_snf(a, res, (2, 6, 12))
-    # one entry off, and the right transform itself in place of its inverse
-    bad = [list(row) for row in res.right_inv.entries]
-    bad[0][2] += 1
-    for wrong in (IntMatrix(bad), res.right):
-        assert wrong != res.right_inv
-        with pytest.raises(AssertionError):
-            check_snf(a, SnfResult(res.d, res.left, res.right, wrong), (2, 6, 12))
+def test_snf_checks_its_factors_against_the_pivots(monkeypatch):
+    real = exactla._local_valuations
+
+    def drop_last_factor(rows, c, e):
+        g, vals = real(rows, c, e)
+        return g, vals[:-1] + [0]
+
+    a = IntMatrix([[4, 0, 2], [0, 6, 0]])
+    assert snf(a) == (2, 6)
+    monkeypatch.setattr(exactla, "_local_valuations", drop_last_factor)
+    with pytest.raises(ExactLAError, match="invariant factors disagree with the pivots"):
+        snf(a)
 
 
 # -- IntMatrix entries, product and transpose --------------------------

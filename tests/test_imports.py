@@ -51,6 +51,12 @@ The span-index rule: only ``roots`` defines ``span_index`` or
 root-span index is read off determinants by one rule, with no
 elimination of a span basis.
 
+The tracer-only rule: no module in ``src/k3lat`` calls ``snf``,
+``rat_express`` or ``rat_mul`` (by name or as an attribute) or imports
+them.  They stay in ``exactla`` only because ``bench/tracer.py`` wraps
+them by name; the one Smith elimination of the library is
+``smith_divisors``, and its one linear solve ``int_express``.
+
 The factorization rule: one function in ``src/k3lat`` factors integers
 by trial division, ``exactla.factorize``, and ``lattice`` defines none.
 A function counts as a trial division when a ``while`` loop in it tests
@@ -573,6 +579,47 @@ def test_check_flags_a_second_span_index_definer_and_a_roots_elimination():
         "kulikov.py": "from .exactla import det, index_in\nfrom .roots import span_index\n",
     }
     assert span_index_homes(sources) == (["cusps.py", "roots.py"], ["det", "index_in"])
+
+
+TRACER_ONLY = {"snf", "rat_express", "rat_mul"}
+
+
+def tracer_only_users(sources: dict) -> list:
+    """(file, name) of each call of a ``TRACER_ONLY`` function, by name or
+    as an attribute, and each import of one, in the ``sources`` (file
+    name -> text)."""
+    out = set()
+    for file, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in TRACER_ONLY:
+                    out.add((file, name))
+            elif isinstance(node, ast.ImportFrom):
+                out.update((file, a.name) for a in node.names if a.name in TRACER_ONLY)
+    return sorted(out)
+
+
+def test_no_library_path_calls_the_tracer_only_functions():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert tracer_only_users(sources) == []
+
+
+def test_check_flags_a_tracer_only_call():
+    sources = {
+        "lattice.py": "from .exactla import int_express, snf\n\ndef f(g):\n    return snf(g)\n",
+        "cusps.py": "from . import exactla\n\ndef f(t, b):\n    return exactla.rat_express(t, b)\n",
+        "exactla.py": (
+            "def rat_mul(a, b):\n    return a\n\n"
+            "def snf(a):\n    return a\n\ndef _solve(a):\n    return rat_mul(a, a)\n"
+        ),
+        "roots.py": "name = 'snf'\n\ndef smith(a):\n    return a.snf\n",
+    }
+    assert tracer_only_users(sources) == [
+        ("cusps.py", "rat_express"),
+        ("exactla.py", "rat_mul"),
+        ("lattice.py", "snf"),
+    ]
 
 
 def _is_square(node: ast.AST) -> bool:

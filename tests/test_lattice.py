@@ -34,11 +34,14 @@ from support import (
     _det,
     atom_inertia,
     atom_lattice,
+    basis_change,
     changed_basis,
     conjugate,
     fraction_glue_overlattice,
     fraction_signature,
     gauss_jordan_inv,
+    hermite_snf,
+    run_fresh,
     unimodular,
 )
 
@@ -108,13 +111,13 @@ def test_signature_additivity_and_rescale_swap():
 def test_disc_group_e6():
     d = disc_group(root_lattice("E", 6))
     assert d.elementary_divisors == (3,)
-    assert d.a_p == {3: 1}
+    assert (d.a(3), d.a(2)) == (1, 0)
 
 
 def test_disc_group_u3():
     d = disc_group(hyperbolic(3))
     assert d.elementary_divisors == (3, 3)
-    assert d.a_p == {3: 2}
+    assert (d.a(3), d.a(5)) == (2, 0)
 
 
 def test_disc_group_e8_trivial():
@@ -159,21 +162,26 @@ def test_disc_group_needs_no_smith_transforms(monkeypatch):
     import k3lat.lattice as lattice_module
     from k3lat import exactla
     from k3lat.cli import main
+    from k3lat.kulikov import order4_suite
 
-    def no_snf(a, *transforms):
+    def no_snf(a):
         raise AssertionError("snf called")
 
-    monkeypatch.setattr(lattice_module, "snf", no_snf)
-    # nor the transform kernel: the divisors come from the modular one
-    monkeypatch.setattr(exactla, "_smith", no_snf)
+    # smith_divisors is the one Smith elimination: snf, kept for the
+    # benchmark tracer, serves no library path
+    monkeypatch.setattr(exactla, "snf", no_snf)
     lattice_module._invariant_factors.cache_clear()
     l = direct_sum(hyperbolic(3), neg("E", 6))
     assert disc_group(l).elementary_divisors == (3, 3, 3)
     assert is_p_elementary(l, 3) and not is_p_elementary(hyperbolic(2), 3)
     res = CliRunner().invoke(main, ["disc", "U(3) + E6"])
     assert (res.exit_code, res.output) == (0, "3 3 3\n")
-    with pytest.raises(AssertionError, match="snf called"):
-        nikulin_2elem(hyperbolic(2))  # it reads the Smith generators
+    assert nikulin_2elem(direct_sum(hyperbolic(2), neg("D", 8))) == (1, 9, 4, 0)
+    u2 = direct_sum(hyperbolic(), hyperbolic())
+    assert quotient_by_isotropic(Sublattice(u2, [[1, 0, 0, 0]])).lattice.gram == hyperbolic().gram
+    order4_suite.cache_clear()  # its Nikulin invariants and quotient run again
+    res = CliRunner().invoke(main, ["verify", "--suite", "order4"])
+    assert res.exit_code == 0, res.output
 
 
 def test_nikulin_u2_d8():
@@ -190,7 +198,7 @@ def test_nikulin_u():
     assert nikulin_2elem(hyperbolic()) == (1, 1, 0, 0)
 
 
-def test_nikulin_delta_and_messages(monkeypatch):
+def test_nikulin_delta_and_messages():
     assert nikulin_2elem(root_lattice("A", 1)) == (1, 0, 1, 1)
     assert nikulin_2elem(hyperbolic(2)) == (1, 1, 2, 0)
     assert nikulin_2elem(neg("E", 7)) == (0, 7, 1, 1)
@@ -202,14 +210,44 @@ def test_nikulin_delta_and_messages(monkeypatch):
         nikulin_2elem(root_lattice("A", 2))
     with pytest.raises(DegenerateFormError):
         nikulin_2elem(diag_lattice([0, 2]))
-    # one Smith form serves both the 2-elementary test and the generators
-    import k3lat.lattice as lattice_module
 
-    calls = []
-    real = lattice_module.snf
-    monkeypatch.setattr(lattice_module, "snf", lambda a: calls.append(a) or real(a))
-    assert nikulin_2elem(direct_sum(hyperbolic(2), neg("D", 8)))[2] == 4
-    assert len(calls) == 1
+
+# 2-elementary atoms with their (a, delta): D_n has A = (Z/2)^2 with
+# q = n/4, n/4, 1 mod 2, so delta = 1 for D6 only
+NIKULIN_ATOMS = {
+    ("U", 1): (0, 0),
+    ("U", 2): (2, 0),
+    ("A", 1): (1, 1),
+    ("D", 4): (2, 0),
+    ("D", 6): (2, 1),
+    ("D", 8): (2, 0),
+    ("E", 7): (1, 1),
+    ("E", 8): (0, 0),
+}
+
+
+def smith_generator_delta(l):
+    """delta from the Smith generators (1/2) * (left-transform rows) of
+    A_L, by the alternating Hermite oracle: (g/2)^2 = norm(g)/4."""
+    form = hermite_snf(l.gram)
+    return int(any(l.norm(g) % 4 for g, d in zip(form.left.entries, form.d) if d == 2))
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(sorted(NIKULIN_ATOMS)), st.sampled_from([1, -1])), min_size=1, max_size=3),
+    st.data(),
+)
+@example([(("D", 6), 1)], None)
+@example([(("A", 1), -1), (("U", 2), 1)], None)
+def test_nikulin_2elem_matches_the_smith_generators(parts, data):
+    l = direct_sum(*(rescale(atom_lattice(atom), sign) for atom, sign in parts))
+    u = data.draw(basis_change(l.rank, 8)) if data else IntMatrix.identity(l.rank)
+    lu = conjugate(l, u)
+    want_a = sum(NIKULIN_ATOMS[atom][0] for atom, _ in parts)
+    want_delta = max(NIKULIN_ATOMS[atom][1] for atom, _ in parts)
+    t_plus, t_minus = signature(l)
+    assert nikulin_2elem(lu) == (t_plus, t_minus, want_a, want_delta)
+    assert smith_generator_delta(lu) == want_delta
 
 
 def test_orth_complement_ranks():
@@ -306,6 +344,12 @@ def test_quotient_unimodular_rank_drop():
 def test_quotient_rejects_unsaturated():
     u2 = direct_sum(hyperbolic(), hyperbolic())
     j = Sublattice(u2, [[2, 0, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(LatticeError, match="saturate"):
+        quotient_by_isotropic(j)
+    # (1,0,1,0) and (1,0,-1,0) are each primitive, but their sum (2,0,0,0)
+    # is twice a vector outside their span
+    j = Sublattice(u2, [[1, 0, 1, 0], [1, 0, -1, 0]])
+    assert j.is_isotropic() and not j.is_primitive
     with pytest.raises(LatticeError, match="saturate"):
         quotient_by_isotropic(j)
 
@@ -437,13 +481,12 @@ def test_disc_group_of_a_median_query():
     assert abs(l.det()) == 648
     d = disc_group(l)
     assert d.elementary_divisors == (3, 6, 6, 6)
-    assert d.a_p == {2: 3, 3: 4}
+    assert (d.a(2), d.a(3), d.a(5)) == (3, 4, 0)
 
 
 def test_disc_group_of_large_repeated_primes_factors_no_determinant():
     # |det| = p^2, 3 q^2 and q^3: the kernel splits the cofactor above the
-    # trial-division limit at a pivot, and only the largest invariant
-    # factor is factored, up to its square root, never |det| itself
+    # trial-division limit at a pivot, and no invariant factor is factored
     p, q = 10**9 + 7, 1000003
     cases = [
         (rescale(hyperbolic(), p), (p, p), {p: 2}),
@@ -451,11 +494,24 @@ def test_disc_group_of_large_repeated_primes_factors_no_determinant():
         (diag_lattice([q] * 3), (q, q, q), {q: 3}),
     ]
     start = time.perf_counter()
-    for l, divisors, a_p in cases:
+    for l, divisors, ranks in cases:
         d = disc_group(l)
-        assert (d.elementary_divisors, d.a_p) == (divisors, a_p)
+        assert (d.elementary_divisors, {p: d.a(p) for p in ranks}) == (divisors, ranks)
     # a trial division of p^2 up to p takes minutes
     assert time.perf_counter() - start < 5
+
+
+def test_disc_group_of_a_product_of_two_large_primes_factors_nothing():
+    # Z/pq for two primes near 10^9, which no pivot splits: a trial
+    # division of pq up to p takes minutes, so a new interpreter runs
+    # disc_group and the disc command under a time limit
+    p, q = 10**9 + 7, 10**9 + 9
+    code = (
+        "from k3lat.cli import main\nfrom k3lat.lattice import diag_lattice, disc_group\n"
+        f"d = disc_group(diag_lattice([{p * q}]))\nprint(d, d.a({p}), d.a(2))\n"
+        f"main(['disc', 'diag({p * q})'])\n"
+    )
+    assert run_fresh(code, timeout=5) == f"Z/{p * q} 1 0\n{p * q}\n"
 
 
 @given(changed_basis(FORM_ATOMS, 10, 6), st.sampled_from([1, -1, 2, -3, 6]))
@@ -469,8 +525,9 @@ def test_disc_group_counts_the_sympy_factors_divisible_by_each_prime(data, scale
         return
     s = smith_normal_form(sympy.Matrix(lu.gram.entries), domain=ZZ)
     factors = [abs(int(s[i, i])) for i in range(lu.rank)]
-    primes = sympy.primefactors(abs(lu.det()))
-    assert disc_group(lu).a_p == {p: sum(f % p == 0 for f in factors) for p in primes}
+    d = disc_group(lu)
+    for p in sympy.primefactors(abs(lu.det())) + [2, 3, 5]:
+        assert d.a(p) == sum(f % p == 0 for f in factors)
 
 
 def test_form_checks_reject_wrong_oracle():
@@ -482,7 +539,7 @@ def test_form_checks_reject_wrong_oracle():
         check_signature(signature_with_radical(l), (1, 7, 0), (1, 6, 1))
     check_disc(disc_group(l), disc_group(l), [1] * 5 + [3, 3, 3])
     with pytest.raises(AssertionError):
-        check_disc(disc_group(l), DiscGroup((3, 9), {3: 2}), [1] * 5 + [3, 3, 3])
+        check_disc(disc_group(l), DiscGroup((3, 9)), [1] * 5 + [3, 3, 3])
     with pytest.raises(AssertionError):
         check_disc(disc_group(l), disc_group(l), [1] * 6 + [3, 9])
 
