@@ -12,23 +12,24 @@ keeps one of each pair +-x, in reduced coordinates), map back through
 the transform V, and sort: the vectors, closed under negation, are in
 lexicographic order of their coefficient tuples.
 
-A root analysis reduces once and first tries a certificate: a reduced
-form that is a Cartan matrix of ADE type R up to the signs of the basis
-vectors (``_cartan_type``) has a basis of +-simple roots, so the lattice
-is the root lattice Q(R), whose norm-2 vectors are exactly R (Humphreys,
-*Reflection Groups*, 2.9-2.10; Conway--Sloane, SPLAG, ch. 4, 6-8), and
-the type is R with the identity span, with no elimination and no search.
-Otherwise it takes one pass: the search order is that of an exact
-integer key, positive on the vectors the search keeps, so the roots it
+A root analysis proves the type without enumerating roots where it can.
+Every norm is a multiple of the content gcd(g_ii, 2 g_ij), so content
+above 2 leaves no roots.  Else it reduces once and completes the reduced
+basis to a basis of roots, each row of norm other than 2 replaced by a
+root of its coset over the rows before it (a search of that coset).  A
+basis of roots makes the lattice the root lattice Q(R) of its norm-2
+vectors R (Humphreys, *Reflection Groups*, 2.9-2.10; Conway--Sloane,
+SPLAG, ch. 4): the span is the identity, and each piece of the basis's
+pairing graph is an irreducible component, named by rank and determinant.
+A coset with no root leaves one pass of the search: its order is that of
+an exact integer key, positive on the vectors it keeps, so the roots it
 finds are a positive system; each goes to the simple-root scan as found,
-and the search stops at the rank-th simple root.  Components are typed
-by the Dynkin diagram of the simple roots (Humphreys, 1.3; Bourbaki VI
-1.6).  The index of the root span is read off determinants alone
-(``span_index``): for n simple roots with Cartan matrix C in a lattice
-with Gram matrix G, index^2 = det C / |det G|: a closed form of the type
-over the last pivot of the search.  Index 1 makes the span the identity
-basis; any other index maps the simple roots back through V, and their
-Hermite form is the root span.
+and the search stops at the rank-th simple root, typed by the Dynkin
+diagram (Humphreys, 1.3; Bourbaki VI 1.6).  The index of the root span
+is read off determinants alone (``span_index``): for n simple roots with
+Cartan matrix C in a lattice with Gram matrix G, index^2 = det C / |det
+G|.  Index 1 makes the span the identity basis; any other index maps the
+simple roots back through V, and their Hermite form is the root span.
 
 ``dual_class_min`` enumerates the integer scaled dual of
 ``lattice.scaled_dual``; only ``glue_root_sum`` reads those classes, to
@@ -64,6 +65,7 @@ from .lattice import (
 Vector = Tuple[int, ...]
 Visit = Callable[[int, List[int]], object]  # (key, vector) -> stop the search?
 Reduction = Tuple[IntMatrix, IntMatrix]  # (reduced Gram matrix V G V^T, transform V)
+Elimination = Tuple[List[List[int]], List[int]]  # gram_elimination: (numerators B, pivots d)
 
 
 class EnumerationError(LatticeError):
@@ -146,21 +148,30 @@ def _definite_reduce(l: Lattice) -> Reduction | None:
     return _size_reduce(l.gram.scale(sign))
 
 
-def _reduced_search(l: Lattice, reduced: Reduction | None, m: int, visit: Visit) -> Tuple[IntMatrix, IntMatrix, int]:
-    """Search ``reduced = _definite_reduce(l)``: returns ``(G', V, det G')``,
-    ``G' = V G V^T`` size-reduced and positive definite, after ``visit(key,
-    x)`` on each x of norm ``m`` with last nonzero coordinate positive
-    (reduced coordinates) until it returns True.  ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
+def _definite_elimination(l: Lattice, reduced: Reduction | None) -> Elimination:
+    """``gram_elimination`` of the reduced form: n positive pivots prove it
+    definite (Sylvester), else ``definite_sign`` raises, naming why; a
+    reduction that met a pair beyond Cauchy--Schwarz left no form."""
+    b, d = gram_elimination(reduced[0]) if reduced else ([], [])
+    if len(d) < l.rank or min(d, default=1) < 1:
+        definite_sign(l)
+    return b, d
+
+
+def _reduced_search(
+    l: Lattice, reduced: Reduction | None, m: int, visit: Visit, elim: Elimination | None = None, coset: int = -1
+) -> Tuple[IntMatrix, IntMatrix, int]:
+    """Search ``reduced = _definite_reduce(l)`` (``elim``: its elimination,
+    if made): returns ``(G', V, det G')``, ``G' = V G V^T`` size-reduced and
+    positive definite, after ``visit(key, x)`` on each x of norm ``m`` with
+    last nonzero coordinate positive (reduced coordinates), or in the coset
+    b_k + span(b_0..b_(k-1)) for ``coset = k``, until it returns True.
+    ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
     (3 M_k + 1)`` for ``M_k`` the bound on ``|x_k|`` that the level-k
     intervals prove: the top nonzero digit outweighs the rest, so keys
     ascend and ``key u - key v = key w`` only when ``u - v = w``."""
-    # n positive pivots of the reduced form prove it positive definite
-    # (Sylvester), else ``definite_sign`` raises, naming why; a reduction
-    # that met a pair beyond Cauchy--Schwarz leaves no form to eliminate
-    b, d = gram_elimination(reduced[0]) if reduced else ([], [])
+    b, d = elim or _definite_elimination(l, reduced)
     n = l.rank
-    if len(d) < n or min(d, default=1) < 1:
-        definite_sign(l)
     gram_red, v = reduced
     # scaling by L = lcm(d_k d_{k-1}) makes every level's weight an integer
     dd = [d[k] * (d[k - 1] if k else 1) for k in range(n)]
@@ -178,11 +189,13 @@ def _reduced_search(l: Lattice, reduced: Reduction | None, m: int, visit: Visit)
 
     def descend(k: int, budget: int, top: bool, key: int) -> bool:
         # |y| <= s with y = d_k x_k + c bounds x_k to an integer interval;
-        # while x_{k+1..n-1} are all zero (top), x_k >= 0 keeps one of +-x
+        # while x_{k+1..n-1} are all zero (top), x_k >= 0 keeps one of +-x;
+        # the top level of a coset search takes x_k = 1 alone
         c = sum(map(mul, tails[k], x[k + 1 :]))
         s = math.isqrt(budget // w[k])
         dk, wk, pk = d[k], w[k], place[k]
-        for t in range(0 if top else -((s + c) // dk), (s - c) // dk + 1):
+        ts = range(0 if top else -((s + c) // dk), (s - c) // dk + 1)
+        for t in ts if k != coset else (1,) if 1 in ts else ():
             x[k] = t
             y = dk * t + c
             rest = budget - wk * y * y
@@ -195,7 +208,7 @@ def _reduced_search(l: Lattice, reduced: Reduction | None, m: int, visit: Visit)
         return False
 
     if n:
-        descend(n - 1, scale * m, True, 0)
+        descend(n - 1 if coset < 0 else coset, scale * m, True, 0)
     return gram_red, v, d[-1] if d else 1
 
 
@@ -363,6 +376,28 @@ def _simple_scan(limit: int, simple: List[Vector]) -> Visit:
     return visit
 
 
+def _layers(gram: Sequence[Sequence[int]], start: int) -> Dict[int, int]:
+    """Distance from ``start`` of each node it reaches in the graph joining
+    nodes i != j with ``gram[i][j] != 0``, breadth first."""
+    depth = {start: 0}
+    order = [start]
+    for a in order:
+        for j, c in enumerate(gram[a]):
+            if c and j not in depth:
+                depth[j] = depth[a] + 1
+                order.append(j)
+    return depth
+
+
+def _pieces(gram: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The connected components of that graph, by least node."""
+    pieces: List[List[int]] = []
+    for i in range(len(gram)):
+        if all(i not in piece for piece in pieces):
+            pieces.append(list(_layers(gram, i)))
+    return pieces
+
+
 def diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
     """ADE type of simple roots with the Cartan matrix ``cartan``, one
     component per piece of its Dynkin diagram: a path is A_n, a tree with
@@ -370,31 +405,15 @@ def diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
     E8 when (1, 2, 2), (1, 2, 3), (1, 2, 4); any other diagram raises.
     Layer d >= 1 from the branch node has one node per arm of >= d nodes."""
     adj = [[j for j, c in enumerate(row) if c and j != i] for i, row in enumerate(cartan)]
-
-    def layers(start: int) -> Dict[int, int]:
-        depth = {start: 0}
-        order = [start]
-        for a in order:
-            for j in adj[a]:
-                if j not in depth:
-                    depth[j] = depth[a] + 1
-                    order.append(j)
-        return depth
-
     comps: List[Tuple[str, int]] = []
-    seen: set = set()
-    for i in range(len(adj)):
-        if i in seen:
-            continue
-        depth = layers(i)
-        seen.update(depth)
-        n = len(depth)
-        degree = sorted(len(adj[a]) for a in depth)
+    for piece in _pieces(cartan):
+        n = len(piece)
+        degree = sorted(len(adj[a]) for a in piece)
         if sum(degree) == 2 * n - 2 and degree[-1] <= 2:
             comps.append(("A", n))
             continue
         if sum(degree) == 2 * n - 2 and degree[-1] == 3 and degree[-2] <= 2:
-            depths = list(layers(next(a for a in depth if len(adj[a]) == 3)).values())
+            depths = list(_layers(cartan, next(a for a in piece if len(adj[a]) == 3)).values())
             arms = [sum(depths.count(d) >= k for d in range(1, n)) for k in (3, 2, 1)]
             if arms[:2] == [1, 1] or arms[:2] == [1, 2] and arms[2] <= 4:
                 comps.append(("DE"[arms[1] - 1], n))
@@ -403,37 +422,65 @@ def diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
     return RootSystemType.of(comps)
 
 
-def _cartan_type(gram: IntMatrix) -> RootSystemType | None:
-    """The ADE type of ``gram`` if it is a Cartan matrix up to basis signs,
-    else None: diagonal 2, other entries in {-1, 0, 1}, and a graph that
-    ``diagram_type`` accepts, which is a forest, so the signs can make
-    every edge -1, tree by tree from a root outwards."""
+def _root_basis_type(l: Lattice, gram: IntMatrix) -> RootSystemType:
+    """Type of ``l`` from ``gram``, its form (scaled positive) in a basis of
+    roots, with no root enumerated.  The pieces of the pairing graph are
+    the irreducible components; one elimination per piece proves it
+    definite (else ``definite_sign`` raises, naming why) and ends in its
+    determinant, which names its type with its rank: det A_n = n + 1,
+    det D_n = 4 (n >= 4), and det E6, E7, E8 = 3, 2, 1."""
     rows = gram.entries
-    if any(row[i] != 2 or row.count(2) > 1 or min(row) < -1 or max(row) > 2 for i, row in enumerate(rows)):
-        return None
-    try:
-        return diagram_type(rows)
-    except EnumerationError:
-        return None
+    comps: List[Tuple[str, int]] = []
+    for piece in _pieces(rows):
+        k = len(piece)
+        _, d = gram_elimination(IntMatrix._of(tuple(tuple(rows[a][b] for b in piece) for a in piece), k))
+        if len(d) < k or min(d) < 1:
+            definite_sign(l)
+        comps.append(("A" if d[-1] == k + 1 else "D" if d[-1] == 4 else "E", k))
+    return RootSystemType.of(comps)
 
 
 @cache
 def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     """Root type and Hermite basis of the simple roots of the definite
-    form ``gram``, once per Gram matrix, from one size reduction.  A
-    reduced form that is a Cartan matrix of type R up to basis signs is
-    Q(R), whose norm-2 vectors are exactly R: (R, identity).  Otherwise
-    the search feeds its positive system to ``_simple_scan`` until the
-    rank-th simple root.  For n simple roots S, det C = det(S)^2 det G'
-    for C = S G' S^T, so det C = det G' proves the span the whole lattice
-    (the identity); otherwise only the simple roots go back through V."""
+    form ``gram``, once per Gram matrix, from one size reduction.  Content
+    above 2 leaves no roots.  Else each row k of the reduced basis whose
+    norm is not 2, in ascending order, gives way to the first root of
+    b_k + span(b_0..b_(k-1)): a unitriangular, so unimodular, change.  A
+    basis of roots proves the lattice even and equal to Q(R), R its norm-2
+    vectors, an ADE system (Humphreys, 2.9-2.10; Conway--Sloane, ch. 4):
+    the span is the identity.  A root of an orthogonal sum of even definite
+    lattices lies in one summand, so the pieces of the pairing graph are
+    the irreducible components (``_root_basis_type``).  A coset with no
+    root leaves the search, on the same elimination: it feeds its positive
+    system to ``_simple_scan`` until the rank-th simple root.  For n simple
+    roots S, det C = det(S)^2 det G' for C = S G' S^T, so det C = det G'
+    proves the span the whole lattice (the identity); otherwise only the
+    simple roots go back through V."""
     n = gram.rows
     l = Lattice._of(gram)
+    rows = gram.entries
+    if math.gcd(*(row[i] for i, row in enumerate(rows)), *(2 * x for row in rows for x in row)) > 2:
+        definite_sign(l)
+        return EMPTY_TYPE, IntMatrix._of((), n)
     reduced = _definite_reduce(l)
-    if reduced is not None and (rtype := _cartan_type(reduced[0])) is not None:
-        return rtype, IntMatrix.identity(n)
+    elim = None
+    if reduced is not None:
+        g = reduced[0]
+        tail = [k for k in range(n) if g.entries[k][k] != 2]
+        elim = _definite_elimination(l, reduced) if tail else None
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        for k in tail:
+            found: List[Vector] = []
+            _reduced_search(l, reduced, 2, lambda key, x: found.append(tuple(x)) or True, elim, k)
+            if not found:
+                break
+            basis[k] = found[0]
+        else:
+            t = IntMatrix._of(tuple(basis), n)
+            return _root_basis_type(l, t * g * t.transpose() if tail else g), IntMatrix.identity(n)
     simple: List[Vector] = []
-    gram_red, v, det_red = _reduced_search(l, reduced, 2, _simple_scan(n, simple))
+    gram_red, v, det_red = _reduced_search(l, reduced, 2, _simple_scan(n, simple), elim)
     s = IntMatrix._of(tuple(simple), n)
     cartan = s * gram_red * s.transpose()
     rtype = diagram_type(cartan.entries)

@@ -92,7 +92,7 @@ from k3lat.lattice import (
     hyperbolic,
     root_lattice,
 )
-from k3lat.roots import RootSystemType, _definite_reduce, _reduced_search, _simple_scan, enumerate_norm
+from k3lat.roots import RootSystemType, _definite_reduce, _reduced_search, _simple_scan, diagram_type, enumerate_norm
 
 # -- random changes of basis -------------------------------------------
 #
@@ -847,12 +847,19 @@ def misread_e6_cartan_det(monkeypatch):
 # -- the root span without determinants ----------------------------------
 
 
-def hermite_span(gram):
-    """The Hermite basis of the simple roots of ``gram`` mapped back
-    through V: the root span by the route that reads no determinant."""
+def searched_root_analysis(gram):
+    """``(type, span)`` of the definite form ``gram`` by the search alone:
+    the simple roots that the scan takes from the search, typed by their
+    Dynkin diagram, and their Hermite basis mapped back through V, the
+    root span by the route that reads no determinant."""
     simple, l = [], Lattice(gram)
-    _, v, _ = _reduced_search(l, _definite_reduce(l), 2, _simple_scan(gram.rows, simple))
-    return hermite_basis((IntMatrix(simple, cols=gram.rows) * v).entries, gram.rows)
+    gram_red, v, _ = _reduced_search(l, _definite_reduce(l), 2, _simple_scan(gram.rows, simple))
+    s = IntMatrix(simple, cols=gram.rows)
+    return diagram_type((s * gram_red * s.transpose()).entries), hermite_basis((s * v).entries, gram.rows)
+
+
+def hermite_span(gram):
+    return searched_root_analysis(gram)[1]
 
 
 # -- the character-level lattice-expression parser -----------------------

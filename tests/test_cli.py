@@ -189,6 +189,8 @@ def test_gram_literals_exit_0_or_1(command, rows):
         ("diag(2,-2)", "lattice is indefinite with signature (1,1)"),
         ("A2(-1)+A1", "lattice is indefinite with signature (2,1)"),
         ("gram[[-2,5,0],[5,-2,0],[0,0,-2]]", "lattice is indefinite with signature (1,2)"),  # negative diagonal
+        ("U(3)", "lattice is indefinite with signature (1,1)"),  # content 6: no roots, were it definite
+        ("diag(3,0)", "degenerate form with radical of rank 1"),  # content 3
     ],
 )
 def test_roots_names_why_a_form_is_not_definite(expr, message):

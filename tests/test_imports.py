@@ -64,6 +64,13 @@ a name squared (``p * p`` or ``p ** 2``) or a ``for`` loop in it runs
 over an iterable that calls ``isqrt``; so every determinant is factored
 by the one cached function that the Smith kernel reads.
 
+The descent rule: one function in ``src/k3lat`` holds a Fincke--Pohst
+descent, ``roots._reduced_search``; the full search, the coset searches
+of the root-basis completion and ``enumerate_norm`` all run through it.
+A top-level function or method holds one when an ``isqrt`` call sits in
+a function inside it that calls itself by name (a recursive descent over
+the levels) or in a ``while`` loop (an iterative one).
+
 The caching rule: ``functools.cache`` is the only caching mechanism in
 ``src/k3lat``.  No module names ``lru_cache`` or ``cached_property``,
 rebinds a module global from a function (``global``), gives a function a
@@ -675,6 +682,65 @@ def test_check_flags_a_second_trial_division():
         ("cusps.py", "primes"),
         ("exactla.py", "factorize"),
         ("lattice.py", "_prime_factors"),
+    ]
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` calls ``name``, by name or as an attribute."""
+    return any(
+        isinstance(n, ast.Call) and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        for n in ast.walk(node)
+    )
+
+
+def descent_homes(sources: dict) -> list:
+    """(file, function) of each top-level function or method in the
+    ``sources`` (file name -> text) that holds a Fincke--Pohst descent: an
+    ``isqrt`` call in a function, itself or nested in it, that calls itself
+    by name, or in a ``while`` loop."""
+    homes = set()
+    for file, text in sources.items():
+        tree = ast.parse(text)
+        tops = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        tops += [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, ast.FunctionDef)]
+        for top in tops:
+            for node in ast.walk(top):
+                recursive = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls(node, node.name)
+                if (recursive or isinstance(node, ast.While)) and _calls(node, "isqrt"):
+                    homes.add((file, top.name))
+    return sorted(homes)
+
+
+def test_only_the_reduced_search_holds_a_descent():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert descent_homes(sources) == [("roots.py", "_reduced_search")]
+
+
+def test_check_flags_a_planted_second_descent():
+    # a copy of the real search under another name, an iterative descent,
+    # and three near misses: a trial-division loop over isqrt, a recursion
+    # with no square root, and a square root in no loop
+    roots = (SRC / "roots.py").read_text()
+    search = next(
+        n for n in ast.parse(roots).body if isinstance(n, ast.FunctionDef) and n.name == "_reduced_search"
+    )
+    copy = ast.get_source_segment(roots, search).replace("def _reduced_search(", "def _coset_search(", 1)
+    sources = {
+        "roots.py": roots + "\n\n" + copy + "\n",
+        "lattice.py": (
+            "import math\n\nclass Form:\n    def short_vectors(self, m):\n        k, out = 0, []\n"
+            "        while k >= 0:\n            s = math.isqrt(m)\n            k -= 1 + s\n        return out\n"
+        ),
+        "exactla.py": (
+            "import math\n\ndef factorize(n):\n    return [p for p in range(2, math.isqrt(n) + 1) if n % p == 0]\n\n"
+            "def walk(k):\n    return walk(k - 1) if k else 0\n\n"
+            "def square_index(a, b):\n    return math.isqrt(a // b)\n"
+        ),
+    }
+    assert descent_homes(sources) == [
+        ("lattice.py", "short_vectors"),
+        ("roots.py", "_coset_search"),
+        ("roots.py", "_reduced_search"),
     ]
 
 

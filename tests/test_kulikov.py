@@ -550,6 +550,22 @@ def test_order4_suite_runs_once_for_both_suites():
         order4_suite.cache_clear()
 
 
+def counted_searches(monkeypatch):
+    """The list that logs ``(gram, coset)`` of every later
+    ``roots._reduced_search``; coset -1 is a full search."""
+    import k3lat.roots as roots
+
+    searched = []
+    search = roots._reduced_search
+
+    def counted(l, reduced, m, visit, elim=None, coset=-1):
+        searched.append((l.gram, coset))
+        return search(l, reduced, m, visit, elim, coset)
+
+    monkeypatch.setattr(roots, "_reduced_search", counted)
+    return searched
+
+
 def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):
     import k3lat.roots as roots
 
@@ -557,29 +573,46 @@ def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):
     c1 = build_component(ComponentSpec(1, ((0, 3),)))
     k = glue_lambda(c0, c1)
     prim_lat = k.prim.lattice()
-    grams, searched = [], []
-    reduce, search = roots._definite_reduce, roots._reduced_search
+    grams = []
+    reduce = roots._definite_reduce
 
     def counted_reduce(l):
         grams.append(l.gram)
         return reduce(l)
 
-    def counted_search(l, reduced, m, visit):
-        searched.append(l.gram)
-        return search(l, reduced, m, visit)
-
     monkeypatch.setattr(roots, "_definite_reduce", counted_reduce)
-    monkeypatch.setattr(roots, "_reduced_search", counted_search)
+    searched = counted_searches(monkeypatch)
     roots._root_analysis.cache_clear()
     primitive_picard.cache_clear()
     rtype, _ = root_system(prim_lat)
     assert root_split_check(k, c0, c1) == (True, 3)
-    # the glued primitive part and the two component primitive parts, each
-    # reduced once by one root analysis
+    # the glued part and the two component primitive parts, each reduced
+    # once by one root analysis
     assert len(grams) == len(set(grams)) == 3
     assert roots._root_analysis.cache_info().misses == 3
     assert prim_lat.gram in grams and str(rtype) == "E6+A2^4"
-    # the certificate declines the glued part and E6+A2, which are searched,
-    # and takes the reduced A2^3
+    # the glued part is starred: the coset of its second row of norm 4
+    # holds no root, so it alone is searched in full; E6+A2 completes its
+    # one row of norm 4, and the reduced A2^3 is a basis of roots already
     p0, p1 = (primitive_picard(c)[0].lattice() for c in (c0, c1))
-    assert searched == [prim_lat.gram, p0.gram] and grams[2] == p1.gram
+    assert [g for g, coset in searched if coset < 0] == [prim_lat.gram]
+    assert [g for g, _ in searched] == [prim_lat.gram] * 3 + [p0.gram] and grams[2] == p1.gram
+
+
+def test_glued_primitive_parts_search_only_when_starred(monkeypatch):
+    # the reduced bases of the ten unstarred glued primitive parts complete
+    # to bases of roots, so none is searched in full; the three starred
+    # ones (index 3 over their root span) are searched once each
+    import k3lat.roots as roots
+
+    searched = counted_searches(monkeypatch)
+    full = []
+    for pairings in goldens.GLUE_PAIRINGS.values():
+        for s0, s1, expected, starred in pairings:
+            k = glue_lambda(build_component(ComponentSpec(*s0)), build_component(ComponentSpec(*s1)))
+            searched.clear()
+            rtype, _ = roots._root_analysis.__wrapped__(k.prim.lattice().gram)
+            assert str(rtype) == expected
+            full.append(([coset for _, coset in searched].count(-1), starred))
+    assert len(full) == 13 and sum(starred for _, starred in full) == 3
+    assert all(count == starred for count, starred in full)

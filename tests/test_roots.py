@@ -1,14 +1,16 @@
 import math
 import random
+from functools import cache
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import k3lat.lattice as lattice_module
 import k3lat.roots as roots_module
 from k3lat import goldens
+from k3lat.cli import parse_lattice_expr
 from k3lat.exactla import IntMatrix, det, gram_elimination, hermite_basis, hnf
 from k3lat.lattice import (
     DegenerateFormError,
@@ -24,9 +26,9 @@ from k3lat.lattice import (
     scaled_dual,
 )
 from k3lat.roots import (
+    EMPTY_TYPE,
     EnumerationError,
     RootSystemType,
-    _cartan_type,
     _definite_reduce,
     _reduced_search,
     _round_div,
@@ -54,6 +56,7 @@ from support import (
     pairwise_root_type,
     run_fresh,
     rational_span_complement_root_type,
+    searched_root_analysis,
     restrict_to_box,
     tuple_root_decomposition,
     unimodular,
@@ -93,11 +96,19 @@ def test_enumerate_rejects_indefinite():
         enumerate_norm(hyperbolic(), 2)
 
 
-def certified(l):
-    """Whether the Cartan certificate takes ``l``: its size-reduced form is
-    a Cartan matrix up to the signs of the basis vectors."""
-    reduced = _definite_reduce(l)
-    return reduced is not None and _cartan_type(reduced[0]) is not None
+def analysed(gram):
+    """``_root_analysis`` of ``gram``, uncached, and the list of the
+    ``coset`` of each ``_reduced_search`` it runs (-1 for a full search)."""
+    searches = []
+    search = roots_module._reduced_search
+
+    def counted(l, reduced, m, visit, elim=None, coset=-1):
+        searches.append(coset)
+        return search(l, reduced, m, visit, elim, coset)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roots_module, "_reduced_search", counted)
+        return roots_module._root_analysis.__wrapped__(gram), searches
 
 
 def counted_eliminations(mp):
@@ -115,16 +126,23 @@ def counted_eliminations(mp):
 
 
 def test_root_analysis_of_a_new_gram_matrix_eliminates_once(monkeypatch):
-    # the reduced form's pivots prove definiteness, so no second
-    # elimination of the input Gram matrix runs beside them; the basis is
-    # one the size reduction leaves off the simple roots, so the search runs
-    u = unimodular(8, [(1, 4, 2), (4, 6, -2), (7, 2, 1)])
-    lu = conjugate(direct_sum(root_lattice("E", 6), root_lattice("A", 2)), u)
-    assert not certified(lu)
-    roots_module._root_analysis.cache_clear()
+    # the reduced form's pivots prove definiteness and serve every search,
+    # so no elimination of the input Gram matrix runs beside them, and each
+    # piece of the completed root basis is eliminated once.  In the first
+    # basis E6+A2 reduces to two rows of norm 4, each with a root in its
+    # coset; in the second the coset of row 5 holds no root, so the lattice
+    # is searched on the same elimination
+    e6a2 = direct_sum(root_lattice("E", 6), root_lattice("A", 2))
+    lu = conjugate(e6a2, unimodular(8, [(5, 3, -2), (6, 3, 2)]))
+    missed = conjugate(e6a2, unimodular(8, [(6, 1, 2), (0, 1, -2), (2, 0, -2), (1, 5, -2)]))
+    for l, norms in ((lu, [2] * 6 + [4, 4]), (missed, [2] * 5 + [4, 4, 4])):
+        assert [row[k] for k, row in enumerate(_definite_reduce(l)[0].entries)] == norms
     lattice_module._inertia.cache_clear()
     calls = counted_eliminations(monkeypatch)
-    assert str(root_system(lu)[0]) == "E6+A2"
+    assert analysed(lu.gram) == ((T("E6+A2"), IntMatrix.identity(8)), [6, 7])
+    assert calls == [8, 6, 2]
+    calls.clear()
+    assert analysed(missed.gram) == ((T("E6+A2"), IntMatrix.identity(8)), [5, -1])
     assert calls == [8]
 
 
@@ -184,30 +202,59 @@ def signed_permuted_root_bases(draw):
 
 @given(signed_permuted_root_bases(), st.sampled_from([1, -1]))
 def test_cartan_certificate_types_signed_permuted_root_bases(l, sign):
-    # the certificate types every signed simple-root basis, of either sign,
-    # as the pairwise oracle does over all roots, with no elimination
+    # a signed simple-root basis, of either sign, is a root basis with an
+    # empty tail: it is typed as the pairwise oracle types all roots, with
+    # no search and one elimination per irreducible component
     lu = rescale(l, sign)
     want = pairwise_root_type(enumerate_norm(lu, 2), lu.gram)
-    assert certified(lu)
     with pytest.MonkeyPatch.context() as mp:
         calls = counted_eliminations(mp)
-        rtype, span = roots_module._root_analysis.__wrapped__(lu.gram)
-    assert (rtype, span, calls) == (want, IntMatrix.identity(lu.rank), [])
+        (rtype, span), searches = analysed(lu.gram)
+    assert (rtype, span, searches) == (want, IntMatrix.identity(lu.rank), [])
+    assert sorted(calls) == sorted(n for _, n in want.components)
 
 
 def test_cartan_certificate_on_pinned_forms(monkeypatch):
     calls = counted_eliminations(monkeypatch)
-    # A2 with one basis sign flipped: the certificate, and no elimination
+    # A2 with one basis sign flipped: a root basis, and one elimination
     a2 = IntMatrix([[2, 1], [1, 2]])
-    assert roots_module._root_analysis.__wrapped__(a2) == (T("A2"), IntMatrix.identity(2))
-    assert calls == []
-    # a triangle of pairings and an odd form are declined, and searched
-    for gram, want in (([[2, 1, 1], [1, 2, 1], [1, 1, 2]], "A3"), ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "A3")):
-        l = Lattice(gram)
-        assert not certified(l)
-        calls.clear()
-        assert str(roots_module._root_analysis.__wrapped__(l.gram)[0]) == want
-        assert calls == [3]
+    assert analysed(a2) == ((T("A2"), IntMatrix.identity(2)), [])
+    assert calls == [2]
+    # a triangle of pairings is a root basis too, with no Dynkin diagram:
+    # det 4 at rank 3 names A3
+    calls.clear()
+    assert analysed(IntMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])) == ((T("A3"), IntMatrix.identity(3)), [])
+    assert calls == [3]
+    # an odd form has no root basis: the coset of its first row holds no
+    # root, and the search runs on the one elimination of the reduced form
+    calls.clear()
+    (rtype, _), searches = analysed(IntMatrix.identity(3))
+    assert (str(rtype), searches, calls) == ("A3", [0, -1], [3])
+
+
+@pytest.mark.parametrize("expr, shortcut", [("A2(2)", True), ("D4(3)", True), ("E8(2)+A1(3)", False)])
+def test_content_above_2_leaves_no_roots(monkeypatch, expr, shortcut):
+    # every norm is a multiple of the content gcd(g_ii, 2 g_ij): 4 for
+    # A2(2) and 6 for D4(3), so neither has a root, with no reduction and
+    # no search; E8(2)+A1(3) has content 2, and the search finds no root
+    l = parse_lattice_expr(expr)
+    want = searched_root_analysis(l.gram)
+    reduce, reduced = roots_module._definite_reduce, []
+    monkeypatch.setattr(roots_module, "_definite_reduce", lambda l: reduced.append(l) or reduce(l))
+    got, searches = analysed(l.gram)
+    assert got == want == (EMPTY_TYPE, hermite_basis([], l.rank))
+    assert (reduced == [] and searches == []) == shortcut
+
+
+@pytest.mark.parametrize("expr, error", [("U(3)", LatticeError), ("diag(3,0)", DegenerateFormError)])
+def test_content_above_2_keeps_the_inertia_error(expr, error):
+    # content 6 and 3, but no roots is no answer for a form not definite
+    l = parse_lattice_expr(expr)
+    with pytest.raises(error) as raised:
+        roots_module._root_analysis.__wrapped__(l.gram)
+    with pytest.raises(error) as named:
+        lattice_module.definite_sign(l)
+    assert type(raised.value) is error and str(raised.value) == str(named.value)
 
 
 def diagram_gram(n, edges):
@@ -226,12 +273,18 @@ def diagram_gram(n, edges):
         (diagram_gram(10, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)]), LatticeError),
     ],
 )
-def test_a_diagram_that_is_not_ade_is_declined_and_raises_the_inertia_error(gram, error):
+def test_a_diagram_that_is_not_ade_is_declined_and_raises_the_inertia_error(monkeypatch, gram, error):
     l = Lattice(gram)
-    # already size-reduced, and a Cartan matrix but for ``diagram_type``
-    assert _size_reduce(l.gram)[0] == l.gram and not certified(l)
+    # already size-reduced, so a basis of roots with one piece, whose
+    # elimination is not positive: the elimination of the input names why,
+    # and nothing is searched
+    assert _size_reduce(l.gram)[0] == l.gram
+    lattice_module._inertia.cache_clear()
+    calls = counted_eliminations(monkeypatch)
+    monkeypatch.setattr(roots_module, "_reduced_search", None)
     with pytest.raises(error) as raised:
         roots_module._root_analysis.__wrapped__(l.gram)
+    assert calls == [len(gram)] * 2
     with pytest.raises(error) as named:
         lattice_module.definite_sign(l)
     assert type(raised.value) is error and str(raised.value) == str(named.value)
@@ -573,28 +626,81 @@ def test_root_system_matches_pairwise_oracle(data, sign):
         assert root_span_index(lu) == abs(det(hermite_span(lu.gram)))
 
 
-# the Cartan bases of STOP_CASES take the certificate, so the search runs
-# on the seeded bases alone, two of each of D24 and E8^2
+# the Cartan bases of STOP_CASES are root bases, which no search reads, so
+# the search runs on seeded bases, two of each of D24 and E8^2
 SEARCH_STOP_CASES = [(parts, 31 if seed is None else seed) for parts, seed in STOP_CASES]
 
 
 @pytest.mark.parametrize("parts,seed", SEARCH_STOP_CASES)
-def test_root_analysis_stops_at_the_last_simple_root(monkeypatch, parts, seed):
+def test_root_analysis_stops_at_the_last_simple_root(parts, seed):
+    # the search, fed to the scan, stops at the rank-th simple root: early
+    # on D24 and E8^2, and at the end on E8+I1, whose roots span rank 8 of
+    # 9.  The analysis takes it on every basis but E8^2 at seed 31, which
+    # completes to a basis of roots
     lu = skewed(parts, seed)[3]
-    assert not certified(lu)
-    search = roots_module._reduced_search
-    scanned = []
-
-    def counted(l, reduced, m, visit):
-        return search(l, reduced, m, lambda key, x: scanned.append(key) or visit(key, x))
-
-    monkeypatch.setattr(roots_module, "_reduced_search", counted)
-    rtype, _ = roots_module._root_analysis.__wrapped__(lu.gram)
+    (rtype, _), searches = analysed(lu.gram)
+    assert (-1 in searches) == ((parts, seed) != ([("E", 8), ("E", 8)], 31))
+    simple, scanned = [], []
+    scan = _simple_scan(lu.rank, simple)
+    _reduced_search(lu, _definite_reduce(lu), 2, lambda key, x: scanned.append(key) or scan(key, x))
     positive = rtype.root_count() // 2
+    assert len(simple) == rtype.rank
     if rtype.rank == lu.rank:
         assert positive in (552, 240) and len(scanned) < positive
-    else:  # E8+I1: the roots span rank 8 of 9, so no root ends the search
+    else:
         assert (str(rtype), len(scanned)) == ("E8", positive)
+
+
+@cache
+def starred_glue_parts():
+    """The three starred glued primitive parts."""
+    from k3lat.kulikov import ComponentSpec, build_component, glue_lambda
+
+    return [
+        glue_lambda(build_component(ComponentSpec(*s0)), build_component(ComponentSpec(*s1))).prim.lattice()
+        for pairings in goldens.GLUE_PAIRINGS.values()
+        for s0, s1, _, starred in pairings
+        if starred
+    ]
+
+
+@st.composite
+def sheared_sums(draw):
+    """A sum of ADE root lattices in a basis changed by up to 12 shears by
+    +-1 or +-2, which the size reduction leaves off a root basis more often."""
+    parts = draw(st.lists(st.sampled_from(ADE_ATOMS), min_size=1, max_size=3).filter(lambda ps: sum(n for _, n in ps) <= 12))
+    l = direct_sum(*map(atom_lattice, parts))
+    index = st.integers(0, l.rank - 1)
+    return conjugate(l, unimodular(l.rank, draw(st.lists(st.tuples(index, index, st.sampled_from([1, -1, 2, -2])), max_size=12))))
+
+
+@st.composite
+def rescaled_sums(draw):
+    """A sum of ADE and odd unimodular atoms in a changed basis, rescaled
+    by +-2 or +-3."""
+    return rescale(draw(changed_basis(ROOT_ATOMS, 12, 6))[3], draw(st.sampled_from([2, 3, -2, -3])))
+
+
+@settings(max_examples=100)
+@given(
+    st.one_of(
+        changed_basis(ADE_ATOMS, 12, 8).map(lambda data: data[3]),
+        sheared_sums(),
+        signed_permuted_root_bases(),
+        rescaled_sums(),
+        st.integers(0, 2).map(lambda i: starred_glue_parts()[i]),
+    ),
+    st.sampled_from([1, -1]),
+)
+# two completions and a coset with no root (see the elimination test)
+@example(conjugate(direct_sum(root_lattice("E", 6), root_lattice("A", 2)), unimodular(8, [(5, 3, -2), (6, 3, 2)])), 1)
+@example(skewed([("E", 8), ("E", 8)], 31)[3], -1)
+@example(skewed([("D", 24)], 30)[3], 1)
+def test_root_analysis_matches_the_search_route(l, sign):
+    # the completed root basis, the content shortcut and the fallback all
+    # give the type and the span of the search alone
+    gram = rescale(l, sign).gram
+    assert roots_module._root_analysis.__wrapped__(gram) == searched_root_analysis(gram)
 
 
 def test_root_system_check_rejects_wrong_oracle():
