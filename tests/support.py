@@ -74,7 +74,7 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from k3lat import cli, cusps, exactla
+from k3lat import cli, cusps, exactla, roots
 from k3lat.cusps import build_niemeier, component_system
 from k3lat.exactla import (
     ExactLAError,
@@ -860,6 +860,22 @@ def searched_root_analysis(gram):
 
 def hermite_span(gram):
     return searched_root_analysis(gram)[1]
+
+
+def logged_searches(monkeypatch, scanned=None):
+    """The list that logs ``(gram, coset)`` of every later
+    ``roots._reduced_search``, coset -1 for a full search; each key that a
+    full search hands its visit is also appended to ``scanned``, if given."""
+    searches = []
+
+    def logged(l, reduced, m, visit, elim=None, coset=-1):
+        searches.append((l.gram, coset))
+        if scanned is not None and coset < 0:
+            visit = lambda key, x, visit=visit: scanned.append(key) or visit(key, x)
+        return _reduced_search(l, reduced, m, visit, elim, coset)
+
+    monkeypatch.setattr(roots, "_reduced_search", logged)
+    return searches
 
 
 # -- the character-level lattice-expression parser -----------------------

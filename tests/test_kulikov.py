@@ -37,7 +37,7 @@ from k3lat.lattice import (
     signature,
 )
 from k3lat.roots import GlueError, RootSystemType, dual_class_min, root_span_index, root_system
-from support import adapted_quotient_coords, hermite_span, run_fresh, watch_exactla
+from support import adapted_quotient_coords, hermite_span, logged_searches, run_fresh, watch_exactla
 
 T = RootSystemType.parse
 
@@ -550,22 +550,6 @@ def test_order4_suite_runs_once_for_both_suites():
         order4_suite.cache_clear()
 
 
-def counted_searches(monkeypatch):
-    """The list that logs ``(gram, coset)`` of every later
-    ``roots._reduced_search``; coset -1 is a full search."""
-    import k3lat.roots as roots
-
-    searched = []
-    search = roots._reduced_search
-
-    def counted(l, reduced, m, visit, elim=None, coset=-1):
-        searched.append((l.gram, coset))
-        return search(l, reduced, m, visit, elim, coset)
-
-    monkeypatch.setattr(roots, "_reduced_search", counted)
-    return searched
-
-
 def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):
     import k3lat.roots as roots
 
@@ -581,7 +565,7 @@ def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):
         return reduce(l)
 
     monkeypatch.setattr(roots, "_definite_reduce", counted_reduce)
-    searched = counted_searches(monkeypatch)
+    searched = logged_searches(monkeypatch)
     roots._root_analysis.cache_clear()
     primitive_picard.cache_clear()
     rtype, _ = root_system(prim_lat)
@@ -605,7 +589,7 @@ def test_glued_primitive_parts_search_only_when_starred(monkeypatch):
     # ones (index 3 over their root span) are searched once each
     import k3lat.roots as roots
 
-    searched = counted_searches(monkeypatch)
+    searched = logged_searches(monkeypatch)
     full = []
     for pairings in goldens.GLUE_PAIRINGS.values():
         for s0, s1, expected, starred in pairings:

@@ -52,6 +52,7 @@ from support import (
     full_sweep_size_reduce,
     gauss_jordan_inv,
     hermite_span,
+    logged_searches,
     misread_e6_cartan_det,
     pairwise_root_type,
     run_fresh,
@@ -96,19 +97,13 @@ def test_enumerate_rejects_indefinite():
         enumerate_norm(hyperbolic(), 2)
 
 
-def analysed(gram):
+def analysed(gram, scanned=None):
     """``_root_analysis`` of ``gram``, uncached, and the list of the
-    ``coset`` of each ``_reduced_search`` it runs (-1 for a full search)."""
-    searches = []
-    search = roots_module._reduced_search
-
-    def counted(l, reduced, m, visit, elim=None, coset=-1):
-        searches.append(coset)
-        return search(l, reduced, m, visit, elim, coset)
-
+    ``coset`` of each ``_reduced_search`` it runs (-1 for a full search);
+    the keys a full search visits go to ``scanned``, if given."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(roots_module, "_reduced_search", counted)
-        return roots_module._root_analysis.__wrapped__(gram), searches
+        searches = logged_searches(mp, scanned)
+        return roots_module._root_analysis.__wrapped__(gram), [coset for _, coset in searches]
 
 
 def counted_eliminations(mp):
@@ -633,20 +628,24 @@ SEARCH_STOP_CASES = [(parts, 31 if seed is None else seed) for parts, seed in ST
 
 @pytest.mark.parametrize("parts,seed", SEARCH_STOP_CASES)
 def test_root_analysis_stops_at_the_last_simple_root(parts, seed):
-    # the search, fed to the scan, stops at the rank-th simple root: early
-    # on D24 and E8^2, and at the end on E8+I1, whose roots span rank 8 of
-    # 9.  The analysis takes it on every basis but E8^2 at seed 31, which
-    # completes to a basis of roots
+    # the analysis's full search, fed to the scan, stops at the rank-th
+    # simple root: early on D24 and E8^2, and at the end on E8+I1, whose
+    # roots span rank 8 of 9.  E8^2 at seed 31 completes to a basis of
+    # roots and runs no full search, so the search alone is checked there
     lu = skewed(parts, seed)[3]
-    (rtype, _), searches = analysed(lu.gram)
-    assert (-1 in searches) == ((parts, seed) != ([("E", 8), ("E", 8)], 31))
-    simple, scanned = [], []
-    scan = _simple_scan(lu.rank, simple)
-    _reduced_search(lu, _definite_reduce(lu), 2, lambda key, x: scanned.append(key) or scan(key, x))
+    scanned = []
+    (rtype, _), searches = analysed(lu.gram, scanned)
+    if (parts, seed) == ([("E", 8), ("E", 8)], 31):
+        assert -1 not in searches and scanned == []
+        simple = []
+        scan = _simple_scan(lu.rank, simple)
+        _reduced_search(lu, _definite_reduce(lu), 2, lambda key, x: scanned.append(key) or scan(key, x))
+        assert len(simple) == rtype.rank
+    else:
+        assert searches.count(-1) == 1
     positive = rtype.root_count() // 2
-    assert len(simple) == rtype.rank
     if rtype.rank == lu.rank:
-        assert positive in (552, 240) and len(scanned) < positive
+        assert positive in (552, 240) and 0 < len(scanned) < positive
     else:
         assert (str(rtype), len(scanned)) == ("E8", positive)
 
