@@ -1,35 +1,38 @@
 """Short-vector enumeration in definite lattices and ADE root systems.
 
-Everything runs on Python integers.  Enumeration is a fraction-free
-Fincke--Pohst traversal (Fincke--Pohst, Math. Comp. 1985): the symmetric
-Bareiss elimination (``exactla.gram_elimination``) of the size-reduced
-Gram matrix gives leading minors ``d_k`` and integer numerators, and
-scaling the norm by ``lcm(d_k d_{k-1})`` turns every level's interval
-into an integer square root and an integer subtraction.  The minors also
-prove the form definite; the ``definite_sign`` of the input only names a
-failure.  ``enumerate_norm`` is reduce (``_size_reduce``), search (which
-keeps one of each pair +-x, in reduced coordinates), map back through
-the transform V, and sort: the vectors, closed under negation, are in
+Everything runs on Python integers.  One reduction stands in front of
+every search: integral LLL at delta = 3/4 on the Gram matrix (``_lll``;
+Lenstra--Lenstra--Lovasz 1982, Cohen GTM 138 Alg. 2.6.7), which keeps
+the leading minors ``d_k`` and the numerators ``lam_kj`` as integers.  A
+minor ``d_k <= 0`` proves the form not definite, and ``definite_sign``
+of the input names why.  The minors and numerators it ends with are the
+symmetric Bareiss elimination (``exactla.gram_elimination``) of the
+reduced form, so the enumeration, a fraction-free Fincke--Pohst
+traversal (Fincke--Pohst, Math. Comp. 1985), reads them without a second
+elimination: scaling the norm by ``lcm(d_k d_{k-1})`` turns every
+level's interval into an integer square root and an integer
+subtraction.  ``enumerate_norm`` is reduce, search (which keeps one of
+each pair +-x, in reduced coordinates), map back through the unimodular
+transform V, and sort: the vectors, closed under negation, are in
 lexicographic order of their coefficient tuples.
 
 A root analysis proves the type without enumerating roots where it can.
 Every norm is a multiple of the content gcd(g_ii, 2 g_ij), so content
-above 2 leaves no roots.  Else it reduces once and completes the reduced
-basis to a basis of roots, each row of norm other than 2 replaced by a
-root of its coset over the rows before it (a search of that coset).  A
-basis of roots makes the lattice the root lattice Q(R) of its norm-2
-vectors R (Humphreys, *Reflection Groups*, 2.9-2.10; Conway--Sloane,
-SPLAG, ch. 4): the span is the identity, and each piece of the basis's
-pairing graph is an irreducible component, named by rank and determinant.
-A coset with no root leaves one pass of the search: its order is that of
-an exact integer key, positive on the vectors it keeps, so the roots it
-finds are a positive system; each goes to the simple-root scan as found,
-and the search stops at the rank-th simple root, typed by the Dynkin
-diagram (Humphreys, 1.3; Bourbaki VI 1.6).  The index of the root span
-is read off determinants alone (``span_index``): for n simple roots with
-Cartan matrix C in a lattice with Gram matrix G, index^2 = det C / |det
-G|.  Index 1 makes the span the identity basis; any other index maps the
-simple roots back through V, and their Hermite form is the root span.
+above 2 leaves no roots.  Else it reduces once; a reduced form with
+every diagonal entry 2 is a basis of roots, which makes the lattice the
+root lattice Q(R) of its norm-2 vectors R (Humphreys, *Reflection
+Groups*, 2.9-2.10; Conway--Sloane, SPLAG, ch. 4): the span is the
+identity, and each piece of the basis's pairing graph is an irreducible
+component, named by rank and determinant.  Any other reduced form is
+searched once: the search's order is that of an exact integer key,
+positive on the vectors it keeps, so the roots it finds are a positive
+system; each goes to the simple-root scan as found, and the search stops
+at the rank-th simple root, typed by the Dynkin diagram (Humphreys, 1.3;
+Bourbaki VI 1.6).  The index of the root span is read off determinants
+alone (``span_index``): for n simple roots with Cartan matrix C in a
+lattice with Gram matrix G, index^2 = det C / |det G|.  Index 1 makes
+the span the identity basis; any other index maps the simple roots back
+through V, and their Hermite form is the root span.
 
 ``dual_class_min`` enumerates the integer scaled dual of
 ``lattice.scaled_dual``; only ``glue_root_sum`` reads those classes, to
@@ -64,8 +67,9 @@ from .lattice import (
 
 Vector = Tuple[int, ...]
 Visit = Callable[[int, List[int]], object]  # (key, vector) -> stop the search?
-Reduction = Tuple[IntMatrix, IntMatrix]  # (reduced Gram matrix V G V^T, transform V)
-Elimination = Tuple[List[List[int]], List[int]]  # gram_elimination: (numerators B, pivots d)
+# (reduced Gram matrix G' = V G V^T, transform V, lam, d): lam[k][j] (j < k)
+# = B_jk and d the pivots of gram_elimination(G')
+Reduction = Tuple[IntMatrix, IntMatrix, List[List[int]], List[int]]
 
 
 class EnumerationError(LatticeError):
@@ -82,120 +86,122 @@ def _round_div(a: int, b: int) -> int:
     return q + 1 if twice > b or (twice == b and q % 2) else q
 
 
-def _size_reduce(gram: IntMatrix) -> Reduction | None:
-    """Exact greedy basis reduction of a form with a positive diagonal:
-    returns (reduced gram, transform V) with ``V * G * V^T`` reduced, or
-    None when a pair it tests has ``g_ij^2 >= g_ii g_jj``, which by
-    Cauchy--Schwarz proves the form not positive definite.
+def _lll(gram: IntMatrix) -> Reduction | None:
+    """Integral LLL at delta = 3/4 of a Gram matrix (Lenstra--Lenstra--
+    Lovasz, Math. Ann. 261 (1982); Cohen, GTM 138, Alg. 2.6.7): returns
+    ``(G', V, lam, d)`` with ``G' = V G V^T`` reduced and V unimodular, or
+    None when a leading minor ``d_k <= 0`` proves the form not positive
+    definite (Sylvester).
 
-    Alternates integer shear sweeps (subtracting the rounded projection
-    coefficient) with norm-sorting swaps until stable.  All arithmetic
-    is integral; this is only a preconditioner that keeps the
-    enumeration intervals short on skew bases coming from quotient
-    constructions, not a reduction algorithm with guarantees.
-
-    The test of pair (i, j) reads products of basis vectors i and j, which
-    swaps only move and a shear of i changes, so a sweep tests only pairs
-    with a vector changed since their last test: the others would skip.
-    A pair that passes Cauchy--Schwarz spans a positive definite plane, so
-    its shear leaves vector i a positive norm.
+    It keeps integers only: the leading minors ``d_k`` of the current
+    basis and ``lam_kj = d_j mu_kj`` (j < k), so each Gram--Schmidt update
+    is an exact division.  G' is size-reduced, ``2 |lam_kj| <= d_j``, and
+    meets Lovasz's condition ``4 d_k d_(k-2) >= 3 d_(k-1)^2 - 4 lam_k(k-1)^2``
+    (``d_(-1) = 1``); its ``lam`` and ``d`` are ``gram_elimination(G')``,
+    ``lam_kj = B_jk`` with the same pivots, so no search eliminates again.
     """
     n = gram.rows
     g = [list(row) for row in gram.entries]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    diag = [abs(g[i][i]) for i in range(n)]
-    # stamp[k]: the step at which vector k last changed; begun[i]: the
-    # step at which the tests of vector i as row last began
-    stamp, begun, step = [0] * n, [-1] * n, 0
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    lam = [[0] * k for k in range(n)]  # lam[k][j], j < k
+    d = [1, g[0][0]] if n else [1]  # d[k + 1]: the leading minor of rows 0..k
+    if d[-1] < 1:
+        return None
 
-    for _ in range(60):
-        changed = False
-        for i in range(n):
-            since, begun[i] = begun[i], step
-            dirty = stamp[i] > since
-            for j in range(n):
-                # the quotient rounds to 0 exactly when 2|g_ij| <= |g_jj| (a
-                # tie rounds to the even 0), so those shears are skipped
-                # without a division and every other one is nonzero
-                if (not dirty and stamp[j] <= since) or i == j or diag[j] == 0 or 2 * abs(g[i][j]) <= diag[j]:
-                    continue
-                if g[i][j] * g[i][j] >= g[i][i] * g[j][j]:
-                    return None
-                r = _round_div(g[i][j], g[j][j])
-                g[i] = [a - r * b for a, b in zip(g[i], g[j])]
-                for row in g:
-                    row[i] -= r * row[j]
-                v[i] = [a - r * b for a, b in zip(v[i], v[j])]
-                step += 1
-                stamp[i], diag[i], dirty, changed = step, abs(g[i][i]), True, True
-        for i in range(n - 1):
-            if g[i + 1][i + 1] < g[i][i]:
-                for row in g:
-                    row[i], row[i + 1] = row[i + 1], row[i]
-                for a in (g, v, diag, stamp, begun):
-                    a[i], a[i + 1] = a[i + 1], a[i]
-                changed = True
-        if not changed:
-            break
-    return IntMatrix(g, cols=n), IntMatrix(v, cols=n)
+    def reduce(k: int, l: int) -> None:
+        # b_k -= q b_l for q the integer nearest lam_kl / d_l
+        lk, dl = lam[k], d[l + 1]
+        if 2 * abs(lk[l]) > dl:
+            q = _round_div(lk[l], dl)
+            g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+            for row in g:
+                row[k] -= q * row[l]
+            v[k] = [a - q * b for a, b in zip(v[k], v[l])]
+            lk[l] -= q * dl
+            for i, x in enumerate(lam[l][:l]):
+                lk[i] -= q * x
+
+    k = 1
+    while k < n:
+        if k == len(d) - 1:
+            # the first visit of row k extends the Gram--Schmidt data
+            gk, lk = g[k], lam[k]
+            for j in range(k + 1):
+                u, lj = gk[j], lam[j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
+                if j < k:
+                    lk[j] = u
+            if u < 1:
+                return None
+            d.append(u)
+        reduce(k, k - 1)
+        lm = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] * d[k] - 4 * lm * lm:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+            continue
+        # swap b_(k-1) and b_k, and update d_(k-1) and the lam of the rows seen
+        g[k - 1], g[k] = g[k], g[k - 1]
+        for row in g:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        v[k - 1], v[k] = v[k], v[k - 1]
+        lam[k - 1][: k - 1], lam[k][: k - 1] = lam[k][: k - 1], lam[k - 1][: k - 1]
+        b = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for li in lam[k + 1 : len(d) - 1]:
+            t = li[k]
+            li[k] = (d[k + 1] * li[k - 1] - lm * t) // d[k]
+            li[k - 1] = (b * t + lm * li[k]) // d[k + 1]
+        d[k] = b
+        k = max(1, k - 1)
+    return IntMatrix._of(tuple(map(tuple, g)), n), IntMatrix._of(tuple(map(tuple, v)), n), lam, d[1:]
 
 
-def _definite_reduce(l: Lattice) -> Reduction | None:
-    """``_size_reduce`` of G or -G, the one with a positive diagonal, as a
-    definite form has; on a diagonal of both signs ``definite_sign`` raises."""
+def _definite_reduce(l: Lattice) -> Reduction:
+    """``_lll`` of G or -G, the one with a positive diagonal, as a definite
+    form has; on a diagonal of both signs, or when LLL meets a minor
+    ``d_k <= 0``, ``definite_sign`` raises, naming why."""
     diag = [row[i] for i, row in enumerate(l.gram.entries)]
     sign = 1 if min(diag, default=1) > 0 else -1 if max(diag) < 0 else definite_sign(l)
-    return _size_reduce(l.gram.scale(sign))
-
-
-def _definite_elimination(l: Lattice, reduced: Reduction | None) -> Elimination:
-    """``gram_elimination`` of the reduced form: n positive pivots prove it
-    definite (Sylvester), else ``definite_sign`` raises, naming why; a
-    reduction that met a pair beyond Cauchy--Schwarz left no form."""
-    b, d = gram_elimination(reduced[0]) if reduced else ([], [])
-    if len(d) < l.rank or min(d, default=1) < 1:
+    reduced = _lll(l.gram.scale(sign))
+    if reduced is None:
         definite_sign(l)
-    return b, d
+    return reduced
 
 
-def _reduced_search(
-    l: Lattice, reduced: Reduction | None, m: int, visit: Visit, elim: Elimination | None = None, coset: int = -1
-) -> Tuple[IntMatrix, IntMatrix, int]:
-    """Search ``reduced = _definite_reduce(l)`` (``elim``: its elimination,
-    if made): returns ``(G', V, det G')``, ``G' = V G V^T`` size-reduced and
-    positive definite, after ``visit(key, x)`` on each x of norm ``m`` with
-    last nonzero coordinate positive (reduced coordinates), or in the coset
-    b_k + span(b_0..b_(k-1)) for ``coset = k``, until it returns True.
-    ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
+def _reduced_search(reduced: Reduction, m: int, visit: Visit) -> Tuple[IntMatrix, IntMatrix, int]:
+    """Search ``reduced = _definite_reduce(l)``: returns ``(G', V, det G')``
+    after ``visit(key, x)`` on each x of norm ``m`` with last nonzero
+    coordinate positive (reduced coordinates), until it returns True.  The
+    levels read the reduction's own ``lam`` and ``d``, the elimination of
+    G'.  ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
     (3 M_k + 1)`` for ``M_k`` the bound on ``|x_k|`` that the level-k
     intervals prove: the top nonzero digit outweighs the rest, so keys
     ascend and ``key u - key v = key w`` only when ``u - v = w``."""
-    b, d = elim or _definite_elimination(l, reduced)
-    n = l.rank
-    gram_red, v = reduced
+    gram_red, v, lam, d = reduced
+    n = len(d)
     # scaling by L = lcm(d_k d_{k-1}) makes every level's weight an integer
     dd = [d[k] * (d[k - 1] if k else 1) for k in range(n)]
     scale = math.lcm(*dd)
     w = [scale // x for x in dd]
-    tails = [b[k][k + 1 :] for k in range(n)]
+    tails = [[lam[j][k] for j in range(k + 1, n)] for k in range(n)]
     # level k bounds y = d_k x_k + c by |y| <= isqrt(scale m / w_k), and
-    # |c| <= sum_j |b_kj| M_j over the levels above it
+    # |c| <= sum_j |lam_jk| M_j over the levels j above it
     bound = [0] * n
     for k in reversed(range(n)):
-        c = sum(abs(bkj) * mj for bkj, mj in zip(tails[k], bound[k + 1 :]))
+        c = sum(abs(ljk) * mj for ljk, mj in zip(tails[k], bound[k + 1 :]))
         bound[k] = (math.isqrt(scale * m // w[k]) + c) // d[k]
     place = list(accumulate([3 * mk + 1 for mk in bound[:-1]], mul, initial=1))
     x = [0] * n
 
     def descend(k: int, budget: int, top: bool, key: int) -> bool:
         # |y| <= s with y = d_k x_k + c bounds x_k to an integer interval;
-        # while x_{k+1..n-1} are all zero (top), x_k >= 0 keeps one of +-x;
-        # the top level of a coset search takes x_k = 1 alone
+        # while x_{k+1..n-1} are all zero (top), x_k >= 0 keeps one of +-x
         c = sum(map(mul, tails[k], x[k + 1 :]))
         s = math.isqrt(budget // w[k])
         dk, wk, pk = d[k], w[k], place[k]
-        ts = range(0 if top else -((s + c) // dk), (s - c) // dk + 1)
-        for t in ts if k != coset else (1,) if 1 in ts else ():
+        for t in range(0 if top else -((s + c) // dk), (s - c) // dk + 1):
             x[k] = t
             y = dk * t + c
             rest = budget - wk * y * y
@@ -208,7 +214,7 @@ def _reduced_search(
         return False
 
     if n:
-        descend(n - 1 if coset < 0 else coset, scale * m, True, 0)
+        descend(n - 1, scale * m, True, 0)
     return gram_red, v, d[-1] if d else 1
 
 
@@ -218,7 +224,7 @@ def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
     if m < 1:
         raise EnumerationError("norm bound must be a positive integer")
     half: List[Vector] = []
-    _, v, _ = _reduced_search(l, _definite_reduce(l), m, lambda key, x: half.append(tuple(x)))
+    _, v, _ = _reduced_search(_definite_reduce(l), m, lambda key, x: half.append(tuple(x)))
     # a row x found in the reduced basis is x*V in the original coordinates
     orig = (IntMatrix._of(tuple(half), v.rows) * v).entries
     return sorted(orig + tuple(tuple(-o for o in x) for x in orig))
@@ -422,37 +428,34 @@ def diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
     return RootSystemType.of(comps)
 
 
-def _root_basis_type(l: Lattice, gram: IntMatrix) -> RootSystemType:
-    """Type of ``l`` from ``gram``, its form (scaled positive) in a basis of
-    roots, with no root enumerated.  The pieces of the pairing graph are
-    the irreducible components; one elimination per piece proves it
-    definite (else ``definite_sign`` raises, naming why) and ends in its
+def _root_basis_type(gram: IntMatrix) -> RootSystemType:
+    """Type of a positive definite ``gram`` in a basis of roots, with no
+    root enumerated.  The pieces of the pairing graph are the irreducible
+    components; the last pivot of one elimination per piece is its
     determinant, which names its type with its rank: det A_n = n + 1,
     det D_n = 4 (n >= 4), and det E6, E7, E8 = 3, 2, 1."""
     rows = gram.entries
     comps: List[Tuple[str, int]] = []
     for piece in _pieces(rows):
         k = len(piece)
-        _, d = gram_elimination(IntMatrix._of(tuple(tuple(rows[a][b] for b in piece) for a in piece), k))
-        if len(d) < k or min(d) < 1:
-            definite_sign(l)
-        comps.append(("A" if d[-1] == k + 1 else "D" if d[-1] == 4 else "E", k))
+        det_piece = gram_elimination(IntMatrix._of(tuple(tuple(rows[a][b] for b in piece) for a in piece), k))[1][-1]
+        comps.append(("A" if det_piece == k + 1 else "D" if det_piece == 4 else "E", k))
     return RootSystemType.of(comps)
 
 
 @cache
 def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     """Root type and Hermite basis of the simple roots of the definite
-    form ``gram``, once per Gram matrix, from one size reduction.  Content
-    above 2 leaves no roots.  Else each row k of the reduced basis whose
-    norm is not 2, in ascending order, gives way to the first root of
-    b_k + span(b_0..b_(k-1)): a unitriangular, so unimodular, change.  A
-    basis of roots proves the lattice even and equal to Q(R), R its norm-2
-    vectors, an ADE system (Humphreys, 2.9-2.10; Conway--Sloane, ch. 4):
-    the span is the identity.  A root of an orthogonal sum of even definite
-    lattices lies in one summand, so the pieces of the pairing graph are
-    the irreducible components (``_root_basis_type``).  A coset with no
-    root leaves the search, on the same elimination: it feeds its positive
+    form ``gram``, once per Gram matrix, from one LLL reduction.  Content
+    above 2 leaves no roots.  Else the reduction proves the form definite
+    (or ``definite_sign`` raises), and a reduced form with every diagonal
+    entry 2 is a basis of roots.  That proves the lattice even and equal
+    to Q(R), R its norm-2 vectors, an ADE system (Humphreys, 2.9-2.10;
+    Conway--Sloane, ch. 4): the span is the identity.  A root of an
+    orthogonal sum of even definite lattices lies in one summand, so the
+    pieces of the pairing graph are the irreducible components
+    (``_root_basis_type``).  Any other reduced form is searched once, on
+    the elimination that LLL hands over: the search feeds its positive
     system to ``_simple_scan`` until the rank-th simple root.  For n simple
     roots S, det C = det(S)^2 det G' for C = S G' S^T, so det C = det G'
     proves the span the whole lattice (the identity); otherwise only the
@@ -464,23 +467,10 @@ def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
         definite_sign(l)
         return EMPTY_TYPE, IntMatrix._of((), n)
     reduced = _definite_reduce(l)
-    elim = None
-    if reduced is not None:
-        g = reduced[0]
-        tail = [k for k in range(n) if g.entries[k][k] != 2]
-        elim = _definite_elimination(l, reduced) if tail else None
-        basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        for k in tail:
-            found: List[Vector] = []
-            _reduced_search(l, reduced, 2, lambda key, x: found.append(tuple(x)) or True, elim, k)
-            if not found:
-                break
-            basis[k] = found[0]
-        else:
-            t = IntMatrix._of(tuple(basis), n)
-            return _root_basis_type(l, t * g * t.transpose() if tail else g), IntMatrix.identity(n)
+    if all(row[k] == 2 for k, row in enumerate(reduced[0].entries)):
+        return _root_basis_type(reduced[0]), IntMatrix.identity(n)
     simple: List[Vector] = []
-    gram_red, v, det_red = _reduced_search(l, reduced, 2, _simple_scan(n, simple), elim)
+    gram_red, v, det_red = _reduced_search(reduced, 2, _simple_scan(n, simple))
     s = IntMatrix._of(tuple(simple), n)
     cartan = s * gram_red * s.transpose()
     rtype = diagram_type(cartan.entries)

@@ -43,12 +43,13 @@ the component permutations that keep the glue code up to signs
 (``code_perm_group``), where the library sorts each assignment's blocks,
 taking every permutation to lift to an isometry of N, and the product
 enumeration builds them from every placement, where the library splits
-each run of equal factors over the components once.  The full-sweep
-size reduction tests every pair in every sweep and rounds by
-``Fraction``, where the library re-tests only the pairs with a changed
-vector and rounds by ``divmod``.  The two-pass kernel takes the zero
-rows of the ``hnf`` transform of A^T and then their Hermite form, where
-``exactla.kernel_basis`` runs one Hermite elimination of [A^T | I].
+each run of equal factors over the components once.  The textbook LLL
+recomputes the rational Gram--Schmidt data before each step and rounds
+by ``Fraction``, where ``roots._lll`` updates integer minors and
+numerators in place and rounds by ``divmod``.  The two-pass kernel
+takes the zero rows of the ``hnf`` transform of A^T and then their
+Hermite form, where ``exactla.kernel_basis`` runs one Hermite
+elimination of [A^T | I].
 
 The Hermite-route span maps the simple roots back to the input basis
 and takes their Hermite form, where ``roots._root_analysis`` returns the
@@ -689,45 +690,51 @@ def group_min_placement_classes(fs, kind):
     return sorted({min(tuple(map(a.__getitem__, p)) for p in group) for a in assignments})
 
 
-# -- size reduction by full sweeps ---------------------------------------
+# -- textbook LLL -----------------------------------------------------------
 
 
-def full_sweep_size_reduce(gram):
-    """``roots._size_reduce`` testing every pair (i, j) in every sweep,
-    where the library re-tests only pairs with a vector changed since
-    their last test: the same shears and swaps in the same order."""
+def fraction_lll(gram):
+    """``(G', V)`` of the textbook LLL at delta = 3/4 (Cohen, GTM 138, Alg.
+    2.6.3) on a positive definite Gram matrix: the Gram--Schmidt
+    coefficients mu and norms B of rows 0..k are recomputed in ``Fraction``
+    before each decision, where ``roots._lll`` updates the integers d_k
+    and lam_kj in place."""
     n = gram.rows
     g = [list(row) for row in gram.entries]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def shear(i, j, r):
-        for k in range(n):
-            g[i][k] -= r * g[j][k]
-        for k in range(n):
-            g[k][i] -= r * g[k][j]
-        for k in range(n):
-            v[i][k] -= r * v[j][k]
+    def gram_schmidt(k):
+        mu = [[Fraction(0)] * n for _ in range(k + 1)]
+        b = []
+        for i in range(k + 1):
+            for j in range(i):
+                mu[i][j] = (g[i][j] - sum(mu[j][t] * mu[i][t] * b[t] for t in range(j))) / b[j]
+            b.append(Fraction(g[i][i]) - sum(mu[i][j] ** 2 * b[j] for j in range(i)))
+        return mu, b
 
-    def swap(i, j):
-        g[i], g[j] = g[j], g[i]
-        for row in g:
-            row[i], row[j] = row[j], row[i]
-        v[i], v[j] = v[j], v[i]
+    def red(k, l):
+        mu = gram_schmidt(k)[0][k][l]
+        if abs(mu) > Fraction(1, 2):
+            q = round(mu)
+            g[k] = [a - q * c for a, c in zip(g[k], g[l])]
+            for row in g:
+                row[k] -= q * row[l]
+            v[k] = [a - q * c for a, c in zip(v[k], v[l])]
 
-    for _ in range(60):
-        changed = False
-        for i in range(n):
-            for j in range(n):
-                if i == j or g[j][j] == 0 or 2 * abs(g[i][j]) <= abs(g[j][j]):
-                    continue
-                shear(i, j, round(Fraction(g[i][j], g[j][j])))
-                changed = True
-        for i in range(n - 1):
-            if g[i + 1][i + 1] < g[i][i]:
-                swap(i, i + 1)
-                changed = True
-        if not changed:
-            break
+    k = 1
+    while k < n:
+        red(k, k - 1)
+        mu, b = gram_schmidt(k)
+        if b[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]:
+            g[k - 1], g[k] = g[k], g[k - 1]
+            for row in g:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            v[k - 1], v[k] = v[k], v[k - 1]
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
     return IntMatrix(g, cols=n), IntMatrix(v, cols=n)
 
 
@@ -852,8 +859,8 @@ def searched_root_analysis(gram):
     the simple roots that the scan takes from the search, typed by their
     Dynkin diagram, and their Hermite basis mapped back through V, the
     root span by the route that reads no determinant."""
-    simple, l = [], Lattice(gram)
-    gram_red, v, _ = _reduced_search(l, _definite_reduce(l), 2, _simple_scan(gram.rows, simple))
+    simple = []
+    gram_red, v, _ = _reduced_search(_definite_reduce(Lattice(gram)), 2, _simple_scan(gram.rows, simple))
     s = IntMatrix(simple, cols=gram.rows)
     return diagram_type((s * gram_red * s.transpose()).entries), hermite_basis((s * v).entries, gram.rows)
 
@@ -863,16 +870,16 @@ def hermite_span(gram):
 
 
 def logged_searches(monkeypatch, scanned=None):
-    """The list that logs ``(gram, coset)`` of every later
-    ``roots._reduced_search``, coset -1 for a full search; each key that a
-    full search hands its visit is also appended to ``scanned``, if given."""
+    """The list that logs the reduced Gram matrix of every later
+    ``roots._reduced_search``; each key that a search hands its visit is
+    also appended to ``scanned``, if given."""
     searches = []
 
-    def logged(l, reduced, m, visit, elim=None, coset=-1):
-        searches.append((l.gram, coset))
-        if scanned is not None and coset < 0:
+    def logged(reduced, m, visit):
+        searches.append(reduced[0])
+        if scanned is not None:
             visit = lambda key, x, visit=visit: scanned.append(key) or visit(key, x)
-        return _reduced_search(l, reduced, m, visit, elim, coset)
+        return _reduced_search(reduced, m, visit)
 
     monkeypatch.setattr(roots, "_reduced_search", logged)
     return searches

@@ -65,8 +65,8 @@ over an iterable that calls ``isqrt``; so every determinant is factored
 by the one cached function that the Smith kernel reads.
 
 The descent rule: one function in ``src/k3lat`` holds a Fincke--Pohst
-descent, ``roots._reduced_search``; the full search, the coset searches
-of the root-basis completion and ``enumerate_norm`` all run through it.
+descent, ``roots._reduced_search``; the root analysis's search and
+``enumerate_norm`` both run through it.
 A top-level function or method holds one when an ``isqrt`` call sits in
 a function inside it that calls itself by name (a recursive descent over
 the levels) or in a ``while`` loop (an iterative one).
@@ -724,7 +724,7 @@ def test_check_flags_a_planted_second_descent():
     search = next(
         n for n in ast.parse(roots).body if isinstance(n, ast.FunctionDef) and n.name == "_reduced_search"
     )
-    copy = ast.get_source_segment(roots, search).replace("def _reduced_search(", "def _coset_search(", 1)
+    copy = ast.get_source_segment(roots, search).replace("def _reduced_search(", "def _copied_search(", 1)
     sources = {
         "roots.py": roots + "\n\n" + copy + "\n",
         "lattice.py": (
@@ -739,7 +739,7 @@ def test_check_flags_a_planted_second_descent():
     }
     assert descent_homes(sources) == [
         ("lattice.py", "short_vectors"),
-        ("roots.py", "_coset_search"),
+        ("roots.py", "_copied_search"),
         ("roots.py", "_reduced_search"),
     ]
 

@@ -575,18 +575,17 @@ def test_root_split_check_enumerates_each_gram_matrix_once(monkeypatch):
     assert len(grams) == len(set(grams)) == 3
     assert roots._root_analysis.cache_info().misses == 3
     assert prim_lat.gram in grams and str(rtype) == "E6+A2^4"
-    # the glued part is starred: the coset of its second row of norm 4
-    # holds no root, so it alone is searched in full; E6+A2 completes its
-    # one row of norm 4, and the reduced A2^3 is a basis of roots already
+    # the glued part is starred, with no basis of roots, so it alone is
+    # searched, once; LLL leaves E6+A2 and A2^3 bases of roots
     p0, p1 = (primitive_picard(c)[0].lattice() for c in (c0, c1))
-    assert [g for g, coset in searched if coset < 0] == [prim_lat.gram]
-    assert [g for g, _ in searched] == [prim_lat.gram] * 3 + [p0.gram] and grams[2] == p1.gram
+    assert grams == [prim_lat.gram, p0.gram, p1.gram]
+    assert searched == [roots._definite_reduce(prim_lat)[0]]
 
 
 def test_glued_primitive_parts_search_only_when_starred(monkeypatch):
-    # the reduced bases of the ten unstarred glued primitive parts complete
-    # to bases of roots, so none is searched in full; the three starred
-    # ones (index 3 over their root span) are searched once each
+    # LLL reduces the ten unstarred glued primitive parts to bases of
+    # roots, so none is searched; the three starred ones (index 3 over
+    # their root span) have no basis of roots and are searched once each
     import k3lat.roots as roots
 
     searched = logged_searches(monkeypatch)
@@ -597,6 +596,6 @@ def test_glued_primitive_parts_search_only_when_starred(monkeypatch):
             searched.clear()
             rtype, _ = roots._root_analysis.__wrapped__(k.prim.lattice().gram)
             assert str(rtype) == expected
-            full.append(([coset for _, coset in searched].count(-1), starred))
+            full.append((len(searched), starred))
     assert len(full) == 13 and sum(starred for _, starred in full) == 3
     assert all(count == starred for count, starred in full)

@@ -30,10 +30,10 @@ from k3lat.roots import (
     EnumerationError,
     RootSystemType,
     _definite_reduce,
+    _lll,
     _reduced_search,
     _round_div,
     _simple_scan,
-    _size_reduce,
     complement_root_type,
     diagram_type,
     dual_class_min,
@@ -46,10 +46,11 @@ from support import (
     ROOT_ATOMS,
     SMALL_ATOMS,
     atom_lattice,
+    basis_change,
     changed_basis,
     conjugate,
     enumerate_norm_box,
-    full_sweep_size_reduce,
+    fraction_lll,
     gauss_jordan_inv,
     hermite_span,
     logged_searches,
@@ -98,12 +99,12 @@ def test_enumerate_rejects_indefinite():
 
 
 def analysed(gram, scanned=None):
-    """``_root_analysis`` of ``gram``, uncached, and the list of the
-    ``coset`` of each ``_reduced_search`` it runs (-1 for a full search);
-    the keys a full search visits go to ``scanned``, if given."""
+    """``_root_analysis`` of ``gram``, uncached, and the number of
+    ``_reduced_search`` runs it makes; the keys a search visits go to
+    ``scanned``, if given."""
     with pytest.MonkeyPatch.context() as mp:
         searches = logged_searches(mp, scanned)
-        return roots_module._root_analysis.__wrapped__(gram), [coset for _, coset in searches]
+        return roots_module._root_analysis.__wrapped__(gram), len(searches)
 
 
 def counted_eliminations(mp):
@@ -121,24 +122,25 @@ def counted_eliminations(mp):
 
 
 def test_root_analysis_of_a_new_gram_matrix_eliminates_once(monkeypatch):
-    # the reduced form's pivots prove definiteness and serve every search,
-    # so no elimination of the input Gram matrix runs beside them, and each
-    # piece of the completed root basis is eliminated once.  In the first
-    # basis E6+A2 reduces to two rows of norm 4, each with a root in its
-    # coset; in the second the coset of row 5 holds no root, so the lattice
-    # is searched on the same elimination
+    # LLL's minors prove definiteness and its numerators serve the search,
+    # so neither the input nor the reduced form is eliminated: a basis of
+    # roots is eliminated once per piece, and a search not at all.  Both
+    # skewed E6+A2 bases reduce to a basis of roots; E8+I1, odd, has none
     e6a2 = direct_sum(root_lattice("E", 6), root_lattice("A", 2))
     lu = conjugate(e6a2, unimodular(8, [(5, 3, -2), (6, 3, 2)]))
-    missed = conjugate(e6a2, unimodular(8, [(6, 1, 2), (0, 1, -2), (2, 0, -2), (1, 5, -2)]))
-    for l, norms in ((lu, [2] * 6 + [4, 4]), (missed, [2] * 5 + [4, 4, 4])):
-        assert [row[k] for k, row in enumerate(_definite_reduce(l)[0].entries)] == norms
+    skew = conjugate(e6a2, unimodular(8, [(6, 1, 2), (0, 1, -2), (2, 0, -2), (1, 5, -2)]))
+    odd = skewed(*STOP_CASES[4])[3]
+    for l, norms in ((lu, [2] * 8), (skew, [2] * 8), (odd, [1] + [2] * 8)):
+        assert sorted(row[k] for k, row in enumerate(_definite_reduce(l)[0].entries)) == norms
     lattice_module._inertia.cache_clear()
     calls = counted_eliminations(monkeypatch)
-    assert analysed(lu.gram) == ((T("E6+A2"), IntMatrix.identity(8)), [6, 7])
-    assert calls == [8, 6, 2]
+    for l in (lu, skew):
+        calls.clear()
+        assert analysed(l.gram) == ((T("E6+A2"), IntMatrix.identity(8)), 0)
+        assert sorted(calls) == [2, 6]
     calls.clear()
-    assert analysed(missed.gram) == ((T("E6+A2"), IntMatrix.identity(8)), [5, -1])
-    assert calls == [8]
+    (rtype, _), searches = analysed(odd.gram)
+    assert (str(rtype), searches, calls) == ("E8", 1, [])
 
 
 @pytest.mark.parametrize(
@@ -168,11 +170,12 @@ def test_root_system_raises_the_inertia_error_on_a_form_not_definite(gram, error
     ],
 )
 def test_a_pair_beyond_cauchy_schwarz_skips_the_reduced_elimination(monkeypatch, gram):
-    # g_ij^2 >= g_ii g_jj already proves the form not positive definite, so
-    # the only elimination is the one of the input that names the error
+    # LLL meets a minor d_k <= 0 (for a pair, g_ii g_jj - g_ij^2), which
+    # already proves the form not positive definite, so the only
+    # elimination is the one of the input that names the error
     lattice_module._inertia.cache_clear()
     calls = counted_eliminations(monkeypatch)
-    assert _size_reduce(IntMatrix(gram)) is None
+    assert _lll(IntMatrix(gram)) is None
     with pytest.raises(LatticeError):
         root_system(Lattice(gram))
     assert calls == [len(gram)]
@@ -205,26 +208,30 @@ def test_cartan_certificate_types_signed_permuted_root_bases(l, sign):
     with pytest.MonkeyPatch.context() as mp:
         calls = counted_eliminations(mp)
         (rtype, span), searches = analysed(lu.gram)
-    assert (rtype, span, searches) == (want, IntMatrix.identity(lu.rank), [])
+    assert (rtype, span, searches) == (want, IntMatrix.identity(lu.rank), 0)
     assert sorted(calls) == sorted(n for _, n in want.components)
 
 
 def test_cartan_certificate_on_pinned_forms(monkeypatch):
     calls = counted_eliminations(monkeypatch)
-    # A2 with one basis sign flipped: a root basis, and one elimination
+    # A2 with one basis sign flipped: LLL-reduced already, a root basis,
+    # and one elimination
     a2 = IntMatrix([[2, 1], [1, 2]])
-    assert analysed(a2) == ((T("A2"), IntMatrix.identity(2)), [])
+    assert _lll(a2)[0] == a2
+    assert analysed(a2) == ((T("A2"), IntMatrix.identity(2)), 0)
     assert calls == [2]
     # a triangle of pairings is a root basis too, with no Dynkin diagram:
     # det 4 at rank 3 names A3
     calls.clear()
-    assert analysed(IntMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])) == ((T("A3"), IntMatrix.identity(3)), [])
+    triangle = IntMatrix([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    assert _lll(triangle)[0] == triangle
+    assert analysed(triangle) == ((T("A3"), IntMatrix.identity(3)), 0)
     assert calls == [3]
-    # an odd form has no root basis: the coset of its first row holds no
-    # root, and the search runs on the one elimination of the reduced form
+    # an odd form has no root basis: it is searched once, on the minors
+    # and numerators of the reduction, with no elimination
     calls.clear()
     (rtype, _), searches = analysed(IntMatrix.identity(3))
-    assert (str(rtype), searches, calls) == ("A3", [0, -1], [3])
+    assert (str(rtype), searches, calls) == ("A3", 1, [])
 
 
 @pytest.mark.parametrize("expr, shortcut", [("A2(2)", True), ("D4(3)", True), ("E8(2)+A1(3)", False)])
@@ -238,7 +245,7 @@ def test_content_above_2_leaves_no_roots(monkeypatch, expr, shortcut):
     monkeypatch.setattr(roots_module, "_definite_reduce", lambda l: reduced.append(l) or reduce(l))
     got, searches = analysed(l.gram)
     assert got == want == (EMPTY_TYPE, hermite_basis([], l.rank))
-    assert (reduced == [] and searches == []) == shortcut
+    assert (reduced == [] and searches == 0) == shortcut
 
 
 @pytest.mark.parametrize("expr, error", [("U(3)", LatticeError), ("diag(3,0)", DegenerateFormError)])
@@ -270,16 +277,16 @@ def diagram_gram(n, edges):
 )
 def test_a_diagram_that_is_not_ade_is_declined_and_raises_the_inertia_error(monkeypatch, gram, error):
     l = Lattice(gram)
-    # already size-reduced, so a basis of roots with one piece, whose
-    # elimination is not positive: the elimination of the input names why,
-    # and nothing is searched
-    assert _size_reduce(l.gram)[0] == l.gram
+    # a basis of roots whose form is not positive definite: LLL meets a
+    # minor d_k <= 0 and returns None, the elimination of the input names
+    # why, and nothing is searched
+    assert _lll(l.gram) is None
     lattice_module._inertia.cache_clear()
     calls = counted_eliminations(monkeypatch)
     monkeypatch.setattr(roots_module, "_reduced_search", None)
     with pytest.raises(error) as raised:
         roots_module._root_analysis.__wrapped__(l.gram)
-    assert calls == [len(gram)] * 2
+    assert calls == [len(gram)]
     with pytest.raises(error) as named:
         lattice_module.definite_sign(l)
     assert type(raised.value) is error and str(raised.value) == str(named.value)
@@ -593,14 +600,80 @@ STOP_CASES = [
 ]
 
 
-@given(st.lists(st.sampled_from(ROOT_ATOMS), min_size=1, max_size=3), st.integers(0, 10**6))
-@example([("D", 24)], 30)
-@example([("E", 8), ("E", 8)], 30)
-def test_size_reduce_matches_the_full_sweep(parts, seed):
-    # a skipped pair would skip again, so the shears, the swaps and the
-    # result are those of the sweep over every pair
-    gram = skewed(parts, seed)[3].gram
-    assert _size_reduce(gram) == full_sweep_size_reduce(gram)
+def item3_skewed_e8_squared(seed):
+    """E8^2 in the basis of 96 random shears u_i += c u_j, c in {+-1, +-2},
+    of the identity: the skewed inputs of ROADMAP item 3, whose largest
+    diagonal entries run from 1.7 * 10^5 to 3.0 * 10^8 over seeds 0-5."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(96):
+        i, j = rng.sample(range(16), 2)
+        ops.append((i, j, rng.choice([-2, -1, 1, 2])))
+    return conjugate(direct_sum(root_lattice("E", 8), root_lattice("E", 8)), unimodular(16, ops))
+
+
+@st.composite
+def lll_inputs(draw):
+    """Definite forms in a changed basis, of either sign: ADE sums, E8+I1
+    (odd, with no basis of roots), and sums with odd unimodular atoms
+    rescaled by 2 or 3."""
+    kind = draw(st.sampled_from(["ade", "e8+i1", "rescaled"]))
+    if kind == "ade":
+        l = draw(changed_basis(ADE_ATOMS, 10, 8))[3]
+    elif kind == "e8+i1":
+        l = conjugate(direct_sum(root_lattice("E", 8), diag_lattice([1])), draw(basis_change(9, 12)))
+    else:
+        l = rescale(draw(changed_basis(ROOT_ATOMS, 8, 6))[3], draw(st.sampled_from([2, 3])))
+    return rescale(l, draw(st.sampled_from([1, -1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lll_inputs())
+@example(skewed(*STOP_CASES[4])[3])
+def test_lll_matches_the_textbook_oracle(l):
+    sign = lattice_module.definite_sign(l)
+    g, v, lam, d = _definite_reduce(l)
+    # the same form and transform as the rational textbook algorithm
+    assert (g, v) == fraction_lll(l.gram.scale(sign))
+    assert v * l.gram.scale(sign) * v.transpose() == g and abs(det(v)) == 1
+    # the handed-over numerators and minors are the elimination of G'
+    b, pivots = gram_elimination(g)
+    n = l.rank
+    assert pivots == d and all(lam[k][j] == b[j][k] for k in range(n) for j in range(k))
+    # size-reduced and Lovasz at delta = 3/4, exactly (d_(-1) = 1)
+    dm = [1] + pivots
+    assert all(2 * abs(b[j][k]) <= dm[j + 1] for k in range(n) for j in range(k))
+    assert all(4 * dm[k + 1] * dm[k - 1] >= 3 * dm[k] ** 2 - 4 * b[k - 1][k] ** 2 for k in range(1, n))
+    if n <= 4:
+        m = 2 * abs(math.gcd(*(x for row in l.gram.entries for x in row)))
+        check_enumeration(enumerate_norm(l, m), enumerate_norm_box(l, m, coefficient_bound(l, m)))
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [pytest.param(lambda seed=seed: item3_skewed_e8_squared(seed), id=f"E8^2-item3-{seed}") for seed in range(6)]
+    + [
+        pytest.param(lambda parts=parts, seed=seed: skewed(parts, seed)[3], id=f"{name}-{seed}")
+        for name, parts in (("D24", [("D", 24)]), ("E8^2", [("E", 8), ("E", 8)]))
+        for seed in (1, 2, 3, 30, 31)
+    ],
+)
+def test_skewed_root_lattices_reduce_to_a_basis_of_roots(lattice):
+    # LLL leaves every skewed basis of D24 and E8^2 a basis of roots, so
+    # none is searched, however long its basis vectors
+    l = lattice()
+    (rtype, span), searches = analysed(l.gram)
+    assert (str(rtype) in ("D24", "E8^2"), span, searches) == (True, IntMatrix.identity(l.rank), 0)
+
+
+def test_roots_of_the_most_skewed_e8_squared_basis_in_a_fresh_process():
+    # the reduction in front of the search bounds the command on item 3's
+    # seed-0 basis, which took over 20 s before it; a new interpreter runs
+    # it under a time limit
+    gram = item3_skewed_e8_squared(0).gram.entries
+    literal = "gram[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in gram) + "]"
+    code = f"from k3lat.cli import main\nmain(['roots', {literal!r}])\n"
+    assert run_fresh(code, timeout=5) == "roots      480\ntype       E8^2\nspan rank  16\n"
 
 
 @given(changed_basis(ROOT_ATOMS, 10, 6), st.sampled_from([1, -1]))
@@ -628,26 +701,36 @@ SEARCH_STOP_CASES = [(parts, 31 if seed is None else seed) for parts, seed in ST
 
 @pytest.mark.parametrize("parts,seed", SEARCH_STOP_CASES)
 def test_root_analysis_stops_at_the_last_simple_root(parts, seed):
-    # the analysis's full search, fed to the scan, stops at the rank-th
-    # simple root: early on D24 and E8^2, and at the end on E8+I1, whose
-    # roots span rank 8 of 9.  E8^2 at seed 31 completes to a basis of
-    # roots and runs no full search, so the search alone is checked there
+    # the search, fed to the scan, stops at the rank-th simple root: early
+    # on D24 and E8^2, and at the end on E8+I1, whose roots span rank 8 of
+    # 9.  LLL leaves D24 and E8^2 a basis of roots, so the analysis runs no
+    # search there and the search alone is checked; E8+I1 has no basis of
+    # roots, and the analysis's own search is checked
     lu = skewed(parts, seed)[3]
     scanned = []
     (rtype, _), searches = analysed(lu.gram, scanned)
-    if (parts, seed) == ([("E", 8), ("E", 8)], 31):
-        assert -1 not in searches and scanned == []
-        simple = []
-        scan = _simple_scan(lu.rank, simple)
-        _reduced_search(lu, _definite_reduce(lu), 2, lambda key, x: scanned.append(key) or scan(key, x))
-        assert len(simple) == rtype.rank
-    else:
-        assert searches.count(-1) == 1
     positive = rtype.root_count() // 2
     if rtype.rank == lu.rank:
+        assert searches == 0 and scanned == []
+        simple = []
+        scan = _simple_scan(lu.rank, simple)
+        _reduced_search(_definite_reduce(lu), 2, lambda key, x: scanned.append(key) or scan(key, x))
+        assert len(simple) == rtype.rank
         assert positive in (552, 240) and 0 < len(scanned) < positive
     else:
-        assert (str(rtype), len(scanned)) == ("E8", positive)
+        assert searches == 1 and (str(rtype), len(scanned)) == ("E8", positive)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_the_search_of_a_starred_glued_part_stops_at_the_last_simple_root(index):
+    # a starred part has index 3 over its root span, so no basis of roots:
+    # the analysis searches it once, and the search stops at the rank-th
+    # simple root, before its last positive root
+    l = starred_glue_parts()[index]
+    scanned = []
+    (rtype, _), searches = analysed(l.gram, scanned)
+    positive = rtype.root_count() // 2
+    assert (searches, rtype.rank) == (1, l.rank) and 0 < len(scanned) < positive
 
 
 @cache
@@ -666,7 +749,7 @@ def starred_glue_parts():
 @st.composite
 def sheared_sums(draw):
     """A sum of ADE root lattices in a basis changed by up to 12 shears by
-    +-1 or +-2, which the size reduction leaves off a root basis more often."""
+    +-1 or +-2."""
     parts = draw(st.lists(st.sampled_from(ADE_ATOMS), min_size=1, max_size=3).filter(lambda ps: sum(n for _, n in ps) <= 12))
     l = direct_sum(*map(atom_lattice, parts))
     index = st.integers(0, l.rank - 1)
@@ -691,13 +774,13 @@ def rescaled_sums(draw):
     ),
     st.sampled_from([1, -1]),
 )
-# two completions and a coset with no root (see the elimination test)
+# a basis of roots from two long rows (see the elimination test)
 @example(conjugate(direct_sum(root_lattice("E", 6), root_lattice("A", 2)), unimodular(8, [(5, 3, -2), (6, 3, 2)])), 1)
 @example(skewed([("E", 8), ("E", 8)], 31)[3], -1)
 @example(skewed([("D", 24)], 30)[3], 1)
 def test_root_analysis_matches_the_search_route(l, sign):
-    # the completed root basis, the content shortcut and the fallback all
-    # give the type and the span of the search alone
+    # the reduced basis of roots, the content shortcut and the search
+    # all give the type and the span of the search alone
     gram = rescale(l, sign).gram
     assert roots_module._root_analysis.__wrapped__(gram) == searched_root_analysis(gram)
 
@@ -725,8 +808,8 @@ def test_search_order_is_a_positive_system(data):
     n = lu.rank
     found, simple = [], []
     scan = _simple_scan(n, simple)
-    _reduced_search(lu, _definite_reduce(lu), 2, lambda key, x: found.append((key, tuple(x))))
-    gram_red, v, det_red = _reduced_search(lu, _definite_reduce(lu), 2, scan)
+    _reduced_search(_definite_reduce(lu), 2, lambda key, x: found.append((key, tuple(x))))
+    gram_red, v, det_red = _reduced_search(_definite_reduce(lu), 2, scan)
     # the last pivot of the reduced form's elimination is its determinant
     assert det_red == det(gram_red) == abs(det(lu.gram))
     v_inv = IntMatrix([[int(c) for c in row] for row in gauss_jordan_inv(v.entries)])
