@@ -56,9 +56,10 @@ or two nonzeros per row).
 
 The other inputs are mostly zeros too (Gram matrices of root lattices,
 block-diagonal actions, root vectors), and the eliminations skip the
-work whose result is known.  A Bareiss step or a Hermite row
-operation updates only the columns from the pivot on, since those
-before it are zero in the pivot row; a Bareiss row whose multiplier is
+work whose result is known.  A Bareiss step updates only the columns
+from the pivot on, since those before it are zero in the pivot row, and
+a Hermite row operation only the columns where the pivot row is
+nonzero, in ``h`` and in the transform; a Bareiss row whose multiplier is
 0 stays as it is when the pivot equals the previous one (it is only
 rescaled otherwise).  What is skipped is an exact zero or a factor of
 exactly 1, so the kernels return the same integers as the dense
@@ -346,57 +347,56 @@ def hnf(a: IntMatrix) -> Tuple[IntMatrix, IntMatrix]:
 
 def _hermite(h: List[List[int]], u: List[List[int]]) -> None:
     """Reduce the rows of ``h`` to Hermite form in place, applying every
-    row operation to the rows of ``u`` as well."""
+    row operation to the rows of ``u`` as well (no work when they are empty).
+
+    The row operations are the textbook gcd reduction's, in its order, so
+    ``U`` is its transform.  Column c's pivot is the least nonzero |h_ic|,
+    i >= r, the first such row on ties, swapped to row r; each row i below
+    loses q = h_ic // h_rc (a floor quotient) times row r, until column c
+    is zero below row r.  A negative pivot row is then negated, and each
+    row above loses its q times row r.  Each operation walks only the
+    columns where row r, with its transform row, is nonzero."""
     m = len(h)
     n = len(h[0]) if h else 0
-
-    def row_sub(i: int, j: int, q: int, c: int) -> None:
-        # row_i -= q * row_j, mirrored on the transform; row_j is zero
-        # before its pivot column c, so columns before c do not change
-        hi, hj = h[i], h[j]
-        for k in range(c, n):
-            hi[k] -= q * hj[k]
-        ui, uj = u[i], u[j]
-        for k in range(len(ui)):
-            ui[k] -= q * uj[k]
-
-    def row_swap(i: int, j: int) -> None:
-        h[i], h[j] = h[j], h[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_neg(i: int) -> None:
-        h[i] = [-x for x in h[i]]
-        u[i] = [-x for x in u[i]]
-
+    keep = bool(u and u[0])
+    rows = [hi + ui for hi, ui in zip(h, u)] if keep else h
     r = 0
     for c in range(n):
         if r == m:
             break
-        # gcd-reduce column c over rows r..m-1
-        while True:
-            nz = [i for i in range(r, m) if h[i][c] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(h[i][c]))
-            if piv != r:
-                row_swap(r, piv)
-            done = True
+        best = 0
+        for i in range(r, m):
+            x = rows[i][c]
+            if x and (not best or abs(x) < best):
+                best, piv = abs(x), i
+        if not best:
+            continue
+        while best:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            p = rows[r][c]
+            cols = [(k, y) for k, y in enumerate(rows[r][c:], c) if y]
+            best = 0  # each remainder is below |p|: the next pivot is below row r
             for i in range(r + 1, m):
-                if h[i][c] != 0:
-                    q = h[i][c] // h[r][c]
-                    row_sub(i, r, q, c)
-                    if h[i][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < m and h[r][c] != 0:
-            if h[r][c] < 0:
-                row_neg(r)
-            for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    row_sub(i, r, q, c)
-            r += 1
+                ri = rows[i]
+                if ri[c]:
+                    q = ri[c] // p
+                    for k, y in cols:
+                        ri[k] -= q * y
+                    if ri[c] and (not best or abs(ri[c]) < best):
+                        best, piv = abs(ri[c]), i
+        if p < 0:
+            p = -p
+            rows[r] = [-x for x in rows[r]]
+            cols = [(k, -y) for k, y in cols]
+        for ri in rows[:r]:
+            q = ri[c] // p
+            if q:
+                for k, y in cols:
+                    ri[k] -= q * y
+        r += 1
+    if keep:
+        h[:] = [row[:n] for row in rows]
+        u[:] = [row[n:] for row in rows]
 
 
 def snf(a: IntMatrix) -> Tuple[int, ...]:

@@ -49,7 +49,10 @@ by ``Fraction``, where ``roots._lll`` updates integer minors and
 numerators in place and rounds by ``divmod``.  The two-pass kernel
 takes the zero rows of the ``hnf`` transform of A^T and then their
 Hermite form, where ``exactla.kernel_basis`` runs one Hermite
-elimination of [A^T | I].
+elimination of [A^T | I].  The reference Hermite reduction rebuilds its
+list of nonzero rows on every pass and walks every column from the pivot
+on and the whole transform row, where ``exactla._hermite`` finds the
+pivot as it eliminates and walks only the pivot row's nonzero columns.
 
 The Hermite-route span maps the simple roots back to the input basis
 and takes their Hermite form, where ``roots._root_analysis`` returns the
@@ -657,6 +660,65 @@ def two_pass_saturate(rows):
     if ortho.rows != rows.cols - rows.rows:
         raise ExactLAError("dependent rows: not a sublattice basis")
     return two_pass_kernel_basis(ortho)
+
+
+# -- the Hermite reduction, dense ----------------------------------------
+
+
+def reference_hermite(h, u):
+    """``exactla._hermite`` as the textbook gcd reduction, dense: the
+    pivot list is rebuilt on every pass, and each row operation walks
+    every column from the pivot on and the whole transform row."""
+    m = len(h)
+    n = len(h[0]) if h else 0
+
+    def row_sub(i: int, j: int, q: int, c: int) -> None:
+        # row_i -= q * row_j, mirrored on the transform; row_j is zero
+        # before its pivot column c, so columns before c do not change
+        hi, hj = h[i], h[j]
+        for k in range(c, n):
+            hi[k] -= q * hj[k]
+        ui, uj = u[i], u[j]
+        for k in range(len(ui)):
+            ui[k] -= q * uj[k]
+
+    def row_swap(i: int, j: int) -> None:
+        h[i], h[j] = h[j], h[i]
+        u[i], u[j] = u[j], u[i]
+
+    def row_neg(i: int) -> None:
+        h[i] = [-x for x in h[i]]
+        u[i] = [-x for x in u[i]]
+
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        # gcd-reduce column c over rows r..m-1
+        while True:
+            nz = [i for i in range(r, m) if h[i][c] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(h[i][c]))
+            if piv != r:
+                row_swap(r, piv)
+            done = True
+            for i in range(r + 1, m):
+                if h[i][c] != 0:
+                    q = h[i][c] // h[r][c]
+                    row_sub(i, r, q, c)
+                    if h[i][c] != 0:
+                        done = False
+            if done:
+                break
+        if r < m and h[r][c] != 0:
+            if h[r][c] < 0:
+                row_neg(r)
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                if q:
+                    row_sub(i, r, q, c)
+            r += 1
 
 
 # -- placement classes by a minimum over the group ---------------------

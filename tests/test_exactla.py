@@ -5,9 +5,9 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from k3lat import exactla, goldens
+from k3lat import exactla, goldens, kulikov
 from k3lat.cusps import NIEMEIER_GLUE, build_niemeier, embedded_p_rows, enumerate_embeddings, family_data
 from k3lat.exactla import (
     ExactLAError,
@@ -38,6 +38,7 @@ from support import (
     gauss_jordan_express,
     gauss_jordan_inv,
     hermite_snf,
+    reference_hermite,
     two_pass_kernel_basis,
     two_pass_saturate,
     unimodular,
@@ -478,6 +479,76 @@ def test_one_pass_kernel_matches_the_oracle_on_the_niemeier_complements():
                 assert saturate(p) == two_pass_saturate(p)
                 seen += 1
     assert seen == sum(map(len, goldens.EMBEDDING_TABLES.values()))
+
+
+def same_hermite(h, u):
+    """Whether ``exactla._hermite`` and the dense reference leave the same
+    ``h`` and the same ``u``, each run on its own copy."""
+    h1, u1 = [list(r) for r in h], [list(r) for r in u]
+    h2, u2 = [list(r) for r in h], [list(r) for r in u]
+    exactla._hermite(h1, u1)
+    reference_hermite(h2, u2)
+    return (h1, u1) == (h2, u2)
+
+
+def transforms(m):
+    """No transform (empty rows, as ``hermite_basis`` and ``kernel_basis``
+    pass) and the identity (as ``hnf`` passes), for m rows."""
+    return [[] for _ in range(m)], [[int(i == j) for j in range(m)] for i in range(m)]
+
+
+@st.composite
+def hermite_inputs(draw):
+    """``(h, u)``: m x n rows, m = 0 and n = 0 included, tall or wide,
+    dense, small and negative, or mostly zero, with a zero column drawn
+    in; ``u`` is empty rows, the identity, or any integer rows."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 12))
+    entry = draw(
+        st.sampled_from([st.integers(-60, 60), st.integers(-6, 0), st.integers(-3, 3) | st.just(0) | st.just(0)])
+    )
+    h = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in h:
+            row[j] = 0
+    kind = draw(st.integers(0, 2))
+    if kind < 2:
+        return h, transforms(m)[kind]
+    k = draw(st.integers(1, 6))
+    return h, draw(st.lists(st.lists(st.integers(-5, 5), min_size=k, max_size=k), min_size=m, max_size=m))
+
+
+@settings(max_examples=200)
+@given(hermite_inputs())
+@example(([], []))
+@example(([[], []], transforms(2)[1]))
+@example(([[0, 0], [0, 0]], transforms(2)[1]))
+@example(([[2, 1], [-2, 3], [2, 5]], transforms(3)[1]))
+@example(([[-3, 1, 0], [0, 0, -2]], transforms(2)[0]))
+def test_hermite_matches_the_dense_reference(hu):
+    assert same_hermite(*hu)
+
+
+def test_hermite_matches_the_dense_reference_on_the_workload_shapes():
+    # [A^T | I] of each embedded P's complement (kernel_basis of P * gram)
+    # and rho^2 + rho + 1 of each gluing (primitive_part), with and
+    # without the transform that hnf keeps
+    shapes = []
+    for kind in NIEMEIER_GLUE:
+        gram = build_niemeier(kind).overlattice.lattice.gram
+        for fam in goldens.FAMILIES:
+            for record in enumerate_embeddings(family_data(*fam).p_factors, kind):
+                shapes.append(embedded_p_rows(record) * gram)
+    for pairings in goldens.GLUE_PAIRINGS.values():
+        for s0, s1, _, _ in pairings:
+            c0, c1 = (kulikov.build_component(kulikov.ComponentSpec(*s)) for s in (s0, s1))
+            rho = kulikov.glue_lambda(c0, c1).rho
+            shapes.append((rho.square + rho.matrix + IntMatrix.identity(rho.matrix.rows)).transpose())
+    assert len(shapes) == 16 + 13
+    for a in shapes:
+        h = [[*col, *eye] for col, eye in zip(a.transpose().entries, transforms(a.cols)[1])]
+        for u in transforms(a.cols):
+            assert same_hermite(h, u)
 
 
 @given(int_matrices)

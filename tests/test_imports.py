@@ -40,6 +40,11 @@ The Bareiss rule: no module other than ``exactla`` imports or reads
 ``gram_elimination`` read it, so the elimination step has one home, two
 users, and no linear solve of its own.
 
+The Hermite rule: no module other than ``exactla`` imports or reads
+``_hermite``, and within ``exactla`` only ``hnf``, ``hermite_basis`` and
+``kernel_basis`` read it, so the one Hermite elimination serves the
+three normal forms and every other caller goes through one of them.
+
 The dual-class rule: only ``roots`` reads ``scaled_dual`` or
 ``dual_class_min`` (by name, attribute or import), and only ``lattice``
 and ``roots`` define them, so gluing root lattices by discriminant
@@ -451,14 +456,14 @@ def test_check_flags_a_fractions_import():
     assert fraction_importers(sources) == ["a.py", "b.py"]
 
 
-def bareiss_step_users(sources: dict) -> list:
+def kernel_users(sources: dict, kernel: str) -> list:
     """Names of the ``sources`` (file name -> text) that import
-    ``bareiss_step`` or read it as an attribute, at any depth."""
+    ``kernel`` or read it as an attribute, at any depth."""
     out = []
     for name, text in sources.items():
         for node in ast.walk(ast.parse(text)):
-            if (isinstance(node, ast.ImportFrom) and any(a.name == "bareiss_step" for a in node.names)) or (
-                isinstance(node, ast.Attribute) and node.attr == "bareiss_step"
+            if (isinstance(node, ast.ImportFrom) and any(a.name == kernel for a in node.names)) or (
+                isinstance(node, ast.Attribute) and node.attr == kernel
             ):
                 out.append(name)
                 break
@@ -467,7 +472,7 @@ def bareiss_step_users(sources: dict) -> list:
 
 def test_only_exactla_uses_bareiss_step():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
-    assert set(bareiss_step_users(sources)) <= {"exactla.py"}
+    assert set(kernel_users(sources, "bareiss_step")) <= {"exactla.py"}
 
 
 def test_check_flags_a_bareiss_step_user():
@@ -477,25 +482,22 @@ def test_check_flags_a_bareiss_step_user():
         "c.py": "from . import exactla\n\ndef f(m):\n    return exactla.bareiss_step(m, 0, 1)\n",
         "d.py": "from .exactla import gram_elimination\nbareiss_step = gram_elimination\n",
     }
-    assert bareiss_step_users(sources) == ["a.py", "b.py", "c.py"]
+    assert kernel_users(sources, "bareiss_step") == ["a.py", "b.py", "c.py"]
 
 
-def bareiss_callers(text: str) -> list:
-    """Names of the functions in ``text`` that read ``bareiss_step`` as a
-    name or an attribute; a function counts for the functions around it."""
+def kernel_callers(text: str, kernel: str) -> list:
+    """Names of the functions in ``text`` that read ``kernel`` as a name
+    or an attribute; a function counts for the functions around it."""
     return sorted(
         f.name
         for f in ast.walk(ast.parse(text))
         if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and any(
-            getattr(n, "id", None) == "bareiss_step" or getattr(n, "attr", None) == "bareiss_step"
-            for n in ast.walk(f)
-        )
+        and any(getattr(n, "id", None) == kernel or getattr(n, "attr", None) == kernel for n in ast.walk(f))
     )
 
 
 def test_bareiss_step_serves_det_and_gram_elimination_only():
-    assert bareiss_callers((SRC / "exactla.py").read_text()) == ["det", "gram_elimination"]
+    assert kernel_callers((SRC / "exactla.py").read_text(), "bareiss_step") == ["det", "gram_elimination"]
 
 
 def test_check_flags_a_third_bareiss_caller():
@@ -507,7 +509,34 @@ def test_check_flags_a_third_bareiss_caller():
         "    return eliminate(b)\n\n"
         "def hnf(a):\n    return a\n"
     )
-    assert bareiss_callers(source) == ["_solve", "det", "eliminate", "gram_elimination"]
+    assert kernel_callers(source, "bareiss_step") == ["_solve", "det", "eliminate", "gram_elimination"]
+
+
+def test_only_exactla_uses_the_hermite_kernel():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert set(kernel_users(sources, "_hermite")) <= {"exactla.py"}
+
+
+def test_the_hermite_kernel_serves_the_three_normal_forms_only():
+    callers = kernel_callers((SRC / "exactla.py").read_text(), "_hermite")
+    assert callers == ["hermite_basis", "hnf", "kernel_basis"]
+
+
+def test_check_flags_a_hermite_kernel_user_and_a_fourth_caller():
+    sources = {
+        "a.py": "from .exactla import hnf, _hermite\n",
+        "b.py": "from . import exactla\n\ndef f(h):\n    exactla._hermite(h, [[] for _ in h])\n",
+        "c.py": "from .exactla import hermite_basis\n_hermite = hermite_basis\n",
+    }
+    assert kernel_users(sources, "_hermite") == ["a.py", "b.py"]
+    source = (
+        "def _hermite(h, u):\n    return None\n\n"
+        "def hnf(a):\n    _hermite(a, [])\n\n"
+        "def hermite_basis(rows, n):\n    _hermite(rows, [])\n\n"
+        "def kernel_basis(a):\n    _hermite(a, [])\n\n"
+        "def snf(a):\n    reduce = _hermite\n    return reduce(a, [])\n"
+    )
+    assert kernel_callers(source, "_hermite") == ["hermite_basis", "hnf", "kernel_basis", "snf"]
 
 
 DUAL_CLASS_NAMES = {"scaled_dual", "dual_class_min"}
