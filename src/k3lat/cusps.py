@@ -57,6 +57,7 @@ from typing import Dict, List, Sequence, Tuple
 from . import goldens
 from .exactla import (
     IntMatrix,
+    block_diagonal,
     index_in,
     kernel_basis,
     rank,
@@ -80,6 +81,7 @@ from .roots import (
     diagram_type,
     enumerate_norm,
     glue_root_sum,
+    layers,
     packed_keys,
     root_span_index,
     root_system,
@@ -209,8 +211,6 @@ class ComponentSystem:
         (Humphreys, *Reflection Groups*, 1.5), so an orbit is the closure
         of its first candidate under them."""
         cands = _bits(cand_mask)
-        if not cands:
-            return []
         keys, index, pair = self.keys, self.index, self.pair
         gens = [(s, keys[s]) for s in self.simple_roots(refl_mask)]
         seen: set = set()
@@ -256,11 +256,9 @@ def component_system(sym: str, n: int) -> ComponentSystem:
 def _factor_requirements(sym: str, n: int) -> List[List[int]]:
     """Pairing requirements of each simple root against the earlier ones,
     in a connectivity-friendly choice order: breadth first through the
-    Dynkin diagram from node 1, neighbours in index order."""
+    Dynkin diagram from node 1, neighbours in index order (``roots.layers``)."""
     c = cartan_gram(sym, n).entries
-    order = [0]
-    for i in order:
-        order += [j for j in range(n) if c[i][j] and j not in order]
+    order = list(layers(c, 0))
     return [[c[idx][order[j]] for j in range(k)] for k, idx in enumerate(order)]
 
 
@@ -290,14 +288,10 @@ def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -
     return ComponentOutcome(ctype, dual_order, witness)
 
 
-def _factor_key(s: Symbol) -> Tuple[int, str]:
-    return (-s[1], s[0])
-
-
 def embed_multiset(comp: Symbol, factors: Sequence[Symbol]) -> Tuple[ComponentOutcome, ...]:
     """All distinct ways to embed a multiset of ADE factors orthogonally
     into one component, up to the data that determines the quotients."""
-    return _embed_sorted(comp, tuple(sorted(factors, key=_factor_key)))
+    return _embed_sorted(comp, tuple(sorted(factors, key=RootSystemType.sort_key)))
 
 
 @cache
@@ -432,7 +426,7 @@ def enumerate_embeddings(p_factors: Tuple[Symbol, ...], kind: str) -> Tuple[Embe
     # some component takes no embedding
     records = [
         EmbeddingRecord(kind, assignment, outcomes)
-        for assignment in _placement_classes(sorted(p_factors, key=_factor_key), model.ncomp)
+        for assignment in _placement_classes(sorted(p_factors, key=RootSystemType.sort_key), model.ncomp)
         for outcomes in product(*[embed_multiset(model.comp, fs) for fs in assignment])
     ]
     return tuple(sorted(records, key=lambda r: (str(r.total_complement), r.assignment)))
@@ -442,15 +436,9 @@ def embedded_p_rows(record: EmbeddingRecord) -> IntMatrix:
     """The embedded copy of P as rows in N coordinates: each component's
     witness roots at its offset in R, mapped into N by the glue transform."""
     model = build_niemeier(record.model_kind)
-    k, rank_r = model.comp[1], model.r.rank
     roots = component_system(*model.comp).roots
-    rows = [
-        (0,) * (c * k) + roots[i] + (0,) * (rank_r - (c + 1) * k)
-        for c, oc in enumerate(record.outcomes)
-        for w in oc.witness
-        for i in w
-    ]
-    return IntMatrix(rows, cols=rank_r) * model.overlattice.old_in_new
+    blocks = [IntMatrix._of(tuple(roots[i] for w in oc.witness for i in w), model.comp[1]) for oc in record.outcomes]
+    return block_diagonal(*blocks) * model.overlattice.old_in_new
 
 
 @cache
@@ -475,9 +463,14 @@ def cusp_quotient_lattice(record: EmbeddingRecord) -> Lattice:
 def star_of(record: EmbeddingRecord) -> bool:
     """Whether the record's cusp is starred: the ``span_index`` of the
     complement of P in N, which is 1 or 3 (``CuspError`` otherwise), is 3."""
-    idx = span_index(record.total_complement, cusp_quotient_lattice(record).det())
+    return _is_star_index(span_index(record.total_complement, cusp_quotient_lattice(record).det()))
+
+
+def _is_star_index(idx: int) -> bool:
+    """Whether a root-span index marks a star: 3 does, 1 does not, and
+    any other raises."""
     if idx not in (1, 3):
-        raise CuspError(f"saturation index {idx} outside {{1,3}}")
+        raise CuspError(f"root-span index {idx} outside {{1,3}}")
     return idx == 3
 
 
@@ -525,10 +518,7 @@ def root_type_with_star(l: Lattice) -> RootSystemType:
     starred when the root span has index 3 in it; any index but 1 or 3
     raises."""
     rtype, _ = root_system(l)
-    idx = root_span_index(l)
-    if idx not in (1, 3):
-        raise CuspError(f"root-span index {idx} outside {{1,3}}")
-    return rtype.with_star(idx == 3)
+    return rtype.with_star(_is_star_index(root_span_index(l)))
 
 
 def cusp_of_plane(r: RhoLattice, j: Sublattice) -> Tuple[RootSystemType, RhoLattice]:

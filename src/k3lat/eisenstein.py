@@ -100,9 +100,7 @@ class RhoLattice:
         object.__setattr__(self, "order", k)
 
     def apply(self, v: Sequence[int]) -> Tuple[int, ...]:
-        m = self.matrix.entries
-        n = self.matrix.rows
-        return tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(n))
+        return (IntMatrix([v]) * self.matrix).entries[0]
 
 
 def is_invariant(rows: IntMatrix, m: IntMatrix) -> bool:

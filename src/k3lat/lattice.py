@@ -405,20 +405,18 @@ def glue_overlattice(l: Lattice, rows: Sequence[Sequence[int]], d: int) -> Overl
     and holding each ``d e_i``; its form is integral by the checks above.
     """
     n = l.rank
-    g = l.gram.entries
-    glue = IntMatrix(rows, cols=n).entries
-    g_scaled = [[sum(a * b for a, b in zip(row, s)) for row in g] for s in glue]
-    if any(x % d for gs in g_scaled for x in gs):
+    glue = IntMatrix(rows, cols=n)
+    g_scaled = glue * l.gram
+    if any(x % d for gs in g_scaled.entries for x in gs):
         raise LatticeError("glue vector is not in the dual lattice")
     dd = d * d
-    for s, gs in zip(glue, g_scaled):
-        for t in glue:
-            val = sum(a * b for a, b in zip(gs, t))
+    for i, row in enumerate((g_scaled * glue.transpose()).entries):
+        for j, val in enumerate(row):
             if val % dd:
                 raise LatticeError("glue vectors do not pair integrally")
-            if s == t and (val // dd) % 2 != 0:
+            if i == j and (val // dd) % 2 != 0:
                 raise LatticeError("glue vector has odd norm; overlattice not even")
-    hm = hermite_basis([*IntMatrix.identity(n).scale(d).entries, *glue], n)
+    hm = hermite_basis([*IntMatrix.identity(n).scale(d).entries, *glue.entries], n)
     entries = [[x // dd for x in row] for row in (hm * l.gram * hm.transpose()).entries]
     lat = Lattice._of(IntMatrix(entries, cols=n))
     if not lat.is_even:

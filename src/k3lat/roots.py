@@ -30,9 +30,8 @@ system; each goes to the simple-root scan as found, and the search stops
 at the rank-th simple root, typed by the Dynkin diagram (Humphreys, 1.3;
 Bourbaki VI 1.6).  The index of the root span is read off determinants
 alone (``span_index``): for n simple roots with Cartan matrix C in a
-lattice with Gram matrix G, index^2 = det C / |det G|.  Index 1 makes
-the span the identity basis; any other index maps the simple roots back
-through V, and their Hermite form is the root span.
+lattice with Gram matrix G, index^2 = det C / |det G|.  The simple
+roots map back through V, and their Hermite form is the root span.
 
 ``dual_class_min`` enumerates the integer scaled dual of
 ``lattice.scaled_dual``; only ``glue_root_sum`` reads those classes, to
@@ -170,16 +169,16 @@ def _definite_reduce(l: Lattice) -> Reduction:
     return reduced
 
 
-def _reduced_search(reduced: Reduction, m: int, visit: Visit) -> Tuple[IntMatrix, IntMatrix, int]:
-    """Search ``reduced = _definite_reduce(l)``: returns ``(G', V, det G')``
-    after ``visit(key, x)`` on each x of norm ``m`` with last nonzero
-    coordinate positive (reduced coordinates), until it returns True.  The
-    levels read the reduction's own ``lam`` and ``d``, the elimination of
-    G'.  ``key x = sum_k x_k P_k``, ``P_0 = 1``, ``P_(k+1) = P_k
-    (3 M_k + 1)`` for ``M_k`` the bound on ``|x_k|`` that the level-k
-    intervals prove: the top nonzero digit outweighs the rest, so keys
-    ascend and ``key u - key v = key w`` only when ``u - v = w``."""
-    gram_red, v, lam, d = reduced
+def _reduced_search(reduced: Reduction, m: int, visit: Visit) -> None:
+    """Search ``reduced = _definite_reduce(l)``: calls ``visit(key, x)``
+    on each x of norm ``m`` with last nonzero coordinate positive (reduced
+    coordinates), until it returns True.  The levels read the reduction's
+    own ``lam`` and ``d``, the elimination of G'.  ``key x = sum_k x_k
+    P_k``, ``P_0 = 1``, ``P_(k+1) = P_k (3 M_k + 1)`` for ``M_k`` the bound
+    on ``|x_k|`` that the level-k intervals prove: the top nonzero digit
+    outweighs the rest, so keys ascend and ``key u - key v = key w`` only
+    when ``u - v = w``."""
+    _, _, lam, d = reduced
     n = len(d)
     # scaling by L = lcm(d_k d_{k-1}) makes every level's weight an integer
     dd = [d[k] * (d[k - 1] if k else 1) for k in range(n)]
@@ -215,7 +214,6 @@ def _reduced_search(reduced: Reduction, m: int, visit: Visit) -> Tuple[IntMatrix
 
     if n:
         descend(n - 1, scale * m, True, 0)
-    return gram_red, v, d[-1] if d else 1
 
 
 def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
@@ -224,8 +222,10 @@ def enumerate_norm(l: Lattice, m: int) -> List[Vector]:
     if m < 1:
         raise EnumerationError("norm bound must be a positive integer")
     half: List[Vector] = []
-    _, v, _ = _reduced_search(_definite_reduce(l), m, lambda key, x: half.append(tuple(x)))
+    reduced = _definite_reduce(l)
+    _reduced_search(reduced, m, lambda key, x: half.append(tuple(x)))
     # a row x found in the reduced basis is x*V in the original coordinates
+    v = reduced[1]
     orig = (IntMatrix._of(tuple(half), v.rows) * v).entries
     return sorted(orig + tuple(tuple(-o for o in x) for x in orig))
 
@@ -382,9 +382,10 @@ def _simple_scan(limit: int, simple: List[Vector]) -> Visit:
     return visit
 
 
-def _layers(gram: Sequence[Sequence[int]], start: int) -> Dict[int, int]:
+def layers(gram: Sequence[Sequence[int]], start: int) -> Dict[int, int]:
     """Distance from ``start`` of each node it reaches in the graph joining
-    nodes i != j with ``gram[i][j] != 0``, breadth first."""
+    nodes i != j with ``gram[i][j] != 0``, breadth first: the keys come in
+    the order of the walk, neighbours in index order."""
     depth = {start: 0}
     order = [start]
     for a in order:
@@ -400,7 +401,7 @@ def _pieces(gram: Sequence[Sequence[int]]) -> List[List[int]]:
     pieces: List[List[int]] = []
     for i in range(len(gram)):
         if all(i not in piece for piece in pieces):
-            pieces.append(list(_layers(gram, i)))
+            pieces.append(list(layers(gram, i)))
     return pieces
 
 
@@ -419,7 +420,7 @@ def diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
             comps.append(("A", n))
             continue
         if sum(degree) == 2 * n - 2 and degree[-1] == 3 and degree[-2] <= 2:
-            depths = list(_layers(cartan, next(a for a in piece if len(adj[a]) == 3)).values())
+            depths = list(layers(cartan, next(a for a in piece if len(adj[a]) == 3)).values())
             arms = [sum(depths.count(d) >= k for d in range(1, n)) for k in (3, 2, 1)]
             if arms[:2] == [1, 1] or arms[:2] == [1, 2] and arms[2] <= 4:
                 comps.append(("DE"[arms[1] - 1], n))
@@ -456,10 +457,8 @@ def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     pieces of the pairing graph are the irreducible components
     (``_root_basis_type``).  Any other reduced form is searched once, on
     the elimination that LLL hands over: the search feeds its positive
-    system to ``_simple_scan`` until the rank-th simple root.  For n simple
-    roots S, det C = det(S)^2 det G' for C = S G' S^T, so det C = det G'
-    proves the span the whole lattice (the identity); otherwise only the
-    simple roots go back through V."""
+    system to ``_simple_scan`` until the rank-th simple root, and only
+    the simple roots go back through V."""
     n = gram.rows
     l = Lattice._of(gram)
     rows = gram.entries
@@ -470,12 +469,10 @@ def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     if all(row[k] == 2 for k, row in enumerate(reduced[0].entries)):
         return _root_basis_type(reduced[0]), IntMatrix.identity(n)
     simple: List[Vector] = []
-    gram_red, v, det_red = _reduced_search(reduced, 2, _simple_scan(n, simple))
+    _reduced_search(reduced, 2, _simple_scan(n, simple))
+    gram_red, v = reduced[:2]
     s = IntMatrix._of(tuple(simple), n)
-    cartan = s * gram_red * s.transpose()
-    rtype = diagram_type(cartan.entries)
-    if len(simple) == n and rtype.cartan_det() == det_red:
-        return rtype, IntMatrix.identity(n)
+    rtype = diagram_type((s * gram_red * s.transpose()).entries)
     return rtype, hermite_basis((s * v).entries, n)
 
 

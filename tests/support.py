@@ -54,12 +54,19 @@ list of nonzero rows on every pass and walks every column from the pivot
 on and the whole transform row, where ``exactla._hermite`` finds the
 pivot as it eliminates and walks only the pivot row's nonzero columns.
 
-The Hermite-route span maps the simple roots back to the input basis
-and takes their Hermite form, where ``roots._root_analysis`` returns the
-identity whenever det C = det G proves the index 1.  The character-level parser reads each integer of a list with
+The Hermite-route span maps the simple roots of a search back to the
+input basis and takes their Hermite form, where ``roots._root_analysis``
+returns the identity for a reduced basis of roots, with no search.  The character-level parser reads each integer of a list with
 ``_Parser.integer`` and each comma with ``take``, where the library
 matches the whole list with one compiled pattern and falls back to those
 only to name an error.
+
+The entry-sum action, the dot-product glue checks, the hand-padded rows
+of the embedded P and the list-extending breadth-first walk are the
+bodies that ``RhoLattice.apply``, ``lattice.glue_overlattice``,
+``cusps.embedded_p_rows`` and ``cusps._factor_requirements`` had before
+they read ``IntMatrix`` products, ``exactla.block_diagonal`` and
+``roots.layers``.
 
 ``clear_table_caches`` empties every cache built from the input tables,
 for the tests that patch a table; ``run_fresh`` runs code in a new
@@ -85,11 +92,14 @@ from k3lat.exactla import (
     IntMatrix,
     hermite_basis,
     hnf,
+    int_express,
     rank,
 )
 from k3lat.lattice import (
     Lattice,
     LatticeError,
+    Overlattice,
+    cartan_gram,
     definite_sign,
     diag_lattice,
     direct_sum,
@@ -922,7 +932,9 @@ def searched_root_analysis(gram):
     Dynkin diagram, and their Hermite basis mapped back through V, the
     root span by the route that reads no determinant."""
     simple = []
-    gram_red, v, _ = _reduced_search(_definite_reduce(Lattice(gram)), 2, _simple_scan(gram.rows, simple))
+    reduced = _definite_reduce(Lattice(gram))
+    _reduced_search(reduced, 2, _simple_scan(gram.rows, simple))
+    gram_red, v = reduced[:2]
     s = IntMatrix(simple, cols=gram.rows)
     return diagram_type((s * gram_red * s.transpose()).entries), hermite_basis((s * v).entries, gram.rows)
 
@@ -945,6 +957,67 @@ def logged_searches(monkeypatch, scanned=None):
 
     monkeypatch.setattr(roots, "_reduced_search", logged)
     return searches
+
+
+# -- the bodies before the shared kernels ---------------------------------
+
+
+def reference_apply(r, v):
+    """``r.apply(v)``, entry by entry: sum_i v_i m_ij for each column j."""
+    m = r.matrix.entries
+    n = r.matrix.rows
+    return tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(n))
+
+
+def reference_glue_overlattice(l, rows, d):
+    """``lattice.glue_overlattice`` with the dual, pairing and parity checks
+    as dot products over the rows of G and of the glue."""
+    n = l.rank
+    g = l.gram.entries
+    glue = IntMatrix(rows, cols=n).entries
+    g_scaled = [[sum(a * b for a, b in zip(row, s)) for row in g] for s in glue]
+    if any(x % d for gs in g_scaled for x in gs):
+        raise LatticeError("glue vector is not in the dual lattice")
+    dd = d * d
+    for s, gs in zip(glue, g_scaled):
+        for t in glue:
+            val = sum(a * b for a, b in zip(gs, t))
+            if val % dd:
+                raise LatticeError("glue vectors do not pair integrally")
+            if s == t and (val // dd) % 2 != 0:
+                raise LatticeError("glue vector has odd norm; overlattice not even")
+    hm = hermite_basis([*IntMatrix.identity(n).scale(d).entries, *glue], n)
+    entries = [[x // dd for x in row] for row in (hm * l.gram * hm.transpose()).entries]
+    lat = Lattice._of(IntMatrix(entries, cols=n))
+    if not lat.is_even:
+        raise LatticeError("overlattice form is not even: invalid glue")
+    old_in_new = int_express(IntMatrix.identity(n).scale(d), hm)
+    return Overlattice(lat, hm, old_in_new)
+
+
+def reference_embedded_p_rows(record):
+    """``cusps.embedded_p_rows`` with each witness root padded by zeros to
+    its component's columns of R."""
+    model = build_niemeier(record.model_kind)
+    k, rank_r = model.comp[1], model.r.rank
+    roots = component_system(*model.comp).roots
+    rows = [
+        (0,) * (c * k) + roots[i] + (0,) * (rank_r - (c + 1) * k)
+        for c, oc in enumerate(record.outcomes)
+        for w in oc.witness
+        for i in w
+    ]
+    return IntMatrix(rows, cols=rank_r) * model.overlattice.old_in_new
+
+
+def reference_factor_requirements(sym, n):
+    """``cusps._factor_requirements`` with its own breadth-first walk, a
+    list extended while it is walked."""
+    c = cartan_gram(sym, n).entries
+    order = [0]
+    for i in order:
+        order += [j for j in range(n) if c[i][j] and j not in order]
+    return [[c[idx][order[j]] for j in range(k)] for k, idx in enumerate(order)]
 
 
 # -- the character-level lattice-expression parser -----------------------

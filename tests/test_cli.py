@@ -269,6 +269,11 @@ def test_a_raising_suite_is_one_error_item_and_the_others_still_run(monkeypatch)
     assert line in res.output.splitlines()
 
 
+def test_run_suites_rejects_an_unknown_suite():
+    with pytest.raises(KeyError, match="nope"):
+        run_suites("nope")
+
+
 def test_an_error_item_names_the_innermost_k3lat_function(monkeypatch):
     # a Smith form that drops its last invariant factor disagrees with the
     # determinant of the first T with a nontrivial discriminant

@@ -4,15 +4,16 @@ from itertools import permutations, product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lat import cusps, goldens
 from k3lat.cusps import (
     NIEMEIER_GLUE,
+    ComponentOutcome,
     ComponentSystem,
     CuspError,
-    _factor_key,
+    EmbeddingRecord,
     _factor_requirements,
     _placement_classes,
     _sum_from_symbols,
@@ -27,20 +28,24 @@ from k3lat.cusps import (
     enumerate_embeddings,
     family_data,
     isotropic_plane,
+    root_type_with_star,
     star_of,
 )
-from k3lat.eisenstein import assemble, fixed_sublattice, is_estar, rho4_a1a1, rho4_d4, rho4_u_u2
+from k3lat.eisenstein import RhoLattice, assemble, fixed_sublattice, is_estar, rho4_a1a1, rho4_d4, rho4_u_u2
 from k3lat.exactla import IntMatrix, det, hermite_basis, index_in, int_express, rank
 from k3lat.lattice import (
     LatticeError,
     Sublattice,
     cartan_gram,
+    diag_lattice,
+    direct_sum,
     disc_group,
+    hyperbolic,
     is_p_elementary,
     quotient_by_isotropic,
     signature,
 )
-from k3lat.roots import EnumerationError, RootSystemType, diagram_type, glue_root_sum, root_span_index, span_index
+from k3lat.roots import EMPTY_TYPE, EnumerationError, RootSystemType, diagram_type, glue_root_sum, root_span_index, span_index
 from k3lat.suites import suite_tab3
 
 from support import (
@@ -56,6 +61,8 @@ from support import (
     misread_e6_cartan_det,
     pairwise_root_type,
     product_placement_classes,
+    reference_embedded_p_rows,
+    reference_factor_requirements,
     reflection_orbit_reps,
     run_fresh,
     span_in_n,
@@ -149,6 +156,28 @@ def test_factor_choice_order_is_breadth_first_from_node_1(sym, n):
     c = cartan_gram(sym, n).entries
     expected = [[c[i - 1][order[j] - 1] for j in range(k)] for k, i in enumerate(order)]
     assert _factor_requirements(sym, n) == expected
+
+
+# every ADE symbol up to rank 30, and four that name no root system
+FACTOR_SYMBOLS = (
+    [("A", n) for n in range(1, 31)]
+    + [("D", n) for n in range(4, 31)]
+    + [("E", n) for n in (6, 7, 8)]
+    + [("A", 0), ("D", 3), ("E", 9), ("B", 2)]
+)
+
+
+def requirements_or_error(f, sym, n):
+    try:
+        return f(sym, n)
+    except LatticeError as e:
+        return type(e), str(e)
+
+
+@given(st.sampled_from(FACTOR_SYMBOLS))
+def test_factor_requirements_match_the_list_extending_walk(symbol):
+    found = requirements_or_error(_factor_requirements, *symbol)
+    assert found == requirements_or_error(reference_factor_requirements, *symbol)
 
 
 def test_factor_requirements_of_the_search_factors_are_pinned():
@@ -457,7 +486,7 @@ def test_a_smaller_code_keeps_fewer_permutations(monkeypatch):
 @pytest.mark.parametrize("kind", NIEMEIER_GLUE)
 @pytest.mark.parametrize("fam", goldens.FAMILIES)
 def test_placement_sweep_matches_the_group_minimum(fam, kind):
-    fs = sorted(family_data(*fam).p_factors, key=_factor_key)
+    fs = sorted(family_data(*fam).p_factors, key=RootSystemType.sort_key)
     classes = _placement_classes(fs, NIEMEIER_GLUE[kind][1])
     assert classes == group_min_placement_classes(fs, kind)
     assert classes == product_placement_classes(fs, NIEMEIER_GLUE[kind][1])
@@ -569,7 +598,7 @@ def test_a_wrong_e6_cartan_determinant_fails_the_star_certificate(monkeypatch):
         failed.append((str(rec.total_complement), err.type, str(err.value)))
     assert len(failed) == 10
     assert [f for f in failed if f[1] is not EnumerationError] == [
-        ("E6^2+A2^2", CuspError, "saturation index 4 outside {1,3}")
+        ("E6^2+A2^2", CuspError, "root-span index 4 outside {1,3}")
     ]
     assert all("is not a square times" in f[2] for f in failed if f[1] is EnumerationError)
 
@@ -609,6 +638,67 @@ def test_p_complement_rejects_dependent_p_rows(monkeypatch):
     try:
         with pytest.raises(CuspError, match="embedded P rows are dependent"):
             _p_complement(rec)
+    finally:
+        clear_table_caches()
+
+
+@st.composite
+def witness_records(draw):
+    """A record of either model whose components hold up to three
+    witnesses of up to three roots each, some components none:
+    ``embedded_p_rows`` reads only the model and the witnesses."""
+    kind = draw(st.sampled_from(sorted(NIEMEIER_GLUE)))
+    comp, ncomp, _ = NIEMEIER_GLUE[kind]
+    root = st.integers(0, component_system(*comp).nroots - 1)
+    witness = st.lists(st.lists(root, max_size=3).map(tuple), max_size=3).map(tuple)
+    outcomes = tuple(ComponentOutcome(EMPTY_TYPE, 1, draw(witness)) for _ in range(ncomp))
+    return EmbeddingRecord(kind, ((),) * ncomp, outcomes)
+
+
+@settings(max_examples=60)
+@given(witness_records())
+def test_embedded_p_rows_match_the_padded_rows(record):
+    assert embedded_p_rows(record) == reference_embedded_p_rows(record)
+
+
+def test_embedded_p_rows_match_the_padded_rows_on_every_record():
+    for rec in all_records():
+        assert embedded_p_rows(rec) == reference_embedded_p_rows(rec)
+
+
+def test_unknown_model_kind_is_rejected():
+    with pytest.raises(CuspError, match="unknown model kind 'E7\\^3'"):
+        build_niemeier("E7^3")
+
+
+def test_one_star_rule_names_an_index_outside_1_3():
+    # I4's roots are those of D4, of index 2; star_of gives its index 4 the
+    # same message in test_a_wrong_e6_cartan_determinant_fails_the_star_certificate
+    with pytest.raises(CuspError, match=r"^root-span index 2 outside \{1,3\}$"):
+        root_type_with_star(diag_lattice([1, 1, 1, 1]))
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        # the identity on U + U fixes everything
+        (
+            lambda mp: mp.setitem(
+                cusps._U_BLOCKS,
+                (("U", 1), ("U", 1)),
+                lambda: RhoLattice(direct_sum(hyperbolic(), hyperbolic()), IntMatrix.identity(4)),
+            ),
+            "period action has fixed vectors",
+        ),
+        (lambda mp: mp.setattr(cusps, "is_estar", lambda r: False), "period action is not trivial on the discriminant group"),
+    ],
+)
+def test_family_data_rejects_a_period_block_that_fails_its_check(monkeypatch, patch, message):
+    patch(monkeypatch)
+    clear_table_caches()
+    try:
+        with pytest.raises(CuspError, match=message):
+            family_data(0, 2)
     finally:
         clear_table_caches()
 
@@ -674,6 +764,13 @@ def test_isotropic_plane_raises_on_a_plane_that_is_not_invariant(monkeypatch):
     monkeypatch.setattr(cusps, "is_invariant", lambda rows, m: False)
     with pytest.raises(CuspError, match="plane is not invariant"):
         isotropic_plane(family_data(0, 2).rho_t, [1, 0, 0, 0] + [0] * 16)
+
+
+def test_isotropic_plane_rejects_a_dependent_image_and_a_non_isotropic_orbit():
+    with pytest.raises(CuspError, match="vector and its image are dependent"):
+        isotropic_plane(RhoLattice(hyperbolic(), IntMatrix.identity(2)), [1, 0])
+    with pytest.raises(CuspError, match="span of the orbit is not isotropic"):
+        isotropic_plane(RhoLattice(hyperbolic(), IntMatrix([[0, 1], [1, 0]])), [1, 0])
 
 
 def test_isotropic_plane_rejects_zero_and_anisotropic():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from k3lat import eisenstein, goldens
 from k3lat.cusps import family_data
-from k3lat.exactla import IntMatrix
+from k3lat.exactla import ExactLAError, IntMatrix
 from k3lat.eisenstein import (
     ORDER_BOUND,
     THETA,
@@ -31,6 +31,7 @@ from k3lat.eisenstein import (
 )
 from k3lat.lattice import (
     Lattice,
+    LatticeError,
     cartan_gram,
     diag_lattice,
     direct_sum,
@@ -39,7 +40,7 @@ from k3lat.lattice import (
     root_lattice,
     signature,
 )
-from support import _det, basis_change, conjugate, gauss_jordan_inv, unimodular
+from support import _det, basis_change, conjugate, gauss_jordan_inv, reference_apply, unimodular
 
 
 def test_eis_arithmetic():
@@ -122,6 +123,58 @@ def test_hermitian_gram_a2():
     assert len(h) == 1
     # diagonal values are rational: (3/2) * norm of a root
     assert h[0][0] == Eis(3)
+
+
+def test_eis_prints_a_pure_imaginary_value_as_its_w_term():
+    assert [str(Eis(0, b)) for b in (2, 1, -1)] == ["2w", "w", "-w"]
+
+
+def test_hermitian_normal_form_keeps_what_it_cannot_scale():
+    # a 1x1 matrix, and a zero diagonal whose entry 3+w, of norm 7, has no
+    # real or theta associate (theta has norm 3)
+    one = ((Eis(3),),)
+    assert hermitian_normal_2x2(one) == one
+    h = ((Eis(0), Eis(3, 1)), (Eis(3, 1).conj(), Eis(0)))
+    assert Eis(3, 1) * Eis(3, 1).conj() == Eis(7)
+    assert hermitian_normal_2x2(h) == h
+
+
+def test_actions_that_carry_no_order_3_structure_are_rejected():
+    with pytest.raises(IsometryError, match="matrix shape does not match the lattice rank"):
+        RhoLattice(hyperbolic(), IntMatrix.identity(3))
+    with pytest.raises(IsometryError, match="primitive part needs an order-3 action, not order 2"):
+        primitive_part(RhoLattice(hyperbolic(), IntMatrix([[0, 1], [1, 0]])))
+    cycle = RhoLattice(diag_lattice([1, 1, 1]), IntMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
+    with pytest.raises(IsometryError, match="action has a nonzero fixed vector"):
+        eisenstein_gram(cycle)
+    with pytest.raises(LatticeError, match="discriminant action needs a nondegenerate lattice"):
+        is_estar(RhoLattice(diag_lattice([0]), IntMatrix([[1]])))
+
+
+ACTIONS = [partial(fpf_order3, "A", 2), partial(fpf_order3, "E", 6), rho3_u_u, rho3_u_u3, rho4_u_u2, rho4_d4, rho4_a1a1]
+
+
+@st.composite
+def acted_vectors(draw):
+    """A sum of one to three verified actions and a vector of its rank."""
+    r = assemble([f() for f in draw(st.lists(st.sampled_from(ACTIONS), min_size=1, max_size=3))])
+    n = r.lattice.rank
+    entries = st.one_of(st.integers(-3, 3), st.integers(-(10**20), 10**20))
+    return r, draw(st.lists(entries, min_size=n, max_size=n))
+
+
+@given(acted_vectors())
+def test_apply_is_the_row_times_the_matrix(data):
+    r, v = data
+    found = r.apply(v)
+    assert type(found) is tuple and found == reference_apply(r, v) == r.apply(tuple(v))
+
+
+def test_apply_rejects_a_vector_of_another_length():
+    # the entry sum read only the first rank entries of a longer vector
+    r = rho3_u_u()
+    with pytest.raises(ExactLAError, match="shape mismatch 1x5"):
+        r.apply((1, 0, 0, 0, 7))
 
 
 MODULE_BASIS_CASES = {

@@ -139,6 +139,30 @@ def test_index_in():
     assert index_in(sub, sup) == 6
 
 
+def test_index_in_rejects_different_ranks_and_a_degenerate_coefficient_matrix():
+    with pytest.raises(ExactLAError, match="bases of different ranks have infinite index"):
+        index_in(IntMatrix([[1, 0]]), IntMatrix.identity(2))
+    with pytest.raises(ExactLAError, match="degenerate coefficient matrix"):
+        index_in(IntMatrix([[1, 0], [2, 0]]), IntMatrix.identity(2))
+
+
+def test_shape_checks_reject_mismatched_operands():
+    a, b = IntMatrix([[1, 2]]), IntMatrix([[1, 2, 3]])
+    with pytest.raises(ExactLAError, match=r"shape mismatch 1x2 \* 1x3"):
+        a * b
+    with pytest.raises(ExactLAError, match="shape mismatch in addition"):
+        a + b
+    with pytest.raises(ExactLAError, match="column mismatch in stack"):
+        a.stack(b)
+    with pytest.raises(ExactLAError, match="empty matrix needs an explicit column count"):
+        IntMatrix([])
+    with pytest.raises(ExactLAError, match="determinant of a non-square matrix"):
+        det(a)
+    # one column too wide for the basis of an echelon form
+    with pytest.raises(ExactLAError, match="target outside rational span of basis"):
+        int_express(IntMatrix([[1, 2, 0, 0]]), IntMatrix([[1, 2, 0], [0, 1, 1]]))
+
+
 def test_int_express_roundtrip():
     basis = IntMatrix([[1, 2, 0], [0, 1, 1]])
     targets = IntMatrix([[2, 5, 1], [1, 2, 0]])

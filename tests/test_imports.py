@@ -76,6 +76,13 @@ A top-level function or method holds one when an ``isqrt`` call sits in
 a function inside it that calls itself by name (a recursive descent over
 the levels) or in a ``while`` loop (an iterative one).
 
+The walk rule: one function in ``src/k3lat`` walks a graph breadth
+first, ``roots.layers``; the Dynkin pieces, the arms of a branch node
+and the embedding search's choice order all read it.  A top-level
+function or method holds a walk when a ``for`` loop in it runs over a
+plain name that the loop's own body extends, by ``append``, ``extend``
+or ``+=``.
+
 The caching rule: ``functools.cache`` is the only caching mechanism in
 ``src/k3lat``.  No module names ``lru_cache`` or ``cached_property``,
 rebinds a module global from a function (``global``), gives a function a
@@ -722,6 +729,12 @@ def _calls(node: ast.AST, name: str) -> bool:
     )
 
 
+def _top_functions(tree: ast.Module) -> list:
+    """The top-level functions and the methods of the top-level classes."""
+    tops = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return tops + [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, ast.FunctionDef)]
+
+
 def descent_homes(sources: dict) -> list:
     """(file, function) of each top-level function or method in the
     ``sources`` (file name -> text) that holds a Fincke--Pohst descent: an
@@ -729,10 +742,7 @@ def descent_homes(sources: dict) -> list:
     by name, or in a ``while`` loop."""
     homes = set()
     for file, text in sources.items():
-        tree = ast.parse(text)
-        tops = [n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        tops += [m for c in tree.body if isinstance(c, ast.ClassDef) for m in c.body if isinstance(m, ast.FunctionDef)]
-        for top in tops:
+        for top in _top_functions(ast.parse(text)):
             for node in ast.walk(top):
                 recursive = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _calls(node, node.name)
                 if (recursive or isinstance(node, ast.While)) and _calls(node, "isqrt"):
@@ -770,6 +780,66 @@ def test_check_flags_a_planted_second_descent():
         ("lattice.py", "short_vectors"),
         ("roots.py", "_copied_search"),
         ("roots.py", "_reduced_search"),
+    ]
+
+
+def _extends(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` extends the list ``name``: ``name.append(...)``,
+    ``name.extend(...)`` or ``name += ...``."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr in ("append", "extend"):
+            if getattr(n.func.value, "id", None) == name:
+                return True
+        if isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add) and getattr(n.target, "id", None) == name:
+            return True
+    return False
+
+
+def walk_homes(sources: dict) -> list:
+    """(file, function) of each top-level function or method in the
+    ``sources`` (file name -> text) that holds a breadth-first walk: a
+    ``for`` loop over a plain name that the loop's own body extends."""
+    homes = set()
+    for file, text in sources.items():
+        for top in _top_functions(ast.parse(text)):
+            for node in ast.walk(top):
+                if isinstance(node, ast.For) and isinstance(node.iter, ast.Name):
+                    if any(_extends(stmt, node.iter.id) for stmt in node.body):
+                        homes.add((file, top.name))
+    return sorted(homes)
+
+
+def test_only_roots_layers_walks_breadth_first():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert walk_homes(sources) == [("roots.py", "layers")]
+
+
+def test_check_flags_a_planted_second_walk():
+    # the embedding search's own walk, a method that extends its queue, and
+    # three near misses: a loop that fills another list, a stack walked by
+    # ``while``, and a loop over a copy of the list it extends
+    sources = {
+        "roots.py": (SRC / "roots.py").read_text(),
+        "cusps.py": (
+            "def _factor_requirements(c, n):\n    order = [0]\n    for i in order:\n"
+            "        order += [j for j in range(n) if c[i][j] and j not in order]\n    return order\n"
+        ),
+        "kulikov.py": (
+            "class Graph:\n    def reach(self, a):\n        queue = [a]\n        for x in queue:\n"
+            "            if x < 9:\n                queue.extend([x + 1])\n        return queue\n"
+        ),
+        "lattice.py": (
+            "def squares(xs):\n    out = []\n    for x in xs:\n        out.append(x * x)\n    return out\n\n"
+            "def orbit(a):\n    stack, seen = [a], {a}\n    while stack:\n        x = stack.pop()\n"
+            "        if x < 9 and x + 1 not in seen:\n            seen.add(x + 1)\n            stack.append(x + 1)\n"
+            "    return seen\n\n"
+            "def doubled(xs):\n    for x in list(xs):\n        xs.append(x)\n    return xs\n"
+        ),
+    }
+    assert walk_homes(sources) == [
+        ("cusps.py", "_factor_requirements"),
+        ("kulikov.py", "reach"),
+        ("roots.py", "layers"),
     ]
 
 

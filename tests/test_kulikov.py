@@ -332,6 +332,16 @@ def test_root_split_trivial_case():
     assert root_split_check(k, c, c) == (True, 1)
 
 
+def test_root_split_check_of_components_of_the_wrong_total_rank_is_false_and_index_0():
+    c = build_component(ComponentSpec(3, ((0, 1), (0, 1), (0, 1))))
+    c0 = build_component(ComponentSpec(0, ((1, 3),)))
+    c1 = build_component(ComponentSpec(1, ((0, 3),)))
+    k, k1 = glue_lambda(c, c), glue_lambda(c0, c1)
+    # parts of ranks 8 + 6 against a primitive part of rank 4, and 2 + 2
+    # against 14
+    assert root_split_check(k, c0, c1) == root_split_check(k1, c, c) == (False, 0)
+
+
 def test_semifan_table_ranks():
     for (n, k), entries in SEMIFAN_TABLE.items():
         for cusp, rank, slot_index in entries:

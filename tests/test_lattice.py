@@ -3,9 +3,9 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from k3lat.exactla import IntMatrix, det, echelon_pivots, index_in, saturate
+from k3lat.exactla import ExactLAError, IntMatrix, det, echelon_pivots, index_in, saturate
 from k3lat.lattice import (
     DegenerateFormError,
     DiscGroup,
@@ -41,6 +41,7 @@ from support import (
     fraction_signature,
     gauss_jordan_inv,
     hermite_snf,
+    reference_glue_overlattice,
     run_fresh,
     unimodular,
 )
@@ -663,6 +664,65 @@ def test_glue_overlattice_is_independent_of_the_denominator(data, k):
         assert found.lattice == base.lattice and abs(det(found.old_in_new)) == abs(det(base.old_in_new))
         assert found.old_in_new == base.old_in_new
         assert found.scaled == base.scaled.scale(k)
+
+
+@st.composite
+def scaled_form_glue(draw):
+    """A form c H, for H symmetric with entries in [-2, 2], and up to three
+    glue rows over d: when c = d every row is dual, and when d = 1 every
+    pair is integral, so the later checks and the glue are reached too."""
+    n = draw(st.integers(1, 4))
+    h = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            h[i][j] = h[j][i] = draw(st.integers(-2, 2))
+    c = draw(st.sampled_from([1, 2, 3]))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=3))
+    return Lattice([[c * x for x in row] for row in h]), rows, draw(st.sampled_from([1, 2, 3, 6]))
+
+
+def glue_or_error(glue, l, rows, d):
+    try:
+        return glue(l, rows, d)
+    except (LatticeError, ExactLAError) as e:
+        return type(e), str(e)
+
+
+# glue over d = 2 with several faults each: the first in row-major order
+# over the pairs counts, and on one pair the pairing check comes first
+SEVERAL_FAULTS = [
+    ([[1, 0], [0, 1]], [[1, 0], [1, 1]], "glue vector is not in the dual lattice"),
+    ([[2, 0], [0, 2]], [[1, 1], [1, 0]], "glue vector has odd norm; overlattice not even"),
+    ([[2, 0], [0, 2]], [[2, 0], [1, 0], [1, 1]], "glue vectors do not pair integrally"),
+    # norm 6/4: not integral, and odd rounded down
+    ([[6]], [[1]], "glue vectors do not pair integrally"),
+]
+
+
+@settings(max_examples=300)
+@given(scaled_form_glue())
+@example((Lattice([[2, 0], [0, 2]]), [[2, 0], [0, 2]], 2))
+def test_glue_overlattice_matches_the_dot_product_checks(data):
+    l, rows, d = data
+    assert glue_or_error(glue_overlattice, l, rows, d) == glue_or_error(reference_glue_overlattice, l, rows, d)
+
+
+@pytest.mark.parametrize("gram, rows, first", SEVERAL_FAULTS)
+def test_glue_with_several_faults_names_the_first(gram, rows, first):
+    l = Lattice(gram)
+    found = glue_or_error(glue_overlattice, l, rows, 2)
+    assert found == glue_or_error(reference_glue_overlattice, l, rows, 2) == (LatticeError, first)
+
+
+def test_constructors_reject_what_is_no_lattice():
+    with pytest.raises(LatticeError, match="rescale by zero"):
+        hyperbolic(0)
+    with pytest.raises(LatticeError, match="unknown root-system symbol 'B'"):
+        cartan_gram("B", 3)
+    with pytest.raises(LatticeError, match="A0 is not a root system"):
+        cartan_gram("A", 0)
+    with pytest.raises(LatticeError, match="basis rows do not match ambient rank"):
+        Sublattice(hyperbolic(), [[1, 0, 0]])
 
 
 def test_scaled_dual_matches_gauss_jordan():

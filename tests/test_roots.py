@@ -292,6 +292,16 @@ def test_a_diagram_that_is_not_ade_is_declined_and_raises_the_inertia_error(monk
     assert type(raised.value) is error and str(raised.value) == str(named.value)
 
 
+def test_lll_declines_a_negative_first_minor():
+    assert _lll(IntMatrix([[-2]])) is None
+
+
+def test_root_span_index_needs_roots_that_span_rationally():
+    # the roots of <2> + <4> are those of the A1 on the first vector
+    with pytest.raises(EnumerationError, match="roots do not span the lattice rationally"):
+        root_span_index(diag_lattice([2, 4]))
+
+
 def test_enumerate_rejects_bad_norm():
     with pytest.raises(EnumerationError):
         enumerate_norm(root_lattice("A", 2), 0)
@@ -809,9 +819,11 @@ def test_search_order_is_a_positive_system(data):
     found, simple = [], []
     scan = _simple_scan(n, simple)
     _reduced_search(_definite_reduce(lu), 2, lambda key, x: found.append((key, tuple(x))))
-    gram_red, v, det_red = _reduced_search(_definite_reduce(lu), 2, scan)
+    reduced = _definite_reduce(lu)
+    assert _reduced_search(reduced, 2, scan) is None
+    gram_red, v, _, d = reduced
     # the last pivot of the reduced form's elimination is its determinant
-    assert det_red == det(gram_red) == abs(det(lu.gram))
+    assert d[-1] == det(gram_red) == abs(det(lu.gram))
     v_inv = IntMatrix([[int(c) for c in row] for row in gauss_jordan_inv(v.entries)])
     closed = list((IntMatrix(enumerate_norm(lu, 2), cols=n) * v_inv).entries)
     half = [r for _, r in found]
