@@ -26,7 +26,9 @@ candidates form a W'-stable set, and the complements reached from one
 orbit are isometric.  Simple reflections generate W', so the search
 applies only those, found by one scan of the positive roots, and finds
 each reflected root by its packed integer key (``roots.packed_keys``).
-The scan also types each complement (``roots.diagram_type``).  The
+The searches of different factor multisets meet the same (candidates,
+reflections) masks, so each orbit set is computed once.  The scan also
+types each complement (``roots.diagram_type``).  The
 factors of P are distributed over the components by one product over
 placements, taken up to every permutation of the components: in both
 models each one extends to an isometry of N (the group G2 of SPLAG
@@ -39,11 +41,18 @@ index^2 = det C / |det| of ``roots.span_index``: the glue adds no roots,
 so the complement of P in N has the component complements as its roots.
 The dual quotient orders of the components are tabulated data only.
 
+When the glue code is empty (E8^3), N = R, and the complement of P is the
+sum of the component complements that the search computed: its basis is
+the block sum of their Hermite bases and its Gram matrix the sum of their
+Gram matrices.  In a glued model (E6^4) it is the kernel of the embedded
+P rows times the Gram matrix of N.
+
 Each verified object is built once per process (``functools.cache``):
 ``family_data`` and ``classify_cusps`` per family, ``component_system``
 per component, ``_embed_sorted`` per factor multiset, ``build_niemeier``
-per kind, ``enumerate_embeddings`` per factor tuple and kind, and the
-saturated complement ``_p_complement`` per embedding record.
+per kind, ``enumerate_embeddings`` per factor tuple and kind,
+``ComponentSystem.orbit_reps`` per component system and mask pair, and
+the saturated complement ``_p_complement`` per embedding record.
 """
 
 from __future__ import annotations
@@ -203,7 +212,8 @@ class ComponentSystem:
                 found |= 1 << i
         return simple
 
-    def orbit_reps(self, cand_mask: int, refl_mask: int) -> List[int]:
+    @cache
+    def orbit_reps(self, cand_mask: int, refl_mask: int) -> Tuple[int, ...]:
         """One representative, the first index, per orbit of the candidates
         under the Weyl group W' of the roots in ``refl_mask``, which must
         form a root subsystem with the candidates a W'-stable set (see the
@@ -231,7 +241,7 @@ class ComponentSystem:
                         if y not in seen:
                             seen.add(y)
                             stack.append(y)
-        return reps
+        return tuple(reps)
 
 
 # translate tables of ComponentSystem.masks, for the signed bytes v = -1,
@@ -269,6 +279,7 @@ class ComponentOutcome:
     complement_type: RootSystemType
     dual_image_order: int  # [P-perp taken in the dual : P-perp in the component]
     witness: Tuple[Tuple[int, ...], ...]  # root indices per factor
+    complement: IntMatrix  # Hermite basis of P-perp in the component
 
 
 def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -> ComponentOutcome:
@@ -285,7 +296,7 @@ def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -
     # comp = C * (dual_side * G^-1) exactly when comp * G = C * dual_side
     dual_order = index_in(comp_basis * cs.lattice.gram, kernel_basis(rows))
     witness = tuple(tuple(flat[end - s : end]) for s, end in zip(sizes, accumulate(sizes)))
-    return ComponentOutcome(ctype, dual_order, witness)
+    return ComponentOutcome(ctype, dual_order, witness, comp_basis)
 
 
 def embed_multiset(comp: Symbol, factors: Sequence[Symbol]) -> Tuple[ComponentOutcome, ...]:
@@ -441,12 +452,28 @@ def embedded_p_rows(record: EmbeddingRecord) -> IntMatrix:
     return block_diagonal(*blocks) * model.overlattice.old_in_new
 
 
+def _unglued(kind: str) -> bool:
+    """Whether the model ``kind`` has an empty glue code: then N = R, the
+    orthogonal sum of its components, and ``old_in_new`` is the identity."""
+    return not NIEMEIER_GLUE[kind][2]
+
+
 @cache
 def _p_complement(record: EmbeddingRecord) -> Sublattice:
     """The orthogonal complement of the embedded P inside N, saturated by
-    construction: the kernel of ``rows * G_N``, of rank 24 - rank P as N is
-    nondegenerate, so more than 24 - rows exactly for dependent rows."""
-    n = build_niemeier(record.model_kind).overlattice.lattice
+    construction, of rank 24 - rank P as N is nondegenerate: more than
+    24 - rows exactly for dependent rows.  In an unglued model it is the
+    sum of the component complements of the search, each of rank k - rows
+    in its component of rank k; in a glued one, the kernel of
+    ``rows * G_N``."""
+    model = build_niemeier(record.model_kind)
+    n = model.overlattice.lattice
+    if _unglued(record.model_kind):
+        k = model.comp[1]
+        if any(oc.complement.rows != k - sum(map(len, oc.witness)) for oc in record.outcomes):
+            raise CuspError("embedded P rows are dependent")
+        # a sum of Hermite bases on disjoint columns is the Hermite basis
+        return Sublattice(n, block_diagonal(*(oc.complement for oc in record.outcomes)))
     rows = embedded_p_rows(record)
     perp = kernel_basis(rows * n.gram)
     if perp.rows != n.rank - rows.rows:
@@ -456,8 +483,15 @@ def _p_complement(record: EmbeddingRecord) -> Sublattice:
 
 def cusp_quotient_lattice(record: EmbeddingRecord) -> Lattice:
     """The saturated orthogonal complement of the embedded P inside N,
-    which realizes the quotient lattice of the corresponding cusp."""
-    return _p_complement(record).lattice()
+    which realizes the quotient lattice of the corresponding cusp.  In an
+    unglued model its Gram matrix is the sum of the component
+    complements' Gram matrices, which the value cache of sublattice Gram
+    matrices holds per component complement."""
+    perp = _p_complement(record)  # with its rank check, on both routes
+    if _unglued(record.model_kind):
+        comp = component_system(*build_niemeier(record.model_kind).comp).lattice
+        return direct_sum(*(Sublattice(comp, oc.complement).lattice() for oc in record.outcomes))
+    return perp.lattice()
 
 
 def star_of(record: EmbeddingRecord) -> bool:

@@ -98,6 +98,8 @@ class IntMatrix:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ExactLAError("ragged rows")
+            if cols is not None and ncols != cols:
+                raise ExactLAError(f"rows of length {ncols} for {cols} columns")
         else:
             if cols is None:
                 raise ExactLAError("empty matrix needs an explicit column count")

@@ -294,7 +294,7 @@ class Sublattice:
 
     def __init__(self, ambient: Lattice, basis: IntMatrix | Sequence[Sequence[int]]):
         if not isinstance(basis, IntMatrix):
-            basis = IntMatrix(basis, cols=ambient.rank)
+            basis = IntMatrix(basis, cols=None if basis else ambient.rank)
         if basis.cols != ambient.rank:
             raise LatticeError("basis rows do not match ambient rank")
         # an echelon basis (every Hermite basis) is independent as it stands

@@ -29,7 +29,10 @@ root type finds the components in the graph of nonzero pairings over
 all roots.  The Weyl
 orbit oracle applies every reflection of a root subsystem to root tuples,
 where ``ComponentSystem.orbit_reps`` applies its simple reflections to
-packed keys.  The Kulikov quotient coordinates are also read off a
+packed keys.  The kernel route of P's complement takes the kernel of the
+embedded P rows times the Gram matrix of N on all 24 columns, where
+``cusps._p_complement`` sums the component complements of the search
+when the glue code is empty.  The Kulikov quotient coordinates are also read off a
 Gauss-Jordan solve against the adapted basis ``[xi; lift]``, without the
 kernel and the right inverses that the library's projection is built
 from.  The complement root type is also
@@ -93,12 +96,14 @@ from k3lat.exactla import (
     hermite_basis,
     hnf,
     int_express,
+    kernel_basis,
     rank,
 )
 from k3lat.lattice import (
     Lattice,
     LatticeError,
     Overlattice,
+    Sublattice,
     cartan_gram,
     definite_sign,
     diag_lattice,
@@ -993,6 +998,18 @@ def reference_glue_overlattice(l, rows, d):
         raise LatticeError("overlattice form is not even: invalid glue")
     old_in_new = int_express(IntMatrix.identity(n).scale(d), hm)
     return Overlattice(lat, hm, old_in_new)
+
+
+def reference_p_complement(record):
+    """``cusps._p_complement`` by the kernel of ``rows * G_N`` on the 24
+    columns of N in either model, where the library sums the component
+    complements of its search when the glue code is empty."""
+    n = build_niemeier(record.model_kind).overlattice.lattice
+    rows = cusps.embedded_p_rows(record)
+    perp = kernel_basis(rows * n.gram)
+    if perp.rows != n.rank - rows.rows:
+        raise cusps.CuspError("embedded P rows are dependent")
+    return Sublattice(n, perp)
 
 
 def reference_embedded_p_rows(record):

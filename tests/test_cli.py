@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,68 @@ def test_cusps_json_is_byte_stable(fam):
     assert res.exit_code == 0
     name = "cusps_" + fam.replace(",", "_") + ".json"
     assert res.stdout_bytes == (Path(__file__).parent / "golden" / name).read_bytes()
+
+
+def test_cusps_text_lists_the_records_of_the_json_golden():
+    # the default format: one line per cusp, per witness and per row, the
+    # factors and the complement in columns of 6
+    golden = json.loads((Path(__file__).parent / "golden" / "cusps_2_1.json").read_text())
+    expected = []
+    for cusp in golden:
+        expected.append(f"cusp {cusp['root_type']}")
+        for w in cusp["witnesses"]:
+            expected.append(f"  model {w['model']}")
+            for factors, comp, order in w["rows"]:
+                expected.append(f"    {factors:<6} -> complement {comp:<6} dual-quotient order {order}")
+    res = run("cusps", "--family", "2,1")
+    assert res.exit_code == 0
+    assert res.output.splitlines() == expected
+    assert expected[0] == "cusp A2^6*" and len(expected) == 35
+
+
+def test_info_stops_at_the_radical_of_a_degenerate_form():
+    res = run("info", "diag(0,2)")
+    assert res.exit_code == 1
+    assert res.output.splitlines() == ["rank       2", "signature  (1,0) with radical of rank 1"]
+
+
+def test_disc_rejects_a_degenerate_form():
+    res = run("disc", "diag(0,2)")
+    assert res.exit_code == 1
+    assert res.output == "Error: degenerate form with radical of rank 1\n"
+
+
+@pytest.mark.parametrize(
+    "family, message", [("x", "family must be given as n,k"), ("1", "family must be given as n,k"), ("3,3", "unknown family (3,3)")]
+)
+def test_cusps_rejects_a_family_that_is_no_table_row(family, message):
+    res = run("cusps", "--family", family)
+    assert res.exit_code == 2
+    assert res.output.splitlines()[-1] == f"Error: {message}"
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("A2(0)", "rescale by zero (at byte 2)"),
+        ("D3", "D3 is not in the D-series (need n >= 4) (at byte 2)"),
+        ("E(5)", "E5 is not a root system (at byte 4)"),
+    ],
+)
+def test_parse_errors_name_the_rejected_atom(expr, message):
+    res = run("info", expr)
+    assert res.exit_code == 1
+    assert res.output == f"Error: {message}\n"
+
+
+def test_a_rescale_suffix_applies_to_a_parenthesized_sum():
+    # (A1 + U)(2) is A1(-2) + U(2); a "(" without an integer is no suffix
+    res = run("info", "(A1 + U)(2)")
+    assert res.exit_code == 0
+    assert res.output.splitlines()[:4] == ["rank       3", "signature  (1,2)", "parity     even", "det        16"]
+    res = run("info", "A1(x)")
+    assert res.exit_code == 1
+    assert res.output == "Error: trailing input (at byte 2)\n"
 
 
 def test_a_raising_suite_is_one_error_item_and_the_others_still_run(monkeypatch):

@@ -63,6 +63,7 @@ from support import (
     product_placement_classes,
     reference_embedded_p_rows,
     reference_factor_requirements,
+    reference_p_complement,
     reflection_orbit_reps,
     run_fresh,
     span_in_n,
@@ -258,14 +259,33 @@ def check_orbit_reps(cs, cases):
     for chosen, allowed in cases:
         refl, cand = subsystem_masks(cs, chosen, allowed)
         check_simple_roots(cs, refl)
-        assert cs.orbit_reps(cand, refl) == reflection_orbit_reps(cs, cand, refl)
+        assert cs.orbit_reps(cand, refl) == tuple(reflection_orbit_reps(cs, cand, refl))
 
 
 @given(orbit_inputs())
 def test_orbit_reps_match_all_reflection_orbits(inputs):
     cs, chosen, allowed = inputs
     refl, cand = subsystem_masks(cs, chosen, allowed)
-    assert cs.orbit_reps(cand, refl) == reflection_orbit_reps(cs, cand, refl)
+    assert cs.orbit_reps(cand, refl) == tuple(reflection_orbit_reps(cs, cand, refl))
+
+
+def test_a_cold_tab4_computes_each_orbit_set_once():
+    # every call of the tab4 searches against the uncached body; 54 calls
+    # meet 26 distinct (component, candidates, reflections) masks
+    out = run_fresh(
+        "from k3lat import cusps, suites\n"
+        "cached = cusps.ComponentSystem.orbit_reps\n"
+        "same = []\n"
+        "def checked(self, cand, refl):\n"
+        "    got = cached(self, cand, refl)\n"
+        "    same.append(got == cached.__wrapped__(self, cand, refl))\n"
+        "    return got\n"
+        "cusps.ComponentSystem.orbit_reps = checked\n"
+        "assert all(r.passed for r in suites.run_suites('tab4'))\n"
+        "info = cached.cache_info()\n"
+        "print(len(same), all(same), info.misses, info.hits)\n"
+    )
+    assert out.split() == ["54", "True", "26", "28"]
 
 
 @given(orbit_inputs())
@@ -630,8 +650,29 @@ def test_p_complement_is_the_kernel_of_p_times_the_gram_matrix(monkeypatch):
         assert perp.rank == 24 - rank(embedded_p_rows(rec))
 
 
+def test_e8_cubed_is_the_unglued_sum_of_its_components():
+    # no glue word, so N = R: the route that sums component complements
+    e8, e6 = build_niemeier("E8^3"), build_niemeier("E6^4")
+    assert NIEMEIER_GLUE["E8^3"][2] == () and glue_code("E8^3") == ()
+    assert e8.overlattice.old_in_new == IntMatrix.identity(24)
+    assert e8.overlattice.lattice == e8.r
+    assert e6.overlattice.old_in_new != IntMatrix.identity(24)
+
+
+def test_p_complement_matches_the_kernel_in_n():
+    # the sum of the search's component complements on the 10 E8^3 records
+    # and the kernel on the 6 E6^4 records, against the kernel of rows * G_N:
+    # the same basis and the same Gram matrix
+    records = list(all_records())
+    assert [rec.model_kind for rec in records].count("E8^3") == 10
+    for rec in records:
+        ref = reference_p_complement(rec)
+        assert _p_complement(rec).basis == ref.basis
+        assert cusp_quotient_lattice(rec).gram == ref.lattice().gram
+
+
 def test_p_complement_rejects_dependent_p_rows(monkeypatch):
-    rec = next(all_records())
+    rec = next(r for r in all_records() if r.model_kind == "E6^4")
     real = cusps.embedded_p_rows
     monkeypatch.setattr(cusps, "embedded_p_rows", lambda r: real(r).stack(real(r).submatrix([0])))
     clear_table_caches()
@@ -640,6 +681,17 @@ def test_p_complement_rejects_dependent_p_rows(monkeypatch):
             _p_complement(rec)
     finally:
         clear_table_caches()
+
+
+def test_unglued_p_complement_rejects_dependent_p_rows():
+    # a witness root repeated: the component complement, of rank 8 - rank P
+    # there, is one short of 8 minus the component's P rows
+    rec = next(r for r in all_records() if r.model_kind == "E8^3")
+    c, oc = next((c, oc) for c, oc in enumerate(rec.outcomes) if oc.witness)
+    twice = dataclasses.replace(oc, witness=oc.witness + (oc.witness[0][:1],))
+    bad = dataclasses.replace(rec, outcomes=rec.outcomes[:c] + (twice,) + rec.outcomes[c + 1 :])
+    with pytest.raises(CuspError, match="embedded P rows are dependent"):
+        _p_complement(bad)
 
 
 @st.composite
@@ -651,7 +703,7 @@ def witness_records(draw):
     comp, ncomp, _ = NIEMEIER_GLUE[kind]
     root = st.integers(0, component_system(*comp).nroots - 1)
     witness = st.lists(st.lists(root, max_size=3).map(tuple), max_size=3).map(tuple)
-    outcomes = tuple(ComponentOutcome(EMPTY_TYPE, 1, draw(witness)) for _ in range(ncomp))
+    outcomes = tuple(ComponentOutcome(EMPTY_TYPE, 1, draw(witness), IntMatrix([], cols=comp[1])) for _ in range(ncomp))
     return EmbeddingRecord(kind, ((),) * ncomp, outcomes)
 
 

@@ -156,6 +156,10 @@ def test_shape_checks_reject_mismatched_operands():
         a.stack(b)
     with pytest.raises(ExactLAError, match="empty matrix needs an explicit column count"):
         IntMatrix([])
+    with pytest.raises(ExactLAError, match="rows of length 3 for 2 columns"):
+        IntMatrix([[1, 2, 3]], cols=2)
+    with pytest.raises(ExactLAError, match="rows of length 3 for 2 columns"):
+        hermite_basis([[1, 2, 3]], 2)
     with pytest.raises(ExactLAError, match="determinant of a non-square matrix"):
         det(a)
     # one column too wide for the basis of an echelon form

@@ -376,6 +376,12 @@ def test_glue_rejects_odd_overlattice():
         glue_overlattice(a2, [[1, -1]], 3)
 
 
+def test_glue_rejects_rows_of_another_width():
+    # the width is checked where the glue matrix is built, before any product
+    with pytest.raises(ExactLAError, match="rows of length 3 for 2 columns"):
+        glue_overlattice(root_lattice("A", 2), [[1, 2, 3]], 3)
+
+
 def test_glue_rejects_odd_base_lattice():
     # every glue check passes on the empty glue; the overlattice is L
     # itself, so an odd L reaches the evenness check of the new form
