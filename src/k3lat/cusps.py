@@ -27,8 +27,8 @@ orbit are isometric.  Simple reflections generate W', so the search
 applies only those, found by one scan of the positive roots, and finds
 each reflected root by its packed integer key (``roots.packed_keys``).
 The searches of different factor multisets meet the same (candidates,
-reflections) masks, so each orbit set is computed once.  The scan also
-types each complement (``roots.diagram_type``).  The
+reflections) masks, so each orbit set is computed once.  The scan's
+simple roots also type each complement (``roots.root_basis_type``).  The
 factors of P are distributed over the components by one product over
 placements, taken up to every permutation of the components: in both
 models each one extends to an isometry of N (the group G2 of SPLAG
@@ -87,11 +87,11 @@ from .lattice import (
 from .roots import (
     EMPTY_TYPE,
     RootSystemType,
-    diagram_type,
     enumerate_norm,
     glue_root_sum,
     layers,
     packed_keys,
+    root_basis_type,
     root_span_index,
     root_system,
     span_index,
@@ -287,7 +287,7 @@ def _outcome_from_leaf(cs: ComponentSystem, flat: List[int], sizes: List[int]) -
     for i in flat:
         comp_mask &= cs.masks[i][0 + 1]
     simple_idx = cs.simple_roots(comp_mask)
-    ctype = diagram_type([[cs.pair[i][j] for j in simple_idx] for i in simple_idx])
+    ctype = root_basis_type([[cs.pair[i][j] for j in simple_idx] for i in simple_idx])
     rows = IntMatrix._of(tuple(cs.roots[i] for i in flat), cs.lattice.rank)
     comp_basis = kernel_basis(rows * cs.lattice.gram)  # complement in the lattice
     if ctype.rank != comp_basis.rows:

@@ -52,6 +52,7 @@ from .lattice import (
     rescale,
     root_lattice,
 )
+from .roots import RootSystemType
 
 
 class IsometryError(LatticeError):
@@ -248,9 +249,6 @@ def is_estar(r: RhoLattice) -> bool:
 
 # -- standard constructions -------------------------------------------
 
-COXETER_NUMBER = {("A", 2): 3, ("E", 6): 12, ("E", 8): 30}
-
-
 def _coxeter_element(sym: str, n: int) -> IntMatrix:
     g = cartan_gram(sym, n)
     out = IntMatrix.identity(n)
@@ -274,12 +272,9 @@ def fpf_order3(sym: str, n: int) -> RhoLattice:
     returning.  Aut(Z/3) = {+-1} has no element of order 3, so any order-3
     isometry of A2 or E6 is trivial on the discriminant (E8 has none).
     """
-    key = (sym, n)
-    if key not in COXETER_NUMBER:
-        raise IsometryError(f"{sym}{n} has no wired order-3 fixed-point-free action")
     cox = _coxeter_element(sym, n)
     power = IntMatrix.identity(n)
-    for _ in range(COXETER_NUMBER[key] // 3):
+    for _ in range(RootSystemType.of([(sym, n)]).root_count() // (3 * n)):
         power = power * cox
     r = RhoLattice(root_lattice(sym, n), power)
     if r.order != 3 or fixed_sublattice(r).rank != 0 or not is_estar(r):

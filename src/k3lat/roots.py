@@ -27,11 +27,12 @@ component, named by rank and determinant.  Any other reduced form is
 searched once: the search's order is that of an exact integer key,
 positive on the vectors it keeps, so the roots it finds are a positive
 system; each goes to the simple-root scan as found, and the search stops
-at the rank-th simple root, typed by the Dynkin diagram (Humphreys, 1.3;
-Bourbaki VI 1.6).  The index of the root span is read off determinants
-alone (``span_index``): for n simple roots with Cartan matrix C in a
-lattice with Gram matrix G, index^2 = det C / |det G|.  The simple
-roots map back through V, and their Hermite form is the root span.
+at the rank-th simple root (Humphreys, 1.3).  Simple roots are a basis
+of roots too, so both paths type by pieces and determinants.  The index
+of the root span is read off determinants alone (``span_index``): for n
+simple roots with Cartan matrix C in a lattice with Gram matrix G,
+index^2 = det C / |det G|.  The simple roots map back through V, and
+their Hermite form is the root span.
 
 ``dual_class_min`` enumerates the integer scaled dual of
 ``lattice.scaled_dual``; only ``glue_root_sum`` reads those classes, to
@@ -47,6 +48,7 @@ orthogonal complement the roots orthogonal to it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, count, groupby, product
@@ -59,6 +61,7 @@ from .lattice import (
     LatticeError,
     Overlattice,
     Sublattice,
+    cartan_gram,
     definite_sign,
     glue_overlattice,
     scaled_dual,
@@ -302,15 +305,22 @@ class RootSystemType:
 
     @staticmethod
     def parse(text: str) -> "RootSystemType":
-        """Parse strings like 'E8+E6', 'A2^6*', 'E6^2+A2^2*' or '0'."""
+        """Parse strings like 'E8+E6', 'A2^6*', 'E6^2+A2^2*' or '0': a part
+        that is no symbol with an index and an optional ``^m`` raises
+        ``EnumerationError``, and one that ``cartan_gram`` rejects its
+        ``LatticeError``."""
         text = text.strip()
         starred = text.endswith("*")
         if starred:
             text = text[:-1]
         comps: List[Tuple[str, int]] = []
         for part in text.split("+") if text not in ("", "0") else ():
-            base, hat, mult = part.strip().partition("^")
-            comps += [(base[0], int(base[1:]))] * (int(mult) if hat else 1)
+            part = part.strip()
+            if not (m := re.fullmatch(r"([A-Za-z])(\d+)(?:\^([1-9]\d*))?", part)):
+                raise EnumerationError(f"{part!r} is not a root-system name")
+            sym, n = m[1], int(m[2])
+            cartan_gram(sym, n)
+            comps += [(sym, n)] * int(m[3] or 1)
         return RootSystemType.of(comps, starred)
 
     @property
@@ -405,37 +415,12 @@ def _pieces(gram: Sequence[Sequence[int]]) -> List[List[int]]:
     return pieces
 
 
-def diagram_type(cartan: Sequence[Sequence[int]]) -> RootSystemType:
-    """ADE type of simple roots with the Cartan matrix ``cartan``, one
-    component per piece of its Dynkin diagram: a path is A_n, a tree with
-    one branch node is D_n when its arms have (1, 1, k) nodes and E6, E7,
-    E8 when (1, 2, 2), (1, 2, 3), (1, 2, 4); any other diagram raises.
-    Layer d >= 1 from the branch node has one node per arm of >= d nodes."""
-    adj = [[j for j, c in enumerate(row) if c and j != i] for i, row in enumerate(cartan)]
-    comps: List[Tuple[str, int]] = []
-    for piece in _pieces(cartan):
-        n = len(piece)
-        degree = sorted(len(adj[a]) for a in piece)
-        if sum(degree) == 2 * n - 2 and degree[-1] <= 2:
-            comps.append(("A", n))
-            continue
-        if sum(degree) == 2 * n - 2 and degree[-1] == 3 and degree[-2] <= 2:
-            depths = list(layers(cartan, next(a for a in piece if len(adj[a]) == 3)).values())
-            arms = [sum(depths.count(d) >= k for d in range(1, n)) for k in (3, 2, 1)]
-            if arms[:2] == [1, 1] or arms[:2] == [1, 2] and arms[2] <= 4:
-                comps.append(("DE"[arms[1] - 1], n))
-                continue
-        raise EnumerationError(f"a component of {n} simple roots has no ADE Dynkin diagram")
-    return RootSystemType.of(comps)
-
-
-def _root_basis_type(gram: IntMatrix) -> RootSystemType:
-    """Type of a positive definite ``gram`` in a basis of roots, with no
-    root enumerated.  The pieces of the pairing graph are the irreducible
-    components; the last pivot of one elimination per piece is its
-    determinant, which names its type with its rank: det A_n = n + 1,
-    det D_n = 4 (n >= 4), and det E6, E7, E8 = 3, 2, 1."""
-    rows = gram.entries
+def root_basis_type(rows: Sequence[Sequence[int]]) -> RootSystemType:
+    """Type of the positive definite Gram matrix ``rows`` of a basis of
+    roots, with no root enumerated.  The pieces of the pairing graph are
+    the irreducible components; the last pivot of one elimination per
+    piece is its determinant, which names its type with its rank:
+    det A_n = n + 1, det D_n = 4 (n >= 4), and det E6, E7, E8 = 3, 2, 1."""
     comps: List[Tuple[str, int]] = []
     for piece in _pieces(rows):
         k = len(piece)
@@ -455,7 +440,7 @@ def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
     Conway--Sloane, ch. 4): the span is the identity.  A root of an
     orthogonal sum of even definite lattices lies in one summand, so the
     pieces of the pairing graph are the irreducible components
-    (``_root_basis_type``).  Any other reduced form is searched once, on
+    (``root_basis_type``).  Any other reduced form is searched once, on
     the elimination that LLL hands over: the search feeds its positive
     system to ``_simple_scan`` until the rank-th simple root, and only
     the simple roots go back through V."""
@@ -467,13 +452,12 @@ def _root_analysis(gram: IntMatrix) -> Tuple[RootSystemType, IntMatrix]:
         return EMPTY_TYPE, IntMatrix._of((), n)
     reduced = _definite_reduce(l)
     if all(row[k] == 2 for k, row in enumerate(reduced[0].entries)):
-        return _root_basis_type(reduced[0]), IntMatrix.identity(n)
+        return root_basis_type(reduced[0].entries), IntMatrix.identity(n)
     simple: List[Vector] = []
     _reduced_search(reduced, 2, _simple_scan(n, simple))
     gram_red, v = reduced[:2]
     s = IntMatrix._of(tuple(simple), n)
-    rtype = diagram_type((s * gram_red * s.transpose()).entries)
-    return rtype, hermite_basis((s * v).entries, n)
+    return root_basis_type((s * gram_red * s.transpose()).entries), hermite_basis((s * v).entries, n)
 
 
 def root_system(l: Lattice) -> Tuple[RootSystemType, Sublattice]:

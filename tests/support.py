@@ -111,7 +111,16 @@ from k3lat.lattice import (
     hyperbolic,
     root_lattice,
 )
-from k3lat.roots import RootSystemType, _definite_reduce, _reduced_search, _simple_scan, diagram_type, enumerate_norm
+from k3lat.roots import (
+    EnumerationError,
+    RootSystemType,
+    _definite_reduce,
+    _pieces,
+    _reduced_search,
+    _simple_scan,
+    enumerate_norm,
+    layers,
+)
 
 # -- random changes of basis -------------------------------------------
 #
@@ -931,11 +940,36 @@ def misread_e6_cartan_det(monkeypatch):
 # -- the root span without determinants ----------------------------------
 
 
+def diagram_type(cartan):
+    """Oracle: ADE type of simple roots with the Cartan matrix ``cartan``,
+    one component per piece of its Dynkin diagram, with no determinant: a
+    path is A_n, a tree with one branch node is D_n when its arms have
+    (1, 1, k) nodes and E6, E7, E8 when (1, 2, 2), (1, 2, 3), (1, 2, 4);
+    any other diagram raises.  Layer d >= 1 from the branch node has one
+    node per arm of >= d nodes."""
+    adj = [[j for j, c in enumerate(row) if c and j != i] for i, row in enumerate(cartan)]
+    comps = []
+    for piece in _pieces(cartan):
+        n = len(piece)
+        degree = sorted(len(adj[a]) for a in piece)
+        if sum(degree) == 2 * n - 2 and degree[-1] <= 2:
+            comps.append(("A", n))
+            continue
+        if sum(degree) == 2 * n - 2 and degree[-1] == 3 and degree[-2] <= 2:
+            depths = list(layers(cartan, next(a for a in piece if len(adj[a]) == 3)).values())
+            arms = [sum(depths.count(d) >= k for d in range(1, n)) for k in (3, 2, 1)]
+            if arms[:2] == [1, 1] or arms[:2] == [1, 2] and arms[2] <= 4:
+                comps.append(("DE"[arms[1] - 1], n))
+                continue
+        raise EnumerationError(f"a component of {n} simple roots has no ADE Dynkin diagram")
+    return RootSystemType.of(comps)
+
+
 def searched_root_analysis(gram):
     """``(type, span)`` of the definite form ``gram`` by the search alone:
     the simple roots that the scan takes from the search, typed by their
-    Dynkin diagram, and their Hermite basis mapped back through V, the
-    root span by the route that reads no determinant."""
+    Dynkin diagram (``diagram_type``), and their Hermite basis mapped back
+    through V, the root span by the route that reads no determinant."""
     simple = []
     reduced = _definite_reduce(Lattice(gram))
     _reduced_search(reduced, 2, _simple_scan(gram.rows, simple))

@@ -45,7 +45,7 @@ from k3lat.lattice import (
     quotient_by_isotropic,
     signature,
 )
-from k3lat.roots import EMPTY_TYPE, EnumerationError, RootSystemType, diagram_type, glue_root_sum, root_span_index, span_index
+from k3lat.roots import EMPTY_TYPE, EnumerationError, RootSystemType, glue_root_sum, root_basis_type, root_span_index, span_index
 from k3lat.suites import suite_tab3
 
 from support import (
@@ -238,7 +238,8 @@ def orbit_inputs(draw):
 def check_simple_roots(cs, refl):
     """The simple roots of the subsystem in ``refl``: as many as its rank,
     pairing <= 0 with each other, writing each of its roots with
-    coefficients of one sign, and with the Dynkin diagram of its type."""
+    coefficients of one sign, and with a Cartan matrix that
+    ``root_basis_type`` names as the pairwise oracle names all roots."""
     simple = cs.simple_roots(refl)
     phi = [cs.roots[i] for i in range(cs.nroots) if refl >> i & 1]
     n = cs.lattice.rank
@@ -250,7 +251,7 @@ def check_simple_roots(cs, refl):
         coeffs = int_express(IntMatrix(phi, cols=n), basis)
         assert all(min(row) >= 0 or max(row) <= 0 for row in coeffs.entries)
     cartan = [[cs.pair[s][t] for t in simple] for s in simple]
-    assert diagram_type(cartan) == pairwise_root_type(phi, cs.lattice.gram)
+    assert root_basis_type(cartan) == pairwise_root_type(phi, cs.lattice.gram)
 
 
 def check_orbit_reps(cs, cases):

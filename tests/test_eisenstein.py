@@ -306,6 +306,20 @@ def test_fpf_unknown_symbol():
         fpf_order3("D", 4)
 
 
+@pytest.mark.parametrize("sym,n", [("D", 4), ("A", 3), ("E", 7)])
+def test_fpf_order3_verification_rejects_a_coxeter_power_with_no_such_action(sym, n):
+    # h = 6, 4, 18: the power h // 3 of the Coxeter element has a fixed
+    # vector (D4, E7) or order 4 (A3), and the verification names the type
+    with pytest.raises(IsometryError, match=f"verified construction failed for {sym}{n}$"):
+        fpf_order3(sym, n)
+
+
+def test_fpf_order3_of_an_unknown_symbol_raises_the_cartan_error():
+    with pytest.raises(LatticeError, match="unknown root-system symbol 'X'") as raised:
+        fpf_order3("X", 3)
+    assert type(raised.value) is LatticeError
+
+
 def test_assemble_table3_rows():
     neg = lambda s, n: rescale(root_lattice(s, n), -1)
     e8 = fpf_order3("E", 8)

@@ -97,6 +97,11 @@ annotation of one in ``src/k3lat``, alone or inside ``Tuple[...]``, is
 
 The typed-error rule: no handler in ``src/k3lat`` is a bare ``except:``
 or catches ``Exception`` or ``BaseException``, alone or in a tuple.
+
+The ADE-data rule: outside ``roots``, no dict display in ``src/k3lat``
+has a key that is an ADE symbol (``'A'``, ``'D'``, ``'E'``) or a
+(symbol, int) pair, so the Coxeter numbers and Cartan determinants of
+the root systems live on ``roots.RootSystemType`` alone.
 """
 
 from __future__ import annotations
@@ -1051,3 +1056,41 @@ def test_check_flags_a_broad_handler():
         ("b.py", 3, "except Exception"),
         ("c.py", 3, "except BaseException"),
     ]
+
+
+ADE_SYMBOLS = {"A", "D", "E"}
+
+
+def _is_ade_key(key) -> bool:
+    if isinstance(key, ast.Tuple) and len(key.elts) == 2:
+        sym, n = key.elts
+        return _is_ade_key(sym) and isinstance(n, ast.Constant) and type(n.value) is int
+    return isinstance(key, ast.Constant) and key.value in ADE_SYMBOLS
+
+
+def ade_tables(sources: dict) -> list:
+    """(file, line) of each dict display outside ``roots.py`` in the
+    ``sources`` (file name -> text) with a key that is an ADE symbol or a
+    (symbol, int) pair."""
+    return sorted(
+        (file, node.lineno)
+        for file, text in sources.items()
+        if file != "roots.py"
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Dict) and any(_is_ade_key(k) for k in node.keys)
+    )
+
+
+def test_only_roots_tabulates_ade_data():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert ade_tables(sources) == []
+
+
+def test_check_flags_a_planted_ade_table():
+    sources = {
+        "eisenstein.py": 'COXETER_NUMBER = {("A", 2): 3, ("E", 6): 12, ("E", 8): 30}\n',
+        "cusps.py": 'def f(n):\n    return {"U": 1, "D": 4}[n]\n',
+        "roots.py": 'H = {"A": 1, ("E", 8): 30}\n',
+        "ok.py": 'M = {(("U", 1), ("U", 3)): 0, "E8^2": 1, ("E", "8"): 2, (0, 2): 3, **{}}\n',
+    }
+    assert ade_tables(sources) == [("cusps.py", 2), ("eisenstein.py", 1)]

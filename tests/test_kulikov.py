@@ -28,6 +28,7 @@ from k3lat.kulikov import (
     semifan,
 )
 from k3lat.lattice import (
+    LatticeError,
     Sublattice,
     direct_sum,
     glue_overlattice,
@@ -396,6 +397,12 @@ def test_semifan_zero_cases():
 def test_semifan_rejects_unknown_pair():
     with pytest.raises(KulikovError):
         semifan(0, 2, "E6^2")
+
+
+def test_semifan_rejects_an_unknown_symbol_with_the_cartan_error():
+    with pytest.raises(LatticeError, match="unknown root-system symbol 'X'") as raised:
+        semifan(0, 2, "X3")
+    assert type(raised.value) is LatticeError
 
 
 def test_semifan_suite_reports_a_wrong_rank_as_fail(monkeypatch):

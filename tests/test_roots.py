@@ -35,9 +35,9 @@ from k3lat.roots import (
     _round_div,
     _simple_scan,
     complement_root_type,
-    diagram_type,
     dual_class_min,
     enumerate_norm,
+    root_basis_type,
     root_span_index,
     root_system,
     span_index,
@@ -49,6 +49,7 @@ from support import (
     basis_change,
     changed_basis,
     conjugate,
+    diagram_type,
     enumerate_norm_box,
     fraction_lll,
     gauss_jordan_inv,
@@ -124,8 +125,9 @@ def counted_eliminations(mp):
 def test_root_analysis_of_a_new_gram_matrix_eliminates_once(monkeypatch):
     # LLL's minors prove definiteness and its numerators serve the search,
     # so neither the input nor the reduced form is eliminated: a basis of
-    # roots is eliminated once per piece, and a search not at all.  Both
-    # skewed E6+A2 bases reduce to a basis of roots; E8+I1, odd, has none
+    # roots is eliminated once per piece, and so are a search's simple
+    # roots.  Both skewed E6+A2 bases reduce to a basis of roots; E8+I1,
+    # odd, has none
     e6a2 = direct_sum(root_lattice("E", 6), root_lattice("A", 2))
     lu = conjugate(e6a2, unimodular(8, [(5, 3, -2), (6, 3, 2)]))
     skew = conjugate(e6a2, unimodular(8, [(6, 1, 2), (0, 1, -2), (2, 0, -2), (1, 5, -2)]))
@@ -140,7 +142,7 @@ def test_root_analysis_of_a_new_gram_matrix_eliminates_once(monkeypatch):
         assert sorted(calls) == [2, 6]
     calls.clear()
     (rtype, _), searches = analysed(odd.gram)
-    assert (str(rtype), searches, calls) == ("E8", 1, [])
+    assert (str(rtype), searches, calls) == ("E8", 1, [8])
 
 
 @pytest.mark.parametrize(
@@ -228,10 +230,11 @@ def test_cartan_certificate_on_pinned_forms(monkeypatch):
     assert analysed(triangle) == ((T("A3"), IntMatrix.identity(3)), 0)
     assert calls == [3]
     # an odd form has no root basis: it is searched once, on the minors
-    # and numerators of the reduction, with no elimination
+    # and numerators of the reduction, and its simple roots, one piece,
+    # are eliminated once
     calls.clear()
     (rtype, _), searches = analysed(IntMatrix.identity(3))
-    assert (str(rtype), searches, calls) == ("A3", 1, [])
+    assert (str(rtype), searches, calls) == ("A3", 1, [3])
 
 
 @pytest.mark.parametrize("expr, shortcut", [("A2(2)", True), ("D4(3)", True), ("E8(2)+A1(3)", False)])
@@ -523,6 +526,31 @@ def test_complement_root_type_matches_the_rational_span_oracle(atom, chosen, ops
 def test_type_parsing_and_str_roundtrip():
     for text in ["E8^2", "E6^2+A2^2*", "A2^6*", "E8+E6+A2", "0"]:
         assert str(T(text)) == text
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("X3", LatticeError),
+        ("E", EnumerationError),
+        ("A2^x", EnumerationError),
+        ("A2+", EnumerationError),
+        ("A2^0", EnumerationError),
+        ("E5", LatticeError),
+        ("D3", LatticeError),
+        ("A0", LatticeError),
+    ],
+)
+def test_type_parsing_raises_typed_errors(text, error):
+    # text that is no symbol with an index is an EnumerationError; a name
+    # that cartan_gram rejects raises its LatticeError, with its message
+    with pytest.raises(error) as raised:
+        T(text)
+    assert type(raised.value) is error
+    if error is LatticeError:
+        with pytest.raises(LatticeError) as named:
+            cartan_gram(text[0], int(text[1:]))
+        assert str(raised.value) == str(named.value)
 
 
 def test_type_rank_and_counts():
@@ -846,14 +874,45 @@ def test_search_order_is_a_positive_system(data):
     [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 10)] + [("E", n) for n in (6, 7, 8)],
 )
 def test_diagram_type_of_each_cartan_matrix(sym, n):
-    # the nodes permuted, alone and beside an A2 on interleaved nodes
+    # the nodes permuted, alone and beside an A2 on interleaved nodes: the
+    # determinant rule names what the Dynkin-diagram oracle names
     c = cartan_gram(sym, n).entries
     order = random.Random(n).sample(range(n), n)
     permuted = [[c[i][j] for j in order] for i in order]
-    assert diagram_type(permuted) == RootSystemType.of([(sym, n)])
+    assert root_basis_type(permuted) == diagram_type(permuted) == RootSystemType.of([(sym, n)])
     both = direct_sum(Lattice(IntMatrix(permuted)), root_lattice("A", 2)).gram.entries
     order = [n] + list(range(n)) + [n + 1]
-    assert diagram_type([[both[i][j] for j in order] for i in order]) == RootSystemType.of([(sym, n), ("A", 2)])
+    interleaved = [[both[i][j] for j in order] for i in order]
+    assert root_basis_type(interleaved) == diagram_type(interleaved) == RootSystemType.of([(sym, n), ("A", 2)])
+
+
+@pytest.mark.parametrize("parts", [[("A", 3), ("D", 4)], [("E", 6), ("A", 1), ("A", 1)], [("D", 5), ("A", 3)], [("E", 7), ("A", 1)]])
+def test_root_basis_type_of_a_sum_of_cartan_matrices(parts):
+    # a sum of rank <= 8 with its nodes shuffled across the summands
+    c = direct_sum(*(root_lattice(*p) for p in parts)).gram.entries
+    order = random.Random(len(c)).sample(range(len(c)), len(c))
+    shuffled = [[c[i][j] for j in order] for i in order]
+    assert root_basis_type(shuffled) == diagram_type(shuffled) == RootSystemType.of(parts)
+
+
+def test_root_basis_type_of_bases_of_roots_that_are_not_simple():
+    # the triangle with every pairing 1 has no Dynkin diagram; LLL hands over
+    # reduced bases of roots with positive pairings: each is typed as the
+    # pairwise oracle types all roots of its lattice
+    triangle = Lattice([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    e6a2 = direct_sum(root_lattice("E", 6), root_lattice("A", 2))
+    d5a3 = direct_sum(root_lattice("D", 5), root_lattice("A", 3))
+    cases = [
+        triangle,
+        conjugate(e6a2, unimodular(8, [(5, 3, -2), (6, 3, 2)])),
+        conjugate(e6a2, unimodular(8, [(6, 1, 2), (0, 1, -2), (2, 0, -2), (1, 5, -2)])),
+        conjugate(d5a3, unimodular(8, [(0, 7, 3), (4, 2, -1), (6, 1, 2)])),
+        conjugate(root_lattice("E", 8), unimodular(8, [(7, 0, 2), (3, 5, -3), (1, 6, 1)])),
+    ]
+    for l in cases:
+        reduced = _definite_reduce(l)[0].entries
+        assert all(row[k] == 2 for k, row in enumerate(reduced))
+        assert root_basis_type(reduced) == pairwise_root_type(enumerate_norm(l, 2), l.gram)
 
 
 def diagram(n, edges):
@@ -875,6 +934,7 @@ def diagram(n, edges):
     ],
 )
 def test_diagram_type_rejects_non_ade_diagrams(cartan):
+    # the oracle names no affine diagram, so a comparison against it can fail
     with pytest.raises(EnumerationError):
         diagram_type(cartan)
 
